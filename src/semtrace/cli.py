@@ -1,7 +1,8 @@
 """Command-line interface: trace, reward, train, eval, probe, fuzz.
 
 Exit codes for ``trace``: 0 returned, 1 parse error, 2 runtime error,
-3 budget exceeded.  All diagnostics go to stderr; stdout carries only the
+3 budget exceeded.  Every subcommand exits 1 on a malformed input file or
+argument.  All diagnostics go to stderr; stdout carries only the
 canonical payload of each subcommand.
 """
 
@@ -9,7 +10,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
 import time
 from pathlib import Path
@@ -17,25 +17,20 @@ from pathlib import Path
 import numpy as np
 
 from . import probe as probe_mod
-from .evalsuite import (
-    canonical_serialize,
-    load_eval_items,
-    oracle_predictor_for,
-    run_eval,
-    serialize_record,
-)
+from .evalsuite import load_eval_items, oracle_predictor_for, run_eval, serialize_record
 from .fuzz import differential_campaign
 from .harness import (
-    SEED_ENV_VAR,
     ConfigError,
     RunConfig,
     atomic_write_text,
-    decode_json_value,
+    decode_test_case,
     load_problems,
+    read_jsonl,
+    seed_override,
     subprocess_predictor,
 )
 from .lang import ParseError, list_variables, parse_program
-from .rewards import TestCase, gen_reward
+from .rewards import gen_reward
 from .scheduler import run_training
 from .tracer import (
     DEFAULT_BUDGET,
@@ -44,21 +39,12 @@ from .tracer import (
     STATUS_RETURNED,
     execute,
 )
+from .values import decode_json_value, encode_json_value
 
 EXIT_OK = 0
 EXIT_PARSE = 1
 EXIT_RUNTIME = 2
 EXIT_BUDGET = 3
-
-
-def _seed_override(seed: int) -> int:
-    env = os.environ.get(SEED_ENV_VAR)
-    if env is None:
-        return seed
-    try:
-        return int(env)
-    except ValueError:
-        raise ConfigError("%s must be an integer, got %r" % (SEED_ENV_VAR, env))
 
 
 def _load_program(path):
@@ -114,25 +100,16 @@ def cmd_reward(args) -> int:
     except ParseError as exc:
         print("parse error: %s" % exc, file=sys.stderr)
         return EXIT_PARSE
-    tests = []
-    with open(args.tests, "r", encoding="utf-8") as fh:
-        for line in fh:
-            if not line.strip():
-                continue
-            raw = json.loads(line)
-            tests.append(
-                TestCase(
-                    input=[decode_json_value(v) for v in raw["input"]],
-                    expected=decode_json_value(raw["expected"]),
-                )
-            )
+    try:
+        tests = [decode_test_case(raw) for raw in read_jsonl(args.tests)]
+        if not tests:
+            raise ValueError("no test cases")
+    except (KeyError, TypeError, ValueError) as exc:
+        print("bad tests file %s: %s" % (args.tests, exc), file=sys.stderr)
+        return EXIT_PARSE
     report = gen_reward(program, tests, budget=args.budget)
     per_test = [
-        {
-            "status": t.status,
-            "matched": t.matched,
-            "actual": None if t.actual is None else json.loads(canonical_serialize(t.actual)),
-        }
+        {"status": t.status, "matched": t.matched, "actual": encode_json_value(t.actual)}
         for t in report.per_test
     ]
     print(
@@ -174,7 +151,11 @@ def cmd_train(args) -> int:
 
 
 def cmd_eval(args) -> int:
-    items = load_eval_items(args.items, budget=args.budget)
+    try:
+        items = load_eval_items(args.items, budget=args.budget)
+    except ValueError as exc:
+        print("bad eval items: %s" % exc, file=sys.stderr)
+        return EXIT_PARSE
     if args.predictor == "oracle":
         predictor = oracle_predictor_for(items)
     else:
@@ -198,7 +179,7 @@ def cmd_probe(args) -> int:
         print("feature error: %s" % exc, file=sys.stderr)
         return EXIT_PARSE
     layers = sorted({layer for s in samples for layer in s.features})
-    rng = np.random.default_rng(_seed_override(args.seed))
+    rng = np.random.default_rng(seed_override(args.seed))
     results = probe_mod.probe_sweep(
         samples, layers, ratio=args.ratio, rng=rng, epochs=args.epochs, lr=args.lr
     )
@@ -215,7 +196,7 @@ def cmd_probe(args) -> int:
 
 def cmd_fuzz(args) -> int:
     result = differential_campaign(
-        args.count, seed=_seed_override(args.seed), budget=args.budget
+        args.count, seed=seed_override(args.seed), budget=args.budget
     )
     print(
         "%d programs, %d returned, %d mismatches"

@@ -1,58 +1,26 @@
-"""Trace-inference evaluation: canonical serialization, strict prediction
+"""Trace-inference evaluation: the canonical answer line, strict prediction
 parsing, Exact@1 scoring, and pass@1 aggregation.
 
-The canonical text form is a single line of strict JSON with keys
-"final_output" and "variables"; sets appear as ascending lists and the
-infinities as the sentinel strings ``"__INF__"`` / ``"__-INF__"``.
+The canonical answer line is a single line of strict JSON with keys
+"final_output" and "variables"; values are rendered by
+:func:`semtrace.values.canonical_serialize`.
 """
 
 from __future__ import annotations
 
 import json
-import math
 from dataclasses import dataclass, field
 from importlib import resources
 from typing import Callable, Dict, List, Optional, Sequence
 
-from .lang import Program, format_program, list_variables, parse_program
-from .rewards import TestCase, gen_reward
+from .lang import ParseError, Program, format_program, list_variables, parse_program
+from .rewards import TestCase, gen_reward, matches_expected
 from .tracer import DEFAULT_BUDGET, STATUS_RETURNED, execute
-from .values import MimSet, Value, values_equal
-
-INF_SENTINEL = "__INF__"
-NEG_INF_SENTINEL = "__-INF__"
-
-
-class SerializationError(ValueError):
-    pass
+from .values import Value, canonical_serialize, decode_json_value
 
 
 class MalformedPrediction(ValueError):
     pass
-
-
-def canonical_serialize(v: Value) -> str:
-    """Deterministic single-line rendering of a value."""
-    if isinstance(v, bool):
-        return "true" if v else "false"
-    if v is None:
-        return "null"
-    if isinstance(v, int):
-        return str(v)
-    if isinstance(v, float):
-        if math.isinf(v):
-            return '"%s"' % (INF_SENTINEL if v > 0 else NEG_INF_SENTINEL)
-        if math.isnan(v):
-            raise SerializationError("NaN is not serializable")
-        return repr(v)  # shortest round-trip decimal
-    if isinstance(v, str):
-        return json.dumps(v, ensure_ascii=False)
-    if isinstance(v, list):
-        return "[%s]" % ", ".join(canonical_serialize(x) for x in v)
-    if isinstance(v, MimSet):
-        # members are already stored in canonical ascending order
-        return "[%s]" % ", ".join(canonical_serialize(x) for x in v.members)
-    raise SerializationError("unserializable value: %r" % (v,))
 
 
 def serialize_record(final_output: Value, variables: Dict[str, Value]) -> str:
@@ -63,20 +31,6 @@ def serialize_record(final_output: Value, variables: Dict[str, Value]) -> str:
     else:
         vars_text = "{}"
     return '{ "final_output": %s, "variables": %s }' % (canonical_serialize(final_output), vars_text)
-
-
-def _decode(raw):
-    if isinstance(raw, str):
-        if raw == INF_SENTINEL:
-            return math.inf
-        if raw == NEG_INF_SENTINEL:
-            return -math.inf
-        return raw
-    if raw is None or isinstance(raw, (bool, int, float)):
-        return raw
-    if isinstance(raw, list):
-        return [_decode(x) for x in raw]
-    raise MalformedPrediction("nested objects are not valid values")
 
 
 @dataclass
@@ -108,25 +62,13 @@ def parse_prediction(raw: str) -> Prediction:
         raise MalformedPrediction('expected exactly the keys "final_output" and "variables"')
     if not isinstance(obj["variables"], dict):
         raise MalformedPrediction('"variables" must be an object')
-    return Prediction(
-        final_output=_decode(obj["final_output"]),
-        variables={k: _decode(v) for k, v in obj["variables"].items()},
-    )
-
-
-def values_match_truth(truth: Value, pred: Value) -> bool:
-    """Equality with set/list reconciliation against the truth's type: a
-    set-valued truth accepts a list prediction only in canonical ascending
-    order."""
-    if isinstance(truth, MimSet):
-        if isinstance(pred, list):
-            return values_equal(list(truth.members), pred)
-        return values_equal(truth, pred)
-    if isinstance(truth, list) and isinstance(pred, list):
-        return len(truth) == len(pred) and all(
-            values_match_truth(t, q) for t, q in zip(truth, pred)
+    try:
+        return Prediction(
+            final_output=decode_json_value(obj["final_output"]),
+            variables={k: decode_json_value(v) for k, v in obj["variables"].items()},
         )
-    return values_equal(truth, pred)
+    except ValueError as exc:
+        raise MalformedPrediction(str(exc)) from exc
 
 
 @dataclass
@@ -158,20 +100,25 @@ def build_eval_item(item_id: str, program: Program, input_values: Sequence[Value
 
 def load_eval_items(path, budget: int = DEFAULT_BUDGET) -> List[EvalItem]:
     """Read ``eval_items.jsonl``: one record per line with id, source, input,
-    and the expected variable list; ground truth is regenerated by tracing."""
+    and the expected variable list; ground truth is regenerated by tracing.
+
+    Raises ``ValueError`` naming the line for any malformed record."""
     items: List[EvalItem] = []
     with open(path, "r", encoding="utf-8") as fh:
         for line_no, line in enumerate(fh, 1):
             if not line.strip():
                 continue
-            rec = json.loads(line)
-            program = parse_program(rec["source"])
-            item = build_eval_item(rec["id"], program, [_decode(v) for v in rec["input"]], budget=budget)
-            if "variables" in rec and list(rec["variables"]) != item.variables:
-                raise ValueError(
-                    "line %d: stored variable list %s does not match traced %s"
-                    % (line_no, rec["variables"], item.variables)
-                )
+            try:
+                rec = json.loads(line)
+                program = parse_program(rec["source"])
+                inputs = [decode_json_value(v) for v in rec["input"]]
+                item = build_eval_item(rec["id"], program, inputs, budget=budget)
+                if "variables" in rec and list(rec["variables"]) != item.variables:
+                    raise ValueError(
+                        "stored variable list %s does not match traced %s" % (rec["variables"], item.variables)
+                    )
+            except (KeyError, TypeError, ValueError, ParseError) as exc:
+                raise ValueError("eval items file %s line %d: %s" % (path, line_no, exc)) from exc
             items.append(item)
     return items
 
@@ -200,12 +147,12 @@ def build_prompt(item: EvalItem) -> str:
 
 def exact_at_1(pred: Prediction, item: EvalItem) -> bool:
     """True iff the return value and every listed variable are all correct."""
-    if not values_match_truth(item.truth_output, pred.final_output):
+    if not matches_expected(item.truth_output, pred.final_output):
         return False
     for v in item.variables:
         if v not in pred.variables:
             return False
-        if not values_match_truth(item.truth_vars[v], pred.variables[v]):
+        if not matches_expected(item.truth_vars[v], pred.variables[v]):
             return False
     return True
 
@@ -259,9 +206,9 @@ def score_item(item: EvalItem, raw: str) -> ItemResult:
             error=str(exc),
             raw=raw,
         )
-    output_correct = values_match_truth(item.truth_output, pred.final_output)
+    output_correct = matches_expected(item.truth_output, pred.final_output)
     per_variable = {
-        v: v in pred.variables and values_match_truth(item.truth_vars[v], pred.variables[v])
+        v: v in pred.variables and matches_expected(item.truth_vars[v], pred.variables[v])
         for v in item.variables
     }
     return ItemResult(

@@ -3,9 +3,10 @@
 A prompt maps to a fixed sequence of independent categorical distributions
 (one per decision step); an action sequence picks one index per step.  The
 surrogate is the clipped importance-weighted advantage, averaged over samples
-and steps, minus a KL penalty against a frozen reference policy.  Gradients
-are analytic (softmax Jacobian) and cross-checked against finite differences
-in the test suite.
+and steps, minus a KL penalty against a reference policy.  A ``None``
+reference is the uniform policy, which is every policy's initial state and
+the reference the trainer uses.  Gradients are analytic (softmax Jacobian)
+and cross-checked against finite differences in the test suite.
 """
 
 from __future__ import annotations
@@ -16,10 +17,9 @@ from typing import Dict, List, Optional, Sequence
 
 import numpy as np
 
-from .evalsuite import canonical_serialize
-from .lang import HoleTemplate, Program, instantiate_template
+from .lang import HoleTemplate, Literal, Program, instantiate_template, walk
 from .rewards import SemPrediction
-from .values import Value
+from .values import MimSet, Value, canonical_serialize
 
 KIND_CODEGEN = "codegen"
 KIND_ALIGNMENT = "alignment"
@@ -238,58 +238,9 @@ def candidate_value_pool(program: Program, input_values: Sequence[Value], truth:
     values from the input, a small base set, and the ground-truth values
     themselves (so the optimum is attainable); deduplicated and ordered by
     canonical serialization."""
-    from .lang import nodes
-
-    values: List[Value] = []
-
-    def walk_expr(e):
-        if isinstance(e, nodes.Literal):
-            values.append(e.value)
-        elif isinstance(e, nodes.BinOp):
-            walk_expr(e.left)
-            walk_expr(e.right)
-        elif isinstance(e, nodes.UnaryOp):
-            walk_expr(e.operand)
-        elif isinstance(e, nodes.Index):
-            walk_expr(e.base)
-            walk_expr(e.index)
-        elif isinstance(e, nodes.Call):
-            for a in e.args:
-                walk_expr(a)
-        elif isinstance(e, (nodes.ListLit, nodes.SetLit)):
-            for i in e.items:
-                walk_expr(i)
-
-    def walk_stmts(stmts):
-        for s in stmts:
-            if isinstance(s, nodes.Assign):
-                walk_expr(s.value)
-            elif isinstance(s, nodes.IndexAssign):
-                walk_expr(s.index)
-                walk_expr(s.value)
-            elif isinstance(s, nodes.Append):
-                walk_expr(s.value)
-            elif isinstance(s, nodes.If):
-                walk_expr(s.cond)
-                walk_stmts(s.then_body)
-                walk_stmts(s.else_body)
-            elif isinstance(s, nodes.While):
-                walk_expr(s.cond)
-                walk_stmts(s.body)
-            elif isinstance(s, nodes.For):
-                walk_expr(s.start)
-                walk_expr(s.stop)
-                if s.step is not None:
-                    walk_expr(s.step)
-                walk_stmts(s.body)
-            elif isinstance(s, nodes.Return):
-                walk_expr(s.value)
-
-    walk_stmts(program.body)
+    values: List[Value] = [n.value for n in walk(program) if isinstance(n, Literal)]
 
     def atoms(v):
-        from .values import MimSet
-
         if isinstance(v, (list, MimSet)):
             for x in v:
                 yield from atoms(x)

@@ -8,24 +8,33 @@ never leaves a torn file.
 from __future__ import annotations
 
 import json
-import math
 import os
 import subprocess
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass
 from pathlib import Path
 from typing import List, Optional, Sequence
 
-from .evalsuite import INF_SENTINEL, NEG_INF_SENTINEL
 from .lang import HoleTemplate, TemplateError, instantiate_template
 from .rewards import TestCase
 from .tracer import DEFAULT_BUDGET
-from .values import MimSet, Value
+from .values import decode_json_value
 
 SEED_ENV_VAR = "SEMTRACE_SEED"
 
 
 class ConfigError(ValueError):
     pass
+
+
+def seed_override(seed: int) -> int:
+    """The integer in ``SEMTRACE_SEED`` if it is set, else ``seed``."""
+    env = os.environ.get(SEED_ENV_VAR)
+    if env is None:
+        return seed
+    try:
+        return int(env)
+    except ValueError:
+        raise ConfigError("%s must be an integer, got %r" % (SEED_ENV_VAR, env))
 
 
 @dataclass
@@ -76,12 +85,7 @@ class RunConfig:
         if unknown:
             raise ConfigError("unknown config fields: %s" % ", ".join(sorted(unknown)))
         cfg = cls(**raw)
-        env_seed = os.environ.get(SEED_ENV_VAR)
-        if env_seed is not None:
-            try:
-                cfg.seed = int(env_seed)
-            except ValueError:
-                raise ConfigError("%s must be an integer, got %r" % (SEED_ENV_VAR, env_seed))
+        cfg.seed = seed_override(cfg.seed)
         cfg.validate()
         return cfg
 
@@ -104,37 +108,12 @@ class ProblemRecord:
             raise ConfigError("problem %r template is not instantiable: %s" % (self.problem_id, exc)) from exc
 
 
-# --- canonical JSON <-> value bridging ---
-
-
-def decode_json_value(raw) -> Value:
-    """JSON value -> MiniImp value, decoding the infinity sentinels."""
-    if isinstance(raw, str):
-        if raw == INF_SENTINEL:
-            return math.inf
-        if raw == NEG_INF_SENTINEL:
-            return -math.inf
-        return raw
-    if raw is None or isinstance(raw, (bool, int, float)):
-        return raw
-    if isinstance(raw, list):
-        return [decode_json_value(x) for x in raw]
-    raise ValueError("not a valid dataset value: %r" % (raw,))
-
-
-def encode_json_value(v: Value):
-    """MiniImp value -> JSON value (sets become ascending lists)."""
-    if isinstance(v, float):
-        if math.isinf(v):
-            return INF_SENTINEL if v > 0 else NEG_INF_SENTINEL
-        return v
-    if v is None or isinstance(v, (bool, int, str)):
-        return v
-    if isinstance(v, list):
-        return [encode_json_value(x) for x in v]
-    if isinstance(v, MimSet):
-        return [encode_json_value(x) for x in v.members]
-    raise ValueError("not an encodable value: %r" % (v,))
+def decode_test_case(raw: dict) -> TestCase:
+    """One ``{"input": [...], "expected": ...}`` record as a :class:`TestCase`."""
+    return TestCase(
+        input=[decode_json_value(v) for v in raw["input"]],
+        expected=decode_json_value(raw["expected"]),
+    )
 
 
 def load_problems(path) -> List[ProblemRecord]:
@@ -150,13 +129,7 @@ def load_problems(path) -> List[ProblemRecord]:
                     template_source=raw["template"]["source"],
                     hole_vocab=tuple(tuple(v) for v in raw["template"]["holes"]),
                 )
-                tests = [
-                    TestCase(
-                        input=[decode_json_value(v) for v in t["input"]],
-                        expected=decode_json_value(t["expected"]),
-                    )
-                    for t in raw["tests"]
-                ]
+                tests = [decode_test_case(t) for t in raw["tests"]]
                 record = ProblemRecord(problem_id=raw["id"], template=template, tests=tests)
             except (KeyError, TypeError, ValueError) as exc:
                 raise ConfigError("problems file %s line %d: %s" % (path, line_no, exc)) from exc

@@ -23,8 +23,10 @@ from .nodes import (
     UnaryOp,
     Var,
     While,
+    children,
     count_nodes,
     list_variables,
+    walk,
 )
 from .parser import ParseError, parse_expression, parse_program, tokenize
 from .template import HoleTemplate, TemplateError, instantiate_template
@@ -33,7 +35,7 @@ __all__ = [
     "Append", "Assign", "BinOp", "Break", "Call", "Continue", "Expr", "For",
     "HoleTemplate", "If", "Index", "IndexAssign", "ListLit", "Literal", "Loc",
     "ParseError", "Program", "Return", "SetLit", "Stmt", "TemplateError",
-    "UnaryOp", "Var", "While", "count_nodes", "format_expr", "format_program",
-    "instantiate_template", "list_variables", "parse_expression",
-    "parse_program", "tokenize",
+    "UnaryOp", "Var", "While", "children", "count_nodes", "format_expr",
+    "format_program", "instantiate_template", "list_variables",
+    "parse_expression", "parse_program", "tokenize", "walk",
 ]

@@ -31,17 +31,10 @@ from .nodes import (
     Var,
     While,
 )
+from .parser import BIN_PREC, CMP_OPS, NOT_PREC
 
 _INDENT = "    "
 
-_PREC = {
-    "or": 1,
-    "and": 2,
-    "==": 4, "!=": 4, "<": 4, "<=": 4, ">": 4, ">=": 4,
-    "+": 5, "-": 5,
-    "*": 6, "/": 6, "//": 6, "%": 6,
-}
-_PREC_NOT = 3
 _PREC_NEG = 7
 _PREC_POSTFIX = 8
 _PREC_ATOM = 9
@@ -90,16 +83,14 @@ def _format_expr(expr: Expr):
     if isinstance(expr, Var):
         return expr.name, _PREC_ATOM
     if isinstance(expr, BinOp):
-        prec = _PREC[expr.op]
-        left = format_expr(expr.left, prec)
+        prec = BIN_PREC[expr.op]
         # binary operators are left-associative; comparisons are non-chaining
+        left = format_expr(expr.left, prec + 1 if expr.op in CMP_OPS else prec)
         right = format_expr(expr.right, prec + 1)
-        if expr.op in ("==", "!=", "<", "<=", ">", ">="):
-            left = format_expr(expr.left, prec + 1)
         return "%s %s %s" % (left, expr.op, right), prec
     if isinstance(expr, UnaryOp):
         if expr.op == "not":
-            return "not " + format_expr(expr.operand, _PREC_NOT), _PREC_NOT
+            return "not " + format_expr(expr.operand, NOT_PREC), NOT_PREC
         return "-" + format_expr(expr.operand, _PREC_NEG), _PREC_NEG
     if isinstance(expr, Index):
         return "%s[%s]" % (format_expr(expr.base, _PREC_POSTFIX), format_expr(expr.index)), _PREC_POSTFIX

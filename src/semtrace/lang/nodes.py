@@ -168,65 +168,68 @@ class Program:
         return int.from_bytes(digest[:8], "little")
 
 
+_CHILDREN = {
+    Literal: lambda n: (),
+    Var: lambda n: (),
+    BinOp: lambda n: (n.left, n.right),
+    UnaryOp: lambda n: (n.operand,),
+    Index: lambda n: (n.base, n.index),
+    Call: lambda n: n.args,
+    ListLit: lambda n: n.items,
+    SetLit: lambda n: n.items,
+    Assign: lambda n: (n.value,),
+    IndexAssign: lambda n: (n.index, n.value),
+    Append: lambda n: (n.value,),
+    If: lambda n: (n.cond,) + n.then_body + n.else_body,
+    While: lambda n: (n.cond,) + n.body,
+    For: lambda n: (n.start, n.stop) + (() if n.step is None else (n.step,)) + n.body,
+    Break: lambda n: (),
+    Continue: lambda n: (),
+    Return: lambda n: (n.value,),
+    Program: lambda n: n.body,
+}
+
+
+def children(node) -> tuple:
+    """The direct sub-nodes of a program, statement or expression, in source
+    order."""
+    try:
+        return _CHILDREN[type(node)](node)
+    except KeyError:
+        raise TypeError("not an AST node: %r" % (node,)) from None
+
+
+def walk(node):
+    """Pre-order iteration over ``node`` and all its descendants, in source
+    order."""
+    stack = [node]
+    while stack:
+        node = stack.pop()
+        yield node
+        stack.extend(reversed(children(node)))
+
+
 def count_nodes(node) -> int:
     """Number of AST nodes in a statement/expression tree (Program counts 1)."""
-    if isinstance(node, Program):
-        return 1 + sum(count_nodes(s) for s in node.body)
-    if isinstance(node, (Literal, Var, Break, Continue)):
-        return 1
-    if isinstance(node, BinOp):
-        return 1 + count_nodes(node.left) + count_nodes(node.right)
-    if isinstance(node, UnaryOp):
-        return 1 + count_nodes(node.operand)
-    if isinstance(node, Index):
-        return 1 + count_nodes(node.base) + count_nodes(node.index)
-    if isinstance(node, Call):
-        return 1 + sum(count_nodes(a) for a in node.args)
-    if isinstance(node, (ListLit, SetLit)):
-        return 1 + sum(count_nodes(i) for i in node.items)
-    if isinstance(node, (Assign, Append)):
-        return 1 + count_nodes(node.value)
-    if isinstance(node, IndexAssign):
-        return 1 + count_nodes(node.index) + count_nodes(node.value)
-    if isinstance(node, If):
-        return (
-            1
-            + count_nodes(node.cond)
-            + sum(count_nodes(s) for s in node.then_body)
-            + sum(count_nodes(s) for s in node.else_body)
-        )
-    if isinstance(node, While):
-        return 1 + count_nodes(node.cond) + sum(count_nodes(s) for s in node.body)
-    if isinstance(node, For):
-        n = 1 + count_nodes(node.start) + count_nodes(node.stop)
-        if node.step is not None:
-            n += count_nodes(node.step)
-        return n + sum(count_nodes(s) for s in node.body)
-    if isinstance(node, Return):
-        return 1 + count_nodes(node.value)
-    raise TypeError("not an AST node: %r" % (node,))
+    return sum(1 for _ in walk(node))
 
 
 def list_variables(p: Program):
     """Ordered variable list V: parameters first, then every other variable at
     its first textual definition point, each name once."""
-    seen = list(p.params)
+    seen = dict.fromkeys(p.params)  # insertion-ordered set
 
-    def visit(stmts):
-        for s in stmts:
-            if isinstance(s, Assign) and s.target not in seen:
-                seen.append(s.target)
-            elif isinstance(s, (IndexAssign, Append)) and s.target not in seen:
-                seen.append(s.target)
-            elif isinstance(s, If):
-                visit(s.then_body)
-                visit(s.else_body)
-            elif isinstance(s, While):
-                visit(s.body)
+    def visit(node):
+        # only statements define variables, so recurse into compound
+        # statements and skip expression subtrees
+        for s in children(node):
+            if isinstance(s, (Assign, IndexAssign, Append)):
+                seen.setdefault(s.target)
             elif isinstance(s, For):
-                if s.var not in seen:
-                    seen.append(s.var)
-                visit(s.body)
+                seen.setdefault(s.var)
+                visit(s)
+            elif isinstance(s, (If, While)):
+                visit(s)
 
-    visit(p.body)
+    visit(p)
     return list(seen)

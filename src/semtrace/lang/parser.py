@@ -43,7 +43,7 @@ _PUNCT = [
     "(", ")", "{", "}", "[", "]", ",", "=", "<", ">", "+", "-", "*", "/", "%",
 ]
 
-_HOLE_RE = re.compile(r"__HOLE_(\d+)__")
+HOLE_RE = re.compile(r"__HOLE_(\d+)__")
 _IDENT_RE = re.compile(r"[A-Za-z_][A-Za-z_0-9]*")
 _NUM_RE = re.compile(r"\d+(\.\d+)?([eE][+-]?\d+)?")
 
@@ -118,7 +118,7 @@ def tokenize(source: str) -> List[Token]:
                     col += 1
             tokens.append(Token("string", "".join(buf), start_line, start_col))
             continue
-        m = _HOLE_RE.match(source, i)
+        m = HOLE_RE.match(source, i)
         if m:
             tokens.append(Token("hole", m.group(0), line, col))
             col += len(m.group(0))
@@ -152,15 +152,17 @@ def tokenize(source: str) -> List[Token]:
     return tokens
 
 
-# precedence table for binary operators (higher binds tighter)
-_BIN_PREC = {
+# precedence table for binary operators (higher binds tighter); the
+# formatter parenthesizes by the same table
+BIN_PREC = {
     "or": 1,
     "and": 2,
     "==": 4, "!=": 4, "<": 4, "<=": 4, ">": 4, ">=": 4,
     "+": 5, "-": 5,
     "*": 6, "/": 6, "//": 6, "%": 6,
 }
-_CMP_OPS = {"==", "!=", "<", "<=", ">", ">="}
+CMP_OPS = {"==", "!=", "<", "<=", ">", ">="}
+NOT_PREC = 3  # prefix 'not' sits between 'and' and the comparisons
 
 
 class _Parser:
@@ -304,37 +306,31 @@ class _Parser:
         return self.parse_binary(1)
 
     def parse_binary(self, min_prec: int) -> nodes.Expr:
-        # prefix 'not' sits between 'and' (2) and comparisons (4)
-        left = self.parse_not() if min_prec <= 3 else self.parse_unary()
+        left = self.parse_not() if min_prec <= NOT_PREC else self.parse_unary()
         return self._continue_binary(left, min_prec)
 
     def parse_not(self) -> nodes.Expr:
         if self.at("kw", "not"):
             self.advance()
             return UnaryOp("not", self.parse_not())
-        return self.parse_binary(4)
+        return self.parse_binary(NOT_PREC + 1)
 
     def _continue_binary(self, left: nodes.Expr, min_prec: int) -> nodes.Expr:
         while True:
             tok = self.peek()
             op = tok.text if tok.kind in ("punct", "kw") else None
-            if op not in _BIN_PREC or _BIN_PREC[op] < min_prec:
+            if op not in BIN_PREC or BIN_PREC[op] < min_prec:
                 return left
-            prec = _BIN_PREC[op]
+            prec = BIN_PREC[op]
             self.advance()
-            if op in _CMP_OPS:
-                right = self.parse_binary(prec + 1)
-                left = BinOp(op, left, right)
-                # comparisons are non-chaining
-                nxt = self.peek()
-                if nxt.kind == "punct" and nxt.text in _CMP_OPS:
-                    raise ParseError(
-                        "comparisons cannot be chained; use parentheses",
-                        nxt.line, nxt.col,
-                    )
-            else:
-                right = self.parse_binary(prec + 1)
-                left = BinOp(op, left, right)
+            left = BinOp(op, left, self.parse_binary(prec + 1))
+            # comparisons are non-chaining
+            nxt = self.peek()
+            if op in CMP_OPS and nxt.kind == "punct" and nxt.text in CMP_OPS:
+                raise ParseError(
+                    "comparisons cannot be chained; use parentheses",
+                    nxt.line, nxt.col,
+                )
 
     def parse_unary(self) -> nodes.Expr:
         if self.at("punct", "-"):
@@ -437,7 +433,8 @@ def parse_program(source: str) -> Program:
 
 
 def parse_expression(source: str) -> nodes.Expr:
-    """Parse a standalone expression (used by template validation and tests)."""
+    """Parse a standalone expression.  Nothing in the package calls it; the
+    tests use it to check the formatter round trip."""
     parser = _Parser(tokenize(source))
     expr = parser.parse_expr()
     if parser.peek().kind != "eof":

@@ -4,14 +4,11 @@ vocabulary choice per hole yields a parseable program."""
 
 from __future__ import annotations
 
-import re
 from dataclasses import dataclass
 from typing import Sequence, Tuple
 
 from .nodes import Program
-from .parser import ParseError, parse_program
-
-_HOLE_RE = re.compile(r"__HOLE_(\d+)__")
+from .parser import HOLE_RE, ParseError, parse_program
 
 
 class TemplateError(ValueError):
@@ -30,7 +27,7 @@ class HoleTemplate:
     def validate(self) -> None:
         """Check hole indices are exactly 1..H, each appearing once, and that
         every substitution parses in context (others fixed at choice 0)."""
-        found = [int(m.group(1)) for m in _HOLE_RE.finditer(self.template_source)]
+        found = [int(m.group(1)) for m in HOLE_RE.finditer(self.template_source)]
         expected = list(range(1, self.hole_count + 1))
         if sorted(found) != expected:
             raise TemplateError(
@@ -67,5 +64,5 @@ def instantiate_template(t: HoleTemplate, choices: Sequence[int]) -> Program:
         k = int(m.group(1))
         return t.hole_vocab[k - 1][choices[k - 1]]
 
-    source = _HOLE_RE.sub(replace, t.template_source)
+    source = HOLE_RE.sub(replace, t.template_source)
     return parse_program(source)

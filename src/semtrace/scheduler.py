@@ -18,8 +18,6 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from . import grpo
-from .evalsuite import canonical_serialize, values_match_truth
 from .grpo import (
     KIND_ALIGNMENT,
     KIND_CODEGEN,
@@ -37,13 +35,12 @@ from .harness import (
     RunLock,
     atomic_write_jsonl,
     atomic_write_text,
-    decode_json_value,
-    encode_json_value,
+    read_jsonl,
 )
 from .lang import Program, format_program, list_variables, parse_program
-from .rewards import GenRewardReport, SemPrediction, gen_reward, sem_reward
+from .rewards import GenRewardReport, SemPrediction, gen_reward, matches_expected, sem_reward
 from .tracer import DEFAULT_BUDGET, STATUS_RETURNED, execute, final_values
-from .values import Value
+from .values import Value, canonical_serialize, decode_json_value, encode_json_value
 
 
 @dataclass
@@ -82,7 +79,7 @@ class AlignmentPrompt:
         if fresh.status != STATUS_RETURNED:
             raise ValueError("alignment prompt %r no longer terminates" % prompt.prompt_id)
         for v in prompt.variables:
-            if v not in fresh.final_vars or not values_match_truth(fresh.final_vars[v], prompt.truth[v]):
+            if v not in fresh.final_vars or not matches_expected(fresh.final_vars[v], prompt.truth[v]):
                 raise ValueError("stale ground truth for %r in prompt %r" % (v, prompt.prompt_id))
         # adopt the freshly traced values so the in-memory truth is exact
         prompt.truth = {v: fresh.final_vars[v] for v in prompt.variables}
@@ -291,8 +288,6 @@ class Trainer:
         for pid, problem in self.problems.items():
             self.code_policy.register_template(pid, problem.template)
         self.align_policy = ValuePredictorPolicy()
-        self.code_ref = self.code_policy.snapshot()
-        self.align_ref = self.align_policy.snapshot()
         self.buffer = FailureBuffer(config.buffer_capacity)
         self.pool = CodePromptPool(sorted(self.problems))
         self.step = 0
@@ -353,18 +348,19 @@ class Trainer:
         objective = 0.0
         kl = 0.0
         clip_fraction = 0.0
-        # mini-batches share the same frozen old log-probabilities (one inner epoch)
+        # mini-batches share the same frozen old log-probabilities (one inner
+        # epoch); the KL reference is the initial uniform policy (ref None)
         mini = self.config.mini_batch
-        all_groups = [(g, self.code_policy, self.code_ref) for g in code_groups] + [
-            (g, self.align_policy, self.align_ref) for g in align_groups
+        all_groups = [(g, self.code_policy) for g in code_groups] + [
+            (g, self.align_policy) for g in align_groups
         ]
         for start in range(0, len(all_groups), mini):
             chunk = all_groups[start : start + mini]
-            for policy, ref in ((self.code_policy, self.code_ref), (self.align_policy, self.align_ref)):
-                groups = [g for g, pol, _ in chunk if pol is policy]
+            for policy in (self.code_policy, self.align_policy):
+                groups = [g for g, pol in chunk if pol is policy]
                 if not groups:
                     continue
-                m = train_step(policy, groups, ref, self.grpo_cfg, group_count=n_total)
+                m = train_step(policy, groups, None, self.grpo_cfg, group_count=n_total)
                 objective += m.objective
                 kl += m.kl
                 clip_fraction += m.clip_fraction * len(groups) / n_total
@@ -427,7 +423,7 @@ class Trainer:
         self.code_policy.opt_state = _opt_state_from_json(state["opt_code"])
         self.align_policy.opt_state = _opt_state_from_json(state["opt_align"])
         self.buffer = FailureBuffer(self.config.buffer_capacity)
-        for rec in _read_jsonl(ckpt / "buffer.jsonl"):
+        for rec in read_jsonl(ckpt / "buffer.jsonl"):
             prompt = AlignmentPrompt.from_record(rec, budget=self.config.step_budget)
             self.buffer.add(prompt)
             # re-registers pools; loaded logits are kept (params already set)
@@ -447,15 +443,6 @@ def _opt_state_from_json(raw: dict) -> dict:
         return {}
     conv = lambda table: {pid: [np.array(v, dtype=float) for v in vecs] for pid, vecs in table.items()}
     return {"adam": {"t": int(raw["t"]), "m": conv(raw["m"]), "v": conv(raw["v"])}}
-
-
-def _read_jsonl(path) -> List[dict]:
-    out = []
-    with open(path, "r", encoding="utf-8") as fh:
-        for line in fh:
-            if line.strip():
-                out.append(json.loads(line))
-    return out
 
 
 def _last_checkpoint(run_dir: Path) -> Optional[Path]:
@@ -497,7 +484,7 @@ def run_training(
             if ckpt is None:
                 raise RuntimeError("no checkpoint to resume from in %s" % run_dir)
             trainer.load_checkpoint(ckpt)
-            existing = _read_jsonl(run_dir / "metrics.jsonl")
+            existing = read_jsonl(run_dir / "metrics.jsonl")
             trainer.metrics = [r for r in existing if r["step"] <= trainer.step]
         atomic_write_text(run_dir / "config.json", json.dumps(config.to_dict(), indent=2) + "\n")
         while trainer.step < config.max_steps:

@@ -115,12 +115,9 @@ def _check_float(v: float, loc) -> float:
 
 
 class _Interp:
-    def __init__(self, program: Program, budget: int, full_trace: bool):
-        self.program = program
+    def __init__(self, budget: int, full_trace: bool):
         self.budget = budget
-        self.full_trace = full_trace
-        self.env: Dict[str, Value] = {}
-        self.final_vars: Dict[str, Value] = {}
+        self.env: Dict[str, Value] = {}  # also the last-definition final-value map
         self.last_def_step: Dict[str, int] = {}
         self.steps_used = 0
         self.trajectory: Optional[List[StepEvent]] = [] if full_trace else None
@@ -140,7 +137,6 @@ class _Interp:
 
     def define(self, name: str, value: Value, t: int, loc) -> None:
         self.env[name] = value
-        self.final_vars[name] = value
         self.last_def_step[name] = t
         if self.trajectory is not None:
             self.trajectory[-1] = StepEvent(t, loc, name, value)
@@ -403,11 +399,10 @@ def execute(
             "arity mismatch: %s takes %d parameters, got %d inputs"
             % (p.name, len(p.params), len(inputs))
         )
-    interp = _Interp(p, budget, full_trace=(mode == "full"))
+    interp = _Interp(budget, full_trace=(mode == "full"))
     for name, value in zip(p.params, inputs):
         # parameters are bound in the initial state, before any step
         interp.env[name] = value
-        interp.final_vars[name] = value
         interp.last_def_step[name] = 0
     status = STATUS_RETURNED
     return_value: Optional[Value] = None
@@ -432,8 +427,8 @@ def execute(
     return ExecutionRecord(
         status=status,
         return_value=return_value,
-        final_vars=dict(interp.final_vars),
-        last_def_step=dict(interp.last_def_step),
+        final_vars=interp.env,
+        last_def_step=interp.last_def_step,
         steps_used=interp.steps_used,
         error_kind=error_kind,
         error_loc=error_loc,

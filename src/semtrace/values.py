@@ -1,12 +1,19 @@
-"""Runtime values for MiniImp and canonical equality over them.
+"""Runtime values for MiniImp, canonical equality over them, and their one
+JSON codec.
 
 A MiniImp value is one of: int (signed 64-bit), float (may be +-inf, never
 NaN), bool, str, None, list of values, or :class:`MimSet`.  Python's bool is
 deliberately treated as a category of its own: ``true`` is not the number 1.
+
+In JSON a set appears as its ascending member list and the infinities as the
+sentinel strings ``"__INF__"`` / ``"__-INF__"``.  Every value read from a
+file or an argument goes through :func:`decode_json_value`, which rejects
+anything outside the value domain.
 """
 
 from __future__ import annotations
 
+import json
 import math
 from typing import Union
 
@@ -14,6 +21,13 @@ INT_MIN = -(2**63)
 INT_MAX = 2**63 - 1
 
 Value = Union[int, float, bool, str, None, list, "MimSet"]
+
+INF_SENTINEL = "__INF__"
+NEG_INF_SENTINEL = "__-INF__"
+
+
+class SerializationError(ValueError):
+    pass
 
 
 def is_number(v) -> bool:
@@ -98,16 +112,67 @@ def values_equal(a: Value, b: Value) -> bool:
     return False
 
 
-def is_valid_value(v) -> bool:
-    """Structural check used by fixtures and loaders."""
-    if v is None or isinstance(v, (bool, str)):
-        return True
+def canonical_serialize(v: Value) -> str:
+    """Deterministic single-line rendering of a value."""
+    if isinstance(v, bool):
+        return "true" if v else "false"
+    if v is None:
+        return "null"
     if isinstance(v, int):
-        return INT_MIN <= v <= INT_MAX
+        return str(v)
     if isinstance(v, float):
-        return not math.isnan(v)
+        if math.isinf(v):
+            return '"%s"' % (INF_SENTINEL if v > 0 else NEG_INF_SENTINEL)
+        if math.isnan(v):
+            raise SerializationError("NaN is not serializable")
+        return repr(v)  # shortest round-trip decimal
+    if isinstance(v, str):
+        return json.dumps(v, ensure_ascii=False)
     if isinstance(v, list):
-        return all(is_valid_value(x) for x in v)
+        return "[%s]" % ", ".join(canonical_serialize(x) for x in v)
     if isinstance(v, MimSet):
-        return all(is_valid_value(x) for x in v.members)
-    return False
+        # members are already stored in canonical ascending order
+        return "[%s]" % ", ".join(canonical_serialize(x) for x in v.members)
+    raise SerializationError("unserializable value: %r" % (v,))
+
+
+def encode_json_value(v: Value):
+    """MiniImp value -> JSON value (sets become ascending lists)."""
+    if isinstance(v, float):
+        if math.isinf(v):
+            return INF_SENTINEL if v > 0 else NEG_INF_SENTINEL
+        return v
+    if v is None or isinstance(v, (bool, int, str)):
+        return v
+    if isinstance(v, list):
+        return [encode_json_value(x) for x in v]
+    if isinstance(v, MimSet):
+        return [encode_json_value(x) for x in v.members]
+    raise ValueError("not an encodable value: %r" % (v,))
+
+
+def decode_json_value(raw) -> Value:
+    """JSON value -> MiniImp value, decoding the infinity sentinels.
+
+    Raises ``ValueError`` for anything outside the value domain: objects,
+    integers beyond int64, and NaN.
+    """
+    if isinstance(raw, str):
+        if raw == INF_SENTINEL:
+            return math.inf
+        if raw == NEG_INF_SENTINEL:
+            return -math.inf
+        return raw
+    if raw is None or isinstance(raw, bool):
+        return raw
+    if isinstance(raw, int):
+        if not INT_MIN <= raw <= INT_MAX:
+            raise ValueError("integer %d is outside the int64 range" % raw)
+        return raw
+    if isinstance(raw, float):
+        if math.isnan(raw):
+            raise ValueError("NaN is not a MiniImp value")
+        return raw
+    if isinstance(raw, list):
+        return [decode_json_value(x) for x in raw]
+    raise ValueError("not a MiniImp value: %r" % (raw,))

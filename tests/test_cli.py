@@ -47,7 +47,11 @@ def test_trace_budget_exceeded(tmp_path, capsys):
 
 def test_trace_bad_input_json(tmp_path, capsys):
     prog = write(tmp_path, "id.mim", IDENTITY_SRC)
-    assert cli.main(["trace", prog, '{"not": "a list"}']) == 1
+    for bad in ('{"not": "a list"}', "[9223372036854775808]", "[NaN]"):
+        assert cli.main(["trace", prog, bad]) == 1
+        captured = capsys.readouterr()
+        assert "bad input" in captured.err
+        assert captured.out == ""
 
 
 def test_reward_subcommand(tmp_path, capsys):
@@ -66,6 +70,39 @@ def test_reward_subcommand(tmp_path, capsys):
     assert payload["first_failing_terminating"] == 1
     assert payload["per_test"][0]["matched"] is True
     assert payload["per_test"][1]["actual"] == 2
+
+
+def test_reward_malformed_tests_file_exits_one(tmp_path, capsys):
+    prog = write(tmp_path, "id.mim", IDENTITY_SRC)
+    bad_files = [
+        json.dumps({"input": [1], "expected": 1}) + "\nnot json\n",
+        json.dumps({"input": [1], "expected": {"a": 1}}) + "\n",
+        json.dumps({"expected": 1}) + "\n",
+        json.dumps({"input": [2**63], "expected": 1}) + "\n",
+        "",
+    ]
+    for k, text in enumerate(bad_files):
+        tests = write(tmp_path, "tests%d.jsonl" % k, text)
+        assert cli.main(["reward", prog, tests]) == 1
+        captured = capsys.readouterr()
+        assert "bad tests file" in captured.err
+        assert captured.out == ""
+
+
+def test_eval_malformed_items_file_exits_one(tmp_path, capsys):
+    bad_files = [
+        "not json\n",
+        json.dumps({"id": "a", "source": IDENTITY_SRC}) + "\n",
+        json.dumps({"id": "a", "source": IDENTITY_SRC, "input": [2**63]}) + "\n",
+    ]
+    for k, text in enumerate(bad_files):
+        items = write(tmp_path, "items%d.jsonl" % k, text)
+        out = tmp_path / ("evalout%d" % k)
+        assert cli.main(["eval", items, "--out", str(out)]) == 1
+        captured = capsys.readouterr()
+        assert "line 1" in captured.err
+        assert captured.out == ""
+        assert not out.exists()
 
 
 def test_eval_oracle_writes_report_and_transcripts(tmp_path, capsys):

@@ -17,10 +17,10 @@ from semtrace.evalsuite import (
     pass_at_1,
     run_eval,
     serialize_record,
-    values_match_truth,
 )
 from semtrace.lang import parse_program
 from semtrace.rewards import TestCase
+from semtrace.rewards import matches_expected as values_match_truth
 from semtrace.values import MimSet
 
 
@@ -224,6 +224,24 @@ def test_load_eval_items_rejects_stale_variable_list(tmp_path):
     )
     with pytest.raises(ValueError):
         load_eval_items(path)
+
+
+def test_load_eval_items_rejects_out_of_domain_input(tmp_path):
+    path = tmp_path / "eval_items.jsonl"
+    path.write_text(json.dumps({"id": "a", "source": "fn f(x) { return x }", "input": [2**63]}) + "\n")
+    with pytest.raises(ValueError, match="9223372036854775808"):
+        load_eval_items(path)
+
+
+def test_out_of_domain_prediction_is_malformed_and_scored_wrong():
+    for bad in ('{"final_output": 9223372036854775808, "variables": {}}',
+                '{"final_output": 1, "variables": {"b": {"k": 1}}}'):
+        with pytest.raises(MalformedPrediction):
+            parse_prediction(bad)
+    items = [build_eval_item("i1", parse_program("fn f(a) { b = a return b }"), [1])]
+    report = run_eval(items, lambda prompt: '{"final_output": 1, "variables": {"a": 1, "b": 9223372036854775808}}')
+    assert report.exact_at_1 == 0.0
+    assert report.items[0].error is not None
 
 
 def test_pass_at_1_aggregates_binary_rewards():

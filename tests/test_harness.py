@@ -12,12 +12,10 @@ from semtrace.harness import (
     SEED_ENV_VAR,
     atomic_write_jsonl,
     atomic_write_text,
-    decode_json_value,
-    encode_json_value,
     load_problems,
     read_jsonl,
 )
-from semtrace.values import MimSet
+from semtrace.values import MimSet, decode_json_value, encode_json_value
 
 
 def test_defaults_are_valid():
@@ -74,6 +72,15 @@ def test_json_value_round_trip():
     assert encode_json_value(MimSet([3, 1])) == [1, 3]
 
 
+def test_decode_rejects_values_outside_the_domain():
+    assert decode_json_value([2**63 - 1, -(2**63)]) == [2**63 - 1, -(2**63)]
+    for raw in (2**63, -(2**63) - 1, math.nan, [1, [math.nan]], {"a": 1}):
+        with pytest.raises(ValueError):
+            decode_json_value(raw)
+    with pytest.raises(ValueError, match="9223372036854775808"):
+        decode_json_value([2**63])
+
+
 def test_load_problems(tmp_path):
     record = {
         "id": "sum",
@@ -92,10 +99,16 @@ def test_load_problems(tmp_path):
 
 def test_load_problems_reports_line_number(tmp_path):
     path = tmp_path / "problems.jsonl"
-    path.write_text('{"id": "x"}\n')
-    with pytest.raises(ConfigError) as exc:
-        load_problems(path)
-    assert "line 1" in str(exc.value)
+    source = "fn s(a, b) {\n    t = a __HOLE_1__ b\n    return t\n}\n"
+    bad_records = [{"id": "x"}] + [
+        {"id": "p", "template": {"source": source, "holes": [["+"]]}, "tests": [bad_test]}
+        for bad_test in ({"input": [2**63, 0], "expected": 1}, {"input": [1, 2], "expected": math.nan})
+    ]
+    for record in bad_records:
+        path.write_text(json.dumps(record) + "\n")
+        with pytest.raises(ConfigError) as exc:
+            load_problems(path)
+        assert "line 1" in str(exc.value)
 
 
 def test_load_problems_rejects_empty_tests(tmp_path):

@@ -15,12 +15,14 @@ from semtrace.lang import (
     Return,
     TemplateError,
     Var,
+    children,
     count_nodes,
     format_program,
     instantiate_template,
     list_variables,
     parse_expression,
     parse_program,
+    walk,
 )
 
 
@@ -190,3 +192,16 @@ def test_template_validation_rejects_bad_hole_indexing():
             template_source="fn f(a) {\n    b = a __HOLE_2__ 1\n    return b\n}\n",
             hole_vocab=(("+",),),
         ).validate()
+
+
+def test_walk_is_preorder_in_source_order():
+    p = parse_program("fn f(a) { for i in range(0, a, 2) { b = [i, -1] } return b }")
+    kinds = [type(n).__name__ for n in walk(p)]
+    assert kinds == [
+        "Program", "For", "Literal", "Var", "Literal", "Assign", "ListLit",
+        "Var", "UnaryOp", "Literal", "Return", "Var",
+    ]
+    assert count_nodes(p) == len(kinds)
+    assert children(p.body[1]) == (Var("b"),)
+    with pytest.raises(TypeError):
+        children(3)

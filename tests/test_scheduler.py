@@ -164,6 +164,13 @@ def test_alignment_prompt_record_round_trip():
     assert back.input == prompt.input
 
 
+def test_record_with_out_of_domain_value_is_rejected():
+    rec = build_alignment_prompt(parse_program(BUGGY_SUM), SUM_TESTS).to_record()
+    for key, bad in (("input", [2**63]), ("truth", {"n": 3, "t": float("nan"), "i": 2})):
+        with pytest.raises(ValueError):
+            AlignmentPrompt.from_record(dict(rec, **{key: bad}))
+
+
 def desk_config(**overrides):
     base = dict(
         seed=3,
