@@ -1,9 +1,9 @@
 """Command-line interface: trace, reward, train, eval, probe, fuzz.
 
 Exit codes for ``trace``: 0 returned, 1 parse error, 2 runtime error,
-3 budget exceeded.  Every subcommand exits 1 on a malformed input file or
-argument.  All diagnostics go to stderr; stdout carries only the
-canonical payload of each subcommand.
+3 budget exceeded.  Every subcommand exits 1 on an input file that is
+malformed or cannot be read, or on a malformed argument.  All diagnostics
+go to stderr; stdout carries only the canonical payload of each subcommand.
 """
 
 from __future__ import annotations
@@ -39,7 +39,7 @@ from .tracer import (
     STATUS_RETURNED,
     execute,
 )
-from .values import decode_json_value, encode_json_value
+from .values import decode_json_value, encode_json_value, load_json
 
 EXIT_OK = 0
 EXIT_PARSE = 1
@@ -52,8 +52,13 @@ def _load_program(path):
     return parse_program(source)
 
 
+def _cannot_read(path, exc: OSError) -> int:
+    print("cannot read %s: %s" % (path, exc.strerror or exc), file=sys.stderr)
+    return EXIT_PARSE
+
+
 def _parse_input_values(text: str):
-    raw = json.loads(text)
+    raw = load_json(text)
     if not isinstance(raw, list):
         raise ValueError("input must be a JSON array of argument values")
     return [decode_json_value(v) for v in raw]
@@ -65,6 +70,8 @@ def _parse_input_values(text: str):
 def cmd_trace(args) -> int:
     try:
         program = _load_program(args.program)
+    except OSError as exc:
+        return _cannot_read(args.program, exc)
     except ParseError as exc:
         print("parse error: %s" % exc, file=sys.stderr)
         return EXIT_PARSE
@@ -97,6 +104,8 @@ def cmd_trace(args) -> int:
 def cmd_reward(args) -> int:
     try:
         program = _load_program(args.program)
+    except OSError as exc:
+        return _cannot_read(args.program, exc)
     except ParseError as exc:
         print("parse error: %s" % exc, file=sys.stderr)
         return EXIT_PARSE
@@ -104,6 +113,8 @@ def cmd_reward(args) -> int:
         tests = [decode_test_case(raw) for raw in read_jsonl(args.tests)]
         if not tests:
             raise ValueError("no test cases")
+    except OSError as exc:
+        return _cannot_read(args.tests, exc)
     except (KeyError, TypeError, ValueError) as exc:
         print("bad tests file %s: %s" % (args.tests, exc), file=sys.stderr)
         return EXIT_PARSE
@@ -127,6 +138,8 @@ def cmd_reward(args) -> int:
 def cmd_train(args) -> int:
     try:
         config = RunConfig.from_file(args.config)
+    except OSError as exc:
+        return _cannot_read(args.config, exc)
     except ConfigError as exc:
         print("config error: %s" % exc, file=sys.stderr)
         return EXIT_PARSE
@@ -140,6 +153,8 @@ def cmd_train(args) -> int:
         return EXIT_PARSE
     try:
         problems = load_problems(dataset)
+    except OSError as exc:
+        return _cannot_read(dataset, exc)
     except ConfigError as exc:
         print("dataset error: %s" % exc, file=sys.stderr)
         return EXIT_PARSE
@@ -153,6 +168,8 @@ def cmd_train(args) -> int:
 def cmd_eval(args) -> int:
     try:
         items = load_eval_items(args.items, budget=args.budget)
+    except OSError as exc:
+        return _cannot_read(args.items, exc)
     except ValueError as exc:
         print("bad eval items: %s" % exc, file=sys.stderr)
         return EXIT_PARSE

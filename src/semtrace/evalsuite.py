@@ -8,7 +8,6 @@ The canonical answer line is a single line of strict JSON with keys
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass, field
 from importlib import resources
 from typing import Callable, Dict, List, Optional, Sequence
@@ -16,7 +15,7 @@ from typing import Callable, Dict, List, Optional, Sequence
 from .lang import ParseError, Program, format_program, list_variables, parse_program
 from .rewards import TestCase, gen_reward, matches_expected
 from .tracer import DEFAULT_BUDGET, STATUS_RETURNED, execute
-from .values import Value, canonical_serialize, decode_json_value
+from .values import Value, canonical_serialize, decode_json_value, load_json
 
 
 class MalformedPrediction(ValueError):
@@ -39,10 +38,6 @@ class Prediction:
     variables: Dict[str, Value]
 
 
-def _reject_constant(text):
-    raise MalformedPrediction("non-strict JSON literal %r" % text)
-
-
 def parse_prediction(raw: str) -> Prediction:
     """Parse the last non-empty line of ``raw`` as the strict answer object.
 
@@ -55,8 +50,8 @@ def parse_prediction(raw: str) -> Prediction:
         raise MalformedPrediction("empty prediction")
     last = lines[-1].strip()
     try:
-        obj = json.loads(last, parse_constant=_reject_constant)
-    except json.JSONDecodeError as exc:
+        obj = load_json(last)
+    except ValueError as exc:
         raise MalformedPrediction("last line is not strict JSON: %s" % exc) from exc
     if not isinstance(obj, dict) or set(obj.keys()) != {"final_output", "variables"}:
         raise MalformedPrediction('expected exactly the keys "final_output" and "variables"')
@@ -109,7 +104,7 @@ def load_eval_items(path, budget: int = DEFAULT_BUDGET) -> List[EvalItem]:
             if not line.strip():
                 continue
             try:
-                rec = json.loads(line)
+                rec = load_json(line)
                 program = parse_program(rec["source"])
                 inputs = [decode_json_value(v) for v in rec["input"]]
                 item = build_eval_item(rec["id"], program, inputs, budget=budget)

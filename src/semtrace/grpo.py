@@ -24,6 +24,47 @@ from .values import MimSet, Value, canonical_serialize
 KIND_CODEGEN = "codegen"
 KIND_ALIGNMENT = "alignment"
 
+MEMO_CAPACITY = 1024
+_ABSENT = object()
+
+
+class Memo:
+    """Bounded LRU memo of a pure function that keeps a value only on the
+    second lookup of its key.  The first lookup records just the key's hash,
+    like the doorkeeper of TinyLFU (Einziger et al., ACM ToS 2017), so a key
+    seen once costs no value memory.  Values and hashes are each bounded by
+    ``capacity``, least recently used first out.  A ``compute`` that raises
+    stores nothing."""
+
+    def __init__(self, capacity: int = MEMO_CAPACITY):
+        self.capacity = capacity
+        self._values: dict = {}  # key -> value; dicts keep insertion order
+        self._seen: dict = {}  # hash of a key looked up once -> None
+
+    def __len__(self) -> int:
+        return len(self._values)
+
+    def clear(self) -> None:
+        self._values.clear()
+        self._seen.clear()
+
+    def get(self, key, compute):
+        """The value for ``key``, calling ``compute()`` unless it is kept."""
+        value = self._values.pop(key, _ABSENT)
+        if value is _ABSENT:
+            value = compute()
+            seen = hash(key)
+            if self._seen.pop(seen, _ABSENT) is _ABSENT:
+                self._put(self._seen, seen, None)
+                return value
+        self._put(self._values, key, value)
+        return value
+
+    def _put(self, table: dict, key, value) -> None:
+        table[key] = value
+        if len(table) > self.capacity:
+            del table[next(iter(table))]
+
 
 @dataclass
 class GrpoConfig:
@@ -193,21 +234,27 @@ class CategoricalSequencePolicy:
 
 
 class TemplatePolicy(CategoricalSequencePolicy):
-    """Toy code-generation policy: one categorical per template hole."""
+    """Toy code-generation policy: one categorical per template hole.
+    Decoded programs are memoized per (prompt id, actions)."""
 
     def __init__(self):
         super().__init__()
         self.templates: Dict[str, HoleTemplate] = {}
+        self._decoded = Memo()
 
     def register_template(self, prompt_id: str, template: HoleTemplate) -> None:
         self.templates[prompt_id] = template
+        self._decoded.clear()  # a replaced template must not decode stale programs
         if prompt_id not in self.params:
             self.params[prompt_id] = [
                 np.zeros(len(vocab), dtype=float) for vocab in template.hole_vocab
             ]
 
     def decode(self, prompt_id: str, actions: Sequence[int]) -> Program:
-        return instantiate_template(self.templates[prompt_id], list(actions))
+        template = self.templates[prompt_id]
+        choices = list(actions)
+        key = (prompt_id, tuple(choices))
+        return self._decoded.get(key, lambda: instantiate_template(template, choices))
 
 
 class ValuePredictorPolicy(CategoricalSequencePolicy):

@@ -17,7 +17,7 @@ from typing import List, Optional, Sequence
 from .lang import HoleTemplate, TemplateError, instantiate_template
 from .rewards import TestCase
 from .tracer import DEFAULT_BUDGET
-from .values import decode_json_value
+from .values import decode_json_value, load_json
 
 SEED_ENV_VAR = "SEMTRACE_SEED"
 
@@ -124,7 +124,7 @@ def load_problems(path) -> List[ProblemRecord]:
             if not line.strip():
                 continue
             try:
-                raw = json.loads(line)
+                raw = load_json(line)
                 template = HoleTemplate(
                     template_source=raw["template"]["source"],
                     hole_vocab=tuple(tuple(v) for v in raw["template"]["holes"]),
@@ -159,7 +159,7 @@ def read_jsonl(path) -> List[dict]:
     with open(path, "r", encoding="utf-8") as fh:
         for line in fh:
             if line.strip():
-                out.append(json.loads(line))
+                out.append(load_json(line))
     return out
 
 

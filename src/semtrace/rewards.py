@@ -12,7 +12,7 @@ from fractions import Fraction
 from typing import Dict, List, Optional, Sequence
 
 from .lang import Program
-from .tracer import DEFAULT_BUDGET, STATUS_RETURNED, execute
+from .tracer import DEFAULT_BUDGET, STATUS_RETURNED, ExecutionRecord, execute
 from .values import MimSet, Value, values_equal
 
 
@@ -33,6 +33,7 @@ class TestOutcome:
     status: str
     actual: Optional[Value]
     matched: bool
+    record: Optional[ExecutionRecord] = None  # None for an arity mismatch
 
 
 @dataclass
@@ -66,7 +67,8 @@ def gen_reward(p: Program, tests: Sequence[TestCase], budget: int = DEFAULT_BUDG
     """Execute ``p`` on every test; reward 1 iff every return value matches.
 
     Execution failures (runtime error, budget exhaustion, arity mismatch)
-    become unmatched entries, never exceptions.
+    become unmatched entries, never exceptions.  Each outcome keeps its
+    test's execution record, so callers never need to run a test again.
     """
     if not tests:
         raise ValueError("at least one test case is required")
@@ -79,10 +81,10 @@ def gen_reward(p: Program, tests: Sequence[TestCase], budget: int = DEFAULT_BUDG
             per_test.append(TestOutcome(status="arity_mismatch", actual=None, matched=False))
             continue
         if rec.status != STATUS_RETURNED:
-            per_test.append(TestOutcome(status=rec.status, actual=None, matched=False))
+            per_test.append(TestOutcome(status=rec.status, actual=None, matched=False, record=rec))
             continue
         matched = matches_expected(rec.return_value, tc.expected)
-        per_test.append(TestOutcome(status=rec.status, actual=rec.return_value, matched=matched))
+        per_test.append(TestOutcome(status=rec.status, actual=rec.return_value, matched=matched, record=rec))
         if not matched and first_failing_terminating is None:
             first_failing_terminating = i
     reward = 1 if all(t.matched for t in per_test) else 0

@@ -22,6 +22,7 @@ from .grpo import (
     KIND_ALIGNMENT,
     KIND_CODEGEN,
     GrpoConfig,
+    Memo,
     RolloutGroup,
     TemplatePolicy,
     ValuePredictorPolicy,
@@ -39,7 +40,7 @@ from .harness import (
 )
 from .lang import Program, format_program, list_variables, parse_program
 from .rewards import GenRewardReport, SemPrediction, gen_reward, matches_expected, sem_reward
-from .tracer import DEFAULT_BUDGET, STATUS_RETURNED, execute, final_values
+from .tracer import DEFAULT_BUDGET, STATUS_RETURNED, execute
 from .values import Value, canonical_serialize, decode_json_value, encode_json_value
 
 
@@ -102,7 +103,8 @@ def build_alignment_prompt(
     input terminates normally or the program defines no variables.
 
     Input selection: the first failing-but-terminating test, else the first
-    terminating test.
+    terminating test.  The final values come from that test's record in the
+    report, so nothing is executed when a report is given.
     """
     if report is None:
         report = gen_reward(p_fail, tests, budget=budget)
@@ -115,19 +117,16 @@ def build_alignment_prompt(
     if index is None:
         return None
     x = list(tests[index].input)
-    rec = execute(p_fail, x, budget=budget)
-    if rec.status != STATUS_RETURNED:
-        return None
-    variables = [v for v in list_variables(p_fail) if v in rec.final_vars]
+    final_vars = report.per_test[index].record.final_vars
+    variables = [v for v in list_variables(p_fail) if v in final_vars]
     if not variables:
         return None
-    truth = final_values(rec)
     return AlignmentPrompt(
         prompt_id=alignment_prompt_id(p_fail, x),
         p_fail=p_fail,
         input=x,
         variables=variables,
-        truth={v: truth[v] for v in variables},
+        truth={v: final_vars[v] for v in variables},
         origin_step=origin_step,
     )
 
@@ -292,6 +291,9 @@ class Trainer:
         self.pool = CodePromptPool(sorted(self.problems))
         self.step = 0
         self.metrics: List[dict] = []
+        # (problem id, actions) -> GenRewardReport; tests and budget are fixed
+        # per trainer, so a report is a pure function of the key
+        self._scored = Memo()
 
     # --- one training step ---
 
@@ -311,8 +313,10 @@ class Trainer:
             self.rng,
             step=self.step,
         )
+        # each code group is harvested as soon as it is scored: the buffer
+        # was sampled by mix_batch, so this step's batch cannot see the
+        # additions, and only one group's reports are alive at a time
         code_groups: List[RolloutGroup] = []
-        code_reports: List[Dict[int, GenRewardReport]] = []
         for pid in batch.code_prompts:
             problem = self.problems[pid]
             group = sample_rollouts(self.code_policy, pid, KIND_CODEGEN, self.config.group_size, self.rng)
@@ -321,12 +325,23 @@ class Trainer:
                 if sample.artifact is None:
                     sample.reward = 0.0
                     continue
-                report = gen_reward(sample.artifact, problem.tests, budget=self.config.step_budget)
+                program = sample.artifact
+                report = self._scored.get(
+                    (pid, tuple(sample.actions)),
+                    lambda: gen_reward(program, problem.tests, budget=self.config.step_budget),
+                )
                 reports[i] = report
                 sample.reward = float(report.reward)
             group.fill_advantages(self.grpo_cfg.std_floor)
             code_groups.append(group)
-            code_reports.append(reports)
+            harvest_failures(
+                group,
+                problem.tests,
+                self.buffer,
+                budget=self.config.step_budget,
+                origin_step=self.step,
+                reports=reports,
+            )
 
         align_groups: List[RolloutGroup] = []
         for prompt in batch.align_prompts:
@@ -369,16 +384,6 @@ class Trainer:
         sem_rewards = [s.reward for g in align_groups for s in g.samples]
         mean_r_gen = sum(gen_rewards) / len(gen_rewards) if gen_rewards else None
         mean_r_sem = sum(sem_rewards) / len(sem_rewards) if sem_rewards else None
-
-        for group, reports in zip(code_groups, code_reports):
-            harvest_failures(
-                group,
-                self.problems[group.prompt_id].tests,
-                self.buffer,
-                budget=self.config.step_budget,
-                origin_step=self.step,
-                reports=reports,
-            )
 
         record = {
             "step": self.step,
@@ -474,6 +479,13 @@ def run_training(
     The run directory receives ``config.json``, ``metrics.jsonl`` (one record
     per step), periodic ``checkpoints/step_<n>/``, and ``buffer.jsonl``.
     Reruns with identical (seed, config, dataset) are bitwise identical.
+
+    Each distinct (problem, action sequence) is decoded and scored at most
+    twice while it stays in the trainer's bounded memos (``grpo.Memo``), and
+    harvesting a failure reuses the executions in its reward report.  The
+    memos are pure functions of their keys and are not checkpoint state, so
+    a resumed run starts with empty memos and still matches an
+    uninterrupted one exactly.
     """
     run_dir = Path(run_dir)
     run_dir.mkdir(parents=True, exist_ok=True)

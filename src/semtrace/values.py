@@ -7,8 +7,8 @@ deliberately treated as a category of its own: ``true`` is not the number 1.
 
 In JSON a set appears as its ascending member list and the infinities as the
 sentinel strings ``"__INF__"`` / ``"__-INF__"``.  Every value read from a
-file or an argument goes through :func:`decode_json_value`, which rejects
-anything outside the value domain.
+file or an argument is parsed by :func:`load_json` and goes through
+:func:`decode_json_value`, which rejects anything outside the value domain.
 """
 
 from __future__ import annotations
@@ -151,11 +151,29 @@ def encode_json_value(v: Value):
     raise ValueError("not an encodable value: %r" % (v,))
 
 
+def _finite_float(text: str) -> float:
+    value = float(text)
+    if math.isinf(value):
+        raise ValueError("number %s is outside the float range" % text)
+    return value
+
+
+_JSON_DECODER = json.JSONDecoder(parse_float=_finite_float)
+
+
+def load_json(text: str):
+    """``json.loads`` that rejects a number beyond the float range (such as
+    ``1e400``) instead of reading it as infinity: in JSON, infinity is
+    spelled only by the sentinel strings."""
+    return _JSON_DECODER.decode(text)
+
+
 def decode_json_value(raw) -> Value:
     """JSON value -> MiniImp value, decoding the infinity sentinels.
 
-    Raises ``ValueError`` for anything outside the value domain: objects,
-    integers beyond int64, and NaN.
+    Raises ``ValueError`` for anything outside the value domain (objects,
+    integers beyond int64, NaN) and for a float infinity, which JSON spells
+    only as a sentinel.
     """
     if isinstance(raw, str):
         if raw == INF_SENTINEL:
@@ -172,6 +190,8 @@ def decode_json_value(raw) -> Value:
     if isinstance(raw, float):
         if math.isnan(raw):
             raise ValueError("NaN is not a MiniImp value")
+        if math.isinf(raw):
+            raise ValueError('infinity must be spelled "%s" or "%s"' % (INF_SENTINEL, NEG_INF_SENTINEL))
         return raw
     if isinstance(raw, list):
         return [decode_json_value(x) for x in raw]

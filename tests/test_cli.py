@@ -47,11 +47,51 @@ def test_trace_budget_exceeded(tmp_path, capsys):
 
 def test_trace_bad_input_json(tmp_path, capsys):
     prog = write(tmp_path, "id.mim", IDENTITY_SRC)
-    for bad in ('{"not": "a list"}', "[9223372036854775808]", "[NaN]"):
+    for bad in ('{"not": "a list"}', "[9223372036854775808]", "[NaN]", "[1e400]", "[[-1e400]]", "[Infinity]"):
         assert cli.main(["trace", prog, bad]) == 1
         captured = capsys.readouterr()
         assert "bad input" in captured.err
         assert captured.out == ""
+
+
+def assert_cannot_read(capsys, path):
+    captured = capsys.readouterr()
+    assert captured.err.startswith("cannot read %s: " % path)
+    assert "Traceback" not in captured.err
+    assert captured.out == ""
+
+
+def test_trace_missing_program_file_exits_one(tmp_path, capsys):
+    missing = str(tmp_path / "nofile.mi")
+    assert cli.main(["trace", missing, "[1]"]) == 1
+    assert_cannot_read(capsys, missing)
+
+
+def test_reward_missing_file_exits_one(tmp_path, capsys):
+    prog = write(tmp_path, "id.mim", IDENTITY_SRC)
+    tests = write(tmp_path, "tests.jsonl", json.dumps({"input": [1], "expected": 1}) + "\n")
+    missing = str(tmp_path / "nofile")
+    for argv in (["reward", prog, missing], ["reward", missing, tests]):
+        assert cli.main(argv) == 1
+        assert_cannot_read(capsys, missing)
+
+
+def test_eval_missing_items_file_exits_one(tmp_path, capsys):
+    missing = str(tmp_path / "nofile.jsonl")
+    out = tmp_path / "evalout"
+    assert cli.main(["eval", missing, "--out", str(out)]) == 1
+    assert_cannot_read(capsys, missing)
+    assert not out.exists()
+
+
+def test_train_missing_file_exits_one(tmp_path, capsys):
+    config = write(tmp_path, "config.json", json.dumps({"seed": 1}))
+    missing = str(tmp_path / "nofile.jsonl")
+    run_dir = str(tmp_path / "run")
+    assert cli.main(["train", config, "--run-dir", run_dir, "--dataset", missing]) == 1
+    assert_cannot_read(capsys, missing)
+    assert cli.main(["train", missing, "--run-dir", run_dir]) == 1
+    assert_cannot_read(capsys, missing)
 
 
 def test_reward_subcommand(tmp_path, capsys):

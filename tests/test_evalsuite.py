@@ -80,7 +80,8 @@ def test_single_quotes_rejected():
 def test_python_only_literals_rejected():
     for bad in ('{"final_output": NaN, "variables": {}}',
                 '{"final_output": Infinity, "variables": {}}',
-                '{"final_output": None, "variables": {}}'):
+                '{"final_output": None, "variables": {}}',
+                '{"final_output": 1e400, "variables": {}}'):
         with pytest.raises(MalformedPrediction):
             parse_prediction(bad)
 
@@ -231,11 +232,15 @@ def test_load_eval_items_rejects_out_of_domain_input(tmp_path):
     path.write_text(json.dumps({"id": "a", "source": "fn f(x) { return x }", "input": [2**63]}) + "\n")
     with pytest.raises(ValueError, match="9223372036854775808"):
         load_eval_items(path)
+    path.write_text('{"id": "a", "source": "fn f(x) { return x }", "input": [1e400]}\n')
+    with pytest.raises(ValueError, match="line 1: number 1e400 is outside the float range"):
+        load_eval_items(path)
 
 
 def test_out_of_domain_prediction_is_malformed_and_scored_wrong():
     for bad in ('{"final_output": 9223372036854775808, "variables": {}}',
-                '{"final_output": 1, "variables": {"b": {"k": 1}}}'):
+                '{"final_output": 1, "variables": {"b": {"k": 1}}}',
+                '{"final_output": 1, "variables": {"b": [-1e400]}}'):
         with pytest.raises(MalformedPrediction):
             parse_prediction(bad)
     items = [build_eval_item("i1", parse_program("fn f(a) { b = a return b }"), [1])]

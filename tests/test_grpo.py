@@ -11,6 +11,7 @@ from semtrace.grpo import (
     KIND_CODEGEN,
     CategoricalSequencePolicy,
     GrpoConfig,
+    Memo,
     TemplatePolicy,
     ValuePredictorPolicy,
     candidate_value_pool,
@@ -21,7 +22,7 @@ from semtrace.grpo import (
     surrogate_and_grad,
     train_step,
 )
-from semtrace.lang import HoleTemplate, parse_program
+from semtrace.lang import HoleTemplate, instantiate_template, parse_program
 from semtrace.rewards import SemPrediction
 
 
@@ -95,6 +96,68 @@ def test_template_policy_decodes_to_program():
     pol.register_template("p", one_hole_template())
     program = pol.decode("p", [0])
     assert program == parse_program("fn f(a, b) { t = a + b return t }")
+
+
+def test_memo_admits_on_second_lookup_and_evicts_least_recent():
+    computed = []
+
+    def lookup(memo, key):
+        return memo.get(key, lambda: computed.append(key) or key.upper())
+
+    memo = Memo(capacity=3)
+    assert lookup(memo, "a") == "A"
+    assert len(memo) == 0  # the first lookup keeps no value
+    assert lookup(memo, "a") == "A"
+    assert lookup(memo, "a") == "A"
+    assert computed == ["a", "a"]
+    for key in ("b", "b", "c", "c"):
+        lookup(memo, key)
+    assert len(memo) == 3
+    lookup(memo, "a")  # a hit makes "a" the most recent value
+    lookup(memo, "d")
+    lookup(memo, "d")  # admits "d" and evicts "b", the least recent value
+    assert len(memo) == 3
+    del computed[:]
+    for key in ("a", "c", "d", "b"):
+        lookup(memo, key)
+    assert computed == ["b"]
+
+
+def test_memo_forgets_keys_seen_once_beyond_its_capacity():
+    memo = Memo(capacity=2)
+    computed = []
+    for key in ("x", "y", "z", "x", "x"):  # "y" and "z" push out the record of "x"
+        memo.get(key, lambda: computed.append(key))
+    assert computed == ["x", "y", "z", "x", "x"]
+    assert len(memo) == 1
+
+
+def test_memo_stores_nothing_when_compute_raises():
+    memo = Memo(capacity=2)
+
+    def fail():
+        raise ValueError("no value")
+
+    for _ in range(3):
+        with pytest.raises(ValueError):
+            memo.get("k", fail)
+    assert len(memo) == 0
+    assert memo.get("k", lambda: 1) == 1
+
+
+def test_memoized_decode_matches_instantiate_template():
+    pol = TemplatePolicy()
+    template = one_hole_template()
+    pol.register_template("p", template)
+    for choice in (0, 1, 0, 1, 0, 1):
+        assert pol.decode("p", [choice]) == instantiate_template(template, [choice])
+    replaced = HoleTemplate(
+        template_source="fn g(a, b) {\n    t = b __HOLE_1__ a\n    return t\n}\n",
+        hole_vocab=(("*", "-"),),
+    )
+    pol.register_template("p", replaced)
+    for choice in (0, 1, 0, 1):
+        assert pol.decode("p", [choice]) == instantiate_template(replaced, [choice])
 
 
 def test_logprob_normalization_and_consistency(rng):

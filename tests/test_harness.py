@@ -15,7 +15,7 @@ from semtrace.harness import (
     load_problems,
     read_jsonl,
 )
-from semtrace.values import MimSet, decode_json_value, encode_json_value
+from semtrace.values import MimSet, decode_json_value, encode_json_value, load_json
 
 
 def test_defaults_are_valid():
@@ -74,11 +74,15 @@ def test_json_value_round_trip():
 
 def test_decode_rejects_values_outside_the_domain():
     assert decode_json_value([2**63 - 1, -(2**63)]) == [2**63 - 1, -(2**63)]
-    for raw in (2**63, -(2**63) - 1, math.nan, [1, [math.nan]], {"a": 1}):
+    for raw in (2**63, -(2**63) - 1, math.nan, [1, [math.nan]], {"a": 1}, math.inf, [-math.inf]):
         with pytest.raises(ValueError):
             decode_json_value(raw)
     with pytest.raises(ValueError, match="9223372036854775808"):
         decode_json_value([2**63])
+    assert load_json('[1.5e300, "__INF__"]') == [1.5e300, "__INF__"]
+    for text in ("1e400", "[-1e400]", '{"a": [2e308]}'):
+        with pytest.raises(ValueError, match="outside the float range"):
+            load_json(text)
 
 
 def test_load_problems(tmp_path):
@@ -102,10 +106,16 @@ def test_load_problems_reports_line_number(tmp_path):
     source = "fn s(a, b) {\n    t = a __HOLE_1__ b\n    return t\n}\n"
     bad_records = [{"id": "x"}] + [
         {"id": "p", "template": {"source": source, "holes": [["+"]]}, "tests": [bad_test]}
-        for bad_test in ({"input": [2**63, 0], "expected": 1}, {"input": [1, 2], "expected": math.nan})
+        for bad_test in (
+            {"input": [2**63, 0], "expected": 1},
+            {"input": [1, 2], "expected": math.nan},
+            {"input": [1, 2], "expected": math.inf},
+            {"input": [1, 2], "expected": 1e300},
+        )
     ]
     for record in bad_records:
-        path.write_text(json.dumps(record) + "\n")
+        # 1e300 stands in for 1e400, which json.dumps cannot write
+        path.write_text(json.dumps(record).replace("1e+300", "1e400") + "\n")
         with pytest.raises(ConfigError) as exc:
             load_problems(path)
         assert "line 1" in str(exc.value)

@@ -48,6 +48,20 @@ def test_input_selection_prefers_first_failing_terminating():
     assert prompt.input == [5]
 
 
+def test_prompt_from_a_report_executes_nothing(monkeypatch):
+    import semtrace.scheduler
+
+    p = parse_program(BUGGY_SUM)
+    expected = build_alignment_prompt(p, SUM_TESTS)
+    report = gen_reward(p, SUM_TESTS)
+
+    def execute(*args, **kwargs):
+        raise AssertionError("the report already holds every execution")
+
+    monkeypatch.setattr(semtrace.scheduler, "execute", execute)
+    assert build_alignment_prompt(p, SUM_TESTS, report=report) == expected
+
+
 def test_prompt_id_keyed_by_program_and_input():
     p = parse_program(BUGGY_SUM)
     assert alignment_prompt_id(p, [3]) != alignment_prompt_id(p, [4])
@@ -234,6 +248,33 @@ def test_resume_matches_uninterrupted_run(tmp_path):
     (partial / "metrics.jsonl").write_text("".join(lines[:5]))
     run_training(desk_config(max_steps=10, checkpoint_interval=5), desk_problems(), partial, resume=True)
     assert (partial / "metrics.jsonl").read_bytes() == full
+
+
+def test_each_distinct_rollout_is_decoded_and_scored_at_most_twice(tmp_path, monkeypatch):
+    from collections import Counter
+
+    import semtrace.grpo
+    import semtrace.scheduler
+
+    decodes, scores = Counter(), Counter()
+    instantiate, score = semtrace.grpo.instantiate_template, semtrace.scheduler.gen_reward
+
+    def counted_instantiate(template, choices):
+        decodes[(template, tuple(choices))] += 1
+        return instantiate(template, choices)
+
+    def counted_score(program, tests, budget):
+        scores[(program, id(tests))] += 1
+        return score(program, tests, budget=budget)
+
+    monkeypatch.setattr(semtrace.grpo, "instantiate_template", counted_instantiate)
+    monkeypatch.setattr(semtrace.scheduler, "gen_reward", counted_score)
+    cfg = desk_config()
+    run_training(cfg, desk_problems(), tmp_path / "run")
+    scored = cfg.max_steps * cfg.batch_size * cfg.group_size
+    assert 0 < sum(scores.values()) < scored / 4
+    assert max(decodes.values()) <= 2
+    assert max(scores.values()) <= 2
 
 
 def test_resume_without_checkpoint_fails(tmp_path):
