@@ -261,11 +261,10 @@ def differential_campaign(
     n_programs: int,
     seed: int = 0,
     budget: int = 100_000,
-    check_trajectory: bool = True,
 ) -> CampaignResult:
     """Generate programs and compare the step interpreter against the
     independent big-step evaluator on status, return value, and final
-    variable values."""
+    variable values, and check the full trajectory against the final map."""
     rng = np.random.default_rng(seed)
     fuzzer = ProgramFuzzer(rng)
     mismatches: List[str] = []
@@ -273,7 +272,7 @@ def differential_campaign(
     for k in range(n_programs):
         program = fuzzer.program()
         inputs = fuzzer.inputs_for(program)
-        rec = execute(program, inputs, budget=budget, mode="full" if check_trajectory else "summary")
+        rec = execute(program, inputs, budget=budget, mode="full")
         label = "program %d" % k
         try:
             ref_ret, ref_finals = reference_evaluate(program, inputs)
@@ -296,10 +295,9 @@ def differential_campaign(
             for name in step_finals:
                 if not values_equal(step_finals[name], ref_finals[name]):
                     mismatches.append("%s: variable %r differs" % (label, name))
-        if check_trajectory:
-            traj = trajectory_final_values(rec)
-            if set(traj) != set(step_finals) or any(
-                not values_equal(traj[n], step_finals[n]) for n in traj
-            ):
-                mismatches.append("%s: trajectory scan disagrees with final map" % label)
+        traj = trajectory_final_values(rec)
+        if set(traj) != set(step_finals) or any(
+            not values_equal(traj[n], step_finals[n]) for n in traj
+        ):
+            mismatches.append("%s: trajectory scan disagrees with final map" % label)
     return CampaignResult(total=n_programs, returned=returned, mismatches=mismatches)

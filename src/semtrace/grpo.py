@@ -435,8 +435,6 @@ class TrainStepMetrics:
     objective: float
     kl: float
     clip_fraction: float
-    mean_reward_codegen: Optional[float]
-    mean_reward_alignment: Optional[float]
 
 
 def train_step(
@@ -459,25 +457,15 @@ def train_step(
     objective = 0.0
     kl = 0.0
     clip_fraction = 0.0
-    rewards = {KIND_CODEGEN: [], KIND_ALIGNMENT: []}
     for group in groups:
         obj, grads, metrics = surrogate_and_grad(policy, group, ref_policy, cfg)
         objective += obj / n
         kl += metrics.kl / n
         clip_fraction += metrics.clip_fraction / len(groups)
-        for s in group.samples:
-            rewards[group.kind].append(float(s.reward))
         for pid, vecs in grads.items():
             if pid not in total_grads:
                 total_grads[pid] = [np.zeros_like(g) for g in vecs]
             for t, g in enumerate(vecs):
                 total_grads[pid][t] += g / n
     _apply_update(policy, total_grads, cfg)
-    mean = lambda xs: (sum(xs) / len(xs)) if xs else None
-    return TrainStepMetrics(
-        objective=objective,
-        kl=kl,
-        clip_fraction=clip_fraction,
-        mean_reward_codegen=mean(rewards[KIND_CODEGEN]),
-        mean_reward_alignment=mean(rewards[KIND_ALIGNMENT]),
-    )
+    return TrainStepMetrics(objective=objective, kl=kl, clip_fraction=clip_fraction)

@@ -79,11 +79,21 @@ class RunConfig:
     @classmethod
     def from_file(cls, path) -> "RunConfig":
         with open(path, "r", encoding="utf-8") as fh:
-            raw = json.load(fh)
-        known = {f for f in cls.__dataclass_fields__}
-        unknown = set(raw) - known
+            try:
+                raw = json.load(fh)
+            except ValueError as exc:
+                raise ConfigError("config file %s is not valid JSON: %s" % (path, exc)) from exc
+        if not isinstance(raw, dict):
+            raise ConfigError("config file %s must hold a JSON object" % path)
+        fields = cls.__dataclass_fields__
+        unknown = set(raw) - set(fields)
         if unknown:
             raise ConfigError("unknown config fields: %s" % ", ".join(sorted(unknown)))
+        for name, value in raw.items():
+            # each default's type is the field's type; an int is a valid float
+            want = type(fields[name].default)
+            if isinstance(value, bool) or not isinstance(value, (int, float) if want is float else want):
+                raise ConfigError("config field %r must be a JSON %s, got %r" % (name, want.__name__, value))
         cfg = cls(**raw)
         cfg.seed = seed_override(cfg.seed)
         cfg.validate()

@@ -31,7 +31,7 @@ from .nodes import (
     Var,
     While,
 )
-from .parser import BIN_PREC, CMP_OPS, NOT_PREC
+from .parser import BIN_PREC, CMP_OPS, ESCAPES, NOT_PREC
 
 _INDENT = "    "
 
@@ -39,21 +39,7 @@ _PREC_NEG = 7
 _PREC_POSTFIX = 8
 _PREC_ATOM = 9
 
-
-def _escape(s: str) -> str:
-    out = []
-    for ch in s:
-        if ch == "\\":
-            out.append("\\\\")
-        elif ch == '"':
-            out.append('\\"')
-        elif ch == "\n":
-            out.append("\\n")
-        elif ch == "\t":
-            out.append("\\t")
-        else:
-            out.append(ch)
-    return '"' + "".join(out) + '"'
+_ESCAPE_TABLE = str.maketrans(ESCAPES)
 
 
 def format_expr(expr: Expr, min_prec: int = 0) -> str:
@@ -78,7 +64,7 @@ def _format_expr(expr: Expr):
                 return "inf", _PREC_ATOM
             return repr(v), _PREC_ATOM
         if isinstance(v, str):
-            return _escape(v), _PREC_ATOM
+            return '"%s"' % v.translate(_ESCAPE_TABLE), _PREC_ATOM
         raise TypeError("unsupported literal: %r" % (v,))
     if isinstance(expr, Var):
         return expr.name, _PREC_ATOM

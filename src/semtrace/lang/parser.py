@@ -1,14 +1,16 @@
-"""Lexer and recursive-descent parser for MiniImp.
+"""Scanner and recursive-descent parser for MiniImp.
 
-The grammar is documented in docs/grammar.md (normative EBNF).  Every input
-either yields exactly one AST or one :class:`ParseError`; nothing panics.
+Both transcribe the normative grammar in docs/grammar.md: each named group of
+``_TOKEN_RE`` is one lexical rule and each ``parse_*`` method one syntax
+rule.  Every input either yields exactly one AST or one :class:`ParseError`;
+nothing panics.
 """
 
 from __future__ import annotations
 
 import re
 from dataclasses import dataclass
-from typing import List, Optional, Tuple
+from typing import Callable, List, Optional, Tuple, TypeVar
 
 from . import nodes
 from .nodes import (
@@ -33,19 +35,30 @@ from .nodes import (
     While,
 )
 
+LITERALS = {"true": True, "false": False, "null": None, "inf": float("inf")}
 KEYWORDS = {
     "fn", "if", "else", "while", "for", "in", "range", "break", "continue",
-    "return", "append", "true", "false", "null", "inf", "and", "or", "not",
+    "return", "append", "and", "or", "not", *LITERALS, *nodes.BUILTINS,
 }
 
-_PUNCT = [
-    "==", "!=", "<=", ">=", "//",
-    "(", ")", "{", "}", "[", "]", ",", "=", "<", ">", "+", "-", "*", "/", "%",
-]
+# character -> its escape inside a STRING; the formatter escapes with this
+# table and the scanner reads it backwards
+ESCAPES = {"\\": "\\\\", '"': '\\"', "\n": "\\n", "\t": "\\t"}
+_UNESCAPE = {esc[1]: ch for ch, esc in ESCAPES.items()}
+_ESCAPE_RE = re.compile(r"\\(.)")
 
-HOLE_RE = re.compile(r"__HOLE_(\d+)__")
-_IDENT_RE = re.compile(r"[A-Za-z_][A-Za-z_0-9]*")
-_NUM_RE = re.compile(r"\d+(\.\d+)?([eE][+-]?\d+)?")
+HOLE_RE = re.compile(r"__HOLE_([0-9]+)__")
+_TOKEN_RE = re.compile(r"""
+    (?P<skip>     [ \t\r]+ | \#[^\n]* )
+  | (?P<newline>  \n )
+  | (?P<string>   " (?P<body> (?: [^"\\\n] | \\[%s] )* ) (?P<close> ")? )
+  | (?P<hole>     __HOLE_[0-9]+__ )
+  | (?P<float>    [0-9]+ (?: \.[0-9]* (?: [eE][+-]?[0-9]+ )? | [eE][+-]?[0-9]+ ) )
+  | (?P<int>      [0-9]+ )
+  | (?P<ident>    [A-Za-z][A-Za-z0-9_]* )
+  | (?P<punct>    == | != | <= | >= | // | [-+*/%%(){}\[\],=<>] )
+  | (?P<mismatch> . )
+""" % re.escape("".join(_UNESCAPE)), re.VERBOSE)
 
 
 class ParseError(Exception):
@@ -72,83 +85,35 @@ class Token:
 
 def tokenize(source: str) -> List[Token]:
     tokens: List[Token] = []
-    line, col = 1, 1
-    i, n = 0, len(source)
-    while i < n:
-        ch = source[i]
-        if ch == "\n":
-            i += 1
+    line, line_start = 1, 0
+    for m in _TOKEN_RE.finditer(source):
+        kind = m.lastgroup
+        if kind == "skip":
+            continue
+        col = m.start() - line_start + 1
+        if kind == "newline":
             line += 1
-            col = 1
-            continue
-        if ch in " \t\r":
-            i += 1
-            col += 1
-            continue
-        if ch == "#":  # comment to end of line
-            while i < n and source[i] != "\n":
-                i += 1
-            continue
-        if ch == '"':
-            start_line, start_col = line, col
-            i += 1
-            col += 1
-            buf = []
-            while True:
-                if i >= n or source[i] == "\n":
-                    raise ParseError("unterminated string literal", start_line, start_col)
-                c = source[i]
-                if c == '"':
-                    i += 1
-                    col += 1
-                    break
-                if c == "\\":
-                    if i + 1 >= n:
-                        raise ParseError("unterminated string escape", line, col)
-                    esc = source[i + 1]
-                    mapping = {"\\": "\\", '"': '"', "n": "\n", "t": "\t"}
-                    if esc not in mapping:
-                        raise ParseError("unknown string escape \\%s" % esc, line, col)
-                    buf.append(mapping[esc])
-                    i += 2
-                    col += 2
-                else:
-                    buf.append(c)
-                    i += 1
-                    col += 1
-            tokens.append(Token("string", "".join(buf), start_line, start_col))
-            continue
-        m = HOLE_RE.match(source, i)
-        if m:
-            tokens.append(Token("hole", m.group(0), line, col))
-            col += len(m.group(0))
-            i = m.end()
-            continue
-        m = _NUM_RE.match(source, i)
-        if m and ch.isdigit():
-            text = m.group(0)
-            kind = "float" if (m.group(1) or m.group(2)) else "int"
-            tokens.append(Token(kind, text, line, col))
-            col += len(text)
-            i = m.end()
-            continue
-        m = _IDENT_RE.match(source, i)
-        if m:
-            text = m.group(0)
-            kind = "kw" if text in KEYWORDS else "ident"
-            tokens.append(Token(kind, text, line, col))
-            col += len(text)
-            i = m.end()
-            continue
-        for p in _PUNCT:
-            if source.startswith(p, i):
-                tokens.append(Token("punct", p, line, col))
-                col += len(p)
-                i += len(p)
-                break
+            line_start = m.end()
+        elif kind == "string":
+            if m.group("close") is None:
+                # the string rule stopped at a line end, the end of input or
+                # a backslash that starts no escape
+                end = m.end()
+                if source.startswith("\\", end):
+                    if end + 1 == len(source):
+                        raise ParseError("unterminated string escape", line, end - line_start + 1)
+                    raise ParseError("unknown string escape \\%s" % source[end + 1], line, end - line_start + 1)
+                raise ParseError("unterminated string literal", line, col)
+            text = _ESCAPE_RE.sub(lambda e: _UNESCAPE[e.group(1)], m.group("body"))
+            tokens.append(Token("string", text, line, col))
+        elif kind == "mismatch":
+            raise ParseError("unexpected character %r" % m.group(), line, col)
         else:
-            raise ParseError("unexpected character %r" % ch, line, col)
-    tokens.append(Token("eof", "", line, col))
+            text = m.group()
+            if kind == "ident" and text in KEYWORDS:
+                kind = "kw"
+            tokens.append(Token(kind, text, line, col))
+    tokens.append(Token("eof", "", line, len(source) - line_start + 1))
     return tokens
 
 
@@ -164,14 +129,16 @@ BIN_PREC = {
 CMP_OPS = {"==", "!=", "<", "<=", ">", ">="}
 NOT_PREC = 3  # prefix 'not' sits between 'and' and the comparisons
 
+T = TypeVar("T")
+
 
 class _Parser:
     def __init__(self, tokens: List[Token]):
         self.tokens = tokens
         self.pos = 0
 
-    def peek(self, ahead: int = 0) -> Token:
-        return self.tokens[min(self.pos + ahead, len(self.tokens) - 1)]
+    def peek(self) -> Token:
+        return self.tokens[self.pos]
 
     def advance(self) -> Token:
         tok = self.tokens[self.pos]
@@ -179,8 +146,8 @@ class _Parser:
             self.pos += 1
         return tok
 
-    def error(self, expected: Tuple[str, ...]) -> ParseError:
-        tok = self.peek()
+    def error(self, expected: Tuple[str, ...], tok: Optional[Token] = None) -> ParseError:
+        tok = tok or self.peek()
         shown = tok.text if tok.kind != "eof" else "end of input"
         return ParseError("unexpected %r" % shown, tok.line, tok.col, expected)
 
@@ -194,6 +161,16 @@ class _Parser:
         tok = self.peek()
         return tok.kind == kind and (text is None or tok.text == text)
 
+    def comma_list(self, item: Callable[[], T], close: str) -> List[T]:
+        """``[ item { "," item } ] close``: parameters, call arguments and
+        list and set literals."""
+        items = [] if self.at("punct", close) else [item()]
+        while self.at("punct", ","):
+            self.advance()
+            items.append(item())
+        self.expect("punct", close)
+        return items
+
     # --- program ---
 
     def parse_program(self) -> Program:
@@ -201,17 +178,14 @@ class _Parser:
         name = self.expect("ident").text
         self.expect("punct", "(")
         params: List[str] = []
-        if not self.at("punct", ")"):
-            while True:
-                tok = self.expect("ident")
-                if tok.text in params:
-                    raise ParseError("duplicate parameter %r" % tok.text, tok.line, tok.col)
-                params.append(tok.text)
-                if self.at("punct", ","):
-                    self.advance()
-                else:
-                    break
-        self.expect("punct", ")")
+
+        def param() -> None:
+            tok = self.expect("ident")
+            if tok.text in params:
+                raise ParseError("duplicate parameter %r" % tok.text, tok.line, tok.col)
+            params.append(tok.text)
+
+        self.comma_list(param, ")")
         body = self.parse_block()
         tok = self.peek()
         if tok.kind != "eof":
@@ -348,83 +322,39 @@ class _Parser:
         return expr
 
     def parse_primary(self) -> nodes.Expr:
-        tok = self.peek()
-        if tok.kind == "int":
-            self.advance()
-            return Literal(int(tok.text))
-        if tok.kind == "float":
-            self.advance()
-            return Literal(float(tok.text))
-        if tok.kind == "string":
-            self.advance()
-            return Literal(tok.text)
-        if tok.kind == "kw":
-            if tok.text == "true":
-                self.advance()
-                return Literal(True)
-            if tok.text == "false":
-                self.advance()
-                return Literal(False)
-            if tok.text == "null":
-                self.advance()
-                return Literal(None)
-            if tok.text == "inf":
-                self.advance()
-                return Literal(float("inf"))
-            raise self.error(("expression",))
-        if tok.kind == "ident":
-            name = self.advance().text
+        tok = self.advance()
+        kind, text = tok.kind, tok.text
+        if kind == "int":
+            return Literal(int(text))
+        if kind == "float":
+            return Literal(float(text))
+        if kind == "string":
+            return Literal(text)
+        if kind == "kw" and text in LITERALS:
+            return Literal(LITERALS[text])
+        if kind == "kw" and text in nodes.BUILTINS:
+            self.expect("punct", "(")
+            return Call(text, tuple(self.comma_list(self.parse_expr, ")")))
+        if kind == "ident":
             if self.at("punct", "("):
-                if name not in nodes.BUILTINS:
-                    raise ParseError(
-                        "unknown function %r (builtins: %s)" % (name, ", ".join(nodes.BUILTINS)),
-                        tok.line, tok.col,
-                    )
-                self.advance()
-                args: List[nodes.Expr] = []
-                if not self.at("punct", ")"):
-                    while True:
-                        args.append(self.parse_expr())
-                        if self.at("punct", ","):
-                            self.advance()
-                        else:
-                            break
-                self.expect("punct", ")")
-                return Call(name, tuple(args))
-            return Var(name)
-        if tok.kind == "punct":
-            if tok.text == "(":
-                self.advance()
-                expr = self.parse_expr()
-                self.expect("punct", ")")
-                return expr
-            if tok.text == "[":
-                self.advance()
-                items: List[nodes.Expr] = []
-                if not self.at("punct", "]"):
-                    while True:
-                        items.append(self.parse_expr())
-                        if self.at("punct", ","):
-                            self.advance()
-                        else:
-                            break
-                self.expect("punct", "]")
-                return ListLit(tuple(items))
-            if tok.text == "{":
-                self.advance()
-                items = []
-                if not self.at("punct", "}"):
-                    while True:
-                        items.append(self.parse_expr())
-                        if self.at("punct", ","):
-                            self.advance()
-                        else:
-                            break
-                self.expect("punct", "}")
-                return SetLit(tuple(items))
-        if tok.kind == "hole":
-            raise ParseError("hole placeholder %r in program source" % tok.text, tok.line, tok.col)
-        raise self.error(("expression",))
+                raise ParseError(
+                    "unknown function %r (builtins: %s)" % (text, ", ".join(nodes.BUILTINS)),
+                    tok.line, tok.col,
+                )
+            return Var(text)
+        if kind == "punct" and text == "(":
+            expr = self.parse_expr()
+            self.expect("punct", ")")
+            return expr
+        if kind == "punct" and text == "[":
+            return ListLit(tuple(self.comma_list(self.parse_expr, "]")))
+        if kind == "punct" and text == "{":
+            if self.at("punct", "}"):  # a set literal is never empty
+                raise self.error(("expression",))
+            return SetLit(tuple(self.comma_list(self.parse_expr, "}")))
+        if kind == "hole":
+            raise ParseError("hole placeholder %r in program source" % text, tok.line, tok.col)
+        raise self.error(("expression",), tok)
 
 
 def parse_program(source: str) -> Program:

@@ -9,6 +9,7 @@ code generation; once failures accumulate, each batch carries
 from __future__ import annotations
 
 import hashlib
+import itertools
 import json
 import math
 from collections import deque
@@ -290,7 +291,6 @@ class Trainer:
         self.buffer = FailureBuffer(config.buffer_capacity)
         self.pool = CodePromptPool(sorted(self.problems))
         self.step = 0
-        self.metrics: List[dict] = []
         # (problem id, actions) -> GenRewardReport; tests and budget are fixed
         # per trainer, so a report is a pure function of the key
         self._scored = Memo()
@@ -395,7 +395,6 @@ class Trainer:
             "buffer_size": len(self.buffer),
             "n_align_in_batch": len(batch.align_prompts),
         }
-        self.metrics.append(record)
         return record
 
     # --- persistence ---
@@ -477,7 +476,8 @@ def run_training(
     """Drive the full loop; returns the run directory.
 
     The run directory receives ``config.json``, ``metrics.jsonl`` (one record
-    per step), periodic ``checkpoints/step_<n>/``, and ``buffer.jsonl``.
+    per step, appended and flushed as the step ends), periodic
+    ``checkpoints/step_<n>/``, and ``buffer.jsonl``.
     Reruns with identical (seed, config, dataset) are bitwise identical.
 
     Each distinct (problem, action sequence) is decoded and scored at most
@@ -489,20 +489,27 @@ def run_training(
     """
     run_dir = Path(run_dir)
     run_dir.mkdir(parents=True, exist_ok=True)
+    metrics_path = run_dir / "metrics.jsonl"
     with RunLock(run_dir):
         trainer = Trainer(config, problems)
+        kept = 0  # bytes of metrics.jsonl the run keeps: one line per step done
         if resume:
             ckpt = _last_checkpoint(run_dir)
             if ckpt is None:
                 raise RuntimeError("no checkpoint to resume from in %s" % run_dir)
             trainer.load_checkpoint(ckpt)
-            existing = read_jsonl(run_dir / "metrics.jsonl")
-            trainer.metrics = [r for r in existing if r["step"] <= trainer.step]
+            # lines past the checkpoint, a torn last line among them, are
+            # steps that will run again
+            with open(metrics_path, "rb") as fh:
+                kept = sum(len(line) for line in itertools.islice(fh, trainer.step))
         atomic_write_text(run_dir / "config.json", json.dumps(config.to_dict(), indent=2) + "\n")
-        while trainer.step < config.max_steps:
-            trainer.run_step()
-            atomic_write_jsonl(run_dir / "metrics.jsonl", trainer.metrics)
-            if trainer.step % config.checkpoint_interval == 0 or trainer.step == config.max_steps:
-                trainer.save_checkpoint(run_dir)
+        with open(metrics_path, "ab") as metrics:
+            metrics.truncate(kept)
+            while trainer.step < config.max_steps:
+                record = trainer.run_step()
+                metrics.write((json.dumps(record) + "\n").encode("utf-8"))
+                metrics.flush()
+                if trainer.step % config.checkpoint_interval == 0 or trainer.step == config.max_steps:
+                    trainer.save_checkpoint(run_dir)
         atomic_write_jsonl(run_dir / "buffer.jsonl", [p.to_record() for p in trainer.buffer.entries])
     return run_dir

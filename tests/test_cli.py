@@ -270,6 +270,13 @@ def test_train_and_resume(tmp_path, capsys):
 
 def test_train_config_error_exits_one(tmp_path, capsys):
     config = tmp_path / "config.json"
-    config.write_text(json.dumps({"align_ratio": 2.0}))
-    assert cli.main(["train", str(config), "--run-dir", str(tmp_path / "r")]) == 1
-    assert "align_ratio" in capsys.readouterr().err
+    for text, named in (
+        (json.dumps({"align_ratio": 2.0}), "align_ratio"),
+        ("{", "not valid JSON"),
+        ("[1]", "JSON object"),
+        (json.dumps({"batch_size": "x"}), "batch_size"),
+    ):
+        config.write_text(text)
+        assert cli.main(["train", str(config), "--run-dir", str(tmp_path / "r")]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("config error: ") and named in err

@@ -55,6 +55,13 @@ def test_from_file_rejects_unknown_fields(tmp_path):
     assert "warp_factor" in str(exc.value)
 
 
+def test_from_file_accepts_an_int_for_a_float_field(tmp_path):
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps({"learning_rate": 1, "kl_beta": 0}))
+    cfg = RunConfig.from_file(path)
+    assert (cfg.learning_rate, cfg.kl_beta) == (1, 0)
+
+
 def test_env_var_overrides_seed(tmp_path, monkeypatch):
     path = tmp_path / "config.json"
     path.write_text(json.dumps({"seed": 1}))

@@ -22,6 +22,7 @@ from semtrace.lang import (
     list_variables,
     parse_expression,
     parse_program,
+    tokenize,
     walk,
 )
 
@@ -83,6 +84,49 @@ def test_comparisons_do_not_chain():
 def test_hole_token_rejected_in_plain_source():
     with pytest.raises(ParseError):
         parse_program("fn f(a) { x = a __HOLE_1__ 1 return x }")
+
+
+ALL_ESCAPES = Program("f", (), (Return(Literal('q\\"\n\tz')),))
+
+# source -> its tokens as (kind, text, line, col), the ParseError of
+# parse_program as (message, line, col), or the Program it parses to
+GRAMMAR_CASES = [
+    ('"\\\\\\"\\n\\t"', [("string", '\\"\n\t', 1, 1), ("eof", "", 1, 11)]),
+    ("fn f(a) {\r\n    return len(a)\r\n}\r\n", [
+        ("kw", "fn", 1, 1), ("ident", "f", 1, 4), ("punct", "(", 1, 5), ("ident", "a", 1, 6),
+        ("punct", ")", 1, 7), ("punct", "{", 1, 9), ("kw", "return", 2, 5), ("kw", "len", 2, 12),
+        ("punct", "(", 2, 15), ("ident", "a", 2, 16), ("punct", ")", 2, 17), ("punct", "}", 3, 1),
+        ("eof", "", 4, 1),
+    ]),
+    ("x # note", [("ident", "x", 1, 1), ("eof", "", 1, 9)]),
+    ('fn f() { return "ab }', ("unterminated string literal", 1, 17)),
+    ('fn f() { return "ab\\', ("unterminated string escape", 1, 20)),
+    ('fn f() { return "a\\qb" }', ("unknown string escape \\q", 1, 19)),
+    ("fn f(a) { x = a + __HOLE_1__ return x }", ("hole placeholder '__HOLE_1__' in program source", 1, 19)),
+    ("fn f(a) { return foo(a) }", ("unknown function 'foo' (builtins: len, abs, min, max)", 1, 18)),
+    # the FLOAT rule allows a bare trailing point
+    ("fn f() { return 1. }", Program("f", (), (Return(Literal(1.0)),))),
+    # there is no empty-set literal
+    ("fn f() { x = {} return x }", ("unexpected '}'", 1, 15)),
+    # builtin names are keywords
+    ("fn f() { len = 3 return len }", ("unexpected 'len'", 1, 10)),
+    # an IDENT begins with a letter and a digit is 0-9
+    ("fn f() { _a = 3 return _a }", ("unexpected character '_'", 1, 10)),
+    ("fn f() { return \u0663 }", ("unexpected character '\u0663'", 1, 17)),
+    (format_program(ALL_ESCAPES), ALL_ESCAPES),
+]
+
+
+@pytest.mark.parametrize("source, expected", GRAMMAR_CASES)
+def test_scanner_and_parser_follow_the_grammar(source, expected):
+    if isinstance(expected, list):
+        assert [(t.kind, t.text, t.line, t.col) for t in tokenize(source)] == expected
+    elif isinstance(expected, Program):
+        assert parse_program(source) == expected
+    else:
+        with pytest.raises(ParseError) as info:
+            parse_program(source)
+        assert (info.value.message, info.value.line, info.value.col) == expected
 
 
 def test_format_single_statement_canonical_form():

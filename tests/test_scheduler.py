@@ -250,6 +250,25 @@ def test_resume_matches_uninterrupted_run(tmp_path):
     assert (partial / "metrics.jsonl").read_bytes() == full
 
 
+def test_resume_drops_metric_lines_past_the_checkpoint_and_a_torn_line(tmp_path):
+    import shutil
+
+    cfg = desk_config(max_steps=10, checkpoint_interval=5)
+    run_training(cfg, desk_problems(), tmp_path / "full")
+    full = (tmp_path / "full" / "metrics.jsonl").read_bytes()
+
+    # the process died while writing step 8's line, after checkpoint step_5
+    partial = tmp_path / "partial"
+    (partial / "checkpoints").mkdir(parents=True)
+    shutil.copytree(
+        tmp_path / "full" / "checkpoints" / "step_5", partial / "checkpoints" / "step_5"
+    )
+    lines = full.splitlines(keepends=True)
+    (partial / "metrics.jsonl").write_bytes(b"".join(lines[:7]) + lines[7][: len(lines[7]) // 2])
+    run_training(desk_config(max_steps=10, checkpoint_interval=5), desk_problems(), partial, resume=True)
+    assert (partial / "metrics.jsonl").read_bytes() == full
+
+
 def test_each_distinct_rollout_is_decoded_and_scored_at_most_twice(tmp_path, monkeypatch):
     from collections import Counter
 
