@@ -13,7 +13,7 @@ from importlib import resources
 from typing import Callable, Dict, List, Optional, Sequence
 
 from .lang import ParseError, Program, format_program, list_variables, parse_program
-from .rewards import TestCase, gen_reward, matches_expected
+from .rewards import gen_reward, matches_expected
 from .tracer import DEFAULT_BUDGET, STATUS_RETURNED, execute
 from .values import Value, canonical_serialize, decode_json_value, load_json
 
@@ -140,18 +140,6 @@ def build_prompt(item: EvalItem) -> str:
     return text
 
 
-def exact_at_1(pred: Prediction, item: EvalItem) -> bool:
-    """True iff the return value and every listed variable are all correct."""
-    if not matches_expected(item.truth_output, pred.final_output):
-        return False
-    for v in item.variables:
-        if v not in pred.variables:
-            return False
-        if not matches_expected(item.truth_vars[v], pred.variables[v]):
-            return False
-    return True
-
-
 @dataclass
 class ItemResult:
     item_id: str
@@ -257,5 +245,5 @@ def pass_at_1(scored: Sequence[tuple]) -> float:
         raise ValueError("at least one item is required")
     total = 0
     for program, tests in scored:
-        total += gen_reward(program, [t if isinstance(t, TestCase) else TestCase(*t) for t in tests]).reward
+        total += gen_reward(program, tests).reward
     return total / len(scored)

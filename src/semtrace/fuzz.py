@@ -45,6 +45,8 @@ from .tracer import (
 from .values import values_equal
 
 WRAP = 1009  # keeps every int assignment far from the int64 bounds
+MAX_STMTS = 8
+MAX_DEPTH = 2
 
 
 @dataclass
@@ -74,10 +76,8 @@ def _int_lit(v: int):
 class ProgramFuzzer:
     """Deterministic random generator of terminating MiniImp programs."""
 
-    def __init__(self, rng: np.random.Generator, max_stmts: int = 8, max_depth: int = 2):
+    def __init__(self, rng: np.random.Generator):
         self.rng = rng
-        self.max_stmts = max_stmts
-        self.max_depth = max_depth
 
     # --- expressions ---
 
@@ -143,7 +143,7 @@ class ProgramFuzzer:
         if scope.list_vars:
             choices += ["append", "index_assign"]
         choices += ["new_list", "float_assign"]
-        if depth < self.max_depth:
+        if depth < MAX_DEPTH:
             choices += ["if", "for", "while"]
         if r.random() < 0.1:
             choices.append("set_assign")
@@ -230,7 +230,7 @@ class ProgramFuzzer:
         params = tuple("p%d" % k for k in range(n_params))
         scope = _Scope(int_vars=list(params))
         body: List = []
-        for _ in range(int(r.integers(2, self.max_stmts + 1))):
+        for _ in range(int(r.integers(2, MAX_STMTS + 1))):
             body.extend(self.statement(scope, 0, False, False))
         ret_pool = list(scope.int_vars)
         if scope.list_vars:

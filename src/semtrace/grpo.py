@@ -19,13 +19,17 @@ import numpy as np
 
 from .lang import HoleTemplate, Literal, Program, instantiate_template, walk
 from .rewards import SemPrediction
-from .values import MimSet, Value, canonical_serialize
+from .values import MimSet, Value, canonical_serialize, read_exact
 
 KIND_CODEGEN = "codegen"
 KIND_ALIGNMENT = "alignment"
 
 MEMO_CAPACITY = 1024
 _ABSENT = object()
+
+ADAM_BETA1 = 0.9
+ADAM_BETA2 = 0.999
+ADAM_EPS = 1e-8
 
 
 class Memo:
@@ -73,20 +77,7 @@ class GrpoConfig:
     kl_beta: float = 1e-3
     learning_rate: float = 0.5
     optimizer: str = "sgd"  # "sgd" | "adam"
-    adam_beta1: float = 0.9
-    adam_beta2: float = 0.999
-    adam_eps: float = 1e-8
     std_floor: float = 1e-6
-
-    def validate(self) -> None:
-        if self.group_size < 2:
-            raise ValueError("group_size must be >= 2")
-        if not 0.0 < self.clip_eps < 1.0:
-            raise ValueError("clip_eps must be in (0, 1)")
-        if self.optimizer not in ("sgd", "adam"):
-            raise ValueError("optimizer must be 'sgd' or 'adam'")
-        if self.std_floor <= 0:
-            raise ValueError("std_floor must be positive")
 
 
 def group_advantages(rewards: Sequence[float], std_floor: float = 1e-6) -> List[float]:
@@ -176,16 +167,6 @@ class CategoricalSequencePolicy:
             raise ValueError("action sequence length mismatch")
         return [float(log_softmax(logits)[a]) for logits, a in zip(step_logits, actions)]
 
-    def grad_logprob(self, prompt_id: str, actions: Sequence[int]) -> List[np.ndarray]:
-        """Gradient of the total log-probability w.r.t. each step's logits."""
-        grads = []
-        for logits, a in zip(self.step_logits(prompt_id), actions):
-            p = softmax(logits)
-            g = -p
-            g[a] += 1.0
-            grads.append(g)
-        return grads
-
     def snapshot(self) -> "CategoricalSequencePolicy":
         """Frozen copy usable as the old or reference policy."""
         frozen = CategoricalSequencePolicy()
@@ -215,19 +196,19 @@ class CategoricalSequencePolicy:
 
     def load(self, path) -> None:
         with open(path, "rb") as fh:
-            magic = fh.read(8)
+            magic = read_exact(fh, 8)
             if magic != self.MAGIC:
-                raise ValueError("bad policy checkpoint magic %r" % magic)
-            (n_prompts,) = struct.unpack("<I", fh.read(4))
+                raise ValueError("%s: bad policy checkpoint magic %r" % (path, magic))
+            (n_prompts,) = struct.unpack("<I", read_exact(fh, 4))
             params: Dict[str, List[np.ndarray]] = {}
             for _ in range(n_prompts):
-                (id_len,) = struct.unpack("<I", fh.read(4))
-                pid = fh.read(id_len).decode("utf-8")
-                (n_steps,) = struct.unpack("<I", fh.read(4))
+                (id_len,) = struct.unpack("<I", read_exact(fh, 4))
+                pid = read_exact(fh, id_len).decode("utf-8")
+                (n_steps,) = struct.unpack("<I", read_exact(fh, 4))
                 vecs = []
                 for _ in range(n_steps):
-                    (dim,) = struct.unpack("<I", fh.read(4))
-                    vecs.append(np.frombuffer(fh.read(8 * dim), dtype="<f8").astype(float))
+                    (dim,) = struct.unpack("<I", read_exact(fh, 4))
+                    vecs.append(np.frombuffer(read_exact(fh, 8 * dim), dtype="<f8").astype(float))
                 params[pid] = vecs
         # loaded vectors replace any registered initializations
         self.params.update(params)
@@ -423,11 +404,11 @@ def _apply_update(policy: CategoricalSequencePolicy, grads: Dict[str, List[np.nd
         m_list = state["m"].setdefault(pid, [np.zeros_like(g) for g in vecs])
         v_list = state["v"].setdefault(pid, [np.zeros_like(g) for g in vecs])
         for t, g in enumerate(vecs):
-            m_list[t] = cfg.adam_beta1 * m_list[t] + (1 - cfg.adam_beta1) * g
-            v_list[t] = cfg.adam_beta2 * v_list[t] + (1 - cfg.adam_beta2) * g * g
-            m_hat = m_list[t] / (1 - cfg.adam_beta1 ** t_step)
-            v_hat = v_list[t] / (1 - cfg.adam_beta2 ** t_step)
-            policy.params[pid][t] += cfg.learning_rate * m_hat / (np.sqrt(v_hat) + cfg.adam_eps)
+            m_list[t] = ADAM_BETA1 * m_list[t] + (1 - ADAM_BETA1) * g
+            v_list[t] = ADAM_BETA2 * v_list[t] + (1 - ADAM_BETA2) * g * g
+            m_hat = m_list[t] / (1 - ADAM_BETA1 ** t_step)
+            v_hat = v_list[t] / (1 - ADAM_BETA2 ** t_step)
+            policy.params[pid][t] += cfg.learning_rate * m_hat / (np.sqrt(v_hat) + ADAM_EPS)
 
 
 @dataclass

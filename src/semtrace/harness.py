@@ -1,8 +1,8 @@
 """Run configuration, dataset ingestion, and persistence helpers.
 
-Datasets are JSONL with canonically serialized values; all file writes go
-through :func:`atomic_write_text` (write-temp-then-rename) so a killed run
-never leaves a torn file.
+Datasets are JSONL with canonically serialized values; file writes outside a
+checkpoint go through :func:`atomic_write_text` (write-temp-then-rename) so a
+killed run never leaves a torn file.
 """
 
 from __future__ import annotations
@@ -160,8 +160,12 @@ def atomic_write_text(path, text: str) -> None:
     os.replace(tmp, path)
 
 
+def jsonl_text(records: Sequence[dict]) -> str:
+    return "".join(json.dumps(r) + "\n" for r in records)
+
+
 def atomic_write_jsonl(path, records: Sequence[dict]) -> None:
-    atomic_write_text(path, "".join(json.dumps(r) + "\n" for r in records))
+    atomic_write_text(path, jsonl_text(records))
 
 
 def read_jsonl(path) -> List[dict]:

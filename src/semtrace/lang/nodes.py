@@ -6,7 +6,6 @@ program and its formatted-then-reparsed twin compare equal.
 
 from __future__ import annotations
 
-import hashlib
 from dataclasses import dataclass, field
 from typing import Optional, Tuple, Union
 
@@ -158,14 +157,6 @@ class Program:
     name: str
     params: Tuple[str, ...]
     body: Tuple[Stmt, ...]
-
-    @property
-    def source_hash(self) -> int:
-        """64-bit content hash of the canonical pretty-print."""
-        from .formatter import format_program
-
-        digest = hashlib.sha256(format_program(self).encode("utf-8")).digest()
-        return int.from_bytes(digest[:8], "little")
 
 
 _CHILDREN = {

@@ -15,6 +15,8 @@ from typing import Dict, List, Sequence, Tuple
 
 import numpy as np
 
+from .values import read_exact
+
 FEATURE_MAGIC = b"PRBFEAT1"
 
 ADAM_BETA1 = 0.9
@@ -108,9 +110,6 @@ def train_probe(
     layer: int,
     epochs: int = 10,
     lr: float = 1e-3,
-    beta1: float = ADAM_BETA1,
-    beta2: float = ADAM_BETA2,
-    eps: float = ADAM_EPS,
 ) -> LinearProbe:
     """Full-batch Adam on MSE, one update per epoch, zero initialization."""
     if not train:
@@ -130,16 +129,16 @@ def train_probe(
         resid = X @ w + b - y
         g_w = 2.0 / n * (X.T @ resid)
         g_b = 2.0 / n * float(np.sum(resid))
-        m_w = beta1 * m_w + (1 - beta1) * g_w
-        v_w = beta2 * v_w + (1 - beta2) * g_w * g_w
-        m_b = beta1 * m_b + (1 - beta1) * g_b
-        v_b = beta2 * v_b + (1 - beta2) * g_b * g_b
-        m_w_hat = m_w / (1 - beta1**t)
-        v_w_hat = v_w / (1 - beta2**t)
-        m_b_hat = m_b / (1 - beta1**t)
-        v_b_hat = v_b / (1 - beta2**t)
-        w -= lr * m_w_hat / (np.sqrt(v_w_hat) + eps)
-        b -= lr * m_b_hat / (np.sqrt(v_b_hat) + eps)
+        m_w = ADAM_BETA1 * m_w + (1 - ADAM_BETA1) * g_w
+        v_w = ADAM_BETA2 * v_w + (1 - ADAM_BETA2) * g_w * g_w
+        m_b = ADAM_BETA1 * m_b + (1 - ADAM_BETA1) * g_b
+        v_b = ADAM_BETA2 * v_b + (1 - ADAM_BETA2) * g_b * g_b
+        m_w_hat = m_w / (1 - ADAM_BETA1**t)
+        v_w_hat = v_w / (1 - ADAM_BETA2**t)
+        m_b_hat = m_b / (1 - ADAM_BETA1**t)
+        v_b_hat = v_b / (1 - ADAM_BETA2**t)
+        w -= lr * m_w_hat / (np.sqrt(v_w_hat) + ADAM_EPS)
+        b -= lr * m_b_hat / (np.sqrt(v_b_hat) + ADAM_EPS)
     return LinearProbe(weights=w, bias=float(b), layer=layer)
 
 
@@ -155,13 +154,12 @@ def probe_sweep(
     samples: Sequence[ProbeSample],
     layers: Sequence[int],
     ratio: float = 0.8,
-    rng=None,
+    *,
+    rng: np.random.Generator,
     epochs: int = 10,
     lr: float = 1e-3,
 ) -> Dict[int, Dict[str, float]]:
     """Independent probe per layer; returns layer -> {train_mse, test_mse}."""
-    if rng is None:
-        rng = np.random.default_rng(0)
     train, test = split_dataset(samples, ratio, rng)
     train, test, _ = normalize_targets(train, test)
     results: Dict[int, Dict[str, float]] = {}
@@ -187,26 +185,21 @@ def write_sweep_csv(results: Dict[int, Dict[str, float]], path) -> None:
 # targets spanning [-5, 5] (normalized gain 1/5) a feature gain of 22 puts the
 # optimum at 0.2/22, right where the optimizer lands.
 SIGNAL_GAIN = 22.0
+NOISE_DIM = 4
 
 
-def synthetic_linear_samples(
-    n: int,
-    rng: np.random.Generator,
-    noise_dim: int = 4,
-    gain: float = SIGNAL_GAIN,
-    problem_id: str = "synthetic",
-) -> List[ProbeSample]:
+def synthetic_linear_samples(n: int, rng: np.random.Generator) -> List[ProbeSample]:
     """Noiseless-linear two-layer dataset: layer 1 carries the target scaled
-    by ``gain``, layer 0 is pure noise of the same width."""
+    by ``SIGNAL_GAIN``, layer 0 is pure noise of the same width."""
     samples = []
     targets = rng.uniform(-5.0, 5.0, size=n)
     for k, y in enumerate(targets):
         features = {
-            0: rng.normal(size=noise_dim),
-            1: np.concatenate(([y * gain], np.zeros(noise_dim - 1))),
+            0: rng.normal(size=NOISE_DIM),
+            1: np.concatenate(([y * SIGNAL_GAIN], np.zeros(NOISE_DIM - 1))),
         }
         samples.append(
-            ProbeSample(problem_id=problem_id, variable="v%d" % k, target=float(y), features=features)
+            ProbeSample(problem_id="synthetic", variable="v%d" % k, target=float(y), features=features)
         )
     return samples
 
@@ -239,20 +232,18 @@ def write_feature_file(path, layer: int, records: Sequence[Tuple[str, str, float
 
 def read_feature_file(path) -> Tuple[int, List[Tuple[str, str, float, np.ndarray]]]:
     with open(path, "rb") as fh:
-        magic = fh.read(8)
+        magic = read_exact(fh, 8)
         if magic != FEATURE_MAGIC:
             raise ValueError("%s: bad feature-file magic %r" % (path, magic))
-        layer, count, dim = struct.unpack("<IQI", fh.read(16))
+        layer, count, dim = struct.unpack("<IQI", read_exact(fh, 16))
         records = []
         for _ in range(count):
-            (pid_len,) = struct.unpack("<I", fh.read(4))
-            pid = fh.read(pid_len).decode("utf-8")
-            (var_len,) = struct.unpack("<I", fh.read(4))
-            var = fh.read(var_len).decode("utf-8")
-            (target,) = struct.unpack("<d", fh.read(8))
-            data = fh.read(8 * dim)
-            if len(data) != 8 * dim:
-                raise ValueError("%s: truncated feature record" % path)
+            (pid_len,) = struct.unpack("<I", read_exact(fh, 4))
+            pid = read_exact(fh, pid_len).decode("utf-8")
+            (var_len,) = struct.unpack("<I", read_exact(fh, 4))
+            var = read_exact(fh, var_len).decode("utf-8")
+            (target,) = struct.unpack("<d", read_exact(fh, 8))
+            data = read_exact(fh, 8 * dim)
             records.append((pid, var, target, np.frombuffer(data, dtype="<f8").astype(float)))
     return layer, records
 

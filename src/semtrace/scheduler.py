@@ -12,6 +12,8 @@ import hashlib
 import itertools
 import json
 import math
+import os
+import shutil
 from collections import deque
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -37,6 +39,7 @@ from .harness import (
     RunLock,
     atomic_write_jsonl,
     atomic_write_text,
+    jsonl_text,
     read_jsonl,
 )
 from .lang import Program, format_program, list_variables, parse_program
@@ -96,19 +99,16 @@ def alignment_prompt_id(p_fail: Program, input_values: Sequence[Value]) -> str:
 def build_alignment_prompt(
     p_fail: Program,
     tests,
-    budget: int = DEFAULT_BUDGET,
-    report: Optional[GenRewardReport] = None,
+    report: GenRewardReport,
     origin_step: int = 0,
 ) -> Optional[AlignmentPrompt]:
     """Turn one failed program into an alignment prompt, or None if no test
     input terminates normally or the program defines no variables.
 
-    Input selection: the first failing-but-terminating test, else the first
-    terminating test.  The final values come from that test's record in the
-    report, so nothing is executed when a report is given.
+    ``report`` is ``gen_reward(p_fail, tests)``.  Input selection: the first
+    failing-but-terminating test, else the first terminating test.  The final
+    values come from that test's record in the report, so nothing is executed.
     """
-    if report is None:
-        report = gen_reward(p_fail, tests, budget=budget)
     index = report.first_failing_terminating
     if index is None:
         for i, outcome in enumerate(report.per_test):
@@ -145,9 +145,6 @@ class FailureBuffer:
     def __len__(self):
         return len(self.entries)
 
-    def __contains__(self, prompt_id: str):
-        return prompt_id in self._ids
-
     def add(self, prompt: AlignmentPrompt) -> bool:
         if prompt.prompt_id in self._ids:
             return False
@@ -172,11 +169,11 @@ def harvest_failures(
     group: RolloutGroup,
     tests,
     buffer: FailureBuffer,
-    budget: int = DEFAULT_BUDGET,
+    reports: Dict[int, GenRewardReport],
     origin_step: int = 0,
-    reports: Optional[Dict[int, GenRewardReport]] = None,
 ) -> Tuple[int, int]:
-    """Push alignment prompts built from the group's failed samples.
+    """Push alignment prompts built from the group's failed samples;
+    ``reports`` maps each decoded sample's index to its reward report.
 
     Returns (added, ineligible).  Only wrong-answer samples whose chosen
     input terminates normally are eligible; duplicates count as neither.
@@ -191,10 +188,7 @@ def harvest_failures(
         if not isinstance(sample.artifact, Program):
             ineligible += 1
             continue
-        report = reports.get(i) if reports else None
-        prompt = build_alignment_prompt(
-            sample.artifact, tests, budget=budget, report=report, origin_step=origin_step
-        )
+        prompt = build_alignment_prompt(sample.artifact, tests, reports[i], origin_step=origin_step)
         if prompt is None:
             ineligible += 1
             continue
@@ -282,7 +276,6 @@ class Trainer:
             optimizer=config.optimizer,
             std_floor=config.std_floor,
         )
-        self.grpo_cfg.validate()
         self.rng = np.random.Generator(np.random.PCG64(config.seed))
         self.code_policy = TemplatePolicy()
         for pid, problem in self.problems.items():
@@ -296,12 +289,6 @@ class Trainer:
         self._scored = Memo()
 
     # --- one training step ---
-
-    def _register_alignment(self, prompt: AlignmentPrompt) -> None:
-        if prompt.prompt_id not in self.align_policy.pools:
-            pool = candidate_value_pool(prompt.p_fail, prompt.input, prompt.truth)
-            # register_prompt keeps already-loaded logits for known prompts
-            self.align_policy.register_prompt(prompt.prompt_id, prompt.variables, pool)
 
     def run_step(self) -> dict:
         self.step += 1
@@ -334,18 +321,15 @@ class Trainer:
                 sample.reward = float(report.reward)
             group.fill_advantages(self.grpo_cfg.std_floor)
             code_groups.append(group)
-            harvest_failures(
-                group,
-                problem.tests,
-                self.buffer,
-                budget=self.config.step_budget,
-                origin_step=self.step,
-                reports=reports,
-            )
+            harvest_failures(group, problem.tests, self.buffer, reports, origin_step=self.step)
 
         align_groups: List[RolloutGroup] = []
         for prompt in batch.align_prompts:
-            self._register_alignment(prompt)
+            if prompt.prompt_id not in self.align_policy.pools:
+                # a prompt is registered when first sampled; register_prompt
+                # keeps the logits a checkpoint loaded for it
+                pool = candidate_value_pool(prompt.p_fail, prompt.input, prompt.truth)
+                self.align_policy.register_prompt(prompt.prompt_id, prompt.variables, pool)
             group = sample_rollouts(
                 self.align_policy, prompt.prompt_id, KIND_ALIGNMENT, self.config.group_size, self.rng
             )
@@ -400,12 +384,18 @@ class Trainer:
     # --- persistence ---
 
     def save_checkpoint(self, run_dir: Path) -> Path:
+        """Write ``checkpoints/step_<n>/``, complete or not at all: its files
+        go into ``step_<n>.tmp/``, which is renamed into place at the end."""
         ckpt = run_dir / "checkpoints" / ("step_%d" % self.step)
-        ckpt.mkdir(parents=True, exist_ok=True)
-        self.code_policy.save(ckpt / "code_policy.bin")
-        self.align_policy.save(ckpt / "align_policy.bin")
-        buffer_records = [p.to_record() for p in self.buffer.entries]
-        atomic_write_jsonl(ckpt / "buffer.jsonl", buffer_records)
+        tmp = ckpt.with_name(ckpt.name + ".tmp")
+        for stale in (tmp, ckpt):
+            if stale.exists():
+                shutil.rmtree(stale)
+        tmp.mkdir(parents=True)
+        self.code_policy.save(tmp / "code_policy.bin")
+        self.align_policy.save(tmp / "align_policy.bin")
+        records = [p.to_record() for p in self.buffer.entries]
+        (tmp / "buffer.jsonl").write_text(jsonl_text(records), encoding="utf-8")
         state = {
             "step": self.step,
             "rng": _rng_state(self.rng),
@@ -413,8 +403,8 @@ class Trainer:
             "opt_code": _opt_state_to_json(self.code_policy.opt_state),
             "opt_align": _opt_state_to_json(self.align_policy.opt_state),
         }
-        atomic_write_text(ckpt / "state.json", json.dumps(state))
-        atomic_write_jsonl(run_dir / "buffer.jsonl", buffer_records)
+        (tmp / "state.json").write_text(json.dumps(state), encoding="utf-8")
+        os.replace(tmp, ckpt)
         return ckpt
 
     def load_checkpoint(self, ckpt: Path) -> None:
@@ -428,10 +418,7 @@ class Trainer:
         self.align_policy.opt_state = _opt_state_from_json(state["opt_align"])
         self.buffer = FailureBuffer(self.config.buffer_capacity)
         for rec in read_jsonl(ckpt / "buffer.jsonl"):
-            prompt = AlignmentPrompt.from_record(rec, budget=self.config.step_budget)
-            self.buffer.add(prompt)
-            # re-registers pools; loaded logits are kept (params already set)
-            self._register_alignment(prompt)
+            self.buffer.add(AlignmentPrompt.from_record(rec, budget=self.config.step_budget))
 
 
 def _opt_state_to_json(opt_state: dict) -> dict:
@@ -477,7 +464,9 @@ def run_training(
 
     The run directory receives ``config.json``, ``metrics.jsonl`` (one record
     per step, appended and flushed as the step ends), periodic
-    ``checkpoints/step_<n>/``, and ``buffer.jsonl``.
+    ``checkpoints/step_<n>/``, and ``buffer.jsonl``, written once when the
+    run ends.  A checkpoint directory is built as ``step_<n>.tmp/`` and
+    renamed into place once complete, so resume finds only whole ones.
     Reruns with identical (seed, config, dataset) are bitwise identical.
 
     Each distinct (problem, action sequence) is decoded and scored at most

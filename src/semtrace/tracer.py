@@ -72,10 +72,6 @@ class ExecutionRecord:
     error_loc: Optional[Loc] = None
     trajectory: Optional[List[StepEvent]] = field(default=None)
 
-    @property
-    def returned(self) -> bool:
-        return self.status == STATUS_RETURNED
-
 
 class MimRuntimeError(Exception):
     def __init__(self, kind: str, message: str, loc: Optional[Loc] = None):

@@ -9,6 +9,8 @@ In JSON a set appears as its ascending member list and the infinities as the
 sentinel strings ``"__INF__"`` / ``"__-INF__"``.  Every value read from a
 file or an argument is parsed by :func:`load_json` and goes through
 :func:`decode_json_value`, which rejects anything outside the value domain.
+Binary files (policy checkpoints, probe features) are read through
+:func:`read_exact`, which rejects a truncated file.
 """
 
 from __future__ import annotations
@@ -38,16 +40,17 @@ def is_number(v) -> bool:
 class MimSet:
     """Immutable set of hashable MiniImp values (numbers, booleans, strings).
 
-    Members are deduplicated under canonical equality and stored sorted in
-    canonical order (numbers ascending, then booleans, then strings), so
-    iteration and serialization are deterministic.
+    Members are deduplicated under canonical equality, an int kept over an
+    equal float, and stored sorted in canonical order (numbers ascending,
+    then booleans, then strings), so iteration and serialization are
+    deterministic.
     """
 
     __slots__ = ("members",)
 
     def __init__(self, items=()):
-        nums, bools, strs = [], [], []
-        num_seen, bool_seen, str_seen = set(), set(), set()
+        nums, bools, strs = {}, [], []
+        bool_seen, str_seen = set(), set()
         for item in items:
             if isinstance(item, bool):
                 if item not in bool_seen:
@@ -56,18 +59,17 @@ class MimSet:
             elif isinstance(item, (int, float)):
                 if isinstance(item, float) and math.isnan(item):
                     raise ValueError("NaN cannot be a set member")
-                # int and float hash/compare exactly in CPython, so the seen
-                # set collapses 2 and 2.0 onto one representative
-                if item not in num_seen:
-                    num_seen.add(item)
-                    nums.append(item)
+                # int and float hash/compare exactly in CPython, so 2 and 2.0
+                # share one key; the int is kept, whatever the order
+                if item not in nums or not isinstance(item, float):
+                    nums[item] = item
             elif isinstance(item, str):
                 if item not in str_seen:
                     str_seen.add(item)
                     strs.append(item)
             else:
                 raise TypeError("unhashable set member: %r" % (item,))
-        object.__setattr__(self, "members", tuple(sorted(nums)) + tuple(sorted(bools)) + tuple(sorted(strs)))
+        object.__setattr__(self, "members", tuple(sorted(nums.values())) + tuple(sorted(bools)) + tuple(sorted(strs)))
 
     def __len__(self):
         return len(self.members)
@@ -196,3 +198,12 @@ def decode_json_value(raw) -> Value:
     if isinstance(raw, list):
         return [decode_json_value(x) for x in raw]
     raise ValueError("not a MiniImp value: %r" % (raw,))
+
+
+def read_exact(fh, n: int) -> bytes:
+    """The next ``n`` bytes of a binary file; ``ValueError`` naming the file
+    if it ends sooner."""
+    data = fh.read(n)
+    if len(data) != n:
+        raise ValueError("%s is truncated: wanted %d more bytes, found %d" % (fh.name, n, len(data)))
+    return data

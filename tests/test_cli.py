@@ -180,6 +180,16 @@ def test_probe_csv_is_rerun_deterministic(tmp_path, capsys):
     assert b"layer" in csv_a
 
 
+def test_probe_truncated_feature_file_exits_one(tmp_path, capsys):
+    feat_dir = tmp_path / "features"
+    feat_dir.mkdir()
+    path = feat_dir / "layer0.bin"
+    write_feature_file(path, 0, [("p", "a", 1.0, np.zeros(3))])
+    path.write_bytes(path.read_bytes()[:12])  # cut inside the header
+    assert cli.main(["probe", str(feat_dir), "--out", str(tmp_path / "out")]) == 1
+    assert "feature error:" in capsys.readouterr().err
+
+
 def test_probe_seed_env_override(tmp_path, monkeypatch):
     rng = np.random.default_rng(5)
     samples = synthetic_linear_samples(60, rng)

@@ -10,12 +10,12 @@ from semtrace.evalsuite import (
     build_eval_item,
     build_prompt,
     canonical_serialize,
-    exact_at_1,
     load_eval_items,
     oracle_predictor_for,
     parse_prediction,
     pass_at_1,
     run_eval,
+    score_item,
     serialize_record,
 )
 from semtrace.lang import parse_program
@@ -117,17 +117,17 @@ SET_SRC = "fn f() { s = {2, 1} return s }"
 
 def test_set_truth_requires_ascending_list():
     item = build_eval_item("t", parse_program(SET_SRC), [])
-    good = parse_prediction('{"final_output": [1, 2], "variables": {"s": [1, 2]}}')
-    bad = parse_prediction('{"final_output": [2, 1], "variables": {"s": [2, 1]}}')
-    assert exact_at_1(good, item)
-    assert not exact_at_1(bad, item)
+    good = '{"final_output": [1, 2], "variables": {"s": [1, 2]}}'
+    bad = '{"final_output": [2, 1], "variables": {"s": [2, 1]}}'
+    assert score_item(item, good).exact
+    assert not score_item(item, bad).exact
 
 
 def test_one_wrong_variable_fails_exact():
     p = parse_program("fn f(a) { b = a + 1 return b }")
     item = build_eval_item("t", p, [4])
-    pred = parse_prediction('{"final_output": 5, "variables": {"a": 4, "b": 0}}')
-    assert not exact_at_1(pred, item)
+    pred = '{"final_output": 5, "variables": {"a": 4, "b": 0}}'
+    assert not score_item(item, pred).exact
 
 
 def test_prompt_contains_code_and_variables():

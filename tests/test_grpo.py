@@ -383,6 +383,21 @@ def test_policy_load_rejects_bad_magic(tmp_path):
         pol.load(path)
 
 
+# offsets into a saved policy with one prompt "prompt" and one 3-vector:
+# magic 0-8, prompt count 8-12, id length 12-16, id 16-22, step count 22-26,
+# vector length 26-30, vector 30-54
+@pytest.mark.parametrize("keep", [10, 14, 19, 40, 46])
+def test_policy_load_rejects_a_truncated_file(tmp_path, keep):
+    pol = CategoricalSequencePolicy()
+    pol.params["prompt"] = [np.array([1.0, 2.0, 3.0])]
+    path = tmp_path / "policy.bin"
+    pol.save(path)
+    assert len(path.read_bytes()) == 54
+    path.write_bytes(path.read_bytes()[:keep])
+    with pytest.raises(ValueError, match="policy.bin"):
+        CategoricalSequencePolicy().load(path)
+
+
 def test_adam_optimizer_also_converges():
     pol = TuplePolicy()
     pol.params["p"] = [np.zeros(8)]

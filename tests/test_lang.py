@@ -167,14 +167,6 @@ def test_fuzzer_round_trip_property():
         assert parse_program(format_program(p)) == p
 
 
-def test_source_hash_is_stable_and_content_sensitive():
-    a = parse_program("fn f(x) { return x }")
-    b = parse_program("fn f( x ) {\n return x }")
-    c = parse_program("fn f(x) { return x + 1 }")
-    assert a.source_hash == b.source_hash
-    assert a.source_hash != c.source_hash
-
-
 def test_list_variables_order(sum_program):
     src = "fn s(n) { t = 0 for i in range(1, n + 1) { t = t + i } return t }"
     assert list_variables(parse_program(src)) == ["n", "t", "i"]

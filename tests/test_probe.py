@@ -144,6 +144,19 @@ def test_feature_file_bad_magic(tmp_path):
         read_feature_file(path)
 
 
+# offsets into a feature file of one record ("prob-a", "x", target, 2 floats):
+# magic 0-8, header 8-24, id length 24-28, id 28-34, name length 34-38,
+# name 38-39, target 39-47, features 47-63
+@pytest.mark.parametrize("keep", [12, 26, 31, 55])
+def test_feature_file_rejects_a_truncated_file(tmp_path, keep):
+    path = tmp_path / "layer0.bin"
+    write_feature_file(path, 0, [("prob-a", "x", 1.5, np.array([1.0, 2.0]))])
+    assert len(path.read_bytes()) == 63
+    path.write_bytes(path.read_bytes()[:keep])
+    with pytest.raises(ValueError, match="layer0.bin"):
+        read_feature_file(path)
+
+
 def test_feature_dir_requires_consistent_layers(tmp_path, rng):
     write_feature_file(tmp_path / "l0.bin", 0, [("p", "a", 1.0, rng.normal(size=2))])
     write_feature_file(

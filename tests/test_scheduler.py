@@ -28,7 +28,7 @@ SUM_TESTS = [TestCase([3], 6), TestCase([4], 10)]
 
 def test_alignment_prompt_from_failing_program():
     p = parse_program(BUGGY_SUM)
-    prompt = build_alignment_prompt(p, SUM_TESTS)
+    prompt = build_alignment_prompt(p, SUM_TESTS, gen_reward(p, SUM_TESTS))
     assert prompt is not None
     assert prompt.input == [3]
     assert prompt.truth == {"n": 3, "t": 3, "i": 2}
@@ -37,14 +37,15 @@ def test_alignment_prompt_from_failing_program():
 
 def test_crashing_program_is_ineligible():
     p = parse_program("fn f(a) { x = a // 0 return x }")
-    assert build_alignment_prompt(p, [TestCase([1], 1)]) is None
+    tests = [TestCase([1], 1)]
+    assert build_alignment_prompt(p, tests, gen_reward(p, tests)) is None
 
 
 def test_input_selection_prefers_first_failing_terminating():
     # correct on test 0, wrong on test 1
     p = parse_program("fn f(a) { r = a + 1 return r }")
     tests = [TestCase([0], 1), TestCase([5], 99)]
-    prompt = build_alignment_prompt(p, tests)
+    prompt = build_alignment_prompt(p, tests, gen_reward(p, tests))
     assert prompt.input == [5]
 
 
@@ -52,14 +53,16 @@ def test_prompt_from_a_report_executes_nothing(monkeypatch):
     import semtrace.scheduler
 
     p = parse_program(BUGGY_SUM)
-    expected = build_alignment_prompt(p, SUM_TESTS)
     report = gen_reward(p, SUM_TESTS)
 
     def execute(*args, **kwargs):
         raise AssertionError("the report already holds every execution")
 
     monkeypatch.setattr(semtrace.scheduler, "execute", execute)
-    assert build_alignment_prompt(p, SUM_TESTS, report=report) == expected
+    prompt = build_alignment_prompt(p, SUM_TESTS, report)
+    assert prompt.prompt_id == alignment_prompt_id(p, [3])
+    assert prompt.variables == ["n", "t", "i"]
+    assert prompt.truth == {"n": 3, "t": 3, "i": 2}
 
 
 def test_prompt_id_keyed_by_program_and_input():
@@ -73,7 +76,8 @@ def test_buffer_dedup_and_fifo_eviction(rng):
     prompts = []
     for n in range(4):
         p = parse_program("fn f(a) { r = a + %d return r }" % n)
-        prompts.append(build_alignment_prompt(p, [TestCase([0], -1)]))
+        tests = [TestCase([0], -1)]
+        prompts.append(build_alignment_prompt(p, tests, gen_reward(p, tests)))
     assert buf.add(prompts[0])
     assert not buf.add(prompts[0])  # duplicate id
     buf.add(prompts[1])
@@ -108,7 +112,7 @@ def test_harvest_mixed_group():
     tests = [TestCase([5], 5)]
     group, reports = make_codegen_group(programs, tests)
     buf = FailureBuffer(capacity=64)
-    added, ineligible = harvest_failures(group, tests, buf, budget=100_000, origin_step=1, reports=reports)
+    added, ineligible = harvest_failures(group, tests, buf, reports, origin_step=1)
     assert added == 3
     assert ineligible == 2
     assert len(buf) == 3
@@ -118,11 +122,11 @@ def test_harvest_skips_passing_and_dedups():
     tests = [TestCase([5], 5)]
     group, reports = make_codegen_group(["fn f(a) { r = a return r }"] * 4, tests)
     buf = FailureBuffer(capacity=8)
-    added, _ = harvest_failures(group, tests, buf, budget=100_000, origin_step=1, reports=reports)
+    added, _ = harvest_failures(group, tests, buf, reports, origin_step=1)
     assert added == 0
 
     group, reports = make_codegen_group(["fn f(a) { r = a + 1 return r }"] * 2, tests)
-    added, _ = harvest_failures(group, tests, buf, budget=100_000, origin_step=2, reports=reports)
+    added, _ = harvest_failures(group, tests, buf, reports, origin_step=2)
     assert added == 1
 
 
@@ -135,7 +139,7 @@ def test_buffer_only_holds_wrong_answer_terminating_programs():
         "fn f(a) { while a > 0 { a = a } return a }",  # spins
     ]
     group, reports = make_codegen_group(programs, tests, budget=200)
-    harvest_failures(group, tests, buf, budget=200, origin_step=1, reports=reports)
+    harvest_failures(group, tests, buf, reports, origin_step=1)
     for entry in buf.entries:
         report = gen_reward(entry.p_fail, tests, budget=200)
         assert report.reward == 0
@@ -151,7 +155,8 @@ def test_mix_batch_compositions(rng):
 
     for n in range(6):
         p = parse_program("fn f(a) { r = a + %d return r }" % (n + 1))
-        buf.add(build_alignment_prompt(p, [TestCase([0], 0)]))
+        tests = [TestCase([0], 0)]
+        buf.add(build_alignment_prompt(p, tests, gen_reward(p, tests)))
     batch = mix_batch(pool, buf, 10, 0.4, rng, step=2)
     assert len(batch.align_prompts) == 4
     assert len(batch.code_prompts) == 6
@@ -162,7 +167,8 @@ def test_mix_batch_shortfall_backfills_with_code(rng):
     buf = FailureBuffer(capacity=64)
     for n in range(2):
         p = parse_program("fn f(a) { r = a + %d return r }" % (n + 1))
-        buf.add(build_alignment_prompt(p, [TestCase([0], 0)]))
+        tests = [TestCase([0], 0)]
+        buf.add(build_alignment_prompt(p, tests, gen_reward(p, tests)))
     batch = mix_batch(pool, buf, 10, 0.4, rng, step=3)
     assert len(batch.align_prompts) == 2
     assert len(batch.code_prompts) == 8
@@ -170,7 +176,7 @@ def test_mix_batch_shortfall_backfills_with_code(rng):
 
 def test_alignment_prompt_record_round_trip():
     p = parse_program(BUGGY_SUM)
-    prompt = build_alignment_prompt(p, SUM_TESTS, origin_step=7)
+    prompt = build_alignment_prompt(p, SUM_TESTS, gen_reward(p, SUM_TESTS), origin_step=7)
     back = AlignmentPrompt.from_record(prompt.to_record())
     assert back.prompt_id == prompt.prompt_id
     assert back.truth == prompt.truth
@@ -179,7 +185,8 @@ def test_alignment_prompt_record_round_trip():
 
 
 def test_record_with_out_of_domain_value_is_rejected():
-    rec = build_alignment_prompt(parse_program(BUGGY_SUM), SUM_TESTS).to_record()
+    p = parse_program(BUGGY_SUM)
+    rec = build_alignment_prompt(p, SUM_TESTS, gen_reward(p, SUM_TESTS)).to_record()
     for key, bad in (("input", [2**63]), ("truth", {"n": 3, "t": float("nan"), "i": 2})):
         with pytest.raises(ValueError):
             AlignmentPrompt.from_record(dict(rec, **{key: bad}))
@@ -248,6 +255,43 @@ def test_resume_matches_uninterrupted_run(tmp_path):
     (partial / "metrics.jsonl").write_text("".join(lines[:5]))
     run_training(desk_config(max_steps=10, checkpoint_interval=5), desk_problems(), partial, resume=True)
     assert (partial / "metrics.jsonl").read_bytes() == full
+    assert (partial / "buffer.jsonl").read_bytes() == (tmp_path / "full" / "buffer.jsonl").read_bytes()
+    # the resumed run saves exactly the checkpoint the uninterrupted one saved
+    expected = tmp_path / "full" / "checkpoints" / "step_10"
+    resumed = partial / "checkpoints" / "step_10"
+    assert sorted(p.name for p in resumed.iterdir()) == sorted(p.name for p in expected.iterdir())
+    for path in expected.iterdir():
+        assert (resumed / path.name).read_bytes() == path.read_bytes(), path.name
+
+
+def test_resume_after_a_killed_save_takes_the_last_complete_checkpoint(tmp_path, monkeypatch):
+    from semtrace.grpo import ValuePredictorPolicy
+
+    cfg = desk_config(max_steps=12, checkpoint_interval=5)
+    run_training(cfg, desk_problems(), tmp_path / "full")
+    full = (tmp_path / "full" / "metrics.jsonl").read_bytes()
+
+    # the process dies inside the step-10 save, after the code policy is written
+    class Killed(Exception):
+        pass
+
+    save = ValuePredictorPolicy.save
+
+    def dying_save(self, path):
+        if "step_10" in str(path):
+            raise Killed
+        save(self, path)
+
+    monkeypatch.setattr(ValuePredictorPolicy, "save", dying_save)
+    with pytest.raises(Killed):
+        run_training(desk_config(max_steps=12, checkpoint_interval=5), desk_problems(), tmp_path / "run")
+    monkeypatch.undo()
+    ckpts = tmp_path / "run" / "checkpoints"
+    assert sorted(p.name for p in ckpts.iterdir()) == ["step_10.tmp", "step_5"]
+
+    run_training(desk_config(max_steps=12, checkpoint_interval=5), desk_problems(), tmp_path / "run", resume=True)
+    assert (tmp_path / "run" / "metrics.jsonl").read_bytes() == full
+    assert sorted(p.name for p in ckpts.iterdir()) == ["step_10", "step_12", "step_5"]
 
 
 def test_resume_drops_metric_lines_past_the_checkpoint_and_a_torn_line(tmp_path):

@@ -25,7 +25,7 @@ from semtrace.tracer import (
     reference_evaluate,
     trajectory_final_values,
 )
-from semtrace.values import values_equal
+from semtrace.values import MimSet, canonical_serialize, values_equal
 
 
 def run(src, inputs, **kw):
@@ -156,6 +156,15 @@ def test_value_semantics_no_aliasing():
 def test_set_literal_dedups_under_canonical_equality():
     rec = run("fn f() { s = {2, 2.0, 1} return len(s) }", [])
     assert rec.return_value == 2
+
+
+def test_equal_int_and_float_set_members_keep_the_int_in_either_order():
+    assert canonical_serialize(MimSet([2, 2.0])) == canonical_serialize(MimSet([2.0, 2])) == "[2]"
+    program = parse_program("fn f() { s = {2.0, 2} return min(s) }")
+    rec = execute(program, [])
+    value, ref_vars = reference_evaluate(program, [])
+    assert canonical_serialize(rec.return_value) == canonical_serialize(value) == "2"
+    assert canonical_serialize(rec.final_vars["s"]) == canonical_serialize(ref_vars["s"]) == "[2]"
 
 
 def test_break_continue_outside_loop_is_runtime_error():
