@@ -29,7 +29,7 @@ from .harness import (
     seed_override,
     subprocess_predictor,
 )
-from .lang import ParseError, list_variables, parse_program
+from .lang import ParseError, parse_program
 from .rewards import gen_reward
 from .scheduler import run_training
 from .tracer import (
@@ -38,6 +38,7 @@ from .tracer import (
     STATUS_ERROR,
     STATUS_RETURNED,
     execute,
+    traced_variables,
 )
 from .values import decode_json_value, encode_json_value, load_json
 
@@ -80,9 +81,8 @@ def cmd_trace(args) -> int:
     except ValueError as exc:
         print("bad input: %s" % exc, file=sys.stderr)
         return EXIT_PARSE
-    mode = "full" if args.full else "summary"
     try:
-        rec = execute(program, inputs, budget=args.budget, mode=mode)
+        rec = execute(program, inputs, budget=args.budget)
     except ValueError as exc:
         print("execution rejected: %s" % exc, file=sys.stderr)
         return EXIT_RUNTIME
@@ -95,9 +95,7 @@ def cmd_trace(args) -> int:
         print("budget of %d steps exceeded" % args.budget, file=sys.stderr)
         return EXIT_BUDGET
     assert rec.status == STATUS_RETURNED
-    ordered = [v for v in list_variables(program) if v in rec.final_vars]
-    variables = {v: rec.final_vars[v] for v in ordered}
-    print(serialize_record(rec.return_value, variables))
+    print(serialize_record(rec.return_value, traced_variables(program, rec)))
     return EXIT_OK
 
 
@@ -159,7 +157,12 @@ def cmd_train(args) -> int:
         print("dataset error: %s" % exc, file=sys.stderr)
         return EXIT_PARSE
     start = time.monotonic()
-    run_training(config, problems, run_dir, resume=args.resume)
+    try:
+        run_training(config, problems, run_dir, resume=args.resume)
+    except (RuntimeError, ValueError) as exc:
+        # no checkpoint to resume, a truncated checkpoint, a locked run dir
+        print("run error: %s" % exc, file=sys.stderr)
+        return EXIT_PARSE
     elapsed = time.monotonic() - start
     print("run complete: %s (%.1f s, %d steps)" % (run_dir, elapsed, config.max_steps))
     return EXIT_OK
@@ -212,9 +215,7 @@ def cmd_probe(args) -> int:
 
 
 def cmd_fuzz(args) -> int:
-    result = differential_campaign(
-        args.count, seed=seed_override(args.seed), budget=args.budget
-    )
+    result = differential_campaign(args.count, seed=seed_override(args.seed))
     print(
         "%d programs, %d returned, %d mismatches"
         % (result.total, result.returned, len(result.mismatches))
@@ -232,7 +233,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("program", help="program source file")
     p.add_argument("input", help="JSON array of argument values")
     p.add_argument("--budget", type=int, default=DEFAULT_BUDGET)
-    p.add_argument("--full", action="store_true", help="record the full step trajectory")
     p.set_defaults(func=cmd_trace)
 
     p = sub.add_parser("reward", help="score a program against a test file")
@@ -268,7 +268,6 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("fuzz", help="differential campaign against the reference evaluator")
     p.add_argument("-n", "--count", type=int, default=200)
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--budget", type=int, default=DEFAULT_BUDGET)
     p.set_defaults(func=cmd_fuzz)
 
     return parser

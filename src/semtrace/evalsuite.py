@@ -1,5 +1,5 @@
 """Trace-inference evaluation: the canonical answer line, strict prediction
-parsing, Exact@1 scoring, and pass@1 aggregation.
+parsing, and Exact@1 scoring.
 
 The canonical answer line is a single line of strict JSON with keys
 "final_output" and "variables"; values are rendered by
@@ -12,9 +12,9 @@ from dataclasses import dataclass, field
 from importlib import resources
 from typing import Callable, Dict, List, Optional, Sequence
 
-from .lang import ParseError, Program, format_program, list_variables, parse_program
-from .rewards import gen_reward, matches_expected
-from .tracer import DEFAULT_BUDGET, STATUS_RETURNED, execute
+from .lang import ParseError, Program, format_program, parse_program
+from .rewards import matches_expected
+from .tracer import DEFAULT_BUDGET, STATUS_RETURNED, execute, traced_variables
 from .values import Value, canonical_serialize, decode_json_value, load_json
 
 
@@ -82,14 +82,14 @@ def build_eval_item(item_id: str, program: Program, input_values: Sequence[Value
     rec = execute(program, list(input_values), budget=budget)
     if rec.status != STATUS_RETURNED:
         raise ValueError("eval item %r does not terminate normally (%s)" % (item_id, rec.status))
-    variables = [v for v in list_variables(program) if v in rec.final_vars]
+    truth_vars = traced_variables(program, rec)
     return EvalItem(
         item_id=item_id,
         program=program,
         input=list(input_values),
-        variables=variables,
+        variables=list(truth_vars),
         truth_output=rec.return_value,
-        truth_vars={v: rec.final_vars[v] for v in variables},
+        truth_vars=truth_vars,
     )
 
 
@@ -237,13 +237,3 @@ def oracle_predictor_for(items: Sequence[EvalItem]) -> Callable[[str], str]:
         return serialize_record(item.truth_output, dict(item.truth_vars))
 
     return predict
-
-
-def pass_at_1(scored: Sequence[tuple]) -> float:
-    """Mean binary functional-correctness over (program, tests) items."""
-    if not scored:
-        raise ValueError("at least one item is required")
-    total = 0
-    for program, tests in scored:
-        total += gen_reward(program, tests).reward
-    return total / len(scored)

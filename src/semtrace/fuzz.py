@@ -257,11 +257,7 @@ class CampaignResult:
         return not self.mismatches
 
 
-def differential_campaign(
-    n_programs: int,
-    seed: int = 0,
-    budget: int = 100_000,
-) -> CampaignResult:
+def differential_campaign(n_programs: int, seed: int = 0) -> CampaignResult:
     """Generate programs and compare the step interpreter against the
     independent big-step evaluator on status, return value, and final
     variable values, and check the full trajectory against the final map."""
@@ -272,7 +268,7 @@ def differential_campaign(
     for k in range(n_programs):
         program = fuzzer.program()
         inputs = fuzzer.inputs_for(program)
-        rec = execute(program, inputs, budget=budget, mode="full")
+        rec = execute(program, inputs, mode="full")
         label = "program %d" % k
         try:
             ref_ret, ref_finals = reference_evaluate(program, inputs)
@@ -295,7 +291,7 @@ def differential_campaign(
             for name in step_finals:
                 if not values_equal(step_finals[name], ref_finals[name]):
                     mismatches.append("%s: variable %r differs" % (label, name))
-        traj = trajectory_final_values(rec)
+        traj = trajectory_final_values(rec, dict(zip(program.params, inputs)))
         if set(traj) != set(step_finals) or any(
             not values_equal(traj[n], step_finals[n]) for n in traj
         ):

@@ -30,6 +30,7 @@ _ABSENT = object()
 ADAM_BETA1 = 0.9
 ADAM_BETA2 = 0.999
 ADAM_EPS = 1e-8
+STD_FLOOR = 1e-6  # advantage denominator floor
 
 
 class Memo:
@@ -77,10 +78,9 @@ class GrpoConfig:
     kl_beta: float = 1e-3
     learning_rate: float = 0.5
     optimizer: str = "sgd"  # "sgd" | "adam"
-    std_floor: float = 1e-6
 
 
-def group_advantages(rewards: Sequence[float], std_floor: float = 1e-6) -> List[float]:
+def group_advantages(rewards: Sequence[float]) -> List[float]:
     """Group-normalized advantages: (R_i - mean) / max(population std, floor).
 
     Degenerate groups (all rewards equal) yield exactly zero advantages.
@@ -94,7 +94,7 @@ def group_advantages(rewards: Sequence[float], std_floor: float = 1e-6) -> List[
     if all(c == 0.0 for c in centered):
         return [0.0] * n
     std = (sum(c * c for c in centered) / n) ** 0.5
-    denom = max(std, std_floor)
+    denom = max(std, STD_FLOOR)
     return [c / denom for c in centered]
 
 
@@ -124,7 +124,6 @@ class RolloutSample:
     logp_old: List[float]
     artifact: object = None  # Program, SemPrediction, or None on decode failure
     reward: float = 0.0
-    decode_error: Optional[str] = None
 
 
 @dataclass
@@ -134,8 +133,8 @@ class RolloutGroup:
     samples: List[RolloutSample]
     advantages: Optional[List[float]] = None
 
-    def fill_advantages(self, std_floor: float = 1e-6) -> None:
-        self.advantages = group_advantages([s.reward for s in self.samples], std_floor)
+    def fill_advantages(self) -> None:
+        self.advantages = group_advantages([s.reward for s in self.samples])
 
 
 class CategoricalSequencePolicy:
@@ -306,9 +305,8 @@ def sample_rollouts(
         sample = RolloutSample(actions=actions, logp_old=logps)
         try:
             sample.artifact = policy.decode(prompt_id, actions)
-        except Exception as exc:  # decode must never be fatal
+        except Exception:  # decode must never be fatal
             sample.artifact = None
-            sample.decode_error = str(exc)
             sample.reward = 0.0
         samples.append(sample)
     return RolloutGroup(prompt_id=prompt_id, kind=kind, samples=samples)
@@ -319,7 +317,6 @@ class SurrogateMetrics:
     objective: float
     kl: float
     clip_fraction: float
-    mean_ratio: float
 
 
 def surrogate_and_grad(
@@ -345,7 +342,6 @@ def surrogate_and_grad(
 
     G = len(group.samples)
     objective = 0.0
-    ratios = []
     clipped_steps = 0
     total_steps = 0
     for sample, adv in zip(group.samples, group.advantages):
@@ -354,7 +350,6 @@ def surrogate_and_grad(
         weight = 1.0 / (G * n_steps)
         for t, (a, lp_old) in enumerate(zip(sample.actions, sample.logp_old)):
             ratio = float(np.exp(log_ps[t][a] - lp_old))
-            ratios.append(ratio)
             total_steps += 1
             unclipped = ratio * adv
             clipped = float(np.clip(ratio, 1.0 - cfg.clip_eps, 1.0 + cfg.clip_eps)) * adv
@@ -385,7 +380,6 @@ def surrogate_and_grad(
         objective=objective,
         kl=kl_total,
         clip_fraction=(clipped_steps / total_steps) if total_steps else 0.0,
-        mean_ratio=(sum(ratios) / len(ratios)) if ratios else 0.0,
     )
     return objective, {pid: grads}, metrics
 
@@ -411,20 +405,13 @@ def _apply_update(policy: CategoricalSequencePolicy, grads: Dict[str, List[np.nd
             policy.params[pid][t] += cfg.learning_rate * m_hat / (np.sqrt(v_hat) + ADAM_EPS)
 
 
-@dataclass
-class TrainStepMetrics:
-    objective: float
-    kl: float
-    clip_fraction: float
-
-
 def train_step(
     policy: CategoricalSequencePolicy,
     groups: Sequence[RolloutGroup],
     ref_policy: Optional[CategoricalSequencePolicy],
     cfg: GrpoConfig,
     group_count: Optional[int] = None,
-) -> TrainStepMetrics:
+) -> SurrogateMetrics:
     """One optimizer update on the surrogate averaged over ``groups``.
 
     ``group_count`` lets a caller average over a larger universe of groups
@@ -449,4 +436,4 @@ def train_step(
             for t, g in enumerate(vecs):
                 total_grads[pid][t] += g / n
     _apply_update(policy, total_grads, cfg)
-    return TrainStepMetrics(objective=objective, kl=kl, clip_fraction=clip_fraction)
+    return SurrogateMetrics(objective=objective, kl=kl, clip_fraction=clip_fraction)

@@ -7,6 +7,7 @@ killed run never leaves a torn file.
 
 from __future__ import annotations
 
+import fcntl
 import json
 import os
 import subprocess
@@ -14,6 +15,7 @@ from dataclasses import asdict, dataclass
 from pathlib import Path
 from typing import List, Optional, Sequence
 
+from .grpo import GrpoConfig
 from .lang import HoleTemplate, TemplateError, instantiate_template
 from .rewards import TestCase
 from .tracer import DEFAULT_BUDGET
@@ -38,21 +40,18 @@ def seed_override(seed: int) -> int:
 
 
 @dataclass
-class RunConfig:
+class RunConfig(GrpoConfig):
+    """A training run: the GRPO settings plus the loop's own."""
+
     seed: int = 0
     batch_size: int = 128
     mini_batch: int = 64
     learning_rate: float = 1e-6
     max_steps: int = 1000
-    group_size: int = 8
     align_ratio: float = 0.4
-    clip_eps: float = 0.2
-    kl_beta: float = 1e-3
     step_budget: int = DEFAULT_BUDGET
     buffer_capacity: int = 4096
     checkpoint_interval: int = 25
-    optimizer: str = "sgd"
-    std_floor: float = 1e-6
     dataset_path: str = ""
     run_dir: str = ""
 
@@ -70,7 +69,6 @@ class RunConfig:
             ("buffer_capacity", self.buffer_capacity >= 1),
             ("checkpoint_interval", self.checkpoint_interval >= 1),
             ("optimizer", self.optimizer in ("sgd", "adam")),
-            ("std_floor", self.std_floor > 0),
         ]
         for name, ok in checks:
             if not ok:
@@ -178,31 +176,32 @@ def read_jsonl(path) -> List[dict]:
 
 
 class RunLock:
-    """Exclusive ownership of a run directory via an O_EXCL lock file."""
+    """Exclusive ownership of a run directory: an ``flock`` on its ``.lock``
+    file.  The kernel releases the lock when its holder exits, however it
+    exits, so a killed run never blocks a resume.  The file stays: unlinking
+    a locked file would let two processes lock two inodes at one path."""
 
     def __init__(self, run_dir):
         self.path = Path(run_dir) / ".lock"
         self._fd: Optional[int] = None
 
     def __enter__(self):
+        fd = os.open(self.path, os.O_CREAT | os.O_WRONLY)
         try:
-            self._fd = os.open(self.path, os.O_CREAT | os.O_EXCL | os.O_WRONLY)
-        except FileExistsError:
+            fcntl.flock(fd, fcntl.LOCK_EX | fcntl.LOCK_NB)
+        except BlockingIOError:
+            os.close(fd)
             raise RuntimeError("run directory is locked by another process: %s" % self.path)
+        self._fd = fd
         return self
 
     def __exit__(self, *exc):
-        if self._fd is not None:
-            os.close(self._fd)
-            self._fd = None
-        try:
-            os.unlink(self.path)
-        except FileNotFoundError:
-            pass
+        os.close(self._fd)  # closing the only descriptor releases the lock
+        self._fd = None
         return False
 
 
-def subprocess_predictor(command: Sequence[str], timeout: float = 60.0):
+def subprocess_predictor(command: Sequence[str], timeout: float):
     """Predictor adapter: run ``command``, prompt on stdin, text on stdout."""
 
     def predict(prompt: str) -> str:

@@ -24,7 +24,6 @@ import numpy as np
 from .grpo import (
     KIND_ALIGNMENT,
     KIND_CODEGEN,
-    GrpoConfig,
     Memo,
     RolloutGroup,
     TemplatePolicy,
@@ -42,9 +41,9 @@ from .harness import (
     jsonl_text,
     read_jsonl,
 )
-from .lang import Program, format_program, list_variables, parse_program
+from .lang import Program, format_program, parse_program
 from .rewards import GenRewardReport, SemPrediction, gen_reward, matches_expected, sem_reward
-from .tracer import DEFAULT_BUDGET, STATUS_RETURNED, execute
+from .tracer import DEFAULT_BUDGET, STATUS_RETURNED, execute, traced_variables
 from .values import Value, canonical_serialize, decode_json_value, encode_json_value
 
 
@@ -118,16 +117,15 @@ def build_alignment_prompt(
     if index is None:
         return None
     x = list(tests[index].input)
-    final_vars = report.per_test[index].record.final_vars
-    variables = [v for v in list_variables(p_fail) if v in final_vars]
-    if not variables:
+    truth = traced_variables(p_fail, report.per_test[index].record)
+    if not truth:
         return None
     return AlignmentPrompt(
         prompt_id=alignment_prompt_id(p_fail, x),
         p_fail=p_fail,
         input=x,
-        variables=variables,
-        truth={v: final_vars[v] for v in variables},
+        variables=list(truth),
+        truth=truth,
         origin_step=origin_step,
     )
 
@@ -135,7 +133,7 @@ def build_alignment_prompt(
 class FailureBuffer:
     """FIFO buffer of alignment prompts, deduplicated by prompt id."""
 
-    def __init__(self, capacity: int = 4096):
+    def __init__(self, capacity: int):
         if capacity < 1:
             raise ValueError("capacity must be >= 1")
         self.capacity = capacity
@@ -228,7 +226,6 @@ class CodePromptPool:
 
 @dataclass
 class MixedBatch:
-    step: int
     code_prompts: List[str]
     align_prompts: List[AlignmentPrompt] = field(default_factory=list)
 
@@ -239,7 +236,6 @@ def mix_batch(
     batch_size: int,
     align_ratio: float,
     rng: np.random.Generator,
-    step: int = 0,
 ) -> MixedBatch:
     """Compose one batch: floor(align_ratio * B) alignment prompts (capped by
     the buffer), the remainder code prompts."""
@@ -248,19 +244,10 @@ def mix_batch(
     target_align = math.floor(align_ratio * batch_size)
     align_prompts = buffer.sample(target_align, rng)
     code_prompts = code_pool.draw(batch_size - len(align_prompts), rng)
-    return MixedBatch(step=step, code_prompts=code_prompts, align_prompts=align_prompts)
+    return MixedBatch(code_prompts=code_prompts, align_prompts=align_prompts)
 
 
 # --- end-to-end training ---
-
-
-def _rng_state(rng: np.random.Generator) -> dict:
-    return rng.bit_generator.state
-
-def _restore_rng(state: dict) -> np.random.Generator:
-    rng = np.random.Generator(np.random.PCG64())
-    rng.bit_generator.state = state
-    return rng
 
 
 class Trainer:
@@ -268,14 +255,6 @@ class Trainer:
         config.validate()
         self.config = config
         self.problems = {p.problem_id: p for p in problems}
-        self.grpo_cfg = GrpoConfig(
-            group_size=config.group_size,
-            clip_eps=config.clip_eps,
-            kl_beta=config.kl_beta,
-            learning_rate=config.learning_rate,
-            optimizer=config.optimizer,
-            std_floor=config.std_floor,
-        )
         self.rng = np.random.Generator(np.random.PCG64(config.seed))
         self.code_policy = TemplatePolicy()
         for pid, problem in self.problems.items():
@@ -298,7 +277,6 @@ class Trainer:
             self.config.batch_size,
             self.config.align_ratio,
             self.rng,
-            step=self.step,
         )
         # each code group is harvested as soon as it is scored: the buffer
         # was sampled by mix_batch, so this step's batch cannot see the
@@ -319,7 +297,7 @@ class Trainer:
                 )
                 reports[i] = report
                 sample.reward = float(report.reward)
-            group.fill_advantages(self.grpo_cfg.std_floor)
+            group.fill_advantages()
             code_groups.append(group)
             harvest_failures(group, problem.tests, self.buffer, reports, origin_step=self.step)
 
@@ -340,7 +318,7 @@ class Trainer:
                     )
                 else:
                     sample.reward = 0.0
-            group.fill_advantages(self.grpo_cfg.std_floor)
+            group.fill_advantages()
             align_groups.append(group)
 
         n_total = len(code_groups) + len(align_groups)
@@ -359,7 +337,7 @@ class Trainer:
                 groups = [g for g, pol in chunk if pol is policy]
                 if not groups:
                     continue
-                m = train_step(policy, groups, None, self.grpo_cfg, group_count=n_total)
+                m = train_step(policy, groups, None, self.config, group_count=n_total)
                 objective += m.objective
                 kl += m.kl
                 clip_fraction += m.clip_fraction * len(groups) / n_total
@@ -398,7 +376,7 @@ class Trainer:
         (tmp / "buffer.jsonl").write_text(jsonl_text(records), encoding="utf-8")
         state = {
             "step": self.step,
-            "rng": _rng_state(self.rng),
+            "rng": self.rng.bit_generator.state,
             "pool": self.pool.state(),
             "opt_code": _opt_state_to_json(self.code_policy.opt_state),
             "opt_align": _opt_state_to_json(self.align_policy.opt_state),
@@ -410,7 +388,7 @@ class Trainer:
     def load_checkpoint(self, ckpt: Path) -> None:
         state = json.loads((ckpt / "state.json").read_text("utf-8"))
         self.step = int(state["step"])
-        self.rng = _restore_rng(state["rng"])
+        self.rng.bit_generator.state = state["rng"]
         self.pool.restore(state["pool"])
         self.code_policy.load(ckpt / "code_policy.bin")
         self.align_policy.load(ckpt / "align_policy.bin")

@@ -33,6 +33,7 @@ from .lang import (
     UnaryOp,
     Var,
     While,
+    list_variables,
 )
 from .values import INT_MAX, INT_MIN, MimSet, Value, is_number, values_equal
 
@@ -66,7 +67,6 @@ class ExecutionRecord:
     status: str
     return_value: Optional[Value]
     final_vars: Dict[str, Value]
-    last_def_step: Dict[str, int]
     steps_used: int
     error_kind: Optional[str] = None
     error_loc: Optional[Loc] = None
@@ -114,14 +114,13 @@ class _Interp:
     def __init__(self, budget: int, full_trace: bool):
         self.budget = budget
         self.env: Dict[str, Value] = {}  # also the last-definition final-value map
-        self.last_def_step: Dict[str, int] = {}
         self.steps_used = 0
         self.trajectory: Optional[List[StepEvent]] = [] if full_trace else None
         self.cur_loc: Optional[Loc] = None
 
     # --- step bookkeeping ---
 
-    def tick(self, loc) -> int:
+    def tick(self, loc) -> None:
         if self.steps_used >= self.budget:
             raise _Budget()
         self.steps_used += 1
@@ -129,13 +128,12 @@ class _Interp:
         if self.trajectory is not None:
             # placeholder event; definitions overwrite it via define()
             self.trajectory.append(StepEvent(self.steps_used, loc, None, None))
-        return self.steps_used
 
-    def define(self, name: str, value: Value, t: int, loc) -> None:
+    def define(self, name: str, value: Value) -> None:
+        """Bind ``name``; always the write of the statement just ticked."""
         self.env[name] = value
-        self.last_def_step[name] = t
         if self.trajectory is not None:
-            self.trajectory[-1] = StepEvent(t, loc, name, value)
+            self.trajectory[-1] = StepEvent(self.steps_used, self.cur_loc, name, value)
 
     # --- expression evaluation ---
 
@@ -292,10 +290,10 @@ class _Interp:
 
     def run_stmt(self, stmt) -> None:
         if isinstance(stmt, Assign):
-            t = self.tick(stmt.loc)
-            self.define(stmt.target, self.eval(stmt.value), t, stmt.loc)
+            self.tick(stmt.loc)
+            self.define(stmt.target, self.eval(stmt.value))
         elif isinstance(stmt, IndexAssign):
-            t = self.tick(stmt.loc)
+            self.tick(stmt.loc)
             if stmt.target not in self.env:
                 raise MimRuntimeError(E_UNDEF, "undefined variable %r" % stmt.target, stmt.loc)
             base = self.env[stmt.target]
@@ -309,15 +307,15 @@ class _Interp:
             value = self.eval(stmt.value)
             updated = list(base)
             updated[idx] = value
-            self.define(stmt.target, updated, t, stmt.loc)
+            self.define(stmt.target, updated)
         elif isinstance(stmt, Append):
-            t = self.tick(stmt.loc)
+            self.tick(stmt.loc)
             if stmt.target not in self.env:
                 raise MimRuntimeError(E_UNDEF, "undefined variable %r" % stmt.target, stmt.loc)
             base = self.env[stmt.target]
             if not isinstance(base, list):
                 raise MimRuntimeError(E_TYPE, "append needs a list", stmt.loc)
-            self.define(stmt.target, base + [self.eval(stmt.value)], t, stmt.loc)
+            self.define(stmt.target, base + [self.eval(stmt.value)])
         elif isinstance(stmt, If):
             self.tick(stmt.loc)
             cond = self.eval(stmt.cond)
@@ -350,8 +348,8 @@ class _Interp:
                 raise MimRuntimeError(E_RANGE, "range step must be non-zero", stmt.loc)
             i = start
             while (step > 0 and i < stop) or (step < 0 and i > stop):
-                t = self.tick(stmt.loc)
-                self.define(stmt.var, i, t, stmt.loc)
+                self.tick(stmt.loc)
+                self.define(stmt.var, i)
                 try:
                     self.run_block(stmt.body)
                 except _Continue:
@@ -396,10 +394,8 @@ def execute(
             % (p.name, len(p.params), len(inputs))
         )
     interp = _Interp(budget, full_trace=(mode == "full"))
-    for name, value in zip(p.params, inputs):
-        # parameters are bound in the initial state, before any step
-        interp.env[name] = value
-        interp.last_def_step[name] = 0
+    # parameters are bound in the initial state, before any step
+    interp.env.update(zip(p.params, inputs))
     status = STATUS_RETURNED
     return_value: Optional[Value] = None
     error_kind = None
@@ -424,7 +420,6 @@ def execute(
         status=status,
         return_value=return_value,
         final_vars=interp.env,
-        last_def_step=interp.last_def_step,
         steps_used=interp.steps_used,
         error_kind=error_kind,
         error_loc=error_loc,
@@ -437,16 +432,18 @@ def final_values(rec: ExecutionRecord) -> Dict[str, Value]:
     return dict(rec.final_vars)
 
 
-def trajectory_final_values(rec: ExecutionRecord) -> Dict[str, Value]:
-    """Brute-force reduction of a full-mode trajectory: each variable's last
-    written value.  Parameters never redefined come from the initial binding."""
+def traced_variables(p: Program, rec: ExecutionRecord) -> Dict[str, Value]:
+    """V with final values: ``list_variables(p)`` (first-definition order)
+    restricted to the variables the run defined."""
+    return {v: rec.final_vars[v] for v in list_variables(p) if v in rec.final_vars}
+
+
+def trajectory_final_values(rec: ExecutionRecord, bindings: Dict[str, Value]) -> Dict[str, Value]:
+    """Brute-force reduction of a full-mode trajectory: starting from the
+    initial parameter ``bindings``, each variable's last written value."""
     if rec.trajectory is None:
         raise ValueError("record has no trajectory (summary mode)")
-    out: Dict[str, Value] = {
-        name: rec.final_vars[name]
-        for name, t in rec.last_def_step.items()
-        if t == 0
-    }
+    out = dict(bindings)
     for ev in rec.trajectory:
         if ev.defined_variable is not None:
             out[ev.defined_variable] = ev.value_written

@@ -41,9 +41,9 @@ class MimSet:
     """Immutable set of hashable MiniImp values (numbers, booleans, strings).
 
     Members are deduplicated under canonical equality, an int kept over an
-    equal float, and stored sorted in canonical order (numbers ascending,
-    then booleans, then strings), so iteration and serialization are
-    deterministic.
+    equal float and ``0.0`` over ``-0.0``, and stored sorted in canonical
+    order (numbers ascending, then booleans, then strings), so iteration and
+    serialization are deterministic.
     """
 
     __slots__ = ("members",)
@@ -60,8 +60,12 @@ class MimSet:
                 if isinstance(item, float) and math.isnan(item):
                     raise ValueError("NaN cannot be a set member")
                 # int and float hash/compare exactly in CPython, so 2 and 2.0
-                # share one key; the int is kept, whatever the order
-                if item not in nums or not isinstance(item, float):
+                # (and 0.0 and -0.0) share one key; whatever the order, the
+                # int is kept, else 0.0 over -0.0
+                kept = nums.get(item)
+                if kept is None or not isinstance(item, float) or (
+                    isinstance(kept, float) and math.copysign(1.0, kept) < 0
+                ):
                     nums[item] = item
             elif isinstance(item, str):
                 if item not in str_seen:

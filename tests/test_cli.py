@@ -3,6 +3,7 @@
 import json
 
 from semtrace import cli
+from semtrace.harness import RunLock
 from semtrace.probe import synthetic_linear_samples, write_feature_file
 
 import numpy as np
@@ -212,7 +213,8 @@ def test_fuzz_subcommand(capsys):
     assert "40 programs" in capsys.readouterr().out
 
 
-def test_train_and_resume(tmp_path, capsys):
+def write_train_inputs(tmp_path):
+    """A three-problem dataset and a six-step config; returns their paths."""
     dataset = tmp_path / "problems.jsonl"
     records = []
     from semtrace.lang import parse_program
@@ -254,6 +256,11 @@ def test_train_and_resume(tmp_path, capsys):
             }
         )
     )
+    return config, dataset
+
+
+def test_train_and_resume(tmp_path, capsys):
+    config, dataset = write_train_inputs(tmp_path)
     run_dir = tmp_path / "run"
     rc = cli.main(
         ["train", str(config), "--run-dir", str(run_dir), "--dataset", str(dataset)]
@@ -290,3 +297,26 @@ def test_train_config_error_exits_one(tmp_path, capsys):
         assert cli.main(["train", str(config), "--run-dir", str(tmp_path / "r")]) == 1
         err = capsys.readouterr().err
         assert err.startswith("config error: ") and named in err
+
+
+def test_train_run_errors_exit_one(tmp_path, capsys):
+    config, dataset = write_train_inputs(tmp_path)
+    run_dir = tmp_path / "run"
+    argv = ["train", str(config), "--run-dir", str(run_dir), "--dataset", str(dataset)]
+
+    assert cli.main(argv + ["--resume"]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("run error: ") and "no checkpoint" in err and err.count("\n") == 1
+
+    assert cli.main(argv) == 0
+    capsys.readouterr()
+    with RunLock(run_dir):
+        assert cli.main(argv + ["--resume"]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("run error: ") and "locked" in err and err.count("\n") == 1
+
+    policy = run_dir / "checkpoints" / "step_6" / "code_policy.bin"
+    policy.write_bytes(policy.read_bytes()[:-4])
+    assert cli.main(argv + ["--resume"]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("run error: ") and "code_policy.bin" in err and err.count("\n") == 1

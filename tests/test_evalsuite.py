@@ -13,13 +13,11 @@ from semtrace.evalsuite import (
     load_eval_items,
     oracle_predictor_for,
     parse_prediction,
-    pass_at_1,
     run_eval,
     score_item,
     serialize_record,
 )
 from semtrace.lang import parse_program
-from semtrace.rewards import TestCase
 from semtrace.rewards import matches_expected as values_match_truth
 from semtrace.values import MimSet
 
@@ -247,10 +245,3 @@ def test_out_of_domain_prediction_is_malformed_and_scored_wrong():
     report = run_eval(items, lambda prompt: '{"final_output": 1, "variables": {"a": 1, "b": 9223372036854775808}}')
     assert report.exact_at_1 == 0.0
     assert report.items[0].error is not None
-
-
-def test_pass_at_1_aggregates_binary_rewards():
-    good = parse_program("fn f(a) { r = a return r }")
-    bad = parse_program("fn f(a) { r = a + 1 return r }")
-    tests = [TestCase([1], 1), TestCase([2], 2)]
-    assert pass_at_1([(good, tests), (bad, tests)]) == 0.5

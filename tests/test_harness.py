@@ -2,9 +2,14 @@
 
 import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import semtrace
 from semtrace.harness import (
     ConfigError,
     RunConfig,
@@ -37,7 +42,6 @@ def test_validation_names_the_bad_field():
         ("clip_eps", 0.0),
         ("learning_rate", -1.0),
         ("optimizer", "rmsprop"),
-        ("std_floor", 0.0),
     ],
 )
 def test_invalid_fields_rejected(field, value):
@@ -164,8 +168,12 @@ def test_run_lock_exclusive(tmp_path):
         pass
 
 
-def test_run_lock_removes_file(tmp_path):
+def test_run_lock_is_released_when_its_holder_dies(tmp_path):
+    # the holder exits without leaving the context, as a killed run does
+    code = "import os, sys; from semtrace.harness import RunLock; RunLock(sys.argv[1]).__enter__(); os._exit(0)"
+    env = dict(os.environ, PYTHONPATH=str(Path(semtrace.__file__).parents[1]))
+    subprocess.run([sys.executable, "-c", code, str(tmp_path)], env=env, check=True)
     lock = RunLock(tmp_path)
+    assert lock.path.exists()
     with lock:
-        assert lock.path.exists()
-    assert not lock.path.exists()
+        pass

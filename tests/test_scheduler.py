@@ -150,14 +150,14 @@ def test_mix_batch_compositions(rng):
     pool = CodePromptPool(["c%d" % k for k in range(12)])
     buf = FailureBuffer(capacity=64)
 
-    batch = mix_batch(pool, buf, 10, 0.4, rng, step=1)
+    batch = mix_batch(pool, buf, 10, 0.4, rng)
     assert len(batch.code_prompts) == 10 and batch.align_prompts == []
 
     for n in range(6):
         p = parse_program("fn f(a) { r = a + %d return r }" % (n + 1))
         tests = [TestCase([0], 0)]
         buf.add(build_alignment_prompt(p, tests, gen_reward(p, tests)))
-    batch = mix_batch(pool, buf, 10, 0.4, rng, step=2)
+    batch = mix_batch(pool, buf, 10, 0.4, rng)
     assert len(batch.align_prompts) == 4
     assert len(batch.code_prompts) == 6
 
@@ -169,7 +169,7 @@ def test_mix_batch_shortfall_backfills_with_code(rng):
         p = parse_program("fn f(a) { r = a + %d return r }" % (n + 1))
         tests = [TestCase([0], 0)]
         buf.add(build_alignment_prompt(p, tests, gen_reward(p, tests)))
-    batch = mix_batch(pool, buf, 10, 0.4, rng, step=3)
+    batch = mix_batch(pool, buf, 10, 0.4, rng)
     assert len(batch.align_prompts) == 2
     assert len(batch.code_prompts) == 8
 

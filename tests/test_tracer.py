@@ -116,7 +116,6 @@ def test_mutation_advances_last_definition():
     assert rec.final_vars["xs"] == [9, 2, 3]
     writes = [e for e in rec.trajectory if e.defined_variable == "xs"]
     assert len(writes) == 3  # initial, append, indexed assignment
-    assert rec.last_def_step["xs"] == writes[-1].step_index
 
 
 def test_branch_not_taken_variable_absent():
@@ -130,13 +129,13 @@ def test_summary_and_full_mode_agree(sum_program):
     full = execute(sum_program, [], mode="full")
     assert fast.final_vars == full.final_vars
     assert fast.return_value == full.return_value
-    assert trajectory_final_values(full) == full.final_vars
+    assert trajectory_final_values(full, {}) == full.final_vars
 
 
 def test_summary_mode_has_no_trajectory(sum_program):
     assert execute(sum_program, [], mode="summary").trajectory is None
     with pytest.raises(ValueError):
-        trajectory_final_values(execute(sum_program, []))
+        trajectory_final_values(execute(sum_program, []), {})
 
 
 def test_determinism(sum_program):
@@ -165,6 +164,16 @@ def test_equal_int_and_float_set_members_keep_the_int_in_either_order():
     value, ref_vars = reference_evaluate(program, [])
     assert canonical_serialize(rec.return_value) == canonical_serialize(value) == "2"
     assert canonical_serialize(rec.final_vars["s"]) == canonical_serialize(ref_vars["s"]) == "[2]"
+
+
+def test_equal_signed_zero_set_members_keep_the_positive_zero_in_either_order():
+    assert canonical_serialize(MimSet([0.0, -0.0])) == canonical_serialize(MimSet([-0.0, 0.0])) == "[0.0]"
+    assert canonical_serialize(MimSet([-0.0])) == "[-0.0]"  # a lone -0.0 keeps its sign
+    assert canonical_serialize(MimSet([-0.0, 0, 0.0])) == "[0]"
+    program = parse_program("fn f() { s = {-0.0, 0.0} x = 1 / min(s) return x }")
+    rec = execute(program, [])
+    value, _ = reference_evaluate(program, [])
+    assert rec.return_value == value == math.inf
 
 
 def test_break_continue_outside_loop_is_runtime_error():
