@@ -160,7 +160,7 @@ def cmd_train(args) -> int:
     try:
         run_training(config, problems, run_dir, resume=args.resume)
     except (RuntimeError, ValueError) as exc:
-        # no checkpoint to resume, a truncated checkpoint, a locked run dir
+        # no checkpoint or metrics.jsonl, a truncated checkpoint, a locked run dir
         print("run error: %s" % exc, file=sys.stderr)
         return EXIT_PARSE
     elapsed = time.monotonic() - start

@@ -31,6 +31,7 @@ ADAM_BETA1 = 0.9
 ADAM_BETA2 = 0.999
 ADAM_EPS = 1e-8
 STD_FLOOR = 1e-6  # advantage denominator floor
+P_SUM_TOL = float(np.sqrt(np.finfo(float).eps))  # Generator.choice's bound on |sum(p) - 1|
 
 
 class Memo:
@@ -149,15 +150,25 @@ class CategoricalSequencePolicy:
             raise KeyError("prompt %r not registered" % prompt_id)
         return self.params[prompt_id]
 
-    def sample(self, prompt_id: str, rng: np.random.Generator):
-        """Draw one action per step; returns (actions, per-step log-probs)."""
-        actions: List[int] = []
-        logps: List[float] = []
-        for logits in self.step_logits(prompt_id):
+    def sample(self, prompt_id: str, group_size: int, rng: np.random.Generator):
+        """Draw ``group_size`` action sequences; returns ``(actions, logps)``,
+        two ``(group_size, n_steps)`` arrays.  Equal, draws included, to one
+        ``rng.choice(len(p), p=p)`` per sample and step, which maps one
+        ``random()`` double u to ``searchsorted(cumsum(p) / cumsum(p)[-1], u,
+        side="right")``; ``choice``'s checks on p are kept."""
+        step_logits = self.step_logits(prompt_id)
+        u = rng.random((group_size, len(step_logits)))
+        actions = np.empty(u.shape, dtype=np.intp)
+        logps = np.empty(u.shape)
+        for t, logits in enumerate(step_logits):
             lp = log_softmax(logits)
-            a = int(rng.choice(len(lp), p=np.exp(lp)))
-            actions.append(a)
-            logps.append(float(lp[a]))
+            p = np.exp(lp)
+            if not (np.all(p >= 0) and abs(p.sum() - 1.0) <= P_SUM_TOL):  # NaN fails both
+                raise ValueError("step %d of prompt %r has no valid distribution" % (t, prompt_id))
+            cdf = np.cumsum(p)
+            cdf /= cdf[-1]
+            actions[:, t] = np.searchsorted(cdf, u[:, t], side="right")
+            logps[:, t] = lp[actions[:, t]]
         return actions, logps
 
     def logprob(self, prompt_id: str, actions: Sequence[int]) -> List[float]:
@@ -299,16 +310,13 @@ def sample_rollouts(
 ) -> RolloutGroup:
     """Draw G independent samples with frozen old log-probabilities; rewards
     are filled in by the caller.  Decode failures become reward-0 samples."""
-    samples: List[RolloutSample] = []
-    for _ in range(group_size):
-        actions, logps = policy.sample(prompt_id, rng)
-        sample = RolloutSample(actions=actions, logp_old=logps)
+    actions, logps = policy.sample(prompt_id, group_size, rng)
+    samples = [RolloutSample(actions=a, logp_old=lp) for a, lp in zip(actions.tolist(), logps.tolist())]
+    for sample in samples:
         try:
-            sample.artifact = policy.decode(prompt_id, actions)
-        except Exception:  # decode must never be fatal
-            sample.artifact = None
-            sample.reward = 0.0
-        samples.append(sample)
+            sample.artifact = policy.decode(prompt_id, sample.actions)
+        except Exception:  # decode must never be fatal; the artifact stays None
+            pass
     return RolloutGroup(prompt_id=prompt_id, kind=kind, samples=samples)
 
 
@@ -336,35 +344,39 @@ def surrogate_and_grad(
     pid = group.prompt_id
     step_logits = policy.step_logits(pid)
     n_steps = len(step_logits)
-    grads = [np.zeros_like(v) for v in step_logits]
+    G = len(group.samples)
+    if G == 0 or n_steps == 0:
+        raise ValueError("prompt %r: a group needs samples and steps" % pid)
+    if any(len(s.actions) != n_steps for s in group.samples):
+        raise ValueError("sample/actions mismatch for prompt %r" % pid)
+    actions = np.array([s.actions for s in group.samples], dtype=np.intp).reshape(G, n_steps)
+    logp_old = np.array([s.logp_old for s in group.samples], dtype=float).reshape(G, n_steps)
     log_ps = [log_softmax(v) for v in step_logits]
     ps = [np.exp(lp) for lp in log_ps]
 
-    G = len(group.samples)
+    ratio = np.exp(np.column_stack([lp[actions[:, t]] for t, lp in enumerate(log_ps)]) - logp_old)
+    adv = np.array(group.advantages, dtype=float).reshape(G, 1)
+    weight = 1.0 / (G * n_steps)
+    unclipped = ratio * adv
+    clipped = np.minimum(np.maximum(ratio, 1.0 - cfg.clip_eps), 1.0 + cfg.clip_eps) * adv
+    kept = unclipped <= clipped
     objective = 0.0
-    clipped_steps = 0
-    total_steps = 0
-    for sample, adv in zip(group.samples, group.advantages):
-        if len(sample.actions) != n_steps:
-            raise ValueError("sample/actions mismatch for prompt %r" % pid)
-        weight = 1.0 / (G * n_steps)
-        for t, (a, lp_old) in enumerate(zip(sample.actions, sample.logp_old)):
-            ratio = float(np.exp(log_ps[t][a] - lp_old))
-            total_steps += 1
-            unclipped = ratio * adv
-            clipped = float(np.clip(ratio, 1.0 - cfg.clip_eps, 1.0 + cfg.clip_eps)) * adv
-            if unclipped <= clipped:
-                objective += weight * unclipped
-                # d(ratio)/d(logits) = ratio * (onehot - p)
-                coeff = weight * adv * ratio
-                grads[t] -= coeff * ps[t]
-                grads[t][a] += coeff
-            else:
-                objective += weight * clipped
-                clipped_steps += 1
+    for term in (weight * np.where(kept, unclipped, clipped)).ravel().tolist():
+        objective += term  # sample-major, one rounding per term
+    # d(ratio)/d(logits) = ratio * (onehot - p)
+    coeff = weight * adv * ratio
 
+    grads = []
     kl_total = 0.0
     for t in range(n_steps):
+        # the kept samples' updates in sample order: -c*p, then +c at the
+        # action; add.accumulate sums rows sequentially, np.sum would not
+        idx = np.flatnonzero(kept[:, t])
+        c = coeff[idx, t]
+        rows = np.zeros((2 * len(idx) + 1, len(ps[t])))
+        rows[1::2] = -c[:, None] * ps[t]
+        rows[2::2][np.arange(len(idx)), actions[idx, t]] = c
+        g = np.add.accumulate(rows, axis=0)[-1]
         if ref_policy is not None and pid in ref_policy.params:
             ref_logits = ref_policy.params[pid][t]
         else:
@@ -373,13 +385,14 @@ def surrogate_and_grad(
         kl_t = float(np.sum(ps[t] * (log_ps[t] - lq)))
         kl_total += kl_t
         # d/dlogits of KL(p||q) = p * ((log p - log q) - KL)
-        grads[t] -= cfg.kl_beta * ps[t] * ((log_ps[t] - lq) - kl_t)
+        g -= cfg.kl_beta * ps[t] * ((log_ps[t] - lq) - kl_t)
+        grads.append(g)
     objective -= cfg.kl_beta * kl_total
 
     metrics = SurrogateMetrics(
         objective=objective,
         kl=kl_total,
-        clip_fraction=(clipped_steps / total_steps) if total_steps else 0.0,
+        clip_fraction=(kept.size - np.count_nonzero(kept)) / kept.size,
     )
     return objective, {pid: grads}, metrics
 

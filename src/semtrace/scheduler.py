@@ -15,7 +15,7 @@ import math
 import os
 import shutil
 from collections import deque
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from pathlib import Path
 from typing import Dict, List, Optional, Sequence, Tuple
 
@@ -168,6 +168,7 @@ def harvest_failures(
     tests,
     buffer: FailureBuffer,
     reports: Dict[int, GenRewardReport],
+    known: Memo,
     origin_step: int = 0,
 ) -> Tuple[int, int]:
     """Push alignment prompts built from the group's failed samples;
@@ -175,6 +176,10 @@ def harvest_failures(
 
     Returns (added, ineligible).  Only wrong-answer samples whose chosen
     input terminates normally are eligible; duplicates count as neither.
+    ``known`` memoizes (problem id, actions) -> alignment prompt, or None
+    for an ineligible sample; a prompt that returns after eviction takes
+    the new ``origin_step``.  A key names the tests only by problem id, so
+    one ``known`` must serve one problem set.
     """
     if group.kind != KIND_CODEGEN:
         raise ValueError("only code-generation groups are harvested")
@@ -186,11 +191,13 @@ def harvest_failures(
         if not isinstance(sample.artifact, Program):
             ineligible += 1
             continue
-        prompt = build_alignment_prompt(sample.artifact, tests, reports[i], origin_step=origin_step)
+        prompt = known.get(
+            (group.prompt_id, tuple(sample.actions)),
+            lambda: build_alignment_prompt(sample.artifact, tests, reports[i], origin_step=origin_step),
+        )
         if prompt is None:
             ineligible += 1
-            continue
-        if buffer.add(prompt):
+        elif buffer.add(replace(prompt, origin_step=origin_step)):
             added += 1
     return added, ineligible
 
@@ -266,6 +273,8 @@ class Trainer:
         # (problem id, actions) -> GenRewardReport; tests and budget are fixed
         # per trainer, so a report is a pure function of the key
         self._scored = Memo()
+        # (problem id, actions) -> alignment prompt or None, for harvest
+        self._harvested = Memo()
 
     # --- one training step ---
 
@@ -299,7 +308,7 @@ class Trainer:
                 sample.reward = float(report.reward)
             group.fill_advantages()
             code_groups.append(group)
-            harvest_failures(group, problem.tests, self.buffer, reports, origin_step=self.step)
+            harvest_failures(group, problem.tests, self.buffer, reports, self._harvested, self.step)
 
         align_groups: List[RolloutGroup] = []
         for prompt in batch.align_prompts:
@@ -447,12 +456,15 @@ def run_training(
     renamed into place once complete, so resume finds only whole ones.
     Reruns with identical (seed, config, dataset) are bitwise identical.
 
-    Each distinct (problem, action sequence) is decoded and scored at most
-    twice while it stays in the trainer's bounded memos (``grpo.Memo``), and
-    harvesting a failure reuses the executions in its reward report.  The
-    memos are pure functions of their keys and are not checkpoint state, so
-    a resumed run starts with empty memos and still matches an
-    uninterrupted one exactly.
+    Each rollout group is drawn in one call, with the random stream of a
+    per-sample draw.  Each distinct (problem, action sequence) is decoded
+    and scored at most twice while it stays in the trainer's bounded memos
+    (``grpo.Memo``).  Harvesting a failure reuses the executions in its
+    reward report, and a known failure's prompt (or its ineligibility) is
+    taken from a memo instead of being rebuilt.  The memos are pure
+    functions of their keys and are not checkpoint state, so a resumed run
+    starts with empty memos and still matches an uninterrupted one exactly.  Resuming
+    needs the run's ``metrics.jsonl``.
     """
     run_dir = Path(run_dir)
     run_dir.mkdir(parents=True, exist_ok=True)
@@ -464,6 +476,8 @@ def run_training(
             ckpt = _last_checkpoint(run_dir)
             if ckpt is None:
                 raise RuntimeError("no checkpoint to resume from in %s" % run_dir)
+            if not metrics_path.is_file():
+                raise RuntimeError("cannot resume from %s: %s is missing" % (ckpt, metrics_path))
             trainer.load_checkpoint(ckpt)
             # lines past the checkpoint, a torn last line among them, are
             # steps that will run again

@@ -320,3 +320,8 @@ def test_train_run_errors_exit_one(tmp_path, capsys):
     assert cli.main(argv + ["--resume"]) == 1
     err = capsys.readouterr().err
     assert err.startswith("run error: ") and "code_policy.bin" in err and err.count("\n") == 1
+
+    (run_dir / "metrics.jsonl").unlink()
+    assert cli.main(argv + ["--resume"]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("run error: ") and "metrics.jsonl is missing" in err and err.count("\n") == 1

@@ -12,6 +12,8 @@ from semtrace.grpo import (
     CategoricalSequencePolicy,
     GrpoConfig,
     Memo,
+    RolloutGroup,
+    RolloutSample,
     TemplatePolicy,
     ValuePredictorPolicy,
     candidate_value_pool,
@@ -24,6 +26,8 @@ from semtrace.grpo import (
 )
 from semtrace.lang import HoleTemplate, instantiate_template, parse_program
 from semtrace.rewards import SemPrediction
+
+from conftest import choice_loop, scalar_surrogate
 
 
 def test_group_advantages_example():
@@ -166,7 +170,7 @@ def test_logprob_normalization_and_consistency(rng):
     pol.params["p"][0][:] = rng.normal(size=4)
     logits = pol.params["p"][0]
     assert np.exp(logits - np.logaddexp.reduce(logits)).sum() == pytest.approx(1.0, abs=1e-9)
-    actions, logps = pol.sample("p", rng)
+    actions, logps = (row.tolist() for [row] in pol.sample("p", 1, rng))
     assert pol.logprob("p", actions) == logps
 
 
@@ -176,13 +180,36 @@ def test_sampling_frequencies_match_softmax(rng):
     pol.params["p"][0][:] = np.array([0.8, -0.3, 0.1, -1.2])
     probs = softmax(pol.params["p"][0])
     n = 100_000
-    counts = np.zeros(4)
-    for _ in range(n):
-        a, _ = pol.sample("p", rng)
-        counts[a[0]] += 1
+    actions, _ = pol.sample("p", n, rng)
+    counts = np.bincount(actions[:, 0], minlength=4)
     for j in range(4):
         sigma = math.sqrt(n * probs[j] * (1 - probs[j]))
         assert abs(counts[j] - n * probs[j]) <= 3 * sigma
+
+
+def test_group_draw_matches_a_choice_loop():
+    shapes = np.random.default_rng(99)
+    for seed in range(60):
+        for group_size in (1, 2, 8):
+            n_steps = int(shapes.integers(0, 6))
+            scale = float(shapes.choice([0.1, 1.0, 40.0]))  # 40: peaked
+            pol = CategoricalSequencePolicy()
+            pol.params["p"] = [
+                shapes.normal(scale=scale, size=int(shapes.integers(1, 10))) for _ in range(n_steps)
+            ]
+            rng, ref_rng = np.random.default_rng(seed), np.random.default_rng(seed)
+            actions, logps = pol.sample("p", group_size, rng)
+            assert actions.shape == logps.shape == (group_size, n_steps)
+            assert (actions.tolist(), logps.tolist()) == choice_loop(pol.params["p"], group_size, ref_rng)
+            assert rng.bit_generator.state == ref_rng.bit_generator.state
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf])
+def test_non_finite_logit_raises(bad):
+    pol = CategoricalSequencePolicy()
+    pol.params["p"] = [np.zeros(3), np.array([0.0, bad, 1.0])]
+    with np.errstate(invalid="ignore"), pytest.raises(ValueError, match="step 1"):
+        pol.sample("p", 4, np.random.default_rng(0))
 
 
 def test_value_predictor_decodes_full_prediction(rng):
@@ -269,6 +296,37 @@ def test_clipped_branch_contributes_constant():
     expected = np.mean(np.where(adv > 0, 1.2 * adv, 1.5 * adv))
     assert obj == pytest.approx(expected, abs=1e-9)
     assert metrics.clip_fraction > 0.0
+
+
+def test_array_surrogate_equals_the_scalar_loop_bit_for_bit():
+    rng = np.random.default_rng(8)
+    clipped = 0
+    for case in range(60):
+        pol = TuplePolicy()
+        pol.params["p"] = [rng.normal(size=int(rng.integers(1, 8))) for _ in range(int(rng.integers(1, 5)))]
+        ref = None if case % 2 else pol.snapshot()
+        group = make_group(pol, list(rng.integers(0, 3, size=8).astype(float)), rng)
+        for vec in pol.params["p"]:
+            vec += rng.normal(size=len(vec)) * 0.5  # move off-policy so both branches run
+        cfg = GrpoConfig(clip_eps=0.2, kl_beta=1e-2)
+        obj, grads, metrics = surrogate_and_grad(pol, group, ref, cfg)
+        ref_obj, ref_grads, kl, clip_fraction = scalar_surrogate(pol, group, ref, cfg)
+        assert (obj, metrics.kl, metrics.clip_fraction) == (ref_obj, kl, clip_fraction)
+        assert [g.tobytes() for g in grads["p"]] == [g.tobytes() for g in ref_grads]
+        clipped += 0.0 < clip_fraction < 1.0
+    assert clipped > 10
+
+
+def test_surrogate_rejects_a_group_without_samples_or_steps():
+    pol = TuplePolicy()
+    pol.params["p"] = [np.zeros(3)]
+    cfg = GrpoConfig()
+    with pytest.raises(ValueError, match="needs samples and steps"):
+        surrogate_and_grad(pol, RolloutGroup("p", KIND_CODEGEN, [], advantages=[]), None, cfg)
+    pol.params["q"] = []
+    group = RolloutGroup("q", KIND_CODEGEN, [RolloutSample([], []), RolloutSample([], [])], advantages=[1.0, -1.0])
+    with pytest.raises(ValueError, match="needs samples and steps"):
+        surrogate_and_grad(pol, group, None, cfg)
 
 
 def finite_difference_check(pol, ref, group, cfg, h=1e-5):

@@ -1,11 +1,20 @@
 """Mixed batches, failure harvesting, the FIFO buffer, and the training loop."""
 
+import hashlib
 import json
 
 import numpy as np
 import pytest
 
-from semtrace.grpo import KIND_CODEGEN, RolloutGroup, RolloutSample
+from semtrace import grpo
+from semtrace.grpo import (
+    KIND_CODEGEN,
+    CategoricalSequencePolicy,
+    Memo,
+    RolloutGroup,
+    RolloutSample,
+    SurrogateMetrics,
+)
 from semtrace.harness import RunConfig
 from semtrace.lang import parse_program
 from semtrace.rewards import TestCase, gen_reward
@@ -20,7 +29,7 @@ from semtrace.scheduler import (
     run_training,
 )
 
-from conftest import make_problem
+from conftest import choice_loop, make_problem, scalar_surrogate
 
 BUGGY_SUM = "fn s(n) { t = 0 for i in range(1, n) { t = t + i } return t }"
 SUM_TESTS = [TestCase([3], 6), TestCase([4], 10)]
@@ -112,7 +121,7 @@ def test_harvest_mixed_group():
     tests = [TestCase([5], 5)]
     group, reports = make_codegen_group(programs, tests)
     buf = FailureBuffer(capacity=64)
-    added, ineligible = harvest_failures(group, tests, buf, reports, origin_step=1)
+    added, ineligible = harvest_failures(group, tests, buf, reports, Memo(), origin_step=1)
     assert added == 3
     assert ineligible == 2
     assert len(buf) == 3
@@ -122,12 +131,46 @@ def test_harvest_skips_passing_and_dedups():
     tests = [TestCase([5], 5)]
     group, reports = make_codegen_group(["fn f(a) { r = a return r }"] * 4, tests)
     buf = FailureBuffer(capacity=8)
-    added, _ = harvest_failures(group, tests, buf, reports, origin_step=1)
+    added, _ = harvest_failures(group, tests, buf, reports, Memo(), origin_step=1)
     assert added == 0
 
     group, reports = make_codegen_group(["fn f(a) { r = a + 1 return r }"] * 2, tests)
-    added, _ = harvest_failures(group, tests, buf, reports, origin_step=2)
+    added, _ = harvest_failures(group, tests, buf, reports, Memo(), origin_step=2)
     assert added == 1
+
+
+def test_known_harvests_count_and_fill_the_buffer_like_rebuilds(monkeypatch):
+    import semtrace.scheduler
+
+    tests = [TestCase([5], 5)]
+    # actions k pick program k: wrong answers 0-2, a crash 3, a pass 4
+    programs = ["fn f(a) { r = a + %d return r }" % k for k in (1, 2, 3)]
+    programs += ["fn f(a) { r = a // 0 return r }", "fn f(a) { r = a return r }"]
+    steps = [[0, 1, 3, 4], [0, 1, 3], [0, 1, 3], [2, 2, 3], [0, 1, 2]]
+    build = semtrace.scheduler.build_alignment_prompt
+    runs = []
+    for known in (Memo(capacity=0), Memo()):  # capacity 0 never stores: a rebuild every time
+        builds = []
+
+        def counted_build(*args, **kwargs):
+            builds.append(args[0])
+            return build(*args, **kwargs)
+
+        monkeypatch.setattr(semtrace.scheduler, "build_alignment_prompt", counted_build)
+        buf = FailureBuffer(capacity=2)  # evicts, so known prompts come back
+        counts = []
+        for step, picks in enumerate(steps, 1):
+            group, reports = make_codegen_group([programs[k] for k in picks], tests)
+            for sample, k in zip(group.samples, picks):
+                sample.actions = [k]
+            counts.append(harvest_failures(group, tests, buf, reports, known, origin_step=step))
+        runs.append((counts, [p.to_record() for p in buf.entries], len(builds)))
+    (counts, records, rebuilds), (known_counts, known_records, known_builds) = runs
+    assert counts == known_counts == [(2, 1), (0, 1), (0, 1), (1, 1), (3, 0)]
+    assert records == known_records and [r["origin_step"] for r in records] == [5, 5]
+    # the memo keeps a key from its second lookup on: steps 3 and 5 build
+    # nothing, and step 5's evicted prompts return from it with step 5
+    assert (rebuilds, known_builds) == (15, 8)
 
 
 def test_buffer_only_holds_wrong_answer_terminating_programs():
@@ -139,7 +182,7 @@ def test_buffer_only_holds_wrong_answer_terminating_programs():
         "fn f(a) { while a > 0 { a = a } return a }",  # spins
     ]
     group, reports = make_codegen_group(programs, tests, budget=200)
-    harvest_failures(group, tests, buf, reports, origin_step=1)
+    harvest_failures(group, tests, buf, reports, Memo(), origin_step=1)
     for entry in buf.entries:
         report = gen_reward(entry.p_fail, tests, budget=200)
         assert report.reward == 0
@@ -374,3 +417,61 @@ def test_buffer_dump_revalidates_against_tracer(tmp_path):
         rec = execute(prompt.p_fail, prompt.input)
         assert rec.status == STATUS_RETURNED
         assert final_values(rec) == prompt.truth
+
+
+def fixed_seed_outputs(run_dir):
+    """The bytes of metrics.jsonl and of the final checkpoint of an 8-step
+    run.  Adam clips (the policy moves between mini-batches) and a 3-prompt
+    buffer evicts, so harvest re-adds prompts with a later origin_step."""
+    cfg = desk_config(max_steps=8, checkpoint_interval=4, optimizer="adam", buffer_capacity=3)
+    run = run_training(cfg, desk_problems(), run_dir)
+    recs = [json.loads(l) for l in (run / "metrics.jsonl").read_text().splitlines()]
+    assert any(r["clip_fraction"] > 0 for r in recs) and any(r["n_align_in_batch"] for r in recs)
+    outputs = [run / "metrics.jsonl"] + sorted((run / "checkpoints" / "step_8").iterdir())
+    return {p.name: p.read_bytes() for p in outputs}
+
+
+def reference_sample(policy, prompt_id, group_size, rng):
+    step_logits = policy.step_logits(prompt_id)
+    actions, logps = choice_loop(step_logits, group_size, rng)
+    shape = (group_size, len(step_logits))
+    return np.array(actions, dtype=np.intp).reshape(shape), np.array(logps, dtype=float).reshape(shape)
+
+
+def reference_surrogate(policy, group, ref_policy, cfg):
+    objective, grads, kl, clip_fraction = scalar_surrogate(policy, group, ref_policy, cfg)
+    return objective, {group.prompt_id: grads}, SurrogateMetrics(objective, kl, clip_fraction)
+
+
+def test_fixed_seed_run_equals_a_run_on_the_reference_sampler_and_surrogate(tmp_path, monkeypatch):
+    outputs = fixed_seed_outputs(tmp_path / "arrays")
+    monkeypatch.setattr(CategoricalSequencePolicy, "sample", reference_sample)
+    monkeypatch.setattr(grpo, "surrogate_and_grad", reference_surrogate)
+    assert fixed_seed_outputs(tmp_path / "reference") == outputs
+
+
+# SHA-256 of every output of fixed_seed_outputs, recorded under numpy 2.4.6
+# on an x86-64 CPU with AVX-512F.  numpy's float64 exp and log take SIMD
+# loops only with AVX-512F and libm otherwise, whose last bits may differ,
+# so elsewhere these hashes are a record, not a check.
+PINNED_SHA256 = {
+    "metrics.jsonl": "5307e2655f5a1c1c149da59b6d2d186f37c271dbee5a47397189ccf512cfc4e3",
+    "align_policy.bin": "9ed25a2f1b32fb23227a66c7061967e81922b562e6f754af97b2438a190c2f8a",
+    "buffer.jsonl": "e421e1a3fd5d0de89f1442926916d6d3228ac4d053226d1431be2c8417c7dd3a",
+    "code_policy.bin": "9cc0d4f389ee11f38034de2662963dbb54886d6d0bf3f9c408af57421f3592fc",
+    "state.json": "bcbfc92ecd73ae463c9e78ccaed05cc1b15e3cc1f6b4018d28ea4314d89d9241",
+}
+
+
+def recorded_cpu_and_numpy() -> bool:
+    if np.__version__ != "2.4.6":
+        return False
+    from numpy._core._multiarray_umath import __cpu_features__
+
+    return bool(__cpu_features__.get("AVX512F"))
+
+
+@pytest.mark.skipif(not recorded_cpu_and_numpy(), reason="hashes recorded under numpy 2.4.6 with AVX-512F")
+def test_fixed_seed_run_reproduces_pinned_bytes(tmp_path):
+    outputs = fixed_seed_outputs(tmp_path / "run")
+    assert {name: hashlib.sha256(data).hexdigest() for name, data in outputs.items()} == PINNED_SHA256
