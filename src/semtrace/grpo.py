@@ -11,6 +11,7 @@ and cross-checked against finite differences in the test suite.
 
 from __future__ import annotations
 
+import functools
 import struct
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence
@@ -102,6 +103,15 @@ def group_advantages(rewards: Sequence[float]) -> List[float]:
 def log_softmax(logits: np.ndarray) -> np.ndarray:
     shifted = logits - np.max(logits)
     return shifted - np.log(np.sum(np.exp(shifted)))
+
+
+@functools.lru_cache(maxsize=64)
+def _uniform_log_probs(n: int) -> np.ndarray:
+    """``log_softmax`` of ``n`` zero logits, computed once per size; shared,
+    so read-only."""
+    lq = log_softmax(np.zeros(n))
+    lq.flags.writeable = False
+    return lq
 
 
 def softmax(logits: np.ndarray) -> np.ndarray:
@@ -378,10 +388,9 @@ def surrogate_and_grad(
         rows[2::2][np.arange(len(idx)), actions[idx, t]] = c
         g = np.add.accumulate(rows, axis=0)[-1]
         if ref_policy is not None and pid in ref_policy.params:
-            ref_logits = ref_policy.params[pid][t]
+            lq = log_softmax(ref_policy.params[pid][t])
         else:
-            ref_logits = np.zeros_like(step_logits[t])
-        lq = log_softmax(ref_logits)
+            lq = _uniform_log_probs(len(step_logits[t]))
         kl_t = float(np.sum(ps[t] * (log_ps[t] - lq)))
         kl_total += kl_t
         # d/dlogits of KL(p||q) = p * ((log p - log q) - KL)

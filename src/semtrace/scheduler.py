@@ -464,7 +464,7 @@ def run_training(
     taken from a memo instead of being rebuilt.  The memos are pure
     functions of their keys and are not checkpoint state, so a resumed run
     starts with empty memos and still matches an uninterrupted one exactly.  Resuming
-    needs the run's ``metrics.jsonl``.
+    needs the run's ``metrics.jsonl`` with a complete line for every step done.
     """
     run_dir = Path(run_dir)
     run_dir.mkdir(parents=True, exist_ok=True)
@@ -482,7 +482,11 @@ def run_training(
             # lines past the checkpoint, a torn last line among them, are
             # steps that will run again
             with open(metrics_path, "rb") as fh:
-                kept = sum(len(line) for line in itertools.islice(fh, trainer.step))
+                done = [line for line in itertools.islice(fh, trainer.step) if line.endswith(b"\n")]
+            if len(done) < trainer.step:
+                raise RuntimeError("cannot resume from %s: %s has %d complete lines, not %d"
+                                   % (ckpt, metrics_path, len(done), trainer.step))
+            kept = sum(map(len, done))
         atomic_write_text(run_dir / "config.json", json.dumps(config.to_dict(), indent=2) + "\n")
         with open(metrics_path, "ab") as metrics:
             metrics.truncate(kept)

@@ -4,12 +4,14 @@ Each executed statement is one step: assignments, appends, indexed writes,
 ``break``/``continue``/``return``, each ``if`` condition check, each ``while``
 condition check, and each ``for`` loop-variable binding.  Evaluating an
 expression is not a step.  Runtime errors are recorded in the returned
-:class:`ExecutionRecord`, never raised past :func:`execute`.
+:class:`ExecutionRecord`, never raised past :func:`execute`, which compiles
+the program into closures for each call (:class:`_Compiler`).
 """
 
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence
 
@@ -93,9 +95,7 @@ class _Continue(Exception):
 
 
 class _Return(Exception):
-    def __init__(self, value):
-        self.value = value
-        super().__init__()
+    pass  # args[0] is the returned value
 
 
 def _check_int(v: int, loc) -> int:
@@ -110,264 +110,377 @@ def _check_float(v: float, loc) -> float:
     return v
 
 
-class _Interp:
-    def __init__(self, budget: int, full_trace: bool):
-        self.budget = budget
-        self.env: Dict[str, Value] = {}  # also the last-definition final-value map
-        self.steps_used = 0
-        self.trajectory: Optional[List[StepEvent]] = [] if full_trace else None
-        self.cur_loc: Optional[Loc] = None
+# the strict binary operators, shared by the int-int fast path and the slow path
+_OPS = {"+": operator.add, "-": operator.sub, "*": operator.mul, "/": operator.truediv, "//": operator.floordiv,
+        "%": operator.mod, "<": operator.lt, "<=": operator.le, ">": operator.gt, ">=": operator.ge,
+        "==": operator.eq, "!=": operator.ne}
+_ONE = Literal(1)  # the step of a for loop that gives none
 
-    # --- step bookkeeping ---
+
+def _binop(op, a, b, loc) -> Value:
+    """A strict binary operator on operands the int-int fast path does not take."""
+    if op == "==":
+        return values_equal(a, b)
+    if op == "!=":
+        return not values_equal(a, b)
+    if op in ("<", "<=", ">", ">="):
+        if not (is_number(a) and is_number(b) or isinstance(a, str) and isinstance(b, str)):
+            raise MimRuntimeError(E_TYPE, "%r needs two numbers or two strings" % op, loc)
+        return _OPS[op](a, b)
+    if op == "+" and isinstance(a, str) and isinstance(b, str):
+        return a + b
+    if not (is_number(a) and is_number(b)):
+        raise MimRuntimeError(E_TYPE, "%r needs two numbers" % op, loc)
+    both_int = isinstance(a, int) and isinstance(b, int)
+    if op in ("+", "-", "*"):
+        v = _OPS[op](a, b)
+        return _check_int(v, loc) if both_int else _check_float(v, loc)
+    if op == "/":
+        # always produces a float; int / int-zero is an error, while a
+        # float zero divisor yields +-inf (0.0 / 0.0 would be NaN)
+        if b == 0:
+            if both_int:
+                raise MimRuntimeError(E_DIV_ZERO, "integer division by zero", loc)
+            if a == 0:
+                raise MimRuntimeError(E_NAN, "0/0 is undefined", loc)
+            return math.inf if (a > 0) == (math.copysign(1.0, float(b)) > 0) else -math.inf
+        return _check_float(a / b, loc)
+    if not both_int:
+        raise MimRuntimeError(E_TYPE, "%r needs two integers" % op, loc)
+    if b == 0:
+        raise MimRuntimeError(E_DIV_ZERO, "integer %s by zero" % ("division" if op == "//" else "modulo"), loc)
+    return _check_int(_OPS[op](a, b), loc)
+
+
+def _index(base, idx, loc) -> Value:
+    if isinstance(idx, bool) or not isinstance(idx, int):
+        raise MimRuntimeError(E_TYPE, "index must be an integer", loc)
+    if not isinstance(base, (list, str)):
+        raise MimRuntimeError(E_TYPE, "only lists and strings are indexable", loc)
+    if not 0 <= idx < len(base):
+        raise MimRuntimeError(E_INDEX, "index %d out of range for length %d" % (idx, len(base)), loc)
+    return base[idx]
+
+
+def _call(func, args, loc) -> Value:
+    if func == "len":
+        if len(args) != 1 or not isinstance(args[0], (list, MimSet, str)):
+            raise MimRuntimeError(E_TYPE, "len needs one list, set, or string", loc)
+        return len(args[0])
+    if func == "abs":
+        if len(args) != 1 or not is_number(args[0]):
+            raise MimRuntimeError(E_TYPE, "abs needs one number", loc)
+        v = args[0]
+        return _check_int(abs(v), loc) if isinstance(v, int) else abs(v)
+    if func in ("min", "max"):
+        if len(args) == 1 and isinstance(args[0], (list, MimSet)):
+            items = list(args[0])
+        elif len(args) >= 2:
+            items = args
+        else:
+            raise MimRuntimeError(E_TYPE, "%s needs a collection or >=2 arguments" % func, loc)
+        if not items or not all(is_number(v) for v in items):
+            raise MimRuntimeError(E_TYPE, "%s needs non-empty numeric input" % func, loc)
+        return min(items) if func == "min" else max(items)
+    raise MimRuntimeError(E_TYPE, "unknown builtin %r" % func, loc)
+
+
+class _Compiler:
+    """Turns one run's program into closures over that run's state.
+
+    Node types and operators are dispatched here, once per node; each error
+    carries the ``loc`` of its enclosing statement, fixed when the statement
+    is compiled.  Nested blocks are compiled the first time they run.
+
+    Lists are copy-on-write in summary mode: ``owned`` maps a variable to
+    the list that only it holds, one its own ``append`` or indexed write
+    made.  Such a list is updated in place; any other list is copied first.
+    A read that can store a value elsewhere (``stores``) ends the ownership.
+    Full mode always copies, since its events hold the written values.
+    Definitions and loop heads, the hot steps, inline the check of :meth:`tick`.
+    """
+
+    __slots__ = ("env", "owned", "trajectory", "budget", "steps")
+
+    def __init__(self, env: Dict[str, Value], budget: int, trajectory: Optional[List[StepEvent]]):
+        self.env, self.owned, self.trajectory, self.budget, self.steps = env, {}, trajectory, budget, 0
 
     def tick(self, loc) -> None:
-        if self.steps_used >= self.budget:
+        if self.steps >= self.budget:
             raise _Budget()
-        self.steps_used += 1
-        self.cur_loc = loc
+        self.steps += 1
         if self.trajectory is not None:
-            # placeholder event; definitions overwrite it via define()
-            self.trajectory.append(StepEvent(self.steps_used, loc, None, None))
+            self.trajectory.append(StepEvent(self.steps, loc, None, None))
 
-    def define(self, name: str, value: Value) -> None:
-        """Bind ``name``; always the write of the statement just ticked."""
-        self.env[name] = value
-        if self.trajectory is not None:
-            self.trajectory[-1] = StepEvent(self.steps_used, self.cur_loc, name, value)
+    def expr(self, e, loc, stores=False):
+        """``e`` as a closure; ``stores`` when its value may be kept elsewhere."""
+        return self._EXPRS[type(e)](self, e, loc, stores)
 
-    # --- expression evaluation ---
+    def block(self, body, in_loop: bool):
+        stmts = [self._STMTS[type(s)](self, s, in_loop) for s in body]
+        if len(stmts) == 1:
+            return stmts[0]
 
-    def eval(self, e) -> Value:
-        loc = self.cur_loc
-        if isinstance(e, Literal):
-            return e.value
-        if isinstance(e, Var):
-            if e.name not in self.env:
-                raise MimRuntimeError(E_UNDEF, "undefined variable %r" % e.name, loc)
-            return self.env[e.name]
-        if isinstance(e, BinOp):
-            return self.binop(e.op, e.left, e.right, loc)
-        if isinstance(e, UnaryOp):
-            v = self.eval(e.operand)
-            if e.op == "-":
-                if isinstance(v, bool) or not isinstance(v, (int, float)):
-                    raise MimRuntimeError(E_TYPE, "unary - needs a number", loc)
-                if isinstance(v, int):
-                    return _check_int(-v, loc)
-                return -v
-            if not isinstance(v, bool):
-                raise MimRuntimeError(E_TYPE, "'not' needs a boolean", loc)
-            return not v
-        if isinstance(e, Index):
-            base = self.eval(e.base)
-            idx = self.eval(e.index)
-            return self.index(base, idx, loc)
-        if isinstance(e, Call):
-            return self.call(e.func, [self.eval(a) for a in e.args], loc)
-        if isinstance(e, ListLit):
-            return [self.eval(i) for i in e.items]
-        if isinstance(e, SetLit):
-            members = [self.eval(i) for i in e.items]
-            for m in members:
-                if m is None or isinstance(m, (list, MimSet)):
-                    raise MimRuntimeError(E_UNHASHABLE, "unhashable set member", loc)
-            return MimSet(members)
-        raise TypeError("not an expression: %r" % (e,))
+        def run_block():
+            for s in stmts:
+                s()
 
-    def binop(self, op, left_e, right_e, loc) -> Value:
-        if op == "and":
-            left = self.eval(left_e)
-            if not isinstance(left, bool):
-                raise MimRuntimeError(E_TYPE, "'and' needs booleans", loc)
-            if not left:
-                return False
-            right = self.eval(right_e)
-            if not isinstance(right, bool):
-                raise MimRuntimeError(E_TYPE, "'and' needs booleans", loc)
-            return right
-        if op == "or":
-            left = self.eval(left_e)
-            if not isinstance(left, bool):
-                raise MimRuntimeError(E_TYPE, "'or' needs booleans", loc)
-            if left:
-                return True
-            right = self.eval(right_e)
-            if not isinstance(right, bool):
-                raise MimRuntimeError(E_TYPE, "'or' needs booleans", loc)
-            return right
+        return run_block
 
-        a = self.eval(left_e)
-        b = self.eval(right_e)
-        if op == "==":
-            return values_equal(a, b)
-        if op == "!=":
-            return not values_equal(a, b)
-        if op in ("<", "<=", ">", ">="):
-            if is_number(a) and is_number(b):
-                pass
-            elif isinstance(a, str) and isinstance(b, str):
-                pass
-            else:
-                raise MimRuntimeError(E_TYPE, "%r needs two numbers or two strings" % op, loc)
-            if op == "<":
-                return a < b
-            if op == "<=":
-                return a <= b
-            if op == ">":
-                return a > b
-            return a >= b
-        if op == "+" and isinstance(a, str) and isinstance(b, str):
-            return a + b
-        if not (is_number(a) and is_number(b)):
-            raise MimRuntimeError(E_TYPE, "%r needs two numbers" % op, loc)
-        both_int = isinstance(a, int) and isinstance(b, int)
-        if op == "+":
-            return _check_int(a + b, loc) if both_int else _check_float(a + b, loc)
-        if op == "-":
-            return _check_int(a - b, loc) if both_int else _check_float(a - b, loc)
-        if op == "*":
-            return _check_int(a * b, loc) if both_int else _check_float(a * b, loc)
-        if op == "/":
-            # always produces a float; int / int-zero is an error, while a
-            # float zero divisor yields +-inf (0.0 / 0.0 would be NaN)
-            if both_int:
-                if b == 0:
-                    raise MimRuntimeError(E_DIV_ZERO, "integer division by zero", loc)
-                return _check_float(a / b, loc)
-            if b == 0:
-                if a == 0:
-                    raise MimRuntimeError(E_NAN, "0/0 is undefined", loc)
-                return math.inf if (a > 0) == (math.copysign(1.0, float(b)) > 0) else -math.inf
-            return _check_float(a / b, loc)
-        if op in ("//", "%"):
-            if not both_int:
-                raise MimRuntimeError(E_TYPE, "%r needs two integers" % op, loc)
-            if b == 0:
-                raise MimRuntimeError(E_DIV_ZERO, "integer %s by zero" % ("division" if op == "//" else "modulo"), loc)
-            return _check_int(a // b if op == "//" else a % b, loc)
-        raise TypeError("unknown operator %r" % op)
+    # --- expressions ---
 
-    def index(self, base, idx, loc) -> Value:
-        if isinstance(idx, bool) or not isinstance(idx, int):
-            raise MimRuntimeError(E_TYPE, "index must be an integer", loc)
-        if isinstance(base, list):
-            if not 0 <= idx < len(base):
-                raise MimRuntimeError(E_INDEX, "index %d out of range for length %d" % (idx, len(base)), loc)
-            return base[idx]
-        if isinstance(base, str):
-            if not 0 <= idx < len(base):
-                raise MimRuntimeError(E_INDEX, "index %d out of range for length %d" % (idx, len(base)), loc)
-            return base[idx]
-        raise MimRuntimeError(E_TYPE, "only lists and strings are indexable", loc)
+    def _literal(self, e, loc, stores):
+        value = e.value
+        return lambda: value
 
-    def call(self, func, args, loc) -> Value:
-        if func == "len":
-            if len(args) != 1 or not isinstance(args[0], (list, MimSet, str)):
-                raise MimRuntimeError(E_TYPE, "len needs one list, set, or string", loc)
-            return len(args[0])
-        if func == "abs":
-            if len(args) != 1 or not is_number(args[0]):
-                raise MimRuntimeError(E_TYPE, "abs needs one number", loc)
-            v = args[0]
-            return _check_int(abs(v), loc) if isinstance(v, int) else abs(v)
-        if func in ("min", "max"):
-            if len(args) == 1 and isinstance(args[0], (list, MimSet)):
-                items = list(args[0])
-            elif len(args) >= 2:
-                items = args
-            else:
-                raise MimRuntimeError(E_TYPE, "%s needs a collection or >=2 arguments" % func, loc)
-            if not items or not all(is_number(v) for v in items):
-                raise MimRuntimeError(E_TYPE, "%s needs non-empty numeric input" % func, loc)
-            return min(items) if func == "min" else max(items)
-        raise MimRuntimeError(E_TYPE, "unknown builtin %r" % func, loc)
+    def _var(self, e, loc, stores):
+        env, owned, name = self.env, self.owned, e.name
+
+        def var():
+            try:
+                return env[name]
+            except KeyError:
+                raise MimRuntimeError(E_UNDEF, "undefined variable %r" % name, loc) from None
+
+        if stores and self.trajectory is None:
+            return lambda: (owned.pop(name, None), var())[1]  # ends ownership, then reads
+        return var
+
+    def _binop(self, e, loc, stores):
+        op, left, right = e.op, self.expr(e.left, loc), self.expr(e.right, loc)
+        if op in ("and", "or"):
+            decides = op == "or"  # the left value that is the result
+
+            def logic():
+                a = left()
+                if type(a) is not bool:
+                    raise MimRuntimeError(E_TYPE, "%r needs booleans" % op, loc)
+                if a is decides:
+                    return a
+                b = right()
+                if type(b) is not bool:
+                    raise MimRuntimeError(E_TYPE, "%r needs booleans" % op, loc)
+                return b
+
+            return logic
+        fast, divides = _OPS[op], op in ("/", "//", "%")
+
+        def binop():
+            a, b = left(), right()
+            if type(a) is int and type(b) is int and (b or not divides):
+                v = fast(a, b)
+                if INT_MIN <= v <= INT_MAX:
+                    return v
+            return _binop(op, a, b, loc)
+
+        return binop
+
+    def _unary(self, e, loc, stores):
+        negate, v = e.op == "-", e.operand.value if type(e.operand) is Literal else None
+        if negate and (type(v) is float or type(v) is int and INT_MIN <= -v <= INT_MAX):
+            value = -v  # a negative number literal
+            return lambda: value
+        operand = self.expr(e.operand, loc)
+
+        def unary():
+            v = operand()
+            if negate and is_number(v):
+                return _check_int(-v, loc) if isinstance(v, int) else -v
+            if not negate and type(v) is bool:
+                return not v
+            raise MimRuntimeError(E_TYPE, "unary - needs a number" if negate else "'not' needs a boolean", loc)
+
+        return unary
+
+    def _index(self, e, loc, stores):
+        base_of, index_of = self.expr(e.base, loc), self.expr(e.index, loc)
+
+        def index():
+            base, idx = base_of(), index_of()
+            if type(base) is list and type(idx) is int and 0 <= idx < len(base):
+                return base[idx]
+            return _index(base, idx, loc)
+
+        return index
+
+    def _call(self, e, loc, stores):
+        func, args = e.func, [self.expr(a, loc) for a in e.args]
+        if func == "len" and len(args) == 1:
+            arg = args[0]
+
+            def length():
+                v = arg()
+                if isinstance(v, (list, MimSet, str)):
+                    return len(v)
+                return _call(func, [v], loc)
+
+            return length
+        return lambda: _call(func, [a() for a in args], loc)
+
+    def _list(self, e, loc, stores):
+        items = [self.expr(i, loc, True) for i in e.items]
+        return lambda: [f() for f in items]
+
+    def _set(self, e, loc, stores):
+        items = [self.expr(i, loc) for i in e.items]
+
+        def set_():
+            members = [f() for f in items]
+            try:
+                return MimSet(members)
+            except TypeError:  # a list, set or null member
+                raise MimRuntimeError(E_UNHASHABLE, "unhashable set member", loc) from None
+
+        return set_
 
     # --- statements ---
 
-    def run_block(self, body) -> None:
-        for stmt in body:
-            self.run_stmt(stmt)
+    def _define(self, target: str, compute, loc):
+        """A step binding ``target`` to ``compute()``; full mode records the write, or a bare step if it raises."""
+        run, env, budget, trajectory = self, self.env, self.budget, self.trajectory
 
-    def run_stmt(self, stmt) -> None:
-        if isinstance(stmt, Assign):
-            self.tick(stmt.loc)
-            self.define(stmt.target, self.eval(stmt.value))
-        elif isinstance(stmt, IndexAssign):
-            self.tick(stmt.loc)
-            if stmt.target not in self.env:
-                raise MimRuntimeError(E_UNDEF, "undefined variable %r" % stmt.target, stmt.loc)
-            base = self.env[stmt.target]
+        def define():
+            if run.steps >= budget:
+                raise _Budget()
+            run.steps += 1
+            try:
+                env[target] = value = compute()
+            except MimRuntimeError:
+                if trajectory is not None:
+                    trajectory.append(StepEvent(run.steps, loc, None, None))
+                raise
+            if trajectory is not None:
+                trajectory.append(StepEvent(run.steps, loc, target, value))
+
+        return define
+
+    def _assign(self, s, in_loop):
+        return self._define(s.target, self.expr(s.value, s.loc, True), s.loc)
+
+    def _write(self, s, in_loop):
+        """``append`` and indexed assignment."""
+        owned, summary, target, loc = self.owned, self.trajectory is None, s.target, s.loc
+        what = "append" if type(s) is Append else "indexed assignment"
+        base_of, value = self.expr(Var(target), loc), self.expr(s.value, loc, True)
+        index_of = self.expr(s.index, loc) if type(s) is IndexAssign else None
+
+        def write():
+            base = base_of()
             if not isinstance(base, list):
-                raise MimRuntimeError(E_TYPE, "indexed assignment needs a list", stmt.loc)
-            idx = self.eval(stmt.index)
-            if isinstance(idx, bool) or not isinstance(idx, int):
-                raise MimRuntimeError(E_TYPE, "index must be an integer", stmt.loc)
-            if not 0 <= idx < len(base):
-                raise MimRuntimeError(E_INDEX, "index %d out of range for length %d" % (idx, len(base)), stmt.loc)
-            value = self.eval(stmt.value)
-            updated = list(base)
-            updated[idx] = value
-            self.define(stmt.target, updated)
-        elif isinstance(stmt, Append):
-            self.tick(stmt.loc)
-            if stmt.target not in self.env:
-                raise MimRuntimeError(E_UNDEF, "undefined variable %r" % stmt.target, stmt.loc)
-            base = self.env[stmt.target]
-            if not isinstance(base, list):
-                raise MimRuntimeError(E_TYPE, "append needs a list", stmt.loc)
-            self.define(stmt.target, base + [self.eval(stmt.value)])
-        elif isinstance(stmt, If):
-            self.tick(stmt.loc)
-            cond = self.eval(stmt.cond)
-            if not isinstance(cond, bool):
-                raise MimRuntimeError(E_TYPE, "if condition must be a boolean", stmt.loc)
-            self.run_block(stmt.then_body if cond else stmt.else_body)
-        elif isinstance(stmt, While):
+                raise MimRuntimeError(E_TYPE, what + " needs a list", loc)
+            if index_of is not None:
+                idx = index_of()
+                if isinstance(idx, bool) or not isinstance(idx, int):
+                    raise MimRuntimeError(E_TYPE, "index must be an integer", loc)
+                if not 0 <= idx < len(base):
+                    raise MimRuntimeError(E_INDEX, "index %d out of range for length %d" % (idx, len(base)), loc)
+            item = value()
+            if owned.get(target) is not base:
+                base = list(base)
+                if summary:
+                    owned[target] = base
+            if index_of is None:
+                base.append(item)
+            else:
+                base[idx] = item
+            return base
+
+        return self._define(target, write, loc)
+
+    def _if(self, s, in_loop):
+        run, loc, cond = self, s.loc, self.expr(s.cond, s.loc)
+        branches = {True: s.then_body, False: s.else_body}  # a tuple until first run
+
+        def if_():
+            run.tick(loc)
+            c = cond()
+            if type(c) is not bool:
+                raise MimRuntimeError(E_TYPE, "if condition must be a boolean", loc)
+            branch = branches[c]
+            if type(branch) is tuple:
+                branch = branches[c] = run.block(branch, in_loop)
+            branch()
+
+        return if_
+
+    def _while(self, s, in_loop):
+        run, budget, trajectory, loc = self, self.budget, self.trajectory, s.loc
+        cond = self.expr(s.cond, loc)
+        body = None
+
+        def while_():
+            nonlocal body
             while True:
-                self.tick(stmt.loc)
-                cond = self.eval(stmt.cond)
-                if not isinstance(cond, bool):
-                    raise MimRuntimeError(E_TYPE, "while condition must be a boolean", stmt.loc)
-                if not cond:
-                    break
+                if run.steps >= budget:
+                    raise _Budget()
+                run.steps += 1
+                if trajectory is not None:
+                    trajectory.append(StepEvent(run.steps, loc, None, None))
+                c = cond()
+                if c is not True:
+                    if c is False:
+                        return
+                    raise MimRuntimeError(E_TYPE, "while condition must be a boolean", loc)
+                if body is None:
+                    body = run.block(s.body, True)
                 try:
-                    self.run_block(stmt.body)
+                    body()
                 except _Continue:
                     pass
                 except _Break:
-                    break
-        elif isinstance(stmt, For):
-            self.cur_loc = stmt.loc
-            bounds = [self.eval(stmt.start), self.eval(stmt.stop)]
-            bounds.append(self.eval(stmt.step) if stmt.step is not None else 1)
-            for v in bounds:
-                if isinstance(v, bool) or not isinstance(v, int):
-                    raise MimRuntimeError(E_TYPE, "range bounds must be integers", stmt.loc)
-            start, stop, step = bounds
-            if step == 0:
-                raise MimRuntimeError(E_RANGE, "range step must be non-zero", stmt.loc)
-            i = start
-            while (step > 0 and i < stop) or (step < 0 and i > stop):
-                self.tick(stmt.loc)
-                self.define(stmt.var, i)
+                    return
+
+        return while_
+
+    def _for(self, s, in_loop):
+        run, env, budget, trajectory, loc, var = self, self.env, self.budget, self.trajectory, s.loc, s.var
+        bounds = [self.expr(x, loc) for x in (s.start, s.stop, s.step or _ONE)]
+        body = None
+
+        def for_():
+            nonlocal body
+            args = [f() for f in bounds]
+            if any(isinstance(v, bool) or not isinstance(v, int) for v in args):
+                raise MimRuntimeError(E_TYPE, "range bounds must be integers", loc)
+            if args[2] == 0:
+                raise MimRuntimeError(E_RANGE, "range step must be non-zero", loc)
+            for i in range(*args):
+                if run.steps >= budget:
+                    raise _Budget()
+                run.steps += 1
+                env[var] = i
+                if trajectory is not None:
+                    trajectory.append(StepEvent(run.steps, loc, var, i))
+                if body is None:
+                    body = run.block(s.body, True)
                 try:
-                    self.run_block(stmt.body)
+                    body()
                 except _Continue:
                     pass
                 except _Break:
-                    break
-                i += step
-        elif isinstance(stmt, Break):
-            self.tick(stmt.loc)
-            raise _Break()
-        elif isinstance(stmt, Continue):
-            self.tick(stmt.loc)
-            raise _Continue()
-        elif isinstance(stmt, Return):
-            self.tick(stmt.loc)
-            raise _Return(self.eval(stmt.value))
-        else:
-            raise TypeError("not a statement: %r" % (stmt,))
+                    return
+
+        return for_
+
+    def _jump(self, s, in_loop):
+        """``return``, ``break``, ``continue``: a step, then the jump; outside a loop the last two are errors."""
+        run, loc, t = self, s.loc, type(s)
+        value = self.expr(s.value, loc, True) if t is Return else None
+
+        def jump():
+            run.tick(loc)
+            if value is not None:
+                raise _Return(value())
+            if in_loop:
+                raise (_Break if t is Break else _Continue)()
+            raise MimRuntimeError(E_TYPE, "%s outside a loop" % t.__name__.lower(), loc)
+
+        return jump
+
+    _EXPRS = {Literal: _literal, Var: _var, BinOp: _binop, UnaryOp: _unary, Index: _index,
+              Call: _call, ListLit: _list, SetLit: _set}
+    _STMTS = {Assign: _assign, Append: _write, IndexAssign: _write, If: _if, While: _while,
+              For: _for, Return: _jump, Break: _jump, Continue: _jump}
 
 
 def execute(
@@ -382,7 +495,8 @@ def execute(
     memory); ``mode="full"`` additionally records every :class:`StepEvent`.
     Arity mismatches and invalid budgets are rejected up front with
     ``ValueError``; everything that happens *during* execution lands in the
-    record's status.
+    record's status.  The program is compiled anew for each call and the
+    compiled form is dropped when it returns.
     """
     if mode not in ("summary", "full"):
         raise ValueError("mode must be 'summary' or 'full'")
@@ -393,37 +507,29 @@ def execute(
             "arity mismatch: %s takes %d parameters, got %d inputs"
             % (p.name, len(p.params), len(inputs))
         )
-    interp = _Interp(budget, full_trace=(mode == "full"))
-    # parameters are bound in the initial state, before any step
-    interp.env.update(zip(p.params, inputs))
+    # parameters are bound before any step; input lists are never owned, so never mutated
+    run = _Compiler(dict(zip(p.params, inputs)), budget, [] if mode == "full" else None)
     status = STATUS_RETURNED
-    return_value: Optional[Value] = None
-    error_kind = None
-    error_loc = None
+    return_value: Optional[Value] = None  # falling off the end: implicit `return null`
+    error_kind = error_loc = None
     try:
-        interp.run_block(p.body)
-        return_value = None  # fell off the end: implicit `return null`
+        run.block(p.body, False)()
     except _Return as r:
-        return_value = r.value
-    except (_Break, _Continue):
-        # break/continue outside a loop is a (degenerate) runtime error
-        status = STATUS_ERROR
-        error_kind = E_TYPE
-        error_loc = interp.cur_loc
+        return_value = r.args[0]
     except _Budget:
         status = STATUS_BUDGET
     except MimRuntimeError as err:
         status = STATUS_ERROR
         error_kind = err.kind
-        error_loc = err.loc if err.loc is not None else interp.cur_loc
+        error_loc = err.loc
     return ExecutionRecord(
         status=status,
         return_value=return_value,
-        final_vars=interp.env,
-        steps_used=interp.steps_used,
+        final_vars=run.env,
+        steps_used=run.steps,
         error_kind=error_kind,
         error_loc=error_loc,
-        trajectory=interp.trajectory,
+        trajectory=run.trajectory,
     )
 
 

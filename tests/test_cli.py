@@ -315,6 +315,12 @@ def test_train_run_errors_exit_one(tmp_path, capsys):
     err = capsys.readouterr().err
     assert err.startswith("run error: ") and "locked" in err and err.count("\n") == 1
 
+    metrics = run_dir / "metrics.jsonl"
+    metrics.write_bytes(b"".join(metrics.read_bytes().splitlines(keepends=True)[:2]))
+    assert cli.main(argv + ["--resume"]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("run error: ") and "2 complete lines, not 6" in err and err.count("\n") == 1
+
     policy = run_dir / "checkpoints" / "step_6" / "code_policy.bin"
     policy.write_bytes(policy.read_bytes()[:-4])
     assert cli.main(argv + ["--resume"]) == 1

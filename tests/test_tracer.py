@@ -1,6 +1,8 @@
 """Interpreter semantics: step accounting, final-value maps, error taxonomy,
-and agreement with the independent big-step evaluator."""
+copy-on-write lists, and agreement with the tree-walking interpreter and the
+independent big-step evaluator."""
 
+import copy
 import math
 
 import numpy as np
@@ -13,6 +15,7 @@ from semtrace.tracer import (
     E_INDEX,
     E_NAN,
     E_OVERFLOW,
+    E_RANGE,
     E_TYPE,
     E_UNDEF,
     E_UNHASHABLE,
@@ -26,6 +29,9 @@ from semtrace.tracer import (
     trajectory_final_values,
 )
 from semtrace.values import MimSet, canonical_serialize, values_equal
+from tree_walker import tree_walk_execute
+
+MODES = ("summary", "full")
 
 
 def run(src, inputs, **kw):
@@ -227,3 +233,193 @@ def test_fuzzer_programs_mostly_terminate():
         if execute(p, fuzzer.inputs_for(p)).status == STATUS_RETURNED:
             ok += 1
     assert ok >= 95
+
+
+# --- the compiled interpreter against the tree walker it replaced ---
+
+
+def exact(v):
+    """A value with its exact types: 2 and 2.0, a list and a set, 0.0 and
+    -0.0 all differ."""
+    if isinstance(v, list):
+        return ("list", [exact(x) for x in v])
+    if isinstance(v, MimSet):
+        return ("set", [exact(x) for x in v])
+    return (type(v).__name__, repr(v))
+
+
+def record_fields(rec):
+    return (
+        rec.status,
+        exact(rec.return_value),
+        [(name, exact(v)) for name, v in rec.final_vars.items()],
+        rec.steps_used,
+        rec.error_kind,
+        rec.error_loc,
+        None if rec.trajectory is None
+        else [(e.step_index, e.loc, e.defined_variable, exact(e.value_written)) for e in rec.trajectory],
+    )
+
+
+def assert_matches_tree_walker(program, inputs):
+    """Both interpreters agree field for field, in both modes, at every
+    budget from 1 to one past the steps the program needs; the inputs are
+    left as they were."""
+    snapshot = exact(inputs)
+    steps = tree_walk_execute(program, inputs).steps_used
+    for budget in range(1, steps + 2):
+        for mode in MODES:
+            got = execute(program, inputs, budget=budget, mode=mode)
+            want = tree_walk_execute(program, inputs, budget=budget, mode=mode)
+            assert record_fields(got) == record_fields(want), (budget, mode)
+    assert exact(inputs) == snapshot
+
+
+def wrong_type(value, rng):
+    """A value of another type than ``value``, to drive programs into their
+    runtime-error paths."""
+    options = [0, -3, 2.5, -0.0, float("inf"), True, "ab", None, [], [1, [2]], MimSet([1, 2])]
+    options = [o for o in options if type(o) is not type(value)]
+    return copy.deepcopy(options[int(rng.integers(len(options)))])
+
+
+def test_compiled_interpreter_matches_tree_walker_on_fuzzed_programs():
+    rng = np.random.default_rng(2024)
+    fuzzer = ProgramFuzzer(rng)
+    for _ in range(30):
+        program = fuzzer.program()
+        inputs = fuzzer.inputs_for(program)
+        assert_matches_tree_walker(program, inputs)
+        if inputs:
+            k = int(rng.integers(len(inputs)))
+            inputs[k] = wrong_type(inputs[k], rng)
+            assert_matches_tree_walker(program, inputs)
+
+
+ERROR_PROGRAMS = [
+    ("fn f(a) { x = 1 y = a // 0 return y }", [1], E_DIV_ZERO),
+    ("fn f(a) { x = 1 y = a % 0 return y }", [1], E_DIV_ZERO),
+    ("fn f(a) { x = 1 / a return x }", [0], E_DIV_ZERO),
+    ("fn f(xs) { t = 0 for i in range(0, 5) { t = t + xs[i] } return t }", [[1, 2]], E_INDEX),
+    ("fn f(xs) { xs[2] = 1 return xs }", [[1, 2]], E_INDEX),
+    ("fn f(s) { c = s[3] return c }", ["ab"], E_INDEX),
+    ("fn f() { x = 1 return y }", [], E_UNDEF),
+    ("fn f() { append(ys, 1) return 0 }", [], E_UNDEF),
+    ("fn f() { ys[0] = 1 return 0 }", [], E_UNDEF),
+    ("fn f(a) { x = a + true return x }", [1], E_TYPE),
+    ("fn f(a) { x = a < \"b\" return x }", [1], E_TYPE),
+    ("fn f(a) { x = a // 2.0 return x }", [1], E_TYPE),
+    ("fn f(a) { x = -a return x }", ["s"], E_TYPE),
+    ("fn f(a) { x = not a return x }", [1], E_TYPE),
+    ("fn f(a) { x = a and true return x }", [1], E_TYPE),
+    ("fn f(a) { x = false or a return x }", [1], E_TYPE),
+    ("fn f(a) { x = a[0] return x }", [5], E_TYPE),
+    ("fn f(xs) { x = xs[true] return x }", [[1]], E_TYPE),
+    ("fn f(a) { append(a, 1) return a }", [3], E_TYPE),
+    ("fn f(a) { a[0] = 1 return a }", ["s"], E_TYPE),
+    ("fn f(xs) { xs[1.0] = 1 return xs }", [[1, 2]], E_TYPE),
+    ("fn f(a) { n = len(a) return n }", [3], E_TYPE),
+    ("fn f(a) { n = abs(a) return n }", ["s"], E_TYPE),
+    ("fn f(a) { n = min(a) return n }", [[]], E_TYPE),
+    ("fn f(a) { n = max(a, \"s\") return n }", [1], E_TYPE),
+    ("fn f(a) { if a { x = 1 } return 0 }", [1], E_TYPE),
+    ("fn f(a) { while a { a = 0 } return a }", [1], E_TYPE),
+    ("fn f(a) { t = 0 for i in range(0, a) { t = t + i } return t }", [1.5], E_TYPE),
+    ("fn f(a) { t = 0 for i in range(0, len(a)) { t = t + i } return t }", [3], E_TYPE),
+    ("fn f(a) { t = 0 for i in range(0, 5 // a) { t = t + i } return t }", [0], E_DIV_ZERO),
+    ("fn f(a) { t = 0 for i in range(a, 3, 1) { t = t + i } return t }", [True], E_TYPE),
+    ("fn f(a) { t = 0 for i in range(0, 3, a) { t = t + i } return t }", [0], E_RANGE),
+    ("fn f(a) { t = 0 for i in range(0, 3, a) { t = t + i } return t }", ["s"], E_TYPE),
+    ("fn f(a) { x = 1 break }", [1], E_TYPE),
+    ("fn f(a) { x = 1 if a > 0 { continue } return x }", [1], E_TYPE),
+    ("fn f(a) { x = a * a return x }", [2**62], E_OVERFLOW),
+    ("fn f(a) { x = -a return x }", [-(2**63)], E_OVERFLOW),
+    ("fn f(a) { x = abs(a) return x }", [-(2**63)], E_OVERFLOW),
+    ("fn f(a) { x = a // -1 return x }", [-(2**63)], E_OVERFLOW),
+    ("fn f(a) { s = {1, a} return s }", [[1]], E_UNHASHABLE),
+    ("fn f() { s = {1, null} return s }", [], E_UNHASHABLE),
+    ("fn f(a) { x = a - inf return x }", [float("inf")], E_NAN),
+    ("fn f(a) { x = a / 0.0 return x }", [0], E_NAN),
+    ("fn f(a) { x = a * 0 return x }", [float("-inf")], E_NAN),
+]
+
+
+@pytest.mark.parametrize("src,inputs,kind", ERROR_PROGRAMS)
+def test_compiled_interpreter_matches_tree_walker_on_every_error_kind(src, inputs, kind):
+    program = parse_program(src)
+    rec = execute(program, inputs)
+    assert rec.status == STATUS_ERROR and rec.error_kind == kind
+    assert rec.error_loc is not None
+    assert_matches_tree_walker(program, inputs)
+
+
+@pytest.mark.parametrize(
+    "src,inputs",
+    [
+        ("fn f(n) { i = 0 while true { i = i + 1 if i > n { break } if i % 2 == 0 { continue } } return i }", [7]),
+        ("fn f(n) { t = 0 for i in range(n, 0, -2) { if i == 3 { continue } t = t + i } return t }", [9]),
+        ("fn f(xs) { ys = [] for i in range(0, len(xs)) { append(ys, xs[i] * 2) ys[0] = i } return ys }", [[4, 5, 6]]),
+        ("fn f(s) { t = s + \"!\" b = t >= s c = {t, s, 1, 1.0, true} return [b, c, len(c)] }", ["ab"]),
+        ("fn f(a) { x = a / 4 y = -x z = {0.0, -0.0} return [x, y, min(z), max(y, x)] }", [-2]),
+        ("fn f(a) { x = a == 2.0 y = [a] != [2] return x and y or not x }", [2]),
+        ("fn f() { xss = [[1]] ys = xss[0] append(ys, 2) append(xss, ys) xss[0] = xss return xss }", []),
+        ("fn f(n) { while n > 0 { n = n - 1 } }", [4]),
+        ("fn f() { a = -0.0 b = --3 c = -inf d = -\"s\" return [a, b, c, d] }", []),
+    ],
+)
+def test_compiled_interpreter_matches_tree_walker_on_control_flow_and_values(src, inputs):
+    assert_matches_tree_walker(parse_program(src), inputs)
+
+
+# --- copy-on-write lists keep value semantics ---
+
+
+def final(src, inputs, mode):
+    rec = execute(parse_program(src), inputs, mode=mode)
+    assert rec.status == STATUS_RETURNED
+    return rec
+
+
+@pytest.mark.parametrize("mode", MODES)
+def test_copy_then_append_leaves_the_copy(mode):
+    rec = final("fn f() { xs = [] append(xs, 0) ys = xs append(xs, 1) return ys }", [], mode)
+    assert rec.return_value == [0] and rec.final_vars["xs"] == [0, 1]
+
+
+@pytest.mark.parametrize("mode", MODES)
+def test_list_literal_item_is_not_changed_by_an_indexed_write(mode):
+    rec = final("fn f() { xs = [1] append(xs, 2) zs = [xs] xs[0] = 9 return zs }", [], mode)
+    assert rec.return_value == [[1, 2]] and rec.final_vars["xs"] == [9, 2]
+
+
+@pytest.mark.parametrize("mode", MODES)
+def test_append_a_list_to_itself(mode):
+    rec = final("fn f() { xs = [1] append(xs, 2) append(xs, xs) append(xs, 3) return xs }", [], mode)
+    assert rec.return_value == [1, 2, [1, 2], 3]
+
+
+@pytest.mark.parametrize("mode", MODES)
+def test_append_to_an_element_read_leaves_the_outer_list(mode):
+    rec = final("fn f() { xss = [[1]] append(xss, [2]) ys = xss[0] append(ys, 5) return xss }", [], mode)
+    assert rec.return_value == [[1], [2]] and rec.final_vars["ys"] == [1, 5]
+
+
+@pytest.mark.parametrize("mode", MODES)
+def test_input_lists_are_not_mutated(mode):
+    xs, xss = [1, 2], [[3], [4]]
+    src = "fn f(xs, xss) { append(xs, 5) xs[0] = 6 ys = xss[1] append(ys, 7) xss[0] = ys append(xss, xs) return xss }"
+    rec = final(src, [xs, xss], mode)
+    assert xs == [1, 2] and xss == [[3], [4]]
+    assert rec.return_value == [[4, 7], [4], [6, 2, 5]]
+
+
+@pytest.mark.parametrize("mode", MODES)
+def test_returned_list_is_not_changed_by_its_variable(mode):
+    rec = final("fn f() { xs = [] append(xs, 1) ys = [xs, xs] append(xs, 2) return ys }", [], mode)
+    assert rec.return_value == [[1], [1]] and rec.final_vars["xs"] == [1, 2]
+
+
+def test_full_mode_events_keep_the_value_written():
+    rec = final("fn f() { xs = [] append(xs, 1) append(xs, 2) xs[0] = 9 return xs }", [], "full")
+    written = [e.value_written for e in rec.trajectory if e.defined_variable == "xs"]
+    assert written == [[], [1], [1, 2], [9, 2]]
