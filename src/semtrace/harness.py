@@ -158,14 +158,6 @@ def atomic_write_text(path, text: str) -> None:
     os.replace(tmp, path)
 
 
-def jsonl_text(records: Sequence[dict]) -> str:
-    return "".join(json.dumps(r) + "\n" for r in records)
-
-
-def atomic_write_jsonl(path, records: Sequence[dict]) -> None:
-    atomic_write_text(path, jsonl_text(records))
-
-
 def read_jsonl(path) -> List[dict]:
     out = []
     with open(path, "r", encoding="utf-8") as fh:

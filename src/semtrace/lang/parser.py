@@ -12,6 +12,7 @@ import re
 from dataclasses import dataclass
 from typing import Callable, List, Optional, Tuple, TypeVar
 
+from ..values import INT_MAX
 from . import nodes
 from .nodes import (
     Append,
@@ -309,6 +310,15 @@ class _Parser:
     def parse_unary(self) -> nodes.Expr:
         if self.at("punct", "-"):
             self.advance()
+            # INT_MAX + 1 is read only as the direct, unindexed operand of
+            # unary minus, so that INT_MIN can be written; an INT token is
+            # always followed by another token, at least eof
+            tok = self.peek()
+            if tok.kind == "int" and int(tok.text) == INT_MAX + 1:
+                after = self.tokens[self.pos + 1]
+                if not (after.kind == "punct" and after.text == "["):
+                    self.advance()
+                    return UnaryOp("-", Literal(INT_MAX + 1))
             return UnaryOp("-", self.parse_unary())
         return self.parse_postfix()
 
@@ -325,7 +335,10 @@ class _Parser:
         tok = self.advance()
         kind, text = tok.kind, tok.text
         if kind == "int":
-            return Literal(int(text))
+            value = int(text)
+            if value > INT_MAX:
+                raise ParseError("integer literal %s is outside the int64 range" % text, tok.line, tok.col)
+            return Literal(value)
         if kind == "float":
             return Literal(float(text))
         if kind == "string":

@@ -16,6 +16,7 @@ import os
 import shutil
 from collections import deque
 from dataclasses import dataclass, field, replace
+from functools import cached_property
 from pathlib import Path
 from typing import Dict, List, Optional, Sequence, Tuple
 
@@ -36,9 +37,7 @@ from .harness import (
     ProblemRecord,
     RunConfig,
     RunLock,
-    atomic_write_jsonl,
     atomic_write_text,
-    jsonl_text,
     read_jsonl,
 )
 from .lang import Program, format_program, parse_program
@@ -47,51 +46,64 @@ from .tracer import DEFAULT_BUDGET, STATUS_RETURNED, execute, traced_variables
 from .values import Value, canonical_serialize, decode_json_value, encode_json_value
 
 
-@dataclass
+@dataclass(frozen=True)
 class AlignmentPrompt:
+    """A trace-inference prompt: the final values ``truth`` of ``variables``
+    after running ``p_fail`` on ``input``.  Immutable (its lists and dict are
+    never mutated either), so its JSONL line is built at most once, the
+    first time a save needs it."""
+
     prompt_id: str  # hash of (program, input)
     p_fail: Program
     input: List[Value]
     variables: List[str]  # V: first-definition order, restricted to defined vars
     truth: Dict[str, Value]
     origin_step: int
+    # format_program(p_fail) when the builder already had it, else None
+    source: Optional[str] = field(default=None, repr=False, compare=False)
 
     def to_record(self) -> dict:
         return {
             "id": self.prompt_id,
-            "source": format_program(self.p_fail),
+            "source": format_program(self.p_fail) if self.source is None else self.source,
             "input": [encode_json_value(v) for v in self.input],
             "variables": list(self.variables),
             "truth": {k: encode_json_value(v) for k, v in self.truth.items()},
             "origin_step": self.origin_step,
         }
 
+    @cached_property
+    def jsonl_line(self) -> str:
+        return json.dumps(self.to_record()) + "\n"
+
     @classmethod
     def from_record(cls, rec: dict, budget: int = DEFAULT_BUDGET) -> "AlignmentPrompt":
         program = parse_program(rec["source"])
         input_values = [decode_json_value(v) for v in rec["input"]]
-        prompt = cls(
-            prompt_id=rec["id"],
-            p_fail=program,
-            input=input_values,
-            variables=list(rec["variables"]),
-            truth={k: decode_json_value(v) for k, v in rec["truth"].items()},
-            origin_step=int(rec["origin_step"]),
-        )
+        prompt_id = rec["id"]
+        variables = list(rec["variables"])
+        truth = {k: decode_json_value(v) for k, v in rec["truth"].items()}
         # stored ground truth must revalidate against a fresh trace
         fresh = execute(program, input_values, budget=budget)
         if fresh.status != STATUS_RETURNED:
-            raise ValueError("alignment prompt %r no longer terminates" % prompt.prompt_id)
-        for v in prompt.variables:
-            if v not in fresh.final_vars or not matches_expected(fresh.final_vars[v], prompt.truth[v]):
-                raise ValueError("stale ground truth for %r in prompt %r" % (v, prompt.prompt_id))
-        # adopt the freshly traced values so the in-memory truth is exact
-        prompt.truth = {v: fresh.final_vars[v] for v in prompt.variables}
-        return prompt
+            raise ValueError("alignment prompt %r no longer terminates" % prompt_id)
+        for v in variables:
+            if v not in fresh.final_vars or not matches_expected(fresh.final_vars[v], truth[v]):
+                raise ValueError("stale ground truth for %r in prompt %r" % (v, prompt_id))
+        return cls(
+            prompt_id=prompt_id,
+            p_fail=program,
+            input=input_values,
+            variables=variables,
+            # the freshly traced values, so the in-memory truth is exact
+            truth={v: fresh.final_vars[v] for v in variables},
+            origin_step=int(rec["origin_step"]),
+        )
 
 
-def alignment_prompt_id(p_fail: Program, input_values: Sequence[Value]) -> str:
-    payload = format_program(p_fail) + "\n" + canonical_serialize(list(input_values))
+def alignment_prompt_id(source: str, input_values: Sequence[Value]) -> str:
+    """The id of a prompt on the program whose ``format_program`` is ``source``."""
+    payload = source + "\n" + canonical_serialize(list(input_values))
     return hashlib.sha256(payload.encode("utf-8")).hexdigest()[:16]
 
 
@@ -120,13 +132,15 @@ def build_alignment_prompt(
     truth = traced_variables(p_fail, report.per_test[index].record)
     if not truth:
         return None
+    source = format_program(p_fail)
     return AlignmentPrompt(
-        prompt_id=alignment_prompt_id(p_fail, x),
+        prompt_id=alignment_prompt_id(source, x),
         p_fail=p_fail,
         input=x,
         variables=list(truth),
         truth=truth,
         origin_step=origin_step,
+        source=source,
     )
 
 
@@ -142,6 +156,9 @@ class FailureBuffer:
 
     def __len__(self):
         return len(self.entries)
+
+    def __contains__(self, prompt_id: str) -> bool:
+        return prompt_id in self._ids
 
     def add(self, prompt: AlignmentPrompt) -> bool:
         if prompt.prompt_id in self._ids:
@@ -162,6 +179,10 @@ class FailureBuffer:
         pool = list(self.entries)
         return [pool[i] for i in sorted(int(i) for i in idx)]
 
+    def jsonl_text(self) -> str:
+        """The entries as JSONL, oldest first; each line is serialized once."""
+        return "".join(p.jsonl_line for p in self.entries)
+
 
 def harvest_failures(
     group: RolloutGroup,
@@ -177,9 +198,9 @@ def harvest_failures(
     Returns (added, ineligible).  Only wrong-answer samples whose chosen
     input terminates normally are eligible; duplicates count as neither.
     ``known`` memoizes (problem id, actions) -> alignment prompt, or None
-    for an ineligible sample; a prompt that returns after eviction takes
-    the new ``origin_step``.  A key names the tests only by problem id, so
-    one ``known`` must serve one problem set.
+    for an ineligible sample; a prompt that returns after eviction is copied
+    with the new ``origin_step`` (and its formatted source).  A key names the
+    tests only by problem id, so one ``known`` must serve one problem set.
     """
     if group.kind != KIND_CODEGEN:
         raise ValueError("only code-generation groups are harvested")
@@ -197,7 +218,10 @@ def harvest_failures(
         )
         if prompt is None:
             ineligible += 1
-        elif buffer.add(replace(prompt, origin_step=origin_step)):
+        elif prompt.prompt_id not in buffer:
+            if prompt.origin_step != origin_step:
+                prompt = replace(prompt, origin_step=origin_step)
+            buffer.add(prompt)
             added += 1
     return added, ineligible
 
@@ -381,8 +405,7 @@ class Trainer:
         tmp.mkdir(parents=True)
         self.code_policy.save(tmp / "code_policy.bin")
         self.align_policy.save(tmp / "align_policy.bin")
-        records = [p.to_record() for p in self.buffer.entries]
-        (tmp / "buffer.jsonl").write_text(jsonl_text(records), encoding="utf-8")
+        (tmp / "buffer.jsonl").write_text(self.buffer.jsonl_text(), encoding="utf-8")
         state = {
             "step": self.step,
             "rng": self.rng.bit_generator.state,
@@ -496,5 +519,5 @@ def run_training(
                 metrics.flush()
                 if trainer.step % config.checkpoint_interval == 0 or trainer.step == config.max_steps:
                     trainer.save_checkpoint(run_dir)
-        atomic_write_jsonl(run_dir / "buffer.jsonl", [p.to_record() for p in trainer.buffer.entries])
+        atomic_write_text(run_dir / "buffer.jsonl", trainer.buffer.jsonl_text())
     return run_dir

@@ -27,6 +27,8 @@ Value = Union[int, float, bool, str, None, list, "MimSet"]
 INF_SENTINEL = "__INF__"
 NEG_INF_SENTINEL = "__-INF__"
 
+_INT_ONLY = frozenset((int,))  # element types of a flat int list (bool excluded)
+
 
 class SerializationError(ValueError):
     pass
@@ -151,6 +153,8 @@ def encode_json_value(v: Value):
     if v is None or isinstance(v, (bool, int, str)):
         return v
     if isinstance(v, list):
+        if set(map(type, v)) <= _INT_ONLY:
+            return v[:]
         return [encode_json_value(x) for x in v]
     if isinstance(v, MimSet):
         return [encode_json_value(x) for x in v.members]
@@ -200,6 +204,11 @@ def decode_json_value(raw) -> Value:
             raise ValueError('infinity must be spelled "%s" or "%s"' % (INF_SENTINEL, NEG_INF_SENTINEL))
         return raw
     if isinstance(raw, list):
+        # a flat int list is checked in one pass; anything else, an
+        # out-of-range int included, goes element by element, which names
+        # the first bad element
+        if raw and set(map(type, raw)) <= _INT_ONLY and INT_MIN <= min(raw) and max(raw) <= INT_MAX:
+            return raw[:]
         return [decode_json_value(x) for x in raw]
     raise ValueError("not a MiniImp value: %r" % (raw,))
 

@@ -15,11 +15,13 @@ from semtrace.harness import (
     RunConfig,
     RunLock,
     SEED_ENV_VAR,
-    atomic_write_jsonl,
     atomic_write_text,
     load_problems,
     read_jsonl,
 )
+from semtrace.lang import parse_program
+from semtrace.rewards import TestCase, gen_reward
+from semtrace.scheduler import FailureBuffer, build_alignment_prompt
 from semtrace.values import MimSet, decode_json_value, encode_json_value, load_json
 
 
@@ -81,6 +83,10 @@ def test_json_value_round_trip():
     for v in values:
         assert decode_json_value(encode_json_value(v)) == v
     assert encode_json_value(MimSet([3, 1])) == [1, 3]
+    ints = list(range(-40, 40))
+    encoded = encode_json_value(ints)
+    assert encoded == ints and encoded is not ints
+    assert [type(x) for x in encode_json_value([1, True, 2])] == [int, bool, int]
 
 
 def test_decode_rejects_values_outside_the_domain():
@@ -90,6 +96,12 @@ def test_decode_rejects_values_outside_the_domain():
             decode_json_value(raw)
     with pytest.raises(ValueError, match="9223372036854775808"):
         decode_json_value([2**63])
+    # a flat int list is checked in one pass, and falls back to the element
+    # path for an out-of-range int or a bool
+    with pytest.raises(ValueError, match="9223372036854775808"):
+        decode_json_value(list(range(100)) + [2**63])
+    decoded = decode_json_value([1, True, 2])
+    assert decoded == [1, True, 2] and [type(x) for x in decoded] == [int, bool, int]
     assert load_json('[1.5e300, "__INF__"]') == [1.5e300, "__INF__"]
     for text in ("1e400", "[-1e400]", '{"a": [2e308]}'):
         with pytest.raises(ValueError, match="outside the float range"):
@@ -152,10 +164,17 @@ def test_atomic_write_leaves_no_temp_file(tmp_path):
 
 
 def test_jsonl_round_trip(tmp_path):
-    path = tmp_path / "data.jsonl"
-    records = [{"a": 1}, {"b": [2, 3]}]
-    atomic_write_jsonl(path, records)
-    assert read_jsonl(path) == records
+    # read_jsonl reads back a failure buffer as a run saves it
+    buf = FailureBuffer(capacity=4)
+    for k in range(3):
+        p = parse_program('fn f(a) { xs = [a, %d] y = a / 0.0 s = "q" r = a + %d return r }' % (k, k))
+        tests = [TestCase([1], 0)]
+        buf.add(build_alignment_prompt(p, tests, gen_reward(p, tests), origin_step=k))
+    path = tmp_path / "buffer.jsonl"
+    atomic_write_text(path, buf.jsonl_text())
+    records = read_jsonl(path)
+    assert records == [p.to_record() for p in buf.entries] and len(records) == 3
+    assert records[0]["truth"] == {"a": 1, "xs": [1, 0], "y": "__INF__", "s": "q", "r": 1}
 
 
 def test_run_lock_exclusive(tmp_path):

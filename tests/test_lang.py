@@ -14,6 +14,7 @@ from semtrace.lang import (
     Program,
     Return,
     TemplateError,
+    UnaryOp,
     Var,
     children,
     count_nodes,
@@ -113,6 +114,24 @@ GRAMMAR_CASES = [
     # an IDENT begins with a letter and a digit is 0-9
     ("fn f() { _a = 3 return _a }", ("unexpected character '_'", 1, 10)),
     ("fn f() { return \u0663 }", ("unexpected character '\u0663'", 1, 17)),
+    # an INT is at most INT_MAX, or INT_MAX + 1 as the direct operand of
+    # unary minus
+    ("fn f() { x = 99999999999999999999 return x }",
+     ("integer literal 99999999999999999999 is outside the int64 range", 1, 14)),
+    ("fn f() { x = 9223372036854775808 return x }",
+     ("integer literal 9223372036854775808 is outside the int64 range", 1, 14)),
+    ("fn f() { x = -9223372036854775809 return x }",
+     ("integer literal 9223372036854775809 is outside the int64 range", 1, 15)),
+    ("fn f() { x = 1 - 9223372036854775808 return x }",
+     ("integer literal 9223372036854775808 is outside the int64 range", 1, 18)),
+    ("fn f() { x = -(9223372036854775808) return x }",
+     ("integer literal 9223372036854775808 is outside the int64 range", 1, 16)),
+    ("fn f() { x = -9223372036854775808[0] return x }",
+     ("integer literal 9223372036854775808 is outside the int64 range", 1, 15)),
+    ("fn f() { x = -9223372036854775808 return x }",
+     Program("f", (), (Assign("x", UnaryOp("-", Literal(2**63))), Return(Var("x"))))),
+    ("fn f() { x = 9223372036854775807 return x }",
+     Program("f", (), (Assign("x", Literal(2**63 - 1)), Return(Var("x"))))),
     (format_program(ALL_ESCAPES), ALL_ESCAPES),
 ]
 

@@ -1,5 +1,6 @@
 """Mixed batches, failure harvesting, the FIFO buffer, and the training loop."""
 
+import dataclasses
 import hashlib
 import json
 
@@ -16,12 +17,13 @@ from semtrace.grpo import (
     SurrogateMetrics,
 )
 from semtrace.harness import RunConfig
-from semtrace.lang import parse_program
+from semtrace.lang import format_program, parse_program
 from semtrace.rewards import TestCase, gen_reward
 from semtrace.scheduler import (
     AlignmentPrompt,
     CodePromptPool,
     FailureBuffer,
+    Trainer,
     alignment_prompt_id,
     build_alignment_prompt,
     harvest_failures,
@@ -69,15 +71,15 @@ def test_prompt_from_a_report_executes_nothing(monkeypatch):
 
     monkeypatch.setattr(semtrace.scheduler, "execute", execute)
     prompt = build_alignment_prompt(p, SUM_TESTS, report)
-    assert prompt.prompt_id == alignment_prompt_id(p, [3])
+    assert prompt.prompt_id == alignment_prompt_id(format_program(p), [3])
     assert prompt.variables == ["n", "t", "i"]
     assert prompt.truth == {"n": 3, "t": 3, "i": 2}
 
 
 def test_prompt_id_keyed_by_program_and_input():
-    p = parse_program(BUGGY_SUM)
-    assert alignment_prompt_id(p, [3]) != alignment_prompt_id(p, [4])
-    assert alignment_prompt_id(p, [3]) == alignment_prompt_id(parse_program(BUGGY_SUM), [3])
+    source = format_program(parse_program(BUGGY_SUM))
+    assert alignment_prompt_id(source, [3]) != alignment_prompt_id(source, [4])
+    assert alignment_prompt_id(source, [3]) == alignment_prompt_id(format_program(parse_program(BUGGY_SUM)), [3])
 
 
 def test_buffer_dedup_and_fifo_eviction(rng):
@@ -127,16 +129,36 @@ def test_harvest_mixed_group():
     assert len(buf) == 3
 
 
-def test_harvest_skips_passing_and_dedups():
+def test_harvest_skips_passing_and_dedups(monkeypatch):
+    import semtrace.scheduler
+
+    copies = []
+    replace = semtrace.scheduler.replace
+
+    def counted_replace(prompt, **changes):
+        copies.append(changes)
+        return replace(prompt, **changes)
+
+    monkeypatch.setattr(semtrace.scheduler, "replace", counted_replace)
     tests = [TestCase([5], 5)]
     group, reports = make_codegen_group(["fn f(a) { r = a return r }"] * 4, tests)
     buf = FailureBuffer(capacity=8)
     added, _ = harvest_failures(group, tests, buf, reports, Memo(), origin_step=1)
     assert added == 0
 
+    known = Memo()
     group, reports = make_codegen_group(["fn f(a) { r = a + 1 return r }"] * 2, tests)
-    added, _ = harvest_failures(group, tests, buf, reports, Memo(), origin_step=2)
+    added, _ = harvest_failures(group, tests, buf, reports, known, origin_step=2)
     assert added == 1
+    # known prompts the buffer already holds are neither added nor copied
+    added, _ = harvest_failures(group, tests, buf, reports, known, origin_step=3)
+    assert (added, copies) == (0, [])
+    # a known prompt the buffer takes again is copied once, with its source
+    fresh = FailureBuffer(capacity=8)
+    added, _ = harvest_failures(group, tests, fresh, reports, known, origin_step=4)
+    assert (added, copies) == (1, [{"origin_step": 4}])
+    (prompt,) = fresh.entries
+    assert prompt.origin_step == 4 and prompt.source == format_program(prompt.p_fail)
 
 
 def test_known_harvests_count_and_fill_the_buffer_like_rebuilds(monkeypatch):
@@ -235,6 +257,13 @@ def test_record_with_out_of_domain_value_is_rejected():
             AlignmentPrompt.from_record(dict(rec, **{key: bad}))
 
 
+def test_alignment_prompt_is_immutable():
+    p = parse_program(BUGGY_SUM)
+    prompt = build_alignment_prompt(p, SUM_TESTS, gen_reward(p, SUM_TESTS))
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        prompt.origin_step = 3
+
+
 def desk_config(**overrides):
     base = dict(
         seed=3,
@@ -305,6 +334,77 @@ def test_resume_matches_uninterrupted_run(tmp_path):
     assert sorted(p.name for p in resumed.iterdir()) == sorted(p.name for p in expected.iterdir())
     for path in expected.iterdir():
         assert (resumed / path.name).read_bytes() == path.read_bytes(), path.name
+
+
+def save_and_check_buffer(trainer, run_dir):
+    """Save a checkpoint; its buffer.jsonl must be what every save wrote
+    before lines were cached, which stays here as the reference."""
+    ckpt = trainer.save_checkpoint(run_dir)
+    text = (ckpt / "buffer.jsonl").read_text()
+    assert text == "".join(json.dumps(p.to_record()) + "\n" for p in trainer.buffer.entries)
+    return text
+
+
+def test_saved_buffer_lines_equal_fresh_records_across_eviction_and_resume(tmp_path):
+    # a 3-prompt buffer evicts, so harvest re-adds prompts it saved before
+    cfg = desk_config(max_steps=8, checkpoint_interval=4, optimizer="adam", buffer_capacity=3)
+    trainer = Trainer(cfg, desk_problems())
+    saved = {}
+    for step in range(1, 9):
+        trainer.run_step()
+        if step in (4, 7, 8):
+            saved[step] = save_and_check_buffer(trainer, tmp_path / "full")
+    origins = {
+        step: {r["id"]: r["origin_step"] for r in map(json.loads, text.splitlines())}
+        for step, text in saved.items()
+    }
+    # a prompt saved at step 4 was evicted and came back under a new origin_step
+    assert any(origins[4].get(pid, origin) != origin for pid, origin in origins[7].items())
+
+    resumed = Trainer(cfg, desk_problems())
+    resumed.load_checkpoint(tmp_path / "full" / "checkpoints" / "step_7")
+    assert save_and_check_buffer(resumed, tmp_path / "resumed") == saved[7]
+    resumed.run_step()
+    assert save_and_check_buffer(resumed, tmp_path / "resumed") == saved[8]
+
+
+def test_a_buffered_prompt_is_formatted_and_recorded_once(tmp_path, monkeypatch):
+    from collections import Counter
+
+    import semtrace.scheduler
+
+    formats, records = Counter(), Counter()
+    format_program_, to_record = semtrace.scheduler.format_program, AlignmentPrompt.to_record
+
+    def counted_format(program):
+        formats[program] += 1
+        return format_program_(program)
+
+    def counted_to_record(prompt):
+        records[prompt.prompt_id] += 1
+        return to_record(prompt)
+
+    monkeypatch.setattr(semtrace.scheduler, "format_program", counted_format)
+    monkeypatch.setattr(AlignmentPrompt, "to_record", counted_to_record)
+    p = parse_program(BUGGY_SUM)
+    built = build_alignment_prompt(p, SUM_TESTS, gen_reward(p, SUM_TESTS), origin_step=1)
+    q = parse_program("fn f(a) { r = a + 1 return r }")
+    tests = [TestCase([1], 1)]
+    loaded = AlignmentPrompt.from_record(
+        build_alignment_prompt(q, tests, gen_reward(q, tests), origin_step=1).to_record()
+    )
+    formats.clear()
+    records.clear()
+    trainer = Trainer(desk_config(), desk_problems())
+    trainer.buffer.add(built)
+    trainer.buffer.add(loaded)
+    for step in (1, 2):
+        trainer.step = step
+        trainer.save_checkpoint(tmp_path)
+    # the built prompt kept the source its id was hashed from; the loaded
+    # one is formatted at its first save
+    assert formats == Counter({loaded.p_fail: 1})
+    assert records == Counter({built.prompt_id: 1, loaded.prompt_id: 1})
 
 
 def test_resume_after_a_killed_save_takes_the_last_complete_checkpoint(tmp_path, monkeypatch):

@@ -211,6 +211,20 @@ def test_reference_agrees_on_fixture_corpus():
             assert values_equal(rec.final_vars[k], finals[k])
 
 
+def test_int_min_literal_is_int_min_in_both_evaluators():
+    program = parse_program("fn f() { x = -9223372036854775808 return x }")
+    rec = execute(program, [])
+    value, finals = reference_evaluate(program, [])
+    assert rec.status == STATUS_RETURNED
+    assert rec.return_value == rec.final_vars["x"] == value == finals["x"] == -(2**63)
+    # negating it again overflows in both
+    program = parse_program("fn f() { x = --9223372036854775808 return x }")
+    assert execute(program, []).error_kind == E_OVERFLOW
+    with pytest.raises(MimRuntimeError) as exc:
+        reference_evaluate(program, [])
+    assert exc.value.kind == E_OVERFLOW
+
+
 def test_reference_error_taxonomy_matches():
     p = parse_program("fn f(a) { x = a // 0 return x }")
     with pytest.raises(MimRuntimeError) as exc:
