@@ -14,13 +14,14 @@ from __future__ import annotations
 import functools
 import struct
 from dataclasses import dataclass
+from pathlib import Path
 from typing import Dict, List, Optional, Sequence
 
 import numpy as np
 
 from .lang import HoleTemplate, Literal, Program, instantiate_template, walk
 from .rewards import SemPrediction
-from .values import MimSet, Value, canonical_serialize, read_exact
+from .values import MimSet, Value, canonical_serialize, truncated
 
 KIND_CODEGEN = "codegen"
 KIND_ALIGNMENT = "alignment"
@@ -33,6 +34,7 @@ ADAM_BETA2 = 0.999
 ADAM_EPS = 1e-8
 STD_FLOOR = 1e-6  # advantage denominator floor
 P_SUM_TOL = float(np.sqrt(np.finfo(float).eps))  # Generator.choice's bound on |sum(p) - 1|
+_U32 = struct.Struct("<I").unpack_from
 
 
 class Memo:
@@ -114,21 +116,6 @@ def _uniform_log_probs(n: int) -> np.ndarray:
     return lq
 
 
-def softmax(logits: np.ndarray) -> np.ndarray:
-    return np.exp(log_softmax(logits))
-
-
-def kl_categorical(p_logits: np.ndarray, q_logits: np.ndarray) -> float:
-    """Exact KL(softmax(p_logits) || softmax(q_logits))."""
-    p_logits = np.asarray(p_logits, dtype=float)
-    q_logits = np.asarray(q_logits, dtype=float)
-    if p_logits.shape != q_logits.shape:
-        raise ValueError("logit vectors must have the same shape")
-    lp = log_softmax(p_logits)
-    lq = log_softmax(q_logits)
-    return float(np.sum(np.exp(lp) * (lp - lq)))
-
-
 @dataclass
 class RolloutSample:
     actions: List[int]
@@ -181,12 +168,6 @@ class CategoricalSequencePolicy:
             logps[:, t] = lp[actions[:, t]]
         return actions, logps
 
-    def logprob(self, prompt_id: str, actions: Sequence[int]) -> List[float]:
-        step_logits = self.step_logits(prompt_id)
-        if len(actions) != len(step_logits):
-            raise ValueError("action sequence length mismatch")
-        return [float(log_softmax(logits)[a]) for logits, a in zip(step_logits, actions)]
-
     def snapshot(self) -> "CategoricalSequencePolicy":
         """Frozen copy usable as the old or reference policy."""
         frozen = CategoricalSequencePolicy()
@@ -215,21 +196,40 @@ class CategoricalSequencePolicy:
                     fh.write(np.asarray(vec, dtype="<f8").tobytes())
 
     def load(self, path) -> None:
-        with open(path, "rb") as fh:
-            magic = read_exact(fh, 8)
-            if magic != self.MAGIC:
-                raise ValueError("%s: bad policy checkpoint magic %r" % (path, magic))
-            (n_prompts,) = struct.unpack("<I", read_exact(fh, 4))
-            params: Dict[str, List[np.ndarray]] = {}
-            for _ in range(n_prompts):
-                (id_len,) = struct.unpack("<I", read_exact(fh, 4))
-                pid = read_exact(fh, id_len).decode("utf-8")
-                (n_steps,) = struct.unpack("<I", read_exact(fh, 4))
-                vecs = []
-                for _ in range(n_steps):
-                    (dim,) = struct.unpack("<I", read_exact(fh, 4))
-                    vecs.append(np.frombuffer(read_exact(fh, 8 * dim), dtype="<f8").astype(float))
-                params[pid] = vecs
+        data = Path(path).read_bytes()
+        size = len(data)
+        if size < 8:
+            raise truncated(path, 8, size)
+        if data[:8] != self.MAGIC:
+            raise ValueError("%s: bad policy checkpoint magic %r" % (path, data[:8]))
+        if size < 12:
+            raise truncated(path, 4, size - 8)
+        (n_prompts,) = _U32(data, 8)
+        off = 12
+        params: Dict[str, List[np.ndarray]] = {}
+        for _ in range(n_prompts):
+            if off + 4 > size:
+                raise truncated(path, 4, size - off)
+            (n,) = _U32(data, off)
+            off += 4
+            if off + n > size:
+                raise truncated(path, n, size - off)
+            pid = data[off:off + n].decode("utf-8")
+            off += n
+            if off + 4 > size:
+                raise truncated(path, 4, size - off)
+            (n_steps,) = _U32(data, off)
+            off += 4
+            params[pid] = []
+            for _ in range(n_steps):
+                if off + 4 > size:
+                    raise truncated(path, 4, size - off)
+                (dim,) = _U32(data, off)
+                off += 4
+                if off + 8 * dim > size:
+                    raise truncated(path, 8 * dim, size - off)
+                params[pid].append(np.frombuffer(data, dtype="<f8", count=dim, offset=off).astype(float))
+                off += 8 * dim
         # loaded vectors replace any registered initializations
         self.params.update(params)
 

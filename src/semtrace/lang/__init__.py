@@ -28,7 +28,7 @@ from .nodes import (
     list_variables,
     walk,
 )
-from .parser import ParseError, parse_expression, parse_program, tokenize
+from .parser import ParseError, parse_program, tokenize
 from .template import HoleTemplate, TemplateError, instantiate_template
 
 __all__ = [
@@ -37,5 +37,5 @@ __all__ = [
     "ParseError", "Program", "Return", "SetLit", "Stmt", "TemplateError",
     "UnaryOp", "Var", "While", "children", "count_nodes", "format_expr",
     "format_program", "instantiate_template", "list_variables",
-    "parse_expression", "parse_program", "tokenize", "walk",
+    "parse_program", "tokenize", "walk",
 ]

@@ -1,15 +1,17 @@
-"""Scanner and recursive-descent parser for MiniImp.
+"""Scanner and precedence-climbing parser for MiniImp.
 
-Both transcribe the normative grammar in docs/grammar.md: each named group of
-``_TOKEN_RE`` is one lexical rule and each ``parse_*`` method one syntax
-rule.  Every input either yields exactly one AST or one :class:`ParseError`;
-nothing panics.
+Both transcribe the normative grammar in docs/grammar.md.  Each named group
+of ``_TOKEN_RE`` is one lexical rule, and each ``parse_*`` method one syntax
+rule, except that the levels from ``or-expr`` down to ``term`` are the table
+``BIN_PREC`` with ``NOT_PREC``, which the one loop in ``parse_expr`` climbs,
+and ``parse_unary`` reads both ``unary`` and ``postfix``.  Every input either
+yields exactly one AST or one :class:`ParseError`; nothing panics.
 """
 
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
+from operator import itemgetter
 from typing import Callable, List, Optional, Tuple, TypeVar
 
 from ..values import INT_MAX
@@ -49,16 +51,22 @@ _UNESCAPE = {esc[1]: ch for ch, esc in ESCAPES.items()}
 _ESCAPE_RE = re.compile(r"\\(.)")
 
 HOLE_RE = re.compile(r"__HOLE_([0-9]+)__")
+# A match is one token and the blanks before it; after the longest blank run
+# some alternative always matches, so no blank is ever scanned twice.
 _TOKEN_RE = re.compile(r"""
-    (?P<skip>     [ \t\r]+ | \#[^\n]* )
-  | (?P<newline>  \n )
-  | (?P<string>   " (?P<body> (?: [^"\\\n] | \\[%s] )* ) (?P<close> ")? )
-  | (?P<hole>     __HOLE_[0-9]+__ )
-  | (?P<float>    [0-9]+ (?: \.[0-9]* (?: [eE][+-]?[0-9]+ )? | [eE][+-]?[0-9]+ ) )
-  | (?P<int>      [0-9]+ )
-  | (?P<ident>    [A-Za-z][A-Za-z0-9_]* )
-  | (?P<punct>    == | != | <= | >= | // | [-+*/%%(){}\[\],=<>] )
-  | (?P<mismatch> . )
+    [ \t\r]*
+    (?:
+      (?P<comment>  \#[^\n]* )
+    | (?P<newline>  \n )
+    | (?P<string>   " (?P<body> (?: [^"\\\n] | \\[%s] )* ) (?P<close> ")? )
+    | (?P<hole>     __HOLE_[0-9]+__ )
+    | (?P<float>    [0-9]+ (?: \.[0-9]* (?: [eE][+-]?[0-9]+ )? | [eE][+-]?[0-9]+ ) )
+    | (?P<int>      [0-9]+ )
+    | (?P<ident>    [A-Za-z][A-Za-z0-9_]* )
+    | (?P<punct>    == | != | <= | >= | // | [-+*/%%(){}\[\],=<>] )
+    | (?P<mismatch> . )
+    | (?P<end>      \Z )
+    )
 """ % re.escape("".join(_UNESCAPE)), re.VERBOSE)
 
 
@@ -76,26 +84,36 @@ class ParseError(Exception):
         super().__init__("%s at line %d, col %d%s" % (message, line, col, suffix))
 
 
-@dataclass
-class Token:
-    kind: str  # ident | int | float | string | punct | kw | hole | eof
-    text: str
-    line: int
-    col: int
+class Token(tuple):
+    """``(kind, text, line, col)``, kind one of ident, int, float, string,
+    punct, kw, hole or eof; the parser reads the fields by index."""
+
+    __slots__ = ()
+    kind = property(itemgetter(0))
+    text = property(itemgetter(1))
+    line = property(itemgetter(2))
+    col = property(itemgetter(3))
 
 
 def tokenize(source: str) -> List[Token]:
     tokens: List[Token] = []
+    append, new = tokens.append, tuple.__new__
     line, line_start = 1, 0
     for m in _TOKEN_RE.finditer(source):
         kind = m.lastgroup
-        if kind == "skip":
-            continue
-        col = m.start() - line_start + 1
-        if kind == "newline":
+        # a token ends where its match does; its match may begin with blanks
+        if kind == "ident":
+            text = m[kind]
+            col = m.end() - len(text) - line_start + 1
+            append(new(Token, ("kw" if text in KEYWORDS else "ident", text, line, col)))
+        elif kind == "punct" or kind == "int" or kind == "float" or kind == "hole":
+            text = m[kind]
+            append(new(Token, (kind, text, line, m.end() - len(text) - line_start + 1)))
+        elif kind == "newline":
             line += 1
             line_start = m.end()
         elif kind == "string":
+            col = m.start(kind) - line_start + 1
             if m.group("close") is None:
                 # the string rule stopped at a line end, the end of input or
                 # a backslash that starts no escape
@@ -106,15 +124,12 @@ def tokenize(source: str) -> List[Token]:
                     raise ParseError("unknown string escape \\%s" % source[end + 1], line, end - line_start + 1)
                 raise ParseError("unterminated string literal", line, col)
             text = _ESCAPE_RE.sub(lambda e: _UNESCAPE[e.group(1)], m.group("body"))
-            tokens.append(Token("string", text, line, col))
+            append(new(Token, ("string", text, line, col)))
         elif kind == "mismatch":
-            raise ParseError("unexpected character %r" % m.group(), line, col)
-        else:
-            text = m.group()
-            if kind == "ident" and text in KEYWORDS:
-                kind = "kw"
-            tokens.append(Token(kind, text, line, col))
-    tokens.append(Token("eof", "", line, len(source) - line_start + 1))
+            raise ParseError("unexpected character %r" % m.group(kind), line, m.start(kind) - line_start + 1)
+        elif kind == "end":
+            break
+    append(new(Token, ("eof", "", line, len(source) - line_start + 1)))
     return tokens
 
 
@@ -138,36 +153,28 @@ class _Parser:
         self.tokens = tokens
         self.pos = 0
 
-    def peek(self) -> Token:
-        return self.tokens[self.pos]
-
-    def advance(self) -> Token:
-        tok = self.tokens[self.pos]
-        if tok.kind != "eof":
-            self.pos += 1
-        return tok
-
     def error(self, expected: Tuple[str, ...], tok: Optional[Token] = None) -> ParseError:
-        tok = tok or self.peek()
-        shown = tok.text if tok.kind != "eof" else "end of input"
-        return ParseError("unexpected %r" % shown, tok.line, tok.col, expected)
+        kind, text, line, col = tok or self.tokens[self.pos]
+        shown = text if kind != "eof" else "end of input"
+        return ParseError("unexpected %r" % shown, line, col, expected)
 
     def expect(self, kind: str, text: Optional[str] = None) -> Token:
-        tok = self.peek()
-        if tok.kind != kind or (text is not None and tok.text != text):
+        tok = self.tokens[self.pos]
+        if tok[0] != kind or (text is not None and tok[1] != text):
             raise self.error((text if text is not None else kind,))
-        return self.advance()
+        self.pos += 1  # never eof: no rule expects it
+        return tok
 
-    def at(self, kind: str, text: Optional[str] = None) -> bool:
-        tok = self.peek()
-        return tok.kind == kind and (text is None or tok.text == text)
+    def at(self, kind: str, text: str) -> bool:
+        tok = self.tokens[self.pos]
+        return tok[1] == text and tok[0] == kind
 
     def comma_list(self, item: Callable[[], T], close: str) -> List[T]:
         """``[ item { "," item } ] close``: parameters, call arguments and
         list and set literals."""
         items = [] if self.at("punct", close) else [item()]
         while self.at("punct", ","):
-            self.advance()
+            self.pos += 1
             items.append(item())
         self.expect("punct", close)
         return items
@@ -176,20 +183,19 @@ class _Parser:
 
     def parse_program(self) -> Program:
         self.expect("kw", "fn")
-        name = self.expect("ident").text
+        name = self.expect("ident")[1]
         self.expect("punct", "(")
         params: List[str] = []
 
         def param() -> None:
-            tok = self.expect("ident")
-            if tok.text in params:
-                raise ParseError("duplicate parameter %r" % tok.text, tok.line, tok.col)
-            params.append(tok.text)
+            _, text, line, col = self.expect("ident")
+            if text in params:
+                raise ParseError("duplicate parameter %r" % text, line, col)
+            params.append(text)
 
         self.comma_list(param, ")")
         body = self.parse_block()
-        tok = self.peek()
-        if tok.kind != "eof":
+        if self.tokens[self.pos][0] != "eof":
             raise self.error(("end of input",))
         return Program(name=name, params=tuple(params), body=body)
 
@@ -198,175 +204,160 @@ class _Parser:
         stmts: List[nodes.Stmt] = []
         while not self.at("punct", "}"):
             stmts.append(self.parse_stmt())
-        self.expect("punct", "}")
+        self.pos += 1
         return tuple(stmts)
 
     # --- statements ---
 
     def parse_stmt(self) -> nodes.Stmt:
-        tok = self.peek()
-        loc = Loc(tok.line, tok.col)
-        if tok.kind == "kw":
-            if tok.text == "if":
-                return self.parse_if(loc)
-            if tok.text == "while":
-                self.advance()
-                cond = self.parse_expr()
-                body = self.parse_block()
-                return While(cond, body, loc=loc)
-            if tok.text == "for":
-                return self.parse_for(loc)
-            if tok.text == "break":
-                self.advance()
-                return Break(loc=loc)
-            if tok.text == "continue":
-                self.advance()
-                return Continue(loc=loc)
-            if tok.text == "return":
-                self.advance()
+        tok = self.tokens[self.pos]
+        kind, text, line, col = tok
+        loc = Loc(line, col)
+        self.pos += 1  # past the leading ident or keyword
+        if kind == "ident":
+            if self.at("punct", "="):
+                self.pos += 1
+                return Assign(text, self.parse_expr(), loc=loc)
+            if self.at("punct", "["):
+                self.pos += 1
+                index = self.parse_expr()
+                self.expect("punct", "]")
+                self.expect("punct", "=")
+                return IndexAssign(text, index, self.parse_expr(), loc=loc)
+            raise self.error(("=", "["))
+        if kind == "kw":
+            if text == "return":
                 return Return(self.parse_expr(), loc=loc)
-            if tok.text == "append":
-                self.advance()
+            if text == "if":
+                cond = self.parse_expr()
+                then_body = self.parse_block()
+                else_body: Tuple[nodes.Stmt, ...] = ()
+                if self.at("kw", "else"):
+                    self.pos += 1
+                    else_body = self.parse_block()
+                return If(cond, then_body, else_body, loc=loc)
+            if text == "while":
+                return While(self.parse_expr(), self.parse_block(), loc=loc)
+            if text == "for":
+                var = self.expect("ident")[1]
+                self.expect("kw", "in")
+                self.expect("kw", "range")
                 self.expect("punct", "(")
-                target = self.expect("ident").text
+                start = self.parse_expr()
+                self.expect("punct", ",")
+                stop = self.parse_expr()
+                step = None
+                if self.at("punct", ","):
+                    self.pos += 1
+                    step = self.parse_expr()
+                self.expect("punct", ")")
+                return For(var, start, stop, step, self.parse_block(), loc=loc)
+            if text == "break":
+                return Break(loc=loc)
+            if text == "continue":
+                return Continue(loc=loc)
+            if text == "append":
+                self.expect("punct", "(")
+                target = self.expect("ident")[1]
                 self.expect("punct", ",")
                 value = self.parse_expr()
                 self.expect("punct", ")")
                 return Append(target, value, loc=loc)
-            raise self.error(("statement",))
-        if tok.kind == "ident":
-            name = self.advance().text
-            if self.at("punct", "="):
-                self.advance()
-                return Assign(name, self.parse_expr(), loc=loc)
-            if self.at("punct", "["):
-                self.advance()
-                index = self.parse_expr()
-                self.expect("punct", "]")
-                self.expect("punct", "=")
-                return IndexAssign(name, index, self.parse_expr(), loc=loc)
-            raise self.error(("=", "["))
-        raise self.error(("statement",))
-
-    def parse_if(self, loc: Loc) -> If:
-        self.expect("kw", "if")
-        cond = self.parse_expr()
-        then_body = self.parse_block()
-        else_body: Tuple[nodes.Stmt, ...] = ()
-        if self.at("kw", "else"):
-            self.advance()
-            else_body = self.parse_block()
-        return If(cond, then_body, else_body, loc=loc)
-
-    def parse_for(self, loc: Loc) -> For:
-        self.expect("kw", "for")
-        var = self.expect("ident").text
-        self.expect("kw", "in")
-        self.expect("kw", "range")
-        self.expect("punct", "(")
-        start = self.parse_expr()
-        self.expect("punct", ",")
-        stop = self.parse_expr()
-        step = None
-        if self.at("punct", ","):
-            self.advance()
-            step = self.parse_expr()
-        self.expect("punct", ")")
-        body = self.parse_block()
-        return For(var, start, stop, step, body, loc=loc)
+        raise self.error(("statement",), tok)
 
     # --- expressions (precedence climbing) ---
 
-    def parse_expr(self) -> nodes.Expr:
-        return self.parse_binary(1)
-
-    def parse_binary(self, min_prec: int) -> nodes.Expr:
-        left = self.parse_not() if min_prec <= NOT_PREC else self.parse_unary()
-        return self._continue_binary(left, min_prec)
-
-    def parse_not(self) -> nodes.Expr:
-        if self.at("kw", "not"):
-            self.advance()
-            return UnaryOp("not", self.parse_not())
-        return self.parse_binary(NOT_PREC + 1)
-
-    def _continue_binary(self, left: nodes.Expr, min_prec: int) -> nodes.Expr:
+    def parse_expr(self, min_prec: int = 1) -> nodes.Expr:
+        """An expression whose binary operators have at least ``min_prec``;
+        a prefix ``not`` is read only where ``min_prec`` <= ``NOT_PREC``."""
+        tokens = self.tokens
+        tok = tokens[self.pos]
+        if tok[1] == "not" and tok[0] == "kw" and min_prec <= NOT_PREC:
+            self.pos += 1
+            left = UnaryOp("not", self.parse_expr(NOT_PREC))
+        else:
+            left = self.parse_unary()
         while True:
-            tok = self.peek()
-            op = tok.text if tok.kind in ("punct", "kw") else None
-            if op not in BIN_PREC or BIN_PREC[op] < min_prec:
+            tok = tokens[self.pos]
+            op = tok[1]
+            # an operator's text is never that of an int, float, ident, hole
+            # or eof token, so only a string needs ruling out
+            prec = BIN_PREC.get(op, 0)
+            if prec < min_prec or tok[0] == "string":
                 return left
-            prec = BIN_PREC[op]
-            self.advance()
-            left = BinOp(op, left, self.parse_binary(prec + 1))
-            # comparisons are non-chaining
-            nxt = self.peek()
-            if op in CMP_OPS and nxt.kind == "punct" and nxt.text in CMP_OPS:
-                raise ParseError(
-                    "comparisons cannot be chained; use parentheses",
-                    nxt.line, nxt.col,
-                )
+            self.pos += 1
+            left = BinOp(op, left, self.parse_expr(prec + 1))
+            if op in CMP_OPS:
+                # comparisons are non-chaining
+                kind, text, line, col = tokens[self.pos]
+                if text in CMP_OPS and kind == "punct":
+                    raise ParseError("comparisons cannot be chained; use parentheses", line, col)
 
     def parse_unary(self) -> nodes.Expr:
-        if self.at("punct", "-"):
-            self.advance()
+        """``unary`` and ``postfix``: minus, then a primary and its indexes."""
+        tokens = self.tokens
+        tok = tokens[self.pos]
+        if tok[1] == "-" and tok[0] == "punct":
+            self.pos += 1
             # INT_MAX + 1 is read only as the direct, unindexed operand of
             # unary minus, so that INT_MIN can be written; an INT token is
             # always followed by another token, at least eof
-            tok = self.peek()
-            if tok.kind == "int" and int(tok.text) == INT_MAX + 1:
-                after = self.tokens[self.pos + 1]
-                if not (after.kind == "punct" and after.text == "["):
-                    self.advance()
+            tok = tokens[self.pos]
+            if tok[0] == "int" and int(tok[1]) == INT_MAX + 1:
+                after = tokens[self.pos + 1]
+                if not (after[1] == "[" and after[0] == "punct"):
+                    self.pos += 1
                     return UnaryOp("-", Literal(INT_MAX + 1))
             return UnaryOp("-", self.parse_unary())
-        return self.parse_postfix()
-
-    def parse_postfix(self) -> nodes.Expr:
         expr = self.parse_primary()
-        while self.at("punct", "["):
-            self.advance()
+        tok = tokens[self.pos]
+        while tok[1] == "[" and tok[0] == "punct":
+            self.pos += 1
             index = self.parse_expr()
             self.expect("punct", "]")
             expr = Index(expr, index)
+            tok = tokens[self.pos]
         return expr
 
     def parse_primary(self) -> nodes.Expr:
-        tok = self.advance()
-        kind, text = tok.kind, tok.text
-        if kind == "int":
-            value = int(text)
-            if value > INT_MAX:
-                raise ParseError("integer literal %s is outside the int64 range" % text, tok.line, tok.col)
-            return Literal(value)
-        if kind == "float":
-            return Literal(float(text))
-        if kind == "string":
-            return Literal(text)
-        if kind == "kw" and text in LITERALS:
-            return Literal(LITERALS[text])
-        if kind == "kw" and text in nodes.BUILTINS:
-            self.expect("punct", "(")
-            return Call(text, tuple(self.comma_list(self.parse_expr, ")")))
+        tok = self.tokens[self.pos]
+        kind, text = tok[0], tok[1]
+        self.pos += 1  # an eof token ends in the error below
         if kind == "ident":
             if self.at("punct", "("):
                 raise ParseError(
                     "unknown function %r (builtins: %s)" % (text, ", ".join(nodes.BUILTINS)),
-                    tok.line, tok.col,
+                    tok[2], tok[3],
                 )
             return Var(text)
-        if kind == "punct" and text == "(":
-            expr = self.parse_expr()
-            self.expect("punct", ")")
-            return expr
-        if kind == "punct" and text == "[":
-            return ListLit(tuple(self.comma_list(self.parse_expr, "]")))
-        if kind == "punct" and text == "{":
-            if self.at("punct", "}"):  # a set literal is never empty
-                raise self.error(("expression",))
-            return SetLit(tuple(self.comma_list(self.parse_expr, "}")))
-        if kind == "hole":
-            raise ParseError("hole placeholder %r in program source" % text, tok.line, tok.col)
+        if kind == "int":
+            value = int(text)
+            if value > INT_MAX:
+                raise ParseError("integer literal %s is outside the int64 range" % text, tok[2], tok[3])
+            return Literal(value)
+        if kind == "punct":
+            if text == "(":
+                expr = self.parse_expr()
+                self.expect("punct", ")")
+                return expr
+            if text == "[":
+                return ListLit(tuple(self.comma_list(self.parse_expr, "]")))
+            if text == "{":
+                if self.at("punct", "}"):  # a set literal is never empty
+                    raise self.error(("expression",))
+                return SetLit(tuple(self.comma_list(self.parse_expr, "}")))
+        elif kind == "kw":
+            if text in LITERALS:
+                return Literal(LITERALS[text])
+            if text in nodes.BUILTINS:
+                self.expect("punct", "(")
+                return Call(text, tuple(self.comma_list(self.parse_expr, ")")))
+        elif kind == "float":
+            return Literal(float(text))
+        elif kind == "string":
+            return Literal(text)
+        elif kind == "hole":
+            raise ParseError("hole placeholder %r in program source" % text, tok[2], tok[3])
         raise self.error(("expression",), tok)
 
 
@@ -374,12 +365,3 @@ def parse_program(source: str) -> Program:
     """Parse MiniImp source into a :class:`Program`; raises :class:`ParseError`."""
     return _Parser(tokenize(source)).parse_program()
 
-
-def parse_expression(source: str) -> nodes.Expr:
-    """Parse a standalone expression.  Nothing in the package calls it; the
-    tests use it to check the formatter round trip."""
-    parser = _Parser(tokenize(source))
-    expr = parser.parse_expr()
-    if parser.peek().kind != "eof":
-        raise parser.error(("end of input",))
-    return expr

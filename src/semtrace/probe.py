@@ -15,9 +15,12 @@ from typing import Dict, List, Sequence, Tuple
 
 import numpy as np
 
-from .values import read_exact
+from .values import truncated
 
 FEATURE_MAGIC = b"PRBFEAT1"
+_HEADER = struct.Struct("<IQI").unpack_from  # layer, record count, dim
+_U32 = struct.Struct("<I").unpack_from
+_F64 = struct.Struct("<d").unpack_from
 
 ADAM_BETA1 = 0.9
 ADAM_BETA2 = 0.999
@@ -231,21 +234,43 @@ def write_feature_file(path, layer: int, records: Sequence[Tuple[str, str, float
 
 
 def read_feature_file(path) -> Tuple[int, List[Tuple[str, str, float, np.ndarray]]]:
-    with open(path, "rb") as fh:
-        magic = read_exact(fh, 8)
-        if magic != FEATURE_MAGIC:
-            raise ValueError("%s: bad feature-file magic %r" % (path, magic))
-        layer, count, dim = struct.unpack("<IQI", read_exact(fh, 16))
-        records = []
-        for _ in range(count):
-            (pid_len,) = struct.unpack("<I", read_exact(fh, 4))
-            pid = read_exact(fh, pid_len).decode("utf-8")
-            (var_len,) = struct.unpack("<I", read_exact(fh, 4))
-            var = read_exact(fh, var_len).decode("utf-8")
-            (target,) = struct.unpack("<d", read_exact(fh, 8))
-            data = read_exact(fh, 8 * dim)
-            records.append((pid, var, target, np.frombuffer(data, dtype="<f8").astype(float)))
-    return layer, records
+    """``(layer, records)``; the records' vectors are the rows of one array."""
+    data = Path(path).read_bytes()
+    size = len(data)
+    if size < 8:
+        raise truncated(path, 8, size)
+    if data[:8] != FEATURE_MAGIC:
+        raise ValueError("%s: bad feature-file magic %r" % (path, data[:8]))
+    if size < 24:
+        raise truncated(path, 16, size - 8)
+    layer, count, dim = _HEADER(data, 8)
+    width = 8 * dim
+    keys, vectors = [], []
+    off = 24
+    # a record takes at least 16 bytes, so a count beyond the file's records
+    # ends in a truncation error
+    for _ in range(count):
+        key = []
+        for _ in range(2):  # problem id, then variable name
+            if off + 4 > size:
+                raise truncated(path, 4, size - off)
+            (n,) = _U32(data, off)
+            off += 4
+            if off + n > size:
+                raise truncated(path, n, size - off)
+            key.append(data[off:off + n].decode("utf-8"))
+            off += n
+        if off + 8 > size:
+            raise truncated(path, 8, size - off)
+        key.append(_F64(data, off)[0])
+        off += 8
+        if off + width > size:
+            raise truncated(path, width, size - off)
+        vectors.append(data[off:off + width])
+        off += width
+        keys.append(key)
+    features = np.frombuffer(b"".join(vectors), dtype="<f8").astype(float).reshape(count, dim)
+    return layer, [(pid, var, target, row) for (pid, var, target), row in zip(keys, features)]
 
 
 def load_feature_dir(feature_dir) -> List[ProbeSample]:
@@ -263,10 +288,7 @@ def load_feature_dir(feature_dir) -> List[ProbeSample]:
         per_layer[layer] = records
     layers = sorted(per_layer)
     keys = [(pid, var, target) for pid, var, target, _ in per_layer[layers[0]]]
-    samples = {
-        key: ProbeSample(problem_id=key[0], variable=key[1], target=key[2], features={})
-        for key in keys
-    }
+    samples = {key: ProbeSample(*key, features={}) for key in keys}
     for layer in layers:
         records = per_layer[layer]
         if len(records) != len(keys):

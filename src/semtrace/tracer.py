@@ -13,7 +13,7 @@ from __future__ import annotations
 import math
 import operator
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence
+from typing import Dict, List, NamedTuple, Optional, Sequence
 
 from .lang import (
     Append,
@@ -56,8 +56,7 @@ E_NAN = "nan_result"
 E_RANGE = "bad_range"
 
 
-@dataclass(frozen=True)
-class StepEvent:
+class StepEvent(NamedTuple):
     step_index: int
     loc: Optional[Loc]
     defined_variable: Optional[str]

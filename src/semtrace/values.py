@@ -9,8 +9,8 @@ In JSON a set appears as its ascending member list and the infinities as the
 sentinel strings ``"__INF__"`` / ``"__-INF__"``.  Every value read from a
 file or an argument is parsed by :func:`load_json` and goes through
 :func:`decode_json_value`, which rejects anything outside the value domain.
-Binary files (policy checkpoints, probe features) are read through
-:func:`read_exact`, which rejects a truncated file.
+Binary files (policy checkpoints, probe features) are read whole; each field's
+length is checked against the file size before it is read (:func:`truncated`).
 """
 
 from __future__ import annotations
@@ -213,10 +213,7 @@ def decode_json_value(raw) -> Value:
     raise ValueError("not a MiniImp value: %r" % (raw,))
 
 
-def read_exact(fh, n: int) -> bytes:
-    """The next ``n`` bytes of a binary file; ``ValueError`` naming the file
-    if it ends sooner."""
-    data = fh.read(n)
-    if len(data) != n:
-        raise ValueError("%s is truncated: wanted %d more bytes, found %d" % (fh.name, n, len(data)))
-    return data
+def truncated(path, wanted: int, found: int) -> ValueError:
+    """The error for a binary file that holds ``found`` of the ``wanted``
+    bytes of its next field."""
+    return ValueError("%s is truncated: wanted %d more bytes, found %d" % (path, wanted, found))

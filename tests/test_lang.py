@@ -9,6 +9,7 @@ from semtrace.lang import (
     BinOp,
     For,
     HoleTemplate,
+    Index,
     Literal,
     ParseError,
     Program,
@@ -21,11 +22,20 @@ from semtrace.lang import (
     format_program,
     instantiate_template,
     list_variables,
-    parse_expression,
     parse_program,
     tokenize,
     walk,
 )
+from semtrace.lang.parser import _Parser
+
+
+def parse_expression(source):
+    """Parse a standalone expression, for the formatter round trip."""
+    parser = _Parser(tokenize(source))
+    expr = parser.parse_expr()
+    if parser.tokens[parser.pos].kind != "eof":
+        raise parser.error(("end of input",))
+    return expr
 
 
 def test_parse_identity():
@@ -133,6 +143,20 @@ GRAMMAR_CASES = [
     ("fn f() { x = 9223372036854775807 return x }",
      Program("f", (), (Assign("x", Literal(2**63 - 1)), Return(Var("x"))))),
     (format_program(ALL_ESCAPES), ALL_ESCAPES),
+    # blanks at the end of input are skipped, not read as characters
+    ("x \t\r", [("ident", "x", 1, 1), ("eof", "", 1, 5)]),
+    ("fn f() { return 1 } \t\r", Program("f", (), (Return(Literal(1)),))),
+    # 'not' binds looser than a comparison and is no comparison operand
+    ("fn f(a) { return a == not a }", ("unexpected 'not'", 1, 23)),
+    ("fn f(a, b) { return not a == b }",
+     Program("f", ("a", "b"), (Return(UnaryOp("not", BinOp("==", Var("a"), Var("b")))),))),
+    ("fn f(a, b, c) { return a and not b < c }",
+     Program("f", ("a", "b", "c"), (
+         Return(BinOp("and", Var("a"), UnaryOp("not", BinOp("<", Var("b"), Var("c"))))),))),
+    ("fn f() { return - - 1 }", Program("f", (), (Return(UnaryOp("-", UnaryOp("-", Literal(1)))),))),
+    ("fn f(xs) { return xs[0][1] }",
+     Program("f", ("xs",), (Return(Index(Index(Var("xs"), Literal(0)), Literal(1))),))),
+    ("fn f() { return -9223372036854775808 }", Program("f", (), (Return(UnaryOp("-", Literal(2**63))),))),
 ]
 
 
