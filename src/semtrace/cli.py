@@ -2,8 +2,9 @@
 
 Exit codes for ``trace``: 0 returned, 1 parse error, 2 runtime error,
 3 budget exceeded.  Every subcommand exits 1 on an input file that is
-malformed or cannot be read, or on a malformed argument.  All diagnostics
-go to stderr; stdout carries only the canonical payload of each subcommand.
+malformed or cannot be read, or on a malformed argument (a usage error, or a
+``--budget`` or ``fuzz -n`` below 1).  All diagnostics go to stderr; stdout
+carries only the canonical payload of each subcommand.
 """
 
 from __future__ import annotations
@@ -25,7 +26,6 @@ from .harness import (
     atomic_write_text,
     decode_test_case,
     load_problems,
-    read_jsonl,
     seed_override,
     subprocess_predictor,
 )
@@ -40,7 +40,7 @@ from .tracer import (
     execute,
     traced_variables,
 )
-from .values import decode_json_value, encode_json_value, load_json
+from .values import decode_json_value, encode_json_value, load_json, read_jsonl
 
 EXIT_OK = 0
 EXIT_PARSE = 1
@@ -108,13 +108,13 @@ def cmd_reward(args) -> int:
         print("parse error: %s" % exc, file=sys.stderr)
         return EXIT_PARSE
     try:
-        tests = [decode_test_case(raw) for raw in read_jsonl(args.tests)]
+        tests = read_jsonl(args.tests, decode_test_case)
         if not tests:
-            raise ValueError("no test cases")
+            raise ValueError("%s has no test cases" % args.tests)
     except OSError as exc:
         return _cannot_read(args.tests, exc)
-    except (KeyError, TypeError, ValueError) as exc:
-        print("bad tests file %s: %s" % (args.tests, exc), file=sys.stderr)
+    except ValueError as exc:
+        print("bad tests file %s" % exc, file=sys.stderr)
         return EXIT_PARSE
     report = gen_reward(program, tests, budget=args.budget)
     per_test = [
@@ -159,8 +159,8 @@ def cmd_train(args) -> int:
     start = time.monotonic()
     try:
         run_training(config, problems, run_dir, resume=args.resume)
-    except (RuntimeError, ValueError) as exc:
-        # no checkpoint or metrics.jsonl, a truncated checkpoint, a locked run dir
+    except (OSError, RuntimeError, ValueError) as exc:
+        # no checkpoint or metrics.jsonl, a malformed checkpoint, a locked run dir
         print("run error: %s" % exc, file=sys.stderr)
         return EXIT_PARSE
     elapsed = time.monotonic() - start
@@ -195,6 +195,8 @@ def cmd_eval(args) -> int:
 def cmd_probe(args) -> int:
     try:
         samples = probe_mod.load_feature_dir(args.features)
+    except OSError as exc:
+        return _cannot_read(exc.filename or args.features, exc)
     except ValueError as exc:
         print("feature error: %s" % exc, file=sys.stderr)
         return EXIT_PARSE
@@ -225,20 +227,35 @@ def cmd_fuzz(args) -> int:
     return EXIT_OK if result.ok else EXIT_RUNTIME
 
 
+class _Parser(argparse.ArgumentParser):
+    """An ``ArgumentParser`` whose usage errors print one line and exit 1."""
+
+    def error(self, message):
+        self.exit(EXIT_PARSE, "%s: error: %s\n" % (self.prog, message))
+
+
+def positive_int(text: str) -> int:
+    """An argparse type: an integer of at least 1."""
+    value = int(text)
+    if value < 1:
+        raise argparse.ArgumentTypeError("must be at least 1, got %d" % value)
+    return value
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(prog="semtrace")
+    parser = _Parser(prog="semtrace")
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("trace", help="execute a program and print its final state")
     p.add_argument("program", help="program source file")
     p.add_argument("input", help="JSON array of argument values")
-    p.add_argument("--budget", type=int, default=DEFAULT_BUDGET)
+    p.add_argument("--budget", type=positive_int, default=DEFAULT_BUDGET)
     p.set_defaults(func=cmd_trace)
 
     p = sub.add_parser("reward", help="score a program against a test file")
     p.add_argument("program")
     p.add_argument("tests", help="JSONL of {input, expected}")
-    p.add_argument("--budget", type=int, default=DEFAULT_BUDGET)
+    p.add_argument("--budget", type=positive_int, default=DEFAULT_BUDGET)
     p.set_defaults(func=cmd_reward)
 
     p = sub.add_parser("train", help="run the training loop")
@@ -252,7 +269,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("items", help="JSONL eval items")
     p.add_argument("--predictor", default="oracle", help='"oracle" or an external command')
     p.add_argument("--out", default="eval_out")
-    p.add_argument("--budget", type=int, default=DEFAULT_BUDGET)
+    p.add_argument("--budget", type=positive_int, default=DEFAULT_BUDGET)
     p.add_argument("--timeout", type=float, default=60.0)
     p.set_defaults(func=cmd_eval)
 
@@ -266,7 +283,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_probe)
 
     p = sub.add_parser("fuzz", help="differential campaign against the reference evaluator")
-    p.add_argument("-n", "--count", type=int, default=200)
+    p.add_argument("-n", "--count", type=positive_int, default=200)
     p.add_argument("--seed", type=int, default=0)
     p.set_defaults(func=cmd_fuzz)
 

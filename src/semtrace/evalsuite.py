@@ -9,13 +9,14 @@ The canonical answer line is a single line of strict JSON with keys
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cache
 from importlib import resources
 from typing import Callable, Dict, List, Optional, Sequence
 
-from .lang import ParseError, Program, format_program, parse_program
+from .lang import Program, format_program, parse_program
 from .rewards import matches_expected
 from .tracer import DEFAULT_BUDGET, STATUS_RETURNED, execute, traced_variables
-from .values import Value, canonical_serialize, decode_json_value, load_json
+from .values import Value, canonical_serialize, decode_json_value, load_json, read_jsonl
 
 
 class MalformedPrediction(ValueError):
@@ -97,37 +98,28 @@ def load_eval_items(path, budget: int = DEFAULT_BUDGET) -> List[EvalItem]:
     """Read ``eval_items.jsonl``: one record per line with id, source, input,
     and the expected variable list; ground truth is regenerated by tracing.
 
-    Raises ``ValueError`` naming the line for any malformed record."""
-    items: List[EvalItem] = []
-    with open(path, "r", encoding="utf-8") as fh:
-        for line_no, line in enumerate(fh, 1):
-            if not line.strip():
-                continue
-            try:
-                rec = load_json(line)
-                program = parse_program(rec["source"])
-                inputs = [decode_json_value(v) for v in rec["input"]]
-                item = build_eval_item(rec["id"], program, inputs, budget=budget)
-                if "variables" in rec and list(rec["variables"]) != item.variables:
-                    raise ValueError(
-                        "stored variable list %s does not match traced %s" % (rec["variables"], item.variables)
-                    )
-            except (KeyError, TypeError, ValueError, ParseError) as exc:
-                raise ValueError("eval items file %s line %d: %s" % (path, line_no, exc)) from exc
-            items.append(item)
+    Raises ``ValueError`` naming the line for any malformed record, and for
+    a file without records."""
+
+    def decode(rec: dict) -> EvalItem:
+        inputs = [decode_json_value(v) for v in rec["input"]]
+        item = build_eval_item(rec["id"], parse_program(rec["source"]), inputs, budget=budget)
+        if "variables" in rec and list(rec["variables"]) != item.variables:
+            raise ValueError("stored variable list %s does not match traced %s" % (rec["variables"], item.variables))
+        return item
+
+    try:
+        items = read_jsonl(path, decode)
+    except ValueError as exc:
+        raise ValueError("eval items file %s" % exc) from exc
+    if not items:
+        raise ValueError("eval items file %s is empty" % path)
     return items
 
 
-_PROMPT_TEMPLATE: Optional[str] = None
-
-
+@cache
 def prompt_template() -> str:
-    global _PROMPT_TEMPLATE
-    if _PROMPT_TEMPLATE is None:
-        _PROMPT_TEMPLATE = (
-            resources.files("semtrace.resources").joinpath("trace_prompt.txt").read_text("utf-8")
-        )
-    return _PROMPT_TEMPLATE
+    return resources.files("semtrace.resources").joinpath("trace_prompt.txt").read_text("utf-8")
 
 
 def build_prompt(item: EvalItem) -> str:
@@ -177,18 +169,16 @@ class EvalReport:
         }
 
 
+def _all_wrong(item: EvalItem, error: str, raw: str = "") -> ItemResult:
+    per_variable = dict.fromkeys(item.variables, False)
+    return ItemResult(item.item_id, exact=False, output_correct=False, per_variable=per_variable, error=error, raw=raw)
+
+
 def score_item(item: EvalItem, raw: str) -> ItemResult:
     try:
         pred = parse_prediction(raw)
     except MalformedPrediction as exc:
-        return ItemResult(
-            item_id=item.item_id,
-            exact=False,
-            output_correct=False,
-            per_variable={v: False for v in item.variables},
-            error=str(exc),
-            raw=raw,
-        )
+        return _all_wrong(item, str(exc), raw)
     output_correct = matches_expected(item.truth_output, pred.final_output)
     per_variable = {
         v: v in pred.variables and matches_expected(item.truth_vars[v], pred.variables[v])
@@ -214,15 +204,7 @@ def run_eval(items: Sequence[EvalItem], predictor: Callable[[str], str]) -> Eval
         try:
             raw = predictor(prompt)
         except Exception as exc:  # predictor is external code
-            report.items.append(
-                ItemResult(
-                    item_id=item.item_id,
-                    exact=False,
-                    output_correct=False,
-                    per_variable={v: False for v in item.variables},
-                    error="predictor failed: %s" % exc,
-                )
-            )
+            report.items.append(_all_wrong(item, "predictor failed: %s" % exc))
             continue
         report.items.append(score_item(item, raw))
     return report

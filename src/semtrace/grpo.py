@@ -300,15 +300,10 @@ def candidate_value_pool(program: Program, input_values: Sequence[Value], truth:
     values.extend([-1, 0, 1, 2, True, False, None, float("inf")])
     values.extend(truth.values())
 
-    seen = set()
-    pool = []
+    pool = {}
     for v in values:
-        key = canonical_serialize(v)
-        if key not in seen:
-            seen.add(key)
-            pool.append(v)
-    pool.sort(key=canonical_serialize)
-    return pool
+        pool.setdefault(canonical_serialize(v), v)
+    return [pool[key] for key in sorted(pool)]
 
 
 def sample_rollouts(

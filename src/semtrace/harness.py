@@ -16,10 +16,10 @@ from pathlib import Path
 from typing import List, Optional, Sequence
 
 from .grpo import GrpoConfig
-from .lang import HoleTemplate, TemplateError, instantiate_template
+from .lang import HoleTemplate, instantiate_template
 from .rewards import TestCase
 from .tracer import DEFAULT_BUDGET
-from .values import decode_json_value, load_json
+from .values import decode_json_value, read_jsonl
 
 SEED_ENV_VAR = "SEMTRACE_SEED"
 
@@ -108,11 +108,13 @@ class ProblemRecord:
     tests: List[TestCase]
 
     def validate(self) -> None:
+        """Check the tests, the template's structure and that its choice 0 parses."""
         if not self.tests:
             raise ConfigError("problem %r has no test cases" % self.problem_id)
         try:
+            self.template.check_structure()
             instantiate_template(self.template, [0] * self.template.hole_count)
-        except TemplateError as exc:
+        except ValueError as exc:  # TemplateError or ParseError
             raise ConfigError("problem %r template is not instantiable: %s" % (self.problem_id, exc)) from exc
 
 
@@ -124,25 +126,22 @@ def decode_test_case(raw: dict) -> TestCase:
     )
 
 
+def decode_problem(raw: dict) -> ProblemRecord:
+    """One ``{id, template: {source, holes}, tests}`` record, validated."""
+    # a vocabulary that is not a list stays as it is, for validate to reject
+    holes = tuple(tuple(v) if isinstance(v, list) else v for v in raw["template"]["holes"])
+    template = HoleTemplate(template_source=raw["template"]["source"], hole_vocab=holes)
+    record = ProblemRecord(raw["id"], template, [decode_test_case(t) for t in raw["tests"]])
+    record.validate()
+    return record
+
+
 def load_problems(path) -> List[ProblemRecord]:
-    """Read a problems JSONL file: {id, template: {source, holes}, tests}."""
-    problems: List[ProblemRecord] = []
-    with open(path, "r", encoding="utf-8") as fh:
-        for line_no, line in enumerate(fh, 1):
-            if not line.strip():
-                continue
-            try:
-                raw = load_json(line)
-                template = HoleTemplate(
-                    template_source=raw["template"]["source"],
-                    hole_vocab=tuple(tuple(v) for v in raw["template"]["holes"]),
-                )
-                tests = [decode_test_case(t) for t in raw["tests"]]
-                record = ProblemRecord(problem_id=raw["id"], template=template, tests=tests)
-            except (KeyError, TypeError, ValueError) as exc:
-                raise ConfigError("problems file %s line %d: %s" % (path, line_no, exc)) from exc
-            record.validate()
-            problems.append(record)
+    """Read a problems JSONL file of :func:`decode_problem` records."""
+    try:
+        problems = read_jsonl(path, decode_problem)
+    except ValueError as exc:
+        raise ConfigError("problems file %s" % exc) from exc
     if not problems:
         raise ConfigError("problems file %s is empty" % path)
     return problems
@@ -156,15 +155,6 @@ def atomic_write_text(path, text: str) -> None:
     tmp = path.with_name(path.name + ".tmp")
     tmp.write_text(text, encoding="utf-8")
     os.replace(tmp, path)
-
-
-def read_jsonl(path) -> List[dict]:
-    out = []
-    with open(path, "r", encoding="utf-8") as fh:
-        for line in fh:
-            if line.strip():
-                out.append(load_json(line))
-    return out
 
 
 class RunLock:

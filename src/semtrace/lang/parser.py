@@ -70,7 +70,7 @@ _TOKEN_RE = re.compile(r"""
 """ % re.escape("".join(_UNESCAPE)), re.VERBOSE)
 
 
-class ParseError(Exception):
+class ParseError(ValueError):
     """Lexical or syntax error with position and expected-token info."""
 
     def __init__(self, message: str, line: int, col: int, expected: Tuple[str, ...] = ()):

@@ -24,18 +24,21 @@ class HoleTemplate:
     def hole_count(self) -> int:
         return len(self.hole_vocab)
 
-    def validate(self) -> None:
+    def check_structure(self) -> None:
         """Check hole indices are exactly 1..H, each appearing once, and that
-        every substitution parses in context (others fixed at choice 0)."""
-        found = [int(m.group(1)) for m in HOLE_RE.finditer(self.template_source)]
-        expected = list(range(1, self.hole_count + 1))
-        if sorted(found) != expected:
-            raise TemplateError(
-                "hole indices %s do not match vocabulary entries 1..%d" % (sorted(found), self.hole_count)
-            )
+        every vocabulary is a non-empty sequence of strings."""
+        found = sorted(int(m.group(1)) for m in HOLE_RE.finditer(self.template_source))
+        if found != list(range(1, self.hole_count + 1)):
+            raise TemplateError("hole indices %s do not match vocabulary entries 1..%d" % (found, self.hole_count))
+        for k, vocab in enumerate(self.hole_vocab, 1):
+            if not isinstance(vocab, (list, tuple)) or not vocab or not all(isinstance(c, str) for c in vocab):
+                raise TemplateError("hole %d vocabulary %r is not a non-empty list of strings" % (k, vocab))
+
+    def validate(self) -> None:
+        """:meth:`check_structure`, then check that every substitution parses
+        in context (others fixed at choice 0)."""
+        self.check_structure()
         for k in range(self.hole_count):
-            if not self.hole_vocab[k]:
-                raise TemplateError("hole %d has an empty vocabulary" % (k + 1))
             for j in range(len(self.hole_vocab[k])):
                 choices = [0] * self.hole_count
                 choices[k] = j

@@ -275,7 +275,7 @@ def read_feature_file(path) -> Tuple[int, List[Tuple[str, str, float, np.ndarray
 
 def load_feature_dir(feature_dir) -> List[ProbeSample]:
     """Assemble probe samples from a directory of per-layer feature files;
-    every (problem, variable, target) key must appear in every layer."""
+    every (problem, variable, target) key must appear once in every layer."""
     feature_dir = Path(feature_dir)
     files = sorted(feature_dir.glob("*.bin"))
     if not files:
@@ -285,17 +285,20 @@ def load_feature_dir(feature_dir) -> List[ProbeSample]:
         layer, records = read_feature_file(path)
         if layer in per_layer:
             raise ValueError("duplicate feature file for layer %d" % layer)
-        per_layer[layer] = records
+        per_layer[layer] = path, records
     layers = sorted(per_layer)
-    keys = [(pid, var, target) for pid, var, target, _ in per_layer[layers[0]]]
+    keys = [(pid, var, target) for pid, var, target, _ in per_layer[layers[0]][1]]
     samples = {key: ProbeSample(*key, features={}) for key in keys}
     for layer in layers:
-        records = per_layer[layer]
+        path, records = per_layer[layer]
         if len(records) != len(keys):
             raise ValueError("layer %d has %d records, expected %d" % (layer, len(records), len(keys)))
         for pid, var, target, features in records:
             key = (pid, var, target)
-            if key not in samples:
+            sample = samples.get(key)
+            if sample is None:
                 raise ValueError("layer %d record %r not present in all layers" % (layer, key))
-            samples[key].features[layer] = features
+            if layer in sample.features:
+                raise ValueError("%s repeats the record %r" % (path, key))
+            sample.features[layer] = features
     return [samples[k] for k in keys]

@@ -67,19 +67,19 @@ def gen_reward(p: Program, tests: Sequence[TestCase], budget: int = DEFAULT_BUDG
     """Execute ``p`` on every test; reward 1 iff every return value matches.
 
     Execution failures (runtime error, budget exhaustion, arity mismatch)
-    become unmatched entries, never exceptions.  Each outcome keeps its
-    test's execution record, so callers never need to run a test again.
+    become unmatched entries, never exceptions; a budget below 1 raises
+    ``ValueError``.  Each outcome keeps its test's execution record, so
+    callers never need to run a test again.
     """
     if not tests:
         raise ValueError("at least one test case is required")
     per_test: List[TestOutcome] = []
     first_failing_terminating: Optional[int] = None
     for i, tc in enumerate(tests):
-        try:
-            rec = execute(p, list(tc.input), budget=budget)
-        except ValueError:
+        if len(tc.input) != len(p.params):
             per_test.append(TestOutcome(status="arity_mismatch", actual=None, matched=False))
             continue
+        rec = execute(p, list(tc.input), budget=budget)
         if rec.status != STATUS_RETURNED:
             per_test.append(TestOutcome(status=rec.status, actual=None, matched=False, record=rec))
             continue

@@ -16,7 +16,7 @@ import os
 import shutil
 from collections import deque
 from dataclasses import dataclass, field, replace
-from functools import cached_property
+from functools import cached_property, partial
 from pathlib import Path
 from typing import Dict, List, Optional, Sequence, Tuple
 
@@ -33,17 +33,11 @@ from .grpo import (
     sample_rollouts,
     train_step,
 )
-from .harness import (
-    ProblemRecord,
-    RunConfig,
-    RunLock,
-    atomic_write_text,
-    read_jsonl,
-)
+from .harness import ProblemRecord, RunConfig, RunLock, atomic_write_text
 from .lang import Program, format_program, parse_program
 from .rewards import GenRewardReport, SemPrediction, gen_reward, matches_expected, sem_reward
 from .tracer import DEFAULT_BUDGET, STATUS_RETURNED, execute, traced_variables
-from .values import Value, canonical_serialize, decode_json_value, encode_json_value
+from .values import Value, canonical_serialize, decode_json_value, encode_json_value, read_jsonl
 
 
 @dataclass(frozen=True)
@@ -418,17 +412,23 @@ class Trainer:
         return ckpt
 
     def load_checkpoint(self, ckpt: Path) -> None:
-        state = json.loads((ckpt / "state.json").read_text("utf-8"))
-        self.step = int(state["step"])
-        self.rng.bit_generator.state = state["rng"]
-        self.pool.restore(state["pool"])
+        """Restore the trainer; a malformed file raises a ``ValueError`` naming it."""
+        state_path = ckpt / "state.json"
+        try:
+            state = json.loads(state_path.read_text("utf-8"))
+            self.step = int(state["step"])
+            self.rng.bit_generator.state = state["rng"]
+            self.pool.restore(state["pool"])
+            self.code_policy.opt_state = _opt_state_from_json(state["opt_code"])
+            self.align_policy.opt_state = _opt_state_from_json(state["opt_align"])
+        except (KeyError, TypeError, ValueError) as exc:
+            raise ValueError("%s: %s" % (state_path, exc)) from exc
         self.code_policy.load(ckpt / "code_policy.bin")
         self.align_policy.load(ckpt / "align_policy.bin")
-        self.code_policy.opt_state = _opt_state_from_json(state["opt_code"])
-        self.align_policy.opt_state = _opt_state_from_json(state["opt_align"])
         self.buffer = FailureBuffer(self.config.buffer_capacity)
-        for rec in read_jsonl(ckpt / "buffer.jsonl"):
-            self.buffer.add(AlignmentPrompt.from_record(rec, budget=self.config.step_budget))
+        decode = partial(AlignmentPrompt.from_record, budget=self.config.step_budget)
+        for prompt in read_jsonl(ckpt / "buffer.jsonl", decode):
+            self.buffer.add(prompt)
 
 
 def _opt_state_to_json(opt_state: dict) -> dict:

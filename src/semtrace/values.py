@@ -6,9 +6,11 @@ NaN), bool, str, None, list of values, or :class:`MimSet`.  Python's bool is
 deliberately treated as a category of its own: ``true`` is not the number 1.
 
 In JSON a set appears as its ascending member list and the infinities as the
-sentinel strings ``"__INF__"`` / ``"__-INF__"``.  Every value read from a
-file or an argument is parsed by :func:`load_json` and goes through
-:func:`decode_json_value`, which rejects anything outside the value domain.
+sentinel strings ``"__INF__"`` / ``"__-INF__"``; a value's canonical text is
+this JSON's text.  Every value read from a file (JSONL through
+:func:`read_jsonl`) or an argument is parsed by :func:`load_json` and goes
+through :func:`decode_json_value`, which rejects anything outside the value
+domain.
 Binary files (policy checkpoints, probe features) are read whole; each field's
 length is checked against the file size before it is read (:func:`truncated`).
 """
@@ -17,7 +19,7 @@ from __future__ import annotations
 
 import json
 import math
-from typing import Union
+from typing import Callable, Union
 
 INT_MIN = -(2**63)
 INT_MAX = 2**63 - 1
@@ -28,10 +30,6 @@ INF_SENTINEL = "__INF__"
 NEG_INF_SENTINEL = "__-INF__"
 
 _INT_ONLY = frozenset((int,))  # element types of a flat int list (bool excluded)
-
-
-class SerializationError(ValueError):
-    pass
 
 
 def is_number(v) -> bool:
@@ -120,30 +118,6 @@ def values_equal(a: Value, b: Value) -> bool:
     return False
 
 
-def canonical_serialize(v: Value) -> str:
-    """Deterministic single-line rendering of a value."""
-    if isinstance(v, bool):
-        return "true" if v else "false"
-    if v is None:
-        return "null"
-    if isinstance(v, int):
-        return str(v)
-    if isinstance(v, float):
-        if math.isinf(v):
-            return '"%s"' % (INF_SENTINEL if v > 0 else NEG_INF_SENTINEL)
-        if math.isnan(v):
-            raise SerializationError("NaN is not serializable")
-        return repr(v)  # shortest round-trip decimal
-    if isinstance(v, str):
-        return json.dumps(v, ensure_ascii=False)
-    if isinstance(v, list):
-        return "[%s]" % ", ".join(canonical_serialize(x) for x in v)
-    if isinstance(v, MimSet):
-        # members are already stored in canonical ascending order
-        return "[%s]" % ", ".join(canonical_serialize(x) for x in v.members)
-    raise SerializationError("unserializable value: %r" % (v,))
-
-
 def encode_json_value(v: Value):
     """MiniImp value -> JSON value (sets become ascending lists)."""
     if isinstance(v, float):
@@ -161,6 +135,14 @@ def encode_json_value(v: Value):
     raise ValueError("not an encodable value: %r" % (v,))
 
 
+_CANONICAL = json.JSONEncoder(ensure_ascii=False, allow_nan=False)
+
+
+def canonical_serialize(v: Value) -> str:
+    """Deterministic single-line rendering: the JSON text of :func:`encode_json_value`."""
+    return _CANONICAL.encode(encode_json_value(v))
+
+
 def _finite_float(text: str) -> float:
     value = float(text)
     if math.isinf(value):
@@ -176,6 +158,21 @@ def load_json(text: str):
     ``1e400``) instead of reading it as infinity: in JSON, infinity is
     spelled only by the sentinel strings."""
     return _JSON_DECODER.decode(text)
+
+
+def read_jsonl(path, decode: Callable = lambda raw: raw) -> list:
+    """``decode(load_json(line))`` for each non-blank line of a UTF-8 JSONL
+    file.  A ``KeyError``, ``TypeError`` or ``ValueError`` from a line (bad
+    UTF-8 included) becomes a ``ValueError`` naming the file and the line."""
+    out = []
+    with open(path, "rb") as fh:
+        for line_no, line in enumerate(fh, 1):
+            if line.strip():
+                try:
+                    out.append(decode(load_json(line.decode("utf-8"))))
+                except (KeyError, TypeError, ValueError) as exc:
+                    raise ValueError("%s line %d: %s" % (path, line_no, exc)) from exc
+    return out
 
 
 def decode_json_value(raw) -> Value:

@@ -2,6 +2,8 @@
 
 import json
 
+import pytest
+
 from semtrace import cli
 from semtrace.harness import RunLock
 from semtrace.probe import synthetic_linear_samples, write_feature_file
@@ -146,6 +148,42 @@ def test_eval_malformed_items_file_exits_one(tmp_path, capsys):
         assert not out.exists()
 
 
+def test_eval_empty_items_file_exits_one(tmp_path, capsys):
+    items = write(tmp_path, "items.jsonl", "\n")
+    assert cli.main(["eval", items, "--out", str(tmp_path / "evalout")]) == 1
+    captured = capsys.readouterr()
+    assert captured.err == "bad eval items: eval items file %s is empty\n" % items
+    assert captured.out == ""
+
+
+@pytest.mark.parametrize(
+    "argv,named",
+    [
+        (["trace", "{prog}", "[1]", "--budget", "0"], "--budget: must be at least 1, got 0"),
+        (["reward", "{prog}", "{tests}", "--budget", "0"], "--budget: must be at least 1, got 0"),
+        (["eval", "{items}", "--out", "{out}", "--budget", "0"], "--budget: must be at least 1, got 0"),
+        (["fuzz", "-n", "-5"], "-n/--count: must be at least 1, got -5"),
+        (["trace", "{prog}", "[1]", "--budget", "abc"], "--budget: invalid positive_int value: 'abc'"),
+        (["trace", "{prog}"], "required: input"),
+    ],
+    ids=["trace-budget", "reward-budget", "eval-budget", "fuzz-count", "budget-not-an-int", "missing-argument"],
+)
+def test_malformed_arguments_exit_one(tmp_path, capsys, argv, named):
+    paths = {
+        "prog": write(tmp_path, "id.mim", IDENTITY_SRC),
+        "tests": write(tmp_path, "tests.jsonl", json.dumps({"input": [1], "expected": 1}) + "\n"),
+        "items": write(tmp_path, "items.jsonl", json.dumps({"id": "a", "source": IDENTITY_SRC, "input": [3]}) + "\n"),
+        "out": str(tmp_path / "evalout"),
+    }
+    with pytest.raises(SystemExit) as exc:
+        cli.main([arg.format(**paths) for arg in argv])
+    assert exc.value.code == 1
+    captured = capsys.readouterr()
+    assert captured.err.startswith("semtrace %s: error: " % argv[0]) and captured.err.count("\n") == 1
+    assert named in captured.err and captured.out == ""
+    assert not (tmp_path / "evalout").exists()
+
+
 def test_eval_oracle_writes_report_and_transcripts(tmp_path, capsys):
     items = write(
         tmp_path,
@@ -189,6 +227,13 @@ def test_probe_truncated_feature_file_exits_one(tmp_path, capsys):
     path.write_bytes(path.read_bytes()[:12])  # cut inside the header
     assert cli.main(["probe", str(feat_dir), "--out", str(tmp_path / "out")]) == 1
     assert "feature error:" in capsys.readouterr().err
+
+
+def test_probe_feature_entry_that_is_a_directory_exits_one(tmp_path, capsys):
+    feat_dir = tmp_path / "features"
+    (feat_dir / "layer0.bin").mkdir(parents=True)
+    assert cli.main(["probe", str(feat_dir), "--out", str(tmp_path / "out")]) == 1
+    assert_cannot_read(capsys, feat_dir / "layer0.bin")
 
 
 def test_probe_seed_env_override(tmp_path, monkeypatch):
@@ -331,3 +376,102 @@ def test_train_run_errors_exit_one(tmp_path, capsys):
     assert cli.main(argv + ["--resume"]) == 1
     err = capsys.readouterr().err
     assert err.startswith("run error: ") and "metrics.jsonl is missing" in err and err.count("\n") == 1
+
+
+ONE_HOLE_SRC = "fn f(a, b) {\n    t = a __HOLE_1__ b\n    return t\n}\n"
+
+
+@pytest.mark.parametrize(
+    "source,holes,named",
+    [
+        (ONE_HOLE_SRC.replace("__HOLE_1__", "__HOLE_3__"), [["+"], ["-"]], "hole indices [3] do not match"),
+        (ONE_HOLE_SRC, [["+"], ["-"]], "hole indices [1] do not match vocabulary entries 1..2"),
+        (ONE_HOLE_SRC, [["+", 1]], "hole 1 vocabulary"),
+        (ONE_HOLE_SRC, ["+-"], "hole 1 vocabulary"),
+        (ONE_HOLE_SRC, [[")"]], "unexpected ')' at line 2"),
+    ],
+    ids=["hole-beyond-vocabulary", "vocabulary-beyond-holes", "non-string-entry", "string-vocabulary",
+         "choice-0-unparseable"],
+)
+def test_train_malformed_template_is_a_dataset_error(tmp_path, capsys, source, holes, named):
+    config, dataset = write_train_inputs(tmp_path)
+    record = {"id": "p", "template": {"source": source, "holes": holes}, "tests": [{"input": [1, 2], "expected": 3}]}
+    dataset.write_text(json.dumps(record) + "\n")
+    assert cli.main(["train", str(config), "--run-dir", str(tmp_path / "run"), "--dataset", str(dataset)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("dataset error: problems file %s line 1: problem 'p' template is not instantiable: " % dataset)
+    assert named in err and err.count("\n") == 1
+
+
+def finished_run(tmp_path):
+    """The argv that resumes a finished six-step run, and its last checkpoint."""
+    config, dataset = write_train_inputs(tmp_path)
+    argv = ["train", str(config), "--run-dir", str(tmp_path / "run"), "--dataset", str(dataset)]
+    assert cli.main(argv) == 0
+    return argv + ["--resume"], tmp_path / "run" / "checkpoints" / "step_6"
+
+
+def test_train_resume_from_a_malformed_checkpoint_exits_one(tmp_path, capsys):
+    argv, ckpt = finished_run(tmp_path)
+    capsys.readouterr()
+    state_path = ckpt / "state.json"
+    state = json.loads(state_path.read_text())
+    del state["pool"]
+    state_path.write_text(json.dumps(state))
+    assert cli.main(argv) == 1
+    assert capsys.readouterr().err == "run error: %s: 'pool'\n" % state_path
+
+    state_path.unlink()
+    assert cli.main(argv) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("run error: ") and str(state_path) in err and err.count("\n") == 1
+
+
+def test_train_resume_from_a_buffer_record_without_source_exits_one(tmp_path, capsys):
+    argv, ckpt = finished_run(tmp_path)
+    capsys.readouterr()
+    buffer = ckpt / "buffer.jsonl"
+    lines = buffer.read_text().splitlines(keepends=True)
+    record = json.loads(lines[0])
+    del record["source"]
+    buffer.write_text(json.dumps(record) + "\n" + "".join(lines[1:]))
+    assert cli.main(argv) == 1
+    assert capsys.readouterr().err == "run error: %s line 1: 'source'\n" % buffer
+
+
+def _problems_case(tmp_path):
+    config, dataset = write_train_inputs(tmp_path)
+    return ["train", str(config), "--run-dir", str(tmp_path / "run"), "--dataset", str(dataset)], dataset
+
+
+def _eval_items_case(tmp_path):
+    record = {"id": "a", "source": IDENTITY_SRC, "input": [3]}
+    items = write(tmp_path, "items.jsonl", json.dumps(record) + "\n" + json.dumps(dict(record, id="b")) + "\n")
+    return ["eval", items, "--out", str(tmp_path / "evalout")], tmp_path / "items.jsonl"
+
+
+def _reward_tests_case(tmp_path):
+    prog = write(tmp_path, "id.mim", IDENTITY_SRC)
+    tests = write(tmp_path, "tests.jsonl", json.dumps({"input": [1], "expected": 1}) + "\n" * 2)
+    return ["reward", prog, tests], tmp_path / "tests.jsonl"
+
+
+def _checkpoint_buffer_case(tmp_path):
+    argv, ckpt = finished_run(tmp_path)
+    return argv, ckpt / "buffer.jsonl"
+
+
+@pytest.mark.parametrize("bad_line", [b"not json\n", b'"\xff"\n'], ids=["json", "utf8"])
+@pytest.mark.parametrize(
+    "case", [_problems_case, _eval_items_case, _reward_tests_case, _checkpoint_buffer_case],
+    ids=["problems", "eval-items", "reward-tests", "checkpoint-buffer"],
+)
+def test_bad_second_jsonl_line_is_named(tmp_path, capsys, case, bad_line):
+    argv, path = case(tmp_path)
+    lines = path.read_bytes().splitlines(keepends=True)
+    path.write_bytes(lines[0] + bad_line + b"".join(lines[2:]))
+    capsys.readouterr()
+    assert cli.main(argv) == 1
+    captured = capsys.readouterr()
+    assert "%s line 2: " % path in captured.err and captured.err.count("\n") == 1
+    assert captured.out == ""

@@ -166,6 +166,14 @@ def test_feature_dir_requires_consistent_layers(tmp_path, rng):
         load_feature_dir(tmp_path)
 
 
+def test_feature_dir_rejects_a_key_repeated_within_a_layer(tmp_path, rng):
+    recs = [("p", "x", 1.0, rng.normal(size=2)), ("p", "x", 1.0, rng.normal(size=2))]
+    for layer in (0, 1):
+        write_feature_file(tmp_path / ("layer%d.bin" % layer), layer, recs)
+    with pytest.raises(ValueError, match=r"layer0\.bin repeats the record \('p', 'x', 1\.0\)"):
+        load_feature_dir(tmp_path)
+
+
 def test_empty_feature_dir_names_the_path(tmp_path):
     with pytest.raises(ValueError) as exc:
         load_feature_dir(tmp_path)

@@ -84,6 +84,13 @@ def test_nontermination_cannot_pass():
     assert report.first_failing_terminating is None
 
 
+def test_gen_reward_checks_arity_itself_and_rejects_a_zero_budget(identity_program):
+    report = gen_reward(identity_program, [TestCase([1, 2], 1), TestCase([1], 1)])
+    assert [t.status for t in report.per_test] == ["arity_mismatch", "returned"]
+    with pytest.raises(ValueError, match="budget"):
+        gen_reward(identity_program, [TestCase([1], 1)], budget=0)
+
+
 def test_gen_reward_requires_tests(identity_program):
     with pytest.raises(ValueError):
         gen_reward(identity_program, [])
