@@ -3,8 +3,10 @@
 Exit codes for ``trace``: 0 returned, 1 parse error, 2 runtime error,
 3 budget exceeded.  Every subcommand exits 1 on an input file that is
 malformed or cannot be read, or on a malformed argument (a usage error, or a
-``--budget`` or ``fuzz -n`` below 1).  All diagnostics go to stderr; stdout
-carries only the canonical payload of each subcommand.
+``--budget`` or ``fuzz -n`` below 1).  Every input is loaded inside
+:func:`_reading`, so each such failure is one stderr line, ``cannot read
+<file>: <reason>`` or ``<what>: <message>``; stdout carries only the
+canonical payload of each subcommand.
 """
 
 from __future__ import annotations
@@ -13,6 +15,7 @@ import argparse
 import json
 import sys
 import time
+from contextlib import contextmanager
 from pathlib import Path
 
 import numpy as np
@@ -21,7 +24,6 @@ from . import probe as probe_mod
 from .evalsuite import load_eval_items, oracle_predictor_for, run_eval, serialize_record
 from .fuzz import differential_campaign
 from .harness import (
-    ConfigError,
     RunConfig,
     atomic_write_text,
     decode_test_case,
@@ -29,7 +31,7 @@ from .harness import (
     seed_override,
     subprocess_predictor,
 )
-from .lang import ParseError, parse_program
+from .lang import parse_program
 from .rewards import gen_reward
 from .scheduler import run_training
 from .tracer import (
@@ -40,7 +42,7 @@ from .tracer import (
     execute,
     traced_variables,
 )
-from .values import decode_json_value, encode_json_value, load_json, read_jsonl
+from .values import decode_inputs, encode_json_value, load_json, read_jsonl
 
 EXIT_OK = 0
 EXIT_PARSE = 1
@@ -48,74 +50,56 @@ EXIT_RUNTIME = 2
 EXIT_BUDGET = 3
 
 
-def _load_program(path):
-    source = Path(path).read_text("utf-8")
-    return parse_program(source)
+class _Failed(Exception):
+    """Ends a subcommand: :func:`main` prints the message to stderr and exits with ``code``."""
+
+    def __init__(self, message: str, code: int = EXIT_PARSE):
+        super().__init__(message)
+        self.code = code
 
 
-def _cannot_read(path, exc: OSError) -> int:
-    print("cannot read %s: %s" % (path, exc.strerror or exc), file=sys.stderr)
-    return EXIT_PARSE
-
-
-def _parse_input_values(text: str):
-    raw = load_json(text)
-    if not isinstance(raw, list):
-        raise ValueError("input must be a JSON array of argument values")
-    return [decode_json_value(v) for v in raw]
+@contextmanager
+def _reading(what: str, path=None):
+    """Reports a failure to load an input: an ``OSError`` as ``cannot read
+    <file>: <reason>``, a ``ValueError`` as ``<what>: <message>``."""
+    try:
+        yield
+    except OSError as exc:
+        raise _Failed("cannot read %s: %s" % (exc.filename or path, exc.strerror or exc)) from None
+    except ValueError as exc:
+        raise _Failed("%s: %s" % (what, exc)) from None
 
 
 # --- subcommands ---
 
 
 def cmd_trace(args) -> int:
-    try:
-        program = _load_program(args.program)
-    except OSError as exc:
-        return _cannot_read(args.program, exc)
-    except ParseError as exc:
-        print("parse error: %s" % exc, file=sys.stderr)
-        return EXIT_PARSE
-    try:
-        inputs = _parse_input_values(args.input)
-    except ValueError as exc:
-        print("bad input: %s" % exc, file=sys.stderr)
-        return EXIT_PARSE
+    with _reading("parse error", args.program):
+        program = parse_program(Path(args.program).read_text("utf-8"))
+    with _reading("bad input"):
+        inputs = decode_inputs(load_json(args.input))
     try:
         rec = execute(program, inputs, budget=args.budget)
     except ValueError as exc:
-        print("execution rejected: %s" % exc, file=sys.stderr)
-        return EXIT_RUNTIME
+        raise _Failed("execution rejected: %s" % exc, EXIT_RUNTIME) from None
     if rec.status == STATUS_ERROR:
         loc = rec.error_loc
         where = " at line %d col %d" % (loc.line, loc.col) if loc else ""
-        print("runtime error: %s%s" % (rec.error_kind, where), file=sys.stderr)
-        return EXIT_RUNTIME
+        raise _Failed("runtime error: %s%s" % (rec.error_kind, where), EXIT_RUNTIME)
     if rec.status == STATUS_BUDGET:
-        print("budget of %d steps exceeded" % args.budget, file=sys.stderr)
-        return EXIT_BUDGET
+        raise _Failed("budget of %d steps exceeded" % args.budget, EXIT_BUDGET)
     assert rec.status == STATUS_RETURNED
     print(serialize_record(rec.return_value, traced_variables(program, rec)))
     return EXIT_OK
 
 
 def cmd_reward(args) -> int:
-    try:
-        program = _load_program(args.program)
-    except OSError as exc:
-        return _cannot_read(args.program, exc)
-    except ParseError as exc:
-        print("parse error: %s" % exc, file=sys.stderr)
-        return EXIT_PARSE
-    try:
+    with _reading("parse error", args.program):
+        program = parse_program(Path(args.program).read_text("utf-8"))
+    with _reading("bad tests file", args.tests):
         tests = read_jsonl(args.tests, decode_test_case)
         if not tests:
             raise ValueError("%s has no test cases" % args.tests)
-    except OSError as exc:
-        return _cannot_read(args.tests, exc)
-    except ValueError as exc:
-        print("bad tests file %s" % exc, file=sys.stderr)
-        return EXIT_PARSE
     report = gen_reward(program, tests, budget=args.budget)
     per_test = [
         {"status": t.status, "matched": t.matched, "actual": encode_json_value(t.actual)}
@@ -134,48 +118,28 @@ def cmd_reward(args) -> int:
 
 
 def cmd_train(args) -> int:
-    try:
+    with _reading("config error", args.config):
         config = RunConfig.from_file(args.config)
-    except OSError as exc:
-        return _cannot_read(args.config, exc)
-    except ConfigError as exc:
-        print("config error: %s" % exc, file=sys.stderr)
-        return EXIT_PARSE
-    run_dir = args.run_dir or config.run_dir
-    if not run_dir:
-        print("no run directory (set run_dir in the config or pass --run-dir)", file=sys.stderr)
-        return EXIT_PARSE
-    dataset = args.dataset or config.dataset_path
-    if not dataset:
-        print("no dataset (set dataset_path in the config or pass --dataset)", file=sys.stderr)
-        return EXIT_PARSE
-    try:
-        problems = load_problems(dataset)
-    except OSError as exc:
-        return _cannot_read(dataset, exc)
-    except ConfigError as exc:
-        print("dataset error: %s" % exc, file=sys.stderr)
-        return EXIT_PARSE
+    if not args.run_dir:
+        raise _Failed("no run directory (pass --run-dir)")
+    if not args.dataset:
+        raise _Failed("no dataset (pass --dataset)")
+    with _reading("dataset error", args.dataset):
+        problems = load_problems(args.dataset)
     start = time.monotonic()
     try:
-        run_training(config, problems, run_dir, resume=args.resume)
+        run_training(config, problems, args.run_dir, resume=args.resume)
     except (OSError, RuntimeError, ValueError) as exc:
         # no checkpoint or metrics.jsonl, a malformed checkpoint, a locked run dir
-        print("run error: %s" % exc, file=sys.stderr)
-        return EXIT_PARSE
+        raise _Failed("run error: %s" % exc) from None
     elapsed = time.monotonic() - start
-    print("run complete: %s (%.1f s, %d steps)" % (run_dir, elapsed, config.max_steps))
+    print("run complete: %s (%.1f s, %d steps)" % (args.run_dir, elapsed, config.max_steps))
     return EXIT_OK
 
 
 def cmd_eval(args) -> int:
-    try:
+    with _reading("bad eval items", args.items):
         items = load_eval_items(args.items, budget=args.budget)
-    except OSError as exc:
-        return _cannot_read(args.items, exc)
-    except ValueError as exc:
-        print("bad eval items: %s" % exc, file=sys.stderr)
-        return EXIT_PARSE
     if args.predictor == "oracle":
         predictor = oracle_predictor_for(items)
     else:
@@ -193,15 +157,11 @@ def cmd_eval(args) -> int:
 
 
 def cmd_probe(args) -> int:
-    try:
+    with _reading("feature error", args.features):
         samples = probe_mod.load_feature_dir(args.features)
-    except OSError as exc:
-        return _cannot_read(exc.filename or args.features, exc)
-    except ValueError as exc:
-        print("feature error: %s" % exc, file=sys.stderr)
-        return EXIT_PARSE
     layers = sorted({layer for s in samples for layer in s.features})
-    rng = np.random.default_rng(seed_override(args.seed))
+    with _reading("error"):
+        rng = np.random.default_rng(seed_override(args.seed))
     results = probe_mod.probe_sweep(
         samples, layers, ratio=args.ratio, rng=rng, epochs=args.epochs, lr=args.lr
     )
@@ -217,7 +177,9 @@ def cmd_probe(args) -> int:
 
 
 def cmd_fuzz(args) -> int:
-    result = differential_campaign(args.count, seed=seed_override(args.seed))
+    with _reading("error"):
+        seed = seed_override(args.seed)
+    result = differential_campaign(args.count, seed=seed)
     print(
         "%d programs, %d returned, %d mismatches"
         % (result.total, result.returned, len(result.mismatches))
@@ -294,9 +256,9 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except ConfigError as exc:
-        print("error: %s" % exc, file=sys.stderr)
-        return EXIT_PARSE
+    except _Failed as exc:
+        print(exc, file=sys.stderr)
+        return exc.code
 
 
 if __name__ == "__main__":

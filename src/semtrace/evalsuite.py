@@ -16,7 +16,7 @@ from typing import Callable, Dict, List, Optional, Sequence
 from .lang import Program, format_program, parse_program
 from .rewards import matches_expected
 from .tracer import DEFAULT_BUDGET, STATUS_RETURNED, execute, traced_variables
-from .values import Value, canonical_serialize, decode_json_value, load_json, read_jsonl
+from .values import Value, canonical_serialize, decode_inputs, decode_json_value, load_json, read_jsonl, record_id
 
 
 class MalformedPrediction(ValueError):
@@ -98,12 +98,16 @@ def load_eval_items(path, budget: int = DEFAULT_BUDGET) -> List[EvalItem]:
     """Read ``eval_items.jsonl``: one record per line with id, source, input,
     and the expected variable list; ground truth is regenerated by tracing.
 
-    Raises ``ValueError`` naming the line for any malformed record, and for
-    a file without records."""
+    An id names its transcript file, so it must be unique and a plain file
+    name.  Raises ``ValueError`` naming the line for any malformed record,
+    and for a file without records."""
+    seen = set()
 
     def decode(rec: dict) -> EvalItem:
-        inputs = [decode_json_value(v) for v in rec["input"]]
-        item = build_eval_item(rec["id"], parse_program(rec["source"]), inputs, budget=budget)
+        item_id = record_id(rec["id"], seen, "eval item")
+        if "/" in item_id or "\0" in item_id or item_id in (".", ".."):
+            raise ValueError("eval item id %r is not a file name" % item_id)
+        item = build_eval_item(item_id, parse_program(rec["source"]), decode_inputs(rec["input"]), budget=budget)
         if "variables" in rec and list(rec["variables"]) != item.variables:
             raise ValueError("stored variable list %s does not match traced %s" % (rec["variables"], item.variables))
         return item

@@ -8,10 +8,10 @@ killed run never leaves a torn file.
 from __future__ import annotations
 
 import fcntl
-import json
 import os
 import subprocess
 from dataclasses import asdict, dataclass
+from functools import partial
 from pathlib import Path
 from typing import List, Optional, Sequence
 
@@ -19,7 +19,7 @@ from .grpo import GrpoConfig
 from .lang import HoleTemplate, instantiate_template
 from .rewards import TestCase
 from .tracer import DEFAULT_BUDGET
-from .values import decode_json_value, read_jsonl
+from .values import decode_inputs, decode_json_value, load_json, read_jsonl, record_id
 
 SEED_ENV_VAR = "SEMTRACE_SEED"
 
@@ -52,8 +52,6 @@ class RunConfig(GrpoConfig):
     step_budget: int = DEFAULT_BUDGET
     buffer_capacity: int = 4096
     checkpoint_interval: int = 25
-    dataset_path: str = ""
-    run_dir: str = ""
 
     def validate(self) -> None:
         checks = [
@@ -76,11 +74,10 @@ class RunConfig(GrpoConfig):
 
     @classmethod
     def from_file(cls, path) -> "RunConfig":
-        with open(path, "r", encoding="utf-8") as fh:
-            try:
-                raw = json.load(fh)
-            except ValueError as exc:
-                raise ConfigError("config file %s is not valid JSON: %s" % (path, exc)) from exc
+        try:
+            raw = load_json(Path(path).read_text("utf-8"))
+        except ValueError as exc:
+            raise ConfigError("config file %s is not valid JSON: %s" % (path, exc)) from exc
         if not isinstance(raw, dict):
             raise ConfigError("config file %s must hold a JSON object" % path)
         fields = cls.__dataclass_fields__
@@ -121,17 +118,19 @@ class ProblemRecord:
 def decode_test_case(raw: dict) -> TestCase:
     """One ``{"input": [...], "expected": ...}`` record as a :class:`TestCase`."""
     return TestCase(
-        input=[decode_json_value(v) for v in raw["input"]],
+        input=decode_inputs(raw["input"]),
         expected=decode_json_value(raw["expected"]),
     )
 
 
-def decode_problem(raw: dict) -> ProblemRecord:
-    """One ``{id, template: {source, holes}, tests}`` record, validated."""
+def decode_problem(raw: dict, seen: set) -> ProblemRecord:
+    """One ``{id, template: {source, holes}, tests}`` record, validated; its
+    id must not be in ``seen``, which it joins."""
+    problem_id = record_id(raw["id"], seen, "problem")
     # a vocabulary that is not a list stays as it is, for validate to reject
     holes = tuple(tuple(v) if isinstance(v, list) else v for v in raw["template"]["holes"])
     template = HoleTemplate(template_source=raw["template"]["source"], hole_vocab=holes)
-    record = ProblemRecord(raw["id"], template, [decode_test_case(t) for t in raw["tests"]])
+    record = ProblemRecord(problem_id, template, [decode_test_case(t) for t in raw["tests"]])
     record.validate()
     return record
 
@@ -139,7 +138,7 @@ def decode_problem(raw: dict) -> ProblemRecord:
 def load_problems(path) -> List[ProblemRecord]:
     """Read a problems JSONL file of :func:`decode_problem` records."""
     try:
-        problems = read_jsonl(path, decode_problem)
+        problems = read_jsonl(path, partial(decode_problem, seen=set()))
     except ValueError as exc:
         raise ConfigError("problems file %s" % exc) from exc
     if not problems:

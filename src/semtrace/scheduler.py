@@ -37,7 +37,8 @@ from .harness import ProblemRecord, RunConfig, RunLock, atomic_write_text
 from .lang import Program, format_program, parse_program
 from .rewards import GenRewardReport, SemPrediction, gen_reward, matches_expected, sem_reward
 from .tracer import DEFAULT_BUDGET, STATUS_RETURNED, execute, traced_variables
-from .values import Value, canonical_serialize, decode_json_value, encode_json_value, read_jsonl
+from .values import (Value, canonical_serialize, decode_inputs, decode_json_value, encode_json_value, read_jsonl,
+                     record_id)
 
 
 @dataclass(frozen=True)
@@ -73,9 +74,11 @@ class AlignmentPrompt:
     @classmethod
     def from_record(cls, rec: dict, budget: int = DEFAULT_BUDGET) -> "AlignmentPrompt":
         program = parse_program(rec["source"])
-        input_values = [decode_json_value(v) for v in rec["input"]]
-        prompt_id = rec["id"]
+        input_values = decode_inputs(rec["input"])
+        prompt_id = record_id(rec["id"], set(), "alignment prompt")
         variables = list(rec["variables"])
+        if not isinstance(rec["truth"], dict):
+            raise ValueError("truth must be a JSON object")
         truth = {k: decode_json_value(v) for k, v in rec["truth"].items()}
         # stored ground truth must revalidate against a fresh trace
         fresh = execute(program, input_values, budget=budget)

@@ -191,11 +191,12 @@ class _Compiler:
     carries the ``loc`` of its enclosing statement, fixed when the statement
     is compiled.  Nested blocks are compiled the first time they run.
 
-    Lists are copy-on-write in summary mode: ``owned`` maps a variable to
-    the list that only it holds, one its own ``append`` or indexed write
-    made.  Such a list is updated in place; any other list is copied first.
-    A read that can store a value elsewhere (``stores``) ends the ownership.
-    Full mode always copies, since its events hold the written values.
+    Lists are copy-on-write: ``owned`` maps a variable to the list that only
+    it holds, one its own ``append`` or indexed write made.  Such a list is
+    updated in place; any other list is copied first.  A read that can store
+    a value elsewhere (``stores``) ends the ownership, so an owned list never
+    holds an owned list, and full mode's event for a write keeps a shallow
+    copy of the list.  Full mode differs from summary mode only in the events.
     Definitions and loop heads, the hot steps, inline the check of :meth:`tick`.
     """
 
@@ -241,7 +242,7 @@ class _Compiler:
             except KeyError:
                 raise MimRuntimeError(E_UNDEF, "undefined variable %r" % name, loc) from None
 
-        if stores and self.trajectory is None:
+        if stores:
             return lambda: (owned.pop(name, None), var())[1]  # ends ownership, then reads
         return var
 
@@ -334,8 +335,9 @@ class _Compiler:
 
     # --- statements ---
 
-    def _define(self, target: str, compute, loc):
-        """A step binding ``target`` to ``compute()``; full mode records the write, or a bare step if it raises."""
+    def _define(self, target: str, compute, loc, record=None):
+        """A step binding ``target`` to ``compute()``; full mode records the
+        value (``record(value)`` if ``record`` is given), or a bare step if it raises."""
         run, env, budget, trajectory = self, self.env, self.budget, self.trajectory
 
         def define():
@@ -349,7 +351,7 @@ class _Compiler:
                     trajectory.append(StepEvent(run.steps, loc, None, None))
                 raise
             if trajectory is not None:
-                trajectory.append(StepEvent(run.steps, loc, target, value))
+                trajectory.append(StepEvent(run.steps, loc, target, value if record is None else record(value)))
 
         return define
 
@@ -358,7 +360,7 @@ class _Compiler:
 
     def _write(self, s, in_loop):
         """``append`` and indexed assignment."""
-        owned, summary, target, loc = self.owned, self.trajectory is None, s.target, s.loc
+        owned, target, loc = self.owned, s.target, s.loc
         what = "append" if type(s) is Append else "indexed assignment"
         base_of, value = self.expr(Var(target), loc), self.expr(s.value, loc, True)
         index_of = self.expr(s.index, loc) if type(s) is IndexAssign else None
@@ -369,22 +371,18 @@ class _Compiler:
                 raise MimRuntimeError(E_TYPE, what + " needs a list", loc)
             if index_of is not None:
                 idx = index_of()
-                if isinstance(idx, bool) or not isinstance(idx, int):
-                    raise MimRuntimeError(E_TYPE, "index must be an integer", loc)
-                if not 0 <= idx < len(base):
-                    raise MimRuntimeError(E_INDEX, "index %d out of range for length %d" % (idx, len(base)), loc)
+                if type(idx) is not int or not 0 <= idx < len(base):
+                    _index(base, idx, loc)  # raises the type or range error
             item = value()
             if owned.get(target) is not base:
-                base = list(base)
-                if summary:
-                    owned[target] = base
+                base = owned[target] = list(base)
             if index_of is None:
                 base.append(item)
             else:
                 base[idx] = item
             return base
 
-        return self._define(target, write, loc)
+        return self._define(target, write, loc, list)  # later writes change ``base`` in place
 
     def _if(self, s, in_loop):
         run, loc, cond = self, s.loc, self.expr(s.cond, s.loc)

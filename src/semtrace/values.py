@@ -10,7 +10,8 @@ sentinel strings ``"__INF__"`` / ``"__-INF__"``; a value's canonical text is
 this JSON's text.  Every value read from a file (JSONL through
 :func:`read_jsonl`) or an argument is parsed by :func:`load_json` and goes
 through :func:`decode_json_value`, which rejects anything outside the value
-domain.
+domain (an argument list through :func:`decode_inputs`, which first checks
+that it is a JSON array).  A record's id is checked by :func:`record_id`.
 Binary files (policy checkpoints, probe features) are read whole; each field's
 length is checked against the file size before it is read (:func:`truncated`).
 """
@@ -208,6 +209,25 @@ def decode_json_value(raw) -> Value:
             return raw[:]
         return [decode_json_value(x) for x in raw]
     raise ValueError("not a MiniImp value: %r" % (raw,))
+
+
+def decode_inputs(raw) -> list:
+    """A JSON argument list -> MiniImp values; ``ValueError`` unless ``raw`` is a JSON array."""
+    if not isinstance(raw, list):
+        raise ValueError("input must be a JSON array of argument values")
+    return decode_json_value(raw)
+
+
+def record_id(raw, seen: set, what: str) -> str:
+    """``raw`` as the id of a record in a file: a non-empty string that
+    encodes as UTF-8 (holds no lone surrogate) and is not in ``seen``, which
+    it joins."""
+    if not isinstance(raw, str) or not raw or any("\ud800" <= c <= "\udfff" for c in raw):
+        raise ValueError("%s id must be a non-empty UTF-8 string, got %r" % (what, raw))
+    if raw in seen:
+        raise ValueError("duplicate %s id %r" % (what, raw))
+    seen.add(raw)
+    return raw
 
 
 def truncated(path, wanted: int, found: int) -> ValueError:

@@ -475,3 +475,125 @@ def test_bad_second_jsonl_line_is_named(tmp_path, capsys, case, bad_line):
     captured = capsys.readouterr()
     assert "%s line 2: " % path in captured.err and captured.err.count("\n") == 1
     assert captured.out == ""
+
+
+def assert_one_line_error(capsys, prefix):
+    """Checks that the command printed one stderr line starting with ``prefix``, and nothing on stdout."""
+    captured = capsys.readouterr()
+    assert captured.err.startswith(prefix) and captured.err.count("\n") == 1, captured.err
+    assert "Traceback" not in captured.err and captured.out == ""
+    return captured.err
+
+
+@pytest.mark.parametrize("command", ["trace", "reward"])
+def test_program_that_is_not_utf8_is_a_parse_error(tmp_path, capsys, command):
+    prog = tmp_path / "bad.mim"
+    prog.write_bytes(b"fn f(a) {\n    return a\n}\n\xff\n")
+    tests = write(tmp_path, "tests.jsonl", json.dumps({"input": [1], "expected": 1}) + "\n")
+    argv = ["trace", str(prog), "[1]"] if command == "trace" else ["reward", str(prog), tests]
+    assert cli.main(argv) == 1
+    assert_one_line_error(capsys, "parse error: ")
+
+
+@pytest.mark.parametrize(
+    "case,prefix",
+    [(_reward_tests_case, "bad tests file: "), (_eval_items_case, "bad eval items: eval items file "),
+     (_checkpoint_buffer_case, "run error: ")],
+    ids=["reward-tests", "eval-items", "checkpoint-buffer"],
+)
+def test_string_input_is_not_split_into_arguments(tmp_path, capsys, case, prefix):
+    argv, path = case(tmp_path)
+    lines = path.read_text().splitlines(keepends=True)
+    path.write_text(json.dumps(dict(json.loads(lines[0]), input="ab")) + "\n" + "".join(lines[1:]))
+    capsys.readouterr()
+    assert cli.main(argv) == 1
+    err = assert_one_line_error(capsys, prefix)
+    assert "%s line 1: input must be a JSON array of argument values" % path in err
+
+
+@pytest.mark.parametrize(
+    "ids,line,named",
+    [([7, "p1", "p2"], 1, "problem id must be a non-empty UTF-8 string, got 7"),
+     (["", "p1", "p2"], 1, "problem id must be a non-empty UTF-8 string, got ''"),
+     (["p\ud800", "p1", "p2"], 1, "problem id must be a non-empty UTF-8 string, got 'p\\ud800'"),
+     (["p0", "p1", "p0"], 3, "duplicate problem id 'p0'")],
+    ids=["integer", "empty", "not-utf8", "duplicate"],
+)
+def test_bad_problem_id_is_a_dataset_error(tmp_path, capsys, ids, line, named):
+    argv, dataset = _problems_case(tmp_path)
+    records = [json.loads(text) for text in dataset.read_text().splitlines()]
+    dataset.write_text("".join(json.dumps(dict(r, id=i)) + "\n" for r, i in zip(records, ids)))
+    assert cli.main(argv) == 1
+    assert_one_line_error(capsys, "dataset error: problems file %s line %d: %s" % (dataset, line, named))
+    assert not (tmp_path / "run").exists()
+
+
+@pytest.mark.parametrize(
+    "ids,line,named",
+    [(["OUTSIDE/x", "b"], 1, "is not a file name"),
+     (["a/b", "b"], 1, "is not a file name"),
+     (["a\0b", "b"], 1, "is not a file name"),
+     ([".", "b"], 1, "is not a file name"),
+     (["..", "b"], 1, "is not a file name"),
+     ([3, "b"], 1, "eval item id must be a non-empty UTF-8 string, got 3"),
+     (["a", "a"], 2, "duplicate eval item id 'a'")],
+    ids=["absolute-path", "slash", "nul", "dot", "dot-dot", "integer", "duplicate"],
+)
+def test_bad_eval_item_id_is_reported_before_anything_is_written(tmp_path, capsys, ids, line, named):
+    outside = tmp_path / "outside"
+    outside.mkdir()
+    argv, items = _eval_items_case(tmp_path)
+    records = [json.loads(text) for text in items.read_text().splitlines()]
+    ids = [str(outside / "x") if i == "OUTSIDE/x" else i for i in ids]
+    items.write_text("".join(json.dumps(dict(r, id=i)) + "\n" for r, i in zip(records, ids)))
+    assert cli.main(argv) == 1
+    err = assert_one_line_error(capsys, "bad eval items: eval items file %s line %d: " % (items, line))
+    assert named in err
+    assert not (tmp_path / "evalout").exists() and list(outside.iterdir()) == []
+
+
+@pytest.mark.parametrize(
+    "key,value,named",
+    [("truth", [1], "truth must be a JSON object"),
+     ("id", [1], "alignment prompt id must be a non-empty UTF-8 string")],
+    ids=["list-truth", "list-id"],
+)
+def test_buffer_record_of_the_wrong_shape_is_a_run_error(tmp_path, capsys, key, value, named):
+    argv, buffer = _checkpoint_buffer_case(tmp_path)
+    lines = buffer.read_text().splitlines(keepends=True)
+    buffer.write_text(json.dumps(dict(json.loads(lines[0]), **{key: value})) + "\n" + "".join(lines[1:]))
+    capsys.readouterr()
+    assert cli.main(argv) == 1
+    assert_one_line_error(capsys, "run error: %s line 1: %s" % (buffer, named))
+
+
+def test_config_that_names_the_run_or_dataset_path_is_rejected(tmp_path, capsys):
+    argv, _ = _problems_case(tmp_path)
+    config = tmp_path / "config.json"
+    base = json.loads(config.read_text())
+    for key in ("run_dir", "dataset_path"):
+        config.write_text(json.dumps(dict(base, **{key: str(tmp_path / "x")})))
+        assert cli.main(argv) == 1
+        assert_one_line_error(capsys, "config error: unknown config fields: %s" % key)
+    assert not (tmp_path / "run").exists()
+
+
+def test_config_number_beyond_the_float_range_is_a_config_error(tmp_path, capsys):
+    config, _ = write_train_inputs(tmp_path)
+    config.write_text('{"learning_rate": 1e400}')
+    assert cli.main(["train", str(config), "--run-dir", str(tmp_path / "run")]) == 1
+    err = assert_one_line_error(capsys, "config error: config file %s is not valid JSON: " % config)
+    assert "1e400 is outside the float range" in err
+
+
+@pytest.mark.parametrize("command", ["fuzz", "probe"])
+def test_seed_override_that_is_not_an_integer_exits_one(tmp_path, capsys, monkeypatch, command):
+    feat_dir = tmp_path / "feat"
+    feat_dir.mkdir()
+    samples = synthetic_linear_samples(8, np.random.default_rng(0))
+    records = [(s.problem_id, s.variable, s.target, s.features[0]) for s in samples]
+    write_feature_file(feat_dir / "layer0.bin", 0, records)
+    monkeypatch.setenv("SEMTRACE_SEED", "x")
+    argv = ["fuzz", "-n", "2"] if command == "fuzz" else ["probe", str(feat_dir), "--out", str(tmp_path / "out")]
+    assert cli.main(argv) == 1
+    assert_one_line_error(capsys, "error: SEMTRACE_SEED must be an integer, got 'x'")

@@ -1,14 +1,21 @@
 """Malformed input never panics: the parser returns a program or raises
-ParseError, and the binary loaders return or raise ValueError, whatever they
-are given."""
+ParseError, and the binary and JSONL loaders return or raise ValueError,
+whatever they are given."""
+
+import json
 
 import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from semtrace.evalsuite import load_eval_items
 from semtrace.grpo import CategoricalSequencePolicy
+from semtrace.harness import decode_test_case, load_problems
 from semtrace.lang import ParseError, Program, parse_program
 from semtrace.probe import read_feature_file, write_feature_file
+from semtrace.scheduler import AlignmentPrompt
+from semtrace.values import read_jsonl
 
 # 200 examples per test keep tier-1 fast
 FAST = settings(max_examples=200, deadline=None, database=None)
@@ -93,3 +100,62 @@ def test_feature_file_loader_returns_or_raises_value_error(tmp_path_factory):
 
 def test_policy_loader_returns_or_raises_value_error(tmp_path_factory):
     check_loader(tmp_path_factory, write_policy, load_policy)
+
+
+# --- JSONL loaders: one record holding arbitrary JSON under the loader's keys ---
+
+# nested one level deep (the keys' own strategies nest further): st.recursive
+# costs three times as much to draw, which tier-1's time cannot afford
+SCALAR = st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=8)
+JSON = SCALAR | st.lists(SCALAR, max_size=3) | st.dictionaries(st.text(max_size=3), SCALAR, max_size=3)
+NAMES = ["a", "b", "t", "xs", "ys", "i"]
+# valid programs (and a template) let a record get past the parse; JSON holds arbitrary text
+SOURCES = st.sampled_from([
+    "fn f(a) { b = a return b }",
+    "fn f(xs) { ys = [] for i in range(0, len(xs)) { append(ys, xs[i]) } return ys }",
+    "fn f(a, b) { t = a __HOLE_1__ b return t }",
+])
+INPUTS = st.lists(st.integers(-3, 3), max_size=2)
+VARIABLES = st.lists(st.sampled_from(NAMES), max_size=3)
+
+
+def keys(**values):
+    """JSON objects holding ``values``' keys, each with, at even odds, arbitrary
+    JSON or a value of its own strategy (``JSON | v`` would draw ``v`` about
+    a fifth of the time)."""
+    return st.fixed_dictionaries({k: st.booleans().flatmap(lambda own, v=v: v if own else JSON)
+                                  for k, v in values.items()})
+
+
+TEST_CASE = keys(input=INPUTS, expected=JSON)
+TEMPLATE = keys(source=SOURCES, holes=st.lists(st.lists(st.sampled_from(["+", "-", "*", ")"]), max_size=2), max_size=2))
+LOADERS = {
+    "problems": (keys(id=st.text(max_size=3), template=TEMPLATE, tests=st.lists(TEST_CASE, max_size=2)),
+                 load_problems),
+    "test-cases": (TEST_CASE, lambda path: read_jsonl(path, decode_test_case)),
+    "eval-items": (keys(id=st.text(max_size=3), source=SOURCES, input=INPUTS, variables=VARIABLES),
+                   load_eval_items),
+    "alignment-prompts": (
+        keys(id=st.text(max_size=3), source=SOURCES, input=INPUTS, variables=VARIABLES,
+             truth=st.dictionaries(st.sampled_from(NAMES), JSON, max_size=3) | st.lists(JSON, max_size=2),
+             origin_step=st.integers()),
+        lambda path: read_jsonl(path, AlignmentPrompt.from_record),
+    ),
+}
+
+
+@pytest.mark.parametrize("name", list(LOADERS))
+def test_jsonl_loader_returns_or_raises_value_error(tmp_path_factory, name):
+    records, load = LOADERS[name]
+    path = tmp_path_factory.mktemp("no-panic") / "case.jsonl"
+
+    @FAST
+    @given(records)
+    def run(record):
+        path.write_text(json.dumps(record) + "\n", encoding="utf-8")
+        try:
+            load(path)
+        except ValueError:  # ConfigError included
+            pass
+
+    run()
