@@ -7,6 +7,11 @@ and steps, minus a KL penalty against a reference policy.  A ``None``
 reference is the uniform policy, which is every policy's initial state and
 the reference the trainer uses.  Gradients are analytic (softmax Jacobian)
 and cross-checked against finite differences in the test suite.
+
+Sampling (``CategoricalSequencePolicy.sample_many``, ``sample_groups``) and
+the surrogate (``surrogates``) each work on all groups of one call, stacked
+by shape, with the bits of a per-sample loop; ``sample``,
+``sample_rollouts`` and ``surrogate_and_grad`` are their one-group forms.
 """
 
 from __future__ import annotations
@@ -103,8 +108,10 @@ def group_advantages(rewards: Sequence[float]) -> List[float]:
 
 
 def log_softmax(logits: np.ndarray) -> np.ndarray:
-    shifted = logits - np.max(logits)
-    return shifted - np.log(np.sum(np.exp(shifted)))
+    """Log-probabilities along the last axis, so each row of a stack of
+    logit vectors gets the bits it gets alone."""
+    shifted = logits - np.max(logits, axis=-1, keepdims=True)
+    return shifted - np.log(np.sum(np.exp(shifted), axis=-1, keepdims=True))
 
 
 @functools.lru_cache(maxsize=64)
@@ -149,24 +156,63 @@ class CategoricalSequencePolicy:
 
     def sample(self, prompt_id: str, group_size: int, rng: np.random.Generator):
         """Draw ``group_size`` action sequences; returns ``(actions, logps)``,
-        two ``(group_size, n_steps)`` arrays.  Equal, draws included, to one
-        ``rng.choice(len(p), p=p)`` per sample and step, which maps one
-        ``random()`` double u to ``searchsorted(cumsum(p) / cumsum(p)[-1], u,
-        side="right")``; ``choice``'s checks on p are kept."""
-        step_logits = self.step_logits(prompt_id)
-        u = rng.random((group_size, len(step_logits)))
+        two ``(group_size, n_steps)`` arrays."""
+        [drawn] = self.sample_many([prompt_id], group_size, rng)
+        return drawn
+
+    def sample_many(self, prompt_ids: Sequence[str], group_size: int, rng: np.random.Generator):
+        """Draw ``group_size`` action sequences for each prompt in turn;
+        returns one ``(actions, logps)`` pair of ``(group_size, n_steps)``
+        arrays per prompt.  Equal, draws included, to one ``rng.choice(len(p),
+        p=p)`` per prompt, sample and step, which maps one ``random()`` double
+        u to ``searchsorted(cumsum(p) / cumsum(p)[-1], u, side="right")``, the
+        count of cdf entries <= u; ``choice``'s checks on p are kept.  Each
+        distinct (prompt, step) is normalized once, stacked with the others of
+        its vocabulary size."""
+        prompts = [(pid, self.step_logits(pid)) for pid in prompt_ids]
+        u = rng.random(group_size * sum(len(step_logits) for _, step_logits in prompts))
+        # per vocabulary size: the distinct (prompt, step) rows in draw order,
+        # and for each prompt's step its row and the index of its first draw
+        # (the others follow every n_steps)
+        buckets: Dict[int, tuple] = {}
+        spans = []
+        offset = 0
+        for pid, step_logits in prompts:
+            n_steps = len(step_logits)
+            spans.append((offset, n_steps))
+            for t, logits in enumerate(step_logits):
+                rows, stack, picks = buckets.setdefault(len(logits), ({}, [], []))
+                if (pid, t) not in rows:
+                    rows[pid, t] = len(stack)
+                    stack.append(logits)
+                picks.append((rows[pid, t], offset + t, n_steps))
+            offset += group_size * n_steps
+        stacked = []
+        bad = set()
+        for rows, stack, picks in buckets.values():
+            lp = log_softmax(np.array(stack))
+            p = np.exp(lp)
+            valid = np.all(p >= 0, axis=-1) & (np.abs(p.sum(axis=-1) - 1.0) <= P_SUM_TOL)  # NaN fails both
+            bad.update(key for key, ok in zip(rows, valid.tolist()) if not ok)
+            stacked.append((picks, lp, p))
+        if bad:  # name the first in draw order
+            pid, t = next((pid, t) for pid, step_logits in prompts for t in range(len(step_logits)) if (pid, t) in bad)
+            raise ValueError("step %d of prompt %r has no valid distribution" % (t, pid))
         actions = np.empty(u.shape, dtype=np.intp)
         logps = np.empty(u.shape)
-        for t, logits in enumerate(step_logits):
-            lp = log_softmax(logits)
-            p = np.exp(lp)
-            if not (np.all(p >= 0) and abs(p.sum() - 1.0) <= P_SUM_TOL):  # NaN fails both
-                raise ValueError("step %d of prompt %r has no valid distribution" % (t, prompt_id))
-            cdf = np.cumsum(p)
-            cdf /= cdf[-1]
-            actions[:, t] = np.searchsorted(cdf, u[:, t], side="right")
-            logps[:, t] = lp[actions[:, t]]
-        return actions, logps
+        samples = np.arange(group_size)
+        for picks, lp, p in stacked:
+            cdf = np.cumsum(p, axis=-1)
+            cdf = cdf / cdf[:, -1:]
+            row, first, stride = np.array(picks, dtype=np.intp).T
+            draws = first[:, None] + stride[:, None] * samples
+            drawn = np.count_nonzero(cdf[row][:, None, :] <= u[draws][:, :, None], axis=-1)
+            actions[draws] = drawn
+            logps[draws] = lp[row[:, None], drawn]
+        return [
+            (actions[o:o + group_size * n].reshape(group_size, n), logps[o:o + group_size * n].reshape(group_size, n))
+            for o, n in spans
+        ]
 
     def snapshot(self) -> "CategoricalSequencePolicy":
         """Frozen copy usable as the old or reference policy."""
@@ -268,12 +314,16 @@ class ValuePredictorPolicy(CategoricalSequencePolicy):
         self.variables: Dict[str, List[str]] = {}
 
     def register_prompt(self, prompt_id: str, variables: Sequence[str], pool: Sequence[Value]) -> None:
+        """Kept logits (loaded from a checkpoint) must be one ``len(pool)``
+        vector per variable; a new prompt starts uniform."""
+        kept = self.params.get(prompt_id)
+        if kept is not None and [len(vec) for vec in kept] != [len(pool)] * len(variables):
+            raise ValueError("alignment prompt %r has logit vectors of sizes %s, not %d of size %d"
+                             % (prompt_id, [len(vec) for vec in kept], len(variables), len(pool)))
         self.pools[prompt_id] = list(pool)
         self.variables[prompt_id] = list(variables)
-        if prompt_id not in self.params:
-            self.params[prompt_id] = [
-                np.zeros(len(pool), dtype=float) for _ in variables
-            ]
+        if kept is None:
+            self.params[prompt_id] = [np.zeros(len(pool), dtype=float) for _ in variables]
 
     def decode(self, prompt_id: str, actions: Sequence[int]) -> SemPrediction:
         pool = self.pools[prompt_id]
@@ -306,6 +356,28 @@ def candidate_value_pool(program: Program, input_values: Sequence[Value], truth:
     return [pool[key] for key in sorted(pool)]
 
 
+def sample_groups(
+    policy: CategoricalSequencePolicy,
+    prompt_ids: Sequence[str],
+    kind: str,
+    group_size: int,
+    rng: np.random.Generator,
+) -> List[RolloutGroup]:
+    """Draw one group of G independent samples per prompt, in one call, with
+    frozen old log-probabilities; rewards are filled in by the caller.
+    Decode failures become reward-0 samples."""
+    groups = []
+    for pid, (actions, logps) in zip(prompt_ids, policy.sample_many(prompt_ids, group_size, rng)):
+        samples = [RolloutSample(actions=a, logp_old=lp) for a, lp in zip(actions.tolist(), logps.tolist())]
+        for sample in samples:
+            try:
+                sample.artifact = policy.decode(pid, sample.actions)
+            except Exception:  # decode must never be fatal; the artifact stays None
+                pass
+        groups.append(RolloutGroup(prompt_id=pid, kind=kind, samples=samples))
+    return groups
+
+
 def sample_rollouts(
     policy: CategoricalSequencePolicy,
     prompt_id: str,
@@ -313,16 +385,9 @@ def sample_rollouts(
     group_size: int,
     rng: np.random.Generator,
 ) -> RolloutGroup:
-    """Draw G independent samples with frozen old log-probabilities; rewards
-    are filled in by the caller.  Decode failures become reward-0 samples."""
-    actions, logps = policy.sample(prompt_id, group_size, rng)
-    samples = [RolloutSample(actions=a, logp_old=lp) for a, lp in zip(actions.tolist(), logps.tolist())]
-    for sample in samples:
-        try:
-            sample.artifact = policy.decode(prompt_id, sample.actions)
-        except Exception:  # decode must never be fatal; the artifact stays None
-            pass
-    return RolloutGroup(prompt_id=prompt_id, kind=kind, samples=samples)
+    """``sample_groups`` for one prompt."""
+    [group] = sample_groups(policy, [prompt_id], kind, group_size, rng)
+    return group
 
 
 @dataclass
@@ -338,67 +403,99 @@ def surrogate_and_grad(
     ref_policy: Optional[CategoricalSequencePolicy],
     cfg: GrpoConfig,
 ):
-    """Clipped surrogate objective and its analytic gradient for one group.
+    """``surrogates`` for one group; ``grads`` maps its prompt id to the
+    per-step logit gradients."""
+    [(objective, grads, metrics)] = surrogates(policy, [group], ref_policy, cfg)
+    return objective, {group.prompt_id: grads}, metrics
 
-    Returns ``(objective, grads, metrics)`` where ``grads`` maps the group's
-    prompt id to per-step logit gradients (ascent direction).  Where the
-    clipped branch of ``min`` is active its gradient is zero.
+
+def surrogates(
+    policy: CategoricalSequencePolicy,
+    groups: Sequence[RolloutGroup],
+    ref_policy: Optional[CategoricalSequencePolicy],
+    cfg: GrpoConfig,
+) -> List[tuple]:
+    """Clipped surrogate objective and its analytic gradient for each group.
+
+    Returns one ``(objective, grads, metrics)`` per group, ``grads`` being
+    its prompt's per-step logit gradients (ascent direction).  Where the
+    clipped branch of ``min`` is active its gradient is zero.  Groups of
+    one sample count and per-step vocabulary sizes are computed together;
+    each result has the bits of a one-sample-at-a-time loop.
     """
-    if group.advantages is None:
-        raise ValueError("advantages must be populated before the surrogate")
-    pid = group.prompt_id
-    step_logits = policy.step_logits(pid)
-    n_steps = len(step_logits)
-    G = len(group.samples)
-    if G == 0 or n_steps == 0:
-        raise ValueError("prompt %r: a group needs samples and steps" % pid)
-    if any(len(s.actions) != n_steps for s in group.samples):
-        raise ValueError("sample/actions mismatch for prompt %r" % pid)
-    actions = np.array([s.actions for s in group.samples], dtype=np.intp).reshape(G, n_steps)
-    logp_old = np.array([s.logp_old for s in group.samples], dtype=float).reshape(G, n_steps)
-    log_ps = [log_softmax(v) for v in step_logits]
-    ps = [np.exp(lp) for lp in log_ps]
+    shapes: Dict[tuple, List[int]] = {}
+    for i, group in enumerate(groups):
+        if group.advantages is None:
+            raise ValueError("advantages must be populated before the surrogate")
+        step_logits = policy.step_logits(group.prompt_id)
+        if not group.samples or not step_logits:
+            raise ValueError("prompt %r: a group needs samples and steps" % group.prompt_id)
+        if any(len(s.actions) != len(step_logits) for s in group.samples):
+            raise ValueError("sample/actions mismatch for prompt %r" % group.prompt_id)
+        shapes.setdefault((len(group.samples), tuple(map(len, step_logits))), []).append(i)
+    results: List[tuple] = [None] * len(groups)
+    for (G, sizes), members in shapes.items():
+        batch = [groups[i] for i in members]
+        K, n_steps = len(batch), len(sizes)
+        prompt_rows: Dict[str, int] = {}  # each prompt's logits are stacked once
+        prow = np.array([prompt_rows.setdefault(g.prompt_id, len(prompt_rows)) for g in batch])
+        pids = list(prompt_rows)
+        actions = np.array([[s.actions for s in g.samples] for g in batch], dtype=np.intp)
+        logp_old = np.array([[s.logp_old for s in g.samples] for g in batch], dtype=float).reshape(K, G, n_steps)
+        adv = np.array([g.advantages for g in batch], dtype=float).reshape(K, G, 1)
 
-    ratio = np.exp(np.column_stack([lp[actions[:, t]] for t, lp in enumerate(log_ps)]) - logp_old)
-    adv = np.array(group.advantages, dtype=float).reshape(G, 1)
-    weight = 1.0 / (G * n_steps)
-    unclipped = ratio * adv
-    clipped = np.minimum(np.maximum(ratio, 1.0 - cfg.clip_eps), 1.0 + cfg.clip_eps) * adv
-    kept = unclipped <= clipped
-    objective = 0.0
-    for term in (weight * np.where(kept, unclipped, clipped)).ravel().tolist():
-        objective += term  # sample-major, one rounding per term
-    # d(ratio)/d(logits) = ratio * (onehot - p)
-    coeff = weight * adv * ratio
+        ps, kl_grads = [], []
+        kl_total = np.zeros(len(pids))
+        lp_taken = np.empty((K, G, n_steps))
+        for t, vocab in enumerate(sizes):
+            lp = log_softmax(np.array([policy.params[pid][t] for pid in pids]))
+            p = np.exp(lp)
+            if ref_policy is None:
+                lq = _uniform_log_probs(vocab)
+            else:
+                lq = log_softmax(np.array([ref_policy.params[pid][t] if pid in ref_policy.params else np.zeros(vocab)
+                                           for pid in pids]))
+            kl_t = np.sum(p * (lp - lq), axis=-1)
+            kl_total += kl_t
+            # d/dlogits of KL(p||q) = p * ((log p - log q) - KL)
+            kl_grads.append(cfg.kl_beta * p * ((lp - lq) - kl_t[:, None]))
+            lp_taken[:, :, t] = lp[prow[:, None], actions[:, :, t]]
+            ps.append(p[prow])
 
-    grads = []
-    kl_total = 0.0
-    for t in range(n_steps):
-        # the kept samples' updates in sample order: -c*p, then +c at the
-        # action; add.accumulate sums rows sequentially, np.sum would not
-        idx = np.flatnonzero(kept[:, t])
-        c = coeff[idx, t]
-        rows = np.zeros((2 * len(idx) + 1, len(ps[t])))
-        rows[1::2] = -c[:, None] * ps[t]
-        rows[2::2][np.arange(len(idx)), actions[idx, t]] = c
-        g = np.add.accumulate(rows, axis=0)[-1]
-        if ref_policy is not None and pid in ref_policy.params:
-            lq = log_softmax(ref_policy.params[pid][t])
-        else:
-            lq = _uniform_log_probs(len(step_logits[t]))
-        kl_t = float(np.sum(ps[t] * (log_ps[t] - lq)))
-        kl_total += kl_t
-        # d/dlogits of KL(p||q) = p * ((log p - log q) - KL)
-        g -= cfg.kl_beta * ps[t] * ((log_ps[t] - lq) - kl_t)
-        grads.append(g)
-    objective -= cfg.kl_beta * kl_total
+        ratio = np.exp(lp_taken - logp_old)
+        cells = G * n_steps
+        weight = 1.0 / cells
+        unclipped = ratio * adv
+        clipped = np.minimum(np.maximum(ratio, 1.0 - cfg.clip_eps), 1.0 + cfg.clip_eps) * adv
+        kept = unclipped <= clipped
+        terms = (weight * np.where(kept, unclipped, clipped)).reshape(K, -1).tolist()
+        # d(ratio)/d(logits) = ratio * (onehot - p), zero for unkept samples
+        coeff = np.where(kept, weight * adv * ratio, 0.0)
+        grads = []
+        group_ix = np.arange(K)[:, None]
+        for t in range(n_steps):
+            # each sample's update in sample order: -c*p, then +c at the
+            # action; add.accumulate sums rows sequentially, np.sum would
+            # not, and an unkept sample's -0.0 and +0.0 rows change no bit
+            c = coeff[:, :, t]
+            rows = np.zeros((K, 2 * G + 1, sizes[t]))
+            rows[:, 1::2] = -c[:, :, None] * ps[t][:, None, :]
+            rows[:, 2::2][group_ix, np.arange(G), actions[:, :, t]] = c
+            g = np.add.accumulate(rows, axis=1)[:, -1]
+            g -= kl_grads[t][prow]
+            grads.append(g)
 
-    metrics = SurrogateMetrics(
-        objective=objective,
-        kl=kl_total,
-        clip_fraction=(kept.size - np.count_nonzero(kept)) / kept.size,
-    )
-    return objective, {pid: grads}, metrics
+        kls = kl_total.tolist()
+        unkept = (cells - np.count_nonzero(kept.reshape(K, -1), axis=1)).tolist()
+        for k, i in enumerate(members):
+            objective = 0.0
+            for term in terms[k]:
+                objective += term  # sample-major, one rounding per term
+            kl = kls[prow[k]]
+            objective -= cfg.kl_beta * kl
+            metrics = SurrogateMetrics(objective=objective, kl=kl, clip_fraction=unkept[k] / cells)
+            results[i] = (objective, [g[k] for g in grads], metrics)
+    return results
 
 
 def _apply_update(policy: CategoricalSequencePolicy, grads: Dict[str, List[np.ndarray]], cfg: GrpoConfig) -> None:
@@ -442,15 +539,13 @@ def train_step(
     objective = 0.0
     kl = 0.0
     clip_fraction = 0.0
-    for group in groups:
-        obj, grads, metrics = surrogate_and_grad(policy, group, ref_policy, cfg)
+    for group, (obj, grads, metrics) in zip(groups, surrogates(policy, groups, ref_policy, cfg)):
         objective += obj / n
         kl += metrics.kl / n
         clip_fraction += metrics.clip_fraction / len(groups)
-        for pid, vecs in grads.items():
-            if pid not in total_grads:
-                total_grads[pid] = [np.zeros_like(g) for g in vecs]
-            for t, g in enumerate(vecs):
-                total_grads[pid][t] += g / n
+        if group.prompt_id not in total_grads:
+            total_grads[group.prompt_id] = [np.zeros_like(g) for g in grads]
+        for total, g in zip(total_grads[group.prompt_id], grads):
+            total += g / n
     _apply_update(policy, total_grads, cfg)
     return SurrogateMetrics(objective=objective, kl=kl, clip_fraction=clip_fraction)

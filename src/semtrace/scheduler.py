@@ -30,7 +30,7 @@ from .grpo import (
     TemplatePolicy,
     ValuePredictorPolicy,
     candidate_value_pool,
-    sample_rollouts,
+    sample_groups,
     train_step,
 )
 from .harness import ProblemRecord, RunConfig, RunLock, atomic_write_text
@@ -248,8 +248,16 @@ class CodePromptPool:
         return {"order": list(self.order), "cursor": self.cursor}
 
     def restore(self, state: dict) -> None:
-        self.order = list(state["order"])
-        self.cursor = int(state["cursor"])
+        """Take a saved ``state``: ``order`` empty or a permutation of the
+        problem ids, and ``0 <= cursor <= len(order)``."""
+        order = list(state["order"])
+        cursor = int(state["cursor"])
+        if order and sorted(order) != sorted(self.problem_ids):
+            raise ValueError("pool order is not a permutation of the %d problem ids" % len(self.problem_ids))
+        if not 0 <= cursor <= len(order):
+            raise ValueError("pool cursor %d is outside 0..%d" % (cursor, len(order)))
+        self.order = order
+        self.cursor = cursor
 
 
 @dataclass
@@ -296,6 +304,7 @@ class Trainer:
         self._scored = Memo()
         # (problem id, actions) -> alignment prompt or None, for harvest
         self._harvested = Memo()
+        self._align_path: Optional[Path] = None  # where load_checkpoint read align logits
 
     # --- one training step ---
 
@@ -308,13 +317,14 @@ class Trainer:
             self.config.align_ratio,
             self.rng,
         )
-        # each code group is harvested as soon as it is scored: the buffer
-        # was sampled by mix_batch, so this step's batch cannot see the
-        # additions, and only one group's reports are alive at a time
-        code_groups: List[RolloutGroup] = []
-        for pid in batch.code_prompts:
-            problem = self.problems[pid]
-            group = sample_rollouts(self.code_policy, pid, KIND_CODEGEN, self.config.group_size, self.rng)
+        # all code groups are drawn in one call, then each is harvested as
+        # soon as it is scored: the buffer was sampled by mix_batch, so this
+        # step's batch cannot see the additions, and only one group's reports
+        # are alive at a time.  Nothing between the draws uses the generator.
+        code_groups = sample_groups(self.code_policy, batch.code_prompts, KIND_CODEGEN, self.config.group_size,
+                                    self.rng)
+        for group in code_groups:
+            problem = self.problems[group.prompt_id]
             reports: Dict[int, GenRewardReport] = {}
             for i, sample in enumerate(group.samples):
                 if sample.artifact is None:
@@ -322,25 +332,27 @@ class Trainer:
                     continue
                 program = sample.artifact
                 report = self._scored.get(
-                    (pid, tuple(sample.actions)),
+                    (group.prompt_id, tuple(sample.actions)),
                     lambda: gen_reward(program, problem.tests, budget=self.config.step_budget),
                 )
                 reports[i] = report
                 sample.reward = float(report.reward)
             group.fill_advantages()
-            code_groups.append(group)
             harvest_failures(group, problem.tests, self.buffer, reports, self._harvested, self.step)
 
-        align_groups: List[RolloutGroup] = []
         for prompt in batch.align_prompts:
             if prompt.prompt_id not in self.align_policy.pools:
                 # a prompt is registered when first sampled; register_prompt
-                # keeps the logits a checkpoint loaded for it
+                # keeps the logits a checkpoint loaded for it, and rejects
+                # them if they do not fit (logits made here always fit)
                 pool = candidate_value_pool(prompt.p_fail, prompt.input, prompt.truth)
-                self.align_policy.register_prompt(prompt.prompt_id, prompt.variables, pool)
-            group = sample_rollouts(
-                self.align_policy, prompt.prompt_id, KIND_ALIGNMENT, self.config.group_size, self.rng
-            )
+                try:
+                    self.align_policy.register_prompt(prompt.prompt_id, prompt.variables, pool)
+                except ValueError as exc:
+                    raise ValueError("%s: %s" % (self._align_path, exc)) from exc
+        align_groups = sample_groups(self.align_policy, [p.prompt_id for p in batch.align_prompts], KIND_ALIGNMENT,
+                                     self.config.group_size, self.rng)
+        for prompt, group in zip(batch.align_prompts, align_groups):
             for sample in group.samples:
                 if isinstance(sample.artifact, SemPrediction):
                     sample.reward = float(
@@ -349,7 +361,6 @@ class Trainer:
                 else:
                     sample.reward = 0.0
             group.fill_advantages()
-            align_groups.append(group)
 
         n_total = len(code_groups) + len(align_groups)
         objective = 0.0
@@ -415,7 +426,9 @@ class Trainer:
         return ckpt
 
     def load_checkpoint(self, ckpt: Path) -> None:
-        """Restore the trainer; a malformed file raises a ``ValueError`` naming it."""
+        """Restore the trainer; a malformed file, or one that does not fit
+        the dataset, raises a ``ValueError`` naming it.  Loaded alignment
+        logits are checked when their prompt is first sampled."""
         state_path = ckpt / "state.json"
         try:
             state = json.loads(state_path.read_text("utf-8"))
@@ -426,8 +439,16 @@ class Trainer:
             self.align_policy.opt_state = _opt_state_from_json(state["opt_align"])
         except (KeyError, TypeError, ValueError) as exc:
             raise ValueError("%s: %s" % (state_path, exc)) from exc
-        self.code_policy.load(ckpt / "code_policy.bin")
-        self.align_policy.load(ckpt / "align_policy.bin")
+        code_path = ckpt / "code_policy.bin"
+        self.code_policy.load(code_path)
+        for pid, problem in self.problems.items():
+            sizes = [len(vec) for vec in self.code_policy.params[pid]]
+            vocab = [len(choices) for choices in problem.template.hole_vocab]
+            if sizes != vocab:
+                raise ValueError("%s: problem %r has logit vectors of sizes %s, but its template's holes have %s choices"
+                                 % (code_path, pid, sizes, vocab))
+        self._align_path = ckpt / "align_policy.bin"
+        self.align_policy.load(self._align_path)
         self.buffer = FailureBuffer(self.config.buffer_capacity)
         decode = partial(AlignmentPrompt.from_record, budget=self.config.step_budget)
         for prompt in read_jsonl(ckpt / "buffer.jsonl", decode):
@@ -482,8 +503,9 @@ def run_training(
     renamed into place once complete, so resume finds only whole ones.
     Reruns with identical (seed, config, dataset) are bitwise identical.
 
-    Each rollout group is drawn in one call, with the random stream of a
-    per-sample draw.  Each distinct (problem, action sequence) is decoded
+    Each step's groups are drawn in one call per policy, with the random
+    stream of a per-sample draw, and each mini-batch's surrogate is one call
+    per policy.  Each distinct (problem, action sequence) is decoded
     and scored at most twice while it stays in the trainer's bounded memos
     (``grpo.Memo``).  Harvesting a failure reuses the executions in its
     reward report, and a known failure's prompt (or its ineligibility) is

@@ -570,7 +570,6 @@ def reference_evaluate(p: Program, inputs: Sequence[Value]):
     if len(inputs) != len(p.params):
         raise ValueError("arity mismatch")
     env: Dict[str, Value] = dict(zip(p.params, inputs))
-    writes: Dict[str, Value] = dict(env)
     counter = [0]
 
     def ev(e):
@@ -694,7 +693,6 @@ def reference_evaluate(p: Program, inputs: Sequence[Value]):
 
     def write(name, value):
         env[name] = value
-        writes[name] = value
 
     def run(stmts):
         for s in stmts:
@@ -779,4 +777,4 @@ def reference_evaluate(p: Program, inputs: Sequence[Value]):
             ret = sig.value
         else:
             raise MimRuntimeError(E_TYPE, "loop control outside loop")
-    return ret, dict(writes)
+    return ret, dict(env)

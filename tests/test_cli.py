@@ -1,10 +1,12 @@
 """End-to-end checks of the command-line interface via cli.main(argv)."""
 
 import json
+import shutil
 
 import pytest
 
 from semtrace import cli
+from semtrace.grpo import CategoricalSequencePolicy
 from semtrace.harness import RunLock
 from semtrace.probe import synthetic_linear_samples, write_feature_file
 
@@ -437,6 +439,61 @@ def test_train_resume_from_a_buffer_record_without_source_exits_one(tmp_path, ca
     buffer.write_text(json.dumps(record) + "\n" + "".join(lines[1:]))
     assert cli.main(argv) == 1
     assert capsys.readouterr().err == "run error: %s line 1: 'source'\n" % buffer
+
+
+@pytest.mark.parametrize(
+    "pool,named",
+    [({"order": ["p1", "nope", "p0"], "cursor": 1}, "pool order is not a permutation of the 3 problem ids"),
+     ({"order": ["p1", "p1", "p0"], "cursor": 1}, "pool order is not a permutation of the 3 problem ids"),
+     ({"order": ["p1", "p2", "p0"], "cursor": -1}, "pool cursor -1 is outside 0..3"),
+     ({"order": ["p1", "p2", "p0"], "cursor": 4}, "pool cursor 4 is outside 0..3")],
+    ids=["unknown-id", "repeated-id", "negative-cursor", "cursor-past-the-end"],
+)
+def test_checkpoint_pool_that_does_not_fit_the_dataset_is_a_run_error(tmp_path, capsys, pool, named):
+    argv, ckpt = finished_run(tmp_path)
+    state_path = ckpt / "state.json"
+    state = json.loads(state_path.read_text())
+    state["pool"] = pool
+    state_path.write_text(json.dumps(state))
+    capsys.readouterr()
+    assert cli.main(argv) == 1
+    assert_one_line_error(capsys, "run error: %s: %s" % (state_path, named))
+
+
+def edit_policy(path, edit):
+    policy = CategoricalSequencePolicy()
+    policy.load(path)
+    edit(policy.params)
+    policy.save(path)
+
+
+def test_checkpoint_code_logits_wider_than_the_template_are_a_run_error(tmp_path, capsys):
+    argv, ckpt = finished_run(tmp_path)
+    path = ckpt / "code_policy.bin"
+
+    def widen(params):
+        params["p0"][0] = np.append(params["p0"][0], 0.0)
+
+    edit_policy(path, widen)
+    capsys.readouterr()
+    assert cli.main(argv) == 1
+    assert_one_line_error(
+        capsys, "run error: %s: problem 'p0' has logit vectors of sizes [4], but its template's holes have [3] choices"
+        % path)
+
+
+def test_checkpoint_alignment_logits_that_do_not_fit_their_prompt_are_a_run_error(tmp_path, capsys):
+    argv, last = finished_run(tmp_path)
+    shutil.rmtree(last)  # resume from step 3, so that steps run and sample buffered prompts
+    ckpt = last.with_name("step_3")
+    path = ckpt / "align_policy.bin"
+    buffered = [json.loads(line)["id"] for line in (ckpt / "buffer.jsonl").read_text().splitlines()]
+    assert buffered
+    edit_policy(path, lambda params: params.update({pid: [np.zeros(1)] for pid in buffered}))
+    capsys.readouterr()
+    assert cli.main(argv) == 1
+    err = assert_one_line_error(capsys, "run error: %s: alignment prompt " % path)
+    assert "has logit vectors of sizes [1], not " in err
 
 
 def _problems_case(tmp_path):

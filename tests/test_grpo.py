@@ -21,6 +21,7 @@ from semtrace.grpo import (
     log_softmax,
     sample_rollouts,
     surrogate_and_grad,
+    surrogates,
     train_step,
 )
 from semtrace.lang import HoleTemplate, instantiate_template, parse_program
@@ -224,6 +225,90 @@ def test_group_draw_matches_a_choice_loop():
             assert actions.shape == logps.shape == (group_size, n_steps)
             assert (actions.tolist(), logps.tolist()) == choice_loop(pol.params["p"], group_size, ref_rng)
             assert rng.bit_generator.state == ref_rng.bit_generator.state
+
+
+# sizes that make prompts share stacks, on both sides of 8, where numpy's
+# pairwise summation changes, up to the width of a wide alignment pool
+MIXED_VOCABS = (1, 2, 3, 5, 7, 8, 9, 13, 14, 16, 17, 40)
+
+
+def mixed_policy(rng, n_prompts, min_steps, max_steps):
+    pol = TuplePolicy()
+    for k in range(n_prompts):
+        scale = float(rng.choice([0.1, 1.0, 40.0]))  # 40: peaked
+        pol.params["p%d" % k] = [
+            rng.normal(scale=scale, size=int(rng.choice(MIXED_VOCABS)))
+            for _ in range(int(rng.integers(min_steps, max_steps + 1)))
+        ]
+    return pol
+
+
+def test_one_draw_over_many_prompts_matches_a_choice_loop_per_prompt():
+    shapes = np.random.default_rng(5)
+    for seed in range(12):
+        pol = mixed_policy(shapes, 12, 0, 5)
+        prompt_ids = [str(pid) for pid in shapes.choice(sorted(pol.params), size=20)]  # repeats, like a batch
+        for group_size in (1, 2, 8):
+            rng, ref_rng = np.random.default_rng(seed), np.random.default_rng(seed)
+            drawn = pol.sample_many(prompt_ids, group_size, rng)
+            expected = [choice_loop(pol.params[pid], group_size, ref_rng) for pid in prompt_ids]
+            assert [(a.tolist(), lp.tolist()) for a, lp in drawn] == expected
+            assert [a.shape for a, _ in drawn] == [(group_size, len(pol.params[pid])) for pid in prompt_ids]
+            assert rng.bit_generator.state == ref_rng.bit_generator.state
+
+
+def test_a_draw_of_no_prompts_draws_nothing():
+    rng = np.random.default_rng(3)
+    state = rng.bit_generator.state
+    assert TuplePolicy().sample_many([], 8, rng) == []
+    assert rng.bit_generator.state == state
+
+
+def test_a_bad_distribution_is_named_in_draw_order():
+    pol = CategoricalSequencePolicy()
+    pol.params["a"] = [np.zeros(3)]
+    pol.params["b"] = [np.zeros(2), np.zeros(4), np.array([0.0, math.nan])]
+    pol.params["c"] = [np.array([math.nan, 0.0, 1.0])]  # stacked with a's step, before b's step 2
+    with pytest.raises(ValueError, match="step 2 of prompt 'b'"):
+        pol.sample_many(["a", "b", "c", "b"], 4, np.random.default_rng(0))
+
+
+def test_one_surrogate_call_over_mixed_groups_matches_the_scalar_loop_per_group():
+    rng = np.random.default_rng(21)
+    cfg = GrpoConfig(clip_eps=0.2, kl_beta=1e-2)
+    seen = {"clipped": 0, "unclipped": 0, "degenerate": 0}
+    for case in range(8):
+        pol = mixed_policy(rng, 10, 1, 5)
+        ref = None
+        if case % 2:
+            ref = pol.snapshot()
+            del ref.params["p0"]  # a prompt the reference lacks is scored against the uniform policy
+        groups = []
+        for pid in rng.choice(sorted(pol.params), size=24):
+            group_size = int(rng.choice([1, 2, 8]))
+            group = sample_rollouts(pol, str(pid), KIND_CODEGEN, group_size, rng)
+            if group_size == 1:
+                group.advantages = [float(rng.normal())]
+            elif rng.random() < 0.2:
+                group.advantages = [0.0] * group_size
+            else:
+                for s in group.samples:
+                    s.reward = float(rng.integers(0, 3))
+                group.fill_advantages()
+            groups.append(group)
+        for vecs in pol.params.values():
+            for vec in vecs:
+                vec += rng.normal(size=len(vec)) * 0.5  # move off-policy so both branches run
+        results = surrogates(pol, groups, ref, cfg)
+        assert len(results) == len(groups)
+        for group, (obj, grads, metrics) in zip(groups, results):
+            ref_obj, ref_grads, kl, clip_fraction = scalar_surrogate(pol, group, ref, cfg)
+            assert (obj, metrics.objective, metrics.kl, metrics.clip_fraction) == (ref_obj, ref_obj, kl, clip_fraction)
+            assert [g.tobytes() for g in grads] == [g.tobytes() for g in ref_grads]
+            seen["clipped"] += clip_fraction > 0.0
+            seen["unclipped"] += clip_fraction < 1.0
+            seen["degenerate"] += not any(group.advantages)
+    assert min(seen.values()) > 10, seen
 
 
 @pytest.mark.parametrize("bad", [math.nan, math.inf])

@@ -531,22 +531,32 @@ def fixed_seed_outputs(run_dir):
     return {p.name: p.read_bytes() for p in outputs}
 
 
-def reference_sample(policy, prompt_id, group_size, rng):
-    step_logits = policy.step_logits(prompt_id)
-    actions, logps = choice_loop(step_logits, group_size, rng)
-    shape = (group_size, len(step_logits))
-    return np.array(actions, dtype=np.intp).reshape(shape), np.array(logps, dtype=float).reshape(shape)
+def reference_sample_many(policy, prompt_ids, group_size, rng):
+    """One ``choice_loop`` per prompt, in order."""
+    drawn = []
+    for pid in prompt_ids:
+        step_logits = policy.step_logits(pid)
+        actions, logps = choice_loop(step_logits, group_size, rng)
+        shape = (group_size, len(step_logits))
+        drawn.append((np.array(actions, dtype=np.intp).reshape(shape), np.array(logps, dtype=float).reshape(shape)))
+    return drawn
 
 
-def reference_surrogate(policy, group, ref_policy, cfg):
-    objective, grads, kl, clip_fraction = scalar_surrogate(policy, group, ref_policy, cfg)
-    return objective, {group.prompt_id: grads}, SurrogateMetrics(objective, kl, clip_fraction)
+def reference_surrogates(policy, groups, ref_policy, cfg):
+    """One ``scalar_surrogate`` per group, in order."""
+    results = []
+    for group in groups:
+        objective, grads, kl, clip_fraction = scalar_surrogate(policy, group, ref_policy, cfg)
+        results.append((objective, grads, SurrogateMetrics(objective, kl, clip_fraction)))
+    return results
 
 
 def test_fixed_seed_run_equals_a_run_on_the_reference_sampler_and_surrogate(tmp_path, monkeypatch):
+    # the trainer draws through sample_many and updates through surrogates,
+    # so those are the entry points the reference loops replace
     outputs = fixed_seed_outputs(tmp_path / "arrays")
-    monkeypatch.setattr(CategoricalSequencePolicy, "sample", reference_sample)
-    monkeypatch.setattr(grpo, "surrogate_and_grad", reference_surrogate)
+    monkeypatch.setattr(CategoricalSequencePolicy, "sample_many", reference_sample_many)
+    monkeypatch.setattr(grpo, "surrogates", reference_surrogates)
     assert fixed_seed_outputs(tmp_path / "reference") == outputs
 
 
