@@ -162,9 +162,7 @@ def cmd_probe(args) -> int:
     layers = sorted({layer for s in samples for layer in s.features})
     with _reading("error"):
         rng = np.random.default_rng(seed_override(args.seed))
-    results = probe_mod.probe_sweep(
-        samples, layers, ratio=args.ratio, rng=rng, epochs=args.epochs, lr=args.lr
-    )
+    results = probe_mod.probe_sweep(samples, layers, rng=rng)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     probe_mod.write_sweep_csv(results, out / "probe_mse.csv")
@@ -238,9 +236,6 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("probe", help="linear-probe sweep over feature files")
     p.add_argument("features", help="directory of per-layer .bin feature files")
     p.add_argument("--out", default="probe_out")
-    p.add_argument("--ratio", type=float, default=0.8)
-    p.add_argument("--epochs", type=int, default=10)
-    p.add_argument("--lr", type=float, default=1e-3)
     p.add_argument("--seed", type=int, default=0)
     p.set_defaults(func=cmd_probe)
 

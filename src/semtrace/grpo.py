@@ -10,8 +10,9 @@ and cross-checked against finite differences in the test suite.
 
 Sampling (``CategoricalSequencePolicy.sample_many``, ``sample_groups``) and
 the surrogate (``surrogates``) each work on all groups of one call, stacked
-by shape, with the bits of a per-sample loop; ``sample``,
-``sample_rollouts`` and ``surrogate_and_grad`` are their one-group forms.
+by shape, with the bits of a per-sample loop; ``sample_rollouts`` and
+``surrogate_and_grad`` are their one-group forms.  ``optimizer="adam"``
+updates through each policy's :class:`semtrace.optim.Adam`.
 """
 
 from __future__ import annotations
@@ -25,6 +26,7 @@ from typing import Dict, List, Optional, Sequence
 import numpy as np
 
 from .lang import HoleTemplate, Literal, Program, instantiate_template, walk
+from .optim import Adam
 from .rewards import SemPrediction
 from .values import MimSet, Value, canonical_serialize, truncated
 
@@ -34,9 +36,6 @@ KIND_ALIGNMENT = "alignment"
 MEMO_CAPACITY = 1024
 _ABSENT = object()
 
-ADAM_BETA1 = 0.9
-ADAM_BETA2 = 0.999
-ADAM_EPS = 1e-8
 STD_FLOOR = 1e-6  # advantage denominator floor
 P_SUM_TOL = float(np.sqrt(np.finfo(float).eps))  # Generator.choice's bound on |sum(p) - 1|
 _U32 = struct.Struct("<I").unpack_from
@@ -147,18 +146,12 @@ class CategoricalSequencePolicy:
 
     def __init__(self):
         self.params: Dict[str, List[np.ndarray]] = {}
-        self.opt_state: dict = {}
+        self.adam = Adam()  # used under optimizer="adam"
 
     def step_logits(self, prompt_id: str) -> List[np.ndarray]:
         if prompt_id not in self.params:
             raise KeyError("prompt %r not registered" % prompt_id)
         return self.params[prompt_id]
-
-    def sample(self, prompt_id: str, group_size: int, rng: np.random.Generator):
-        """Draw ``group_size`` action sequences; returns ``(actions, logps)``,
-        two ``(group_size, n_steps)`` arrays."""
-        [drawn] = self.sample_many([prompt_id], group_size, rng)
-        return drawn
 
     def sample_many(self, prompt_ids: Sequence[str], group_size: int, rng: np.random.Generator):
         """Draw ``group_size`` action sequences for each prompt in turn;
@@ -505,18 +498,7 @@ def _apply_update(policy: CategoricalSequencePolicy, grads: Dict[str, List[np.nd
             for t, g in enumerate(vecs):
                 policy.params[pid][t] += cfg.learning_rate * g
         return
-    state = policy.opt_state.setdefault("adam", {"t": 0, "m": {}, "v": {}})
-    state["t"] += 1
-    t_step = state["t"]
-    for pid, vecs in grads.items():
-        m_list = state["m"].setdefault(pid, [np.zeros_like(g) for g in vecs])
-        v_list = state["v"].setdefault(pid, [np.zeros_like(g) for g in vecs])
-        for t, g in enumerate(vecs):
-            m_list[t] = ADAM_BETA1 * m_list[t] + (1 - ADAM_BETA1) * g
-            v_list[t] = ADAM_BETA2 * v_list[t] + (1 - ADAM_BETA2) * g * g
-            m_hat = m_list[t] / (1 - ADAM_BETA1 ** t_step)
-            v_hat = v_list[t] / (1 - ADAM_BETA2 ** t_step)
-            policy.params[pid][t] += cfg.learning_rate * m_hat / (np.sqrt(v_hat) + ADAM_EPS)
+    policy.adam.ascend(policy.params, grads, cfg.learning_rate)
 
 
 def train_step(

@@ -2,7 +2,8 @@
 
 Targets are min-max normalized to [-1, 1] per problem using training-split
 statistics only; each layer gets an independent zero-initialized linear
-regressor trained with full-batch Adam on MSE.
+regressor trained with full-batch Adam on MSE, for the fixed budget that
+``SIGNAL_GAIN`` is calibrated to (``EPOCHS`` at ``LEARNING_RATE``).
 """
 
 from __future__ import annotations
@@ -15,6 +16,7 @@ from typing import Dict, List, Sequence, Tuple
 
 import numpy as np
 
+from .optim import Adam
 from .values import truncated
 
 FEATURE_MAGIC = b"PRBFEAT1"
@@ -22,9 +24,9 @@ _HEADER = struct.Struct("<IQI").unpack_from  # layer, record count, dim
 _U32 = struct.Struct("<I").unpack_from
 _F64 = struct.Struct("<d").unpack_from
 
-ADAM_BETA1 = 0.9
-ADAM_BETA2 = 0.999
-ADAM_EPS = 1e-8
+TRAIN_RATIO = 0.8
+EPOCHS = 10
+LEARNING_RATE = 1e-3
 
 
 @dataclass
@@ -111,8 +113,8 @@ def normalize_targets(
 def train_probe(
     train: Sequence[ProbeSample],
     layer: int,
-    epochs: int = 10,
-    lr: float = 1e-3,
+    epochs: int = EPOCHS,
+    lr: float = LEARNING_RATE,
 ) -> LinearProbe:
     """Full-batch Adam on MSE, one update per epoch, zero initialization."""
     if not train:
@@ -122,27 +124,14 @@ def train_probe(
     if X.ndim != 2:
         raise ValueError("features must be vectors")
     n, d = X.shape
-    w = np.zeros(d)
-    b = 0.0
-    m_w = np.zeros(d)
-    v_w = np.zeros(d)
-    m_b = 0.0
-    v_b = 0.0
-    for t in range(1, epochs + 1):
-        resid = X @ w + b - y
-        g_w = 2.0 / n * (X.T @ resid)
-        g_b = 2.0 / n * float(np.sum(resid))
-        m_w = ADAM_BETA1 * m_w + (1 - ADAM_BETA1) * g_w
-        v_w = ADAM_BETA2 * v_w + (1 - ADAM_BETA2) * g_w * g_w
-        m_b = ADAM_BETA1 * m_b + (1 - ADAM_BETA1) * g_b
-        v_b = ADAM_BETA2 * v_b + (1 - ADAM_BETA2) * g_b * g_b
-        m_w_hat = m_w / (1 - ADAM_BETA1**t)
-        v_w_hat = v_w / (1 - ADAM_BETA2**t)
-        m_b_hat = m_b / (1 - ADAM_BETA1**t)
-        v_b_hat = v_b / (1 - ADAM_BETA2**t)
-        w -= lr * m_w_hat / (np.sqrt(v_w_hat) + ADAM_EPS)
-        b -= lr * m_b_hat / (np.sqrt(v_b_hat) + ADAM_EPS)
-    return LinearProbe(weights=w, bias=float(b), layer=layer)
+    params = {"probe": [np.zeros(d), np.zeros(1)]}  # weights, bias
+    w, b = params["probe"]
+    adam = Adam()
+    for _ in range(epochs):
+        # Adam ascends, so it gets the gradient of minus the MSE
+        err = y - (X @ w + b)
+        adam.ascend(params, {"probe": [2.0 / n * (X.T @ err), 2.0 / n * np.sum(err, keepdims=True)]}, lr)
+    return LinearProbe(weights=w, bias=float(b[0]), layer=layer)
 
 
 def mse(probe: LinearProbe, samples: Sequence[ProbeSample]) -> float:
@@ -156,18 +145,15 @@ def mse(probe: LinearProbe, samples: Sequence[ProbeSample]) -> float:
 def probe_sweep(
     samples: Sequence[ProbeSample],
     layers: Sequence[int],
-    ratio: float = 0.8,
     *,
     rng: np.random.Generator,
-    epochs: int = 10,
-    lr: float = 1e-3,
 ) -> Dict[int, Dict[str, float]]:
     """Independent probe per layer; returns layer -> {train_mse, test_mse}."""
-    train, test = split_dataset(samples, ratio, rng)
+    train, test = split_dataset(samples, TRAIN_RATIO, rng)
     train, test, _ = normalize_targets(train, test)
     results: Dict[int, Dict[str, float]] = {}
     for layer in layers:
-        probe = train_probe(train, layer, epochs=epochs, lr=lr)
+        probe = train_probe(train, layer)
         results[layer] = {
             "train_mse": mse(probe, train),
             "test_mse": mse(probe, test) if test else float("nan"),

@@ -35,6 +35,7 @@ from .grpo import (
 )
 from .harness import ProblemRecord, RunConfig, RunLock, atomic_write_text
 from .lang import Program, format_program, parse_program
+from .optim import Adam
 from .rewards import GenRewardReport, SemPrediction, gen_reward, matches_expected, sem_reward
 from .tracer import DEFAULT_BUDGET, STATUS_RETURNED, execute, traced_variables
 from .values import (Value, canonical_serialize, decode_inputs, decode_json_value, encode_json_value, read_jsonl,
@@ -48,19 +49,18 @@ class AlignmentPrompt:
     never mutated either), so its JSONL line is built at most once, the
     first time a save needs it."""
 
-    prompt_id: str  # hash of (program, input)
+    prompt_id: str  # alignment_prompt_id(source, input)
     p_fail: Program
     input: List[Value]
     variables: List[str]  # V: first-definition order, restricted to defined vars
     truth: Dict[str, Value]
     origin_step: int
-    # format_program(p_fail) when the builder already had it, else None
-    source: Optional[str] = field(default=None, repr=False, compare=False)
+    source: str = field(repr=False, compare=False)  # the text p_fail was parsed from or formatted to
 
     def to_record(self) -> dict:
         return {
             "id": self.prompt_id,
-            "source": format_program(self.p_fail) if self.source is None else self.source,
+            "source": self.source,
             "input": [encode_json_value(v) for v in self.input],
             "variables": list(self.variables),
             "truth": {k: encode_json_value(v) for k, v in self.truth.items()},
@@ -73,9 +73,12 @@ class AlignmentPrompt:
 
     @classmethod
     def from_record(cls, rec: dict, budget: int = DEFAULT_BUDGET) -> "AlignmentPrompt":
-        program = parse_program(rec["source"])
+        source = rec["source"]
+        program = parse_program(source)
         input_values = decode_inputs(rec["input"])
         prompt_id = record_id(rec["id"], set(), "alignment prompt")
+        if prompt_id != alignment_prompt_id(source, input_values):
+            raise ValueError("alignment prompt id %r does not match its source and input" % (prompt_id,))
         variables = list(rec["variables"])
         if not isinstance(rec["truth"], dict):
             raise ValueError("truth must be a JSON object")
@@ -95,6 +98,7 @@ class AlignmentPrompt:
             # the freshly traced values, so the in-memory truth is exact
             truth={v: fresh.final_vars[v] for v in variables},
             origin_step=int(rec["origin_step"]),
+            source=source,
         )
 
 
@@ -183,36 +187,24 @@ class FailureBuffer:
 
 def harvest_failures(
     group: RolloutGroup,
-    tests,
     buffer: FailureBuffer,
-    reports: Dict[int, GenRewardReport],
-    known: Memo,
+    prompts: Sequence[Optional[AlignmentPrompt]],
     origin_step: int = 0,
 ) -> Tuple[int, int]:
-    """Push alignment prompts built from the group's failed samples;
-    ``reports`` maps each decoded sample's index to its reward report.
+    """Push the alignment prompts that scoring built for the group's failed
+    samples; ``prompts[i]`` is sample i's prompt, or None if it has none.
 
     Returns (added, ineligible).  Only wrong-answer samples whose chosen
-    input terminates normally are eligible; duplicates count as neither.
-    ``known`` memoizes (problem id, actions) -> alignment prompt, or None
-    for an ineligible sample; a prompt that returns after eviction is copied
-    with the new ``origin_step`` (and its formatted source).  A key names the
-    tests only by problem id, so one ``known`` must serve one problem set.
+    input terminates normally are eligible; duplicates count as neither.  A
+    prompt built at an earlier step is copied with the new ``origin_step``.
     """
     if group.kind != KIND_CODEGEN:
         raise ValueError("only code-generation groups are harvested")
     added = 0
     ineligible = 0
-    for i, sample in enumerate(group.samples):
+    for sample, prompt in zip(group.samples, prompts, strict=True):
         if float(sample.reward) != 0.0:
             continue
-        if not isinstance(sample.artifact, Program):
-            ineligible += 1
-            continue
-        prompt = known.get(
-            (group.prompt_id, tuple(sample.actions)),
-            lambda: build_alignment_prompt(sample.artifact, tests, reports[i], origin_step=origin_step),
-        )
         if prompt is None:
             ineligible += 1
         elif prompt.prompt_id not in buffer:
@@ -299,14 +291,19 @@ class Trainer:
         self.buffer = FailureBuffer(config.buffer_capacity)
         self.pool = CodePromptPool(sorted(self.problems))
         self.step = 0
-        # (problem id, actions) -> GenRewardReport; tests and budget are fixed
-        # per trainer, so a report is a pure function of the key
+        # (problem id, actions) -> (GenRewardReport, alignment prompt or
+        # None); tests and budget are fixed per trainer, so both are pure
+        # functions of the key (a prompt's origin_step is its build step)
         self._scored = Memo()
-        # (problem id, actions) -> alignment prompt or None, for harvest
-        self._harvested = Memo()
         self._align_path: Optional[Path] = None  # where load_checkpoint read align logits
 
     # --- one training step ---
+
+    def _score(self, program: Program, tests) -> Tuple[GenRewardReport, Optional[AlignmentPrompt]]:
+        """The reward report of ``program``, and its alignment prompt if it fails."""
+        report = gen_reward(program, tests, budget=self.config.step_budget)
+        prompt = build_alignment_prompt(program, tests, report, self.step) if report.reward == 0 else None
+        return report, prompt
 
     def run_step(self) -> dict:
         self.step += 1
@@ -319,26 +316,23 @@ class Trainer:
         )
         # all code groups are drawn in one call, then each is harvested as
         # soon as it is scored: the buffer was sampled by mix_batch, so this
-        # step's batch cannot see the additions, and only one group's reports
-        # are alive at a time.  Nothing between the draws uses the generator.
+        # step's batch cannot see the additions, and only one group's prompts
+        # are listed at a time.  Nothing between the draws uses the generator.
         code_groups = sample_groups(self.code_policy, batch.code_prompts, KIND_CODEGEN, self.config.group_size,
                                     self.rng)
         for group in code_groups:
             problem = self.problems[group.prompt_id]
-            reports: Dict[int, GenRewardReport] = {}
+            prompts: List[Optional[AlignmentPrompt]] = [None] * len(group.samples)
             for i, sample in enumerate(group.samples):
                 if sample.artifact is None:
                     sample.reward = 0.0
                     continue
-                program = sample.artifact
-                report = self._scored.get(
-                    (group.prompt_id, tuple(sample.actions)),
-                    lambda: gen_reward(program, problem.tests, budget=self.config.step_budget),
+                report, prompts[i] = self._scored.get(
+                    (group.prompt_id, tuple(sample.actions)), partial(self._score, sample.artifact, problem.tests)
                 )
-                reports[i] = report
                 sample.reward = float(report.reward)
             group.fill_advantages()
-            harvest_failures(group, problem.tests, self.buffer, reports, self._harvested, self.step)
+            harvest_failures(group, self.buffer, prompts, self.step)
 
         for prompt in batch.align_prompts:
             if prompt.prompt_id not in self.align_policy.pools:
@@ -418,8 +412,8 @@ class Trainer:
             "step": self.step,
             "rng": self.rng.bit_generator.state,
             "pool": self.pool.state(),
-            "opt_code": _opt_state_to_json(self.code_policy.opt_state),
-            "opt_align": _opt_state_to_json(self.align_policy.opt_state),
+            "opt_code": self.code_policy.adam.to_json(),
+            "opt_align": self.align_policy.adam.to_json(),
         }
         (tmp / "state.json").write_text(json.dumps(state), encoding="utf-8")
         os.replace(tmp, ckpt)
@@ -435,8 +429,8 @@ class Trainer:
             self.step = int(state["step"])
             self.rng.bit_generator.state = state["rng"]
             self.pool.restore(state["pool"])
-            self.code_policy.opt_state = _opt_state_from_json(state["opt_code"])
-            self.align_policy.opt_state = _opt_state_from_json(state["opt_align"])
+            self.code_policy.adam = Adam.from_json(state["opt_code"])
+            self.align_policy.adam = Adam.from_json(state["opt_align"])
         except (KeyError, TypeError, ValueError) as exc:
             raise ValueError("%s: %s" % (state_path, exc)) from exc
         code_path = ckpt / "code_policy.bin"
@@ -453,21 +447,6 @@ class Trainer:
         decode = partial(AlignmentPrompt.from_record, budget=self.config.step_budget)
         for prompt in read_jsonl(ckpt / "buffer.jsonl", decode):
             self.buffer.add(prompt)
-
-
-def _opt_state_to_json(opt_state: dict) -> dict:
-    if "adam" not in opt_state:
-        return {}
-    adam = opt_state["adam"]
-    conv = lambda table: {pid: [list(map(float, v)) for v in vecs] for pid, vecs in table.items()}
-    return {"t": adam["t"], "m": conv(adam["m"]), "v": conv(adam["v"])}
-
-
-def _opt_state_from_json(raw: dict) -> dict:
-    if not raw:
-        return {}
-    conv = lambda table: {pid: [np.array(v, dtype=float) for v in vecs] for pid, vecs in table.items()}
-    return {"adam": {"t": int(raw["t"]), "m": conv(raw["m"]), "v": conv(raw["v"])}}
 
 
 def _last_checkpoint(run_dir: Path) -> Optional[Path]:
@@ -505,11 +484,10 @@ def run_training(
 
     Each step's groups are drawn in one call per policy, with the random
     stream of a per-sample draw, and each mini-batch's surrogate is one call
-    per policy.  Each distinct (problem, action sequence) is decoded
-    and scored at most twice while it stays in the trainer's bounded memos
-    (``grpo.Memo``).  Harvesting a failure reuses the executions in its
-    reward report, and a known failure's prompt (or its ineligibility) is
-    taken from a memo instead of being rebuilt.  The memos are pure
+    per policy.  Each distinct (problem, action sequence) is decoded, and
+    scored together with building its alignment prompt when it fails, at
+    most twice while it stays in a bounded memo (``grpo.Memo``); the prompt
+    reuses the executions of the reward report.  The memos are pure
     functions of their keys and are not checkpoint state, so a resumed run
     starts with empty memos and still matches an uninterrupted one exactly.  Resuming
     needs the run's ``metrics.jsonl`` with a complete line for every step done.

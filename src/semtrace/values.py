@@ -6,20 +6,23 @@ NaN), bool, str, None, list of values, or :class:`MimSet`.  Python's bool is
 deliberately treated as a category of its own: ``true`` is not the number 1.
 
 In JSON a set appears as its ascending member list and the infinities as the
-sentinel strings ``"__INF__"`` / ``"__-INF__"``; a value's canonical text is
-this JSON's text.  Every value read from a file (JSONL through
-:func:`read_jsonl`) or an argument is parsed by :func:`load_json` and goes
-through :func:`decode_json_value`, which rejects anything outside the value
-domain (an argument list through :func:`decode_inputs`, which first checks
-that it is a JSON array).  A record's id is checked by :func:`record_id`.
-Binary files (policy checkpoints, probe features) are read whole; each field's
-length is checked against the file size before it is read (:func:`truncated`).
+sentinel strings ``"__INF__"`` / ``"__-INF__"``; a string of sentinel form (a
+sentinel behind zero or more extra ``_``) gains one ``_``, so every string
+round-trips.  A value's canonical text is this JSON's text.  Every value read
+from a file (JSONL through :func:`read_jsonl`) or an argument is parsed by
+:func:`load_json` and goes through :func:`decode_json_value`, which rejects
+anything outside the value domain (an argument list through
+:func:`decode_inputs`, which first checks that it is a JSON array).  A
+record's id is checked by :func:`record_id`.  Binary files (policy
+checkpoints, probe features) are read whole; each field's length is checked
+against the file size before it is read (:func:`truncated`).
 """
 
 from __future__ import annotations
 
 import json
 import math
+import re
 from typing import Callable, Union
 
 INT_MIN = -(2**63)
@@ -29,6 +32,7 @@ Value = Union[int, float, bool, str, None, list, "MimSet"]
 
 INF_SENTINEL = "__INF__"
 NEG_INF_SENTINEL = "__-INF__"
+_SENTINEL_FORM = re.compile(r"_*__-?INF__").fullmatch  # a sentinel behind zero or more extra "_"
 
 _INT_ONLY = frozenset((int,))  # element types of a flat int list (bool excluded)
 
@@ -125,7 +129,9 @@ def encode_json_value(v: Value):
         if math.isinf(v):
             return INF_SENTINEL if v > 0 else NEG_INF_SENTINEL
         return v
-    if v is None or isinstance(v, (bool, int, str)):
+    if isinstance(v, str):
+        return "_" + v if _SENTINEL_FORM(v) else v
+    if v is None or isinstance(v, (bool, int)):
         return v
     if isinstance(v, list):
         if set(map(type, v)) <= _INT_ONLY:
@@ -177,7 +183,8 @@ def read_jsonl(path, decode: Callable = lambda raw: raw) -> list:
 
 
 def decode_json_value(raw) -> Value:
-    """JSON value -> MiniImp value, decoding the infinity sentinels.
+    """JSON value -> MiniImp value, decoding the infinity sentinels and
+    dropping the ``_`` a string of sentinel form gained.
 
     Raises ``ValueError`` for anything outside the value domain (objects,
     integers beyond int64, NaN) and for a float infinity, which JSON spells
@@ -188,7 +195,7 @@ def decode_json_value(raw) -> Value:
             return math.inf
         if raw == NEG_INF_SENTINEL:
             return -math.inf
-        return raw
+        return raw[1:] if _SENTINEL_FORM(raw) else raw
     if raw is None or isinstance(raw, bool):
         return raw
     if isinstance(raw, int):

@@ -203,6 +203,27 @@ def test_eval_oracle_writes_report_and_transcripts(tmp_path, capsys):
     assert "Exact@1 = 1.0000" in capsys.readouterr().out
 
 
+@pytest.mark.parametrize("text", ["__INF__", "__-INF__", "___INF__"])
+def test_eval_oracle_scores_a_string_spelled_like_a_sentinel(tmp_path, capsys, text):
+    source = 'fn f() { s = "%s" return s }' % text
+    items = write(tmp_path, "items.jsonl", json.dumps({"id": "a", "source": source, "input": []}) + "\n")
+    assert cli.main(["eval", items, "--out", str(tmp_path / "evalout")]) == 0
+    assert capsys.readouterr().out == "Exact@1 = 1.0000 over 1 items\n"
+
+
+@pytest.mark.parametrize("option", ["--ratio", "--epochs", "--lr"])
+def test_removed_probe_setting_is_a_usage_error(tmp_path, capsys, option):
+    feat_dir = tmp_path / "features"
+    feat_dir.mkdir()
+    write_feature_file(feat_dir / "layer0.bin", 0, [("p", "a", 1.0, np.zeros(3))])
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["probe", str(feat_dir), "--out", str(tmp_path / "out"), option, "2"])
+    assert exc.value.code == 1
+    captured = capsys.readouterr()
+    assert captured.err == "semtrace: error: unrecognized arguments: %s 2\n" % option and captured.out == ""
+    assert not (tmp_path / "out").exists()
+
+
 def test_probe_csv_is_rerun_deterministic(tmp_path, capsys):
     rng = np.random.default_rng(5)
     samples = synthetic_linear_samples(60, rng)

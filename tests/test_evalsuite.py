@@ -2,6 +2,7 @@
 
 import json
 import math
+import re
 
 import pytest
 from hypothesis import given, settings
@@ -21,7 +22,8 @@ from semtrace.evalsuite import (
 )
 from semtrace.lang import parse_program
 from semtrace.rewards import matches_expected as values_match_truth
-from semtrace.values import INF_SENTINEL, INT_MAX, INT_MIN, NEG_INF_SENTINEL, MimSet, decode_json_value, load_json
+from semtrace.values import (INF_SENTINEL, INT_MAX, INT_MIN, NEG_INF_SENTINEL, MimSet, decode_json_value,
+                             encode_json_value, load_json)
 
 
 GOLDEN_LINE = '{ "final_output": 3, "variables": { "cnt": 2, "buf": [1, 2] } }'
@@ -58,13 +60,18 @@ def test_serialization_deterministic():
     assert canonical_serialize(v) == canonical_serialize(list(v))
 
 
-# The infinity sentinels are the one pair of strings the codec cannot round-trip:
-# their JSON text is the text of an infinity.
+# arbitrary text, and strings at and around the sentinels' spelling
+_STRINGS = st.text() | st.builds(
+    lambda head, core, tail: head + core + tail,
+    st.sampled_from(["", "_", "__", "x"]),
+    st.sampled_from([INF_SENTINEL, NEG_INF_SENTINEL, "INF__", "-INF__", "_INF_"]),
+    st.sampled_from(["", "_", "x"]),
+)
 _ATOMS = st.one_of(
     st.booleans(),
     st.integers(INT_MIN, INT_MAX),
     st.floats(allow_nan=False),  # +-inf, +-0.0, subnormals and huge floats
-    st.text().filter(lambda s: s not in (INF_SENTINEL, NEG_INF_SENTINEL)),
+    _STRINGS,
 )
 _VALUES = st.recursive(
     st.one_of(st.none(), _ATOMS, st.lists(_ATOMS, max_size=6).map(MimSet)),
@@ -79,6 +86,22 @@ def test_canonical_text_is_one_json_line_that_round_trips(value):
     text = canonical_serialize(value)
     assert "\n" not in text and "\r" not in text
     assert values_match_truth(value, decode_json_value(load_json(text)))
+
+
+@settings(max_examples=200, deadline=None, database=None)
+@given(_STRINGS)
+def test_only_a_string_spelled_like_a_sentinel_changes_its_text(text):
+    # a sentinel behind zero or more extra "_" gains one "_"
+    escaped = re.fullmatch(r"_*__-?INF__", text) is not None
+    assert encode_json_value(text) == ("_" + text if escaped else text)
+    assert decode_json_value(load_json(canonical_serialize(text))) == text
+
+
+def test_strings_spelled_like_a_sentinel_round_trip():
+    for text in ("__INF__", "___INF__", "__-INF__", "____-INF__"):
+        assert canonical_serialize(text) == '"_%s"' % text
+        assert decode_json_value(load_json(canonical_serialize(text))) == text
+    assert decode_json_value(INF_SENTINEL) == math.inf and decode_json_value(NEG_INF_SENTINEL) == -math.inf
 
 
 def test_empty_variables_record():

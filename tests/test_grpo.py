@@ -193,7 +193,7 @@ def test_logprob_normalization_and_consistency(rng):
     pol.params["p"][0][:] = rng.normal(size=4)
     logits = pol.params["p"][0]
     assert np.exp(logits - np.logaddexp.reduce(logits)).sum() == pytest.approx(1.0, abs=1e-9)
-    actions, logps = (row.tolist() for [row] in pol.sample("p", 1, rng))
+    actions, logps = (row.tolist() for [row] in pol.sample_many(["p"], 1, rng)[0])
     assert logprob(pol, "p", actions) == logps
 
 
@@ -203,7 +203,7 @@ def test_sampling_frequencies_match_softmax(rng):
     pol.params["p"][0][:] = np.array([0.8, -0.3, 0.1, -1.2])
     probs = softmax(pol.params["p"][0])
     n = 100_000
-    actions, _ = pol.sample("p", n, rng)
+    [(actions, _)] = pol.sample_many(["p"], n, rng)
     counts = np.bincount(actions[:, 0], minlength=4)
     for j in range(4):
         sigma = math.sqrt(n * probs[j] * (1 - probs[j]))
@@ -221,7 +221,7 @@ def test_group_draw_matches_a_choice_loop():
                 shapes.normal(scale=scale, size=int(shapes.integers(1, 10))) for _ in range(n_steps)
             ]
             rng, ref_rng = np.random.default_rng(seed), np.random.default_rng(seed)
-            actions, logps = pol.sample("p", group_size, rng)
+            [(actions, logps)] = pol.sample_many(["p"], group_size, rng)
             assert actions.shape == logps.shape == (group_size, n_steps)
             assert (actions.tolist(), logps.tolist()) == choice_loop(pol.params["p"], group_size, ref_rng)
             assert rng.bit_generator.state == ref_rng.bit_generator.state
@@ -316,7 +316,7 @@ def test_non_finite_logit_raises(bad):
     pol = CategoricalSequencePolicy()
     pol.params["p"] = [np.zeros(3), np.array([0.0, bad, 1.0])]
     with np.errstate(invalid="ignore"), pytest.raises(ValueError, match="step 1"):
-        pol.sample("p", 4, np.random.default_rng(0))
+        pol.sample_many(["p"], 4, np.random.default_rng(0))
 
 
 def test_value_predictor_decodes_full_prediction(rng):

@@ -1,8 +1,14 @@
 """Linear probes: splitting, normalization, Adam training, sweeps, file IO."""
 
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 
+import semtrace
 from semtrace.probe import (
     LinearProbe,
     ProbeSample,
@@ -188,3 +194,13 @@ def test_feature_dir_assembles_multi_layer_samples(tmp_path, rng):
     back = load_feature_dir(tmp_path)
     assert len(back) == 20
     assert all(set(s.features) == {0, 1} for s in back)
+
+
+
+def test_probe_does_not_import_the_policy_code():
+    # grpo's import is compiled from source on every uncached run; the probe
+    # shares only the Adam update, from semtrace.optim
+    code = "import sys, semtrace.probe; print('semtrace.optim' in sys.modules, 'semtrace.grpo' in sys.modules)"
+    env = dict(os.environ, PYTHONPATH=str(Path(semtrace.__file__).parent.parent))
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, check=True, env=env)
+    assert out.stdout == "True False\n"

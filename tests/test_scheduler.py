@@ -11,7 +11,6 @@ from semtrace import grpo
 from semtrace.grpo import (
     KIND_CODEGEN,
     CategoricalSequencePolicy,
-    Memo,
     RolloutGroup,
     RolloutSample,
     SurrogateMetrics,
@@ -100,33 +99,39 @@ def test_buffer_dedup_and_fifo_eviction(rng):
     assert ids == [p.prompt_id for p in prompts[1:]]
 
 
-def make_codegen_group(programs, tests, budget=100_000):
+def make_codegen_group(programs, tests, budget=100_000, origin_step=1):
+    """A scored group of ``programs`` and the prompts scoring builds for it:
+    one per failed sample, None for the others, as ``Trainer`` builds them."""
     group = RolloutGroup(prompt_id="p", kind=KIND_CODEGEN, samples=[])
-    reports = {}
+    prompts = []
     for i, src in enumerate(programs):
         prog = parse_program(src)
         report = gen_reward(prog, tests, budget=budget)
-        reports[i] = report
+        prompts.append(build_alignment_prompt(prog, tests, report, origin_step) if report.reward == 0 else None)
         group.samples.append(
             RolloutSample(actions=[i], logp_old=[0.0], artifact=prog, reward=float(report.reward))
         )
-    return group, reports
+    return group, prompts
 
 
 def test_harvest_mixed_group():
-    # 3 wrong-answer terminating, 2 crashing, 3 passing
+    # 3 wrong-answer terminating, 2 crashing, 3 passing, 1 that did not decode
     programs = (
         ["fn f(a) { r = a + %d return r }" % k for k in (1, 2, 3)]
         + ["fn f(a) { r = a // 0 return r }"] * 2
         + ["fn f(a) { r = a return r }"] * 3
     )
     tests = [TestCase([5], 5)]
-    group, reports = make_codegen_group(programs, tests)
+    group, prompts = make_codegen_group(programs, tests)
+    group.samples.append(RolloutSample(actions=[8], logp_old=[0.0], artifact=None, reward=0.0))
+    prompts.append(None)
     buf = FailureBuffer(capacity=64)
-    added, ineligible = harvest_failures(group, tests, buf, reports, Memo(), origin_step=1)
+    added, ineligible = harvest_failures(group, buf, prompts, origin_step=1)
     assert added == 3
-    assert ineligible == 2
+    assert ineligible == 3
     assert len(buf) == 3
+    with pytest.raises(ValueError):
+        harvest_failures(group, buf, prompts[:-1], origin_step=1)
 
 
 def test_harvest_skips_passing_and_dedups(monkeypatch):
@@ -141,58 +146,39 @@ def test_harvest_skips_passing_and_dedups(monkeypatch):
 
     monkeypatch.setattr(semtrace.scheduler, "replace", counted_replace)
     tests = [TestCase([5], 5)]
-    group, reports = make_codegen_group(["fn f(a) { r = a return r }"] * 4, tests)
+    group, prompts = make_codegen_group(["fn f(a) { r = a return r }"] * 4, tests)
     buf = FailureBuffer(capacity=8)
-    added, _ = harvest_failures(group, tests, buf, reports, Memo(), origin_step=1)
-    assert added == 0
+    assert harvest_failures(group, buf, prompts, origin_step=1) == (0, 0)
 
-    known = Memo()
-    group, reports = make_codegen_group(["fn f(a) { r = a + 1 return r }"] * 2, tests)
-    added, _ = harvest_failures(group, tests, buf, reports, known, origin_step=2)
+    group, prompts = make_codegen_group(["fn f(a) { r = a + 1 return r }"] * 2, tests, origin_step=2)
+    added, _ = harvest_failures(group, buf, prompts, origin_step=2)
     assert added == 1
-    # known prompts the buffer already holds are neither added nor copied
-    added, _ = harvest_failures(group, tests, buf, reports, known, origin_step=3)
+    # prompts the buffer already holds are neither added nor copied
+    added, _ = harvest_failures(group, buf, prompts, origin_step=3)
     assert (added, copies) == (0, [])
-    # a known prompt the buffer takes again is copied once, with its source
+    # a prompt built at an earlier step is copied once, with its source
     fresh = FailureBuffer(capacity=8)
-    added, _ = harvest_failures(group, tests, fresh, reports, known, origin_step=4)
+    added, _ = harvest_failures(group, fresh, prompts, origin_step=4)
     assert (added, copies) == (1, [{"origin_step": 4}])
     (prompt,) = fresh.entries
     assert prompt.origin_step == 4 and prompt.source == format_program(prompt.p_fail)
 
 
-def test_known_harvests_count_and_fill_the_buffer_like_rebuilds(monkeypatch):
-    import semtrace.scheduler
-
+def test_harvests_count_and_refill_an_evicting_buffer():
     tests = [TestCase([5], 5)]
     # actions k pick program k: wrong answers 0-2, a crash 3, a pass 4
     programs = ["fn f(a) { r = a + %d return r }" % k for k in (1, 2, 3)]
     programs += ["fn f(a) { r = a // 0 return r }", "fn f(a) { r = a return r }"]
     steps = [[0, 1, 3, 4], [0, 1, 3], [0, 1, 3], [2, 2, 3], [0, 1, 2]]
-    build = semtrace.scheduler.build_alignment_prompt
-    runs = []
-    for known in (Memo(capacity=0), Memo()):  # capacity 0 never stores: a rebuild every time
-        builds = []
-
-        def counted_build(*args, **kwargs):
-            builds.append(args[0])
-            return build(*args, **kwargs)
-
-        monkeypatch.setattr(semtrace.scheduler, "build_alignment_prompt", counted_build)
-        buf = FailureBuffer(capacity=2)  # evicts, so known prompts come back
-        counts = []
-        for step, picks in enumerate(steps, 1):
-            group, reports = make_codegen_group([programs[k] for k in picks], tests)
-            for sample, k in zip(group.samples, picks):
-                sample.actions = [k]
-            counts.append(harvest_failures(group, tests, buf, reports, known, origin_step=step))
-        runs.append((counts, [p.to_record() for p in buf.entries], len(builds)))
-    (counts, records, rebuilds), (known_counts, known_records, known_builds) = runs
-    assert counts == known_counts == [(2, 1), (0, 1), (0, 1), (1, 1), (3, 0)]
-    assert records == known_records and [r["origin_step"] for r in records] == [5, 5]
-    # the memo keeps a key from its second lookup on: steps 3 and 5 build
-    # nothing, and step 5's evicted prompts return from it with step 5
-    assert (rebuilds, known_builds) == (15, 8)
+    _, built = make_codegen_group(programs, tests)  # each prompt built once, at step 1
+    buf = FailureBuffer(capacity=2)  # evicts, so prompts come back
+    counts = []
+    for step, picks in enumerate(steps, 1):
+        group, _ = make_codegen_group([programs[k] for k in picks], tests)
+        counts.append(harvest_failures(group, buf, [built[k] for k in picks], origin_step=step))
+    assert counts == [(2, 1), (0, 1), (0, 1), (1, 1), (3, 0)]
+    # step 5 re-adds the evicted prompts under its own origin_step
+    assert [(p.prompt_id, p.origin_step) for p in buf.entries] == [(built[1].prompt_id, 5), (built[2].prompt_id, 5)]
 
 
 def test_buffer_only_holds_wrong_answer_terminating_programs():
@@ -203,8 +189,8 @@ def test_buffer_only_holds_wrong_answer_terminating_programs():
         "fn f(a) { r = a + 1 return r }",  # wrong answer
         "fn f(a) { while a > 0 { a = a } return a }",  # spins
     ]
-    group, reports = make_codegen_group(programs, tests, budget=200)
-    harvest_failures(group, tests, buf, reports, Memo(), origin_step=1)
+    group, prompts = make_codegen_group(programs, tests, budget=200)
+    assert harvest_failures(group, buf, prompts, origin_step=1) == (1, 1)
     for entry in buf.entries:
         report = gen_reward(entry.p_fail, tests, budget=200)
         assert report.reward == 0
@@ -401,9 +387,9 @@ def test_a_buffered_prompt_is_formatted_and_recorded_once(tmp_path, monkeypatch)
     for step in (1, 2):
         trainer.step = step
         trainer.save_checkpoint(tmp_path)
-    # the built prompt kept the source its id was hashed from; the loaded
-    # one is formatted at its first save
-    assert formats == Counter({loaded.p_fail: 1})
+    # each prompt kept the source its id was hashed from: the built one the
+    # formatter's, the loaded one its record's
+    assert formats == Counter()
     assert records == Counter({built.prompt_id: 1, loaded.prompt_id: 1})
 
 
@@ -481,6 +467,54 @@ def test_each_distinct_rollout_is_decoded_and_scored_at_most_twice(tmp_path, mon
     assert 0 < sum(scores.values()) < scored / 4
     assert max(decodes.values()) <= 2
     assert max(scores.values()) <= 2
+
+
+def test_each_failing_rollout_builds_its_prompt_at_most_twice(tmp_path, monkeypatch):
+    from collections import Counter
+
+    import semtrace.scheduler
+
+    builds, failures = Counter(), []
+    build, harvest = semtrace.scheduler.build_alignment_prompt, semtrace.scheduler.harvest_failures
+
+    def counted_build(program, tests, report, origin_step=0):
+        assert report.reward == 0  # only a failure gets a prompt
+        builds[program] += 1
+        return build(program, tests, report, origin_step)
+
+    def counted_harvest(group, *args):
+        failures.extend(s for s in group.samples if s.artifact is not None and s.reward == 0)
+        return harvest(group, *args)
+
+    monkeypatch.setattr(semtrace.scheduler, "build_alignment_prompt", counted_build)
+    monkeypatch.setattr(semtrace.scheduler, "harvest_failures", counted_harvest)
+    run_training(desk_config(), desk_problems(), tmp_path / "run")
+    assert 0 < sum(builds.values()) < len(failures) / 4
+    assert max(builds.values()) <= 2
+
+
+def test_record_whose_id_does_not_match_its_content_is_refused():
+    p = parse_program(BUGGY_SUM)
+    rec = build_alignment_prompt(p, SUM_TESTS, gen_reward(p, SUM_TESTS)).to_record()
+    assert AlignmentPrompt.from_record(rec).source == rec["source"]
+    # another input's id, and a source that parses to the same program but
+    # is not the text the id was hashed from
+    for bad in (dict(rec, id=alignment_prompt_id(rec["source"], [4])), dict(rec, source=rec["source"] + "\n")):
+        with pytest.raises(ValueError, match="alignment prompt id %r does not match" % bad["id"]):
+            AlignmentPrompt.from_record(bad)
+
+
+def test_buffered_prompt_holding_sentinel_strings_survives_a_resume(tmp_path):
+    p = parse_program('fn f(a) { s = "__INF__" t = "___-INF__" r = a return r }')
+    tests = [TestCase([1], 2)]
+    prompt = build_alignment_prompt(p, tests, gen_reward(p, tests), origin_step=1)
+    assert prompt.truth == {"a": 1, "s": "__INF__", "t": "___-INF__", "r": 1}
+    trainer = Trainer(desk_config(), desk_problems())
+    trainer.buffer.add(prompt)
+    resumed = Trainer(desk_config(), desk_problems())
+    resumed.load_checkpoint(trainer.save_checkpoint(tmp_path))
+    (back,) = resumed.buffer.entries
+    assert back == prompt and back.jsonl_line == prompt.jsonl_line
 
 
 def test_resume_without_checkpoint_fails(tmp_path):
