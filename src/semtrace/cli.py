@@ -2,8 +2,9 @@
 
 Exit codes for ``trace``: 0 returned, 1 parse error, 2 runtime error,
 3 budget exceeded.  Every subcommand exits 1 on an input file that is
-malformed or cannot be read, or on a malformed argument (a usage error, or a
-``--budget`` or ``fuzz -n`` below 1).  Every input is loaded inside
+malformed or cannot be read, or on a malformed argument (a usage error, a
+``--budget`` or ``fuzz -n`` below 1, or an ``eval --timeout`` that is not a
+finite number above 0).  Every input is loaded inside
 :func:`_reading`, so each such failure is one stderr line, ``cannot read
 <file>: <reason>`` or ``<what>: <message>``; stdout carries only the
 canonical payload of each subcommand.
@@ -13,6 +14,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 import time
 from contextlib import contextmanager
@@ -202,6 +204,14 @@ def positive_int(text: str) -> int:
     return value
 
 
+def positive_float(text: str) -> float:
+    """An argparse type: a finite number above 0."""
+    value = float(text)
+    if not (math.isfinite(value) and value > 0):
+        raise argparse.ArgumentTypeError("must be a finite number above 0, got %s" % text)
+    return value
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = _Parser(prog="semtrace")
     sub = parser.add_subparsers(dest="command", required=True)
@@ -230,7 +240,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--predictor", default="oracle", help='"oracle" or an external command')
     p.add_argument("--out", default="eval_out")
     p.add_argument("--budget", type=positive_int, default=DEFAULT_BUDGET)
-    p.add_argument("--timeout", type=float, default=60.0)
+    p.add_argument("--timeout", type=positive_float, default=60.0)
     p.set_defaults(func=cmd_eval)
 
     p = sub.add_parser("probe", help="linear-probe sweep over feature files")

@@ -517,7 +517,9 @@ def train_step(
     if not groups:
         raise ValueError("at least one rollout group is required")
     n = group_count if group_count is not None else len(groups)
-    total_grads: Dict[str, List[np.ndarray]] = {}
+    steps: Dict[str, List[slice]] = {}  # prompt id -> where each step's gradient sits in the flat totals
+    size = 0
+    vecs, bins = [], []
     objective = 0.0
     kl = 0.0
     clip_fraction = 0.0
@@ -525,9 +527,17 @@ def train_step(
         objective += obj / n
         kl += metrics.kl / n
         clip_fraction += metrics.clip_fraction / len(groups)
-        if group.prompt_id not in total_grads:
-            total_grads[group.prompt_id] = [np.zeros_like(g) for g in grads]
-        for total, g in zip(total_grads[group.prompt_id], grads):
-            total += g / n
-    _apply_update(policy, total_grads, cfg)
+        where = steps.get(group.prompt_id)
+        if where is None:
+            where = steps[group.prompt_id] = []
+            for g in grads:
+                where.append(slice(size, size + len(g)))
+                size += len(g)
+        vecs.extend(grads)
+        bins.append(np.arange(where[0].start, where[-1].stop))
+    # bincount adds each weight into its bin in index order, from 0.0, so a
+    # prompt's totals are ((0.0 + g1 / n) + g2 / n) + ... in group order:
+    # the bits, signed zeros included, of one `total += g / n` per group
+    flat = np.bincount(np.concatenate(bins), weights=np.concatenate(vecs) / n)
+    _apply_update(policy, {pid: [flat[s] for s in where] for pid, where in steps.items()}, cfg)
     return SurrogateMetrics(objective=objective, kl=kl, clip_fraction=clip_fraction)

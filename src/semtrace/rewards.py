@@ -9,7 +9,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Dict, List, Optional, Sequence
+from typing import Callable, Dict, Optional, Sequence
 
 from .lang import Program
 from .tracer import DEFAULT_BUDGET, STATUS_RETURNED, ExecutionRecord, execute
@@ -36,10 +36,33 @@ class TestOutcome:
     record: Optional[ExecutionRecord] = None  # None for an arity mismatch
 
 
+class _Outcomes(Sequence[TestOutcome]):
+    """Test outcomes in test order, each run once when first read; ``==`` and ``repr`` as a list's."""
+
+    def __init__(self, run: Callable[[int], TestOutcome], n: int):
+        self._run, self._outcomes = run, [None] * n
+
+    def __len__(self) -> int:
+        return len(self._outcomes)
+
+    def __getitem__(self, i):
+        if isinstance(i, slice):
+            return [self[j] for j in range(len(self))[i]]
+        if self._outcomes[i] is None:
+            self._outcomes[i] = self._run(i)
+        return self._outcomes[i]
+
+    def __eq__(self, other) -> bool:
+        return list(self) == (list(other) if isinstance(other, _Outcomes) else other)
+
+    def __repr__(self) -> str:
+        return repr(list(self))
+
+
 @dataclass
 class GenRewardReport:
     reward: int  # 0 or 1
-    per_test: List[TestOutcome]
+    per_test: Sequence[TestOutcome]  # read-only; see gen_reward for which tests have run
     first_failing_terminating: Optional[int]
 
 
@@ -64,7 +87,11 @@ def matches_expected(actual: Value, expected: Value) -> bool:
 
 
 def gen_reward(p: Program, tests: Sequence[TestCase], budget: int = DEFAULT_BUDGET) -> GenRewardReport:
-    """Execute ``p`` on every test; reward 1 iff every return value matches.
+    """Execute ``p`` on the tests in order; reward 1 iff every return matches.
+
+    Tests run until one returns a wrong answer, which settles ``reward`` and
+    ``first_failing_terminating``.  A later test runs, with the same program,
+    input and budget, when its ``per_test`` entry is first read.
 
     Execution failures (runtime error, budget exhaustion, arity mismatch)
     become unmatched entries, never exceptions; a budget below 1 raises
@@ -73,22 +100,21 @@ def gen_reward(p: Program, tests: Sequence[TestCase], budget: int = DEFAULT_BUDG
     """
     if not tests:
         raise ValueError("at least one test case is required")
-    per_test: List[TestOutcome] = []
-    first_failing_terminating: Optional[int] = None
-    for i, tc in enumerate(tests):
+
+    def run(i: int) -> TestOutcome:
+        tc = tests[i]
         if len(tc.input) != len(p.params):
-            per_test.append(TestOutcome(status="arity_mismatch", actual=None, matched=False))
-            continue
+            return TestOutcome(status="arity_mismatch", actual=None, matched=False)
         rec = execute(p, list(tc.input), budget=budget)
         if rec.status != STATUS_RETURNED:
-            per_test.append(TestOutcome(status=rec.status, actual=None, matched=False, record=rec))
-            continue
-        matched = matches_expected(rec.return_value, tc.expected)
-        per_test.append(TestOutcome(status=rec.status, actual=rec.return_value, matched=matched, record=rec))
-        if not matched and first_failing_terminating is None:
-            first_failing_terminating = i
-    reward = 1 if all(t.matched for t in per_test) else 0
-    return GenRewardReport(reward=reward, per_test=per_test, first_failing_terminating=first_failing_terminating)
+            return TestOutcome(status=rec.status, actual=None, matched=False, record=rec)
+        return TestOutcome(rec.status, rec.return_value, matches_expected(rec.return_value, tc.expected), rec)
+
+    per_test = _Outcomes(run, len(tests))
+    for i, outcome in enumerate(per_test):
+        if outcome.status == STATUS_RETURNED and not outcome.matched:
+            return GenRewardReport(0, per_test, i)
+    return GenRewardReport(1 if all(t.matched for t in per_test) else 0, per_test, None)
 
 
 def sem_reward(pred: SemPrediction, truth: Dict[str, Value], variables: Sequence[str]) -> Fraction:

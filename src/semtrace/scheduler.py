@@ -79,7 +79,9 @@ class AlignmentPrompt:
         prompt_id = record_id(rec["id"], set(), "alignment prompt")
         if prompt_id != alignment_prompt_id(source, input_values):
             raise ValueError("alignment prompt id %r does not match its source and input" % (prompt_id,))
-        variables = list(rec["variables"])
+        origin_step = rec["origin_step"]
+        if not isinstance(origin_step, int) or isinstance(origin_step, bool) or origin_step < 0:
+            raise ValueError("origin_step must be an integer of at least 0, got %r" % (origin_step,))
         if not isinstance(rec["truth"], dict):
             raise ValueError("truth must be a JSON object")
         truth = {k: decode_json_value(v) for k, v in rec["truth"].items()}
@@ -87,17 +89,22 @@ class AlignmentPrompt:
         fresh = execute(program, input_values, budget=budget)
         if fresh.status != STATUS_RETURNED:
             raise ValueError("alignment prompt %r no longer terminates" % prompt_id)
+        # the freshly traced values, so the in-memory truth is exact
+        fresh_truth = traced_variables(program, fresh)
+        variables = list(fresh_truth)
+        if rec["variables"] != variables:
+            raise ValueError("alignment prompt %r lists variables %r, but its run defines %r"
+                             % (prompt_id, rec["variables"], variables))
         for v in variables:
-            if v not in fresh.final_vars or not matches_expected(fresh.final_vars[v], truth[v]):
+            if not matches_expected(fresh_truth[v], truth[v]):
                 raise ValueError("stale ground truth for %r in prompt %r" % (v, prompt_id))
         return cls(
             prompt_id=prompt_id,
             p_fail=program,
             input=input_values,
             variables=variables,
-            # the freshly traced values, so the in-memory truth is exact
-            truth={v: fresh.final_vars[v] for v in variables},
-            origin_step=int(rec["origin_step"]),
+            truth=fresh_truth,
+            origin_step=origin_step,
             source=source,
         )
 

@@ -675,3 +675,15 @@ def test_seed_override_that_is_not_an_integer_exits_one(tmp_path, capsys, monkey
     argv = ["fuzz", "-n", "2"] if command == "fuzz" else ["probe", str(feat_dir), "--out", str(tmp_path / "out")]
     assert cli.main(argv) == 1
     assert_one_line_error(capsys, "error: SEMTRACE_SEED must be an integer, got 'x'")
+
+
+@pytest.mark.parametrize("timeout", ["-1", "0", "nan", "inf"])
+def test_eval_timeout_that_is_not_a_finite_positive_number_exits_one(tmp_path, capsys, timeout):
+    items = write(tmp_path, "items.jsonl", json.dumps({"id": "a", "source": IDENTITY_SRC, "input": [3]}) + "\n")
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["eval", items, "--out", str(tmp_path / "evalout"), "--predictor", "cat", "--timeout", timeout])
+    assert exc.value.code == 1
+    captured = capsys.readouterr()
+    assert captured.err == ("semtrace eval: error: argument --timeout: must be a finite number above 0, got %s\n"
+                            % timeout)
+    assert captured.out == "" and not (tmp_path / "evalout").exists()

@@ -6,6 +6,7 @@ import math
 import numpy as np
 import pytest
 
+from semtrace import grpo
 from semtrace.grpo import (
     KIND_ALIGNMENT,
     KIND_CODEGEN,
@@ -20,6 +21,7 @@ from semtrace.grpo import (
     group_advantages,
     log_softmax,
     sample_rollouts,
+    SurrogateMetrics,
     surrogate_and_grad,
     surrogates,
     train_step,
@@ -505,6 +507,34 @@ def test_train_step_rejects_empty_groups():
     pol = TuplePolicy()
     with pytest.raises(ValueError):
         train_step(pol, [], pol.snapshot(), GrpoConfig())
+
+
+def test_train_step_sums_each_prompts_gradients_as_one_add_per_group_would(monkeypatch):
+    # per prompt, in group order, from +0.0 rows: 0.0 + -0.0 is +0.0, and
+    # with 1e16 among the terms another order would round differently
+    vals = [-0.0, 0.0, 0.1, 0.2, 0.3, -0.3, 1e16, -1e16, 1.0, -1e-300]
+    rng = np.random.default_rng(3)
+    prompts = {"a": [4, 2], "b": [3], "c": [4, 2]}
+    order = ["a", "b", "a", "c", "a", "b", "c", "a"]
+    grads = [[rng.choice(vals, size) for size in prompts[pid]] for pid in order]
+    for i in (1, 5):  # both of b's groups
+        grads[i][0][0] = -0.0
+    groups = [RolloutGroup(prompt_id=pid, kind=KIND_CODEGEN, samples=[]) for pid in order]
+    metrics = SurrogateMetrics(objective=0.0, kl=0.0, clip_fraction=0.0)
+    monkeypatch.setattr(grpo, "surrogates", lambda policy, gs, ref, cfg: [(0.0, g, metrics) for g in grads])
+    applied = []
+    monkeypatch.setattr(grpo, "_apply_update", lambda policy, totals, cfg: applied.append(totals))
+    n = 3
+    train_step(CategoricalSequencePolicy(), groups, None, GrpoConfig(), group_count=n)
+    want = {}
+    for pid, g in zip(order, grads):
+        totals = want.setdefault(pid, [np.zeros_like(v) for v in g])
+        for total, v in zip(totals, g):
+            total += v / n
+    [got] = applied
+    assert list(got) == list(want)
+    assert all(a.tobytes() == b.tobytes() for pid in want for a, b in zip(got[pid], want[pid], strict=True))
+    assert not np.signbit(got["b"][0][0])  # a sum from b's first row, not from zero, would keep -0.0
 
 
 def test_bandit_convergence_regression():

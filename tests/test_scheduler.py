@@ -619,3 +619,43 @@ def recorded_cpu_and_numpy() -> bool:
 def test_fixed_seed_run_reproduces_pinned_bytes(tmp_path):
     outputs = fixed_seed_outputs(tmp_path / "run")
     assert {name: hashlib.sha256(data).hexdigest() for name, data in outputs.items()} == PINNED_SHA256
+
+
+def test_scoring_a_program_whose_first_test_is_a_wrong_answer_runs_one_execution(monkeypatch):
+    from semtrace import rewards
+
+    calls = []
+    real = rewards.execute
+    monkeypatch.setattr(rewards, "execute", lambda p, inputs, **kw: calls.append(list(inputs)) or real(p, inputs, **kw))
+    trainer = Trainer(desk_config(), desk_problems())
+    report, prompt = trainer._score(parse_program(BUGGY_SUM), SUM_TESTS)
+    assert calls == [[3]]
+    assert (report.reward, prompt.input, prompt.truth) == (0, [3], {"n": 3, "t": 3, "i": 2})
+
+
+@pytest.mark.parametrize(
+    "key,value,named",
+    [
+        ("origin_step", 5.7, "origin_step must be an integer of at least 0, got 5.7"),
+        ("origin_step", True, "origin_step must be an integer of at least 0, got True"),
+        ("origin_step", "7", "origin_step must be an integer of at least 0, got '7'"),
+        ("origin_step", -1, "origin_step must be an integer of at least 0, got -1"),
+        ("variables", "nti", "lists variables 'nti', but its run defines ['n', 't', 'i']"),
+        ("variables", [], "lists variables [], but its run defines ['n', 't', 'i']"),
+        ("variables", ["n", "n"], "lists variables ['n', 'n'], but its run defines ['n', 't', 'i']"),
+        ("variables", ["t", "n", "i"], "lists variables ['t', 'n', 'i'], but its run defines ['n', 't', 'i']"),
+    ],
+    ids=["float-step", "bool-step", "string-step", "negative-step", "string-variables", "no-variables",
+         "repeated-variable", "reordered-variables"],
+)
+def test_buffer_record_with_a_bad_field_is_rejected_naming_file_and_line(tmp_path, key, value, named):
+    from semtrace.values import read_jsonl
+
+    p = parse_program(BUGGY_SUM)
+    good = build_alignment_prompt(p, SUM_TESTS, gen_reward(p, SUM_TESTS), origin_step=0).to_record()
+    path = tmp_path / "buffer.jsonl"
+    path.write_text(json.dumps(good) + "\n" + json.dumps(dict(good, **{key: value})) + "\n")
+    with pytest.raises(ValueError) as exc:
+        read_jsonl(path, AlignmentPrompt.from_record)
+    assert str(exc.value).startswith("%s line 2: " % path) and named in str(exc.value)
+    assert AlignmentPrompt.from_record(good).origin_step == 0
