@@ -108,7 +108,7 @@ def load_eval_items(path, budget: int = DEFAULT_BUDGET) -> List[EvalItem]:
         if "/" in item_id or "\0" in item_id or item_id in (".", ".."):
             raise ValueError("eval item id %r is not a file name" % item_id)
         item = build_eval_item(item_id, parse_program(rec["source"]), decode_inputs(rec["input"]), budget=budget)
-        if "variables" in rec and list(rec["variables"]) != item.variables:
+        if "variables" in rec and rec["variables"] != item.variables:
             raise ValueError("stored variable list %s does not match traced %s" % (rec["variables"], item.variables))
         return item
 

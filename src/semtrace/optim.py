@@ -3,6 +3,8 @@
 
 import numpy as np
 
+from .values import stored_int
+
 BETA1 = 0.9
 BETA2 = 0.999
 EPS = 1e-8
@@ -39,8 +41,22 @@ class Adam:
 
     @classmethod
     def from_json(cls, raw: dict) -> "Adam":
+        """The state ``to_json`` wrote; :meth:`check_fits` checks it against
+        the parameters."""
         adam = cls()
         if raw:
             arrays = lambda table: {name: [np.array(v, dtype=float) for v in vecs] for name, vecs in table.items()}
-            adam.t, adam.m, adam.v = int(raw["t"]), arrays(raw["m"]), arrays(raw["v"])
+            adam.t, adam.m, adam.v = stored_int(raw["t"], "adam t", 1), arrays(raw["m"]), arrays(raw["v"])
         return adam
+
+    def check_fits(self, params: dict) -> None:
+        """Raise ``ValueError`` unless every moment names a vector list of
+        ``params`` and has the shapes of its vectors."""
+        for table in (self.m, self.v):
+            for name, vecs in table.items():
+                if name not in params:
+                    raise ValueError("adam moments name %r, which has no logits" % (name,))
+                shapes, want = [v.shape for v in vecs], [p.shape for p in params[name]]
+                if shapes != want:
+                    raise ValueError("adam moments of %r have shapes %s, but its logit vectors have %s"
+                                     % (name, shapes, want))

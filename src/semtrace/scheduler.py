@@ -39,7 +39,7 @@ from .optim import Adam
 from .rewards import GenRewardReport, SemPrediction, gen_reward, matches_expected, sem_reward
 from .tracer import DEFAULT_BUDGET, STATUS_RETURNED, execute, traced_variables
 from .values import (Value, canonical_serialize, decode_inputs, decode_json_value, encode_json_value, read_jsonl,
-                     record_id)
+                     record_id, stored_int)
 
 
 @dataclass(frozen=True)
@@ -79,9 +79,7 @@ class AlignmentPrompt:
         prompt_id = record_id(rec["id"], set(), "alignment prompt")
         if prompt_id != alignment_prompt_id(source, input_values):
             raise ValueError("alignment prompt id %r does not match its source and input" % (prompt_id,))
-        origin_step = rec["origin_step"]
-        if not isinstance(origin_step, int) or isinstance(origin_step, bool) or origin_step < 0:
-            raise ValueError("origin_step must be an integer of at least 0, got %r" % (origin_step,))
+        origin_step = stored_int(rec["origin_step"], "origin_step", 0)
         if not isinstance(rec["truth"], dict):
             raise ValueError("truth must be a JSON object")
         truth = {k: decode_json_value(v) for k, v in rec["truth"].items()}
@@ -95,6 +93,10 @@ class AlignmentPrompt:
         if rec["variables"] != variables:
             raise ValueError("alignment prompt %r lists variables %r, but its run defines %r"
                              % (prompt_id, rec["variables"], variables))
+        if truth.keys() != fresh_truth.keys():
+            raise ValueError("alignment prompt %r truth keys do not match its variables: extra %s, missing %s"
+                             % (prompt_id, sorted(truth.keys() - fresh_truth.keys()),
+                                sorted(fresh_truth.keys() - truth.keys())))
         for v in variables:
             if not matches_expected(fresh_truth[v], truth[v]):
                 raise ValueError("stale ground truth for %r in prompt %r" % (v, prompt_id))
@@ -250,7 +252,7 @@ class CodePromptPool:
         """Take a saved ``state``: ``order`` empty or a permutation of the
         problem ids, and ``0 <= cursor <= len(order)``."""
         order = list(state["order"])
-        cursor = int(state["cursor"])
+        cursor = stored_int(state["cursor"], "pool cursor")
         if order and sorted(order) != sorted(self.problem_ids):
             raise ValueError("pool order is not a permutation of the %d problem ids" % len(self.problem_ids))
         if not 0 <= cursor <= len(order):
@@ -433,11 +435,9 @@ class Trainer:
         state_path = ckpt / "state.json"
         try:
             state = json.loads(state_path.read_text("utf-8"))
-            self.step = int(state["step"])
+            self.step = stored_int(state["step"], "step", 0)
             self.rng.bit_generator.state = state["rng"]
             self.pool.restore(state["pool"])
-            self.code_policy.adam = Adam.from_json(state["opt_code"])
-            self.align_policy.adam = Adam.from_json(state["opt_align"])
         except (KeyError, TypeError, ValueError) as exc:
             raise ValueError("%s: %s" % (state_path, exc)) from exc
         code_path = ckpt / "code_policy.bin"
@@ -450,16 +450,23 @@ class Trainer:
                                  % (code_path, pid, sizes, vocab))
         self._align_path = ckpt / "align_policy.bin"
         self.align_policy.load(self._align_path)
+        for key, policy in (("opt_code", self.code_policy), ("opt_align", self.align_policy)):
+            try:
+                policy.adam = Adam.from_json(state[key])
+                policy.adam.check_fits(policy.params)
+            except (AttributeError, KeyError, TypeError, ValueError) as exc:
+                raise ValueError("%s: %s: %s" % (state_path, key, exc)) from exc
         self.buffer = FailureBuffer(self.config.buffer_capacity)
         decode = partial(AlignmentPrompt.from_record, budget=self.config.step_budget)
         for prompt in read_jsonl(ckpt / "buffer.jsonl", decode):
             self.buffer.add(prompt)
 
 
-def _last_checkpoint(run_dir: Path) -> Optional[Path]:
+def _last_checkpoint(run_dir: Path) -> Tuple[Optional[Path], int]:
+    """The ``step_<n>`` directory of the largest n, and n."""
     ckpt_root = run_dir / "checkpoints"
     if not ckpt_root.is_dir():
-        return None
+        return None, -1
     best = None
     best_step = -1
     for entry in ckpt_root.iterdir():
@@ -471,7 +478,7 @@ def _last_checkpoint(run_dir: Path) -> Optional[Path]:
             if step > best_step:
                 best_step = step
                 best = entry
-    return best
+    return best, best_step
 
 
 def run_training(
@@ -506,12 +513,15 @@ def run_training(
         trainer = Trainer(config, problems)
         kept = 0  # bytes of metrics.jsonl the run keeps: one line per step done
         if resume:
-            ckpt = _last_checkpoint(run_dir)
+            ckpt, ckpt_step = _last_checkpoint(run_dir)
             if ckpt is None:
                 raise RuntimeError("no checkpoint to resume from in %s" % run_dir)
             if not metrics_path.is_file():
                 raise RuntimeError("cannot resume from %s: %s is missing" % (ckpt, metrics_path))
             trainer.load_checkpoint(ckpt)
+            if trainer.step != ckpt_step:
+                raise ValueError("%s: step %d does not match the directory's step %d"
+                                 % (ckpt / "state.json", trainer.step, ckpt_step))
             # lines past the checkpoint, a torn last line among them, are
             # steps that will run again
             with open(metrics_path, "rb") as fh:

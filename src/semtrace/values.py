@@ -13,9 +13,10 @@ from a file (JSONL through :func:`read_jsonl`) or an argument is parsed by
 :func:`load_json` and goes through :func:`decode_json_value`, which rejects
 anything outside the value domain (an argument list through
 :func:`decode_inputs`, which first checks that it is a JSON array).  A
-record's id is checked by :func:`record_id`.  Binary files (policy
-checkpoints, probe features) are read whole; each field's length is checked
-against the file size before it is read (:func:`truncated`).
+record's id is checked by :func:`record_id`, a stored integer by
+:func:`stored_int`.  Binary files (policy checkpoints, probe features) are
+read whole; each field's length is checked against the file size before it
+is read (:func:`truncated`).
 """
 
 from __future__ import annotations
@@ -23,7 +24,7 @@ from __future__ import annotations
 import json
 import math
 import re
-from typing import Callable, Union
+from typing import Callable, Optional, Union
 
 INT_MIN = -(2**63)
 INT_MAX = 2**63 - 1
@@ -234,6 +235,14 @@ def record_id(raw, seen: set, what: str) -> str:
     if raw in seen:
         raise ValueError("duplicate %s id %r" % (what, raw))
     seen.add(raw)
+    return raw
+
+
+def stored_int(raw, what: str, lo: Optional[int] = None) -> int:
+    """``raw`` as an integer field of a stored record: an int, not a bool,
+    and at least ``lo`` unless that is None."""
+    if isinstance(raw, bool) or not isinstance(raw, int) or (lo is not None and raw < lo):
+        raise ValueError("%s must be an integer%s, got %r" % (what, "" if lo is None else " of at least %d" % lo, raw))
     return raw
 
 

@@ -687,3 +687,93 @@ def test_eval_timeout_that_is_not_a_finite_positive_number_exits_one(tmp_path, c
     assert captured.err == ("semtrace eval: error: argument --timeout: must be a finite number above 0, got %s\n"
                             % timeout)
     assert captured.out == "" and not (tmp_path / "evalout").exists()
+
+
+@pytest.mark.parametrize(
+    "variables", ["ab", {"a": 0, "b": 0}, ["a", "b", "b"]], ids=["string", "object", "repeated"])
+def test_eval_item_variables_must_be_the_traced_list(tmp_path, capsys, variables):
+    record = {"id": "a", "source": IDENTITY_SRC, "input": [3]}
+    items = write(tmp_path, "items.jsonl", json.dumps(dict(record, variables=["a", "b"])) + "\n"
+                  + json.dumps(dict(record, id="b", variables=variables)) + "\n")
+    out = tmp_path / "evalout"
+    assert cli.main(["eval", items, "--out", str(out)]) == 1
+    assert_one_line_error(capsys, "bad eval items: eval items file %s line 2: stored variable list " % items)
+    assert not out.exists()
+
+
+def edit_state(ckpt, **changes):
+    state_path = ckpt / "state.json"
+    state_path.write_text(json.dumps(dict(json.loads(state_path.read_text()), **changes)))
+    return state_path
+
+
+@pytest.mark.parametrize(
+    "step,named",
+    [(2.5, "step must be an integer of at least 0, got 2.5"),
+     (True, "step must be an integer of at least 0, got True"),
+     ("6", "step must be an integer of at least 0, got '6'"),
+     (-1, "step must be an integer of at least 0, got -1")],
+    ids=["float", "bool", "string", "negative"],
+)
+def test_checkpoint_step_that_is_not_a_count_is_a_run_error(tmp_path, capsys, step, named):
+    argv, ckpt = finished_run(tmp_path)
+    state_path = edit_state(ckpt, step=step)
+    capsys.readouterr()
+    assert cli.main(argv) == 1
+    assert_one_line_error(capsys, "run error: %s: %s" % (state_path, named))
+
+
+@pytest.mark.parametrize("step", [1, 3, 7])
+def test_checkpoint_step_must_match_its_directory(tmp_path, capsys, step):
+    argv, ckpt = finished_run(tmp_path)
+    state_path = edit_state(ckpt, step=step)
+    capsys.readouterr()
+    assert cli.main(argv) == 1
+    assert_one_line_error(capsys, "run error: %s: step %d does not match the directory's step 6" % (state_path, step))
+
+
+@pytest.mark.parametrize("cursor", [1.5, True, "1"], ids=["float", "bool", "string"])
+def test_checkpoint_pool_cursor_that_is_not_an_integer_is_a_run_error(tmp_path, capsys, cursor):
+    argv, ckpt = finished_run(tmp_path)
+    state = json.loads((ckpt / "state.json").read_text())
+    state_path = edit_state(ckpt, pool=dict(state["pool"], cursor=cursor))
+    capsys.readouterr()
+    assert cli.main(argv) == 1
+    assert_one_line_error(capsys, "run error: %s: pool cursor must be an integer, got %r" % (state_path, cursor))
+
+
+def finished_adam_run(tmp_path):
+    """``finished_run`` under ``optimizer="adam"``, whose checkpoint holds moments."""
+    config, dataset = write_train_inputs(tmp_path)
+    config.write_text(json.dumps(dict(json.loads(config.read_text()), optimizer="adam")))
+    argv = ["train", str(config), "--run-dir", str(tmp_path / "run"), "--dataset", str(dataset)]
+    assert cli.main(argv) == 0
+    ckpt = tmp_path / "run" / "checkpoints" / "step_6"
+    state = json.loads((ckpt / "state.json").read_text())
+    assert state["opt_code"]["t"] > 1 and len(state["opt_code"]["m"]["p0"][0]) == 3
+    assert cli.main(argv + ["--resume"]) == 0  # the saved moments fit
+    return argv + ["--resume"], ckpt, state
+
+
+@pytest.mark.parametrize(
+    "edit,named",
+    [(lambda opt: opt.update(t=1.9), "opt_code: adam t must be an integer of at least 1, got 1.9"),
+     (lambda opt: opt.update(t=0), "opt_code: adam t must be an integer of at least 1, got 0"),
+     (lambda opt: opt["m"].update(p0=[[0.0]]),
+      "opt_code: adam moments of 'p0' have shapes [(1,)], but its logit vectors have [(3,)]"),
+     (lambda opt: opt["v"].update(p0=[[0.0, 0.0, 0.0], [0.0]]),
+      "opt_code: adam moments of 'p0' have shapes [(3,), (1,)], but its logit vectors have [(3,)]"),
+     (lambda opt: opt["v"].update(p0=[[[0.0, 0.0, 0.0]]]),
+      "opt_code: adam moments of 'p0' have shapes [(1, 3)], but its logit vectors have [(3,)]"),
+     (lambda opt: opt["m"].update(nope=[[0.0]]), "opt_code: adam moments name 'nope', which has no logits"),
+     (lambda opt: opt.update(m=[]), "opt_code: 'list' object has no attribute 'items'")],
+    ids=["float-t", "zero-t", "short-m", "extra-v-vector", "nested-v", "unknown-prompt", "list-m"],
+)
+def test_checkpoint_adam_state_that_does_not_fit_its_policy_is_a_run_error(tmp_path, capsys, edit, named):
+    argv, ckpt, state = finished_adam_run(tmp_path)
+    edit(state["opt_code"])
+    state_path = edit_state(ckpt, opt_code=state["opt_code"])
+    capsys.readouterr()
+    assert cli.main(argv) == 1
+    err = assert_one_line_error(capsys, "run error: %s: " % state_path)
+    assert named in err

@@ -659,3 +659,26 @@ def test_buffer_record_with_a_bad_field_is_rejected_naming_file_and_line(tmp_pat
         read_jsonl(path, AlignmentPrompt.from_record)
     assert str(exc.value).startswith("%s line 2: " % path) and named in str(exc.value)
     assert AlignmentPrompt.from_record(good).origin_step == 0
+
+
+@pytest.mark.parametrize(
+    "truth,named",
+    [
+        ({"n": 3, "t": 3, "i": 2, "zz": [1, 2]}, "truth keys do not match its variables: extra ['zz'], missing []"),
+        ({"n": 3, "i": 2}, "truth keys do not match its variables: extra [], missing ['t']"),
+        ({"n": 3, "i": 2, "x": 0}, "truth keys do not match its variables: extra ['x'], missing ['t']"),
+    ],
+    ids=["extra-key", "missing-key", "renamed-key"],
+)
+def test_buffer_record_truth_keys_must_be_its_variables(tmp_path, truth, named):
+    from semtrace.values import read_jsonl
+
+    p = parse_program(BUGGY_SUM)
+    good = build_alignment_prompt(p, SUM_TESTS, gen_reward(p, SUM_TESTS), origin_step=0).to_record()
+    assert good["truth"] == {"n": 3, "t": 3, "i": 2}
+    path = tmp_path / "buffer.jsonl"
+    path.write_text(json.dumps(dict(good, truth=truth)) + "\n")
+    with pytest.raises(ValueError) as exc:
+        read_jsonl(path, AlignmentPrompt.from_record)
+    assert str(exc.value).startswith("%s line 1: alignment prompt %r " % (path, good["id"]))
+    assert named in str(exc.value)
