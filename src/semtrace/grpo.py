@@ -20,7 +20,6 @@ from __future__ import annotations
 import functools
 import struct
 from dataclasses import dataclass
-from pathlib import Path
 from typing import Dict, List, Optional, Sequence
 
 import numpy as np
@@ -28,7 +27,7 @@ import numpy as np
 from .lang import HoleTemplate, Literal, Program, instantiate_template, walk
 from .optim import Adam
 from .rewards import SemPrediction
-from .values import MimSet, Value, canonical_serialize, truncated
+from .values import BinaryFile, MimSet, Value, canonical_serialize, length_prefixed
 
 KIND_CODEGEN = "codegen"
 KIND_ALIGNMENT = "alignment"
@@ -38,7 +37,6 @@ _ABSENT = object()
 
 STD_FLOOR = 1e-6  # advantage denominator floor
 P_SUM_TOL = float(np.sqrt(np.finfo(float).eps))  # Generator.choice's bound on |sum(p) - 1|
-_U32 = struct.Struct("<I").unpack_from
 
 
 class Memo:
@@ -216,61 +214,33 @@ class CategoricalSequencePolicy:
     def decode(self, prompt_id: str, actions: Sequence[int]):
         raise NotImplementedError
 
-    # --- checkpoint serialization (little-endian float64 logit vectors) ---
+    # --- checkpoint serialization ---
 
     MAGIC = b"SEMPOL01"
 
     def save(self, path) -> None:
+        """Layout, little-endian: the magic ``SEMPOL01``, a u32 prompt count,
+        then per prompt in id order its UTF-8 id behind a u32 byte length, a
+        u32 step count, and per step a u32 logit count and float64 logits."""
         with open(path, "wb") as fh:
             fh.write(self.MAGIC)
             fh.write(struct.pack("<I", len(self.params)))
             for pid in sorted(self.params):
-                raw = pid.encode("utf-8")
-                fh.write(struct.pack("<I", len(raw)))
-                fh.write(raw)
                 vecs = self.params[pid]
-                fh.write(struct.pack("<I", len(vecs)))
+                fh.write(length_prefixed(pid.encode("utf-8")) + struct.pack("<I", len(vecs)))
                 for vec in vecs:
-                    fh.write(struct.pack("<I", len(vec)))
-                    fh.write(np.asarray(vec, dtype="<f8").tobytes())
+                    fh.write(struct.pack("<I", len(vec)) + np.asarray(vec, dtype="<f8").tobytes())
 
     def load(self, path) -> None:
-        data = Path(path).read_bytes()
-        size = len(data)
-        if size < 8:
-            raise truncated(path, 8, size)
-        if data[:8] != self.MAGIC:
-            raise ValueError("%s: bad policy checkpoint magic %r" % (path, data[:8]))
-        if size < 12:
-            raise truncated(path, 4, size - 8)
-        (n_prompts,) = _U32(data, 8)
-        off = 12
-        params: Dict[str, List[np.ndarray]] = {}
-        for _ in range(n_prompts):
-            if off + 4 > size:
-                raise truncated(path, 4, size - off)
-            (n,) = _U32(data, off)
-            off += 4
-            if off + n > size:
-                raise truncated(path, n, size - off)
-            pid = data[off:off + n].decode("utf-8")
-            off += n
-            if off + 4 > size:
-                raise truncated(path, 4, size - off)
-            (n_steps,) = _U32(data, off)
-            off += 4
-            params[pid] = []
-            for _ in range(n_steps):
-                if off + 4 > size:
-                    raise truncated(path, 4, size - off)
-                (dim,) = _U32(data, off)
-                off += 4
-                if off + 8 * dim > size:
-                    raise truncated(path, 8 * dim, size - off)
-                params[pid].append(np.frombuffer(data, dtype="<f8", count=dim, offset=off).astype(float))
-                off += 8 * dim
+        """Read what :meth:`save` wrote; ``ValueError`` naming the file if
+        it is malformed or holds a non-finite logit."""
+        f = BinaryFile(path, self.MAGIC, "policy checkpoint")
+        # a dict comprehension reads each prompt's id before its vectors
+        raw = {f.text(): [f.take(8 * f.u32()) for _ in range(f.u32())] for _ in range(f.u32())}
+        if not np.isfinite(np.frombuffer(b"".join(b for vecs in raw.values() for b in vecs), dtype="<f8")).all():
+            raise ValueError("%s holds a non-finite logit" % path)
         # loaded vectors replace any registered initializations
-        self.params.update(params)
+        self.params.update({pid: [np.frombuffer(b, dtype="<f8").astype(float) for b in vecs] for pid, vecs in raw.items()})
 
 
 class TemplatePolicy(CategoricalSequencePolicy):

@@ -8,6 +8,7 @@ killed run never leaves a torn file.
 from __future__ import annotations
 
 import fcntl
+import math
 import os
 import subprocess
 from dataclasses import asdict, dataclass
@@ -57,12 +58,12 @@ class RunConfig(GrpoConfig):
         checks = [
             ("batch_size", self.batch_size >= 1),
             ("mini_batch", self.mini_batch >= 1),
-            ("learning_rate", self.learning_rate > 0),
+            ("learning_rate", 0 < self.learning_rate < math.inf),
             ("max_steps", self.max_steps >= 1),
             ("group_size", self.group_size >= 2),
             ("align_ratio", 0.0 <= self.align_ratio <= 1.0),
             ("clip_eps", 0.0 < self.clip_eps < 1.0),
-            ("kl_beta", self.kl_beta >= 0),
+            ("kl_beta", 0 <= self.kl_beta < math.inf),
             ("step_budget", self.step_budget >= 1),
             ("buffer_capacity", self.buffer_capacity >= 1),
             ("checkpoint_interval", self.checkpoint_interval >= 1),

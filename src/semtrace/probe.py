@@ -17,12 +17,10 @@ from typing import Dict, List, Sequence, Tuple
 import numpy as np
 
 from .optim import Adam
-from .values import truncated
+from .values import BinaryFile, length_prefixed
 
 FEATURE_MAGIC = b"PRBFEAT1"
-_HEADER = struct.Struct("<IQI").unpack_from  # layer, record count, dim
-_U32 = struct.Struct("<I").unpack_from
-_F64 = struct.Struct("<d").unpack_from
+_HEADER = struct.Struct("<IQI")  # layer, record count, dim
 
 TRAIN_RATIO = 0.8
 EPOCHS = 10
@@ -198,65 +196,39 @@ def synthetic_linear_samples(n: int, rng: np.random.Generator) -> List[ProbeSamp
 
 def write_feature_file(path, layer: int, records: Sequence[Tuple[str, str, float, np.ndarray]]) -> None:
     """Records are (problem_id, variable, target, features); all feature
-    vectors must share one dimensionality."""
+    vectors must share one dimensionality.  Layout, little-endian: the magic
+    ``PRBFEAT1``, a u32 layer, u64 record count and u32 dimension, then per
+    record the problem id and the variable name, each a u32 byte length and
+    its UTF-8 bytes, the float64 target and the float64 features."""
     if not records:
         raise ValueError("no records to write")
     dim = len(records[0][3])
     with open(path, "wb") as fh:
         fh.write(FEATURE_MAGIC)
-        fh.write(struct.pack("<IQI", layer, len(records), dim))
+        fh.write(_HEADER.pack(layer, len(records), dim))
         for problem_id, variable, target, features in records:
             features = np.asarray(features, dtype="<f8")
             if features.shape != (dim,):
                 raise ValueError("feature dimensionality mismatch")
-            pid = problem_id.encode("utf-8")
-            var = variable.encode("utf-8")
-            fh.write(struct.pack("<I", len(pid)))
-            fh.write(pid)
-            fh.write(struct.pack("<I", len(var)))
-            fh.write(var)
-            fh.write(struct.pack("<d", float(target)))
-            fh.write(features.tobytes())
+            fh.write(length_prefixed(problem_id.encode("utf-8")) + length_prefixed(variable.encode("utf-8")))
+            fh.write(struct.pack("<d", float(target)) + features.tobytes())
 
 
 def read_feature_file(path) -> Tuple[int, List[Tuple[str, str, float, np.ndarray]]]:
-    """``(layer, records)``; the records' vectors are the rows of one array."""
-    data = Path(path).read_bytes()
-    size = len(data)
-    if size < 8:
-        raise truncated(path, 8, size)
-    if data[:8] != FEATURE_MAGIC:
-        raise ValueError("%s: bad feature-file magic %r" % (path, data[:8]))
-    if size < 24:
-        raise truncated(path, 16, size - 8)
-    layer, count, dim = _HEADER(data, 8)
+    """``(layer, records)``, the records' vectors the rows of one array; a ``ValueError``
+    naming the file if it is malformed or holds a non-finite target or feature value."""
+    f = BinaryFile(path, FEATURE_MAGIC, "feature-file")
+    layer, count, dim = _HEADER.unpack(f.take(16))
     width = 8 * dim
-    keys, vectors = [], []
-    off = 24
+    text, take = f.text, f.take
     # a record takes at least 16 bytes, so a count beyond the file's records
     # ends in a truncation error
-    for _ in range(count):
-        key = []
-        for _ in range(2):  # problem id, then variable name
-            if off + 4 > size:
-                raise truncated(path, 4, size - off)
-            (n,) = _U32(data, off)
-            off += 4
-            if off + n > size:
-                raise truncated(path, n, size - off)
-            key.append(data[off:off + n].decode("utf-8"))
-            off += n
-        if off + 8 > size:
-            raise truncated(path, 8, size - off)
-        key.append(_F64(data, off)[0])
-        off += 8
-        if off + width > size:
-            raise truncated(path, width, size - off)
-        vectors.append(data[off:off + width])
-        off += width
-        keys.append(key)
-    features = np.frombuffer(b"".join(vectors), dtype="<f8").astype(float).reshape(count, dim)
-    return layer, [(pid, var, target, row) for (pid, var, target), row in zip(keys, features)]
+    records = [(text(), text(), take(8), take(width)) for _ in range(count)]  # id, variable, target, features
+    targets = np.frombuffer(b"".join([r[2] for r in records]), dtype="<f8")
+    features = np.frombuffer(b"".join([r[3] for r in records]), dtype="<f8").astype(float).reshape(count, dim)
+    if not (np.isfinite(targets).all() and np.isfinite(features).all()):
+        raise ValueError("%s holds a non-finite target or feature value" % path)
+    return layer, [(pid, var, target, row) for (pid, var, _, _), target, row in zip(records, targets.tolist(), features)]
 
 
 def load_feature_dir(feature_dir) -> List[ProbeSample]:

@@ -38,8 +38,8 @@ from .lang import Program, format_program, parse_program
 from .optim import Adam
 from .rewards import GenRewardReport, SemPrediction, gen_reward, matches_expected, sem_reward
 from .tracer import DEFAULT_BUDGET, STATUS_RETURNED, execute, traced_variables
-from .values import (Value, canonical_serialize, decode_inputs, decode_json_value, encode_json_value, read_jsonl,
-                     record_id, stored_int)
+from .values import (Value, canonical_serialize, decode_inputs, decode_json_value, encode_json_value, load_json,
+                     read_jsonl, record_id, stored_int)
 
 
 @dataclass(frozen=True)
@@ -434,7 +434,7 @@ class Trainer:
         logits are checked when their prompt is first sampled."""
         state_path = ckpt / "state.json"
         try:
-            state = json.loads(state_path.read_text("utf-8"))
+            state = load_json(state_path.read_text("utf-8"))
             self.step = stored_int(state["step"], "step", 0)
             self.rng.bit_generator.state = state["rng"]
             self.pool.restore(state["pool"])

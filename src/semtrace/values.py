@@ -15,8 +15,8 @@ anything outside the value domain (an argument list through
 :func:`decode_inputs`, which first checks that it is a JSON array).  A
 record's id is checked by :func:`record_id`, a stored integer by
 :func:`stored_int`.  Binary files (policy checkpoints, probe features) are
-read whole; each field's length is checked against the file size before it
-is read (:func:`truncated`).
+read whole by one :class:`BinaryFile`, which checks each field's length
+against the bytes left before it is read.
 """
 
 from __future__ import annotations
@@ -24,6 +24,8 @@ from __future__ import annotations
 import json
 import math
 import re
+import struct
+from pathlib import Path
 from typing import Callable, Optional, Union
 
 INT_MIN = -(2**63)
@@ -36,6 +38,7 @@ NEG_INF_SENTINEL = "__-INF__"
 _SENTINEL_FORM = re.compile(r"_*__-?INF__").fullmatch  # a sentinel behind zero or more extra "_"
 
 _INT_ONLY = frozenset((int,))  # element types of a flat int list (bool excluded)
+_U32 = struct.Struct("<I")  # the length field of binary files
 
 
 def is_number(v) -> bool:
@@ -158,13 +161,17 @@ def _finite_float(text: str) -> float:
     return value
 
 
-_JSON_DECODER = json.JSONDecoder(parse_float=_finite_float)
+def _no_constant(name: str):
+    raise ValueError("%s is not a JSON number" % name)
+
+
+_JSON_DECODER = json.JSONDecoder(parse_float=_finite_float, parse_constant=_no_constant)
 
 
 def load_json(text: str):
-    """``json.loads`` that rejects a number beyond the float range (such as
-    ``1e400``) instead of reading it as infinity: in JSON, infinity is
-    spelled only by the sentinel strings."""
+    """``json.loads`` that rejects ``NaN``, ``Infinity``, ``-Infinity`` and a
+    number beyond the float range (such as ``1e400``) instead of reading a
+    non-finite float: in JSON, infinity is spelled only by the sentinel strings."""
     return _JSON_DECODER.decode(text)
 
 
@@ -246,7 +253,32 @@ def stored_int(raw, what: str, lo: Optional[int] = None) -> int:
     return raw
 
 
-def truncated(path, wanted: int, found: int) -> ValueError:
-    """The error for a binary file that holds ``found`` of the ``wanted``
-    bytes of its next field."""
-    return ValueError("%s is truncated: wanted %d more bytes, found %d" % (path, wanted, found))
+class BinaryFile:
+    """A binary file read whole, whose fields are taken in order after its
+    magic; each :meth:`take` first checks that the file still holds it."""
+
+    def __init__(self, path, magic: bytes, what: str):
+        self.path, self.data, self.off = path, Path(path).read_bytes(), 0
+        self.size = len(self.data)
+        if self.take(len(magic)) != magic:
+            raise ValueError("%s: bad %s magic %r" % (path, what, self.data[:len(magic)]))
+
+    def take(self, n: int) -> bytes:
+        """The next ``n`` bytes; a ``ValueError`` naming the file if fewer are left."""
+        off, end = self.off, self.off + n
+        if end > self.size:
+            raise ValueError("%s is truncated: wanted %d more bytes, found %d" % (self.path, n, self.size - off))
+        self.off = end
+        return self.data[off:end]
+
+    def u32(self) -> int:
+        return _U32.unpack(self.take(4))[0]
+
+    def text(self) -> str:
+        """A UTF-8 string behind its byte length as a u32."""
+        return self.take(self.u32()).decode("utf-8")
+
+
+def length_prefixed(raw: bytes) -> bytes:
+    """``raw`` behind its length as a u32, as :meth:`BinaryFile.text` reads it."""
+    return _U32.pack(len(raw)) + raw

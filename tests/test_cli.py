@@ -1,6 +1,7 @@
 """End-to-end checks of the command-line interface via cli.main(argv)."""
 
 import json
+import math
 import shutil
 
 import pytest
@@ -664,6 +665,16 @@ def test_config_number_beyond_the_float_range_is_a_config_error(tmp_path, capsys
     assert "1e400 is outside the float range" in err
 
 
+def test_config_that_is_not_finite_is_a_config_error(tmp_path, capsys):
+    # Python's json reads Infinity, and an infinite kl_beta trains to a NaN loss
+    config, dataset = write_train_inputs(tmp_path)
+    config.write_text('{"kl_beta": Infinity}')
+    assert cli.main(["train", str(config), "--run-dir", str(tmp_path / "run"), "--dataset", str(dataset)]) == 1
+    assert_one_line_error(capsys, "config error: config file %s is not valid JSON: Infinity is not a JSON number"
+                          % config)
+    assert not (tmp_path / "run").exists()
+
+
 @pytest.mark.parametrize("command", ["fuzz", "probe"])
 def test_seed_override_that_is_not_an_integer_exits_one(tmp_path, capsys, monkeypatch, command):
     feat_dir = tmp_path / "feat"
@@ -777,3 +788,16 @@ def test_checkpoint_adam_state_that_does_not_fit_its_policy_is_a_run_error(tmp_p
     assert cli.main(argv) == 1
     err = assert_one_line_error(capsys, "run error: %s: " % state_path)
     assert named in err
+
+
+def test_checkpoint_adam_moments_that_are_not_finite_are_a_run_error(tmp_path, capsys):
+    # the step_3 checkpoint resumes into steps 4-6, so a NaN moment read as a
+    # number would write a poisoned step before failing
+    argv, ckpt, state = finished_adam_run(tmp_path)
+    shutil.rmtree(ckpt)
+    state_path = edit_state(ckpt.with_name("step_3"), opt_code=dict(state["opt_code"], v={"p0": [[math.nan] * 3]}))
+    metrics = (tmp_path / "run" / "metrics.jsonl").read_bytes()
+    capsys.readouterr()
+    assert cli.main(argv) == 1
+    assert_one_line_error(capsys, "run error: %s: NaN is not a JSON number" % state_path)
+    assert (tmp_path / "run" / "metrics.jsonl").read_bytes() == metrics

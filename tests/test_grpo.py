@@ -573,13 +573,17 @@ def test_policy_load_rejects_bad_magic(tmp_path):
     path = tmp_path / "junk.bin"
     path.write_bytes(b"NOTMAGIC" + b"\x00" * 16)
     pol = TemplatePolicy()
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError) as exc:
         pol.load(path)
+    assert str(exc.value) == "%s: bad policy checkpoint magic b'NOTMAGIC'" % path
 
 
 # offsets into a saved policy with one prompt "prompt" and one 3-vector:
 # magic 0-8, prompt count 8-12, id length 12-16, id 16-22, step count 22-26,
 # vector length 26-30, vector 30-54
+POLICY_FIELDS = [(0, 8), (8, 12), (12, 16), (16, 22), (22, 26), (26, 30), (30, 54)]
+
+
 @pytest.mark.parametrize("keep", range(54))
 def test_policy_load_rejects_a_truncated_file(tmp_path, keep):
     pol = CategoricalSequencePolicy()
@@ -588,8 +592,21 @@ def test_policy_load_rejects_a_truncated_file(tmp_path, keep):
     pol.save(path)
     assert len(path.read_bytes()) == 54
     path.write_bytes(path.read_bytes()[:keep])
-    with pytest.raises(ValueError, match="policy.bin"):
+    with pytest.raises(ValueError) as exc:
         CategoricalSequencePolicy().load(path)
+    start, end = next(field for field in POLICY_FIELDS if field[0] <= keep < field[1])
+    assert str(exc.value) == "%s is truncated: wanted %d more bytes, found %d" % (path, end - start, keep - start)
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_policy_load_rejects_a_non_finite_logit(tmp_path, bad):
+    pol = CategoricalSequencePolicy()
+    pol.params = {"a": [np.zeros(2)], "b": [np.zeros(0), np.array([1.0, bad])]}
+    path = tmp_path / "policy.bin"
+    pol.save(path)
+    with pytest.raises(ValueError) as exc:
+        CategoricalSequencePolicy().load(path)
+    assert str(exc.value) == "%s holds a non-finite logit" % path
 
 
 def test_adam_optimizer_also_converges():

@@ -43,6 +43,10 @@ def test_validation_names_the_bad_field():
         ("group_size", 1),
         ("clip_eps", 0.0),
         ("learning_rate", -1.0),
+        ("learning_rate", math.inf),
+        ("learning_rate", math.nan),
+        ("kl_beta", math.inf),
+        ("kl_beta", math.nan),
         ("optimizer", "rmsprop"),
     ],
 )
@@ -105,6 +109,9 @@ def test_decode_rejects_values_outside_the_domain():
     assert load_json('[1.5e300, "__INF__"]') == [1.5e300, "__INF__"]
     for text in ("1e400", "[-1e400]", '{"a": [2e308]}'):
         with pytest.raises(ValueError, match="outside the float range"):
+            load_json(text)
+    for text, constant in (("NaN", "NaN"), ("[1, Infinity]", "Infinity"), ('{"a": -Infinity}', "-Infinity")):
+        with pytest.raises(ValueError, match="^%s is not a JSON number$" % constant):
             load_json(text)
 
 

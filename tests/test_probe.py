@@ -1,5 +1,6 @@
 """Linear probes: splitting, normalization, Adam training, sweeps, file IO."""
 
+import math
 import os
 import subprocess
 import sys
@@ -9,6 +10,7 @@ import numpy as np
 import pytest
 
 import semtrace
+from semtrace import cli
 from semtrace.probe import (
     LinearProbe,
     ProbeSample,
@@ -146,21 +148,49 @@ def test_feature_file_round_trip(tmp_path, rng):
 def test_feature_file_bad_magic(tmp_path):
     path = tmp_path / "bad.bin"
     path.write_bytes(b"WRONG!!!" + b"\x00" * 16)
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError) as exc:
         read_feature_file(path)
+    assert str(exc.value) == "%s: bad feature-file magic b'WRONG!!!'" % path
 
 
 # offsets into a feature file of one record ("prob-a", "x", target, 2 floats):
 # magic 0-8, header 8-24, id length 24-28, id 28-34, name length 34-38,
 # name 38-39, target 39-47, features 47-63
+FEATURE_FIELDS = [(0, 8), (8, 24), (24, 28), (28, 34), (34, 38), (38, 39), (39, 47), (47, 63)]
+
+
 @pytest.mark.parametrize("keep", range(63))
 def test_feature_file_rejects_a_truncated_file(tmp_path, keep):
     path = tmp_path / "layer0.bin"
     write_feature_file(path, 0, [("prob-a", "x", 1.5, np.array([1.0, 2.0]))])
     assert len(path.read_bytes()) == 63
     path.write_bytes(path.read_bytes()[:keep])
-    with pytest.raises(ValueError, match="layer0.bin"):
+    with pytest.raises(ValueError) as exc:
         read_feature_file(path)
+    start, end = next(field for field in FEATURE_FIELDS if field[0] <= keep < field[1])
+    assert str(exc.value) == "%s is truncated: wanted %d more bytes, found %d" % (path, end - start, keep - start)
+
+
+@pytest.mark.parametrize("target,value", [(math.nan, 0.0), (0.0, math.nan), (math.inf, 0.0), (0.0, -math.inf)])
+def test_feature_file_rejects_a_non_finite_value(tmp_path, target, value):
+    path = tmp_path / "layer0.bin"
+    write_feature_file(path, 0, [("p", "a", 1.0, np.zeros(2)), ("p", "b", target, np.array([1.0, value]))])
+    with pytest.raises(ValueError) as exc:
+        read_feature_file(path)
+    assert str(exc.value) == "%s holds a non-finite target or feature value" % path
+
+
+def test_probe_on_a_non_finite_feature_exits_one(tmp_path, capsys):
+    # read as a number, a NaN feature trains every probe to "train_mse=nan"
+    feat_dir = tmp_path / "features"
+    feat_dir.mkdir()
+    path = feat_dir / "layer0.bin"
+    write_feature_file(path, 0, [("p", "v%d" % k, float(k), np.array([float(k), math.nan])) for k in range(10)])
+    out = tmp_path / "out"
+    assert cli.main(["probe", str(feat_dir), "--out", str(out)]) == 1
+    captured = capsys.readouterr()
+    assert captured.err == "feature error: %s holds a non-finite target or feature value\n" % path
+    assert captured.out == "" and not out.exists()
 
 
 def test_feature_dir_requires_consistent_layers(tmp_path, rng):
