@@ -27,54 +27,13 @@ import numpy as np
 from .lang import HoleTemplate, Literal, Program, instantiate_template, walk
 from .optim import Adam
 from .rewards import SemPrediction
-from .values import BinaryFile, MimSet, Value, canonical_serialize, length_prefixed
+from .values import BinaryFile, Memo, MimSet, Value, canonical_serialize, length_prefixed
 
 KIND_CODEGEN = "codegen"
 KIND_ALIGNMENT = "alignment"
 
-MEMO_CAPACITY = 1024
-_ABSENT = object()
-
 STD_FLOOR = 1e-6  # advantage denominator floor
 P_SUM_TOL = float(np.sqrt(np.finfo(float).eps))  # Generator.choice's bound on |sum(p) - 1|
-
-
-class Memo:
-    """Bounded LRU memo of a pure function that keeps a value only on the
-    second lookup of its key.  The first lookup records just the key's hash,
-    like the doorkeeper of TinyLFU (Einziger et al., ACM ToS 2017), so a key
-    seen once costs no value memory.  Values and hashes are each bounded by
-    ``capacity``, least recently used first out.  A ``compute`` that raises
-    stores nothing."""
-
-    def __init__(self, capacity: int = MEMO_CAPACITY):
-        self.capacity = capacity
-        self._values: dict = {}  # key -> value; dicts keep insertion order
-        self._seen: dict = {}  # hash of a key looked up once -> None
-
-    def __len__(self) -> int:
-        return len(self._values)
-
-    def clear(self) -> None:
-        self._values.clear()
-        self._seen.clear()
-
-    def get(self, key, compute):
-        """The value for ``key``, calling ``compute()`` unless it is kept."""
-        value = self._values.pop(key, _ABSENT)
-        if value is _ABSENT:
-            value = compute()
-            seen = hash(key)
-            if self._seen.pop(seen, _ABSENT) is _ABSENT:
-                self._put(self._seen, seen, None)
-                return value
-        self._put(self._values, key, value)
-        return value
-
-    def _put(self, table: dict, key, value) -> None:
-        table[key] = value
-        if len(table) > self.capacity:
-            del table[next(iter(table))]
 
 
 @dataclass
@@ -221,15 +180,22 @@ class CategoricalSequencePolicy:
     def save(self, path) -> None:
         """Layout, little-endian: the magic ``SEMPOL01``, a u32 prompt count,
         then per prompt in id order its UTF-8 id behind a u32 byte length, a
-        u32 step count, and per step a u32 logit count and float64 logits."""
+        u32 step count, and per step a u32 logit count and float64 logits.
+        A non-finite logit is a ``ValueError`` naming its prompt and step,
+        raised before the file is opened."""
+        vecs = {pid: [np.asarray(vec, dtype="<f8") for vec in self.params[pid]] for pid in sorted(self.params)}
+        flat = [vec for pid_vecs in vecs.values() for vec in pid_vecs]
+        if flat and not np.isfinite(np.concatenate(flat)).all():
+            pid, step = next((pid, t) for pid, pid_vecs in vecs.items() for t, vec in enumerate(pid_vecs)
+                             if not np.isfinite(vec).all())
+            raise ValueError("cannot save %s: prompt %r step %d holds a non-finite logit" % (path, pid, step))
         with open(path, "wb") as fh:
             fh.write(self.MAGIC)
-            fh.write(struct.pack("<I", len(self.params)))
-            for pid in sorted(self.params):
-                vecs = self.params[pid]
-                fh.write(length_prefixed(pid.encode("utf-8")) + struct.pack("<I", len(vecs)))
-                for vec in vecs:
-                    fh.write(struct.pack("<I", len(vec)) + np.asarray(vec, dtype="<f8").tobytes())
+            fh.write(struct.pack("<I", len(vecs)))
+            for pid, pid_vecs in vecs.items():
+                fh.write(length_prefixed(pid.encode("utf-8")) + struct.pack("<I", len(pid_vecs)))
+                for vec in pid_vecs:
+                    fh.write(struct.pack("<I", len(vec)) + vec.tobytes())
 
     def load(self, path) -> None:
         """Read what :meth:`save` wrote; ``ValueError`` naming the file if

@@ -6,6 +6,13 @@ rule, except that the levels from ``or-expr`` down to ``term`` are the table
 ``BIN_PREC`` with ``NOT_PREC``, which the one loop in ``parse_expr`` climbs,
 and ``parse_unary`` reads both ``unary`` and ``postfix``.  Every input either
 yields exactly one AST or one :class:`ParseError`; nothing panics.
+
+No token spans a line break, so ``tokenize`` scans each line on its own and
+keeps the ``(kind, text, col)`` of its tokens in one bounded memo keyed by
+the line text (a :class:`semtrace.values.Memo` of ``LINE_MEMO_CAPACITY``
+lines, kept from a line's second scan on); a line whose scan raises is not
+kept.  The tokens, their positions and every error are those of a scan of
+the whole source.
 """
 
 from __future__ import annotations
@@ -14,7 +21,7 @@ import re
 from operator import itemgetter
 from typing import Callable, List, Optional, Tuple, TypeVar
 
-from ..values import INT_MAX
+from ..values import INT_MAX, Memo
 from . import nodes
 from .nodes import (
     Append,
@@ -52,12 +59,12 @@ _ESCAPE_RE = re.compile(r"\\(.)")
 
 HOLE_RE = re.compile(r"__HOLE_([0-9]+)__")
 # A match is one token and the blanks before it; after the longest blank run
-# some alternative always matches, so no blank is ever scanned twice.
+# some alternative always matches, so no blank is ever scanned twice.  It
+# scans one line, so ``end`` matches at the line's end.
 _TOKEN_RE = re.compile(r"""
     [ \t\r]*
     (?:
       (?P<comment>  \#[^\n]* )
-    | (?P<newline>  \n )
     | (?P<string>   " (?P<body> (?: [^"\\\n] | \\[%s] )* ) (?P<close> ")? )
     | (?P<hole>     __HOLE_[0-9]+__ )
     | (?P<float>    [0-9]+ (?: \.[0-9]* (?: [eE][+-]?[0-9]+ )? | [eE][+-]?[0-9]+ ) )
@@ -68,6 +75,8 @@ _TOKEN_RE = re.compile(r"""
     | (?P<end>      \Z )
     )
 """ % re.escape("".join(_UNESCAPE)), re.VERBOSE)
+LINE_MEMO_CAPACITY = 4096
+_LINES = Memo(LINE_MEMO_CAPACITY)  # line text -> the (kind, text, col) of its tokens
 
 
 class ParseError(ValueError):
@@ -95,41 +104,52 @@ class Token(tuple):
     col = property(itemgetter(3))
 
 
-def tokenize(source: str) -> List[Token]:
-    tokens: List[Token] = []
-    append, new = tokens.append, tuple.__new__
-    line, line_start = 1, 0
-    for m in _TOKEN_RE.finditer(source):
+def _scan(source: str, start: int, stop: int, line: int) -> Tuple[Tuple[str, str, int], ...]:
+    """The ``(kind, text, col)`` of each token of line ``line``, which is
+    ``source[start:stop]`` without its line break."""
+    triples: List[Tuple[str, str, int]] = []
+    append = triples.append
+    for m in _TOKEN_RE.finditer(source, start, stop):
         kind = m.lastgroup
         # a token ends where its match does; its match may begin with blanks
         if kind == "ident":
             text = m[kind]
-            col = m.end() - len(text) - line_start + 1
-            append(new(Token, ("kw" if text in KEYWORDS else "ident", text, line, col)))
+            append(("kw" if text in KEYWORDS else "ident", text, m.end() - len(text) - start + 1))
         elif kind == "punct" or kind == "int" or kind == "float" or kind == "hole":
             text = m[kind]
-            append(new(Token, (kind, text, line, m.end() - len(text) - line_start + 1)))
-        elif kind == "newline":
-            line += 1
-            line_start = m.end()
+            append((kind, text, m.end() - len(text) - start + 1))
         elif kind == "string":
-            col = m.start(kind) - line_start + 1
+            col = m.start(kind) - start + 1
             if m.group("close") is None:
                 # the string rule stopped at a line end, the end of input or
                 # a backslash that starts no escape
                 end = m.end()
                 if source.startswith("\\", end):
                     if end + 1 == len(source):
-                        raise ParseError("unterminated string escape", line, end - line_start + 1)
-                    raise ParseError("unknown string escape \\%s" % source[end + 1], line, end - line_start + 1)
+                        raise ParseError("unterminated string escape", line, end - start + 1)
+                    raise ParseError("unknown string escape \\%s" % source[end + 1], line, end - start + 1)
                 raise ParseError("unterminated string literal", line, col)
             text = _ESCAPE_RE.sub(lambda e: _UNESCAPE[e.group(1)], m.group("body"))
-            append(new(Token, ("string", text, line, col)))
+            append(("string", text, col))
         elif kind == "mismatch":
-            raise ParseError("unexpected character %r" % m.group(kind), line, m.start(kind) - line_start + 1)
+            raise ParseError("unexpected character %r" % m.group(kind), line, m.start(kind) - start + 1)
         elif kind == "end":
             break
-    append(new(Token, ("eof", "", line, len(source) - line_start + 1)))
+    return tuple(triples)
+
+
+def tokenize(source: str) -> List[Token]:
+    if not isinstance(source, str):
+        raise TypeError("source must be a str, not %s" % type(source).__name__)  # not str.split's AttributeError
+    tokens: List[Token] = []
+    append, new, memo = tokens.append, tuple.__new__, _LINES.get
+    start = 0
+    for line, text in enumerate(source.split("\n"), 1):
+        stop = start + len(text)
+        for kind, tok, col in memo(text, lambda: _scan(source, start, stop, line)):
+            append(new(Token, (kind, tok, line, col)))
+        start = stop + 1
+    append(new(Token, ("eof", "", line, len(text) + 1)))
     return tokens
 
 

@@ -199,19 +199,28 @@ def write_feature_file(path, layer: int, records: Sequence[Tuple[str, str, float
     vectors must share one dimensionality.  Layout, little-endian: the magic
     ``PRBFEAT1``, a u32 layer, u64 record count and u32 dimension, then per
     record the problem id and the variable name, each a u32 byte length and
-    its UTF-8 bytes, the float64 target and the float64 features."""
+    its UTF-8 bytes, the float64 target and the float64 features.  A
+    non-finite target or feature value is a ``ValueError`` naming its record,
+    raised before the file is opened."""
     if not records:
         raise ValueError("no records to write")
     dim = len(records[0][3])
+    features = [np.asarray(r[3], dtype="<f8") for r in records]
+    if any(f.shape != (dim,) for f in features):
+        raise ValueError("feature dimensionality mismatch")
+    # one row per record: its target, then its features
+    rows = np.column_stack([np.array([float(r[2]) for r in records]), np.stack(features)]).astype("<f8", copy=False)
+    bad = np.flatnonzero(~np.isfinite(rows).all(axis=1))
+    if bad.size:
+        problem_id, variable = records[bad[0]][:2]
+        raise ValueError("cannot write %s: record %d (%r, %r) holds a non-finite target or feature value"
+                         % (path, bad[0], problem_id, variable))
     with open(path, "wb") as fh:
         fh.write(FEATURE_MAGIC)
         fh.write(_HEADER.pack(layer, len(records), dim))
-        for problem_id, variable, target, features in records:
-            features = np.asarray(features, dtype="<f8")
-            if features.shape != (dim,):
-                raise ValueError("feature dimensionality mismatch")
+        for (problem_id, variable, _, _), row in zip(records, rows):
             fh.write(length_prefixed(problem_id.encode("utf-8")) + length_prefixed(variable.encode("utf-8")))
-            fh.write(struct.pack("<d", float(target)) + features.tobytes())
+            fh.write(row.tobytes())
 
 
 def read_feature_file(path) -> Tuple[int, List[Tuple[str, str, float, np.ndarray]]]:

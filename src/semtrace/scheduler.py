@@ -25,7 +25,6 @@ import numpy as np
 from .grpo import (
     KIND_ALIGNMENT,
     KIND_CODEGEN,
-    Memo,
     RolloutGroup,
     TemplatePolicy,
     ValuePredictorPolicy,
@@ -38,8 +37,8 @@ from .lang import Program, format_program, parse_program
 from .optim import Adam
 from .rewards import GenRewardReport, SemPrediction, gen_reward, matches_expected, sem_reward
 from .tracer import DEFAULT_BUDGET, STATUS_RETURNED, execute, traced_variables
-from .values import (Value, canonical_serialize, decode_inputs, decode_json_value, encode_json_value, load_json,
-                     read_jsonl, record_id, stored_int)
+from .values import (Memo, Value, canonical_serialize, decode_inputs, decode_json_value, encode_json_value,
+                     load_json, read_jsonl, record_id, stored_int)
 
 
 @dataclass(frozen=True)
@@ -500,7 +499,7 @@ def run_training(
     stream of a per-sample draw, and each mini-batch's surrogate is one call
     per policy.  Each distinct (problem, action sequence) is decoded, and
     scored together with building its alignment prompt when it fails, at
-    most twice while it stays in a bounded memo (``grpo.Memo``); the prompt
+    most twice while it stays in a bounded memo (``values.Memo``); the prompt
     reuses the executions of the reward report.  The memos are pure
     functions of their keys and are not checkpoint state, so a resumed run
     starts with empty memos and still matches an uninterrupted one exactly.  Resuming

@@ -16,7 +16,8 @@ anything outside the value domain (an argument list through
 record's id is checked by :func:`record_id`, a stored integer by
 :func:`stored_int`.  Binary files (policy checkpoints, probe features) are
 read whole by one :class:`BinaryFile`, which checks each field's length
-against the bytes left before it is read.
+against the bytes left before it is read.  :class:`Memo` is the one bounded
+memo of a pure function (decoded rollouts, scored rollouts, scanned lines).
 """
 
 from __future__ import annotations
@@ -39,6 +40,9 @@ _SENTINEL_FORM = re.compile(r"_*__-?INF__").fullmatch  # a sentinel behind zero 
 
 _INT_ONLY = frozenset((int,))  # element types of a flat int list (bool excluded)
 _U32 = struct.Struct("<I")  # the length field of binary files
+
+MEMO_CAPACITY = 1024
+_ABSENT = object()
 
 
 def is_number(v) -> bool:
@@ -282,3 +286,41 @@ class BinaryFile:
 def length_prefixed(raw: bytes) -> bytes:
     """``raw`` behind its length as a u32, as :meth:`BinaryFile.text` reads it."""
     return _U32.pack(len(raw)) + raw
+
+
+class Memo:
+    """Bounded LRU memo of a pure function that keeps a value only on the
+    second lookup of its key.  The first lookup records just the key's hash,
+    like the doorkeeper of TinyLFU (Einziger et al., ACM ToS 2017), so a key
+    seen once costs no value memory.  Values and hashes are each bounded by
+    ``capacity``, least recently used first out.  A ``compute`` that raises
+    stores nothing."""
+
+    def __init__(self, capacity: int = MEMO_CAPACITY):
+        self.capacity = capacity
+        self._values: dict = {}  # key -> value; dicts keep insertion order
+        self._seen: dict = {}  # hash of a key looked up once -> None
+
+    def __len__(self) -> int:
+        return len(self._values)
+
+    def clear(self) -> None:
+        self._values.clear()
+        self._seen.clear()
+
+    def get(self, key, compute):
+        """The value for ``key``, calling ``compute()`` unless it is kept."""
+        value = self._values.pop(key, _ABSENT)
+        if value is _ABSENT:
+            value = compute()
+            seen = hash(key)
+            if self._seen.pop(seen, _ABSENT) is _ABSENT:
+                self._put(self._seen, seen, None)
+                return value
+        self._put(self._values, key, value)
+        return value
+
+    def _put(self, table: dict, key, value) -> None:
+        table[key] = value
+        if len(table) > self.capacity:
+            del table[next(iter(table))]

@@ -2,6 +2,7 @@
 the two toy policies."""
 
 import math
+import struct
 
 import numpy as np
 import pytest
@@ -601,12 +602,25 @@ def test_policy_load_rejects_a_truncated_file(tmp_path, keep):
 @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
 def test_policy_load_rejects_a_non_finite_logit(tmp_path, bad):
     pol = CategoricalSequencePolicy()
-    pol.params = {"a": [np.zeros(2)], "b": [np.zeros(0), np.array([1.0, bad])]}
+    pol.params = {"a": [np.zeros(2)], "b": [np.zeros(0), np.array([1.0, 0.0])]}
     path = tmp_path / "policy.bin"
     pol.save(path)
+    # save refuses a non-finite logit, so write it over the file's last one
+    path.write_bytes(path.read_bytes()[:-8] + struct.pack("<d", bad))
     with pytest.raises(ValueError) as exc:
         CategoricalSequencePolicy().load(path)
     assert str(exc.value) == "%s holds a non-finite logit" % path
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_policy_save_refuses_a_non_finite_logit_and_writes_nothing(tmp_path, bad):
+    pol = CategoricalSequencePolicy()
+    pol.params = {"a": [np.zeros(2)], "b": [np.zeros(0), np.array([1.0, bad])]}
+    path = tmp_path / "policy.bin"
+    with pytest.raises(ValueError) as exc:
+        pol.save(path)
+    assert str(exc.value) == "cannot save %s: prompt 'b' step 1 holds a non-finite logit" % path
+    assert not path.exists()
 
 
 def test_adam_optimizer_also_converges():

@@ -2,6 +2,7 @@
 
 import math
 import os
+import struct
 import subprocess
 import sys
 from pathlib import Path
@@ -174,10 +175,24 @@ def test_feature_file_rejects_a_truncated_file(tmp_path, keep):
 @pytest.mark.parametrize("target,value", [(math.nan, 0.0), (0.0, math.nan), (math.inf, 0.0), (0.0, -math.inf)])
 def test_feature_file_rejects_a_non_finite_value(tmp_path, target, value):
     path = tmp_path / "layer0.bin"
-    write_feature_file(path, 0, [("p", "a", 1.0, np.zeros(2)), ("p", "b", target, np.array([1.0, value]))])
+    write_feature_file(path, 0, [("p", "a", 1.0, np.zeros(2)), ("p", "b", 0.0, np.array([1.0, 0.0]))])
+    # the writer refuses non-finite values, so write the bad one over its
+    # place: the file ends with record b's target, 1.0 and value
+    at, bad = (24, target) if not math.isfinite(target) else (8, value)
+    data = path.read_bytes()
+    path.write_bytes(data[:-at] + struct.pack("<d", bad) + data[len(data) - at + 8:])
     with pytest.raises(ValueError) as exc:
         read_feature_file(path)
     assert str(exc.value) == "%s holds a non-finite target or feature value" % path
+
+
+@pytest.mark.parametrize("target,value", [(math.nan, 0.0), (0.0, math.nan), (math.inf, 0.0), (0.0, -math.inf)])
+def test_feature_writer_refuses_a_non_finite_value_and_writes_nothing(tmp_path, target, value):
+    path = tmp_path / "layer0.bin"
+    with pytest.raises(ValueError) as exc:
+        write_feature_file(path, 0, [("p", "a", 1.0, np.zeros(2)), ("p", "b", target, np.array([1.0, value]))])
+    assert str(exc.value) == "cannot write %s: record 1 ('p', 'b') holds a non-finite target or feature value" % path
+    assert not path.exists()
 
 
 def test_probe_on_a_non_finite_feature_exits_one(tmp_path, capsys):
@@ -185,7 +200,9 @@ def test_probe_on_a_non_finite_feature_exits_one(tmp_path, capsys):
     feat_dir = tmp_path / "features"
     feat_dir.mkdir()
     path = feat_dir / "layer0.bin"
-    write_feature_file(path, 0, [("p", "v%d" % k, float(k), np.array([float(k), math.nan])) for k in range(10)])
+    write_feature_file(path, 0, [("p", "v%d" % k, float(k), np.array([float(k), 0.0])) for k in range(10)])
+    # the writer refuses NaN, so write it over the last record's last feature
+    path.write_bytes(path.read_bytes()[:-8] + struct.pack("<d", math.nan))
     out = tmp_path / "out"
     assert cli.main(["probe", str(feat_dir), "--out", str(out)]) == 1
     captured = capsys.readouterr()

@@ -1,0 +1,174 @@
+"""The line memo under ``tokenize``: each line is scanned on its own and its
+tokens are kept by line text, and the tokens, positions and errors stay those
+of one scan over the whole source.  ``whole_source_tokenize`` below is that
+scan, kept as the reference.  Standard library, pytest and semtrace.lang
+only, so this file also runs without numpy and without conftest.py."""
+
+import random
+import re
+
+import pytest
+
+from semtrace.lang import parser
+from semtrace.lang.parser import ESCAPES, KEYWORDS, LINE_MEMO_CAPACITY, ParseError, Token, parse_program, tokenize
+
+_UNESCAPE = {esc[1]: ch for ch, esc in ESCAPES.items()}
+_ESCAPE_RE = re.compile(r"\\(.)")
+_WHOLE_SOURCE_RE = re.compile(r"""
+    [ \t\r]*
+    (?:
+      (?P<comment>  \#[^\n]* )
+    | (?P<newline>  \n )
+    | (?P<string>   " (?P<body> (?: [^"\\\n] | \\[%s] )* ) (?P<close> ")? )
+    | (?P<hole>     __HOLE_[0-9]+__ )
+    | (?P<float>    [0-9]+ (?: \.[0-9]* (?: [eE][+-]?[0-9]+ )? | [eE][+-]?[0-9]+ ) )
+    | (?P<int>      [0-9]+ )
+    | (?P<ident>    [A-Za-z][A-Za-z0-9_]* )
+    | (?P<punct>    == | != | <= | >= | // | [-+*/%%(){}\[\],=<>] )
+    | (?P<mismatch> . )
+    | (?P<end>      \Z )
+    )
+""" % re.escape("".join(_UNESCAPE)), re.VERBOSE)
+
+
+def whole_source_tokenize(source):
+    """The scanner before the line memo: one regex pass over the source."""
+    tokens = []
+    line, line_start = 1, 0
+    for m in _WHOLE_SOURCE_RE.finditer(source):
+        kind = m.lastgroup
+        if kind in ("ident", "punct", "int", "float", "hole"):
+            text = m[kind]
+            if kind == "ident" and text in KEYWORDS:
+                kind = "kw"
+            tokens.append(Token((kind, text, line, m.end() - len(text) - line_start + 1)))
+        elif kind == "newline":
+            line += 1
+            line_start = m.end()
+        elif kind == "string":
+            col = m.start(kind) - line_start + 1
+            if m.group("close") is None:
+                end = m.end()
+                if source.startswith("\\", end):
+                    if end + 1 == len(source):
+                        raise ParseError("unterminated string escape", line, end - line_start + 1)
+                    raise ParseError("unknown string escape \\%s" % source[end + 1], line, end - line_start + 1)
+                raise ParseError("unterminated string literal", line, col)
+            text = _ESCAPE_RE.sub(lambda e: _UNESCAPE[e.group(1)], m.group("body"))
+            tokens.append(Token(("string", text, line, col)))
+        elif kind == "mismatch":
+            raise ParseError("unexpected character %r" % m.group(kind), line, m.start(kind) - line_start + 1)
+        elif kind == "end":
+            break
+    tokens.append(Token(("eof", "", line, len(source) - line_start + 1)))
+    return tokens
+
+
+def outcome(scan, source):
+    """The tokens as (kind, text, line, col), or the ParseError as
+    (message, line, col)."""
+    try:
+        return [tuple(t) for t in scan(source)]
+    except ParseError as e:
+        return (e.message, e.line, e.col)
+
+
+FIXTURES = [
+    "fn s() {\n    t = 0\n    for i in range(1, 4) {\n        t = t + i\n    }\n    return t\n}\n",
+    "fn id(x) {\n    return x\n}\n",
+    """fn f(xs, n) {
+  s = {1, 2.5, 3e-2, 4.E+1}  # a set
+  ys = [true, null, "a\\"b\\\\c\\n\\t", -inf]
+  for i in range(0, n) { append(ys, xs[i]) }
+  while len(ys) < n and not (n >= 2 or n != 3) { ys[0] = abs(min(1, 2) // 3 % 4 / 5) }
+  if n <= 0 { break } else { continue }
+  return ys
+}
+""",
+    "fn w0(xs, m) {\n    out = []\n    for i in range(0, len(xs)) {\n        v = xs[i] __HOLE_1__ m\n"
+    "        if v __HOLE_2__ 250 {\n            append(out, v)\n        }\n    }\n    return out\n}\n",
+]
+CRLF = [src.replace("\n", "\r\n") for src in FIXTURES]
+EDGES = [
+    "",
+    "\n",
+    "\n\n\n",
+    "fn f() { return 1 }",  # no trailing newline
+    "fn f() {\n  return 1\n}",
+    "x \t\r",
+    "x\r",
+    "# only a comment",
+    '"a\\',  # a backslash at the end of the source
+    '"a\\\n',  # the same line, followed by a line break: another error
+    '"ab\n"',
+    '"\\q"',
+    "x = 1\n$\n",
+    "٣\n",
+]
+
+ATOMS = ["\n", "\r", "\t", " ", '"', "\\", "#", ".", "e", "E", "__HOLE_3__", "_"]
+ATOMS += list("0123456789") + list("abxyzfnr") + ["fn", "in", "not", "len"]
+ATOMS += ["==", "!=", "<=", ">=", "//", "-", "+", "*", "/", "%", "(", ")", "{", "}", "[", "]", ",", "=", "<", ">"]
+
+
+def random_sources(n, seed):
+    rng = random.Random(seed)
+    return ["".join(rng.choice(ATOMS) for _ in range(rng.randrange(40))) for _ in range(n)]
+
+
+INPUTS = FIXTURES + CRLF + EDGES + random_sources(1500, seed=3)
+
+
+@pytest.fixture
+def cold_memo():
+    parser._LINES.clear()
+    yield
+    parser._LINES.clear()
+
+
+def test_tokens_match_the_whole_source_scan_cold_and_warm(cold_memo):
+    expected = [outcome(whole_source_tokenize, s) for s in INPUTS]
+    # a line is kept from its second scan on, so the third pass reads only
+    # kept lines
+    for _ in range(3):
+        assert [outcome(tokenize, s) for s in INPUTS] == expected
+
+
+def test_tokens_match_after_the_memo_has_evicted(cold_memo):
+    expected = [outcome(whole_source_tokenize, s) for s in INPUTS]
+    for s in INPUTS:
+        outcome(tokenize, s)
+        outcome(tokenize, s)
+    for chunk in range(5):  # each line twice, so that it is kept
+        filler = "\n".join("x%d = %d" % (k, chunk) for k in range(LINE_MEMO_CAPACITY // 4))
+        tokenize(filler)
+        tokenize(filler)
+    assert len(parser._LINES) == LINE_MEMO_CAPACITY
+    assert [outcome(tokenize, s) for s in INPUTS] == expected
+
+
+SCAN_ERRORS = ("unexpected character", "unterminated string literal", "unterminated string escape",
+               "unknown string escape")
+
+
+def test_the_inputs_reach_every_token_kind_and_scan_error():
+    outcomes = [outcome(whole_source_tokenize, s) for s in INPUTS]
+    kinds = {tok[0] for o in outcomes if isinstance(o, list) for tok in o}
+    errors = {e for o in outcomes if isinstance(o, tuple) for e in SCAN_ERRORS if o[0].startswith(e)}
+    assert kinds == {"kw", "ident", "int", "float", "string", "punct", "hole", "eof"}
+    assert errors == set(SCAN_ERRORS)
+
+
+def test_a_line_that_raises_is_not_kept(cold_memo):
+    for _ in range(3):
+        with pytest.raises(ParseError):
+            tokenize('x = "a\\q"')
+    assert len(parser._LINES) == 0
+
+
+@pytest.mark.parametrize("source", [None, b"fn f() { return 1 }", 3])
+def test_a_source_that_is_not_a_str_raises_type_error(source):
+    with pytest.raises(TypeError):
+        tokenize(source)
+    with pytest.raises(TypeError):
+        parse_program(source)
