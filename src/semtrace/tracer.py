@@ -184,12 +184,73 @@ def _call(func, args, loc) -> Value:
     raise MimRuntimeError(E_TYPE, "unknown builtin %r" % func, loc)
 
 
+# Closure factories whose closure reads operand i where it says ``{i}``.  At
+# ``{take}``, ``make`` turns each operand node ``x<i>`` into what it captures: a
+# variable's name, read in place as ``env[x<i>]``; a literal's value, the
+# constant ``x<i>``; any other expression's closure, called as ``x<i>()``.
+_OPERANDS = {Var: ("x{0} = x{0}.name", "env[x{0}]"), Literal: ("x{0} = x{0}.value", "x{0}")}
+_SHAPES: Dict[tuple, object] = {}
+_BINOP = """def make(env, run, x0, x1, op, fast, divides, loc):{take}
+    def binop():
+        a, b = {0}, {1}
+        if type(a) is int and type(b) is int and (b or not divides):
+            v = fast(a, b)
+            if INT_MIN <= v <= INT_MAX:
+                return v
+        return _binop(op, a, b, loc)
+    return binop
+"""
+_INDEX = """def make(env, run, x0, x1, loc):{take}
+    def index():
+        base, idx = {0}, {1}
+        if type(base) is list and type(idx) is int and 0 <= idx < len(base):
+            return base[idx]
+        return _index(base, idx, loc)
+    return index
+"""
+_LEN = """def make(env, run, x0, loc):{take}
+    def length():
+        v = {0}
+        return len(v) if isinstance(v, (list, MimSet, str)) else _call("len", [v], loc)
+    return length
+"""
+_WRITE = """def make(env, run, x0, x1, owned, target, indexed, ends, loc):{take}
+    def write():
+        base = env[target]
+        if not isinstance(base, list):
+            raise MimRuntimeError(E_TYPE, ("indexed assignment" if indexed else "append") + " needs a list", loc)
+        if indexed:
+            idx = {0}
+            if type(idx) is not int or not 0 <= idx < len(base):
+                _index(base, idx, loc)  # raises the type or range error
+        item = {1}
+        owned.pop(ends, None)
+        if owned.get(target) is not base:
+            base = owned[target] = list(base)
+        if indexed:
+            base[idx] = item
+        else:
+            base.append(item)
+        return base
+    return write
+"""
+
+
+def _undefined(err: KeyError, loc) -> MimRuntimeError:
+    return MimRuntimeError(E_UNDEF, "undefined variable %r" % err.args[0], loc)
+
+
 class _Compiler:
     """Turns one run's program into closures over that run's state.
 
     Node types and operators are dispatched here, once per node; each error
     carries the ``loc`` of its enclosing statement, fixed when the statement
-    is compiled.  Nested blocks are compiled the first time they run.
+    is compiled.  Nested blocks are compiled the first time they run, to a
+    list of statement closures that ``if``, the loops and :func:`execute`
+    run inline; each statement inlines its step check.  A variable or literal
+    operand of a binary operator, an index, ``len``, an indexed write or
+    ``append`` is read in place (:meth:`shaped`); an unbound variable raises
+    ``KeyError``, which the statement that read it turns into ``E_UNDEF``.
 
     Lists are copy-on-write: ``owned`` maps a variable to the list that only
     it holds, one its own ``append`` or indexed write made.  Such a list is
@@ -197,7 +258,6 @@ class _Compiler:
     a value elsewhere (``stores``) ends the ownership, so an owned list never
     holds an owned list, and full mode's event for a write keeps a shallow
     copy of the list.  Full mode differs from summary mode only in the events.
-    Definitions and loop heads, the hot steps, inline the check of :meth:`tick`.
     """
 
     __slots__ = ("env", "owned", "trajectory", "budget", "steps")
@@ -205,27 +265,23 @@ class _Compiler:
     def __init__(self, env: Dict[str, Value], budget: int, trajectory: Optional[List[StepEvent]]):
         self.env, self.owned, self.trajectory, self.budget, self.steps = env, {}, trajectory, budget, 0
 
-    def tick(self, loc) -> None:
-        if self.steps >= self.budget:
-            raise _Budget()
-        self.steps += 1
-        if self.trajectory is not None:
-            self.trajectory.append(StepEvent(self.steps, loc, None, None))
-
     def expr(self, e, loc, stores=False):
         """``e`` as a closure; ``stores`` when its value may be kept elsewhere."""
         return self._EXPRS[type(e)](self, e, loc, stores)
 
+    def shaped(self, source, operands, loc, *args):
+        """``source``'s closure over ``operands`` and ``args``; ``make`` is compiled once per tuple of operand types."""
+        shape = (source, *map(type, operands))
+        make = _SHAPES.get(shape)
+        if make is None:
+            forms = [_OPERANDS.get(t, ("x{0} = run.expr(x{0}, loc)", "x{0}()")) for t in shape[1:]]
+            take = "".join("\n    " + line.format(i) for i, (line, _) in enumerate(forms))
+            exec(source.format(*[read.format(i) for i, (_, read) in enumerate(forms)], take=take), globals(), ns := {})
+            make = _SHAPES[shape] = ns["make"]
+        return make(self.env, self, *operands, *args, loc)
+
     def block(self, body, in_loop: bool):
-        stmts = [self._STMTS[type(s)](self, s, in_loop) for s in body]
-        if len(stmts) == 1:
-            return stmts[0]
-
-        def run_block():
-            for s in stmts:
-                s()
-
-        return run_block
+        return [self._STMTS[type(s)](self, s, in_loop) for s in body]
 
     # --- expressions ---
 
@@ -235,45 +291,28 @@ class _Compiler:
 
     def _var(self, e, loc, stores):
         env, owned, name = self.env, self.owned, e.name
-
-        def var():
-            try:
-                return env[name]
-            except KeyError:
-                raise MimRuntimeError(E_UNDEF, "undefined variable %r" % name, loc) from None
-
         if stores:
-            return lambda: (owned.pop(name, None), var())[1]  # ends ownership, then reads
-        return var
+            return lambda: (owned.pop(name, None), env[name])[1]  # ends ownership, then reads
+        return lambda: env[name]
 
     def _binop(self, e, loc, stores):
-        op, left, right = e.op, self.expr(e.left, loc), self.expr(e.right, loc)
-        if op in ("and", "or"):
-            decides = op == "or"  # the left value that is the result
+        op = e.op
+        if op not in ("and", "or"):
+            return self.shaped(_BINOP, (e.left, e.right), loc, op, _OPS[op], op in ("/", "//", "%"))
+        left, right, decides = self.expr(e.left, loc), self.expr(e.right, loc), op == "or"
 
-            def logic():
-                a = left()
-                if type(a) is not bool:
-                    raise MimRuntimeError(E_TYPE, "%r needs booleans" % op, loc)
-                if a is decides:
-                    return a
-                b = right()
-                if type(b) is not bool:
-                    raise MimRuntimeError(E_TYPE, "%r needs booleans" % op, loc)
-                return b
+        def logic():
+            a = left()
+            if type(a) is not bool:
+                raise MimRuntimeError(E_TYPE, "%r needs booleans" % op, loc)
+            if a is decides:  # the left value that is the result
+                return a
+            b = right()
+            if type(b) is not bool:
+                raise MimRuntimeError(E_TYPE, "%r needs booleans" % op, loc)
+            return b
 
-            return logic
-        fast, divides = _OPS[op], op in ("/", "//", "%")
-
-        def binop():
-            a, b = left(), right()
-            if type(a) is int and type(b) is int and (b or not divides):
-                v = fast(a, b)
-                if INT_MIN <= v <= INT_MAX:
-                    return v
-            return _binop(op, a, b, loc)
-
-        return binop
+        return logic
 
     def _unary(self, e, loc, stores):
         negate, v = e.op == "-", e.operand.value if type(e.operand) is Literal else None
@@ -293,28 +332,12 @@ class _Compiler:
         return unary
 
     def _index(self, e, loc, stores):
-        base_of, index_of = self.expr(e.base, loc), self.expr(e.index, loc)
-
-        def index():
-            base, idx = base_of(), index_of()
-            if type(base) is list and type(idx) is int and 0 <= idx < len(base):
-                return base[idx]
-            return _index(base, idx, loc)
-
-        return index
+        return self.shaped(_INDEX, (e.base, e.index), loc)
 
     def _call(self, e, loc, stores):
+        if e.func == "len" and len(e.args) == 1:
+            return self.shaped(_LEN, e.args, loc)
         func, args = e.func, [self.expr(a, loc) for a in e.args]
-        if func == "len" and len(args) == 1:
-            arg = args[0]
-
-            def length():
-                v = arg()
-                if isinstance(v, (list, MimSet, str)):
-                    return len(v)
-                return _call(func, [v], loc)
-
-            return length
         return lambda: _call(func, [a() for a in args], loc)
 
     def _list(self, e, loc, stores):
@@ -346,10 +369,10 @@ class _Compiler:
             run.steps += 1
             try:
                 env[target] = value = compute()
-            except MimRuntimeError:
+            except (MimRuntimeError, KeyError) as err:
                 if trajectory is not None:
                     trajectory.append(StepEvent(run.steps, loc, None, None))
-                raise
+                raise (_undefined(err, loc) if type(err) is KeyError else err) from None
             if trajectory is not None:
                 trajectory.append(StepEvent(run.steps, loc, target, value if record is None else record(value)))
 
@@ -359,44 +382,33 @@ class _Compiler:
         return self._define(s.target, self.expr(s.value, s.loc, True), s.loc)
 
     def _write(self, s, in_loop):
-        """``append`` and indexed assignment."""
-        owned, target, loc = self.owned, s.target, s.loc
-        what = "append" if type(s) is Append else "indexed assignment"
-        base_of, value = self.expr(Var(target), loc), self.expr(s.value, loc, True)
-        index_of = self.expr(s.index, loc) if type(s) is IndexAssign else None
-
-        def write():
-            base = base_of()
-            if not isinstance(base, list):
-                raise MimRuntimeError(E_TYPE, what + " needs a list", loc)
-            if index_of is not None:
-                idx = index_of()
-                if type(idx) is not int or not 0 <= idx < len(base):
-                    _index(base, idx, loc)  # raises the type or range error
-            item = value()
-            if owned.get(target) is not base:
-                base = owned[target] = list(base)
-            if index_of is None:
-                base.append(item)
-            else:
-                base[idx] = item
-            return base
-
-        return self._define(target, write, loc, list)  # later writes change ``base`` in place
+        """``append`` (its index operand unread) and indexed assignment."""
+        indexed, value = type(s) is IndexAssign, s.value
+        ends = value.name if type(value) is Var else None  # storing it ends its ownership
+        write = self.shaped(_WRITE, (s.index if indexed else _ONE, value), s.loc, self.owned, s.target, indexed, ends)
+        return self._define(s.target, write, s.loc, list)  # later writes change the list in place
 
     def _if(self, s, in_loop):
-        run, loc, cond = self, s.loc, self.expr(s.cond, s.loc)
+        run, budget, trajectory, loc, cond = self, self.budget, self.trajectory, s.loc, self.expr(s.cond, s.loc)
         branches = {True: s.then_body, False: s.else_body}  # a tuple until first run
 
         def if_():
-            run.tick(loc)
-            c = cond()
+            if run.steps >= budget:
+                raise _Budget()
+            run.steps += 1
+            if trajectory is not None:
+                trajectory.append(StepEvent(run.steps, loc, None, None))
+            try:
+                c = cond()
+            except KeyError as err:
+                raise _undefined(err, loc) from None
             if type(c) is not bool:
                 raise MimRuntimeError(E_TYPE, "if condition must be a boolean", loc)
             branch = branches[c]
             if type(branch) is tuple:
                 branch = branches[c] = run.block(branch, in_loop)
-            branch()
+            for stmt in branch:
+                stmt()
 
         return if_
 
@@ -413,19 +425,22 @@ class _Compiler:
                 run.steps += 1
                 if trajectory is not None:
                     trajectory.append(StepEvent(run.steps, loc, None, None))
-                c = cond()
-                if c is not True:
-                    if c is False:
-                        return
-                    raise MimRuntimeError(E_TYPE, "while condition must be a boolean", loc)
-                if body is None:
-                    body = run.block(s.body, True)
                 try:
-                    body()
+                    c = cond()
+                    if c is not True:
+                        if c is False:
+                            return
+                        raise MimRuntimeError(E_TYPE, "while condition must be a boolean", loc)
+                    if body is None:
+                        body = run.block(s.body, True)
+                    for stmt in body:
+                        stmt()
                 except _Continue:
                     pass
                 except _Break:
                     return
+                except KeyError as err:  # the condition's: a statement of the body turns its own
+                    raise _undefined(err, loc) from None
 
         return while_
 
@@ -436,7 +451,10 @@ class _Compiler:
 
         def for_():
             nonlocal body
-            args = [f() for f in bounds]
+            try:
+                args = [f() for f in bounds]
+            except KeyError as err:
+                raise _undefined(err, loc) from None
             if any(isinstance(v, bool) or not isinstance(v, int) for v in args):
                 raise MimRuntimeError(E_TYPE, "range bounds must be integers", loc)
             if args[2] == 0:
@@ -451,7 +469,8 @@ class _Compiler:
                 if body is None:
                     body = run.block(s.body, True)
                 try:
-                    body()
+                    for stmt in body:
+                        stmt()
                 except _Continue:
                     pass
                 except _Break:
@@ -461,13 +480,20 @@ class _Compiler:
 
     def _jump(self, s, in_loop):
         """``return``, ``break``, ``continue``: a step, then the jump; outside a loop the last two are errors."""
-        run, loc, t = self, s.loc, type(s)
+        run, budget, trajectory, loc, t = self, self.budget, self.trajectory, s.loc, type(s)
         value = self.expr(s.value, loc, True) if t is Return else None
 
         def jump():
-            run.tick(loc)
+            if run.steps >= budget:
+                raise _Budget()
+            run.steps += 1
+            if trajectory is not None:
+                trajectory.append(StepEvent(run.steps, loc, None, None))
             if value is not None:
-                raise _Return(value())
+                try:
+                    raise _Return(value())
+                except KeyError as err:
+                    raise _undefined(err, loc) from None
             if in_loop:
                 raise (_Break if t is Break else _Continue)()
             raise MimRuntimeError(E_TYPE, "%s outside a loop" % t.__name__.lower(), loc)
@@ -492,8 +518,9 @@ def execute(
     memory); ``mode="full"`` additionally records every :class:`StepEvent`.
     Arity mismatches and invalid budgets are rejected up front with
     ``ValueError``; everything that happens *during* execution lands in the
-    record's status.  The program is compiled anew for each call and the
-    compiled form is dropped when it returns.
+    record's status, an unbound variable as ``E_UNDEF`` at the statement that
+    read it.  Each call compiles the program anew, reading variable and literal
+    operands in place (:class:`_Compiler`), and drops the compiled form on return.
     """
     if mode not in ("summary", "full"):
         raise ValueError("mode must be 'summary' or 'full'")
@@ -510,7 +537,8 @@ def execute(
     return_value: Optional[Value] = None  # falling off the end: implicit `return null`
     error_kind = error_loc = None
     try:
-        run.block(p.body, False)()
+        for stmt in run.block(p.body, False):
+            stmt()
     except _Return as r:
         return_value = r.args[0]
     except _Budget:

@@ -111,7 +111,7 @@ def values_equal(a: Value, b: Value) -> bool:
     """Canonical equality: total, with int/float numeric coercion.
 
     Booleans only equal booleans; 2 == 2.0; +inf == +inf; lists compare
-    elementwise; sets compare as their canonically sorted member sequences.
+    elementwise, flat int lists whole by one ``==``; sets by their sorted members.
     """
     a_bool, b_bool = isinstance(a, bool), isinstance(b, bool)
     if a_bool or b_bool:
@@ -123,6 +123,8 @@ def values_equal(a: Value, b: Value) -> bool:
     if isinstance(a, str) and isinstance(b, str):
         return a == b
     if isinstance(a, list) and isinstance(b, list):
+        if set(map(type, a)) <= _INT_ONLY and set(map(type, b)) <= _INT_ONLY:
+            return a == b
         return len(a) == len(b) and all(values_equal(x, y) for x, y in zip(a, b))
     if isinstance(a, MimSet) and isinstance(b, MimSet):
         return len(a.members) == len(b.members) and all(

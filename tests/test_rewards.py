@@ -6,6 +6,8 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from semtrace import rewards
 from semtrace.fuzz import ProgramFuzzer
@@ -18,7 +20,7 @@ from semtrace.rewards import (
     sem_reward,
 )
 from semtrace.tracer import DEFAULT_BUDGET, STATUS_RETURNED
-from semtrace.values import MimSet, values_equal
+from semtrace.values import INT_MAX, INT_MIN, MimSet, values_equal
 from test_tracer import ERROR_PROGRAMS, exact, record_fields
 from tree_walker import tree_walk_execute
 
@@ -57,6 +59,89 @@ def test_equality_total_on_mixed_shapes():
 def test_matches_expected_accepts_ascending_list_for_set():
     assert matches_expected(MimSet([3, 1, 2]), [1, 2, 3])
     assert not matches_expected(MimSet([3, 1, 2]), [3, 1, 2])
+
+
+# --- flat int lists compared whole agree with the elementwise rule ---
+
+
+def elementwise_equal(a, b):
+    """Canonical equality compared item by item, as ``values_equal`` did
+    before it compared two flat int lists with one ``==``."""
+    if isinstance(a, bool) or isinstance(b, bool):
+        return isinstance(a, bool) and isinstance(b, bool) and a == b
+    if isinstance(a, (int, float)) and isinstance(b, (int, float)):
+        return a == b
+    if (isinstance(a, list) and isinstance(b, list)) or (isinstance(a, MimSet) and isinstance(b, MimSet)):
+        a, b = list(a), list(b)
+        return len(a) == len(b) and all(elementwise_equal(x, y) for x, y in zip(a, b))
+    return False
+
+
+def elementwise_match(actual, expected):
+    """``matches_expected`` over :func:`elementwise_equal`."""
+    if elementwise_equal(actual, expected):
+        return True
+    if isinstance(actual, MimSet) and isinstance(expected, list):
+        return elementwise_equal(list(actual), expected)
+    if isinstance(actual, list) and isinstance(expected, list):
+        return len(actual) == len(expected) and all(map(elementwise_match, actual, expected))
+    return False
+
+
+_NUMBERS = st.one_of(
+    st.integers(-2, 2),
+    st.integers(INT_MIN, INT_MAX),
+    st.sampled_from([0.0, -0.0, 2.0, math.inf, -math.inf]),
+    st.floats(allow_nan=False),
+)
+_ITEMS = st.recursive(
+    st.one_of(_NUMBERS, st.booleans(), st.lists(st.one_of(_NUMBERS, st.booleans()), max_size=4).map(MimSet)),
+    lambda inner: st.lists(inner, max_size=4),
+    max_leaves=10,
+)
+_LISTS = st.lists(st.integers(-2, 2), max_size=6) | st.lists(_ITEMS, max_size=6)
+
+
+def _twin(value, draw, bools):
+    """A value that Python's ``==`` finds equal to ``value``: some ints drawn
+    to equal floats (canonically equal) or, with ``bools``, a 0 or 1 to a
+    boolean (canonically not); sets rebuilt from their members in another order."""
+    if isinstance(value, list):
+        return [_twin(v, draw, bools) for v in value]
+    if isinstance(value, MimSet):
+        return MimSet(draw(st.permutations([_twin(v, draw, bools) for v in value])))
+    if type(value) is int and draw(st.booleans()):
+        return bool(value) if bools and value in (0, 1) else float(value) if abs(value) < 2**53 else value
+    return value
+
+
+@st.composite
+def _list_pairs(draw):
+    a = draw(_LISTS)
+    kind = draw(st.sampled_from(["twin", "bools", "copy", "any"]))
+    if kind == "any":
+        return a, draw(_LISTS)
+    b = list(a) if kind == "copy" else _twin(a, draw, kind == "bools")
+    return (a, b) if draw(st.booleans()) else (b, a)
+
+
+@settings(max_examples=120, deadline=None, database=None)
+@given(_list_pairs())
+def test_list_equality_agrees_with_the_elementwise_rule(pair):
+    a, b = pair
+    assert values_equal(a, b) is elementwise_equal(a, b)
+    assert matches_expected(a, b) is elementwise_match(a, b)
+
+
+@pytest.mark.parametrize(
+    "a,b,equal",
+    [([1, True], [1, 1], False), ([0], [False], False), ([2], [2.0], True), ([], [], True),
+     ([1, 2], [1, 2, 3], False), ([[1]], [[1]], True)],
+)
+def test_list_equality_pinned_cases(a, b, equal):
+    for x, y in ((a, b), (b, a)):
+        assert values_equal(x, y) is elementwise_equal(x, y) is equal
+        assert matches_expected(x, y) is elementwise_match(x, y) is equal
 
 
 # --- R_gen ---

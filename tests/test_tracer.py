@@ -355,6 +355,39 @@ ERROR_PROGRAMS = [
     ("fn f(a) { x = a - inf return x }", [float("inf")], E_NAN),
     ("fn f(a) { x = a / 0.0 return x }", [0], E_NAN),
     ("fn f(a) { x = a * 0 return x }", [float("-inf")], E_NAN),
+    # an unbound variable read in each position its parent reads in place,
+    # and in the positions read through a closure
+    ("fn f(a) { x = y + a return x }", [1], E_UNDEF),
+    ("fn f(a) { x = a * y return x }", [1], E_UNDEF),
+    ("fn f(a) { x = y < 1 return x }", [1], E_UNDEF),
+    ("fn f(a) { x = 1 >= y return x }", [1], E_UNDEF),
+    ("fn f(a) { x = a[0] + y return x }", [[1]], E_UNDEF),
+    ("fn f(a) { x = ys[0] return x }", [1], E_UNDEF),
+    ("fn f(a) { x = a[k] return x }", [[1]], E_UNDEF),
+    ("fn f(a) { x = a[k + 1] return x }", [[1]], E_UNDEF),
+    ("fn f(a) { n = len(ys) return n }", [1], E_UNDEF),
+    ("fn f(a) { x = a < len(ys) return x }", [1], E_UNDEF),
+    ("fn f(a) { x = 1 if c { x = 2 } return x }", [1], E_UNDEF),
+    ("fn f(a) { x = 1 while x < n { x = x + 1 } return x }", [1], E_UNDEF),
+    ("fn f(a) { t = 0 for i in range(s, 3) { t = t + i } return t }", [1], E_UNDEF),
+    ("fn f(a) { t = 0 for i in range(0, n) { t = t + i } return t }", [1], E_UNDEF),
+    ("fn f(a) { t = 0 for i in range(0, 3, k) { t = t + i } return t }", [1], E_UNDEF),
+    ("fn f(a) { x = 1 return y + x }", [1], E_UNDEF),
+    ("fn f(xs) { xs[k] = 1 return xs }", [[1, 2]], E_UNDEF),
+    ("fn f(xs) { xs[0] = y return xs }", [[1, 2]], E_UNDEF),
+    ("fn f(xs) { xs[0] = xs[1] - y return xs }", [[1, 2]], E_UNDEF),
+    ("fn f(xs) { append(xs, y) return xs }", [[1, 2]], E_UNDEF),
+    ("fn f(a) { x = [1, y] return x }", [1], E_UNDEF),
+    ("fn f(a) { s = {1, y} return s }", [1], E_UNDEF),
+    ("fn f(a) { n = min(a, y) return n }", [1], E_UNDEF),
+    ("fn f(a) { x = true and y return x }", [1], E_UNDEF),
+    ("fn f(a) { x = y or true return x }", [1], E_UNDEF),
+    ("fn f(a) { x = -y return x }", [1], E_UNDEF),
+    ("fn f(a) { x = not y return x }", [1], E_UNDEF),
+    ("fn f(a) { x = y return x }", [1], E_UNDEF),
+    ("fn f(xs) { t = 0 for i in range(0, 3) { t = t + xs[i] if i == 2 { t = t + y } } return t }", [[1, 2, 3]],
+     E_UNDEF),
+    ("fn f(xs) { j = 0 out = xs while j < len(out) { out[j] = out[j] + 1 j = j + 1 append(out, w) } }", [[1]], E_UNDEF),
 ]
 
 
@@ -365,6 +398,20 @@ def test_compiled_interpreter_matches_tree_walker_on_every_error_kind(src, input
     assert rec.status == STATUS_ERROR and rec.error_kind == kind
     assert rec.error_loc is not None
     assert_matches_tree_walker(program, inputs)
+
+
+def test_non_advancing_loop_matches_tree_walker_at_small_budgets():
+    """The loop never ends, so every budget runs out; each pass writes one
+    owned list in place, which full mode's events copy."""
+    program = parse_program("fn f(out) { j = 0 while j < len(out) { out[j] = out[j] + 5 j = j } return out }")
+    inputs = [[1, 2, 3]]
+    for budget in range(1, 61):
+        for mode in MODES:
+            got = execute(program, inputs, budget=budget, mode=mode)
+            want = tree_walk_execute(program, inputs, budget=budget, mode=mode)
+            assert record_fields(got) == record_fields(want), (budget, mode)
+            assert got.status == STATUS_BUDGET
+    assert inputs == [[1, 2, 3]]
 
 
 @pytest.mark.parametrize(
