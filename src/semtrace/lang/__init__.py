@@ -24,7 +24,6 @@ from .nodes import (
     Var,
     While,
     children,
-    count_nodes,
     list_variables,
     walk,
 )
@@ -35,7 +34,7 @@ __all__ = [
     "Append", "Assign", "BinOp", "Break", "Call", "Continue", "Expr", "For",
     "HoleTemplate", "If", "Index", "IndexAssign", "ListLit", "Literal", "Loc",
     "ParseError", "Program", "Return", "SetLit", "Stmt", "TemplateError",
-    "UnaryOp", "Var", "While", "children", "count_nodes", "format_expr",
+    "UnaryOp", "Var", "While", "children", "format_expr",
     "format_program", "instantiate_template", "list_variables",
     "parse_program", "tokenize", "walk",
 ]

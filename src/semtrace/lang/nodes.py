@@ -140,11 +140,6 @@ def walk(node):
         stack.extend(reversed(children(node)))
 
 
-def count_nodes(node) -> int:
-    """Number of AST nodes in a statement/expression tree (Program counts 1)."""
-    return sum(1 for _ in walk(node))
-
-
 def list_variables(p: Program):
     """Ordered variable list V: parameters first, then every other variable at
     its first textual definition point, each name once."""

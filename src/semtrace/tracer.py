@@ -5,14 +5,17 @@ Each executed statement is one step: assignments, appends, indexed writes,
 condition check, and each ``for`` loop-variable binding.  Evaluating an
 expression is not a step.  Runtime errors are recorded in the returned
 :class:`ExecutionRecord`, never raised past :func:`execute`, which compiles
-the program into closures for each call (:class:`_Compiler`).
+the program into closures for each call and runs hot loops in kernels kept
+per loop shape (:class:`_Compiler`).
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 import operator
 from dataclasses import dataclass, field
+from functools import partial
 from typing import Dict, List, NamedTuple, Optional, Sequence
 
 from .lang import (
@@ -37,7 +40,7 @@ from .lang import (
     While,
     list_variables,
 )
-from .values import INT_MAX, INT_MIN, MimSet, Value, is_number, values_equal
+from .values import INT_MAX, INT_MIN, Memo, MimSet, Value, is_number, values_equal
 
 DEFAULT_BUDGET = 100_000
 
@@ -97,6 +100,10 @@ class _Return(Exception):
     pass  # args[0] is the returned value
 
 
+class _Cold(Exception):
+    pass  # a loop body a kernel cannot run
+
+
 def _check_int(v: int, loc) -> int:
     if not INT_MIN <= v <= INT_MAX:
         raise MimRuntimeError(E_OVERFLOW, "integer overflow", loc)
@@ -113,6 +120,7 @@ def _check_float(v: float, loc) -> float:
 _OPS = {"+": operator.add, "-": operator.sub, "*": operator.mul, "/": operator.truediv, "//": operator.floordiv,
         "%": operator.mod, "<": operator.lt, "<=": operator.le, ">": operator.gt, ">=": operator.ge,
         "==": operator.eq, "!=": operator.ne}
+_OP_ARGS = {op: (op, f, op in ("/", "//", "%")) for op, f in _OPS.items()}  # values of a _BINOP's names
 _ONE = Literal(1)  # the step of a for loop that gives none
 
 
@@ -184,56 +192,157 @@ def _call(func, args, loc) -> Value:
     raise MimRuntimeError(E_TYPE, "unknown builtin %r" % func, loc)
 
 
-# Closure factories whose closure reads operand i where it says ``{i}``.  At
-# ``{take}``, ``make`` turns each operand node ``x<i>`` into what it captures: a
-# variable's name, read in place as ``env[x<i>]``; a literal's value, the
-# constant ``x<i>``; any other expression's closure, called as ``x<i>()``.
+# The fragments: source that leaves one node's value in ``r{n}``, from its
+# operands ``{0}``, ``{1}`` and its ``_NAMES``, each suffixed by
+# ``{n}``; an error carries ``{loc}``.  :meth:`_Compiler.shaped` wraps a
+# fragment in a closure (``n`` empty) and :func:`_kernel` inlines it.
+_BINOP = """\
+a{n}, b{n} = {0}, {1}
+if (type(a{n}) is not int or type(b{n}) is not int or divides{n} and not b{n}
+        or not INT_MIN <= (r{n} := fast{n}(a{n}, b{n})) <= INT_MAX):
+    r{n} = _binop(op{n}, a{n}, b{n}, {loc})"""
+_INDEX = """\
+base{n}, idx{n} = {0}, {1}
+if type(base{n}) is list and type(idx{n}) is int and 0 <= idx{n} < len(base{n}):
+    r{n} = base{n}[idx{n}]
+else:
+    r{n} = _index(base{n}, idx{n}, {loc})"""
+_LEN = """\
+v{n} = {0}
+r{n} = len(v{n}) if isinstance(v{n}, (list, MimSet, str)) else _call("len", [v{n}], {loc})"""
+_WRITE = """\
+r{n} = env[target{n}]
+if not isinstance(r{n}, list):
+    raise MimRuntimeError(E_TYPE, ("indexed assignment" if indexed{n} else "append") + " needs a list", {loc})
+if indexed{n}:
+    idx{n} = {0}
+    if type(idx{n}) is not int or not 0 <= idx{n} < len(r{n}):
+        _index(r{n}, idx{n}, {loc})  # raises the type or range error
+item{n} = {1}
+owned.pop(ends{n}, None)
+if owned.get(target{n}) is not r{n}:
+    r{n} = owned[target{n}] = list(r{n})
+if indexed{n}:
+    r{n}[idx{n}] = item{n}
+else:
+    r{n}.append(item{n})"""
+
+# A closure over one fragment.  ``make`` first turns each operand node
+# ``x<i>`` into what it captures: a variable's name, read in place as
+# ``env[x<i>]``; a literal's value, the constant ``x<i>``; any other
+# expression's closure, called as ``x<i>()``.
 _OPERANDS = {Var: ("x{0} = x{0}.name", "env[x{0}]"), Literal: ("x{0} = x{0}.value", "x{0}")}
 _SHAPES: Dict[tuple, object] = {}
-_BINOP = """def make(env, run, x0, x1, op, fast, divides, loc):{take}
-    def binop():
-        a, b = {0}, {1}
-        if type(a) is int and type(b) is int and (b or not divides):
-            v = fast(a, b)
-            if INT_MIN <= v <= INT_MAX:
-                return v
-        return _binop(op, a, b, loc)
-    return binop
+_CLOSURE = """def make(env, owned, run, %s, loc):%s
+    def closure():
+%s
+        return r
+    return closure
 """
-_INDEX = """def make(env, run, x0, x1, loc):{take}
-    def index():
-        base, idx = {0}, {1}
-        if type(base) is list and type(idx) is int and 0 <= idx < len(base):
-            return base[idx]
-        return _index(base, idx, loc)
-    return index
+
+
+def _indent(text):
+    return "".join("    " + line for line in text.splitlines(True))
+
+
+# The statements of a kernel: fragments whose ``{i}`` alone on a line is a
+# statement list.  Each inlines its step check, its event and the
+# conversion of an unbound variable's ``KeyError`` at its own ``loc``.
+_STEP = "if steps >= budget:\n    raise _Budget()\nsteps += 1\n"
+_EVENT = "if trajectory is not None:\n    trajectory.append(StepEvent(steps, {loc}, %s))\n"
+_DEFINE = _STEP + """try:
+    env[target{n}] = r{n} = {0}
+except (MimRuntimeError, KeyError) as err:
+""" + _indent(_EVENT % "None, None") + """\
+    raise (_undefined(err, {loc}) if type(err) is KeyError else err) from None
+""" + _EVENT
+_SET, _SET_LIST = (_DEFINE % ("target{n}, " + record) for record in ("r{n}", "list(r{n})"))
+_HEAD = _STEP + _EVENT % "None, None" + """try:
+    c{n} = {0}
+except KeyError as err:
+    raise _undefined(err, {loc}) from None
 """
-_LEN = """def make(env, run, x0, loc):{take}
-    def length():
-        v = {0}
-        return len(v) if isinstance(v, (list, MimSet, str)) else _call("len", [v], loc)
-    return length
+_IF = _HEAD + """if c{n} is True:
+    {1}
+elif c{n} is False:
+    {2}
+else:
+    raise MimRuntimeError(E_TYPE, "if condition must be a boolean", {loc})"""
+_WHILE = "while True:\n" + _indent(_HEAD + """if c{n} is not True:
+    if c{n} is False:
+        return
+    raise MimRuntimeError(E_TYPE, "while condition must be a boolean", {loc})
+{1}""")
+_FOR = "for i in it:\n" + _indent(_STEP + "env[var{n}] = i\n" + _EVENT % "var{n}, i" + "{0}")
+# the names a fragment takes besides its operands, each suffixed like its locals
+_NAMES = {_BINOP: "op fast divides", _WRITE: "target indexed ends", _SET: "loc target", _SET_LIST: "loc target",
+          _IF: "loc", _WHILE: "loc", _FOR: "loc var"}
+_KERNEL = """def kernel(run, %s, it):
+    env, owned, trajectory, budget, steps = run.env, run.owned, run.trajectory, run.budget, run.steps
+    try:
+%s
+    finally:
+        run.steps = steps
 """
-_WRITE = """def make(env, run, x0, x1, owned, target, indexed, ends, loc):{take}
-    def write():
-        base = env[target]
-        if not isinstance(base, list):
-            raise MimRuntimeError(E_TYPE, ("indexed assignment" if indexed else "append") + " needs a list", loc)
-        if indexed:
-            idx = {0}
-            if type(idx) is not int or not 0 <= idx < len(base):
-                _index(base, idx, loc)  # raises the type or range error
-        item = {1}
-        owned.pop(ends, None)
-        if owned.get(target) is not base:
-            base = owned[target] = list(base)
-        if indexed:
-            base[idx] = item
-        else:
-            base.append(item)
-        return base
-    return write
-"""
+_STORED = "stored"  # the shape of a variable an assignment stores: its ownership ends
+
+HOT = 16  # iterations a loop activation runs on closures before its kernel takes over
+KERNEL_DEPTH = 3  # operator, index and len nodes a kernel inlines below a statement
+# Kernels by loop shape.  Far above the ~10 hot shapes of the template
+# workloads (a train-loops run compiles 7), so that a dataset of many
+# templates keeps its kernels; a cycle of more shapes than this recompiles
+# on every lookup (values.Memo admits a key on its second lookup).
+KERNEL_CAPACITY = 128
+_KERNELS = Memo(KERNEL_CAPACITY)
+
+
+def _kernel(shape):
+    """Compile the kernel of a loop of ``shape`` (:meth:`_Compiler.kernel`),
+    ``kernel(run, *operands, it)``; ``it`` is a ``for`` loop's iterator."""
+    params, lines, nodes = [], [], itertools.count()
+
+    def emit(key, loc, pad):
+        """Append the lines that compute ``key`` at indentation ``pad``; return what reads its value."""
+        if type(key) is not tuple:  # a leaf operand
+            x = "x%d" % len(params)
+            params.append(x)
+            if key is _STORED:
+                lines.append("%sowned.pop(%s, None)" % (pad, x))
+            return x if key is Literal else x + "()" if key is None else "env[%s]" % x
+        text, kids, n = key[0], key[1:], next(nodes)
+        names = _NAMES.get(text, "")
+        params.extend(name + str(n) for name in names.split())
+        loc = "loc%d" % n if names.startswith("loc") else loc
+        for line in text.splitlines():
+            indent = pad + " " * (len(line) - len(line.lstrip()))
+            holes = [i for i in range(len(kids)) if "{%d}" % i in line]
+            if holes and line.strip() == "{%d}" % holes[0]:  # a statement list
+                for stmt in kids[holes[0]]:
+                    emit(stmt, loc, indent)
+                lines.extend([indent + "pass"] * (not kids[holes[0]]))
+                continue
+            reads = {}
+            for i in holes:
+                mark = len(lines)
+                read = emit(kids[i], loc, indent)
+                if len(lines) > mark:  # it needs lines: the reads left of it go first
+                    early = [j for j in reads if not reads[j].isidentifier()]
+                    lines[mark:mark] = ["%st%d_%d = %s" % (indent, n, j, reads[j]) for j in early]
+                    reads.update((j, "t%d_%d" % (n, j)) for j in early)
+                reads[i] = read
+            lines.append(pad + line.format(*map(reads.get, range(len(kids))), n=n, loc=loc))
+        return "r%d" % n
+
+    emit(shape, None, " " * 8)
+    exec(_KERNEL % (", ".join(params), "\n".join(lines)), globals(), ns := {})
+    return ns["kernel"]
+
+
+def _write_operands(s):
+    """The operand nodes (index, value) of an ``append`` or indexed write's
+    fragment and the values of its names (``ends``: a stored variable)."""
+    indexed, value = type(s) is IndexAssign, s.value
+    return (s.index if indexed else _ONE, value), (s.target, indexed, value.name if type(value) is Var else None)
 
 
 def _undefined(err: KeyError, loc) -> MimRuntimeError:
@@ -258,6 +367,14 @@ class _Compiler:
     a value elsewhere (``stores``) ends the ownership, so an owned list never
     holds an owned list, and full mode's event for a write keeps a shallow
     copy of the list.  Full mode differs from summary mode only in the events.
+
+    The closures are the cold tier.  A loop activation that completes
+    :data:`HOT` iterations runs the rest in its loop's kernel
+    (:meth:`kernel`), if its body holds only definitions and ``if``s of them:
+    one Python loop generated from the same fragments for the loop's
+    :meth:`shape`, on the run's own ``env``, ``owned`` and step count.
+    Kernels are kept per shape in one ``values.Memo`` of
+    :data:`KERNEL_CAPACITY` shapes.
     """
 
     __slots__ = ("env", "owned", "trajectory", "budget", "steps")
@@ -269,16 +386,75 @@ class _Compiler:
         """``e`` as a closure; ``stores`` when its value may be kept elsewhere."""
         return self._EXPRS[type(e)](self, e, loc, stores)
 
-    def shaped(self, source, operands, loc, *args):
-        """``source``'s closure over ``operands`` and ``args``; ``make`` is compiled once per tuple of operand types."""
-        shape = (source, *map(type, operands))
+    def shaped(self, fragment, operands, loc, args=()):
+        """``fragment``'s closure over ``operands`` and ``args``; ``make`` is compiled once per tuple of operand types."""
+        shape = (fragment, *map(type, operands))
         make = _SHAPES.get(shape)
         if make is None:
             forms = [_OPERANDS.get(t, ("x{0} = run.expr(x{0}, loc)", "x{0}()")) for t in shape[1:]]
             take = "".join("\n    " + line.format(i) for i, (line, _) in enumerate(forms))
-            exec(source.format(*[read.format(i) for i, (_, read) in enumerate(forms)], take=take), globals(), ns := {})
+            body = fragment.format(*[read.format(i) for i, (_, read) in enumerate(forms)], n="", loc="loc")
+            names = ", ".join(["x%d" % i for i in range(len(forms))] + _NAMES.get(fragment, "").split())
+            exec(_CLOSURE % (names, take, "\n".join(" " * 8 + line for line in body.splitlines())), globals(), ns := {})
             make = _SHAPES[shape] = ns["make"]
-        return make(self.env, self, *operands, *args, loc)
+        return make(self.env, self.owned, self, *operands, *args, loc)
+
+    def lower(self, e, loc, operands, stores=False, depth=KERNEL_DEPTH):
+        """``e``'s shape in a kernel; its operands go to ``operands``.  A binary
+        operator, index or ``len`` call ``depth`` deep is inlined from its fragment,
+        a variable or literal is read in place (with ``stores``, a variable's
+        ownership ends), and any other expression is a closure call (``None``)."""
+        t = type(e)
+        if t is Var or t is Literal:
+            operands.append(e.name if t is Var else e.value)
+            return _STORED if stores and t is Var else t
+        if depth and t is BinOp and e.op in _OPS:
+            operands += _OP_ARGS[e.op]
+            fragment, kids = _BINOP, (e.left, e.right)
+        elif depth and t is Index:
+            fragment, kids = _INDEX, (e.base, e.index)
+        elif depth and t is Call and e.func == "len" and len(e.args) == 1:
+            fragment, kids = _LEN, e.args
+        else:
+            operands.append(self.expr(e, loc, stores))
+            return None
+        return (fragment, *[self.lower(k, loc, operands, False, depth - 1) for k in kids])
+
+    def shape(self, body, operands):
+        """The shape of a loop body in a kernel: its syntax without names,
+        literal values, operators and locations, which go to ``operands``.
+        Raises ``_Cold`` on a statement other than a definition or an ``if``."""
+        shapes = []
+        for s in body:
+            t, loc = type(s), s.loc
+            operands.append(loc)
+            if t is If:
+                shapes.append((_IF, self.lower(s.cond, loc, operands), self.shape(s.then_body, operands),
+                               self.shape(s.else_body, operands)))
+            elif t is Assign:
+                operands.append(s.target)
+                shapes.append((_SET, self.lower(s.value, loc, operands, True)))
+            elif t is Append or t is IndexAssign:
+                (index, value), args = _write_operands(s)
+                operands += (s.target, *args)
+                shapes.append((_SET_LIST, (_WRITE, self.lower(index, loc, operands), self.lower(value, loc, operands))))
+            else:
+                raise _Cold()
+        return tuple(shapes)
+
+    def kernel(self, loop):
+        """A callable that runs the rest of a ``loop`` activation from its
+        head, given a ``for`` loop's iterator; ``False`` if the loop has none."""
+        operands = [loop.loc]
+        try:
+            if type(loop) is While:
+                shape = _WHILE, self.lower(loop.cond, loop.loc, operands), self.shape(loop.body, operands)
+            else:
+                operands.append(loop.var)
+                shape = _FOR, self.shape(loop.body, operands)
+        except _Cold:
+            return False
+        return partial(_KERNELS.get(shape, lambda: _kernel(shape)), self, *operands)
 
     def block(self, body, in_loop: bool):
         return [self._STMTS[type(s)](self, s, in_loop) for s in body]
@@ -298,7 +474,7 @@ class _Compiler:
     def _binop(self, e, loc, stores):
         op = e.op
         if op not in ("and", "or"):
-            return self.shaped(_BINOP, (e.left, e.right), loc, op, _OPS[op], op in ("/", "//", "%"))
+            return self.shaped(_BINOP, (e.left, e.right), loc, _OP_ARGS[op])
         left, right, decides = self.expr(e.left, loc), self.expr(e.right, loc), op == "or"
 
         def logic():
@@ -383,9 +559,8 @@ class _Compiler:
 
     def _write(self, s, in_loop):
         """``append`` (its index operand unread) and indexed assignment."""
-        indexed, value = type(s) is IndexAssign, s.value
-        ends = value.name if type(value) is Var else None  # storing it ends its ownership
-        write = self.shaped(_WRITE, (s.index if indexed else _ONE, value), s.loc, self.owned, s.target, indexed, ends)
+        reads, args = _write_operands(s)
+        write = self.shaped(_WRITE, reads, s.loc, args)
         return self._define(s.target, write, s.loc, list)  # later writes change the list in place
 
     def _if(self, s, in_loop):
@@ -419,28 +594,31 @@ class _Compiler:
 
         def while_():
             nonlocal body
-            while True:
-                if run.steps >= budget:
-                    raise _Budget()
-                run.steps += 1
-                if trajectory is not None:
-                    trajectory.append(StepEvent(run.steps, loc, None, None))
-                try:
-                    c = cond()
-                    if c is not True:
-                        if c is False:
-                            return
-                        raise MimRuntimeError(E_TYPE, "while condition must be a boolean", loc)
-                    if body is None:
-                        body = run.block(s.body, True)
-                    for stmt in body:
-                        stmt()
-                except _Continue:
-                    pass
-                except _Break:
-                    return
-                except KeyError as err:  # the condition's: a statement of the body turns its own
-                    raise _undefined(err, loc) from None
+            for iterations in (range(HOT), itertools.repeat(None)):  # the closures' HOT, then the rest
+                for _ in iterations:
+                    if run.steps >= budget:
+                        raise _Budget()
+                    run.steps += 1
+                    if trajectory is not None:
+                        trajectory.append(StepEvent(run.steps, loc, None, None))
+                    try:
+                        c = cond()
+                        if c is not True:
+                            if c is False:
+                                return
+                            raise MimRuntimeError(E_TYPE, "while condition must be a boolean", loc)
+                        if body is None:
+                            body = run.block(s.body, True)
+                        for stmt in body:
+                            stmt()
+                    except _Continue:
+                        pass
+                    except _Break:
+                        return
+                    except KeyError as err:  # the condition's: a statement of the body turns its own
+                        raise _undefined(err, loc) from None
+                if kernel := run.kernel(s):
+                    return kernel(None)
 
         return while_
 
@@ -459,22 +637,27 @@ class _Compiler:
                 raise MimRuntimeError(E_TYPE, "range bounds must be integers", loc)
             if args[2] == 0:
                 raise MimRuntimeError(E_RANGE, "range step must be non-zero", loc)
-            for i in range(*args):
-                if run.steps >= budget:
-                    raise _Budget()
-                run.steps += 1
-                env[var] = i
-                if trajectory is not None:
-                    trajectory.append(StepEvent(run.steps, loc, var, i))
-                if body is None:
-                    body = run.block(s.body, True)
-                try:
-                    for stmt in body:
-                        stmt()
-                except _Continue:
-                    pass
-                except _Break:
-                    return
+            it = iter(range(*args))
+            # the closures' HOT iterations, then the rest
+            for iterations in (it,) if it.__length_hint__() <= HOT else (itertools.islice(it, HOT), it):
+                for i in iterations:
+                    if run.steps >= budget:
+                        raise _Budget()
+                    run.steps += 1
+                    env[var] = i
+                    if trajectory is not None:
+                        trajectory.append(StepEvent(run.steps, loc, var, i))
+                    if body is None:
+                        body = run.block(s.body, True)
+                    try:
+                        for stmt in body:
+                            stmt()
+                    except _Continue:
+                        pass
+                    except _Break:
+                        return
+                if iterations is not it and (kernel := run.kernel(s)):
+                    return kernel(it)
 
         return for_
 
@@ -520,7 +703,9 @@ def execute(
     ``ValueError``; everything that happens *during* execution lands in the
     record's status, an unbound variable as ``E_UNDEF`` at the statement that
     read it.  Each call compiles the program anew, reading variable and literal
-    operands in place (:class:`_Compiler`), and drops the compiled form on return.
+    operands in place (:class:`_Compiler`), and drops the compiled form on return;
+    a loop that proves hot finishes in a kernel kept per loop shape, with the
+    same record.
     """
     if mode not in ("summary", "full"):
         raise ValueError("mode must be 'summary' or 'full'")

@@ -18,7 +18,6 @@ from semtrace.lang import (
     UnaryOp,
     Var,
     children,
-    count_nodes,
     format_program,
     instantiate_template,
     list_variables,
@@ -69,7 +68,7 @@ def test_parse_sum_program_matches_handwritten_ast():
         ),
     )
     assert p == expected
-    assert count_nodes(p) == count_nodes(expected)
+    assert len(list(walk(p))) == len(list(walk(expected)))
     assert sum(1 for s in p.body if isinstance(s, For)) == 1
 
 
@@ -280,7 +279,7 @@ def test_walk_is_preorder_in_source_order():
         "Program", "For", "Literal", "Var", "Literal", "Assign", "ListLit",
         "Var", "UnaryOp", "Literal", "Return", "Var",
     ]
-    assert count_nodes(p) == len(kinds)
+    assert len(list(walk(p))) == len(kinds)
     assert children(p.body[1]) == (Var("b"),)
     with pytest.raises(TypeError):
         children(3)

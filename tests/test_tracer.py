@@ -8,6 +8,7 @@ import math
 import numpy as np
 import pytest
 
+from semtrace import tracer
 from semtrace.fuzz import ProgramFuzzer, differential_campaign
 from semtrace.lang import parse_program
 from semtrace.tracer import (
@@ -279,9 +280,12 @@ def assert_matches_tree_walker(program, inputs):
     """Both interpreters agree field for field, in both modes, at every
     budget from 1 to one past the steps the program needs; the inputs are
     left as they were."""
+    assert_matches_at(program, inputs, range(1, tree_walk_execute(program, inputs).steps_used + 2))
+
+
+def assert_matches_at(program, inputs, budgets):
     snapshot = exact(inputs)
-    steps = tree_walk_execute(program, inputs).steps_used
-    for budget in range(1, steps + 2):
+    for budget in budgets:
         for mode in MODES:
             got = execute(program, inputs, budget=budget, mode=mode)
             want = tree_walk_execute(program, inputs, budget=budget, mode=mode)
@@ -298,6 +302,11 @@ def wrong_type(value, rng):
 
 
 def test_compiled_interpreter_matches_tree_walker_on_fuzzed_programs():
+    check_fuzzed_programs()
+
+
+def check_fuzzed_programs():
+    """30 fuzzed programs on their inputs, then on a wrong-typed input."""
     rng = np.random.default_rng(2024)
     fuzzer = ProgramFuzzer(rng)
     for _ in range(30):
@@ -400,10 +409,13 @@ def test_compiled_interpreter_matches_tree_walker_on_every_error_kind(src, input
     assert_matches_tree_walker(program, inputs)
 
 
+NON_ADVANCING = "fn f(out) { j = 0 while j < len(out) { out[j] = out[j] + 5 j = j } return out }"
+
+
 def test_non_advancing_loop_matches_tree_walker_at_small_budgets():
     """The loop never ends, so every budget runs out; each pass writes one
     owned list in place, which full mode's events copy."""
-    program = parse_program("fn f(out) { j = 0 while j < len(out) { out[j] = out[j] + 5 j = j } return out }")
+    program = parse_program(NON_ADVANCING)
     inputs = [[1, 2, 3]]
     for budget in range(1, 61):
         for mode in MODES:
@@ -414,20 +426,20 @@ def test_non_advancing_loop_matches_tree_walker_at_small_budgets():
     assert inputs == [[1, 2, 3]]
 
 
-@pytest.mark.parametrize(
-    "src,inputs",
-    [
-        ("fn f(n) { i = 0 while true { i = i + 1 if i > n { break } if i % 2 == 0 { continue } } return i }", [7]),
-        ("fn f(n) { t = 0 for i in range(n, 0, -2) { if i == 3 { continue } t = t + i } return t }", [9]),
-        ("fn f(xs) { ys = [] for i in range(0, len(xs)) { append(ys, xs[i] * 2) ys[0] = i } return ys }", [[4, 5, 6]]),
-        ("fn f(s) { t = s + \"!\" b = t >= s c = {t, s, 1, 1.0, true} return [b, c, len(c)] }", ["ab"]),
-        ("fn f(a) { x = a / 4 y = -x z = {0.0, -0.0} return [x, y, min(z), max(y, x)] }", [-2]),
-        ("fn f(a) { x = a == 2.0 y = [a] != [2] return x and y or not x }", [2]),
-        ("fn f() { xss = [[1]] ys = xss[0] append(ys, 2) append(xss, ys) xss[0] = xss return xss }", []),
-        ("fn f(n) { while n > 0 { n = n - 1 } }", [4]),
-        ("fn f() { a = -0.0 b = --3 c = -inf d = -\"s\" return [a, b, c, d] }", []),
-    ],
-)
+CONTROL_FLOW = [
+    ("fn f(n) { i = 0 while true { i = i + 1 if i > n { break } if i % 2 == 0 { continue } } return i }", [7]),
+    ("fn f(n) { t = 0 for i in range(n, 0, -2) { if i == 3 { continue } t = t + i } return t }", [9]),
+    ("fn f(xs) { ys = [] for i in range(0, len(xs)) { append(ys, xs[i] * 2) ys[0] = i } return ys }", [[4, 5, 6]]),
+    ("fn f(s) { t = s + \"!\" b = t >= s c = {t, s, 1, 1.0, true} return [b, c, len(c)] }", ["ab"]),
+    ("fn f(a) { x = a / 4 y = -x z = {0.0, -0.0} return [x, y, min(z), max(y, x)] }", [-2]),
+    ("fn f(a) { x = a == 2.0 y = [a] != [2] return x and y or not x }", [2]),
+    ("fn f() { xss = [[1]] ys = xss[0] append(ys, 2) append(xss, ys) xss[0] = xss return xss }", []),
+    ("fn f(n) { while n > 0 { n = n - 1 } }", [4]),
+    ("fn f() { a = -0.0 b = --3 c = -inf d = -\"s\" return [a, b, c, d] }", []),
+]
+
+
+@pytest.mark.parametrize("src,inputs", CONTROL_FLOW)
 def test_compiled_interpreter_matches_tree_walker_on_control_flow_and_values(src, inputs):
     assert_matches_tree_walker(parse_program(src), inputs)
 
@@ -484,3 +496,144 @@ def test_full_mode_events_keep_the_value_written():
     rec = final("fn f() { xs = [] append(xs, 1) append(xs, 2) xs[0] = 9 return xs }", [], "full")
     written = [e.value_written for e in rec.trajectory if e.defined_variable == "xs"]
     assert written == [[], [1], [1, 2], [9, 2]]
+
+
+# --- hot loops run on kernels, which must match the tree walker too ---
+
+
+@pytest.fixture(params=[0, 1], ids=["hot0", "hot1"])
+def promoted(request, monkeypatch):
+    """Every loop runs on its kernel from its head (``HOT`` 0) or after one
+    iteration on closures (``HOT`` 1), at the first iteration boundary."""
+    monkeypatch.setattr(tracer, "HOT", request.param)
+
+
+@pytest.mark.parametrize("src,inputs,kind", ERROR_PROGRAMS)
+def test_kernels_match_tree_walker_on_every_error_kind(promoted, src, inputs, kind):
+    assert_matches_tree_walker(parse_program(src), inputs)
+
+
+@pytest.mark.parametrize("src,inputs", CONTROL_FLOW)
+def test_kernels_match_tree_walker_on_control_flow_and_values(promoted, src, inputs):
+    assert_matches_tree_walker(parse_program(src), inputs)
+
+
+def test_kernels_match_tree_walker_on_the_non_advancing_loop(promoted):
+    assert_matches_at(parse_program(NON_ADVANCING), [[1, 2, 3]], [*range(1, 61), 2000])
+
+
+def test_kernels_match_tree_walker_on_fuzzed_programs(promoted):
+    check_fuzzed_programs()
+
+
+def test_differential_campaign_clean_on_kernels(promoted):
+    result = differential_campaign(200, seed=7)
+    assert result.ok, result.mismatches[:5]
+
+
+# the programs of the copy-on-write tests, each inside a loop
+COPY_ON_WRITE = [
+    ("fn f() { xs = [] for k in range(0, 3) { append(xs, k) ys = xs append(xs, 1) } return ys }", []),
+    ("fn f() { xs = [1] zs = [] k = 0 while k < 3 { append(xs, 2) zs = [xs] xs[0] = 9 k = k + 1 } return zs }", []),
+    ("fn f() { xs = [1] for k in range(0, 3) { append(xs, 2) append(xs, xs) append(xs, 3) } return xs }", []),
+    ("fn f() { xss = [[1]] for k in range(0, 3) { append(xss, [k]) ys = xss[0] append(ys, 5) } return [xss, ys] }", []),
+    ("fn f(xs, xss) { for k in range(0, 3) { append(xs, 5) xs[0] = 6 ys = xss[1] append(ys, 7) xss[0] = ys "
+     "append(xss, xs) } return xss }", [[1, 2], [[3], [4]]]),
+    ("fn f() { xs = [] ys = [] for k in range(0, 3) { append(xs, k) ys = [xs, xs] append(xs, 2) } return ys }", []),
+    ("fn f() { xs = [] for k in range(0, 3) { append(xs, 1) append(xs, 2) xs[0] = 9 } return xs }", []),
+]
+
+
+@pytest.mark.parametrize("src,inputs", COPY_ON_WRITE)
+def test_kernels_match_tree_walker_on_copy_on_write(promoted, src, inputs):
+    assert_matches_tree_walker(parse_program(src), inputs)
+
+
+# Loops that fail, or carry other values than ints, after 18 iterations: on
+# their kernel at the default HOT too.  LATE puts a statement in the 19th.
+LATE = "fn f(xs, a) {{ i = 0 x = 0 while i < 20 {{ i = i + 1 if i > 18 {{ {} }} }} return x }}"
+KERNEL_PROGRAMS = [
+    # an unbound variable read in each position of a kernel
+    ("fn f(xs, a) { i = 0 while i < y { i = i + 1 } return i }", E_UNDEF),
+    (LATE.format("if y > 0 { x = 1 }"), E_UNDEF),
+    (LATE.format("x = y + 1"), E_UNDEF),
+    (LATE.format("x = y"), E_UNDEF),
+    (LATE.format("x = xs[k]"), E_UNDEF),
+    (LATE.format("x = len(ys)"), E_UNDEF),
+    (LATE.format("xs[k] = 1"), E_UNDEF),
+    (LATE.format("xs[0] = y"), E_UNDEF),
+    (LATE.format("append(xs, y)"), E_UNDEF),
+    (LATE.format("append(zs, 1)"), E_UNDEF),
+    (LATE.format("x = min(a, y)"), E_UNDEF),
+    (LATE.format("x = (((a + y) + 1) + 1) + 1"), E_UNDEF),  # below the inlined depth
+    # other errors raised inside a promoted iteration
+    (LATE.format("if a { x = 1 }"), E_TYPE),
+    (LATE.format("if i - 18 { x = 1 }"), E_TYPE),  # 1, not true
+    ("fn f(xs, a) { i = 0 while i < 20 and true { i = i + 1 } while i { i = 0 } return i }", E_TYPE),
+    ("fn f(xs, a) { i = 0 while i < 20 and true { i = i + 1 } while i - 20 { i = 0 } return i }", E_TYPE),  # 0
+    (LATE.format("x = xs[i]"), E_INDEX),
+    (LATE.format("xs[i] = 0"), E_INDEX),
+    (LATE.format("x = a // (i - 19)"), E_DIV_ZERO),
+    (LATE.format("x = a % (19 - i)"), E_DIV_ZERO),
+    (LATE.format("x = inf + (a - inf)"), E_NAN),
+    (LATE.format("xs = a append(xs, 1)"), E_TYPE),
+    ("fn f(xs, a) { x = a for i in range(0, 70) { x = x * 2 } return x }", E_OVERFLOW),
+    # floats, strings and sets through a kernel
+    ("fn f(xs, a) { x = a + 0.5 s = \"\" t = {1} for i in range(0, 25) { x = x / 2.0 + 0.25 s = s + \"ab\" "
+     "if i % 5 == 0 { t = {i, x} } n = len(t) + len(s) c = s[i] b = s < \"abb\" } return [x, s, t, n, c, b] }",
+     None),
+    # copies and writes through either name
+    ("fn f(xs, a) { ys = [] for i in range(0, 20) { ys = xs append(xs, i) ys[0] = i zs = ys append(zs, a) "
+     "xs[1] = zs[0] } return [xs, ys, zs] }", None),
+    # a for body that reassigns its loop variable
+    ("fn f(xs, a) { t = 0 for i in range(0, 25) { i = i * a t = t + i xs[0] = i } return [t, i, xs] }", None),
+]
+
+
+@pytest.mark.parametrize("hot", [0, 1, tracer.HOT])
+@pytest.mark.parametrize("src,kind", KERNEL_PROGRAMS)
+def test_kernels_match_tree_walker_on_loop_cases(monkeypatch, hot, src, kind):
+    monkeypatch.setattr(tracer, "HOT", hot)
+    program, inputs = parse_program(src), [list(range(19)), 3]
+    rec = execute(program, inputs)
+    assert (rec.status, rec.error_kind) == ((STATUS_RETURNED, None) if kind is None else (STATUS_ERROR, kind))
+    assert_matches_tree_walker(program, inputs)
+
+
+def test_budgets_around_promotion_match_tree_walker(monkeypatch):
+    """At the default HOT, every budget that runs out in a statement of the
+    iterations before and after each loop's kernel takes over."""
+    promoted = []
+    kernel = tracer._Compiler.kernel
+    monkeypatch.setattr(tracer._Compiler, "kernel", lambda run, loop: promoted.append(loop) or kernel(run, loop))
+    src = ("fn f(n) { xs = [0] i = 0 while i < n { if i % 2 == 0 { append(xs, i) } else { xs[0] = i } i = i + 1 } "
+           "t = 0 for k in range(0, n) { t = t + xs[k % len(xs)] } return [xs, t] }")
+    assert_matches_tree_walker(parse_program(src), [tracer.HOT + 3])
+    assert {type(loop).__name__ for loop in promoted} == {"While", "For"}
+
+
+def shape_program(k, bits):
+    """A loop of a shape of its own for each ``k`` below ``2 ** bits``."""
+    body = " ".join("x = x + 1" if k >> b & 1 else "x = 1 + x" for b in range(bits))
+    return parse_program("fn f() { x = 0 i = 0 while i < 2 { %s i = i + 1 } return x }" % body)
+
+
+def test_kernel_table_holds_at_most_its_capacity(monkeypatch):
+    """Long runs hold bounded state: more loop shapes than the table holds
+    never grow it past its capacity, which is far above the ~10 shapes of
+    the template workloads, and an evicted shape compiles again."""
+    monkeypatch.setattr(tracer, "HOT", 1)
+    compiled = []
+    compile_kernel = tracer._kernel
+    monkeypatch.setattr(tracer, "_kernel", lambda shape: compiled.append(shape) or compile_kernel(shape))
+    table, count = tracer._KERNELS, tracer.KERNEL_CAPACITY + 8
+    table.clear()
+    programs = [shape_program(k, count.bit_length()) for k in range(count)]
+    for program in programs:
+        for _ in range(2):  # the table keeps a kernel from its second lookup
+            assert execute(program, []).return_value == 2 * count.bit_length()
+            assert len(table) <= tracer.KERNEL_CAPACITY
+    assert len(table) == tracer.KERNEL_CAPACITY and len(set(compiled)) == count
+    before = len(compiled)
+    assert_matches_tree_walker(programs[0], [])  # evicted, so compiled again
+    assert len(compiled) > before
