@@ -7,17 +7,33 @@ rule, except that the levels from ``or-expr`` down to ``term`` are the table
 and ``parse_unary`` reads both ``unary`` and ``postfix``.  Every input either
 yields exactly one AST or one :class:`ParseError`; nothing panics.
 
-No token spans a line break, so ``tokenize`` scans each line on its own and
-keeps the ``(kind, text, col)`` of its tokens in one bounded memo keyed by
-the line text (a :class:`semtrace.values.Memo` of ``LINE_MEMO_CAPACITY``
-lines, kept from a line's second scan on); a line whose scan raises is not
-kept.  The tokens, their positions and every error are those of a scan of
-the whole source.
+Programs repeat their lines, so two bounded memos (each a
+:class:`semtrace.values.Memo` of ``LINE_MEMO_CAPACITY`` lines, kept from a
+key's second lookup on) spare ``parse_program`` most of its work:
+
+- No token spans a line break, so ``tokenize`` scans each line on its own
+  and keeps the line's finished tokens by line number and line text.  The
+  tokens, their positions and every error are those of a scan of the whole
+  source.
+- A statement that begins a line, other than ``if``, ``while`` and ``for``,
+  is kept by line number, line text and the kind and text of the token after
+  the line, and only when it covers exactly the line's tokens.  Parsed from
+  a line's first token, such a statement has read only the line's tokens
+  and the one token after them: the loop of ``parse_expr``, the postfix
+  ``[`` and comparison-chain checks and the ``INT_MAX + 1`` peek each look
+  at most one token past the last one they take.  Its ``loc`` follows from
+  the line number and text, and expressions carry none, so a kept statement
+  is the one a fresh parse would build.  The memo is turned on by the source
+  lines that ``parse_program`` hands the parser; a ``_Parser`` built from
+  tokens alone parses without it.
+
+A line whose scan raises and a statement whose parse raises are never kept.
 """
 
 from __future__ import annotations
 
 import re
+from bisect import bisect_left
 from operator import itemgetter
 from typing import Callable, List, Optional, Tuple, TypeVar
 
@@ -75,8 +91,14 @@ _TOKEN_RE = re.compile(r"""
     | (?P<end>      \Z )
     )
 """ % re.escape("".join(_UNESCAPE)), re.VERBOSE)
+# lines kept by each memo; the largest benchmark workload (perfbench's
+# tools) looks up 2,246 distinct (line number, line text) keys and 1,639
+# statement keys, each more than once
 LINE_MEMO_CAPACITY = 4096
-_LINES = Memo(LINE_MEMO_CAPACITY)  # line text -> the (kind, text, col) of its tokens
+_LINES = Memo(LINE_MEMO_CAPACITY)  # (line number, line text) -> its tokens
+# (line number, line text, kind and text of the next token) -> the statement
+# that covers exactly the line
+_STMTS = Memo(LINE_MEMO_CAPACITY)
 
 
 class ParseError(ValueError):
@@ -104,20 +126,20 @@ class Token(tuple):
     col = property(itemgetter(3))
 
 
-def _scan(source: str, start: int, stop: int, line: int) -> Tuple[Tuple[str, str, int], ...]:
-    """The ``(kind, text, col)`` of each token of line ``line``, which is
-    ``source[start:stop]`` without its line break."""
-    triples: List[Tuple[str, str, int]] = []
-    append = triples.append
+def _scan(source: str, start: int, stop: int, line: int) -> Tuple[Token, ...]:
+    """The tokens of line ``line``, which is ``source[start:stop]`` without
+    its line break."""
+    tokens: List[Token] = []
+    append, new = tokens.append, tuple.__new__
     for m in _TOKEN_RE.finditer(source, start, stop):
         kind = m.lastgroup
         # a token ends where its match does; its match may begin with blanks
         if kind == "ident":
             text = m[kind]
-            append(("kw" if text in KEYWORDS else "ident", text, m.end() - len(text) - start + 1))
+            append(new(Token, ("kw" if text in KEYWORDS else "ident", text, line, m.end() - len(text) - start + 1)))
         elif kind == "punct" or kind == "int" or kind == "float" or kind == "hole":
             text = m[kind]
-            append((kind, text, m.end() - len(text) - start + 1))
+            append(new(Token, (kind, text, line, m.end() - len(text) - start + 1)))
         elif kind == "string":
             col = m.start(kind) - start + 1
             if m.group("close") is None:
@@ -130,26 +152,25 @@ def _scan(source: str, start: int, stop: int, line: int) -> Tuple[Tuple[str, str
                     raise ParseError("unknown string escape \\%s" % source[end + 1], line, end - start + 1)
                 raise ParseError("unterminated string literal", line, col)
             text = _ESCAPE_RE.sub(lambda e: _UNESCAPE[e.group(1)], m.group("body"))
-            append(("string", text, col))
+            append(new(Token, ("string", text, line, col)))
         elif kind == "mismatch":
             raise ParseError("unexpected character %r" % m.group(kind), line, m.start(kind) - start + 1)
         elif kind == "end":
             break
-    return tuple(triples)
+    return tuple(tokens)
 
 
 def tokenize(source: str) -> List[Token]:
     if not isinstance(source, str):
         raise TypeError("source must be a str, not %s" % type(source).__name__)  # not str.split's AttributeError
     tokens: List[Token] = []
-    append, new, memo = tokens.append, tuple.__new__, _LINES.get
+    extend, memo = tokens.extend, _LINES.get
     start = 0
     for line, text in enumerate(source.split("\n"), 1):
         stop = start + len(text)
-        for kind, tok, col in memo(text, lambda: _scan(source, start, stop, line)):
-            append(new(Token, (kind, tok, line, col)))
+        extend(memo((line, text), lambda: _scan(source, start, stop, line)))
         start = stop + 1
-    append(new(Token, ("eof", "", line, len(text) + 1)))
+    tokens.append(Token(("eof", "", line, len(text) + 1)))
     return tokens
 
 
@@ -168,10 +189,24 @@ NOT_PREC = 3  # prefix 'not' sits between 'and' and the comparisons
 T = TypeVar("T")
 
 
+class _NotOneLine(Exception):
+    """Carries a statement that does not cover exactly its line out of the
+    statement memo, which keeps nothing when its compute raises."""
+
+    def __init__(self, stmt: nodes.Stmt):
+        super().__init__()
+        self.stmt = stmt
+
+
 class _Parser:
-    def __init__(self, tokens: List[Token]):
+    def __init__(self, tokens: List[Token], lines: Optional[List[str]] = None):
+        """``lines``, the source's lines, turn the statement memo on."""
         self.tokens = tokens
         self.pos = 0
+        self.lines = lines
+        if lines is not None:
+            # the line of each token but eof, for bisecting out a line's tokens
+            self.token_lines = list(map(itemgetter(2), tokens[:-1]))
 
     def error(self, expected: Tuple[str, ...], tok: Optional[Token] = None) -> ParseError:
         kind, text, line, col = tok or self.tokens[self.pos]
@@ -223,11 +258,35 @@ class _Parser:
         self.expect("punct", "{")
         stmts: List[nodes.Stmt] = []
         while not self.at("punct", "}"):
-            stmts.append(self.parse_stmt())
+            stmts.append(self.memoized_stmt())
         self.pos += 1
         return tuple(stmts)
 
     # --- statements ---
+
+    def memoized_stmt(self) -> nodes.Stmt:
+        """``parse_stmt``, through the statement memo when it is on and the
+        statement begins a line and is not an ``if``, ``while`` or ``for``."""
+        pos, lines = self.pos, self.lines
+        tok = self.tokens[pos]
+        line = tok[2]
+        if lines is None or tok[1] in ("if", "while", "for") or (pos and self.token_lines[pos - 1] == line):
+            return self.parse_stmt()
+        end = bisect_left(self.token_lines, line + 1, pos)
+        after = self.tokens[end]
+
+        def parse_line() -> nodes.Stmt:
+            stmt = self.parse_stmt()
+            if self.pos != end:
+                raise _NotOneLine(stmt)
+            return stmt
+
+        try:
+            stmt = _STMTS.get((line, lines[line - 1], after[0], after[1]), parse_line)
+        except _NotOneLine as e:
+            return e.stmt
+        self.pos = end
+        return stmt
 
     def parse_stmt(self) -> nodes.Stmt:
         tok = self.tokens[self.pos]
@@ -383,5 +442,5 @@ class _Parser:
 
 def parse_program(source: str) -> Program:
     """Parse MiniImp source into a :class:`Program`; raises :class:`ParseError`."""
-    return _Parser(tokenize(source)).parse_program()
+    return _Parser(tokenize(source), source.split("\n")).parse_program()
 

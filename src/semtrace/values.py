@@ -281,8 +281,13 @@ class BinaryFile:
         return _U32.unpack(self.take(4))[0]
 
     def text(self) -> str:
-        """A UTF-8 string behind its byte length as a u32."""
-        return self.take(self.u32()).decode("utf-8")
+        """A UTF-8 string behind its byte length as a u32; a ``ValueError``
+        naming the file and the offset of the first bad byte if it is not UTF-8."""
+        raw = self.take(self.u32())
+        try:
+            return raw.decode("utf-8")
+        except UnicodeDecodeError as e:
+            raise ValueError("%s holds invalid UTF-8 at byte %d" % (self.path, self.off - len(raw) + e.start)) from None
 
 
 def length_prefixed(raw: bytes) -> bytes:

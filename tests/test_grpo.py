@@ -599,6 +599,20 @@ def test_policy_load_rejects_a_truncated_file(tmp_path, keep):
     assert str(exc.value) == "%s is truncated: wanted %d more bytes, found %d" % (path, end - start, keep - start)
 
 
+@pytest.mark.parametrize("at", [16, 19, 21])
+def test_policy_load_rejects_a_prompt_id_that_is_not_utf8(tmp_path, at):
+    pol = CategoricalSequencePolicy()
+    pol.params["prompt"] = [np.array([1.0, 2.0, 3.0])]
+    path = tmp_path / "policy.bin"
+    pol.save(path)
+    data = path.read_bytes()
+    path.write_bytes(data[:at] + b"\xff" + data[at + 1:])
+    with pytest.raises(ValueError) as exc:
+        CategoricalSequencePolicy().load(path)
+    assert type(exc.value) is ValueError
+    assert str(exc.value) == "%s holds invalid UTF-8 at byte %d" % (path, at)
+
+
 @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
 def test_policy_load_rejects_a_non_finite_logit(tmp_path, bad):
     pol = CategoricalSequencePolicy()

@@ -1,5 +1,7 @@
 """Parser, formatter, variable listing, and hole templates."""
 
+import itertools
+
 import numpy as np
 import pytest
 
@@ -25,7 +27,9 @@ from semtrace.lang import (
     tokenize,
     walk,
 )
+from semtrace.lang import parser as lang_parser
 from semtrace.lang.parser import _Parser
+from test_scanner import memo_free_parse, parse_outcome
 
 
 def parse_expression(source):
@@ -283,3 +287,73 @@ def test_walk_is_preorder_in_source_order():
     assert children(p.body[1]) == (Var("b"),)
     with pytest.raises(TypeError):
         children(3)
+
+
+# --- the statement memo ---
+
+
+FIRST_WORD = {"Assign": "target", "IndexAssign": "target", "Append": "append", "Break": "break",
+              "Continue": "continue", "Return": "return", "If": "if", "While": "while", "For": "for"}
+
+
+def assert_parses_as_without_memos(sources, parse=parse_program):
+    """Cold, then three warm passes: ``parse`` gives every program and error
+    that the parser without the statement memo gives for the source, and
+    every statement's ``loc`` points at its own first token."""
+    lang_parser._LINES.clear()
+    lang_parser._STMTS.clear()
+    expected = [parse_outcome(memo_free_parse, s) for s in sources]
+    lang_parser._LINES.clear()
+    for _ in range(3):
+        assert [parse_outcome(parse, s) for s in sources] == expected
+    assert len(lang_parser._STMTS) > 0
+    for source in sources:
+        lines = source.split("\n")
+        for node in walk(parse(source)):
+            name = type(node).__name__
+            if name in FIRST_WORD:
+                word = getattr(node, FIRST_WORD[name], FIRST_WORD[name])
+                assert lines[node.loc.line - 1][node.loc.col - 1:].startswith(word), (source, node)
+
+
+def test_fuzzed_programs_parse_as_without_the_statement_memo():
+    fuzzer = ProgramFuzzer(np.random.default_rng(2024))
+    assert_parses_as_without_memos([format_program(fuzzer.program()) for _ in range(300)])
+
+
+# shaped like the train-loops templates of perfbench/gen.py
+LOOPS_TEMPLATE = HoleTemplate(
+    template_source="""fn w(xs, m) {
+    out = []
+    for i in range(0, len(xs)) {
+        v = xs[i] __HOLE_1__ m
+        if v __HOLE_2__ 50 {
+            append(out, v)
+        }
+    }
+    j = 0
+    while j < len(out) {
+        out[j] = __HOLE_3__
+        j = __HOLE_4__
+    }
+    return out
+}
+""",
+    hole_vocab=(
+        ("+", "-", "*", "%", "//", "/"),
+        ("<", ">", "<=", ">=", "!=", "=="),
+        ("out[j] + 3", "out[j] * 3", "out[j] - m", "out[j] % 3", "out[j] // 3", "out[j] + out[j + 1]"),
+        ("j + 1", "j + 2", "j + 3", "j + 5", "len(out)", "j"),
+    ),
+)
+
+
+def test_every_template_instantiation_parses_as_without_the_statement_memo():
+    LOOPS_TEMPLATE.validate()
+    vocab, sources = LOOPS_TEMPLATE.hole_vocab, {}
+    for choices in itertools.product(*(range(len(v)) for v in vocab)):
+        source = LOOPS_TEMPLATE.template_source
+        for k, c in enumerate(choices, 1):
+            source = source.replace("__HOLE_%d__" % k, vocab[k - 1][c])
+        sources[source] = choices
+    assert_parses_as_without_memos(list(sources), lambda s: instantiate_template(LOOPS_TEMPLATE, sources[s]))

@@ -172,6 +172,18 @@ def test_feature_file_rejects_a_truncated_file(tmp_path, keep):
     assert str(exc.value) == "%s is truncated: wanted %d more bytes, found %d" % (path, end - start, keep - start)
 
 
+@pytest.mark.parametrize("at", [28, 31, 38])
+def test_feature_file_rejects_a_string_that_is_not_utf8(tmp_path, at):
+    path = tmp_path / "layer0.bin"
+    write_feature_file(path, 0, [("prob-a", "x", 1.5, np.array([1.0, 2.0]))])
+    data = path.read_bytes()
+    path.write_bytes(data[:at] + b"\xff" + data[at + 1:])
+    with pytest.raises(ValueError) as exc:
+        read_feature_file(path)
+    assert type(exc.value) is ValueError
+    assert str(exc.value) == "%s holds invalid UTF-8 at byte %d" % (path, at)
+
+
 @pytest.mark.parametrize("target,value", [(math.nan, 0.0), (0.0, math.nan), (math.inf, 0.0), (0.0, -math.inf)])
 def test_feature_file_rejects_a_non_finite_value(tmp_path, target, value):
     path = tmp_path / "layer0.bin"

@@ -1,8 +1,12 @@
-"""The line memo under ``tokenize``: each line is scanned on its own and its
-tokens are kept by line text, and the tokens, positions and errors stay those
-of one scan over the whole source.  ``whole_source_tokenize`` below is that
-scan, kept as the reference.  Standard library, pytest and semtrace.lang
-only, so this file also runs without numpy and without conftest.py."""
+"""The two memos under ``parse_program``.  ``tokenize`` scans each line on
+its own and keeps its tokens by line number and text, and the tokens,
+positions and errors stay those of one scan over the whole source;
+``whole_source_tokenize`` below is that scan, kept as the reference.  The
+parser keeps a statement that covers exactly its line by line number, line
+text and the token after the line, and every program and error stays that of
+``_Parser(tokenize(source))``, which parses without the statement memo.
+Standard library, pytest and semtrace.lang only, so this file also runs
+without numpy and without conftest.py."""
 
 import random
 import re
@@ -10,7 +14,16 @@ import re
 import pytest
 
 from semtrace.lang import parser
-from semtrace.lang.parser import ESCAPES, KEYWORDS, LINE_MEMO_CAPACITY, ParseError, Token, parse_program, tokenize
+from semtrace.lang.parser import (
+    ESCAPES,
+    KEYWORDS,
+    LINE_MEMO_CAPACITY,
+    ParseError,
+    Token,
+    _Parser,
+    parse_program,
+    tokenize,
+)
 
 _UNESCAPE = {esc[1]: ch for ch, esc in ESCAPES.items()}
 _ESCAPE_RE = re.compile(r"\\(.)")
@@ -122,8 +135,21 @@ INPUTS = FIXTURES + CRLF + EDGES + random_sources(1500, seed=3)
 @pytest.fixture
 def cold_memo():
     parser._LINES.clear()
+    parser._STMTS.clear()
     yield
     parser._LINES.clear()
+    parser._STMTS.clear()
+
+
+def fill_both_memos():
+    """Evict every kept line and statement: parse programs of
+    ``LINE_MEMO_CAPACITY`` // 4 one-line statements, each twice so that it
+    is kept, until more lines than the capacity have passed."""
+    for chunk in range(5):
+        filler = "fn f() {\n%s\n}\n" % "\n".join("    x%d = %d" % (k, chunk) for k in range(LINE_MEMO_CAPACITY // 4))
+        parse_program(filler)
+        parse_program(filler)
+    assert len(parser._LINES) == len(parser._STMTS) == LINE_MEMO_CAPACITY
 
 
 def test_tokens_match_the_whole_source_scan_cold_and_warm(cold_memo):
@@ -139,11 +165,7 @@ def test_tokens_match_after_the_memo_has_evicted(cold_memo):
     for s in INPUTS:
         outcome(tokenize, s)
         outcome(tokenize, s)
-    for chunk in range(5):  # each line twice, so that it is kept
-        filler = "\n".join("x%d = %d" % (k, chunk) for k in range(LINE_MEMO_CAPACITY // 4))
-        tokenize(filler)
-        tokenize(filler)
-    assert len(parser._LINES) == LINE_MEMO_CAPACITY
+    fill_both_memos()
     assert [outcome(tokenize, s) for s in INPUTS] == expected
 
 
@@ -164,6 +186,91 @@ def test_a_line_that_raises_is_not_kept(cold_memo):
         with pytest.raises(ParseError):
             tokenize('x = "a\\q"')
     assert len(parser._LINES) == 0
+
+
+def body(*lines):
+    return "fn f(a, b, d, xs) {\n%s\n}\n" % "\n".join("    " + line for line in lines)
+
+
+# Sources whose statements read past a line break or share a line.  Each
+# line that joins the next also appears where it ends its statement, so a
+# warm memo holds both readings of the same line text at the same line.
+LINE_JOINS = [
+    body("x = a", "+ b", "return x"),
+    body("x = a", "return x"),
+    body("x = a", "- b", "return x"),
+    body("y = xs", "[0]", "return y"),
+    body("y = xs", "return y"),
+    body("y = xs", "[0] = 1", "return y"),
+    body("c = a < b", "< d", "return c"),
+    body("c = a < b", "return c"),
+    body("return -", "9223372036854775808"),
+    body("return -", "9223372036854775808[0]"),
+    body("return -", "9223372036854775807"),
+    body("return -", "a"),
+    body("x = 1 y = 2", "return x"),
+    body("x = 1", "y = 2 return y"),
+    body("x = 1", "x = 1", "return x"),
+    body("", "x = 1", "return x"),
+    body("x = 1 }"),
+    body("while true {", "    append(xs, 1)", "    break", "}", "for i in range(0, 3) {", "    continue", "}",
+         "return xs"),
+    body("while true {", "    break", "    append(xs, 1)", "}", "return xs"),
+    body("while true {", "    continue", "    break", "}", "return xs"),
+    body("append(xs, 1)", "append(xs, 1) return xs"),
+    "fn f(a) {\n    return a",
+    "fn f(a) {\n    x = a\n",
+]
+PROGRAMS = INPUTS + FIXTURES * 3 + LINE_JOINS
+
+
+def parse_outcome(parse, source):
+    """The program's repr, which holds every ``loc`` (``==`` ignores them), or
+    the ParseError as (message, line, col)."""
+    try:
+        return repr(parse(source))
+    except ParseError as e:
+        return (e.message, e.line, e.col)
+
+
+def memo_free_parse(source):
+    return _Parser(tokenize(source)).parse_program()
+
+
+def test_the_line_joins_parse_and_fail_as_written():
+    assert parse_outcome(memo_free_parse, body("x = a", "+ b", "return x")).count("BinOp(op='+'") == 1
+    assert "Index(" in parse_outcome(memo_free_parse, body("y = xs", "[0]", "return y"))
+    assert parse_outcome(memo_free_parse, body("c = a < b", "< d", "return c"))[1:] == (3, 5)
+    assert "Literal(value=9223372036854775808)" in parse_outcome(memo_free_parse, body("return -", "9223372036854775808"))
+    two = parse_outcome(memo_free_parse, body("x = 1 y = 2", "return x"))
+    assert "Loc(line=2, col=5)" in two and "Loc(line=2, col=11)" in two
+    assert "Loc(line=3, col=5)" in parse_outcome(memo_free_parse, body("x = 1", "x = 1", "return x"))
+
+
+def test_programs_match_the_memo_free_parse_cold_warm_and_evicted(cold_memo):
+    expected = [parse_outcome(memo_free_parse, s) for s in PROGRAMS]
+    parser._LINES.clear()
+    # a statement is kept from its second parse on, so the third pass reads
+    # every statement that can be kept from the memo
+    for _ in range(3):
+        assert [parse_outcome(parse_program, s) for s in PROGRAMS] == expected
+    assert len(parser._STMTS) > 0
+    fill_both_memos()
+    assert [parse_outcome(parse_program, s) for s in PROGRAMS] == expected
+
+
+def test_a_statement_that_raises_or_leaves_its_line_is_not_kept(cold_memo):
+    for _ in range(3):
+        with pytest.raises(ParseError):
+            parse_program(body("x = )", "return x"))
+        with pytest.raises(ParseError):
+            parse_program(body("c = a < b", "< d", "return c"))
+    assert len(parser._STMTS) == 0
+    for _ in range(3):
+        parse_program(body("x = a", "+ b", "return x"))
+        parse_program(body("x = 1 y = 2", "return x"))
+    # only the two ``return x`` lines, at lines 3 and 4, cover their lines
+    assert sorted(key[:2] for key in parser._STMTS._values) == [(3, "    return x"), (4, "    return x")]
 
 
 @pytest.mark.parametrize("source", [None, b"fn f() { return 1 }", 3])
