@@ -23,7 +23,7 @@ from pathlib import Path
 import numpy as np
 
 from . import probe as probe_mod
-from .evalsuite import load_eval_items, oracle_predictor_for, run_eval, serialize_record
+from .evalsuite import TraceItem, load_eval_items, oracle_predictor_for, run_eval
 from .fuzz import differential_campaign
 from .harness import (
     RunConfig,
@@ -42,7 +42,6 @@ from .tracer import (
     STATUS_ERROR,
     STATUS_RETURNED,
     execute,
-    traced_variables,
 )
 from .values import decode_inputs, encode_json_value, load_json, read_jsonl
 
@@ -77,7 +76,8 @@ def _reading(what: str, path=None):
 
 def cmd_trace(args) -> int:
     with _reading("parse error", args.program):
-        program = parse_program(Path(args.program).read_text("utf-8"))
+        source = Path(args.program).read_text("utf-8")
+        program = parse_program(source)
     with _reading("bad input"):
         inputs = decode_inputs(load_json(args.input))
     try:
@@ -91,7 +91,7 @@ def cmd_trace(args) -> int:
     if rec.status == STATUS_BUDGET:
         raise _Failed("budget of %d steps exceeded" % args.budget, EXIT_BUDGET)
     assert rec.status == STATUS_RETURNED
-    print(serialize_record(rec.return_value, traced_variables(program, rec)))
+    print(TraceItem.traced(args.program, program, inputs, rec, source).answer_line())
     return EXIT_OK
 
 

@@ -1,5 +1,6 @@
-"""Trace-inference evaluation: the canonical answer line, strict prediction
-parsing, and Exact@1 scoring.
+"""Trace-inference evaluation: the one trace-inference record (an alignment
+prompt of the failure buffer or an item of the eval set) and its decoder,
+the canonical answer line, strict prediction parsing, and Exact@1 scoring.
 
 The canonical answer line is a single line of strict JSON with keys
 "final_output" and "variables"; values are rendered by
@@ -8,15 +9,18 @@ The canonical answer line is a single line of strict JSON with keys
 
 from __future__ import annotations
 
+import hashlib
+import json
 from dataclasses import dataclass, field
-from functools import cache
+from functools import cache, cached_property, partial
 from importlib import resources
 from typing import Callable, Dict, List, Optional, Sequence
 
 from .lang import Program, format_program, parse_program
 from .rewards import matches_expected
-from .tracer import DEFAULT_BUDGET, STATUS_RETURNED, execute, traced_variables
-from .values import Value, canonical_serialize, decode_inputs, decode_json_value, load_json, read_jsonl, record_id
+from .tracer import DEFAULT_BUDGET, STATUS_RETURNED, ExecutionRecord, execute, traced_variables
+from .values import (Value, canonical_serialize, decode_inputs, decode_json_value, encode_json_value, load_json,
+                     read_jsonl, record_id, stored_int)
 
 
 class MalformedPrediction(ValueError):
@@ -67,53 +71,128 @@ def parse_prediction(raw: str) -> Prediction:
         raise MalformedPrediction(str(exc)) from exc
 
 
-@dataclass
-class EvalItem:
-    item_id: str
-    program: Program
+@dataclass(frozen=True)
+class TraceItem:
+    """A trace-inference question and its answer, ``p_fail`` run on ``input``:
+    a prompt of the failure buffer or an item of the eval set.  Immutable (its
+    lists and dict too), so its buffer line is built at most once."""
+
+    item_id: str  # a prompt's alignment_prompt_id(source, input); an eval item's transcript file name
+    p_fail: Program
     input: List[Value]
-    variables: List[str]  # V, in first-definition order
-    truth_output: Value
-    truth_vars: Dict[str, Value]
+    variables: List[str]  # V: first-definition order, restricted to defined vars
+    truth: Dict[str, Value]
+    return_value: Value
+    source: str = field(repr=False, compare=False)  # the text p_fail was parsed from or formatted to
+    origin_step: int = 0  # the training step that harvested a prompt
+
+    @classmethod
+    def traced(cls, item_id, p_fail: Program, input_values, run: ExecutionRecord, source, origin_step=0) -> "TraceItem":
+        """The item whose answer is ``run``, the returned run of ``p_fail`` on ``input_values``."""
+        truth = traced_variables(p_fail, run)
+        return cls(item_id, p_fail, input_values, list(truth), truth, run.return_value, source, origin_step)
+
+    def answer_line(self) -> str:
+        """The canonical answer line of this item's run."""
+        return serialize_record(self.return_value, self.truth)
+
+    def to_record(self) -> dict:
+        return {
+            "id": self.item_id,
+            "source": self.source,
+            "input": [encode_json_value(v) for v in self.input],
+            "variables": list(self.variables),
+            "truth": {k: encode_json_value(v) for k, v in self.truth.items()},
+            "origin_step": self.origin_step,
+        }
+
+    @cached_property
+    def jsonl_line(self) -> str:
+        return json.dumps(self.to_record()) + "\n"
+
+    @classmethod
+    def from_record(cls, rec: dict, budget: int = DEFAULT_BUDGET) -> "TraceItem":
+        """A failure-buffer record, by :func:`decode_item`; its id is
+        ``alignment_prompt_id(source, input)`` and the run reproduces its ``truth``."""
+        origin_step = stored_int(rec["origin_step"], "origin_step", 0)
+        if not isinstance(rec["truth"], dict):
+            raise ValueError("truth must be a JSON object")
+        truth = {k: decode_json_value(v) for k, v in rec["truth"].items()}
+        item = decode_item(rec, "alignment prompt", _prompt_id, budget, origin_step=origin_step)
+        if truth.keys() != item.truth.keys():
+            raise ValueError("alignment prompt %r truth keys do not match its variables: extra %s, missing %s"
+                             % (item.item_id, sorted(truth.keys() - item.truth.keys()),
+                                sorted(item.truth.keys() - truth.keys())))
+        for v in item.variables:
+            if not matches_expected(item.truth[v], truth[v]):
+                raise ValueError("stale ground truth for %r in prompt %r" % (v, item.item_id))
+        return item
+
+
+def alignment_prompt_id(source: str, input_values: Sequence[Value]) -> str:
+    """The id of a prompt on the program whose ``format_program`` is ``source``."""
+    payload = source + "\n" + canonical_serialize(list(input_values))
+    return hashlib.sha256(payload.encode("utf-8")).hexdigest()[:16]
+
+
+def _prompt_id(raw, source: str, input_values: List[Value]) -> str:
+    prompt_id = record_id(raw, set(), "alignment prompt")
+    if prompt_id != alignment_prompt_id(source, input_values):
+        raise ValueError("alignment prompt id %r does not match its source and input" % (prompt_id,))
+    return prompt_id
+
+
+def _run_item(kind: str, item_id: str, program: Program, input_values: List[Value], source: str, budget: int,
+              origin_step: int = 0) -> TraceItem:
+    run = execute(program, input_values, budget=budget)
+    if run.status != STATUS_RETURNED:
+        raise ValueError("%s %r does not terminate normally (%s)" % (kind, item_id, run.status))
+    return TraceItem.traced(item_id, program, input_values, run, source, origin_step)
+
+
+def decode_item(rec: dict, kind: str, read_id: Callable[[object, str, List[Value]], str], budget: int,
+                origin_step: int = 0, variables_optional: bool = False) -> TraceItem:
+    """The item of one JSONL record of ``kind``, whose ``id`` is checked by
+    ``read_id(id, source, input)``; its run must return and define exactly its
+    ``variables`` (optional when ``variables_optional``), in order."""
+    source = rec["source"]
+    program = parse_program(source)
+    input_values = decode_inputs(rec["input"])
+    item_id = read_id(rec["id"], source, input_values)
+    item = _run_item(kind, item_id, program, input_values, source, budget, origin_step)
+    stored = rec.get("variables", item.variables) if variables_optional else rec["variables"]
+    if stored != item.variables:
+        raise ValueError("stored variable list does not match: %s %r lists variables %r, but its run defines %r"
+                         % (kind, item_id, stored, item.variables))
+    return item
 
 
 def build_eval_item(item_id: str, program: Program, input_values: Sequence[Value],
-                    budget: int = DEFAULT_BUDGET) -> EvalItem:
+                    budget: int = DEFAULT_BUDGET) -> TraceItem:
     """Derive the ground truth for one item by tracing the program."""
-    rec = execute(program, list(input_values), budget=budget)
-    if rec.status != STATUS_RETURNED:
-        raise ValueError("eval item %r does not terminate normally (%s)" % (item_id, rec.status))
-    truth_vars = traced_variables(program, rec)
-    return EvalItem(
-        item_id=item_id,
-        program=program,
-        input=list(input_values),
-        variables=list(truth_vars),
-        truth_output=rec.return_value,
-        truth_vars=truth_vars,
-    )
+    return _run_item("eval item", item_id, program, list(input_values), format_program(program), budget)
 
 
-def load_eval_items(path, budget: int = DEFAULT_BUDGET) -> List[EvalItem]:
-    """Read ``eval_items.jsonl``: one record per line with id, source, input,
-    and the expected variable list; ground truth is regenerated by tracing.
-
-    An id names its transcript file, so it must be unique and a plain file
-    name.  Raises ``ValueError`` naming the line for any malformed record,
-    and for a file without records."""
+def load_eval_items(path, budget: int = DEFAULT_BUDGET) -> List[TraceItem]:
+    """Read ``eval_items.jsonl`` (a run's ``buffer.jsonl`` too) by
+    :func:`decode_item`.  An id names its transcript file, so it must be
+    unique and a file name of at most 255 bytes with ``.txt.tmp``.  Raises
+    ``ValueError`` naming the line for a malformed record, or if there is none."""
     seen = set()
 
-    def decode(rec: dict) -> EvalItem:
-        item_id = record_id(rec["id"], seen, "eval item")
+    def read_id(raw, source: str, input_values: List[Value]) -> str:
+        item_id = record_id(raw, seen, "eval item")
         if "/" in item_id or "\0" in item_id or item_id in (".", ".."):
             raise ValueError("eval item id %r is not a file name" % item_id)
-        item = build_eval_item(item_id, parse_program(rec["source"]), decode_inputs(rec["input"]), budget=budget)
-        if "variables" in rec and rec["variables"] != item.variables:
-            raise ValueError("stored variable list %s does not match traced %s" % (rec["variables"], item.variables))
-        return item
+        size = len(item_id.encode("utf-8")) + len(".txt.tmp")
+        if size > 255:  # NAME_MAX on most file systems
+            raise ValueError("eval item id %r is too long for a file name: with .txt.tmp it takes %d bytes of "
+                             "UTF-8, over the limit of 255" % (item_id, size))
+        return item_id
 
     try:
-        items = read_jsonl(path, decode)
+        items = read_jsonl(path, partial(decode_item, kind="eval item", read_id=read_id, budget=budget,
+                                         variables_optional=True))
     except ValueError as exc:
         raise ValueError("eval items file %s" % exc) from exc
     if not items:
@@ -126,12 +205,12 @@ def prompt_template() -> str:
     return resources.files("semtrace.resources").joinpath("trace_prompt.txt").read_text("utf-8")
 
 
-def build_prompt(item: EvalItem) -> str:
+def build_prompt(item: TraceItem) -> str:
     """Fill the verbatim prompt template for one eval item."""
     text = prompt_template()
-    text = text.replace("{function_name}", item.program.name)
+    text = text.replace("{function_name}", item.p_fail.name)
     text = text.replace("{variable_names}", ", ".join('"%s"' % v for v in item.variables))
-    text = text.replace("{code}", format_program(item.program).rstrip("\n"))
+    text = text.replace("{code}", format_program(item.p_fail).rstrip("\n"))
     text = text.replace("{input}", canonical_serialize(item.input))
     return text
 
@@ -173,19 +252,19 @@ class EvalReport:
         }
 
 
-def _all_wrong(item: EvalItem, error: str, raw: str = "") -> ItemResult:
+def _all_wrong(item: TraceItem, error: str, raw: str = "") -> ItemResult:
     per_variable = dict.fromkeys(item.variables, False)
     return ItemResult(item.item_id, exact=False, output_correct=False, per_variable=per_variable, error=error, raw=raw)
 
 
-def score_item(item: EvalItem, raw: str) -> ItemResult:
+def score_item(item: TraceItem, raw: str) -> ItemResult:
     try:
         pred = parse_prediction(raw)
     except MalformedPrediction as exc:
         return _all_wrong(item, str(exc), raw)
-    output_correct = matches_expected(item.truth_output, pred.final_output)
+    output_correct = matches_expected(item.return_value, pred.final_output)
     per_variable = {
-        v: v in pred.variables and matches_expected(item.truth_vars[v], pred.variables[v])
+        v: v in pred.variables and matches_expected(item.truth[v], pred.variables[v])
         for v in item.variables
     }
     return ItemResult(
@@ -197,7 +276,7 @@ def score_item(item: EvalItem, raw: str) -> ItemResult:
     )
 
 
-def run_eval(items: Sequence[EvalItem], predictor: Callable[[str], str]) -> EvalReport:
+def run_eval(items: Sequence[TraceItem], predictor: Callable[[str], str]) -> EvalReport:
     """Prompt the predictor for each item, parse and score; a predictor
     failure scores that one item incorrect and is recorded."""
     if not items:
@@ -214,12 +293,11 @@ def run_eval(items: Sequence[EvalItem], predictor: Callable[[str], str]) -> Eval
     return report
 
 
-def oracle_predictor_for(items: Sequence[EvalItem]) -> Callable[[str], str]:
+def oracle_predictor_for(items: Sequence[TraceItem]) -> Callable[[str], str]:
     """Predictor that answers every prompt with the serialized ground truth."""
     by_prompt = {build_prompt(item): item for item in items}
 
     def predict(prompt: str) -> str:
-        item = by_prompt[prompt]
-        return serialize_record(item.truth_output, dict(item.truth_vars))
+        return by_prompt[prompt].answer_line()
 
     return predict

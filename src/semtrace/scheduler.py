@@ -8,7 +8,6 @@ code generation; once failures accumulate, each batch carries
 
 from __future__ import annotations
 
-import hashlib
 import itertools
 import json
 import math
@@ -16,12 +15,14 @@ import os
 import shutil
 from collections import deque
 from dataclasses import dataclass, field, replace
-from functools import cached_property, partial
+from functools import partial
 from pathlib import Path
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
 
+# a buffered alignment prompt is the one trace-inference record
+from .evalsuite import TraceItem as AlignmentPrompt, alignment_prompt_id
 from .grpo import (
     KIND_ALIGNMENT,
     KIND_CODEGEN,
@@ -33,87 +34,11 @@ from .grpo import (
     train_step,
 )
 from .harness import ProblemRecord, RunConfig, RunLock, atomic_write_text
-from .lang import Program, format_program, parse_program
+from .lang import Program, format_program
 from .optim import Adam
-from .rewards import GenRewardReport, SemPrediction, gen_reward, matches_expected, sem_reward
-from .tracer import DEFAULT_BUDGET, STATUS_RETURNED, execute, traced_variables
-from .values import (Memo, Value, canonical_serialize, decode_inputs, decode_json_value, encode_json_value,
-                     load_json, read_jsonl, record_id, stored_int)
-
-
-@dataclass(frozen=True)
-class AlignmentPrompt:
-    """A trace-inference prompt: the final values ``truth`` of ``variables``
-    after running ``p_fail`` on ``input``.  Immutable (its lists and dict are
-    never mutated either), so its JSONL line is built at most once, the
-    first time a save needs it."""
-
-    prompt_id: str  # alignment_prompt_id(source, input)
-    p_fail: Program
-    input: List[Value]
-    variables: List[str]  # V: first-definition order, restricted to defined vars
-    truth: Dict[str, Value]
-    origin_step: int
-    source: str = field(repr=False, compare=False)  # the text p_fail was parsed from or formatted to
-
-    def to_record(self) -> dict:
-        return {
-            "id": self.prompt_id,
-            "source": self.source,
-            "input": [encode_json_value(v) for v in self.input],
-            "variables": list(self.variables),
-            "truth": {k: encode_json_value(v) for k, v in self.truth.items()},
-            "origin_step": self.origin_step,
-        }
-
-    @cached_property
-    def jsonl_line(self) -> str:
-        return json.dumps(self.to_record()) + "\n"
-
-    @classmethod
-    def from_record(cls, rec: dict, budget: int = DEFAULT_BUDGET) -> "AlignmentPrompt":
-        source = rec["source"]
-        program = parse_program(source)
-        input_values = decode_inputs(rec["input"])
-        prompt_id = record_id(rec["id"], set(), "alignment prompt")
-        if prompt_id != alignment_prompt_id(source, input_values):
-            raise ValueError("alignment prompt id %r does not match its source and input" % (prompt_id,))
-        origin_step = stored_int(rec["origin_step"], "origin_step", 0)
-        if not isinstance(rec["truth"], dict):
-            raise ValueError("truth must be a JSON object")
-        truth = {k: decode_json_value(v) for k, v in rec["truth"].items()}
-        # stored ground truth must revalidate against a fresh trace
-        fresh = execute(program, input_values, budget=budget)
-        if fresh.status != STATUS_RETURNED:
-            raise ValueError("alignment prompt %r no longer terminates" % prompt_id)
-        # the freshly traced values, so the in-memory truth is exact
-        fresh_truth = traced_variables(program, fresh)
-        variables = list(fresh_truth)
-        if rec["variables"] != variables:
-            raise ValueError("alignment prompt %r lists variables %r, but its run defines %r"
-                             % (prompt_id, rec["variables"], variables))
-        if truth.keys() != fresh_truth.keys():
-            raise ValueError("alignment prompt %r truth keys do not match its variables: extra %s, missing %s"
-                             % (prompt_id, sorted(truth.keys() - fresh_truth.keys()),
-                                sorted(fresh_truth.keys() - truth.keys())))
-        for v in variables:
-            if not matches_expected(fresh_truth[v], truth[v]):
-                raise ValueError("stale ground truth for %r in prompt %r" % (v, prompt_id))
-        return cls(
-            prompt_id=prompt_id,
-            p_fail=program,
-            input=input_values,
-            variables=variables,
-            truth=fresh_truth,
-            origin_step=origin_step,
-            source=source,
-        )
-
-
-def alignment_prompt_id(source: str, input_values: Sequence[Value]) -> str:
-    """The id of a prompt on the program whose ``format_program`` is ``source``."""
-    payload = source + "\n" + canonical_serialize(list(input_values))
-    return hashlib.sha256(payload.encode("utf-8")).hexdigest()[:16]
+from .rewards import GenRewardReport, SemPrediction, gen_reward, sem_reward
+from .tracer import STATUS_RETURNED
+from .values import Memo, load_json, read_jsonl, stored_int
 
 
 def build_alignment_prompt(
@@ -138,19 +63,10 @@ def build_alignment_prompt(
     if index is None:
         return None
     x = list(tests[index].input)
-    truth = traced_variables(p_fail, report.per_test[index].record)
-    if not truth:
-        return None
     source = format_program(p_fail)
-    return AlignmentPrompt(
-        prompt_id=alignment_prompt_id(source, x),
-        p_fail=p_fail,
-        input=x,
-        variables=list(truth),
-        truth=truth,
-        origin_step=origin_step,
-        source=source,
-    )
+    prompt = AlignmentPrompt.traced(alignment_prompt_id(source, x), p_fail, x, report.per_test[index].record, source,
+                                    origin_step)
+    return prompt if prompt.variables else None
 
 
 class FailureBuffer:
@@ -170,13 +86,13 @@ class FailureBuffer:
         return prompt_id in self._ids
 
     def add(self, prompt: AlignmentPrompt) -> bool:
-        if prompt.prompt_id in self._ids:
+        if prompt.item_id in self._ids:
             return False
         self.entries.append(prompt)
-        self._ids.add(prompt.prompt_id)
+        self._ids.add(prompt.item_id)
         while len(self.entries) > self.capacity:
             evicted = self.entries.popleft()
-            self._ids.discard(evicted.prompt_id)
+            self._ids.discard(evicted.item_id)
         return True
 
     def sample(self, n: int, rng: np.random.Generator) -> List[AlignmentPrompt]:
@@ -215,7 +131,7 @@ def harvest_failures(
             continue
         if prompt is None:
             ineligible += 1
-        elif prompt.prompt_id not in buffer:
+        elif prompt.item_id not in buffer:
             if prompt.origin_step != origin_step:
                 prompt = replace(prompt, origin_step=origin_step)
             buffer.add(prompt)
@@ -343,16 +259,16 @@ class Trainer:
             harvest_failures(group, self.buffer, prompts, self.step)
 
         for prompt in batch.align_prompts:
-            if prompt.prompt_id not in self.align_policy.pools:
+            if prompt.item_id not in self.align_policy.pools:
                 # a prompt is registered when first sampled; register_prompt
                 # keeps the logits a checkpoint loaded for it, and rejects
                 # them if they do not fit (logits made here always fit)
                 pool = candidate_value_pool(prompt.p_fail, prompt.input, prompt.truth)
                 try:
-                    self.align_policy.register_prompt(prompt.prompt_id, prompt.variables, pool)
+                    self.align_policy.register_prompt(prompt.item_id, prompt.variables, pool)
                 except ValueError as exc:
                     raise ValueError("%s: %s" % (self._align_path, exc)) from exc
-        align_groups = sample_groups(self.align_policy, [p.prompt_id for p in batch.align_prompts], KIND_ALIGNMENT,
+        align_groups = sample_groups(self.align_policy, [p.item_id for p in batch.align_prompts], KIND_ALIGNMENT,
                                      self.config.group_size, self.rng)
         for prompt, group in zip(batch.align_prompts, align_groups):
             for sample in group.samples:

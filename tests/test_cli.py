@@ -615,8 +615,9 @@ def test_bad_problem_id_is_a_dataset_error(tmp_path, capsys, ids, line, named):
      ([".", "b"], 1, "is not a file name"),
      (["..", "b"], 1, "is not a file name"),
      ([3, "b"], 1, "eval item id must be a non-empty UTF-8 string, got 3"),
-     (["a", "a"], 2, "duplicate eval item id 'a'")],
-    ids=["absolute-path", "slash", "nul", "dot", "dot-dot", "integer", "duplicate"],
+     (["a", "a"], 2, "duplicate eval item id 'a'"),
+     (["x" * 260, "b"], 1, "with .txt.tmp it takes 268 bytes of UTF-8, over the limit of 255")],
+    ids=["absolute-path", "slash", "nul", "dot", "dot-dot", "integer", "duplicate", "too-long"],
 )
 def test_bad_eval_item_id_is_reported_before_anything_is_written(tmp_path, capsys, ids, line, named):
     outside = tmp_path / "outside"
@@ -710,6 +711,18 @@ def test_eval_item_variables_must_be_the_traced_list(tmp_path, capsys, variables
     assert cli.main(["eval", items, "--out", str(out)]) == 1
     assert_one_line_error(capsys, "bad eval items: eval items file %s line 2: stored variable list " % items)
     assert not out.exists()
+
+
+def test_oracle_scores_every_prompt_of_a_run_buffer_exactly(tmp_path, capsys):
+    # eval reads a run's buffer.jsonl as eval items, so this checks that
+    # every harvested prompt is consistent with itself
+    finished_run(tmp_path)
+    buffer = tmp_path / "run" / "buffer.jsonl"
+    n = len(buffer.read_text().splitlines())
+    capsys.readouterr()
+    assert n > 0 and cli.main(["eval", str(buffer), "--out", str(tmp_path / "evalout")]) == 0
+    assert capsys.readouterr().out == "Exact@1 = 1.0000 over %d items\n" % n
+    assert len(list((tmp_path / "evalout" / "transcripts").iterdir())) == n
 
 
 def edit_state(ckpt, **changes):

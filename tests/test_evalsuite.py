@@ -252,8 +252,8 @@ def test_load_eval_items_regenerates_truth(tmp_path):
         + "\n"
     )
     items = load_eval_items(path)
-    assert items[0].truth_output == 5
-    assert items[0].truth_vars == {"x": 4, "y": 5}
+    assert items[0].return_value == 5
+    assert items[0].truth == {"x": 4, "y": 5}
 
 
 def test_load_eval_items_rejects_stale_variable_list(tmp_path):
@@ -271,6 +271,18 @@ def test_load_eval_items_rejects_stale_variable_list(tmp_path):
     )
     with pytest.raises(ValueError):
         load_eval_items(path)
+
+
+def test_eval_item_id_with_txt_tmp_takes_at_most_255_bytes_of_utf8(tmp_path):
+    path = tmp_path / "eval_items.jsonl"
+    record = {"source": "fn f(x) { return x }", "input": [1]}
+    for item_id, size in (("x" * 247, None), ("\u00e9" * 123 + "x", None), ("x" * 248, 256), ("\u00e9" * 124, 256)):
+        path.write_text(json.dumps(dict(record, id=item_id)) + "\n")
+        if size is None:
+            assert [item.item_id for item in load_eval_items(path)] == [item_id]
+        else:
+            with pytest.raises(ValueError, match="takes %d bytes of UTF-8, over the limit of 255" % size):
+                load_eval_items(path)
 
 
 def test_load_eval_items_rejects_out_of_domain_input(tmp_path):

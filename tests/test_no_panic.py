@@ -129,18 +129,18 @@ def keys(**values):
 
 TEST_CASE = keys(input=INPUTS, expected=JSON)
 TEMPLATE = keys(source=SOURCES, holes=st.lists(st.lists(st.sampled_from(["+", "-", "*", ")"]), max_size=2), max_size=2))
+ALIGNMENT_PROMPT = keys(id=st.text(max_size=3), source=SOURCES, input=INPUTS, variables=VARIABLES,
+                        truth=st.dictionaries(st.sampled_from(NAMES), JSON, max_size=3) | st.lists(JSON, max_size=2),
+                        origin_step=st.integers())
 LOADERS = {
     "problems": (keys(id=st.text(max_size=3), template=TEMPLATE, tests=st.lists(TEST_CASE, max_size=2)),
                  load_problems),
     "test-cases": (TEST_CASE, lambda path: read_jsonl(path, decode_test_case)),
     "eval-items": (keys(id=st.text(max_size=3), source=SOURCES, input=INPUTS, variables=VARIABLES),
                    load_eval_items),
-    "alignment-prompts": (
-        keys(id=st.text(max_size=3), source=SOURCES, input=INPUTS, variables=VARIABLES,
-             truth=st.dictionaries(st.sampled_from(NAMES), JSON, max_size=3) | st.lists(JSON, max_size=2),
-             origin_step=st.integers()),
-        lambda path: read_jsonl(path, AlignmentPrompt.from_record),
-    ),
+    "alignment-prompts": (ALIGNMENT_PROMPT, lambda path: read_jsonl(path, AlignmentPrompt.from_record)),
+    # semtrace eval reads a run's buffer.jsonl as eval items
+    "alignment-prompts-as-eval-items": (ALIGNMENT_PROMPT, load_eval_items),
 }
 
 

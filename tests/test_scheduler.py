@@ -60,7 +60,7 @@ def test_input_selection_prefers_first_failing_terminating():
 
 
 def test_prompt_from_a_report_executes_nothing(monkeypatch):
-    import semtrace.scheduler
+    import semtrace.evalsuite
 
     p = parse_program(BUGGY_SUM)
     report = gen_reward(p, SUM_TESTS)
@@ -68,9 +68,9 @@ def test_prompt_from_a_report_executes_nothing(monkeypatch):
     def execute(*args, **kwargs):
         raise AssertionError("the report already holds every execution")
 
-    monkeypatch.setattr(semtrace.scheduler, "execute", execute)
+    monkeypatch.setattr(semtrace.evalsuite, "execute", execute)
     prompt = build_alignment_prompt(p, SUM_TESTS, report)
-    assert prompt.prompt_id == alignment_prompt_id(format_program(p), [3])
+    assert prompt.item_id == alignment_prompt_id(format_program(p), [3])
     assert prompt.variables == ["n", "t", "i"]
     assert prompt.truth == {"n": 3, "t": 3, "i": 2}
 
@@ -93,10 +93,10 @@ def test_buffer_dedup_and_fifo_eviction(rng):
     buf.add(prompts[1])
     buf.add(prompts[2])
     buf.add(prompts[3])  # evicts the oldest
-    ids = [e.prompt_id for e in buf.entries]
+    ids = [e.item_id for e in buf.entries]
     assert len(ids) == 3
-    assert prompts[0].prompt_id not in ids
-    assert ids == [p.prompt_id for p in prompts[1:]]
+    assert prompts[0].item_id not in ids
+    assert ids == [p.item_id for p in prompts[1:]]
 
 
 def make_codegen_group(programs, tests, budget=100_000, origin_step=1):
@@ -178,7 +178,7 @@ def test_harvests_count_and_refill_an_evicting_buffer():
         counts.append(harvest_failures(group, buf, [built[k] for k in picks], origin_step=step))
     assert counts == [(2, 1), (0, 1), (0, 1), (1, 1), (3, 0)]
     # step 5 re-adds the evicted prompts under its own origin_step
-    assert [(p.prompt_id, p.origin_step) for p in buf.entries] == [(built[1].prompt_id, 5), (built[2].prompt_id, 5)]
+    assert [(p.item_id, p.origin_step) for p in buf.entries] == [(built[1].item_id, 5), (built[2].item_id, 5)]
 
 
 def test_buffer_only_holds_wrong_answer_terminating_programs():
@@ -229,7 +229,7 @@ def test_alignment_prompt_record_round_trip():
     p = parse_program(BUGGY_SUM)
     prompt = build_alignment_prompt(p, SUM_TESTS, gen_reward(p, SUM_TESTS), origin_step=7)
     back = AlignmentPrompt.from_record(prompt.to_record())
-    assert back.prompt_id == prompt.prompt_id
+    assert back.item_id == prompt.item_id
     assert back.truth == prompt.truth
     assert back.variables == prompt.variables
     assert back.input == prompt.input
@@ -367,7 +367,7 @@ def test_a_buffered_prompt_is_formatted_and_recorded_once(tmp_path, monkeypatch)
         return format_program_(program)
 
     def counted_to_record(prompt):
-        records[prompt.prompt_id] += 1
+        records[prompt.item_id] += 1
         return to_record(prompt)
 
     monkeypatch.setattr(semtrace.scheduler, "format_program", counted_format)
@@ -390,7 +390,7 @@ def test_a_buffered_prompt_is_formatted_and_recorded_once(tmp_path, monkeypatch)
     # each prompt kept the source its id was hashed from: the built one the
     # formatter's, the loaded one its record's
     assert formats == Counter()
-    assert records == Counter({built.prompt_id: 1, loaded.prompt_id: 1})
+    assert records == Counter({built.item_id: 1, loaded.item_id: 1})
 
 
 def test_resume_after_a_killed_save_takes_the_last_complete_checkpoint(tmp_path, monkeypatch):
