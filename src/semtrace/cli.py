@@ -7,7 +7,10 @@ malformed or cannot be read, or on a malformed argument (a usage error, a
 finite number above 0).  Every input is loaded inside
 :func:`_reading`, so each such failure is one stderr line, ``cannot read
 <file>: <reason>`` or ``<what>: <message>``; stdout carries only the
-canonical payload of each subcommand.
+canonical payload of each subcommand.  ``eval`` and ``probe`` also exit 1
+when an ``--out`` directory (or ``eval``'s ``transcripts`` in it) cannot be
+made, with ``cannot write <path>: <reason>``, before any item is scored or
+any sweep runs, so no output is written.
 """
 
 from __future__ import annotations
@@ -69,6 +72,17 @@ def _reading(what: str, path=None):
         raise _Failed("cannot read %s: %s" % (exc.filename or path, exc.strerror or exc)) from None
     except ValueError as exc:
         raise _Failed("%s: %s" % (what, exc)) from None
+
+
+def _output_dir(path) -> Path:
+    """``path`` as a directory, made if missing; called before any work, so an
+    output path that cannot be a directory fails as ``cannot write <path>: <reason>``."""
+    path = Path(path)
+    try:
+        path.mkdir(parents=True, exist_ok=True)
+    except OSError as exc:
+        raise _Failed("cannot write %s: %s" % (exc.filename or path, exc.strerror or exc)) from None
+    return path
 
 
 # --- subcommands ---
@@ -146,12 +160,10 @@ def cmd_eval(args) -> int:
         predictor = oracle_predictor_for(items)
     else:
         predictor = subprocess_predictor(args.predictor.split(), timeout=args.timeout)
+    out_dir = _output_dir(args.out)
+    transcripts = _output_dir(out_dir / "transcripts")
     report = run_eval(items, predictor)
-    out_dir = Path(args.out)
-    out_dir.mkdir(parents=True, exist_ok=True)
     atomic_write_text(out_dir / "report.json", json.dumps(report.to_dict(), indent=2) + "\n")
-    transcripts = out_dir / "transcripts"
-    transcripts.mkdir(exist_ok=True)
     for result in report.items:
         atomic_write_text(transcripts / ("%s.txt" % result.item_id), result.raw)
     print("Exact@1 = %.4f over %d items" % (report.exact_at_1, len(report.items)))
@@ -164,9 +176,8 @@ def cmd_probe(args) -> int:
     layers = sorted({layer for s in samples for layer in s.features})
     with _reading("error"):
         rng = np.random.default_rng(seed_override(args.seed))
+    out = _output_dir(args.out)
     results = probe_mod.probe_sweep(samples, layers, rng=rng)
-    out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
     probe_mod.write_sweep_csv(results, out / "probe_mse.csv")
     for layer in layers:
         print(

@@ -6,7 +6,8 @@ condition check, and each ``for`` loop-variable binding.  Evaluating an
 expression is not a step.  Runtime errors are recorded in the returned
 :class:`ExecutionRecord`, never raised past :func:`execute`, which compiles
 the program into closures for each call and runs hot loops in kernels kept
-per loop shape (:class:`_Compiler`).
+per loop shape (:class:`_Compiler`): a ``for`` over more than ``HOT`` values
+from its head, a ``while`` loop after ``HOT`` iterations.
 """
 
 from __future__ import annotations
@@ -286,7 +287,7 @@ _KERNEL = """def kernel(run, %s, it):
 """
 _STORED = "stored"  # the shape of a variable an assignment stores: its ownership ends
 
-HOT = 16  # iterations a loop activation runs on closures before its kernel takes over
+HOT = 16  # a for over more values starts in its kernel; a while moves there after this many iterations
 KERNEL_DEPTH = 3  # operator, index and len nodes a kernel inlines below a statement
 # Kernels by loop shape.  Far above the ~10 hot shapes of the template
 # workloads (a train-loops run compiles 7), so that a dataset of many
@@ -368,9 +369,10 @@ class _Compiler:
     holds an owned list, and full mode's event for a write keeps a shallow
     copy of the list.  Full mode differs from summary mode only in the events.
 
-    The closures are the cold tier.  A loop activation that completes
-    :data:`HOT` iterations runs the rest in its loop's kernel
-    (:meth:`kernel`), if its body holds only definitions and ``if``s of them:
+    The closures are the cold tier.  A ``for`` activation over more than
+    :data:`HOT` values runs whole in its loop's kernel (:meth:`kernel`), and a
+    ``while`` activation that completes :data:`HOT` iterations runs the rest
+    there, if the body holds only definitions and ``if``s of them:
     one Python loop generated from the same fragments for the loop's
     :meth:`shape`, on the run's own ``env``, ``owned`` and step count.
     Kernels are kept per shape in one ``values.Memo`` of
@@ -638,26 +640,24 @@ class _Compiler:
             if args[2] == 0:
                 raise MimRuntimeError(E_RANGE, "range step must be non-zero", loc)
             it = iter(range(*args))
-            # the closures' HOT iterations, then the rest
-            for iterations in (it,) if it.__length_hint__() <= HOT else (itertools.islice(it, HOT), it):
-                for i in iterations:
-                    if run.steps >= budget:
-                        raise _Budget()
-                    run.steps += 1
-                    env[var] = i
-                    if trajectory is not None:
-                        trajectory.append(StepEvent(run.steps, loc, var, i))
-                    if body is None:
-                        body = run.block(s.body, True)
-                    try:
-                        for stmt in body:
-                            stmt()
-                    except _Continue:
-                        pass
-                    except _Break:
-                        return
-                if iterations is not it and (kernel := run.kernel(s)):
-                    return kernel(it)
+            if it.__length_hint__() > HOT and (kernel := run.kernel(s)):
+                return kernel(it)
+            for i in it:
+                if run.steps >= budget:
+                    raise _Budget()
+                run.steps += 1
+                env[var] = i
+                if trajectory is not None:
+                    trajectory.append(StepEvent(run.steps, loc, var, i))
+                if body is None:
+                    body = run.block(s.body, True)
+                try:
+                    for stmt in body:
+                        stmt()
+                except _Continue:
+                    pass
+                except _Break:
+                    return
 
         return for_
 
@@ -704,8 +704,8 @@ def execute(
     record's status, an unbound variable as ``E_UNDEF`` at the statement that
     read it.  Each call compiles the program anew, reading variable and literal
     operands in place (:class:`_Compiler`), and drops the compiled form on return;
-    a loop that proves hot finishes in a kernel kept per loop shape, with the
-    same record.
+    a long ``for`` loop, or a ``while`` loop that proves hot, runs in a kernel
+    kept per loop shape, with the same record.
     """
     if mode not in ("summary", "full"):
         raise ValueError("mode must be 'summary' or 'full'")

@@ -632,6 +632,28 @@ def test_bad_eval_item_id_is_reported_before_anything_is_written(tmp_path, capsy
     assert not (tmp_path / "evalout").exists() and list(outside.iterdir()) == []
 
 
+def _probe_case(tmp_path):
+    feat_dir = tmp_path / "features"
+    feat_dir.mkdir()
+    write_feature_file(feat_dir / "layer0.bin", 0, [("p", "v%d" % k, float(k), np.full(3, k)) for k in range(8)])
+    return ["probe", str(feat_dir), "--out", str(tmp_path / "out")], tmp_path / "out"
+
+
+@pytest.mark.parametrize(
+    "case,blocked",
+    [(_eval_items_case, "evalout"), (_eval_items_case, "evalout/transcripts"), (_probe_case, "out")],
+    ids=["eval-out-is-a-file", "eval-transcripts-is-a-file", "probe-out-is-a-file"],
+)
+def test_output_path_that_is_a_file_is_reported_before_anything_is_written(tmp_path, capsys, case, blocked):
+    argv, _ = case(tmp_path)
+    (tmp_path / blocked).parent.mkdir(exist_ok=True)
+    (tmp_path / blocked).write_text("kept\n")
+    before = sorted(tmp_path.rglob("*"))
+    assert cli.main(argv) == 1
+    assert_one_line_error(capsys, "cannot write %s: " % (tmp_path / blocked))
+    assert sorted(tmp_path.rglob("*")) == before and (tmp_path / blocked).read_text() == "kept\n"
+
+
 @pytest.mark.parametrize(
     "key,value,named",
     [("truth", [1], "truth must be a JSON object"),

@@ -503,8 +503,9 @@ def test_full_mode_events_keep_the_value_written():
 
 @pytest.fixture(params=[0, 1], ids=["hot0", "hot1"])
 def promoted(request, monkeypatch):
-    """Every loop runs on its kernel from its head (``HOT`` 0) or after one
-    iteration on closures (``HOT`` 1), at the first iteration boundary."""
+    """Every loop runs on its kernel from its head (``HOT`` 0), or (``HOT`` 1) a
+    ``for`` over two or more values from its head and a ``while`` loop after
+    one iteration on closures."""
     monkeypatch.setattr(tracer, "HOT", request.param)
 
 
@@ -602,7 +603,8 @@ def test_kernels_match_tree_walker_on_loop_cases(monkeypatch, hot, src, kind):
 
 def test_budgets_around_promotion_match_tree_walker(monkeypatch):
     """At the default HOT, every budget that runs out in a statement of the
-    iterations before and after each loop's kernel takes over."""
+    iterations before and after the ``while`` loop's kernel takes over, and
+    in the ``for`` loop that starts in its kernel."""
     promoted = []
     kernel = tracer._Compiler.kernel
     monkeypatch.setattr(tracer._Compiler, "kernel", lambda run, loop: promoted.append(loop) or kernel(run, loop))
@@ -610,6 +612,98 @@ def test_budgets_around_promotion_match_tree_walker(monkeypatch):
            "t = 0 for k in range(0, n) { t = t + xs[k % len(xs)] } return [xs, t] }")
     assert_matches_tree_walker(parse_program(src), [tracer.HOT + 3])
     assert {type(loop).__name__ for loop in promoted} == {"While", "For"}
+
+
+# --- a for loop over more than HOT values starts in its kernel ---
+
+
+@pytest.fixture
+def tiers(monkeypatch):
+    """Records each kernel lookup as (loop, steps done, kernel found) and each
+    statement list compiled to closures."""
+    lookups, blocks = [], []
+    kernel, block = tracer._Compiler.kernel, tracer._Compiler.block
+
+    def spy_kernel(run, loop):
+        found = kernel(run, loop)
+        lookups.append((loop, run.steps, bool(found)))
+        return found
+
+    monkeypatch.setattr(tracer._Compiler, "kernel", spy_kernel)
+    monkeypatch.setattr(tracer._Compiler, "block", lambda run, body, *args: blocks.append(body) or block(run, body, *args))
+    return lookups, blocks
+
+
+LONG_FOR = "fn f(xs, a) {{ t = 0 for i in range(0, {}) {{ {} }} return t }}"
+
+
+def the_loop(program):
+    loop = program.body[1]
+    assert type(loop).__name__ == "For"
+    return loop
+
+
+def compiled(blocks, body):
+    return any(b is body for b in blocks)
+
+
+def test_for_loop_of_hot_values_runs_on_closures(tiers):
+    lookups, blocks = tiers
+    program = parse_program(LONG_FOR.format(tracer.HOT, "t = t + xs[i] * a"))
+    assert_matches_tree_walker(program, [list(range(tracer.HOT)), 3])
+    assert lookups == [] and compiled(blocks, the_loop(program).body)
+
+
+def test_for_loop_of_more_than_hot_values_starts_in_its_kernel(tiers):
+    lookups, blocks = tiers
+    program = parse_program(LONG_FOR.format(tracer.HOT + 1, "t = t + xs[i] * a"))
+    assert_matches_tree_walker(program, [list(range(tracer.HOT + 1)), 3])
+    loop = the_loop(program)
+    assert lookups and all(found_loop is loop and found and at == 1 for found_loop, at, found in lookups)
+    assert not compiled(blocks, loop.body)
+
+
+@pytest.mark.parametrize(
+    "body,inputs,kind",
+    [("t = t + xs[i]", [[], 3], E_INDEX),  # past the end at i = 0
+     ("t = t + y", [[1], 3], E_UNDEF),
+     ("t = a * 2", [[1], tracer.INT_MAX], E_OVERFLOW)],
+    ids=["index", "unbound", "overflow"],
+)
+def test_long_for_loop_failing_in_its_first_iteration_fails_in_its_kernel(tiers, body, inputs, kind):
+    lookups, blocks = tiers
+    program = parse_program(LONG_FOR.format(tracer.HOT + 4, body))
+    rec = execute(program, inputs)
+    assert (rec.status, rec.error_kind, rec.steps_used) == (STATUS_ERROR, kind, 3)
+    assert_matches_tree_walker(program, inputs)
+    assert lookups and all(found and at == 1 for _, at, found in lookups)
+    assert not compiled(blocks, the_loop(program).body)
+
+
+@pytest.mark.parametrize(
+    "body",
+    ["if i == 19 { break } t = t + xs[i % 2]", "for j in range(0, 2) { t = t + xs[j] * a }"],
+    ids=["break", "nested-loop"],
+)
+def test_long_for_loop_whose_body_cannot_lower_stays_on_closures(tiers, body):
+    lookups, blocks = tiers
+    program = parse_program(LONG_FOR.format(tracer.HOT + 4, body))
+    assert_matches_tree_walker(program, [[4, 5], 3])
+    loop = the_loop(program)
+    assert lookups and all(found_loop is loop and not found for found_loop, _, found in lookups)
+    assert compiled(blocks, loop.body)
+
+
+def test_short_loops_never_look_up_a_kernel(tiers):
+    """At the default HOT the fuzzer's loops, which run at most 7 times, and
+    a fold shaped like train-repeat's over 3-5 values never reach a kernel."""
+    lookups, _ = tiers
+    assert differential_campaign(200, seed=99).ok
+    fold = parse_program("fn s(xs, m) { acc = m for i in range(0, len(xs)) { acc = acc * xs[i] } return acc + m }")
+    for n in (3, 4, 5):
+        for mode in MODES:
+            assert execute(fold, [list(range(1, n + 1)), 2], mode=mode).return_value == math.factorial(n) * 2 + 2
+    assert lookups == []
 
 
 def shape_program(k, bits):
