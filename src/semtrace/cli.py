@@ -18,6 +18,7 @@ from __future__ import annotations
 import argparse
 import json
 import math
+import shlex
 import sys
 import time
 from contextlib import contextmanager
@@ -159,7 +160,8 @@ def cmd_eval(args) -> int:
     if args.predictor == "oracle":
         predictor = oracle_predictor_for(items)
     else:
-        predictor = subprocess_predictor(args.predictor.split(), timeout=args.timeout)
+        with _reading("bad predictor"):  # an unclosed quote
+            predictor = subprocess_predictor(shlex.split(args.predictor), timeout=args.timeout)
     out_dir = _output_dir(args.out)
     transcripts = _output_dir(out_dir / "transcripts")
     report = run_eval(items, predictor)
@@ -248,7 +250,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("eval", help="score a predictor on trace-inference items")
     p.add_argument("items", help="JSONL eval items")
-    p.add_argument("--predictor", default="oracle", help='"oracle" or an external command')
+    p.add_argument("--predictor", default="oracle", help='"oracle" or a command, split into words as a shell would')
     p.add_argument("--out", default="eval_out")
     p.add_argument("--budget", type=positive_int, default=DEFAULT_BUDGET)
     p.add_argument("--timeout", type=positive_float, default=60.0)

@@ -11,13 +11,13 @@ and cross-checked against finite differences in the test suite.
 Sampling (``CategoricalSequencePolicy.sample_many``, ``sample_groups``) and
 the surrogate (``surrogates``) each work on all groups of one call, stacked
 by shape, with the bits of a per-sample loop; ``sample_rollouts`` and
-``surrogate_and_grad`` are their one-group forms.  ``optimizer="adam"``
-updates through each policy's :class:`semtrace.optim.Adam`.
+``surrogate_and_grad`` are their one-group forms; whoever reads a sample's
+artifact decodes it (``CategoricalSequencePolicy.artifact``).
+``optimizer="adam"`` updates through each policy's :class:`semtrace.optim.Adam`.
 """
 
 from __future__ import annotations
 
-import functools
 import struct
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence
@@ -27,7 +27,7 @@ import numpy as np
 from .lang import HoleTemplate, Literal, Program, instantiate_template, walk
 from .optim import Adam
 from .rewards import SemPrediction
-from .values import BinaryFile, Memo, MimSet, Value, canonical_serialize, length_prefixed
+from .values import BinaryFile, MimSet, Value, canonical_serialize, length_prefixed
 
 KIND_CODEGEN = "codegen"
 KIND_ALIGNMENT = "alignment"
@@ -70,20 +70,11 @@ def log_softmax(logits: np.ndarray) -> np.ndarray:
     return shifted - np.log(np.sum(np.exp(shifted), axis=-1, keepdims=True))
 
 
-@functools.lru_cache(maxsize=64)
-def _uniform_log_probs(n: int) -> np.ndarray:
-    """``log_softmax`` of ``n`` zero logits, computed once per size; shared,
-    so read-only."""
-    lq = log_softmax(np.zeros(n))
-    lq.flags.writeable = False
-    return lq
-
-
 @dataclass
 class RolloutSample:
     actions: List[int]
     logp_old: List[float]
-    artifact: object = None  # Program, SemPrediction, or None on decode failure
+    artifact: object = None  # set by whoever decodes: Program, SemPrediction, or None on decode failure
     reward: float = 0.0
 
 
@@ -173,6 +164,13 @@ class CategoricalSequencePolicy:
     def decode(self, prompt_id: str, actions: Sequence[int]):
         raise NotImplementedError
 
+    def artifact(self, prompt_id: str, actions: Sequence[int]):
+        """``decode``, or None if it raises: a failed decode is never fatal."""
+        try:
+            return self.decode(prompt_id, actions)
+        except Exception:
+            return None
+
     # --- checkpoint serialization ---
 
     MAGIC = b"SEMPOL01"
@@ -210,27 +208,21 @@ class CategoricalSequencePolicy:
 
 
 class TemplatePolicy(CategoricalSequencePolicy):
-    """Toy code-generation policy: one categorical per template hole.
-    Decoded programs are memoized per (prompt id, actions)."""
+    """Toy code-generation policy: one categorical per template hole."""
 
     def __init__(self):
         super().__init__()
         self.templates: Dict[str, HoleTemplate] = {}
-        self._decoded = Memo()
 
     def register_template(self, prompt_id: str, template: HoleTemplate) -> None:
         self.templates[prompt_id] = template
-        self._decoded.clear()  # a replaced template must not decode stale programs
         if prompt_id not in self.params:
             self.params[prompt_id] = [
                 np.zeros(len(vocab), dtype=float) for vocab in template.hole_vocab
             ]
 
     def decode(self, prompt_id: str, actions: Sequence[int]) -> Program:
-        template = self.templates[prompt_id]
-        choices = list(actions)
-        key = (prompt_id, tuple(choices))
-        return self._decoded.get(key, lambda: instantiate_template(template, choices))
+        return instantiate_template(self.templates[prompt_id], list(actions))
 
 
 class ValuePredictorPolicy(CategoricalSequencePolicy):
@@ -293,18 +285,12 @@ def sample_groups(
     rng: np.random.Generator,
 ) -> List[RolloutGroup]:
     """Draw one group of G independent samples per prompt, in one call, with
-    frozen old log-probabilities; rewards are filled in by the caller.
-    Decode failures become reward-0 samples."""
-    groups = []
-    for pid, (actions, logps) in zip(prompt_ids, policy.sample_many(prompt_ids, group_size, rng)):
-        samples = [RolloutSample(actions=a, logp_old=lp) for a, lp in zip(actions.tolist(), logps.tolist())]
-        for sample in samples:
-            try:
-                sample.artifact = policy.decode(pid, sample.actions)
-            except Exception:  # decode must never be fatal; the artifact stays None
-                pass
-        groups.append(RolloutGroup(prompt_id=pid, kind=kind, samples=samples))
-    return groups
+    frozen old log-probabilities; the caller fills in artifacts and rewards."""
+    return [
+        RolloutGroup(prompt_id=pid, kind=kind,
+                     samples=[RolloutSample(actions=a, logp_old=lp) for a, lp in zip(actions.tolist(), logps.tolist())])
+        for pid, (actions, logps) in zip(prompt_ids, policy.sample_many(prompt_ids, group_size, rng))
+    ]
 
 
 def sample_rollouts(
@@ -314,8 +300,10 @@ def sample_rollouts(
     group_size: int,
     rng: np.random.Generator,
 ) -> RolloutGroup:
-    """``sample_groups`` for one prompt."""
+    """``sample_groups`` for one prompt, its samples decoded by ``policy.artifact``."""
     [group] = sample_groups(policy, [prompt_id], kind, group_size, rng)
+    for sample in group.samples:
+        sample.artifact = policy.artifact(prompt_id, sample.actions)
     return group
 
 
@@ -380,7 +368,7 @@ def surrogates(
             lp = log_softmax(np.array([policy.params[pid][t] for pid in pids]))
             p = np.exp(lp)
             if ref_policy is None:
-                lq = _uniform_log_probs(vocab)
+                lq = log_softmax(np.zeros(vocab))
             else:
                 lq = log_softmax(np.array([ref_policy.params[pid][t] if pid in ref_policy.params else np.zeros(vocab)
                                            for pid in pids]))

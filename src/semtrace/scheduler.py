@@ -36,7 +36,7 @@ from .grpo import (
 from .harness import ProblemRecord, RunConfig, RunLock, atomic_write_text
 from .lang import Program, format_program
 from .optim import Adam
-from .rewards import GenRewardReport, SemPrediction, gen_reward, sem_reward
+from .rewards import GenRewardReport, gen_reward, sem_reward
 from .tracer import STATUS_RETURNED
 from .values import Memo, load_json, read_jsonl, stored_int
 
@@ -215,9 +215,9 @@ class Trainer:
         self.buffer = FailureBuffer(config.buffer_capacity)
         self.pool = CodePromptPool(sorted(self.problems))
         self.step = 0
-        # (problem id, actions) -> (GenRewardReport, alignment prompt or
-        # None); tests and budget are fixed per trainer, so both are pure
-        # functions of the key (a prompt's origin_step is its build step)
+        # (problem id, actions) -> _rollout's (program, reward, prompt);
+        # templates, tests and budget are fixed per trainer, so each is a pure
+        # function of the key (a prompt's origin_step is its build step)
         self._scored = Memo()
         self._align_path: Optional[Path] = None  # where load_checkpoint read align logits
 
@@ -228,6 +228,14 @@ class Trainer:
         report = gen_reward(program, tests, budget=self.config.step_budget)
         prompt = build_alignment_prompt(program, tests, report, self.step) if report.reward == 0 else None
         return report, prompt
+
+    def _rollout(self, problem_id: str, actions: Tuple[int, ...]) -> tuple:
+        """(program, reward, alignment prompt) of a code rollout; ``(None, 0.0, None)`` if it does not decode."""
+        program = self.code_policy.artifact(problem_id, actions)
+        if program is None:
+            return None, 0.0, None
+        report, prompt = self._score(program, self.problems[problem_id].tests)
+        return program, float(report.reward), prompt
 
     def run_step(self) -> dict:
         self.step += 1
@@ -245,16 +253,10 @@ class Trainer:
         code_groups = sample_groups(self.code_policy, batch.code_prompts, KIND_CODEGEN, self.config.group_size,
                                     self.rng)
         for group in code_groups:
-            problem = self.problems[group.prompt_id]
             prompts: List[Optional[AlignmentPrompt]] = [None] * len(group.samples)
             for i, sample in enumerate(group.samples):
-                if sample.artifact is None:
-                    sample.reward = 0.0
-                    continue
-                report, prompts[i] = self._scored.get(
-                    (group.prompt_id, tuple(sample.actions)), partial(self._score, sample.artifact, problem.tests)
-                )
-                sample.reward = float(report.reward)
+                key = (group.prompt_id, tuple(sample.actions))
+                sample.artifact, sample.reward, prompts[i] = self._scored.get(key, partial(self._rollout, *key))
             group.fill_advantages()
             harvest_failures(group, self.buffer, prompts, self.step)
 
@@ -272,12 +274,9 @@ class Trainer:
                                      self.config.group_size, self.rng)
         for prompt, group in zip(batch.align_prompts, align_groups):
             for sample in group.samples:
-                if isinstance(sample.artifact, SemPrediction):
-                    sample.reward = float(
-                        sem_reward(sample.artifact, prompt.truth, prompt.variables)
-                    )
-                else:
-                    sample.reward = 0.0
+                sample.artifact = self.align_policy.artifact(prompt.item_id, sample.actions)
+                if sample.artifact is not None:  # else the reward stays 0.0
+                    sample.reward = float(sem_reward(sample.artifact, prompt.truth, prompt.variables))
             group.fill_advantages()
 
         n_total = len(code_groups) + len(align_groups)
@@ -413,12 +412,13 @@ def run_training(
 
     Each step's groups are drawn in one call per policy, with the random
     stream of a per-sample draw, and each mini-batch's surrogate is one call
-    per policy.  Each distinct (problem, action sequence) is decoded, and
-    scored together with building its alignment prompt when it fails, at
-    most twice while it stays in a bounded memo (``values.Memo``); the prompt
-    reuses the executions of the reward report.  The memos are pure
-    functions of their keys and are not checkpoint state, so a resumed run
-    starts with empty memos and still matches an uninterrupted one exactly.  Resuming
+    per policy.  Each distinct (problem, action sequence), one that fails to
+    decode included, is decoded and scored, together with building its
+    alignment prompt when it fails, at most twice while it stays in a bounded
+    memo (``values.Memo``); the prompt reuses the executions of the reward
+    report.  The memos are pure functions of their keys and are not
+    checkpoint state, so a resumed run starts with empty memos and still
+    matches an uninterrupted one exactly.  Resuming
     needs the run's ``metrics.jsonl`` with a complete line for every step done.
     """
     run_dir = Path(run_dir)

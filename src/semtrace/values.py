@@ -172,13 +172,17 @@ def _no_constant(name: str):
 
 
 _JSON_DECODER = json.JSONDecoder(parse_float=_finite_float, parse_constant=_no_constant)
+_TOO_DEEP = "JSON value is nested too deeply"
 
 
 def load_json(text: str):
     """``json.loads`` that rejects ``NaN``, ``Infinity``, ``-Infinity`` and a
-    number beyond the float range (such as ``1e400``) instead of reading a
-    non-finite float: in JSON, infinity is spelled only by the sentinel strings."""
-    return _JSON_DECODER.decode(text)
+    number beyond the float range (such as ``1e400``), as JSON spells infinity
+    only by the sentinel strings, and a value nested too deeply to decode."""
+    try:
+        return _JSON_DECODER.decode(text)
+    except RecursionError:
+        raise ValueError(_TOO_DEEP) from None
 
 
 def read_jsonl(path, decode: Callable = lambda raw: raw) -> list:
@@ -201,8 +205,8 @@ def decode_json_value(raw) -> Value:
     dropping the ``_`` a string of sentinel form gained.
 
     Raises ``ValueError`` for anything outside the value domain (objects,
-    integers beyond int64, NaN) and for a float infinity, which JSON spells
-    only as a sentinel.
+    integers beyond int64, NaN), for a float infinity, which JSON spells
+    only as a sentinel, and for lists nested too deeply to decode.
     """
     if isinstance(raw, str):
         if raw == INF_SENTINEL:
@@ -228,7 +232,10 @@ def decode_json_value(raw) -> Value:
         # the first bad element
         if raw and set(map(type, raw)) <= _INT_ONLY and INT_MIN <= min(raw) and max(raw) <= INT_MAX:
             return raw[:]
-        return [decode_json_value(x) for x in raw]
+        try:
+            return [decode_json_value(x) for x in raw]
+        except RecursionError:
+            raise ValueError(_TOO_DEEP) from None
     raise ValueError("not a MiniImp value: %r" % (raw,))
 
 

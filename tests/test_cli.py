@@ -2,7 +2,9 @@
 
 import json
 import math
+import shlex
 import shutil
+import sys
 
 import pytest
 
@@ -210,6 +212,19 @@ def test_eval_oracle_scores_a_string_spelled_like_a_sentinel(tmp_path, capsys, t
     items = write(tmp_path, "items.jsonl", json.dumps({"id": "a", "source": source, "input": []}) + "\n")
     assert cli.main(["eval", items, "--out", str(tmp_path / "evalout")]) == 0
     assert capsys.readouterr().out == "Exact@1 = 1.0000 over 1 items\n"
+
+
+def test_eval_predictor_command_keeps_its_quoted_argument(tmp_path, capsys):
+    items = write(tmp_path, "items.jsonl",
+                  json.dumps({"id": "a", "source": IDENTITY_SRC, "input": [3], "variables": ["a", "b"]}) + "\n")
+    code = "print(%r)" % json.dumps({"final_output": 3, "variables": {"a": 3, "b": 3}})
+    predictor = "%s -c %s" % (shlex.quote(sys.executable), shlex.quote(code))
+    assert cli.main(["eval", items, "--out", str(tmp_path / "evalout"), "--predictor", predictor]) == 0
+    assert capsys.readouterr().out == "Exact@1 = 1.0000 over 1 items\n"
+    unclosed = "%s -c 'print(1)" % shlex.quote(sys.executable)
+    assert cli.main(["eval", items, "--out", str(tmp_path / "unclosed"), "--predictor", unclosed]) == 1
+    assert_one_line_error(capsys, "bad predictor: No closing quotation")
+    assert not (tmp_path / "unclosed").exists()
 
 
 @pytest.mark.parametrize("option", ["--ratio", "--epochs", "--lr"])
@@ -562,6 +577,32 @@ def assert_one_line_error(capsys, prefix):
     assert captured.err.startswith(prefix) and captured.err.count("\n") == 1, captured.err
     assert "Traceback" not in captured.err and captured.out == ""
     return captured.err
+
+
+@pytest.mark.parametrize("depth", [600, 100_000])
+@pytest.mark.parametrize("command", ["trace", "reward", "eval", "train"])
+def test_deeply_nested_json_input_is_a_one_line_error(tmp_path, capsys, command, depth):
+    deep = "[" * depth + "]" * depth
+    prog = write(tmp_path, "id.mim", IDENTITY_SRC)
+    if command == "trace":
+        argv, prefix = ["trace", prog, "[%s]" % deep], "bad input: "
+    elif command == "reward":
+        tests = write(tmp_path, "tests.jsonl", '{"input": [%s], "expected": 1}\n' % deep)
+        argv, prefix = ["reward", prog, tests], "bad tests file: "
+    elif command == "eval":
+        items = write(tmp_path, "items.jsonl", '{"id": "a", "source": %s, "input": [%s]}\n'
+                      % (json.dumps(IDENTITY_SRC), deep))
+        argv, prefix = ["eval", items, "--out", str(tmp_path / "evalout")], "bad eval items: "
+    else:
+        config, dataset = write_train_inputs(tmp_path)
+        template = json.dumps({"source": ONE_HOLE_SRC, "holes": [["+"]]})
+        dataset.write_text('{"id": "p", "template": %s, "tests": [{"input": [%s, 1], "expected": 1}]}\n'
+                           % (template, deep))
+        argv, prefix = ["train", str(config), "--run-dir", str(tmp_path / "run"), "--dataset", str(dataset)], \
+            "dataset error: "
+    assert cli.main(argv) == 1
+    assert "nested too deeply" in assert_one_line_error(capsys, prefix)
+    assert not (tmp_path / "evalout").exists() and not (tmp_path / "run").exists()
 
 
 @pytest.mark.parametrize("command", ["trace", "reward"])

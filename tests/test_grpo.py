@@ -13,7 +13,6 @@ from semtrace.grpo import (
     KIND_CODEGEN,
     CategoricalSequencePolicy,
     GrpoConfig,
-    Memo,
     RolloutGroup,
     RolloutSample,
     TemplatePolicy,
@@ -29,6 +28,7 @@ from semtrace.grpo import (
 )
 from semtrace.lang import HoleTemplate, instantiate_template, parse_program
 from semtrace.rewards import SemPrediction
+from semtrace.values import Memo
 
 from conftest import choice_loop, scalar_surrogate
 

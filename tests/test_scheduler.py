@@ -14,9 +14,10 @@ from semtrace.grpo import (
     RolloutGroup,
     RolloutSample,
     SurrogateMetrics,
+    TemplatePolicy,
 )
-from semtrace.harness import RunConfig
-from semtrace.lang import format_program, parse_program
+from semtrace.harness import ProblemRecord, RunConfig
+from semtrace.lang import HoleTemplate, format_program, instantiate_template, parse_program
 from semtrace.rewards import TestCase, gen_reward
 from semtrace.scheduler import (
     AlignmentPrompt,
@@ -467,6 +468,81 @@ def test_each_distinct_rollout_is_decoded_and_scored_at_most_twice(tmp_path, mon
     assert 0 < sum(scores.values()) < scored / 4
     assert max(decodes.values()) <= 2
     assert max(scores.values()) <= 2
+
+
+def chain_problem():
+    """A problem whose hole choices each parse but whose joint choice
+    ("<", "<") does not: ``a < b < c`` chains two comparisons."""
+    template = HoleTemplate(
+        template_source="fn f(a, b, c) {\n    x = a __HOLE_1__ b __HOLE_2__ c\n    return x\n}\n",
+        hole_vocab=(("+", "<"), ("+", "<")),
+    )
+    return ProblemRecord(problem_id="chain", template=template, tests=[TestCase([1, 2, 3], 6), TestCase([4, 0, 1], 5)])
+
+
+def run_chain(tmp_path, monkeypatch):
+    """Five steps on :func:`chain_problem`, batch 4 x group 4; returns
+    (problem id, actions, artifact, reward) of every code sample."""
+    import semtrace.scheduler
+
+    samples = []
+    harvest = semtrace.scheduler.harvest_failures
+
+    def recorded_harvest(group, *args):
+        samples.extend((group.prompt_id, tuple(s.actions), s.artifact, s.reward) for s in group.samples)
+        return harvest(group, *args)
+
+    monkeypatch.setattr(semtrace.scheduler, "harvest_failures", recorded_harvest)
+    run_training(desk_config(batch_size=4, group_size=4, max_steps=5), [chain_problem()], tmp_path / "run")
+    return samples
+
+
+def test_rollout_that_does_not_decode_is_instantiated_at_most_twice(tmp_path, monkeypatch):
+    from collections import Counter
+
+    import semtrace.grpo
+
+    problem = chain_problem()
+    with pytest.raises(ValueError):
+        instantiate_template(problem.template, [1, 1])
+    instantiations = Counter()
+    instantiate = semtrace.grpo.instantiate_template
+
+    def counted_instantiate(template, choices):
+        instantiations[tuple(choices)] += 1
+        return instantiate(template, choices)
+
+    monkeypatch.setattr(semtrace.grpo, "instantiate_template", counted_instantiate)
+    samples = run_chain(tmp_path, monkeypatch)
+    assert sum(actions == (1, 1) for _, actions, _, _ in samples) > 2
+    assert set(instantiations) == {(0, 0), (0, 1), (1, 0), (1, 1)}
+    assert max(instantiations.values()) <= 2
+    # each sample's artifact and reward are those of decoding and scoring it alone
+    for _, actions, artifact, reward in samples:
+        if actions == (1, 1):
+            assert artifact is None and reward == 0.0
+        else:
+            program = instantiate_template(problem.template, list(actions))
+            assert artifact == program
+            assert reward == float(gen_reward(program, problem.tests).reward)
+
+
+def test_template_policy_decodes_only_on_a_scoring_miss(tmp_path, monkeypatch):
+    from collections import Counter
+
+    decodes = Counter()
+    decode = TemplatePolicy.decode
+
+    def counted_decode(self, prompt_id, actions):
+        decodes[prompt_id, tuple(actions)] += 1
+        return decode(self, prompt_id, actions)
+
+    monkeypatch.setattr(TemplatePolicy, "decode", counted_decode)
+    samples = run_chain(tmp_path, monkeypatch)
+    assert len(samples) == 64
+    # four distinct rollouts, each a miss on its first two lookups
+    assert decodes == {key: 2 for key in {(pid, actions) for pid, actions, _, _ in samples}}
+    assert sum(decodes.values()) == 8
 
 
 def test_each_failing_rollout_builds_its_prompt_at_most_twice(tmp_path, monkeypatch):
