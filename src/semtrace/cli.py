@@ -3,8 +3,9 @@
 Exit codes for ``trace``: 0 returned, 1 parse error, 2 runtime error,
 3 budget exceeded.  Every subcommand exits 1 on an input file that is
 malformed or cannot be read, or on a malformed argument (a usage error, a
-``--budget`` or ``fuzz -n`` below 1, or an ``eval --timeout`` that is not a
-finite number above 0).  Every input is loaded inside
+``--budget`` or ``fuzz -n`` below 1, a seed below 0, an ``eval --predictor``
+command of no words, or an ``eval --timeout`` that is not a finite number
+above 0).  Every input is loaded inside
 :func:`_reading`, so each such failure is one stderr line, ``cannot read
 <file>: <reason>`` or ``<what>: <message>``; stdout carries only the
 canonical payload of each subcommand.  ``eval`` and ``probe`` also exit 1
@@ -160,8 +161,11 @@ def cmd_eval(args) -> int:
     if args.predictor == "oracle":
         predictor = oracle_predictor_for(items)
     else:
-        with _reading("bad predictor"):  # an unclosed quote
-            predictor = subprocess_predictor(shlex.split(args.predictor), timeout=args.timeout)
+        with _reading("bad predictor"):  # an unclosed quote, or no words
+            argv = shlex.split(args.predictor)
+            if not argv:
+                raise ValueError("empty command")
+            predictor = subprocess_predictor(argv, timeout=args.timeout)
     out_dir = _output_dir(args.out)
     transcripts = _output_dir(out_dir / "transcripts")
     report = run_eval(items, predictor)

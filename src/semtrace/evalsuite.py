@@ -113,12 +113,15 @@ class TraceItem:
     @classmethod
     def from_record(cls, rec: dict, budget: int = DEFAULT_BUDGET) -> "TraceItem":
         """A failure-buffer record, by :func:`decode_item`; its id is
-        ``alignment_prompt_id(source, input)`` and the run reproduces its ``truth``."""
+        ``alignment_prompt_id(source, input)``, and the run defines at least one
+        variable and reproduces its ``truth``."""
         origin_step = stored_int(rec["origin_step"], "origin_step", 0)
         if not isinstance(rec["truth"], dict):
             raise ValueError("truth must be a JSON object")
         truth = {k: decode_json_value(v) for k, v in rec["truth"].items()}
         item = decode_item(rec, "alignment prompt", _prompt_id, budget, origin_step=origin_step)
+        if not item.variables:  # as build_alignment_prompt: nothing to predict
+            raise ValueError("alignment prompt %r defines no variables" % item.item_id)
         if truth.keys() != item.truth.keys():
             raise ValueError("alignment prompt %r truth keys do not match its variables: extra %s, missing %s"
                              % (item.item_id, sorted(truth.keys() - item.truth.keys()),

@@ -74,7 +74,9 @@ def log_softmax(logits: np.ndarray) -> np.ndarray:
 class RolloutSample:
     actions: List[int]
     logp_old: List[float]
-    artifact: object = None  # set by whoever decodes: Program, SemPrediction, or None on decode failure
+    # set by whoever decodes: Program, SemPrediction, or None on decode
+    # failure; training leaves alignment samples undecoded
+    artifact: object = None
     reward: float = 0.0
 
 

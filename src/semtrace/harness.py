@@ -30,14 +30,17 @@ class ConfigError(ValueError):
 
 
 def seed_override(seed: int) -> int:
-    """The integer in ``SEMTRACE_SEED`` if it is set, else ``seed``."""
+    """The integer in ``SEMTRACE_SEED`` if it is set, else ``seed``; a
+    ``ConfigError`` if it is below 0, which numpy's generators refuse."""
     env = os.environ.get(SEED_ENV_VAR)
-    if env is None:
-        return seed
-    try:
-        return int(env)
-    except ValueError:
-        raise ConfigError("%s must be an integer, got %r" % (SEED_ENV_VAR, env))
+    if env is not None:
+        try:
+            seed = int(env)
+        except ValueError:
+            raise ConfigError("%s must be an integer, got %r" % (SEED_ENV_VAR, env))
+    if seed < 0:
+        raise ConfigError("seed must be at least 0, got %d" % seed)
+    return seed
 
 
 @dataclass
@@ -56,6 +59,7 @@ class RunConfig(GrpoConfig):
 
     def validate(self) -> None:
         checks = [
+            ("seed", self.seed >= 0),
             ("batch_size", self.batch_size >= 1),
             ("mini_batch", self.mini_batch >= 1),
             ("learning_rate", 0 < self.learning_rate < math.inf),

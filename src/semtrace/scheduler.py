@@ -17,7 +17,7 @@ from collections import deque
 from dataclasses import dataclass, field, replace
 from functools import partial
 from pathlib import Path
-from typing import List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -36,9 +36,9 @@ from .grpo import (
 from .harness import ProblemRecord, RunConfig, RunLock, atomic_write_text
 from .lang import Program, format_program
 from .optim import Adam
-from .rewards import GenRewardReport, gen_reward, sem_reward
+from .rewards import GenRewardReport, gen_reward
 from .tracer import STATUS_RETURNED
-from .values import Memo, load_json, read_jsonl, stored_int
+from .values import Memo, load_json, read_jsonl, stored_int, values_equal
 
 
 def build_alignment_prompt(
@@ -219,6 +219,10 @@ class Trainer:
         # templates, tests and budget are fixed per trainer, so each is a pure
         # function of the key (a prompt's origin_step is its build step)
         self._scored = Memo()
+        # alignment prompt id -> one row per variable, whose byte i is 1 if
+        # pool entry i equals the variable's truth; filled when the prompt is
+        # registered and a pure function of it, so not checkpoint state
+        self._correct: Dict[str, List[bytes]] = {}
         self._align_path: Optional[Path] = None  # where load_checkpoint read align logits
 
     # --- one training step ---
@@ -261,7 +265,7 @@ class Trainer:
             harvest_failures(group, self.buffer, prompts, self.step)
 
         for prompt in batch.align_prompts:
-            if prompt.item_id not in self.align_policy.pools:
+            if prompt.item_id not in self._correct:
                 # a prompt is registered when first sampled; register_prompt
                 # keeps the logits a checkpoint loaded for it, and rejects
                 # them if they do not fit (logits made here always fit)
@@ -270,13 +274,16 @@ class Trainer:
                     self.align_policy.register_prompt(prompt.item_id, prompt.variables, pool)
                 except ValueError as exc:
                     raise ValueError("%s: %s" % (self._align_path, exc)) from exc
+                self._correct[prompt.item_id] = [bytes(values_equal(c, prompt.truth[v]) for c in pool)
+                                                 for v in prompt.variables]
         align_groups = sample_groups(self.align_policy, [p.item_id for p in batch.align_prompts], KIND_ALIGNMENT,
                                      self.config.group_size, self.rng)
         for prompt, group in zip(batch.align_prompts, align_groups):
+            # sem_reward of the decoded sample: the share of variables whose
+            # chosen pool entry is correct; the samples stay undecoded
+            rows = self._correct[prompt.item_id]
             for sample in group.samples:
-                sample.artifact = self.align_policy.artifact(prompt.item_id, sample.actions)
-                if sample.artifact is not None:  # else the reward stays 0.0
-                    sample.reward = float(sem_reward(sample.artifact, prompt.truth, prompt.variables))
+                sample.reward = sum(map(bytes.__getitem__, rows, sample.actions)) / len(rows)
             group.fill_advantages()
 
         n_total = len(code_groups) + len(align_groups)
@@ -416,9 +423,12 @@ def run_training(
     decode included, is decoded and scored, together with building its
     alignment prompt when it fails, at most twice while it stays in a bounded
     memo (``values.Memo``); the prompt reuses the executions of the reward
-    report.  The memos are pure functions of their keys and are not
-    checkpoint state, so a resumed run starts with empty memos and still
-    matches an uninterrupted one exactly.  Resuming
+    report.  An alignment sample is scored without decoding it, from its
+    prompt's table of correct candidates: per variable, which pool entries
+    equal the truth, built when the prompt is first sampled.  The memos and
+    the table are pure functions of their keys and are not checkpoint state,
+    so a resumed run starts with them empty and still matches an
+    uninterrupted one exactly.  Resuming
     needs the run's ``metrics.jsonl`` with a complete line for every step done.
     """
     run_dir = Path(run_dir)

@@ -227,6 +227,14 @@ def test_eval_predictor_command_keeps_its_quoted_argument(tmp_path, capsys):
     assert not (tmp_path / "unclosed").exists()
 
 
+@pytest.mark.parametrize("predictor", ["", "   "])
+def test_eval_predictor_command_of_no_words_exits_one(tmp_path, capsys, predictor):
+    items = write(tmp_path, "items.jsonl", json.dumps({"id": "a", "source": IDENTITY_SRC, "input": [3]}) + "\n")
+    assert cli.main(["eval", items, "--out", str(tmp_path / "evalout"), "--predictor", predictor]) == 1
+    assert_one_line_error(capsys, "bad predictor: empty command\n")
+    assert not (tmp_path / "evalout").exists()
+
+
 @pytest.mark.parametrize("option", ["--ratio", "--epochs", "--lr"])
 def test_removed_probe_setting_is_a_usage_error(tmp_path, capsys, option):
     feat_dir = tmp_path / "features"
@@ -750,6 +758,29 @@ def test_seed_override_that_is_not_an_integer_exits_one(tmp_path, capsys, monkey
     argv = ["fuzz", "-n", "2"] if command == "fuzz" else ["probe", str(feat_dir), "--out", str(tmp_path / "out")]
     assert cli.main(argv) == 1
     assert_one_line_error(capsys, "error: SEMTRACE_SEED must be an integer, got 'x'")
+
+
+@pytest.mark.parametrize("case", ["fuzz", "probe", "config", "env"])
+def test_negative_seed_exits_one_before_any_output(tmp_path, capsys, monkeypatch, case):
+    config, dataset = write_train_inputs(tmp_path)
+    train = ["train", str(config), "--run-dir", str(tmp_path / "run"), "--dataset", str(dataset)]
+    feat_dir = tmp_path / "feat"
+    feat_dir.mkdir()
+    write_feature_file(feat_dir / "layer0.bin", 0, [("p", "a", 1.0, np.zeros(3))])
+    prefix = "error: "
+    if case == "fuzz":
+        argv = ["fuzz", "-n", "3", "--seed", "-1"]
+    elif case == "probe":
+        argv = ["probe", str(feat_dir), "--out", str(tmp_path / "out"), "--seed", "-1"]
+    elif case == "config":
+        config.write_text(json.dumps(dict(json.loads(config.read_text()), seed=-1)))
+        argv, prefix = train, "config error: "
+    else:
+        monkeypatch.setenv("SEMTRACE_SEED", "-1")
+        argv, prefix = train, "config error: "
+    assert cli.main(argv) == 1
+    assert_one_line_error(capsys, prefix + "seed must be at least 0, got -1\n")
+    assert not (tmp_path / "run").exists() and not (tmp_path / "out").exists()
 
 
 @pytest.mark.parametrize("timeout", ["-1", "0", "nan", "inf"])

@@ -39,6 +39,7 @@ def test_validation_names_the_bad_field():
 @pytest.mark.parametrize(
     "field,value",
     [
+        ("seed", -1),
         ("batch_size", 0),
         ("group_size", 1),
         ("clip_eps", 0.0),

@@ -9,6 +9,7 @@ import pytest
 
 from semtrace import grpo
 from semtrace.grpo import (
+    KIND_ALIGNMENT,
     KIND_CODEGEN,
     CategoricalSequencePolicy,
     RolloutGroup,
@@ -18,7 +19,7 @@ from semtrace.grpo import (
 )
 from semtrace.harness import ProblemRecord, RunConfig
 from semtrace.lang import HoleTemplate, format_program, instantiate_template, parse_program
-from semtrace.rewards import TestCase, gen_reward
+from semtrace.rewards import TestCase, gen_reward, sem_reward
 from semtrace.scheduler import (
     AlignmentPrompt,
     CodePromptPool,
@@ -30,6 +31,8 @@ from semtrace.scheduler import (
     mix_batch,
     run_training,
 )
+from semtrace.tracer import execute
+from semtrace.values import MimSet
 
 from conftest import choice_loop, make_problem, scalar_surrogate
 
@@ -627,6 +630,183 @@ def test_buffer_dump_revalidates_against_tracer(tmp_path):
         rec = execute(prompt.p_fail, prompt.input)
         assert rec.status == STATUS_RETURNED
         assert final_values(rec) == prompt.truth
+
+
+# --- alignment rewards: a per-prompt table of correct pool entries ---
+
+
+def traced_prompt(source, input_values):
+    """The alignment prompt of ``source`` run on ``input_values``."""
+    program = parse_program(source)
+    text = format_program(program)
+    return AlignmentPrompt.traced(alignment_prompt_id(text, input_values), program, input_values,
+                                  execute(program, input_values), text)
+
+
+def sampled(prompts):
+    """A trainer whose first step sampled, and so registered, each of ``prompts``."""
+    trainer = Trainer(desk_config(batch_size=len(prompts), align_ratio=1.0), desk_problems())
+    for prompt in prompts:
+        trainer.buffer.add(prompt)
+    trainer.run_step()
+    assert set(trainer._correct) == {prompt.item_id for prompt in prompts}
+    return trainer
+
+
+def table_reward(trainer, prompt_id, actions):
+    rows = trainer._correct[prompt_id]
+    return sum(row[a] for row, a in zip(rows, actions, strict=True)) / len(rows)
+
+
+def decoded_reward(trainer, prompt, actions):
+    """The reward of decoding ``actions`` and scoring the prediction by its definition."""
+    prediction = trainer.align_policy.decode(prompt.item_id, actions)
+    return float(sem_reward(prediction, prompt.truth, prompt.variables))
+
+
+def recorded_alignment_samples(monkeypatch):
+    """Records (prompt id, actions, reward) of every alignment sample the trainer updates on."""
+    import semtrace.scheduler
+
+    seen = []
+    update = semtrace.scheduler.train_step
+
+    def recorded(policy, groups, *args, **kwargs):
+        seen.extend((g.prompt_id, tuple(s.actions), s.reward) for g in groups if g.kind == KIND_ALIGNMENT
+                    for s in g.samples)
+        return update(policy, groups, *args, **kwargs)
+
+    monkeypatch.setattr(semtrace.scheduler, "train_step", recorded)
+    return seen
+
+
+# small prompts whose pools hold values that values_equal matches across
+# types (2 and 2.0, -0.0 and 0, a list holding 2 and one holding 2.0, sets)
+# or keeps apart (True and 1), with inf, null and strings
+HAND_BUILT = [
+    ("fn f(x) { a = 2.0 b = -0.0 return a }", [2]),
+    ("fn f(s) { t = true o = 1 return o }", [True]),
+    ("fn f(xs, s) { l = [1, [2.0, \"x\"]] q = {1, 2.0} return l }", [[1, [2, "x"]], MimSet([2, 1])]),
+    ("fn f(u) { i = inf n = null return u }", ["ab"]),
+]
+
+
+def test_table_reward_equals_sem_reward_on_every_action_vector_of_hand_built_prompts(monkeypatch):
+    import itertools
+
+    prompts = [traced_prompt(source, x) for source, x in HAND_BUILT]
+    seen = recorded_alignment_samples(monkeypatch)
+    trainer = sampled(prompts)
+    by_id = {prompt.item_id: prompt for prompt in prompts}
+    assert seen and all(reward == decoded_reward(trainer, by_id[pid], a) for pid, a, reward in seen)
+    rows = {prompt.item_id: trainer._correct[prompt.item_id] for prompt in prompts}
+    assert [sum(row) for row in rows[prompts[0].item_id]] == [2, 2, 3]  # x and a: 2, 2.0; b: 0, 0.0, -0.0
+    assert [sum(row) for row in rows[prompts[1].item_id]] == [1, 1, 1]  # true is not 1
+    assert [sum(row) for row in rows[prompts[2].item_id]] == [2, 2, 2, 2]  # each list (set) equals the other
+    for prompt in prompts:
+        pool = trainer.align_policy.pools[prompt.item_id]
+        for actions in itertools.product(range(len(pool)), repeat=len(prompt.variables)):
+            assert table_reward(trainer, prompt.item_id, actions) == decoded_reward(trainer, prompt, actions)
+
+
+LOOPS_SOURCE = """fn w_{pid}(xs, m) {{
+    out = []
+    for i in range(0, len(xs)) {{
+        v = xs[i] __HOLE_1__ m
+        if v __HOLE_2__ 50 {{
+            append(out, v)
+        }}
+    }}
+    j = 0
+    while j < len(out) {{
+        out[j] = __HOLE_3__
+        j = __HOLE_4__
+    }}
+    return out
+}}
+"""
+LOOPS_HOLES = (
+    ("+", "-", "*", "//", "/"),
+    ("<", ">", "<=", ">=", "!="),
+    ("out[j] + 3", "out[j] * 3", "out[j] - m", "out[j] % 3", "out[j] / 2"),
+    ("j + 1", "j + 2", "len(out)"),
+)
+
+
+def loops_problem(pid, truth, inputs):
+    """A four-hole list problem shaped like the benchmark's train-loops
+    ones; its tests expect what the ``truth`` choices return."""
+    template = HoleTemplate(template_source=LOOPS_SOURCE.format(pid=pid), hole_vocab=LOOPS_HOLES)
+    program = instantiate_template(template, truth)
+    tests = [TestCase(list(x), execute(program, list(x)).return_value) for x in inputs]
+    return ProblemRecord(problem_id=pid, template=template, tests=tests)
+
+
+def test_table_reward_equals_sem_reward_on_prompts_of_a_short_loops_run(monkeypatch):
+    rng = np.random.default_rng(17)
+    problems = [loops_problem("w%d" % k, [int(rng.integers(len(h))) for h in LOOPS_HOLES],
+                              [[[int(v) for v in rng.integers(1, 99, size=n)], int(rng.integers(2, 9))]
+                               for n in (6, 9)])
+                for k in range(4)]
+    seen = recorded_alignment_samples(monkeypatch)
+    trainer = Trainer(desk_config(batch_size=8, group_size=4, max_steps=6), problems)
+    for _ in range(6):
+        trainer.run_step()
+    prompts = {prompt.item_id: prompt for prompt in trainer.buffer.entries}
+    registered = [prompts[pid] for pid in trainer._correct]
+    assert len(registered) >= 4 and len(seen) >= 40
+    assert {pid for pid, _, _ in seen} == set(trainer._correct)
+    assert all(reward == decoded_reward(trainer, prompts[pid], a) for pid, a, reward in seen)
+    # the pools mix ints, floats and lists, and rewards take several values
+    assert any(isinstance(v, float) for p in registered for v in trainer.align_policy.pools[p.item_id])
+    assert len({reward for _, _, reward in seen}) >= 3
+    for _ in range(2000):
+        prompt = registered[int(rng.integers(len(registered)))]
+        pool = trainer.align_policy.pools[prompt.item_id]
+        actions = [int(a) for a in rng.integers(len(pool), size=len(prompt.variables))]
+        assert table_reward(trainer, prompt.item_id, actions) == decoded_reward(trainer, prompt, actions)
+
+
+def test_training_scores_alignment_samples_without_decoding_them(tmp_path, monkeypatch):
+    import semtrace.rewards
+    import semtrace.scheduler
+
+    cfg = desk_config(max_steps=10, align_ratio=0.4)
+    run_training(cfg, desk_problems(), tmp_path / "plain")
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("alignment samples are scored from the table")
+
+    monkeypatch.setattr(grpo.ValuePredictorPolicy, "decode", refuse)
+    monkeypatch.setattr(grpo.ValuePredictorPolicy, "artifact", refuse)
+    monkeypatch.setattr(semtrace.rewards, "sem_reward", refuse)
+    monkeypatch.setattr(semtrace.scheduler, "sem_reward", refuse, raising=False)
+    run_training(cfg, desk_problems(), tmp_path / "table")
+    metrics = (tmp_path / "plain" / "metrics.jsonl").read_bytes()
+    assert any(json.loads(line)["n_align_in_batch"] for line in metrics.splitlines())
+    assert (tmp_path / "table" / "metrics.jsonl").read_bytes() == metrics
+
+
+def test_prompt_whose_loaded_logits_do_not_fit_gets_no_table_row():
+    prompt = traced_prompt(*HAND_BUILT[0])
+    trainer = Trainer(desk_config(batch_size=1, align_ratio=1.0), desk_problems())
+    trainer.buffer.add(prompt)
+    trainer.align_policy.params[prompt.item_id] = [np.zeros(1)] * len(prompt.variables)
+    with pytest.raises(ValueError, match="has logit vectors of sizes"):
+        trainer.run_step()
+    assert prompt.item_id not in trainer._correct and prompt.item_id not in trainer.align_policy.pools
+
+
+def test_buffer_record_of_a_program_that_defines_no_variables_is_rejected(tmp_path):
+    from semtrace.values import read_jsonl
+
+    record = dict(traced_prompt("fn f() { return 1 }", []).to_record())
+    assert record["variables"] == []
+    path = tmp_path / "buffer.jsonl"
+    path.write_text(json.dumps(record) + "\n")
+    with pytest.raises(ValueError) as exc:
+        read_jsonl(path, AlignmentPrompt.from_record)
+    assert str(exc.value) == "%s line 1: alignment prompt %r defines no variables" % (path, record["id"])
 
 
 def fixed_seed_outputs(run_dir):
