@@ -9,6 +9,7 @@ regressor trained with full-batch Adam on MSE, for the fixed budget that
 from __future__ import annotations
 
 import csv
+import io
 import struct
 from dataclasses import dataclass
 from pathlib import Path
@@ -160,11 +161,14 @@ def probe_sweep(
 
 
 def write_sweep_csv(results: Dict[int, Dict[str, float]], path) -> None:
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["layer", "train_mse", "test_mse"])
-        for layer in sorted(results):
-            writer.writerow([layer, repr(results[layer]["train_mse"]), repr(results[layer]["test_mse"])])
+    from .harness import atomic_write_text  # here: harness imports the policy code (grpo); a sweep needs none
+
+    text = io.StringIO()  # built whole first, so a failure leaves the previous file
+    writer = csv.writer(text)
+    writer.writerow(["layer", "train_mse", "test_mse"])
+    for layer in sorted(results):
+        writer.writerow([layer, repr(results[layer]["train_mse"]), repr(results[layer]["test_mse"])])
+    atomic_write_text(path, text.getvalue())
 
 
 # Ten zero-initialized Adam epochs at lr 1e-3 move a weight about 1e-2, so a

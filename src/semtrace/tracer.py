@@ -7,7 +7,9 @@ expression is not a step.  Runtime errors are recorded in the returned
 :class:`ExecutionRecord`, never raised past :func:`execute`, which compiles
 the program into closures for each call and runs hot loops in kernels kept
 per loop shape (:class:`_Compiler`): a ``for`` over more than ``HOT`` values
-from its head, a ``while`` loop after ``HOT`` iterations.
+from its head, a ``while`` loop after ``HOT`` iterations.  One renderer
+generates both from the same fragments; a closure's maker is compiled once
+per statement or expression shape.
 """
 
 from __future__ import annotations
@@ -122,7 +124,8 @@ _OPS = {"+": operator.add, "-": operator.sub, "*": operator.mul, "/": operator.t
         "%": operator.mod, "<": operator.lt, "<=": operator.le, ">": operator.gt, ">=": operator.ge,
         "==": operator.eq, "!=": operator.ne}
 _OP_ARGS = {op: (op, f, op in ("/", "//", "%")) for op, f in _OPS.items()}  # values of a _BINOP's names
-_ONE = Literal(1)  # the step of a for loop that gives none
+_ONE = Literal(1)  # the step of a for loop that gives none, and the unread index of an append
+_NULL = Literal(None)  # the value of a break or continue step
 
 
 def _binop(op, a, b, loc) -> Value:
@@ -194,9 +197,8 @@ def _call(func, args, loc) -> Value:
 
 
 # The fragments: source that leaves one node's value in ``r{n}``, from its
-# operands ``{0}``, ``{1}`` and its ``_NAMES``, each suffixed by
-# ``{n}``; an error carries ``{loc}``.  :meth:`_Compiler.shaped` wraps a
-# fragment in a closure (``n`` empty) and :func:`_kernel` inlines it.
+# operands ``{0}``, ``{1}`` and its ``_NAMES``, each suffixed by ``{n}``; an
+# error carries ``{loc}``.  :func:`_render` inlines them into both tiers.
 _BINOP = """\
 a{n}, b{n} = {0}, {1}
 if (type(a{n}) is not int or type(b{n}) is not int or divides{n} and not b{n}
@@ -228,27 +230,14 @@ if indexed{n}:
 else:
     r{n}.append(item{n})"""
 
-# A closure over one fragment.  ``make`` first turns each operand node
-# ``x<i>`` into what it captures: a variable's name, read in place as
-# ``env[x<i>]``; a literal's value, the constant ``x<i>``; any other
-# expression's closure, called as ``x<i>()``.
-_OPERANDS = {Var: ("x{0} = x{0}.name", "env[x{0}]"), Literal: ("x{0} = x{0}.value", "x{0}")}
-_SHAPES: Dict[tuple, object] = {}
-_CLOSURE = """def make(env, owned, run, %s, loc):%s
-    def closure():
-%s
-        return r
-    return closure
-"""
-
 
 def _indent(text):
     return "".join("    " + line for line in text.splitlines(True))
 
 
-# The statements of a kernel: fragments whose ``{i}`` alone on a line is a
-# statement list.  Each inlines its step check, its event and the
-# conversion of an unbound variable's ``KeyError`` at its own ``loc``.
+# The statements: fragments that take their own ``loc``, whose ``{i}`` alone
+# on a line is a statement list.  Each inlines its step check, its event and
+# the conversion of an unbound variable's ``KeyError`` at its ``loc``.
 _STEP = "if steps >= budget:\n    raise _Budget()\nsteps += 1\n"
 _EVENT = "if trajectory is not None:\n    trajectory.append(StepEvent(steps, {loc}, %s))\n"
 _DEFINE = _STEP + """try:
@@ -259,25 +248,25 @@ except (MimRuntimeError, KeyError) as err:
 """ + _EVENT
 _SET, _SET_LIST = (_DEFINE % ("target{n}, " + record) for record in ("r{n}", "list(r{n})"))
 _HEAD = _STEP + _EVENT % "None, None" + """try:
-    c{n} = {0}
+    r{n} = {0}
 except KeyError as err:
     raise _undefined(err, {loc}) from None
 """
-_IF = _HEAD + """if c{n} is True:
+_IF = _HEAD + """if r{n} is True:
     {1}
-elif c{n} is False:
+elif r{n} is False:
     {2}
 else:
     raise MimRuntimeError(E_TYPE, "if condition must be a boolean", {loc})"""
-_WHILE = "while True:\n" + _indent(_HEAD + """if c{n} is not True:
-    if c{n} is False:
+_WHILE = "while True:\n" + _indent(_HEAD + """if r{n} is not True:
+    if r{n} is False:
         return
     raise MimRuntimeError(E_TYPE, "while condition must be a boolean", {loc})
 {1}""")
 _FOR = "for i in it:\n" + _indent(_STEP + "env[var{n}] = i\n" + _EVENT % "var{n}, i" + "{0}")
 # the names a fragment takes besides its operands, each suffixed like its locals
 _NAMES = {_BINOP: "op fast divides", _WRITE: "target indexed ends", _SET: "loc target", _SET_LIST: "loc target",
-          _IF: "loc", _WHILE: "loc", _FOR: "loc var"}
+          _HEAD: "loc", _IF: "loc", _WHILE: "loc", _FOR: "loc var"}
 _KERNEL = """def kernel(run, %s, it):
     env, owned, trajectory, budget, steps = run.env, run.owned, run.trajectory, run.budget, run.steps
     try:
@@ -297,9 +286,10 @@ KERNEL_CAPACITY = 128
 _KERNELS = Memo(KERNEL_CAPACITY)
 
 
-def _kernel(shape):
-    """Compile the kernel of a loop of ``shape`` (:meth:`_Compiler.kernel`),
-    ``kernel(run, *operands, it)``; ``it`` is a ``for`` loop's iterator."""
+def _render(shape, loc, pad):
+    """The names of the operands of ``shape`` (in :meth:`_Compiler.lower`'s
+    order) and the lines at indentation ``pad`` that leave its value in ``r0``;
+    ``loc`` names the location of errors outside a statement."""
     params, lines, nodes = [], [], itertools.count()
 
     def emit(key, loc, pad):
@@ -334,16 +324,45 @@ def _kernel(shape):
             lines.append(pad + line.format(*map(reads.get, range(len(kids))), n=n, loc=loc))
         return "r%d" % n
 
-    emit(shape, None, " " * 8)
+    emit(shape, loc, pad)
+    return params, lines
+
+
+def _kernel(shape):
+    """Compile the kernel of a loop of ``shape`` (:meth:`_Compiler.kernel`),
+    ``kernel(run, *operands, it)``; ``it`` is a ``for`` loop's iterator."""
+    params, lines = _render(shape, None, " " * 8)
     exec(_KERNEL % (", ".join(params), "\n".join(lines)), globals(), ns := {})
     return ns["kernel"]
 
 
-def _write_operands(s):
-    """The operand nodes (index, value) of an ``append`` or indexed write's
-    fragment and the values of its names (``ends``: a stored variable)."""
-    indexed, value = type(s) is IndexAssign, s.value
-    return (s.index if indexed else _ONE, value), (s.target, indexed, value.name if type(value) is Var else None)
+_MAKER = """def make(run, %s, loc):
+    env, owned, trajectory, budget = run.env, run.owned, run.trajectory, run.budget
+    def closure():
+%s
+    return closure
+"""
+_STEPS = "steps = run.steps\ntry:\n%s    return r0\nfinally:\n    run.steps = steps"
+
+
+def _maker(shape):
+    """Compile the closure maker of a statement or expression of ``shape``,
+    ``make(run, *operands, loc)``: the closure runs the fragment and returns
+    its value, and a statement's keeps the step count in ``steps``, as a kernel does."""
+    params, lines = _render(shape, "loc", "")
+    body = "\n".join(lines) + "\n"
+    body = _STEPS % _indent(body) if _NAMES.get(shape[0], "").startswith("loc") else body + "return r0"
+    exec(_MAKER % (", ".join(params), _indent(_indent(body))), globals(), ns := {})
+    return ns["make"]
+
+
+# Closure makers by shape, never evicted: the cold tier lowers one node deep, so
+# there are at most 646 shapes, each a definition or step over a leaf or over one
+# operator, index or len node of leaves, or such a node alone (most are indexed
+# writes).  A 10-step train-loops run makes 14, the tools eval items 39, and a
+# 2,000-program fuzz campaign 41.
+_MAKERS: Dict[tuple, object] = {}
+
 
 
 def _undefined(err: KeyError, loc) -> MimRuntimeError:
@@ -357,10 +376,9 @@ class _Compiler:
     carries the ``loc`` of its enclosing statement, fixed when the statement
     is compiled.  Nested blocks are compiled the first time they run, to a
     list of statement closures that ``if``, the loops and :func:`execute`
-    run inline; each statement inlines its step check.  A variable or literal
-    operand of a binary operator, an index, ``len``, an indexed write or
-    ``append`` is read in place (:meth:`shaped`); an unbound variable raises
-    ``KeyError``, which the statement that read it turns into ``E_UNDEF``.
+    run inline.  A variable or literal operand is read in place (:meth:`lower`);
+    an unbound variable raises ``KeyError``, which the statement that read
+    it turns into ``E_UNDEF``.
 
     Lists are copy-on-write: ``owned`` maps a variable to the list that only
     it holds, one its own ``append`` or indexed write made.  Such a list is
@@ -369,14 +387,18 @@ class _Compiler:
     holds an owned list, and full mode's event for a write keeps a shallow
     copy of the list.  Full mode differs from summary mode only in the events.
 
-    The closures are the cold tier.  A ``for`` activation over more than
-    :data:`HOT` values runs whole in its loop's kernel (:meth:`kernel`), and a
-    ``while`` activation that completes :data:`HOT` iterations runs the rest
-    there, if the body holds only definitions and ``if``s of them:
-    one Python loop generated from the same fragments for the loop's
-    :meth:`shape`, on the run's own ``env``, ``owned`` and step count.
-    Kernels are kept per shape in one ``values.Memo`` of
-    :data:`KERNEL_CAPACITY` shapes.
+    One renderer (:func:`_render`) generates both tiers from the fragments.
+    The cold tier is closures: each definition, the step of an ``if``, a
+    ``while`` or a jump, and each binary operator, index or ``len`` call is
+    its fragment lowered one node deep, by a maker compiled once per shape
+    (:func:`_maker`); ``if``, the loops and the jumps keep their control flow
+    and a ``for`` loop its binding by hand.  A ``for`` activation over more
+    than :data:`HOT` values runs whole in its loop's kernel (:meth:`kernel`),
+    and a ``while`` activation that completes :data:`HOT` iterations runs the
+    rest there, if the body holds only definitions and ``if``s of them: one
+    Python loop for the loop's :meth:`shape`, lowered :data:`KERNEL_DEPTH`
+    deep, on the run's own ``env``, ``owned`` and step count, kept per shape
+    in one ``values.Memo`` of :data:`KERNEL_CAPACITY` shapes.
     """
 
     __slots__ = ("env", "owned", "trajectory", "budget", "steps")
@@ -388,23 +410,14 @@ class _Compiler:
         """``e`` as a closure; ``stores`` when its value may be kept elsewhere."""
         return self._EXPRS[type(e)](self, e, loc, stores)
 
-    def shaped(self, fragment, operands, loc, args=()):
-        """``fragment``'s closure over ``operands`` and ``args``; ``make`` is compiled once per tuple of operand types."""
-        shape = (fragment, *map(type, operands))
-        make = _SHAPES.get(shape)
-        if make is None:
-            forms = [_OPERANDS.get(t, ("x{0} = run.expr(x{0}, loc)", "x{0}()")) for t in shape[1:]]
-            take = "".join("\n    " + line.format(i) for i, (line, _) in enumerate(forms))
-            body = fragment.format(*[read.format(i) for i, (_, read) in enumerate(forms)], n="", loc="loc")
-            names = ", ".join(["x%d" % i for i in range(len(forms))] + _NAMES.get(fragment, "").split())
-            exec(_CLOSURE % (names, take, "\n".join(" " * 8 + line for line in body.splitlines())), globals(), ns := {})
-            make = _SHAPES[shape] = ns["make"]
-        return make(self.env, self.owned, self, *operands, *args, loc)
+    def generated(self, shape, operands, loc):
+        """The cold-tier closure of ``shape`` over ``operands``."""
+        return (_MAKERS.get(shape) or _MAKERS.setdefault(shape, _maker(shape)))(self, *operands, loc)
 
     def lower(self, e, loc, operands, stores=False, depth=KERNEL_DEPTH):
-        """``e``'s shape in a kernel; its operands go to ``operands``.  A binary
-        operator, index or ``len`` call ``depth`` deep is inlined from its fragment,
-        a variable or literal is read in place (with ``stores``, a variable's
+        """``e``'s shape; its operands go to ``operands``.  A binary operator,
+        index or ``len`` call ``depth`` deep is inlined from its fragment, a
+        variable or literal is read in place (with ``stores``, a variable's
         ownership ends), and any other expression is a closure call (``None``)."""
         t = type(e)
         if t is Var or t is Literal:
@@ -412,15 +425,40 @@ class _Compiler:
             return _STORED if stores and t is Var else t
         if depth and t is BinOp and e.op in _OPS:
             operands += _OP_ARGS[e.op]
-            fragment, kids = _BINOP, (e.left, e.right)
+            fragment, a, b = _BINOP, e.left, e.right
         elif depth and t is Index:
-            fragment, kids = _INDEX, (e.base, e.index)
+            fragment, a, b = _INDEX, e.base, e.index
         elif depth and t is Call and e.func == "len" and len(e.args) == 1:
-            fragment, kids = _LEN, e.args
+            fragment, a, b = _LEN, e.args[0], None
         else:
             operands.append(self.expr(e, loc, stores))
             return None
-        return (fragment, *[self.lower(k, loc, operands, False, depth - 1) for k in kids])
+        ta = type(a)  # a leaf is read here, not in a call: the cold tier lowers on every execute
+        if ta is Var or ta is Literal:
+            operands.append(a.name if ta is Var else a.value)
+        else:
+            ta = self.lower(a, loc, operands, False, depth - 1)
+        if b is None:
+            return fragment, ta
+        tb = type(b)
+        if tb is Var or tb is Literal:
+            operands.append(b.name if tb is Var else b.value)
+        else:
+            tb = self.lower(b, loc, operands, False, depth - 1)
+        return fragment, ta, tb
+
+    def definition(self, s, operands, depth):
+        """The shape of an assignment, ``append`` or indexed write, its operand
+        nodes lowered ``depth`` deep; its operands go to ``operands``, with a
+        write's names (``ends``: a variable the write stores)."""
+        loc, value = s.loc, s.value
+        if type(s) is Assign:
+            operands += (loc, s.target)
+            return _SET, self.lower(value, loc, operands, True, depth)
+        indexed = type(s) is IndexAssign
+        operands += (loc, s.target, s.target, indexed, value.name if type(value) is Var else None)
+        return _SET_LIST, (_WRITE, self.lower(s.index if indexed else _ONE, loc, operands, False, depth),
+                           self.lower(value, loc, operands, False, depth))
 
     def shape(self, body, operands):
         """The shape of a loop body in a kernel: its syntax without names,
@@ -428,18 +466,13 @@ class _Compiler:
         Raises ``_Cold`` on a statement other than a definition or an ``if``."""
         shapes = []
         for s in body:
-            t, loc = type(s), s.loc
-            operands.append(loc)
+            t = type(s)
             if t is If:
-                shapes.append((_IF, self.lower(s.cond, loc, operands), self.shape(s.then_body, operands),
+                operands.append(s.loc)
+                shapes.append((_IF, self.lower(s.cond, s.loc, operands), self.shape(s.then_body, operands),
                                self.shape(s.else_body, operands)))
-            elif t is Assign:
-                operands.append(s.target)
-                shapes.append((_SET, self.lower(s.value, loc, operands, True)))
-            elif t is Append or t is IndexAssign:
-                (index, value), args = _write_operands(s)
-                operands += (s.target, *args)
-                shapes.append((_SET_LIST, (_WRITE, self.lower(index, loc, operands), self.lower(value, loc, operands))))
+            elif t is Assign or t is Append or t is IndexAssign:
+                shapes.append(self.definition(s, operands, KERNEL_DEPTH))
             else:
                 raise _Cold()
         return tuple(shapes)
@@ -473,10 +506,15 @@ class _Compiler:
             return lambda: (owned.pop(name, None), env[name])[1]  # ends ownership, then reads
         return lambda: env[name]
 
+    def _fragment(self, e, loc, stores):
+        """A binary operator, index or ``len`` call: its fragment's closure."""
+        operands = []
+        return self.generated(self.lower(e, loc, operands, stores, 1), operands, loc)
+
     def _binop(self, e, loc, stores):
         op = e.op
         if op not in ("and", "or"):
-            return self.shaped(_BINOP, (e.left, e.right), loc, _OP_ARGS[op])
+            return self._fragment(e, loc, stores)
         left, right, decides = self.expr(e.left, loc), self.expr(e.right, loc), op == "or"
 
         def logic():
@@ -509,12 +547,9 @@ class _Compiler:
 
         return unary
 
-    def _index(self, e, loc, stores):
-        return self.shaped(_INDEX, (e.base, e.index), loc)
-
     def _call(self, e, loc, stores):
         if e.func == "len" and len(e.args) == 1:
-            return self.shaped(_LEN, e.args, loc)
+            return self._fragment(e, loc, stores)
         func, args = e.func, [self.expr(a, loc) for a in e.args]
         return lambda: _call(func, [a() for a in args], loc)
 
@@ -536,49 +571,21 @@ class _Compiler:
 
     # --- statements ---
 
-    def _define(self, target: str, compute, loc, record=None):
-        """A step binding ``target`` to ``compute()``; full mode records the
-        value (``record(value)`` if ``record`` is given), or a bare step if it raises."""
-        run, env, budget, trajectory = self, self.env, self.budget, self.trajectory
+    def head(self, e, loc, stores=False):
+        """A step that returns ``e``'s value: an ``if`` or ``while`` condition, or a jump's value."""
+        operands = [loc]
+        return self.generated((_HEAD, self.lower(e, loc, operands, stores, 1)), operands, loc)
 
-        def define():
-            if run.steps >= budget:
-                raise _Budget()
-            run.steps += 1
-            try:
-                env[target] = value = compute()
-            except (MimRuntimeError, KeyError) as err:
-                if trajectory is not None:
-                    trajectory.append(StepEvent(run.steps, loc, None, None))
-                raise (_undefined(err, loc) if type(err) is KeyError else err) from None
-            if trajectory is not None:
-                trajectory.append(StepEvent(run.steps, loc, target, value if record is None else record(value)))
-
-        return define
-
-    def _assign(self, s, in_loop):
-        return self._define(s.target, self.expr(s.value, s.loc, True), s.loc)
-
-    def _write(self, s, in_loop):
-        """``append`` (its index operand unread) and indexed assignment."""
-        reads, args = _write_operands(s)
-        write = self.shaped(_WRITE, reads, s.loc, args)
-        return self._define(s.target, write, s.loc, list)  # later writes change the list in place
+    def _define(self, s, in_loop):
+        operands = []
+        return self.generated(self.definition(s, operands, 1), operands, s.loc)
 
     def _if(self, s, in_loop):
-        run, budget, trajectory, loc, cond = self, self.budget, self.trajectory, s.loc, self.expr(s.cond, s.loc)
+        run, loc, cond = self, s.loc, self.head(s.cond, s.loc)
         branches = {True: s.then_body, False: s.else_body}  # a tuple until first run
 
         def if_():
-            if run.steps >= budget:
-                raise _Budget()
-            run.steps += 1
-            if trajectory is not None:
-                trajectory.append(StepEvent(run.steps, loc, None, None))
-            try:
-                c = cond()
-            except KeyError as err:
-                raise _undefined(err, loc) from None
+            c = cond()
             if type(c) is not bool:
                 raise MimRuntimeError(E_TYPE, "if condition must be a boolean", loc)
             branch = branches[c]
@@ -590,35 +597,27 @@ class _Compiler:
         return if_
 
     def _while(self, s, in_loop):
-        run, budget, trajectory, loc = self, self.budget, self.trajectory, s.loc
-        cond = self.expr(s.cond, loc)
+        run, loc, cond = self, s.loc, self.head(s.cond, s.loc)
         body = None
 
         def while_():
             nonlocal body
             for iterations in (range(HOT), itertools.repeat(None)):  # the closures' HOT, then the rest
                 for _ in iterations:
-                    if run.steps >= budget:
-                        raise _Budget()
-                    run.steps += 1
-                    if trajectory is not None:
-                        trajectory.append(StepEvent(run.steps, loc, None, None))
+                    c = cond()
+                    if c is not True:
+                        if c is False:
+                            return
+                        raise MimRuntimeError(E_TYPE, "while condition must be a boolean", loc)
+                    if body is None:
+                        body = run.block(s.body, True)
                     try:
-                        c = cond()
-                        if c is not True:
-                            if c is False:
-                                return
-                            raise MimRuntimeError(E_TYPE, "while condition must be a boolean", loc)
-                        if body is None:
-                            body = run.block(s.body, True)
                         for stmt in body:
                             stmt()
                     except _Continue:
                         pass
                     except _Break:
                         return
-                    except KeyError as err:  # the condition's: a statement of the body turns its own
-                        raise _undefined(err, loc) from None
                 if kernel := run.kernel(s):
                     return kernel(None)
 
@@ -663,29 +662,22 @@ class _Compiler:
 
     def _jump(self, s, in_loop):
         """``return``, ``break``, ``continue``: a step, then the jump; outside a loop the last two are errors."""
-        run, budget, trajectory, loc, t = self, self.budget, self.trajectory, s.loc, type(s)
-        value = self.expr(s.value, loc, True) if t is Return else None
+        loc, t = s.loc, type(s)
+        value = self.head(s.value if t is Return else _NULL, loc, True)
 
         def jump():
-            if run.steps >= budget:
-                raise _Budget()
-            run.steps += 1
-            if trajectory is not None:
-                trajectory.append(StepEvent(run.steps, loc, None, None))
-            if value is not None:
-                try:
-                    raise _Return(value())
-                except KeyError as err:
-                    raise _undefined(err, loc) from None
+            v = value()
+            if t is Return:
+                raise _Return(v)
             if in_loop:
                 raise (_Break if t is Break else _Continue)()
             raise MimRuntimeError(E_TYPE, "%s outside a loop" % t.__name__.lower(), loc)
 
         return jump
 
-    _EXPRS = {Literal: _literal, Var: _var, BinOp: _binop, UnaryOp: _unary, Index: _index,
+    _EXPRS = {Literal: _literal, Var: _var, BinOp: _binop, UnaryOp: _unary, Index: _fragment,
               Call: _call, ListLit: _list, SetLit: _set}
-    _STMTS = {Assign: _assign, Append: _write, IndexAssign: _write, If: _if, While: _while,
+    _STMTS = {Assign: _define, Append: _define, IndexAssign: _define, If: _if, While: _while,
               For: _for, Return: _jump, Break: _jump, Continue: _jump}
 
 

@@ -24,6 +24,7 @@ from semtrace.probe import (
     synthetic_linear_samples,
     train_probe,
     write_feature_file,
+    write_sweep_csv,
 )
 
 
@@ -263,3 +264,17 @@ def test_probe_does_not_import_the_policy_code():
     env = dict(os.environ, PYTHONPATH=str(Path(semtrace.__file__).parent.parent))
     out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, check=True, env=env)
     assert out.stdout == "True False\n"
+
+
+def test_sweep_csv_write_that_fails_leaves_the_previous_file(tmp_path):
+    class Unformattable(float):
+        def __repr__(self):
+            raise RuntimeError("cannot format")
+
+    path = tmp_path / "probe_mse.csv"
+    write_sweep_csv({1: {"train_mse": 0.5, "test_mse": 0.25}, 0: {"train_mse": 1.0, "test_mse": float("nan")}}, path)
+    before = path.read_bytes()
+    assert before == b"layer,train_mse,test_mse\r\n0,1.0,nan\r\n1,0.5,0.25\r\n"
+    with pytest.raises(RuntimeError):
+        write_sweep_csv({0: {"train_mse": 0.1, "test_mse": 0.2}, 1: {"train_mse": Unformattable(), "test_mse": 0.3}}, path)
+    assert path.read_bytes() == before and list(tmp_path.iterdir()) == [path]

@@ -400,6 +400,43 @@ ERROR_PROGRAMS = [
 ]
 
 
+# Every shape of the cold tier, which lowers one node deep: each statement
+# with a generated step (a definition, an if or while condition, a return)
+# over each operand form, an atom alone or an operator, index or len node
+# over atoms.  Run on inputs that reach the fragments' fast and slow paths,
+# then with ``a`` wrong-typed.
+COLD_ATOMS = ["a", "1", "(-b)", "[a]", "(p and q)", "min(a, b)"]  # a variable, a literal, four closures
+COLD_STATEMENTS = [
+    "x = {} return x",
+    "append(xs, {}) return xs",
+    "xs[{}] = 7 return xs",
+    "xs[0] = {} return xs",
+    "if {} {{ x = 1 }} else {{ x = 2 }} return x",
+    "n = 0 while {} {{ n = n + 1 if n == 2 {{ return n }} }} return n",
+    "return {}",
+]
+COLD_INPUTS = [[1, 0, True, False, [4, 5, 6]], ["s", 0, True, False, [4, 5, 6]]]
+
+
+def cold_programs(singles, pairs):
+    """A program for each statement and each form: a single atom, ``+`` (``==``
+    in a condition, so that it can hold), an index or ``len``."""
+    programs = []
+    for stmt in COLD_STATEMENTS:
+        op = "==" if stmt.startswith(("if", "n = 0")) else "+"
+        forms = (singles + ["%s %s %s" % (x, op, y) for x, y in pairs] + ["%s[%s]" % (x, y) for x, y in pairs]
+                 + ["len(%s)" % x for x in singles])
+        programs += ["fn f(a, b, p, q, xs) { %s }" % stmt.format(form) for form in forms]
+    return programs
+
+
+# an unbound variable in each operand position of each cold-tier shape, read
+# in place or through a closure
+UNBOUND_ATOMS = ["u", "(-u)", "[u]", "(p and u)", "min(u, b)"]
+ERROR_PROGRAMS += [(src, COLD_INPUTS[0], E_UNDEF) for src in cold_programs(
+    UNBOUND_ATOMS, [(u, "1") for u in UNBOUND_ATOMS] + [("1", u) for u in UNBOUND_ATOMS])]
+
+
 @pytest.mark.parametrize("src,inputs,kind", ERROR_PROGRAMS)
 def test_compiled_interpreter_matches_tree_walker_on_every_error_kind(src, inputs, kind):
     program = parse_program(src)
@@ -437,6 +474,11 @@ CONTROL_FLOW = [
     ("fn f(n) { while n > 0 { n = n - 1 } }", [4]),
     ("fn f() { a = -0.0 b = --3 c = -inf d = -\"s\" return [a, b, c, d] }", []),
 ]
+
+
+COLD_SHAPES = [(src, inputs) for src in cold_programs(COLD_ATOMS, [(x, y) for x in COLD_ATOMS for y in COLD_ATOMS])
+               for inputs in COLD_INPUTS]
+CONTROL_FLOW += COLD_SHAPES
 
 
 @pytest.mark.parametrize("src,inputs", CONTROL_FLOW)
@@ -731,3 +773,17 @@ def test_kernel_table_holds_at_most_its_capacity(monkeypatch):
     before = len(compiled)
     assert_matches_tree_walker(programs[0], [])  # evicted, so compiled again
     assert len(compiled) > before
+
+
+def test_running_cold_shapes_again_compiles_no_new_maker(monkeypatch):
+    """The closure makers need no memo to stay bounded: each shape compiles
+    once, so running the same programs again, in either mode, compiles none."""
+    programs = [(parse_program(src), inputs) for src, inputs in COLD_SHAPES]
+    for program, inputs in programs:
+        execute(program, inputs)
+    made, maker = [], tracer._maker
+    monkeypatch.setattr(tracer, "_maker", lambda shape: made.append(shape) or maker(shape))
+    for program, inputs in programs:
+        for mode in MODES:
+            execute(program, inputs, mode=mode)
+    assert made == []
