@@ -20,10 +20,12 @@ import argparse
 import json
 import math
 import shlex
+import subprocess
 import sys
 import time
 from contextlib import contextmanager
 from pathlib import Path
+from typing import Sequence
 
 import numpy as np
 
@@ -36,7 +38,6 @@ from .harness import (
     decode_test_case,
     load_problems,
     seed_override,
-    subprocess_predictor,
 )
 from .lang import parse_program
 from .rewards import gen_reward
@@ -153,6 +154,26 @@ def cmd_train(args) -> int:
     elapsed = time.monotonic() - start
     print("run complete: %s (%.1f s, %d steps)" % (args.run_dir, elapsed, config.max_steps))
     return EXIT_OK
+
+
+def subprocess_predictor(command: Sequence[str], timeout: float):
+    """Predictor adapter: run ``command``, prompt on stdin, text on stdout."""
+
+    def predict(prompt: str) -> str:
+        proc = subprocess.run(
+            list(command),
+            input=prompt.encode("utf-8"),
+            stdout=subprocess.PIPE,
+            stderr=subprocess.PIPE,
+            timeout=timeout,
+        )
+        if proc.returncode != 0:
+            raise RuntimeError(
+                "predictor exited with %d: %s" % (proc.returncode, proc.stderr.decode("utf-8", "replace").strip())
+            )
+        return proc.stdout.decode("utf-8")
+
+    return predict
 
 
 def cmd_eval(args) -> int:

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+import re
 from dataclasses import dataclass, field
 from functools import cache, cached_property, partial
 from importlib import resources
@@ -50,7 +51,7 @@ def parse_prediction(raw: str) -> Prediction:
     JSON object with exactly the two required keys; eval runs score such
     predictions as fully incorrect instead of aborting.
     """
-    lines = [ln for ln in raw.splitlines() if ln.strip()]
+    lines = [ln for ln in raw.split("\n") if ln.strip()]  # not splitlines: U+2028 may sit in a JSON string
     if not lines:
         raise MalformedPrediction("empty prediction")
     last = lines[-1].strip()
@@ -208,14 +209,17 @@ def prompt_template() -> str:
     return resources.files("semtrace.resources").joinpath("trace_prompt.txt").read_text("utf-8")
 
 
+_PLACEHOLDER = re.compile(r"\{(function_name|variable_names|code|input)\}")
+
+
 def build_prompt(item: TraceItem) -> str:
-    """Fill the verbatim prompt template for one eval item."""
-    text = prompt_template()
-    text = text.replace("{function_name}", item.p_fail.name)
-    text = text.replace("{variable_names}", ", ".join('"%s"' % v for v in item.variables))
-    text = text.replace("{code}", format_program(item.p_fail).rstrip("\n"))
-    text = text.replace("{input}", canonical_serialize(item.input))
-    return text
+    """Fill the verbatim prompt template for one eval item, in one pass over
+    the template, so that a placeholder's text in the code stays as it is."""
+    fills = {"function_name": item.p_fail.name,
+             "variable_names": ", ".join('"%s"' % v for v in item.variables),
+             "code": format_program(item.p_fail).rstrip("\n"),
+             "input": canonical_serialize(item.input)}
+    return _PLACEHOLDER.sub(lambda m: fills[m.group(1)], prompt_template())
 
 
 @dataclass

@@ -24,6 +24,7 @@ from typing import Dict, List, Optional, Sequence
 
 import numpy as np
 
+from .harness import GrpoConfig
 from .lang import HoleTemplate, Literal, Program, instantiate_template, walk
 from .optim import Adam
 from .rewards import SemPrediction
@@ -34,15 +35,6 @@ KIND_ALIGNMENT = "alignment"
 
 STD_FLOOR = 1e-6  # advantage denominator floor
 P_SUM_TOL = float(np.sqrt(np.finfo(float).eps))  # Generator.choice's bound on |sum(p) - 1|
-
-
-@dataclass
-class GrpoConfig:
-    group_size: int = 8
-    clip_eps: float = 0.2
-    kl_beta: float = 1e-3
-    learning_rate: float = 0.5
-    optimizer: str = "sgd"  # "sgd" | "adam"
 
 
 def group_advantages(rewards: Sequence[float]) -> List[float]:

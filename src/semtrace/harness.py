@@ -10,13 +10,11 @@ from __future__ import annotations
 import fcntl
 import math
 import os
-import subprocess
 from dataclasses import asdict, dataclass
 from functools import partial
 from pathlib import Path
-from typing import List, Optional, Sequence
+from typing import List, Optional
 
-from .grpo import GrpoConfig
 from .lang import HoleTemplate, instantiate_template
 from .rewards import TestCase
 from .tracer import DEFAULT_BUDGET
@@ -41,6 +39,18 @@ def seed_override(seed: int) -> int:
     if seed < 0:
         raise ConfigError("seed must be at least 0, got %d" % seed)
     return seed
+
+
+@dataclass
+class GrpoConfig:
+    """The GRPO update's settings (:mod:`semtrace.grpo`), kept here so that
+    the harness imports no policy code."""
+
+    group_size: int = 8
+    clip_eps: float = 0.2
+    kl_beta: float = 1e-3
+    learning_rate: float = 0.5
+    optimizer: str = "sgd"  # "sgd" | "adam"
 
 
 @dataclass
@@ -186,22 +196,3 @@ class RunLock:
         self._fd = None
         return False
 
-
-def subprocess_predictor(command: Sequence[str], timeout: float):
-    """Predictor adapter: run ``command``, prompt on stdin, text on stdout."""
-
-    def predict(prompt: str) -> str:
-        proc = subprocess.run(
-            list(command),
-            input=prompt.encode("utf-8"),
-            stdout=subprocess.PIPE,
-            stderr=subprocess.PIPE,
-            timeout=timeout,
-        )
-        if proc.returncode != 0:
-            raise RuntimeError(
-                "predictor exited with %d: %s" % (proc.returncode, proc.stderr.decode("utf-8", "replace").strip())
-            )
-        return proc.stdout.decode("utf-8")
-
-    return predict

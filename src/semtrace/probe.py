@@ -17,6 +17,7 @@ from typing import Dict, List, Sequence, Tuple
 
 import numpy as np
 
+from .harness import atomic_write_text
 from .optim import Adam
 from .values import BinaryFile, length_prefixed
 
@@ -161,8 +162,6 @@ def probe_sweep(
 
 
 def write_sweep_csv(results: Dict[int, Dict[str, float]], path) -> None:
-    from .harness import atomic_write_text  # here: harness imports the policy code (grpo); a sweep needs none
-
     text = io.StringIO()  # built whole first, so a failure leaves the previous file
     writer = csv.writer(text)
     writer.writerow(["layer", "train_mse", "test_mse"])

@@ -8,8 +8,8 @@ expression is not a step.  Runtime errors are recorded in the returned
 the program into closures for each call and runs hot loops in kernels kept
 per loop shape (:class:`_Compiler`): a ``for`` over more than ``HOT`` values
 from its head, a ``while`` loop after ``HOT`` iterations.  One renderer
-generates both from the same fragments; a closure's maker is compiled once
-per statement or expression shape.
+generates both from the same fragments, control flow included; a closure's
+maker is compiled once per statement or expression shape.
 """
 
 from __future__ import annotations
@@ -237,7 +237,8 @@ def _indent(text):
 
 # The statements: fragments that take their own ``loc``, whose ``{i}`` alone
 # on a line is a statement list.  Each inlines its step check, its event and
-# the conversion of an unbound variable's ``KeyError`` at its ``loc``.
+# the conversion of an unbound variable's ``KeyError`` at its ``loc``; a loop
+# runs over the iterator ``it`` and ends on a ``_Break``.
 _STEP = "if steps >= budget:\n    raise _Budget()\nsteps += 1\n"
 _EVENT = "if trajectory is not None:\n    trajectory.append(StepEvent(steps, {loc}, %s))\n"
 _DEFINE = _STEP + """try:
@@ -258,15 +259,26 @@ elif r{n} is False:
     {2}
 else:
     raise MimRuntimeError(E_TYPE, "if condition must be a boolean", {loc})"""
-_WHILE = "while True:\n" + _indent(_HEAD + """if r{n} is not True:
+_BODY = "try:\n    {%d}\nexcept _Continue:\n    pass\nexcept _Break:\n    return\n"  # a loop body
+# a while returns True when ``it`` runs out before the loop ends
+_WHILE = "for _ in it:\n" + _indent(_HEAD + """if r{n} is not True:
     if r{n} is False:
         return
     raise MimRuntimeError(E_TYPE, "while condition must be a boolean", {loc})
-{1}""")
-_FOR = "for i in it:\n" + _indent(_STEP + "env[var{n}] = i\n" + _EVENT % "var{n}, i" + "{0}")
+""" + _BODY % 1) + "return True"
+_FOR = "for i in it:\n" + _indent(_STEP + "env[var{n}] = i\n" + _EVENT % "var{n}, i" + _BODY % 0)
+_JUMP = _HEAD + "raise signal{n}(r{n})"  # a _Return, _Break or _Continue, or an error
+# A statement list of the cold tier: the closures in the list {0}, which {1}
+# compiles them into on its first run; they keep the step count in ``run.steps``.
+_CALL = """run.steps = steps
+try:
+    for r{n} in {0} or {1}:
+        r{n}()
+finally:
+    steps = run.steps"""
 # the names a fragment takes besides its operands, each suffixed like its locals
 _NAMES = {_BINOP: "op fast divides", _WRITE: "target indexed ends", _SET: "loc target", _SET_LIST: "loc target",
-          _HEAD: "loc", _IF: "loc", _WHILE: "loc", _FOR: "loc var"}
+          _IF: "loc", _WHILE: "loc", _FOR: "loc var", _JUMP: "loc signal"}
 _KERNEL = """def kernel(run, %s, it):
     env, owned, trajectory, budget, steps = run.env, run.owned, run.trajectory, run.budget, run.steps
     try:
@@ -330,7 +342,7 @@ def _render(shape, loc, pad):
 
 def _kernel(shape):
     """Compile the kernel of a loop of ``shape`` (:meth:`_Compiler.kernel`),
-    ``kernel(run, *operands, it)``; ``it`` is a ``for`` loop's iterator."""
+    ``kernel(run, *operands, it)``; ``it`` is the iterator the loop runs over."""
     params, lines = _render(shape, None, " " * 8)
     exec(_KERNEL % (", ".join(params), "\n".join(lines)), globals(), ns := {})
     return ns["kernel"]
@@ -338,17 +350,18 @@ def _kernel(shape):
 
 _MAKER = """def make(run, %s, loc):
     env, owned, trajectory, budget = run.env, run.owned, run.trajectory, run.budget
-    def closure():
+    def closure(it=None):
 %s
     return closure
 """
-_STEPS = "steps = run.steps\ntry:\n%s    return r0\nfinally:\n    run.steps = steps"
+_STEPS = "steps = run.steps\ntry:\n%sfinally:\n    run.steps = steps"
 
 
 def _maker(shape):
     """Compile the closure maker of a statement or expression of ``shape``,
-    ``make(run, *operands, loc)``: the closure runs the fragment and returns
-    its value, and a statement's keeps the step count in ``steps``, as a kernel does."""
+    ``make(run, *operands, loc)``: an expression's closure returns the
+    fragment's value; a statement's keeps the step count in ``steps``, as a
+    kernel does, and a loop's runs over its argument ``it``."""
     params, lines = _render(shape, "loc", "")
     body = "\n".join(lines) + "\n"
     body = _STEPS % _indent(body) if _NAMES.get(shape[0], "").startswith("loc") else body + "return r0"
@@ -356,13 +369,13 @@ def _maker(shape):
     return ns["make"]
 
 
-# Closure makers by shape, never evicted: the cold tier lowers one node deep, so
-# there are at most 646 shapes, each a definition or step over a leaf or over one
-# operator, index or len node of leaves, or such a node alone (most are indexed
-# writes).  A 10-step train-loops run makes 14, the tools eval items 39, and a
-# 2,000-program fuzz campaign 41.
+# Closure makers by shape, never evicted: the cold tier lowers one node deep,
+# so there are at most 791 shapes, each a statement over a leaf or over one
+# operator, index or len node of leaves, or such a node alone: 24 assignments,
+# 576 indexed writes and appends, 21 nodes, 96 ifs (24 conditions, each block
+# empty or not), 48 whiles, 2 fors and 24 jumps.  A 10-step train-loops run
+# makes 14, the tools eval items 51, and a 2,000-program fuzz campaign 57.
 _MAKERS: Dict[tuple, object] = {}
-
 
 
 def _undefined(err: KeyError, loc) -> MimRuntimeError:
@@ -388,17 +401,19 @@ class _Compiler:
     copy of the list.  Full mode differs from summary mode only in the events.
 
     One renderer (:func:`_render`) generates both tiers from the fragments.
-    The cold tier is closures: each definition, the step of an ``if``, a
-    ``while`` or a jump, and each binary operator, index or ``len`` call is
-    its fragment lowered one node deep, by a maker compiled once per shape
-    (:func:`_maker`); ``if``, the loops and the jumps keep their control flow
-    and a ``for`` loop its binding by hand.  A ``for`` activation over more
-    than :data:`HOT` values runs whole in its loop's kernel (:meth:`kernel`),
-    and a ``while`` activation that completes :data:`HOT` iterations runs the
-    rest there, if the body holds only definitions and ``if``s of them: one
-    Python loop for the loop's :meth:`shape`, lowered :data:`KERNEL_DEPTH`
-    deep, on the run's own ``env``, ``owned`` and step count, kept per shape
-    in one ``values.Memo`` of :data:`KERNEL_CAPACITY` shapes.
+    The cold tier is closures: each statement, and each binary operator,
+    index or ``len`` call, is its fragment lowered one node deep, by a maker
+    compiled once per shape (:func:`_maker`); a statement list that an
+    ``if`` or a loop runs is one node of the shape (:meth:`nested`).  Besides
+    its closure, a ``while`` keeps only the hand-off to its kernel, and a
+    ``for`` its range checks and the choice of tier.  A ``for`` activation
+    over more than :data:`HOT` values runs whole in its loop's kernel
+    (:meth:`kernel`), and a ``while`` activation that completes :data:`HOT`
+    iterations runs the rest there, if the body holds only definitions and
+    ``if``s of them: one Python loop for the loop's :meth:`shape`, lowered
+    :data:`KERNEL_DEPTH` deep, on the run's own ``env``, ``owned`` and step
+    count, kept per shape in one ``values.Memo`` of :data:`KERNEL_CAPACITY`
+    shapes.
     """
 
     __slots__ = ("env", "owned", "trajectory", "budget", "steps")
@@ -479,7 +494,8 @@ class _Compiler:
 
     def kernel(self, loop):
         """A callable that runs the rest of a ``loop`` activation from its
-        head, given a ``for`` loop's iterator; ``False`` if the loop has none."""
+        head, given a ``for`` loop's iterator or a ``while`` loop's endless
+        one; ``False`` if the loop has none."""
         operands = [loop.loc]
         try:
             if type(loop) is While:
@@ -571,65 +587,44 @@ class _Compiler:
 
     # --- statements ---
 
-    def head(self, e, loc, stores=False):
-        """A step that returns ``e``'s value: an ``if`` or ``while`` condition, or a jump's value."""
-        operands = [loc]
-        return self.generated((_HEAD, self.lower(e, loc, operands, stores, 1)), operands, loc)
-
     def _define(self, s, in_loop):
         operands = []
         return self.generated(self.definition(s, operands, 1), operands, s.loc)
 
+    def nested(self, body, in_loop, operands):
+        """The shape of a statement list that an ``if`` or a loop runs: none if
+        it is empty, else a ``_CALL`` of the list its closures are compiled
+        into (:meth:`block`) the first time it runs."""
+        if not body:
+            return ()
+        closures = []
+        operands += (closures, lambda: closures.extend(self.block(body, in_loop)) or closures)
+        return ((_CALL, Literal, None),)
+
     def _if(self, s, in_loop):
-        run, loc, cond = self, s.loc, self.head(s.cond, s.loc)
-        branches = {True: s.then_body, False: s.else_body}  # a tuple until first run
-
-        def if_():
-            c = cond()
-            if type(c) is not bool:
-                raise MimRuntimeError(E_TYPE, "if condition must be a boolean", loc)
-            branch = branches[c]
-            if type(branch) is tuple:
-                branch = branches[c] = run.block(branch, in_loop)
-            for stmt in branch:
-                stmt()
-
-        return if_
+        loc, operands = s.loc, [s.loc]
+        cond = self.lower(s.cond, loc, operands, False, 1)
+        shape = _IF, cond, self.nested(s.then_body, in_loop, operands), self.nested(s.else_body, in_loop, operands)
+        return self.generated(shape, operands, loc)
 
     def _while(self, s, in_loop):
-        run, loc, cond = self, s.loc, self.head(s.cond, s.loc)
-        body = None
+        run, loc, operands = self, s.loc, [s.loc]
+        cond = self.lower(s.cond, loc, operands, False, 1)
+        loop = self.generated((_WHILE, cond, self.nested(s.body, True, operands)), operands, loc)
 
         def while_():
-            nonlocal body
-            for iterations in (range(HOT), itertools.repeat(None)):  # the closures' HOT, then the rest
-                for _ in iterations:
-                    c = cond()
-                    if c is not True:
-                        if c is False:
-                            return
-                        raise MimRuntimeError(E_TYPE, "while condition must be a boolean", loc)
-                    if body is None:
-                        body = run.block(s.body, True)
-                    try:
-                        for stmt in body:
-                            stmt()
-                    except _Continue:
-                        pass
-                    except _Break:
-                        return
-                if kernel := run.kernel(s):
-                    return kernel(None)
+            if loop(range(HOT)):  # the closures' HOT iterations, then the rest
+                (run.kernel(s) or loop)(itertools.repeat(None))
 
         return while_
 
     def _for(self, s, in_loop):
-        run, env, budget, trajectory, loc, var = self, self.env, self.budget, self.trajectory, s.loc, s.var
+        run, loc = self, s.loc
         bounds = [self.expr(x, loc) for x in (s.start, s.stop, s.step or _ONE)]
-        body = None
+        loop = None
 
         def for_():
-            nonlocal body
+            nonlocal loop
             try:
                 args = [f() for f in bounds]
             except KeyError as err:
@@ -641,39 +636,23 @@ class _Compiler:
             it = iter(range(*args))
             if it.__length_hint__() > HOT and (kernel := run.kernel(s)):
                 return kernel(it)
-            for i in it:
-                if run.steps >= budget:
-                    raise _Budget()
-                run.steps += 1
-                env[var] = i
-                if trajectory is not None:
-                    trajectory.append(StepEvent(run.steps, loc, var, i))
-                if body is None:
-                    body = run.block(s.body, True)
-                try:
-                    for stmt in body:
-                        stmt()
-                except _Continue:
-                    pass
-                except _Break:
-                    return
+            if loop is None:  # built by the first activation that runs on closures
+                operands = [loc, s.var]
+                loop = run.generated((_FOR, run.nested(s.body, True, operands)), operands, loc)
+            loop(it)
 
         return for_
 
     def _jump(self, s, in_loop):
         """``return``, ``break``, ``continue``: a step, then the jump; outside a loop the last two are errors."""
         loc, t = s.loc, type(s)
-        value = self.head(s.value if t is Return else _NULL, loc, True)
-
-        def jump():
-            v = value()
-            if t is Return:
-                raise _Return(v)
-            if in_loop:
-                raise (_Break if t is Break else _Continue)()
-            raise MimRuntimeError(E_TYPE, "%s outside a loop" % t.__name__.lower(), loc)
-
-        return jump
+        if t is Return or in_loop:
+            signal = _Return if t is Return else _Break if t is Break else _Continue
+        else:
+            signal = lambda _: MimRuntimeError(E_TYPE, "%s outside a loop" % t.__name__.lower(), loc)
+        operands = [loc, signal]
+        return self.generated((_JUMP, self.lower(s.value if t is Return else _NULL, loc, operands, True, 1)),
+                              operands, loc)
 
     _EXPRS = {Literal: _literal, Var: _var, BinOp: _binop, UnaryOp: _unary, Index: _fragment,
               Call: _call, ListLit: _list, SetLit: _set}

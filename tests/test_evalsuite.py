@@ -20,7 +20,7 @@ from semtrace.evalsuite import (
     score_item,
     serialize_record,
 )
-from semtrace.lang import parse_program
+from semtrace.lang import format_program, parse_program
 from semtrace.rewards import matches_expected as values_match_truth
 from semtrace.values import (INF_SENTINEL, INT_MAX, INT_MIN, NEG_INF_SENTINEL, MimSet, decode_json_value,
                              encode_json_value, load_json)
@@ -184,6 +184,28 @@ def test_prompt_contains_code_and_variables():
     assert '"a", "b"' in prompt
     assert "[4]" in prompt
     assert "{function_name}" not in prompt
+
+
+def test_prompt_shows_code_holding_placeholder_text_verbatim():
+    p = parse_program('fn f(a) { s = "{input}" t = "{code}" return a }')
+    prompt = build_prompt(build_eval_item("t", p, [7]))
+    assert format_program(p).rstrip("\n") in prompt
+    assert prompt.count("[7]") == 1
+
+
+@pytest.mark.parametrize("char", ["\u2028", "\u2029", "\x85"], ids=["U+2028", "U+2029", "U+0085"])
+def test_oracle_scores_values_holding_a_unicode_line_break(char):
+    """Only a line feed ends a line: the answer line keeps these characters raw."""
+    items = [
+        build_eval_item("input", parse_program("fn f(s) { n = len(s) return n }"), ["a%sb" % char]),
+        build_eval_item("variable", parse_program('fn f(a) { s = "x%sy" return a }' % char), [1]),
+    ]
+    assert run_eval(items, oracle_predictor_for(items)).exact_at_1 == 1.0
+
+
+def test_prediction_ending_in_crlf_parses():
+    pred = parse_prediction('reasoning\r\n{"final_output": 1, "variables": {"a": "x\u2028y"}}\r\n')
+    assert pred.final_output == 1 and pred.variables == {"a": "x\u2028y"}
 
 
 def test_oracle_predictor_scores_perfectly():

@@ -415,6 +415,23 @@ COLD_STATEMENTS = [
     "n = 0 while {} {{ n = n + 1 if n == 2 {{ return n }} }} return n",
     "return {}",
 ]
+# Every variant of the generated control flow: an if with an empty block, a
+# loop body that reads the operand or holds an if of a jump, and a jump
+# outside any loop.  An empty while body is reached only when its condition
+# is not true, so that it ends.
+COLD_STATEMENTS += [
+    "if {} {{ a = 7 }} return a",
+    "if {0} {{ }} else {{ a = 7 }} if {0} {{ }} return a",
+    "if ({0}) == true {{ a = 7 }} else {{ while {0} {{ }} }} return a",
+    "for i in range(0, 2) {{ x = {} }} return x",
+    "n = 0 while n < 3 {{ n = n + 1 if {} {{ break }} }} return n",
+    "n = 0 while n < 3 {{ n = n + 1 if {} {{ continue }} a = n }} return a",
+    "n = 0 while n < 3 {{ n = n + 1 if {} {{ return n }} }} return a",
+    "n = 0 for i in range(0, 3) {{ n = i if {} {{ break }} }} return n",
+    "n = 0 for i in range(0, 3) {{ if {} {{ continue }} n = n + i }} return n",
+    "n = 0 for i in range(0, 3) {{ if {} {{ return i }} n = i }} return n",
+    "if {} {{ break }} else {{ continue }} return 0",
+]
 COLD_INPUTS = [[1, 0, True, False, [4, 5, 6]], ["s", 0, True, False, [4, 5, 6]]]
 
 
