@@ -35,6 +35,8 @@ from .lang import (
 )
 from .tracer import (
     MimRuntimeError,
+    ReferenceTimeout,
+    STATUS_BUDGET,
     STATUS_ERROR,
     STATUS_RETURNED,
     execute,
@@ -260,7 +262,8 @@ class CampaignResult:
 def differential_campaign(n_programs: int, seed: int = 0) -> CampaignResult:
     """Generate programs and compare the step interpreter against the
     independent big-step evaluator on status, return value, and final
-    variable values, and check the full trajectory against the final map."""
+    variable values, and check the full trajectory against the final map.
+    A program on which the evaluator times out must exhaust the step budget."""
     rng = np.random.default_rng(seed)
     fuzzer = ProgramFuzzer(rng)
     mismatches: List[str] = []
@@ -277,6 +280,10 @@ def differential_campaign(n_programs: int, seed: int = 0) -> CampaignResult:
                 mismatches.append("%s: reference raised %s, step run %s" % (label, err.kind, rec.status))
             elif rec.error_kind != err.kind:
                 mismatches.append("%s: error kind %s vs %s" % (label, rec.error_kind, err.kind))
+            continue
+        except ReferenceTimeout:
+            if rec.status != STATUS_BUDGET:
+                mismatches.append("%s: reference timed out, step run %s" % (label, rec.status))
             continue
         if rec.status != STATUS_RETURNED:
             mismatches.append("%s: reference returned, step run %s" % (label, rec.status))

@@ -6,10 +6,11 @@ condition check, and each ``for`` loop-variable binding.  Evaluating an
 expression is not a step.  Runtime errors are recorded in the returned
 :class:`ExecutionRecord`, never raised past :func:`execute`, which compiles
 the program into closures for each call and runs hot loops in kernels kept
-per loop shape (:class:`_Compiler`): a ``for`` over more than ``HOT`` values
-from its head, a ``while`` loop after ``HOT`` iterations.  One renderer
-generates both from the same fragments, control flow included; a closure's
-maker is compiled once per statement or expression shape.
+per loop shape and variable pattern (:class:`_Compiler`): a ``for`` over
+more than ``HOT`` values from its head, a ``while`` loop after ``HOT``
+iterations.  A kernel keeps the loop's variables in Python locals.  One
+renderer generates both from the same fragments, control flow included; a
+closure's maker is compiled once per statement or expression shape.
 """
 
 from __future__ import annotations
@@ -17,6 +18,7 @@ from __future__ import annotations
 import itertools
 import math
 import operator
+import re
 from dataclasses import dataclass, field
 from functools import partial
 from typing import Dict, List, NamedTuple, Optional, Sequence
@@ -198,7 +200,9 @@ def _call(func, args, loc) -> Value:
 
 # The fragments: source that leaves one node's value in ``r{n}``, from its
 # operands ``{0}``, ``{1}`` and its ``_NAMES``, each suffixed by ``{n}``; an
-# error carries ``{loc}``.  :func:`_render` inlines them into both tiers.
+# error carries ``{loc}``.  A store to the variable that a name of
+# ``_VARIABLES`` holds is written ``{target} = ...`` or ``{var} = ...``.
+# :func:`_render` inlines them into both tiers.
 _BINOP = """\
 a{n}, b{n} = {0}, {1}
 if (type(a{n}) is not int or type(b{n}) is not int or divides{n} and not b{n}
@@ -212,17 +216,17 @@ else:
     r{n} = _index(base{n}, idx{n}, {loc})"""
 _LEN = """\
 v{n} = {0}
-r{n} = len(v{n}) if isinstance(v{n}, (list, MimSet, str)) else _call("len", [v{n}], {loc})"""
+r{n} = len(v{n}) if type(v{n}) is list or isinstance(v{n}, (list, MimSet, str)) else _call("len", [v{n}], {loc})"""
+# an append or indexed write to the list {0}, the variable ``target`` names
 _WRITE = """\
-r{n} = env[target{n}]
-if not isinstance(r{n}, list):
+r{n} = {0}
+if type(r{n}) is not list and not isinstance(r{n}, list):
     raise MimRuntimeError(E_TYPE, ("indexed assignment" if indexed{n} else "append") + " needs a list", {loc})
 if indexed{n}:
-    idx{n} = {0}
+    idx{n} = {1}
     if type(idx{n}) is not int or not 0 <= idx{n} < len(r{n}):
         _index(r{n}, idx{n}, {loc})  # raises the type or range error
-item{n} = {1}
-owned.pop(ends{n}, None)
+item{n} = {2}
 if owned.get(target{n}) is not r{n}:
     r{n} = owned[target{n}] = list(r{n})
 if indexed{n}:
@@ -237,20 +241,21 @@ def _indent(text):
 
 # The statements: fragments that take their own ``loc``, whose ``{i}`` alone
 # on a line is a statement list.  Each inlines its step check, its event and
-# the conversion of an unbound variable's ``KeyError`` at its ``loc``; a loop
-# runs over the iterator ``it`` and ends on a ``_Break``.
+# the conversion of an unbound variable's error (``_UNBOUND``) at its
+# ``loc``; a loop runs over the iterator ``it`` and ends on a ``_Break``.
 _STEP = "if steps >= budget:\n    raise _Budget()\nsteps += 1\n"
+_UNBOUND = (KeyError, NameError)  # what reading an unbound variable raises: env, or a kernel's local
 _EVENT = "if trajectory is not None:\n    trajectory.append(StepEvent(steps, {loc}, %s))\n"
 _DEFINE = _STEP + """try:
-    env[target{n}] = r{n} = {0}
-except (MimRuntimeError, KeyError) as err:
+    {target} = r{n} = {0}
+except (MimRuntimeError, *_UNBOUND) as err:
 """ + _indent(_EVENT % "None, None") + """\
-    raise (_undefined(err, {loc}) if type(err) is KeyError else err) from None
+    raise (err if type(err) is MimRuntimeError else _undefined(err, {loc})) from None
 """ + _EVENT
 _SET, _SET_LIST = (_DEFINE % ("target{n}, " + record) for record in ("r{n}", "list(r{n})"))
 _HEAD = _STEP + _EVENT % "None, None" + """try:
     r{n} = {0}
-except KeyError as err:
+except _UNBOUND as err:
     raise _undefined(err, {loc}) from None
 """
 _IF = _HEAD + """if r{n} is True:
@@ -266,7 +271,7 @@ _WHILE = "for _ in it:\n" + _indent(_HEAD + """if r{n} is not True:
         return
     raise MimRuntimeError(E_TYPE, "while condition must be a boolean", {loc})
 """ + _BODY % 1) + "return True"
-_FOR = "for i in it:\n" + _indent(_STEP + "env[var{n}] = i\n" + _EVENT % "var{n}, i" + _BODY % 0)
+_FOR = "for i in it:\n" + _indent(_STEP + "{var} = i\n" + _EVENT % "var{n}, i" + _BODY % 0)
 _JUMP = _HEAD + "raise signal{n}(r{n})"  # a _Return, _Break or _Continue, or an error
 # A statement list of the cold tier: the closures in the list {0}, which {1}
 # compiles them into on its first run; they keep the step count in ``run.steps``.
@@ -277,45 +282,77 @@ try:
 finally:
     steps = run.steps"""
 # the names a fragment takes besides its operands, each suffixed like its locals
-_NAMES = {_BINOP: "op fast divides", _WRITE: "target indexed ends", _SET: "loc target", _SET_LIST: "loc target",
+_NAMES = {_BINOP: "op fast divides", _WRITE: "target indexed", _SET: "loc target", _SET_LIST: "loc target",
           _IF: "loc", _WHILE: "loc", _FOR: "loc var", _JUMP: "loc signal"}
-_KERNEL = """def kernel(run, %s, it):
+_VARIABLES = ("target", "var")  # the names that hold a variable's name
+_KERNEL = """def kernel(run, names, %s, it):
     env, owned, trajectory, budget, steps = run.env, run.owned, run.trajectory, run.budget, run.steps
-    try:
+%s    try:
 %s
     finally:
         run.steps = steps
-"""
+%s"""
 _STORED = "stored"  # the shape of a variable an assignment stores: its ownership ends
 
 HOT = 16  # a for over more values starts in its kernel; a while moves there after this many iterations
 KERNEL_DEPTH = 3  # operator, index and len nodes a kernel inlines below a statement
-# Kernels by loop shape.  Far above the ~10 hot shapes of the template
-# workloads (a train-loops run compiles 7), so that a dataset of many
-# templates keeps its kernels; a cycle of more shapes than this recompiles
-# on every lookup (values.Memo admits a key on its second lookup).
+# Kernels by loop shape and variable pattern.  Far above the 7 keys that a
+# train-loops run keeps (train-repeat and tools reach none), so that a
+# dataset of many templates keeps its kernels; a cycle of more keys than
+# this recompiles on every lookup (values.Memo admits a key on its second
+# lookup).
 KERNEL_CAPACITY = 128
 _KERNELS = Memo(KERNEL_CAPACITY)
+_POSITIONS = Memo(KERNEL_CAPACITY)  # the positions of a loop shape's variable operands (_render)
 
 
-def _render(shape, loc, pad):
+def _written(held, pad):
+    """The lines that write a kernel's locals ``held`` to ``env``."""
+    return ["%senv[names[%d]] = local%d" % (pad, k, k) for k in held]
+
+
+def _render(shape, loc, pad, pattern=None, held=()):
     """The names of the operands of ``shape`` (in :meth:`_Compiler.lower`'s
-    order) and the lines at indentation ``pad`` that leave its value in ``r0``;
-    ``loc`` names the location of errors outside a statement."""
-    params, lines, nodes = [], [], itertools.count()
+    order), the lines at indentation ``pad`` that leave its value in ``r0``,
+    and the positions of its variable operands, those that name a variable;
+    ``loc`` names the location of errors outside a statement.
+
+    Without a ``pattern`` each variable is read and stored as a subscript of
+    ``env``, as the cold tier does.  A kernel's ``pattern`` is the local
+    ``local{k}`` of each variable operand, in order.  The locals ``held`` are
+    bound at entry and kept apart from ``env`` (a closure call, which reads
+    ``env`` itself, writes them there first); a store to any other local
+    writes ``env`` too, so ``env`` gains the variable when the cold tier's
+    would and a read of it while unbound raises ``NameError``."""
+    params, lines, variables, nodes, slots = [], [], [], itertools.count(), iter(pattern or ())
+
+    def variable(x):
+        """How the variable that the operand ``x`` names is read, and stored."""
+        variables.append(params.index(x))
+        if pattern is None:
+            return "env[%s]" % x, "env[%s]" % x
+        k = next(slots)
+        local = "local%d" % k
+        return local, local if k in held else "env[%s] = %s" % (x, local)
 
     def emit(key, loc, pad):
         """Append the lines that compute ``key`` at indentation ``pad``; return what reads its value."""
         if type(key) is not tuple:  # a leaf operand
             x = "x%d" % len(params)
             params.append(x)
+            if key is Literal:
+                return x
+            if key is None:
+                lines.extend(_written(held, pad))
+                return x + "()"
             if key is _STORED:
                 lines.append("%sowned.pop(%s, None)" % (pad, x))
-            return x if key is Literal else x + "()" if key is None else "env[%s]" % x
+            return variable(x)[0]
         text, kids, n = key[0], key[1:], next(nodes)
-        names = _NAMES.get(text, "")
-        params.extend(name + str(n) for name in names.split())
-        loc = "loc%d" % n if names.startswith("loc") else loc
+        names = _NAMES.get(text, "").split()
+        params.extend(name + str(n) for name in names)
+        stores = {name: variable(name + str(n))[1] for name in names if name in _VARIABLES}
+        loc = "loc%d" % n if names[:1] == ["loc"] else loc
         for line in text.splitlines():
             indent = pad + " " * (len(line) - len(line.lstrip()))
             holes = [i for i in range(len(kids)) if "{%d}" % i in line]
@@ -333,39 +370,50 @@ def _render(shape, loc, pad):
                     lines[mark:mark] = ["%st%d_%d = %s" % (indent, n, j, reads[j]) for j in early]
                     reads.update((j, "t%d_%d" % (n, j)) for j in early)
                 reads[i] = read
-            lines.append(pad + line.format(*map(reads.get, range(len(kids))), n=n, loc=loc))
+            lines.append(pad + line.format(*map(reads.get, range(len(kids))), n=n, loc=loc, **stores))
         return "r%d" % n
 
     emit(shape, loc, pad)
-    return params, lines
+    return params, lines, tuple(variables)
 
 
-def _kernel(shape):
-    """Compile the kernel of a loop of ``shape`` (:meth:`_Compiler.kernel`),
-    ``kernel(run, *operands, it)``; ``it`` is the iterator the loop runs over."""
-    params, lines = _render(shape, None, " " * 8)
-    exec(_KERNEL % (", ".join(params), "\n".join(lines)), globals(), ns := {})
+def _kernel(key):
+    """Compile the kernel of ``key`` (:meth:`_Compiler.kernel`), a loop's
+    shape, the local of each variable operand (its name's number in
+    first-seen order) and whether each local's variable was bound at entry,
+    as ``kernel(run, names, *operands, it)``: ``names`` are the locals'
+    variables and ``it`` is the iterator the loop runs over."""
+    shape, pattern, bound = key
+    held = [k for k in range(len(bound)) if bound[k]]
+    params, lines, _ = _render(shape, None, " " * 8, pattern, held)
+    loads = "".join("    local%d = env[names[%d]]\n" % (k, k) for k in held)
+    source = _KERNEL % (", ".join(params), loads, "\n".join(lines), "\n".join(_written(held, " " * 8)))
+    exec(source, globals(), ns := {})
     return ns["kernel"]
 
 
 _MAKER = """def make(run, %s, loc):
-    env, owned, trajectory, budget = run.env, run.owned, run.trajectory, run.budget
-    def closure(it=None):
+%s    def closure(it=None):
 %s
     return closure
 """
 _STEPS = "steps = run.steps\ntry:\n%sfinally:\n    run.steps = steps"
+_RUN = ("env", "owned", "trajectory", "budget")  # the run's state a closure may read
 
 
 def _maker(shape):
     """Compile the closure maker of a statement or expression of ``shape``,
     ``make(run, *operands, loc)``: an expression's closure returns the
     fragment's value; a statement's keeps the step count in ``steps``, as a
-    kernel does, and a loop's runs over its argument ``it``."""
-    params, lines = _render(shape, "loc", "")
+    kernel does, and a loop's runs over its argument ``it``.  The maker
+    binds only the state of the run that its closure reads."""
+    params, lines, _ = _render(shape, "loc", "")
     body = "\n".join(lines) + "\n"
     body = _STEPS % _indent(body) if _NAMES.get(shape[0], "").startswith("loc") else body + "return r0"
-    exec(_MAKER % (", ".join(params), _indent(_indent(body))), globals(), ns := {})
+    words = set(re.findall(r"\w+", body))
+    state = [name for name in _RUN if name in words]
+    bind = "    %s = %s\n" % (", ".join(state), ", ".join("run." + name for name in state)) if state else ""
+    exec(_MAKER % (", ".join(params), bind, _indent(_indent(body))), globals(), ns := {})
     return ns["make"]
 
 
@@ -378,8 +426,10 @@ def _maker(shape):
 _MAKERS: Dict[tuple, object] = {}
 
 
-def _undefined(err: KeyError, loc) -> MimRuntimeError:
-    return MimRuntimeError(E_UNDEF, "undefined variable %r" % err.args[0], loc)
+def _undefined(err, loc) -> MimRuntimeError:
+    """``E_UNDEF`` for ``err``, raised by reading an unbound variable (``_UNBOUND``)."""
+    return MimRuntimeError(E_UNDEF, "undefined variable %r" % err.args[0] if type(err) is KeyError
+                           else "undefined variable", loc)
 
 
 class _Compiler:
@@ -390,8 +440,8 @@ class _Compiler:
     is compiled.  Nested blocks are compiled the first time they run, to a
     list of statement closures that ``if``, the loops and :func:`execute`
     run inline.  A variable or literal operand is read in place (:meth:`lower`);
-    an unbound variable raises ``KeyError``, which the statement that read
-    it turns into ``E_UNDEF``.
+    an unbound variable raises ``KeyError`` (in a kernel, ``NameError``),
+    which the statement that read it turns into ``E_UNDEF``.
 
     Lists are copy-on-write: ``owned`` maps a variable to the list that only
     it holds, one its own ``append`` or indexed write made.  Such a list is
@@ -411,9 +461,15 @@ class _Compiler:
     (:meth:`kernel`), and a ``while`` activation that completes :data:`HOT`
     iterations runs the rest there, if the body holds only definitions and
     ``if``s of them: one Python loop for the loop's :meth:`shape`, lowered
-    :data:`KERNEL_DEPTH` deep, on the run's own ``env``, ``owned`` and step
-    count, kept per shape in one ``values.Memo`` of :data:`KERNEL_CAPACITY`
-    shapes.
+    :data:`KERNEL_DEPTH` deep, on the run's own ``owned`` and step count.
+    Each variable the loop reads or writes is a Python local of the kernel,
+    loaded from ``env`` on entry and written back on exit; a variable
+    unbound at entry is written to ``env`` at each store too, so ``env``
+    keeps the cold tier's order of first definitions.  Kernels are kept per
+    shape and variable pattern (which variable operands name the same
+    variable, and which of those were bound at entry), so loops that differ
+    only in their names share one, in one ``values.Memo`` of
+    :data:`KERNEL_CAPACITY` keys.
     """
 
     __slots__ = ("env", "owned", "trajectory", "budget", "steps")
@@ -465,15 +521,15 @@ class _Compiler:
     def definition(self, s, operands, depth):
         """The shape of an assignment, ``append`` or indexed write, its operand
         nodes lowered ``depth`` deep; its operands go to ``operands``, with a
-        write's names (``ends``: a variable the write stores)."""
-        loc, value = s.loc, s.value
+        write's names and the list it writes to."""
+        loc, value, target = s.loc, s.value, s.target
         if type(s) is Assign:
-            operands += (loc, s.target)
+            operands += (loc, target)
             return _SET, self.lower(value, loc, operands, True, depth)
         indexed = type(s) is IndexAssign
-        operands += (loc, s.target, s.target, indexed, value.name if type(value) is Var else None)
-        return _SET_LIST, (_WRITE, self.lower(s.index if indexed else _ONE, loc, operands, False, depth),
-                           self.lower(value, loc, operands, False, depth))
+        operands += (loc, target, target, indexed, target)
+        return _SET_LIST, (_WRITE, Var, self.lower(s.index if indexed else _ONE, loc, operands, False, depth),
+                           self.lower(value, loc, operands, True, depth))
 
     def shape(self, body, operands):
         """The shape of a loop body in a kernel: its syntax without names,
@@ -505,7 +561,10 @@ class _Compiler:
                 shape = _FOR, self.shape(loop.body, operands)
         except _Cold:
             return False
-        return partial(_KERNELS.get(shape, lambda: _kernel(shape)), self, *operands)
+        variables = tuple(map(operands.__getitem__, _POSITIONS.get(shape, lambda: _render(shape, None, "")[2])))
+        names = tuple(dict.fromkeys(variables))
+        key = shape, tuple(map(names.index, variables)), tuple(map(self.env.__contains__, names))
+        return partial(_KERNELS.get(key, lambda: _kernel(key)), self, names, *operands)
 
     def block(self, body, in_loop: bool):
         return [self._STMTS[type(s)](self, s, in_loop) for s in body]

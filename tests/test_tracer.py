@@ -239,6 +239,24 @@ def test_differential_campaign_clean():
     assert result.returned >= 150
 
 
+@pytest.mark.parametrize(
+    "src,status",
+    [("fn f(a) { while true { a = a + 0 } return a }", STATUS_BUDGET),
+     ("fn f(a) { n = 0 while n < 200 { n = n + 1 } return n }", STATUS_RETURNED),
+     ("fn f(a) { n = 0 while n < 200 { n = n + 1 } return n // 0 }", STATUS_ERROR)],
+    ids=["budget", "returned", "error"],
+)
+def test_differential_campaign_agrees_with_a_reference_timeout_only_on_a_budget_overrun(monkeypatch, src, status):
+    """The reference evaluator times out on each program; only the step run
+    that exhausts its budget agrees with that, and the campaign goes on."""
+    monkeypatch.setattr(tracer, "_REF_CAP", 100)
+    monkeypatch.setattr(ProgramFuzzer, "program", lambda self: parse_program(src))
+    result = differential_campaign(2, seed=1)
+    assert result.total == 2 and result.returned == 0
+    assert result.mismatches == ([] if status == STATUS_BUDGET else
+                                 ["program %d: reference timed out, step run %s" % (k, status) for k in range(2)])
+
+
 def test_fuzzer_programs_mostly_terminate():
     rng = np.random.default_rng(5)
     fuzzer = ProgramFuzzer(rng)
@@ -496,6 +514,34 @@ CONTROL_FLOW = [
 COLD_SHAPES = [(src, inputs) for src in cold_programs(COLD_ATOMS, [(x, y) for x in COLD_ATOMS for y in COLD_ATOMS])
                for inputs in COLD_INPUTS]
 CONTROL_FLOW += COLD_SHAPES
+
+# Loops whose kernels keep variables apart from the environment: one list
+# under two names, a variable first defined in the body (in straight-line
+# code and inside an if), a variable read before it is assigned in the same
+# iteration while unbound at entry, and closure calls (min, abs, a negation)
+# that read variables the body writes.
+KERNEL_LOCALS = [
+    "fn f(xs) { append(xs, 0) ys = xs for k in range(0, 4) { append(xs, k) ys[0] = k append(ys, xs[1]) } "
+    "return [xs, ys] }",
+    "fn f(xs) { xs = [1] append(xs, 2) ys = xs k = 0 while k < 4 { xs[0] = k append(ys, k) ys[1] = xs[0] k = k + 1 } "
+    "return [xs, ys] }",
+    "fn f(xs) { ys = [] for k in range(0, 4) { ys = xs append(ys, k) xs[0] = k } return [xs, ys] }",
+    "fn f(xs) { ys = [] k = 0 while k < 4 { append(xs, k) ys = xs ys[0] = k append(xs, ys[1]) k = k + 1 } "
+    "return [xs, ys] }",
+    "fn f(xs) { for k in range(0, 4) { a = k b = a + 1 } return [a, b] }",
+    "fn f(xs) { k = 0 while k < 4 { a = k b = a + 1 k = k + 1 } return [a, b] }",
+    "fn f(xs) { for k in range(0, 4) { if k > 0 { b = k } a = k } return [a, b] }",
+    "fn f(xs) { k = 0 while k < 4 { if k == 0 { b = k } a = k k = k + 1 } return [a, b] }",
+    "fn f(xs) { k = 0 while k < 4 { if k == 2 { b = k } a = k k = k + 1 } return [a, b] }",
+    "fn f(xs) { for k in range(0, 4) { if k > 0 { c = c + k } c = k } return c }",
+    "fn f(xs) { k = 0 while k < 4 { k = k + 1 if k > 2 { d = d + 1 } d = k } return d }",
+    "fn f(xs) { for k in range(0, 4) { c = c + k c = k } return c }",
+    "fn f(xs) { k = 0 while k < 4 { if k > 0 { append(zs, k) } zs = [] k = k + 1 } return zs }",
+    "fn f(xs) { t = 0 for k in range(0, 5) { t = t + k m = min(t, 6) n = abs(m - 9) } return [t, m, n] }",
+    "fn f(xs) { t = 1 k = 0 while k < 5 { t = t + k u = -t k = k + 1 } return [t, u] }",
+    "fn f(xs) { for k in range(0, 4) { append(xs, k) m = min(xs) n = max(m, k) } return [xs, m, n] }",
+]
+CONTROL_FLOW += [(src, [[5, 6]]) for src in KERNEL_LOCALS]
 
 
 @pytest.mark.parametrize("src,inputs", CONTROL_FLOW)
@@ -763,6 +809,33 @@ def test_short_loops_never_look_up_a_kernel(tiers):
         for mode in MODES:
             assert execute(fold, [list(range(1, n + 1)), 2], mode=mode).return_value == math.factorial(n) * 2 + 2
     assert lookups == []
+
+
+# two loops that differ only in their variable names, and one that reads
+# another variable where they read the one they write
+KERNEL_KEYS = [
+    ("fn f(out, ys) { j = 0 while j < len(out) { out[j] = out[j] + 1 j = j + 1 } return out }", "same"),
+    ("fn f(zs, ws) { i = 0 while i < len(zs) { zs[i] = zs[i] + 1 i = i + 1 } return zs }", "same"),
+    ("fn f(out, ys) { j = 0 while j < len(out) { out[j] = ys[j] + 1 j = j + 1 } return out }", "other"),
+]
+
+
+@pytest.mark.parametrize("order", [(0, 1, 2), (2, 1, 0), (0, 2, 1)])
+def test_kernel_key_is_the_loop_shape_and_its_variable_pattern(monkeypatch, order):
+    """A kernel is compiled for a new variable pattern, not for new names;
+    in any order each program matches the tree walker."""
+    monkeypatch.setattr(tracer, "HOT", 0)
+    compiled = []
+    compile_kernel = tracer._kernel
+    monkeypatch.setattr(tracer, "_kernel", lambda key: compiled.append(key) or compile_kernel(key))
+    tracer._KERNELS.clear()
+    patterns = set()
+    for k in order:
+        src, pattern = KERNEL_KEYS[k]
+        assert_matches_tree_walker(parse_program(src), [[1, 2, 3], [4, 5, 6]])
+        patterns.add(pattern)
+        assert len(set(compiled)) == len(patterns)
+    assert len({shape for shape, _, _ in compiled}) == 1
 
 
 def shape_program(k, bits):
