@@ -111,6 +111,16 @@ class TraceItem:
     def jsonl_line(self) -> str:
         return json.dumps(self.to_record()) + "\n"
 
+    @cached_property
+    def prompt(self) -> str:
+        """The verbatim prompt template filled for this item, in one pass over
+        the template, so that a placeholder's text in the code stays as it is."""
+        fills = {"function_name": self.p_fail.name,
+                 "variable_names": ", ".join('"%s"' % v for v in self.variables),
+                 "code": format_program(self.p_fail).rstrip("\n"),
+                 "input": canonical_serialize(self.input)}
+        return _PLACEHOLDER.sub(lambda m: fills[m.group(1)], prompt_template())
+
     @classmethod
     def from_record(cls, rec: dict, budget: int = DEFAULT_BUDGET) -> "TraceItem":
         """A failure-buffer record, by :func:`decode_item`; its id is
@@ -213,13 +223,8 @@ _PLACEHOLDER = re.compile(r"\{(function_name|variable_names|code|input)\}")
 
 
 def build_prompt(item: TraceItem) -> str:
-    """Fill the verbatim prompt template for one eval item, in one pass over
-    the template, so that a placeholder's text in the code stays as it is."""
-    fills = {"function_name": item.p_fail.name,
-             "variable_names": ", ".join('"%s"' % v for v in item.variables),
-             "code": format_program(item.p_fail).rstrip("\n"),
-             "input": canonical_serialize(item.input)}
-    return _PLACEHOLDER.sub(lambda m: fills[m.group(1)], prompt_template())
+    """The prompt of one eval item, built once (``TraceItem.prompt``)."""
+    return item.prompt
 
 
 @dataclass

@@ -4,11 +4,21 @@ The generator builds programs that terminate by construction: every loop is
 either a literal-bounded for or a counter-guarded while, indices are reduced
 modulo the list length, and integer assignments wrap to a small range so no
 arithmetic can overflow.
+
+The randomness is the caller's ``np.random.Generator``, which must run on
+``PCG64`` (``default_rng``'s).  The fuzzer reads its raw 64-bit words in
+blocks and turns them into exactly the draws that numpy 2.4.6's
+``Generator.integers`` and ``Generator.random`` would give (:class:`_Draws`),
+and gives the generator back in the state those draws would have left it in.
+So a seed gives the same programs and inputs as drawing through numpy, and a
+caller that draws from the same generator between programs sees numpy's
+stream too.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import wraps
 from typing import List, Tuple
 
 import numpy as np
@@ -75,16 +85,105 @@ def _int_lit(v: int):
     return Literal(v)
 
 
+_BLOCK = 64  # raw words read at a time; a program takes about 70
+_HALF = 0xFFFFFFFF
+
+
+class _Draws:
+    """numpy's random stream of a ``Generator`` on ``PCG64``, drawn from the
+    bit generator's raw 64-bit words, :data:`_BLOCK` at a time.
+
+    :meth:`integers` is numpy's ``Generator.integers`` (``int64``) for up to
+    ``2**32`` values: Lemire's rejection on 32-bit draws, where a word gives
+    its low half first and keeps its high half for the next 32-bit draw in
+    ``uinteger`` (numpy's buffer, with its flag ``has_uint32``).
+    :meth:`random` is ``Generator.random``: ``(word >> 11) * 2**-53``.
+
+    Draws happen between :meth:`open`, which reads the generator's state,
+    and :meth:`close`, which leaves the generator in the state numpy's own
+    draws would have left: the state read, advanced by the words used, with
+    the buffer as the draws left it."""
+
+    __slots__ = ("bitgen", "start", "words", "read", "has_uint32", "uinteger")
+
+    def __init__(self, rng: np.random.Generator):
+        bitgen = rng.bit_generator
+        if type(bitgen) is not np.random.PCG64:
+            raise TypeError("the fuzzer draws from a PCG64 generator, not %s" % type(bitgen).__name__)
+        self.bitgen = bitgen
+
+    def open(self):
+        self.start = state = self.bitgen.state
+        self.has_uint32, self.uinteger = state["has_uint32"], state["uinteger"]
+        self.words, self.read = [], 0  # the words read and not used, last first
+
+    def close(self):
+        bitgen = self.bitgen
+        bitgen.state = self.start
+        bitgen.advance(self.read - len(self.words))  # and zeroes the buffer
+        if self.has_uint32 or self.uinteger:
+            state = bitgen.state
+            state["has_uint32"], state["uinteger"] = self.has_uint32, self.uinteger
+            bitgen.state = state
+
+    def word(self) -> int:
+        words = self.words
+        if not words:
+            words += self.bitgen.random_raw(_BLOCK)[::-1].tolist()
+            self.read += _BLOCK
+        return words.pop()
+
+    def integers(self, low: int, high=None) -> int:
+        """An int in ``[low, high)``, or in ``[0, low)`` without ``high``."""
+        if high is None:
+            low, high = 0, low
+        span = high - low
+        if span == 1:
+            return low  # draws nothing
+        if not 1 < span <= 1 << 32:
+            raise ValueError("integers draws from 1 to 2**32 values, not %d" % span)
+        threshold = (1 << 32) % span  # numpy's (UINT32_MAX - rng) % rng_excl
+        while True:
+            if self.has_uint32:
+                self.has_uint32 = 0
+                m = self.uinteger * span
+            else:
+                word = self.word()
+                self.has_uint32, self.uinteger = 1, word >> 32
+                m = (word & _HALF) * span
+            if m & _HALF >= threshold:
+                return low + (m >> 32)
+
+    def random(self) -> float:
+        """A float in ``[0, 1)``."""
+        return (self.word() >> 11) * 2.0 ** -53
+
+
+def _synced(method):
+    """``method`` of a :class:`ProgramFuzzer`, drawing between its draw
+    source's ``open`` and ``close``."""
+
+    @wraps(method)
+    def synced(self, *args):
+        self.draws.open()
+        try:
+            return method(self, *args)
+        finally:
+            self.draws.close()
+
+    return synced
+
+
 class ProgramFuzzer:
     """Deterministic random generator of terminating MiniImp programs."""
 
     def __init__(self, rng: np.random.Generator):
-        self.rng = rng
+        self.draws = _Draws(rng)
 
     # --- expressions ---
 
     def int_expr(self, scope: _Scope, depth: int = 0):
-        r = self.rng
+        r = self.draws
         choices = ["lit", "lit"]
         if scope.int_vars:
             choices += ["var", "var", "var"]
@@ -92,22 +191,22 @@ class ProgramFuzzer:
             choices += ["binop", "binop", "call"]
             if scope.list_vars:
                 choices += ["len", "index"]
-        kind = choices[int(r.integers(len(choices)))]
+        kind = choices[r.integers(len(choices))]
         if kind == "lit":
-            return _int_lit(int(r.integers(-20, 21)))
+            return _int_lit(r.integers(-20, 21))
         if kind == "var":
-            return Var(scope.int_vars[int(r.integers(len(scope.int_vars)))])
+            return Var(scope.int_vars[r.integers(len(scope.int_vars))])
         if kind == "binop":
-            op = ("+", "-", "*", "//", "%")[int(r.integers(5))]
+            op = ("+", "-", "*", "//", "%")[r.integers(5)]
             left = self.int_expr(scope, depth + 1)
             if op in ("//", "%"):
                 # nonzero literal denominator rules out division by zero
-                right = Literal(int(r.integers(2, 10)))
+                right = Literal(r.integers(2, 10))
             else:
                 right = self.int_expr(scope, depth + 1)
             return BinOp(op, left, right)
         if kind == "call":
-            fn = ("abs", "min", "max")[int(r.integers(3))]
+            fn = ("abs", "min", "max")[r.integers(3)]
             if fn == "abs":
                 return Call("abs", (self.int_expr(scope, depth + 1),))
             return Call(fn, (self.int_expr(scope, depth + 1), self.int_expr(scope, depth + 1)))
@@ -118,29 +217,29 @@ class ProgramFuzzer:
         return Index(Var(name), BinOp("%", self.int_expr(scope, depth + 1), Call("len", (Var(name),))))
 
     def bool_expr(self, scope: _Scope, depth: int = 0):
-        r = self.rng
+        r = self.draws
         if depth < 1 and r.random() < 0.3:
-            op = ("and", "or")[int(r.integers(2))]
+            op = ("and", "or")[r.integers(2)]
             return BinOp(op, self.bool_expr(scope, depth + 1), self.bool_expr(scope, depth + 1))
         if depth < 1 and r.random() < 0.15:
             return UnaryOp("not", self.bool_expr(scope, depth + 1))
-        cmp_op = ("==", "!=", "<", "<=", ">", ">=")[int(r.integers(6))]
+        cmp_op = ("==", "!=", "<", "<=", ">", ">=")[r.integers(6)]
         return BinOp(cmp_op, self.int_expr(scope, 1), self.int_expr(scope, 1))
 
     def float_expr(self, scope: _Scope):
         # floats never feed back into floats, so magnitudes stay finite
-        r = self.rng
+        r = self.draws
         if scope.float_vars and r.random() < 0.3:
             return Var(self._pick(scope.float_vars))
-        return BinOp("/", self.int_expr(scope, 1), Literal(int(r.integers(2, 10))))
+        return BinOp("/", self.int_expr(scope, 1), Literal(r.integers(2, 10)))
 
     def _pick(self, names: List[str]) -> str:
-        return names[int(self.rng.integers(len(names)))]
+        return names[self.draws.integers(len(names))]
 
     # --- statements ---
 
     def statement(self, scope: _Scope, depth: int, in_loop: bool, allow_continue: bool):
-        r = self.rng
+        r = self.draws
         choices = ["assign", "assign", "assign"]
         if scope.list_vars:
             choices += ["append", "index_assign"]
@@ -153,7 +252,7 @@ class ProgramFuzzer:
             choices.append("break")
         if in_loop and allow_continue and r.random() < 0.1:
             choices.append("continue")
-        kind = choices[int(r.integers(len(choices)))]
+        kind = choices[r.integers(len(choices))]
 
         if kind == "assign":
             if scope.int_vars and r.random() < 0.6:
@@ -171,12 +270,12 @@ class ProgramFuzzer:
             return [Assign(name, expr)]
         if kind == "new_list":
             name = scope.fresh("l")
-            items = tuple(_int_lit(int(r.integers(-9, 10))) for _ in range(int(r.integers(2, 6))))
+            items = tuple(_int_lit(r.integers(-9, 10)) for _ in range(r.integers(2, 6)))
             scope.list_vars.append(name)
             return [Assign(name, ListLit(items))]
         if kind == "set_assign":
             name = scope.fresh("s")
-            items = tuple(_int_lit(int(r.integers(-5, 6))) for _ in range(int(r.integers(1, 5))))
+            items = tuple(_int_lit(r.integers(-5, 6)) for _ in range(r.integers(1, 5)))
             return [Assign(name, SetLit(items))]
         if kind == "append":
             return [Append(self._pick(scope.list_vars), _wrap(self.int_expr(scope)))]
@@ -191,9 +290,9 @@ class ProgramFuzzer:
         if kind == "for":
             var = scope.fresh("i")
             scope.int_vars.append(var)
-            start = Literal(int(r.integers(0, 3)))
-            stop = Literal(int(r.integers(1, 7)))
-            step = Literal(int(r.integers(1, 3))) if r.random() < 0.3 else None
+            start = Literal(r.integers(0, 3))
+            stop = Literal(r.integers(1, 7))
+            step = Literal(r.integers(1, 3)) if r.random() < 0.3 else None
             body = self.block(scope, depth + 1, True, True)
             # zero-iteration ranges leave the loop var unbound afterwards
             scope.int_vars.remove(var)
@@ -202,7 +301,7 @@ class ProgramFuzzer:
             # counter-guarded; continue is banned inside so the increment runs,
             # and the counter stays out of int_vars so nothing reassigns it
             counter = scope.fresh("c")
-            bound = int(r.integers(2, 8))
+            bound = r.integers(2, 8)
             cond = BinOp("<", Var(counter), Literal(bound))
             if r.random() < 0.4:
                 cond = BinOp("and", cond, self.bool_expr(scope))
@@ -214,7 +313,7 @@ class ProgramFuzzer:
         return [Continue()]
 
     def block(self, scope: _Scope, depth: int, in_loop: bool, allow_continue: bool) -> Tuple:
-        n = int(self.rng.integers(1, 4))
+        n = self.draws.integers(1, 4)
         # variables first defined under a conditional or loop must not be read
         # outside it, so the scope snapshot is restored on exit
         saved = (len(scope.int_vars), len(scope.float_vars), len(scope.list_vars))
@@ -226,13 +325,14 @@ class ProgramFuzzer:
         del scope.list_vars[saved[2]:]
         return tuple(out)
 
+    @_synced
     def program(self) -> Program:
-        r = self.rng
-        n_params = int(r.integers(1, 4))
+        r = self.draws
+        n_params = r.integers(1, 4)
         params = tuple("p%d" % k for k in range(n_params))
         scope = _Scope(int_vars=list(params))
         body: List = []
-        for _ in range(int(r.integers(2, MAX_STMTS + 1))):
+        for _ in range(r.integers(2, MAX_STMTS + 1)):
             body.extend(self.statement(scope, 0, False, False))
         ret_pool = list(scope.int_vars)
         if scope.list_vars:
@@ -244,8 +344,9 @@ class ProgramFuzzer:
         body.append(Return(ret))
         return Program(name="fuzzed", params=params, body=tuple(body))
 
+    @_synced
     def inputs_for(self, p: Program) -> List[int]:
-        return [int(self.rng.integers(-20, 21)) for _ in p.params]
+        return [self.draws.integers(-20, 21) for _ in p.params]
 
 
 @dataclass

@@ -323,8 +323,13 @@ def _render(shape, loc, pad, pattern=None, held=()):
     bound at entry and kept apart from ``env`` (a closure call, which reads
     ``env`` itself, writes them there first); a store to any other local
     writes ``env`` too, so ``env`` gains the variable when the cold tier's
-    would and a read of it while unbound raises ``NameError``."""
+    would and a read of it while unbound raises ``NameError``.
+
+    Operands are read left to right: when an operand needs lines of its
+    own, each read to its left that can raise (an ``env`` subscript, a
+    closure call, a local not held) is taken into a temporary first."""
     params, lines, variables, nodes, slots = [], [], [], itertools.count(), iter(pattern or ())
+    unbound = set()  # the locals not held, whose read raises while unbound
 
     def variable(x):
         """How the variable that the operand ``x`` names is read, and stored."""
@@ -333,6 +338,8 @@ def _render(shape, loc, pad, pattern=None, held=()):
             return "env[%s]" % x, "env[%s]" % x
         k = next(slots)
         local = "local%d" % k
+        if k not in held:
+            unbound.add(local)
         return local, local if k in held else "env[%s] = %s" % (x, local)
 
     def emit(key, loc, pad):
@@ -365,8 +372,8 @@ def _render(shape, loc, pad, pattern=None, held=()):
             for i in holes:
                 mark = len(lines)
                 read = emit(kids[i], loc, indent)
-                if len(lines) > mark:  # it needs lines: the reads left of it go first
-                    early = [j for j in reads if not reads[j].isidentifier()]
+                if len(lines) > mark:  # it needs lines: the reads left of it that can raise go first
+                    early = [j for j in reads if reads[j] in unbound or not reads[j].isidentifier()]
                     lines[mark:mark] = ["%st%d_%d = %s" % (indent, n, j, reads[j]) for j in early]
                     reads.update((j, "t%d_%d" % (n, j)) for j in early)
                 reads[i] = read

@@ -471,6 +471,46 @@ UNBOUND_ATOMS = ["u", "(-u)", "[u]", "(p and u)", "min(u, b)"]
 ERROR_PROGRAMS += [(src, COLD_INPUTS[0], E_UNDEF) for src in cold_programs(
     UNBOUND_ATOMS, [(u, "1") for u in UNBOUND_ATOMS] + [("1", u) for u in UNBOUND_ATOMS])]
 
+# An unbound variable read left of an operand that raises, in a loop of 40
+# values, which runs on its kernel: the read comes first, so the error is
+# undefined_variable.  The unbound variable is a binary operator's left
+# operand or an index's base.  The operand to its right is a fragment, which
+# needs lines of its own, over variables or over a closure call (a set or list
+# literal), or it is such a closure call alone, which in a kernel writes the
+# held locals (n here) to env first.  Each sits in each place of a loop body.
+UNBOUND_LEFT = ["u + R", "u[R]"]
+RAISING_RIGHT = ["ys[5]", "(5 - {1, 2})", "[1][5]", "{ys}", "[ys[5]]"]
+KERNEL_PLACES = [
+    "for i in range(0, 40) { n = n + 1 b = E }",
+    "for i in range(0, 40) { n = n + 1 ys[E] = 1 }",
+    "for i in range(0, 40) { n = n + 1 ys[0] = E }",
+    "for i in range(0, 40) { n = n + 1 append(ys, E) }",
+    "for i in range(0, 40) { n = n + 1 if E == 0 { b = 1 } }",
+    "while E == 0 { n = n + 1 }",
+]
+UNBOUND_FIRST = ["fn f(ys) { for i in range(0, 40) { b = xs + ys[5] } return ys }"] + [
+    "fn f(ys) { n = 0 %s return n }" % place.replace("E", left.replace("R", right))
+    for place in KERNEL_PLACES for left in UNBOUND_LEFT for right in RAISING_RIGHT]
+ERROR_PROGRAMS += [(src, [[1]], E_UNDEF) for src in UNBOUND_FIRST]
+
+# Semantics that no fuzzed program reaches: a negative index reads and writes
+# nothing, and a float operation that makes NaN fails there.  Each in a loop
+# of 3 values, which runs on closures at the default HOT.
+EDGE_CASES = [(stmt, E_INDEX) for stmt in ("x = xs[-1]", "x = xs[0 - 1]", "x = xs[a]", "x = xs[a - 3]",
+                                           "x = s[-1]", "x = s[a]", "xs[-1] = 7", "xs[a] = 7", "xs[0 - 3] = 7")]
+EDGE_CASES += [("s[a] = 7", E_TYPE)]  # a string is never written
+EDGE_CASES += [(stmt, E_NAN) for stmt in ("x = inf / inf", "x = -inf / inf", "x = inf * 0.0", "x = b / b",
+                                          "x = -b / b", "x = b * 0.0")]
+ERROR_PROGRAMS += [("fn f(xs, s, a, b) { n = 0 for i in range(0, 3) { n = n + 1 %s } return n }" % stmt,
+                    [[4, 5, 6], "abc", -1, float("inf")], kind) for stmt, kind in EDGE_CASES]
+
+
+@pytest.mark.parametrize("src,inputs,kind", ERROR_PROGRAMS)
+def test_reference_evaluator_raises_every_error_kind(src, inputs, kind):
+    with pytest.raises(MimRuntimeError) as exc:
+        reference_evaluate(parse_program(src), inputs)
+    assert exc.value.kind == kind
+
 
 @pytest.mark.parametrize("src,inputs,kind", ERROR_PROGRAMS)
 def test_compiled_interpreter_matches_tree_walker_on_every_error_kind(src, inputs, kind):
