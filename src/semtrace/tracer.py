@@ -9,8 +9,9 @@ the program into closures for each call and runs hot loops in kernels kept
 per loop shape and variable pattern (:class:`_Compiler`): a ``for`` over
 more than ``HOT`` values from its head, a ``while`` loop after ``HOT``
 iterations.  A kernel keeps the loop's variables in Python locals.  One
-renderer generates both from the same fragments, control flow included; a
-closure's maker is compiled once per statement or expression shape.
+renderer generates both from the same fragments, one for each kind of
+statement and expression: a kernel lowers its loop whole, and a closure is
+a node lowered one node deep, by a maker compiled once per shape.
 """
 
 from __future__ import annotations
@@ -217,6 +218,52 @@ else:
 _LEN = """\
 v{n} = {0}
 r{n} = len(v{n}) if type(v{n}) is list or isinstance(v{n}, (list, MimSet, str)) else _call("len", [v{n}], {loc})"""
+# and, or: the right operand is read only when the left one is the boolean
+# that does not decide the result
+_LOGIC = """\
+r{n} = {0}
+if r{n} is not decides{n}:
+    if type(r{n}) is bool:
+        r{n} = {1}
+    if type(r{n}) is not bool:
+        raise MimRuntimeError(E_TYPE, "%r needs booleans" % op{n}, {loc})"""
+_UNARY = """\
+r{n} = {0}
+if negate{n} and is_number(r{n}):
+    r{n} = _check_int(-r{n}, {loc}) if isinstance(r{n}, int) else -r{n}
+elif negate{n} or type(r{n}) is not bool:
+    raise MimRuntimeError(E_TYPE, "unary - needs a number" if negate{n} else "'not' needs a boolean", {loc})
+else:
+    r{n} = not r{n}"""
+# A list literal's items, a set literal's members and a builtin's arguments
+# are a fresh list, built left to right: empty, of the first item, or the
+# list so far {0} and the next item {1}.  Each head takes such a list.  On
+# closures a list of more items is its first item's, then one _LINK closure
+# per item past the first, run in turn on the list ``it``: however long a
+# literal is, its calls do not nest.
+_EMPTY = "r{n} = []"
+_FIRST = "r{n} = [{0}]"
+_NEXT = "r{n} = {0}\nr{n}.append({1})"
+_LINK = "r{n} = it\nr{n}.append({0})"
+_LINKS = _FIRST + "\nfor link{n} in {1}:\n    link{n}(r{n})"
+_SET_OF = """\
+r{n} = {0}
+try:
+    r{n} = MimSet(r{n})
+except TypeError:  # a list, set or null member
+    raise MimRuntimeError(E_UNHASHABLE, "unhashable set member", {loc}) from None"""
+_BUILTIN = "r{n} = _call(func{n}, {0}, {loc})"
+# a for loop's head, without a step: the iterator over its range
+_RANGE = """\
+try:
+    a{n}, b{n}, c{n} = {0}, {1}, {2}
+except _UNBOUND as err:
+    raise _undefined(err, {loc}) from None
+if type(a{n}) is not int or type(b{n}) is not int or type(c{n}) is not int:
+    raise MimRuntimeError(E_TYPE, "range bounds must be integers", {loc})
+if not c{n}:
+    raise MimRuntimeError(E_RANGE, "range step must be non-zero", {loc})
+r{n} = iter(range(a{n}, b{n}, c{n}))"""
 # an append or indexed write to the list {0}, the variable ``target`` names
 _WRITE = """\
 r{n} = {0}
@@ -282,8 +329,9 @@ try:
 finally:
     steps = run.steps"""
 # the names a fragment takes besides its operands, each suffixed like its locals
-_NAMES = {_BINOP: "op fast divides", _WRITE: "target indexed", _SET: "loc target", _SET_LIST: "loc target",
-          _IF: "loc", _WHILE: "loc", _FOR: "loc var", _JUMP: "loc signal"}
+_NAMES = {_BINOP: "op fast divides", _LOGIC: "op decides", _UNARY: "negate", _BUILTIN: "func",
+          _WRITE: "target indexed", _SET: "loc target", _SET_LIST: "loc target", _IF: "loc", _WHILE: "loc",
+          _FOR: "loc var", _JUMP: "loc signal"}
 _VARIABLES = ("target", "var")  # the names that hold a variable's name
 _KERNEL = """def kernel(run, names, %s, it):
     env, owned, trajectory, budget, steps = run.env, run.owned, run.trajectory, run.budget, run.steps
@@ -295,7 +343,6 @@ _KERNEL = """def kernel(run, names, %s, it):
 _STORED = "stored"  # the shape of a variable an assignment stores: its ownership ends
 
 HOT = 16  # a for over more values starts in its kernel; a while moves there after this many iterations
-KERNEL_DEPTH = 3  # operator, index and len nodes a kernel inlines below a statement
 # Kernels by loop shape and variable pattern.  Far above the 7 keys that a
 # train-loops run keeps (train-repeat and tools reach none), so that a
 # dataset of many templates keeps its kernels; a cycle of more keys than
@@ -304,11 +351,6 @@ KERNEL_DEPTH = 3  # operator, index and len nodes a kernel inlines below a state
 KERNEL_CAPACITY = 128
 _KERNELS = Memo(KERNEL_CAPACITY)
 _POSITIONS = Memo(KERNEL_CAPACITY)  # the positions of a loop shape's variable operands (_render)
-
-
-def _written(held, pad):
-    """The lines that write a kernel's locals ``held`` to ``env``."""
-    return ["%senv[names[%d]] = local%d" % (pad, k, k) for k in held]
 
 
 def _render(shape, loc, pad, pattern=None, held=()):
@@ -320,8 +362,7 @@ def _render(shape, loc, pad, pattern=None, held=()):
     Without a ``pattern`` each variable is read and stored as a subscript of
     ``env``, as the cold tier does.  A kernel's ``pattern`` is the local
     ``local{k}`` of each variable operand, in order.  The locals ``held`` are
-    bound at entry and kept apart from ``env`` (a closure call, which reads
-    ``env`` itself, writes them there first); a store to any other local
+    bound at entry and kept apart from ``env``; a store to any other local
     writes ``env`` too, so ``env`` gains the variable when the cold tier's
     would and a read of it while unbound raises ``NameError``.
 
@@ -350,7 +391,6 @@ def _render(shape, loc, pad, pattern=None, held=()):
             if key is Literal:
                 return x
             if key is None:
-                lines.extend(_written(held, pad))
                 return x + "()"
             if key is _STORED:
                 lines.append("%sowned.pop(%s, None)" % (pad, x))
@@ -389,13 +429,17 @@ def _kernel(key):
     shape, the local of each variable operand (its name's number in
     first-seen order) and whether each local's variable was bound at entry,
     as ``kernel(run, names, *operands, it)``: ``names`` are the locals'
-    variables and ``it`` is the iterator the loop runs over."""
+    variables and ``it`` is the iterator the loop runs over.  ``None`` when
+    Python cannot compile it: the loop then runs on closures."""
     shape, pattern, bound = key
     held = [k for k in range(len(bound)) if bound[k]]
     params, lines, _ = _render(shape, None, " " * 8, pattern, held)
     loads = "".join("    local%d = env[names[%d]]\n" % (k, k) for k in held)
-    source = _KERNEL % (", ".join(params), loads, "\n".join(lines), "\n".join(_written(held, " " * 8)))
-    exec(source, globals(), ns := {})
+    stores = "\n".join("        env[names[%d]] = local%d" % (k, k) for k in held)
+    try:
+        exec(_KERNEL % (", ".join(params), loads, "\n".join(lines), stores), globals(), ns := {})
+    except SyntaxError:  # Python's limit of 100 indentation levels
+        return None
     return ns["kernel"]
 
 
@@ -425,11 +469,12 @@ def _maker(shape):
 
 
 # Closure makers by shape, never evicted: the cold tier lowers one node deep,
-# so there are at most 791 shapes, each a statement over a leaf or over one
-# operator, index or len node of leaves, or such a node alone: 24 assignments,
-# 576 indexed writes and appends, 21 nodes, 96 ifs (24 conditions, each block
-# empty or not), 48 whiles, 2 fors and 24 jumps.  A 10-step train-loops run
-# makes 14, the tools eval items 51, and a 2,000-program fuzz campaign 57.
+# so there are at most 2,365 shapes, each a statement over a variable, a
+# literal or one node of leaves (a variable, a literal or a closure call), or
+# such a node alone: 44 assignments, 1,936 indexed writes and appends, 48
+# nodes, 176 ifs (44 conditions, each block empty or not), 88 whiles, 2 fors,
+# 27 for heads and 44 jumps.  A 10-step train-loops run makes 15, the tools
+# eval items 72, and a 2,000-program fuzz campaign 73.
 _MAKERS: Dict[tuple, object] = {}
 
 
@@ -457,21 +502,22 @@ class _Compiler:
     holds an owned list, and full mode's event for a write keeps a shallow
     copy of the list.  Full mode differs from summary mode only in the events.
 
-    One renderer (:func:`_render`) generates both tiers from the fragments.
-    The cold tier is closures: each statement, and each binary operator,
-    index or ``len`` call, is its fragment lowered one node deep, by a maker
-    compiled once per shape (:func:`_maker`); a statement list that an
-    ``if`` or a loop runs is one node of the shape (:meth:`nested`).  Besides
-    its closure, a ``while`` keeps only the hand-off to its kernel, and a
-    ``for`` its range checks and the choice of tier.  A ``for`` activation
-    over more than :data:`HOT` values runs whole in its loop's kernel
-    (:meth:`kernel`), and a ``while`` activation that completes :data:`HOT`
-    iterations runs the rest there, if the body holds only definitions and
-    ``if``s of them: one Python loop for the loop's :meth:`shape`, lowered
-    :data:`KERNEL_DEPTH` deep, on the run's own ``owned`` and step count.
-    Each variable the loop reads or writes is a Python local of the kernel,
-    loaded from ``env`` on entry and written back on exit; a variable
-    unbound at entry is written to ``env`` at each store too, so ``env``
+    One renderer (:func:`_render`) generates both tiers from the fragments,
+    one for each kind of node.  The cold tier is closures: each statement,
+    and each expression below it that is not a variable or literal, is its
+    fragment lowered one node deep, by a maker compiled once per shape
+    (:func:`_maker`); a statement list that an ``if`` or a loop runs is one
+    node of the shape (:meth:`nested`).  Besides its closure, a ``while``
+    keeps only the hand-off to its kernel, and a ``for`` the choice of tier
+    after its head.  A ``for`` activation over more than :data:`HOT` values
+    runs whole in its loop's kernel (:meth:`kernel`), and a ``while``
+    activation that completes :data:`HOT` iterations runs the rest there, if
+    the body holds only definitions and ``if``s of them: one Python loop for
+    the loop's :meth:`shape`, lowered whole, on the run's own ``owned`` and
+    step count.  A kernel that Python cannot compile leaves its loop on
+    closures.  Each variable the loop reads or writes is a Python local of
+    the kernel, loaded from ``env`` on entry and written back on exit; a
+    variable unbound at entry is written to ``env`` at each store too, so ``env``
     keeps the cold tier's order of first definitions.  Kernels are kept per
     shape and variable pattern (which variable operands name the same
     variable, and which of those were bound at entry), so loops that differ
@@ -485,47 +531,78 @@ class _Compiler:
         self.env, self.owned, self.trajectory, self.budget, self.steps = env, {}, trajectory, budget, 0
 
     def expr(self, e, loc, stores=False):
-        """``e`` as a closure; ``stores`` when its value may be kept elsewhere."""
-        return self._EXPRS[type(e)](self, e, loc, stores)
+        """``e``, a node other than a variable or literal, as a closure;
+        ``stores`` when its value may be kept elsewhere."""
+        operands = []
+        return self.generated(self.lower(e, loc, operands, stores, 1), operands, loc)
 
     def generated(self, shape, operands, loc):
         """The cold-tier closure of ``shape`` over ``operands``."""
         return (_MAKERS.get(shape) or _MAKERS.setdefault(shape, _maker(shape)))(self, *operands, loc)
 
-    def lower(self, e, loc, operands, stores=False, depth=KERNEL_DEPTH):
-        """``e``'s shape; its operands go to ``operands``.  A binary operator,
-        index or ``len`` call ``depth`` deep is inlined from its fragment, a
-        variable or literal is read in place (with ``stores``, a variable's
-        ownership ends), and any other expression is a closure call (``None``)."""
+    def lower(self, e, loc, operands, stores=False, depth=math.inf):
+        """``e``'s shape; its operands go to ``operands``.  A variable or
+        literal, a negative number literal included, is read in place (with
+        ``stores``, a variable's ownership ends); any other node ``depth``
+        deep is inlined from its fragment, and one below that is a closure
+        call (``None``)."""
         t = type(e)
         if t is Var or t is Literal:
             operands.append(e.name if t is Var else e.value)
             return _STORED if stores and t is Var else t
-        if depth and t is BinOp and e.op in _OPS:
-            operands += _OP_ARGS[e.op]
-            fragment, a, b = _BINOP, e.left, e.right
-        elif depth and t is Index:
-            fragment, a, b = _INDEX, e.base, e.index
-        elif depth and t is Call and e.func == "len" and len(e.args) == 1:
-            fragment, a, b = _LEN, e.args[0], None
-        else:
+        if t is UnaryOp and e.op == "-" and type(e.operand) is Literal:
+            v = e.operand.value
+            if type(v) is float or type(v) is int and INT_MIN <= -v <= INT_MAX:
+                operands.append(-v)
+                return Literal
+        if not depth:
             operands.append(self.expr(e, loc, stores))
             return None
-        ta = type(a)  # a leaf is read here, not in a call: the cold tier lowers on every execute
-        if ta is Var or ta is Literal:
-            operands.append(a.name if ta is Var else a.value)
-        else:
-            ta = self.lower(a, loc, operands, False, depth - 1)
-        if b is None:
-            return fragment, ta
-        tb = type(b)
-        if tb is Var or tb is Literal:
-            operands.append(b.name if tb is Var else b.value)
-        else:
-            tb = self.lower(b, loc, operands, False, depth - 1)
-        return fragment, ta, tb
+        depth -= 1
+        if t is BinOp:
+            logic = e.op not in _OPS
+            operands += (e.op, e.op == "or") if logic else _OP_ARGS[e.op]
+            return (_LOGIC if logic else _BINOP, self.lower(e.left, loc, operands, False, depth),
+                    self.lower(e.right, loc, operands, False, depth))
+        if t is Index:
+            return (_INDEX, self.lower(e.base, loc, operands, False, depth),
+                    self.lower(e.index, loc, operands, False, depth))
+        if t is UnaryOp:
+            operands.append(e.op == "-")
+            return _UNARY, self.lower(e.operand, loc, operands, False, depth)
+        if t is ListLit:
+            return self.items(e.items, loc, operands, True, depth)
+        if t is Call and e.func == "len" and len(e.args) == 1:
+            return _LEN, self.lower(e.args[0], loc, operands, False, depth)
+        if t is Call:
+            operands.append(e.func)
+        head, items = (_SET_OF, e.items) if t is SetLit else (_BUILTIN, e.args)
+        if depth:
+            return head, self.items(items, loc, operands, False, depth - 1)
+        made = []  # the cold tier's items are a closure of their own
+        operands.append(self.generated(self.items(items, loc, made, False, 0), made, loc))
+        return head, None
 
-    def definition(self, s, operands, depth):
+    def items(self, items, loc, operands, stores, depth):
+        """The shape of a fresh list of ``items``, built left to right, each
+        item lowered ``depth`` deep.  At depth 0, the cold tier's, each item
+        past the first is a ``_LINK`` closure, so that the shape does not
+        carry the literal's arity."""
+        if not items:
+            return (_EMPTY,)
+        shape = _FIRST, self.lower(items[0], loc, operands, stores, depth)
+        if len(items) > 1 and not depth:
+            links = []
+            for item in items[1:]:
+                made = []
+                links.append(self.generated((_LINK, self.lower(item, loc, made, stores, 0)), made, loc))
+            operands.append(links)
+            return _LINKS, shape[1], Literal
+        for item in items[1:]:
+            shape = _NEXT, shape, self.lower(item, loc, operands, stores, depth)
+        return shape
+
+    def definition(self, s, operands, depth=math.inf):
         """The shape of an assignment, ``append`` or indexed write, its operand
         nodes lowered ``depth`` deep; its operands go to ``operands``, with a
         write's names and the list it writes to."""
@@ -539,9 +616,10 @@ class _Compiler:
                            self.lower(value, loc, operands, True, depth))
 
     def shape(self, body, operands):
-        """The shape of a loop body in a kernel: its syntax without names,
-        literal values, operators and locations, which go to ``operands``.
-        Raises ``_Cold`` on a statement other than a definition or an ``if``."""
+        """The shape of a loop body in a kernel, lowered whole: its syntax
+        without names, literal values, operators and locations, which go to
+        ``operands``.  Raises ``_Cold`` on a statement other than a definition
+        or an ``if``."""
         shapes = []
         for s in body:
             t = type(s)
@@ -550,7 +628,7 @@ class _Compiler:
                 shapes.append((_IF, self.lower(s.cond, s.loc, operands), self.shape(s.then_body, operands),
                                self.shape(s.else_body, operands)))
             elif t is Assign or t is Append or t is IndexAssign:
-                shapes.append(self.definition(s, operands, KERNEL_DEPTH))
+                shapes.append(self.definition(s, operands))
             else:
                 raise _Cold()
         return tuple(shapes)
@@ -558,7 +636,8 @@ class _Compiler:
     def kernel(self, loop):
         """A callable that runs the rest of a ``loop`` activation from its
         head, given a ``for`` loop's iterator or a ``while`` loop's endless
-        one; ``False`` if the loop has none."""
+        one; false if the loop has none: its body holds another statement, or
+        Python cannot compile its kernel."""
         operands = [loop.loc]
         try:
             if type(loop) is While:
@@ -566,90 +645,16 @@ class _Compiler:
             else:
                 operands.append(loop.var)
                 shape = _FOR, self.shape(loop.body, operands)
-        except _Cold:
+            variables = tuple(map(operands.__getitem__, _POSITIONS.get(shape, lambda: _render(shape, None, "")[2])))
+            names = tuple(dict.fromkeys(variables))
+            key = shape, tuple(map(names.index, variables)), tuple(map(self.env.__contains__, names))
+            kernel = _KERNELS.get(key, lambda: _kernel(key))
+        except (_Cold, RecursionError):  # or a shape too deep to render: a literal of 1,000 items
             return False
-        variables = tuple(map(operands.__getitem__, _POSITIONS.get(shape, lambda: _render(shape, None, "")[2])))
-        names = tuple(dict.fromkeys(variables))
-        key = shape, tuple(map(names.index, variables)), tuple(map(self.env.__contains__, names))
-        return partial(_KERNELS.get(key, lambda: _kernel(key)), self, names, *operands)
+        return kernel and partial(kernel, self, names, *operands)
 
     def block(self, body, in_loop: bool):
         return [self._STMTS[type(s)](self, s, in_loop) for s in body]
-
-    # --- expressions ---
-
-    def _literal(self, e, loc, stores):
-        value = e.value
-        return lambda: value
-
-    def _var(self, e, loc, stores):
-        env, owned, name = self.env, self.owned, e.name
-        if stores:
-            return lambda: (owned.pop(name, None), env[name])[1]  # ends ownership, then reads
-        return lambda: env[name]
-
-    def _fragment(self, e, loc, stores):
-        """A binary operator, index or ``len`` call: its fragment's closure."""
-        operands = []
-        return self.generated(self.lower(e, loc, operands, stores, 1), operands, loc)
-
-    def _binop(self, e, loc, stores):
-        op = e.op
-        if op not in ("and", "or"):
-            return self._fragment(e, loc, stores)
-        left, right, decides = self.expr(e.left, loc), self.expr(e.right, loc), op == "or"
-
-        def logic():
-            a = left()
-            if type(a) is not bool:
-                raise MimRuntimeError(E_TYPE, "%r needs booleans" % op, loc)
-            if a is decides:  # the left value that is the result
-                return a
-            b = right()
-            if type(b) is not bool:
-                raise MimRuntimeError(E_TYPE, "%r needs booleans" % op, loc)
-            return b
-
-        return logic
-
-    def _unary(self, e, loc, stores):
-        negate, v = e.op == "-", e.operand.value if type(e.operand) is Literal else None
-        if negate and (type(v) is float or type(v) is int and INT_MIN <= -v <= INT_MAX):
-            value = -v  # a negative number literal
-            return lambda: value
-        operand = self.expr(e.operand, loc)
-
-        def unary():
-            v = operand()
-            if negate and is_number(v):
-                return _check_int(-v, loc) if isinstance(v, int) else -v
-            if not negate and type(v) is bool:
-                return not v
-            raise MimRuntimeError(E_TYPE, "unary - needs a number" if negate else "'not' needs a boolean", loc)
-
-        return unary
-
-    def _call(self, e, loc, stores):
-        if e.func == "len" and len(e.args) == 1:
-            return self._fragment(e, loc, stores)
-        func, args = e.func, [self.expr(a, loc) for a in e.args]
-        return lambda: _call(func, [a() for a in args], loc)
-
-    def _list(self, e, loc, stores):
-        items = [self.expr(i, loc, True) for i in e.items]
-        return lambda: [f() for f in items]
-
-    def _set(self, e, loc, stores):
-        items = [self.expr(i, loc) for i in e.items]
-
-        def set_():
-            members = [f() for f in items]
-            try:
-                return MimSet(members)
-            except TypeError:  # a list, set or null member
-                raise MimRuntimeError(E_UNHASHABLE, "unhashable set member", loc) from None
-
-        return set_
 
     # --- statements ---
 
@@ -685,21 +690,13 @@ class _Compiler:
         return while_
 
     def _for(self, s, in_loop):
-        run, loc = self, s.loc
-        bounds = [self.expr(x, loc) for x in (s.start, s.stop, s.step or _ONE)]
-        loop = None
+        run, loc, operands = self, s.loc, []
+        bounds = [self.lower(x, loc, operands, False, 0) for x in (s.start, s.stop, s.step or _ONE)]
+        head, loop = self.generated((_RANGE, *bounds), operands, loc), None
 
         def for_():
             nonlocal loop
-            try:
-                args = [f() for f in bounds]
-            except KeyError as err:
-                raise _undefined(err, loc) from None
-            if any(isinstance(v, bool) or not isinstance(v, int) for v in args):
-                raise MimRuntimeError(E_TYPE, "range bounds must be integers", loc)
-            if args[2] == 0:
-                raise MimRuntimeError(E_RANGE, "range step must be non-zero", loc)
-            it = iter(range(*args))
+            it = head()
             if it.__length_hint__() > HOT and (kernel := run.kernel(s)):
                 return kernel(it)
             if loop is None:  # built by the first activation that runs on closures
@@ -720,8 +717,6 @@ class _Compiler:
         return self.generated((_JUMP, self.lower(s.value if t is Return else _NULL, loc, operands, True, 1)),
                               operands, loc)
 
-    _EXPRS = {Literal: _literal, Var: _var, BinOp: _binop, UnaryOp: _unary, Index: _fragment,
-              Call: _call, ListLit: _list, SetLit: _set}
     _STMTS = {Assign: _define, Append: _define, IndexAssign: _define, If: _if, While: _while,
               For: _for, Return: _jump, Break: _jump, Continue: _jump}
 
@@ -808,6 +803,14 @@ def trajectory_final_values(rec: ExecutionRecord, bindings: Dict[str, Value]) ->
 
 class ReferenceTimeout(Exception):
     pass
+
+
+class _Signal(Exception):
+    """A ``break``, ``continue`` or ``return`` (``tag``) of :func:`reference_evaluate`."""
+
+    def __init__(self, tag, value=None):
+        self.tag = tag
+        self.value = value
 
 
 _REF_CAP = 2_000_000
@@ -931,11 +934,6 @@ def reference_evaluate(p: Program, inputs: Sequence[Value]):
             return out
         raise TypeError(repr(e))
 
-    class Signal(Exception):
-        def __init__(self, tag, value=None):
-            self.tag = tag
-            self.value = value
-
     def bump():
         counter[0] += 1
         if counter[0] > _REF_CAP:
@@ -983,7 +981,7 @@ def reference_evaluate(p: Program, inputs: Sequence[Value]):
                         break
                     try:
                         run(s.body)
-                    except Signal as sig:
+                    except _Signal as sig:
                         if sig.tag == "continue":
                             pass
                         elif sig.tag == "break":
@@ -1004,25 +1002,25 @@ def reference_evaluate(p: Program, inputs: Sequence[Value]):
                     write(s.var, i)
                     try:
                         run(s.body)
-                    except Signal as sig:
+                    except _Signal as sig:
                         if sig.tag == "continue":
                             continue
                         if sig.tag == "break":
                             break
                         raise
             elif isinstance(s, Break):
-                raise Signal("break")
+                raise _Signal("break")
             elif isinstance(s, Continue):
-                raise Signal("continue")
+                raise _Signal("continue")
             elif isinstance(s, Return):
-                raise Signal("return", ev(s.value))
+                raise _Signal("return", ev(s.value))
             else:
                 raise TypeError(repr(s))
 
     ret: Optional[Value] = None
     try:
         run(p.body)
-    except Signal as sig:
+    except _Signal as sig:
         if sig.tag == "return":
             ret = sig.value
         else:

@@ -418,12 +418,13 @@ ERROR_PROGRAMS = [
 ]
 
 
-# Every shape of the cold tier, which lowers one node deep: each statement
+# The shapes of the cold tier, which lowers one node deep: each statement
 # with a generated step (a definition, an if or while condition, a return)
 # over each operand form, an atom alone or an operator, index or len node
 # over atoms.  Run on inputs that reach the fragments' fast and slow paths,
 # then with ``a`` wrong-typed.
-COLD_ATOMS = ["a", "1", "(-b)", "[a]", "(p and q)", "min(a, b)"]  # a variable, a literal, four closures
+# a variable, a literal, and four nodes that are closure calls below a node
+COLD_ATOMS = ["a", "1", "(-b)", "[a]", "(p and q)", "min(a, b)"]
 COLD_STATEMENTS = [
     "x = {} return x",
     "append(xs, {}) return xs",
@@ -474,10 +475,10 @@ ERROR_PROGRAMS += [(src, COLD_INPUTS[0], E_UNDEF) for src in cold_programs(
 # An unbound variable read left of an operand that raises, in a loop of 40
 # values, which runs on its kernel: the read comes first, so the error is
 # undefined_variable.  The unbound variable is a binary operator's left
-# operand or an index's base.  The operand to its right is a fragment, which
-# needs lines of its own, over variables or over a closure call (a set or list
-# literal), or it is such a closure call alone, which in a kernel writes the
-# held locals (n here) to env first.  Each sits in each place of a loop body.
+# operand or an index's base.  The operand to its right is a fragment that
+# needs lines of its own in a kernel: an index, an operator over a set
+# literal, or a set or list literal alone (on closures, a closure call).
+# Each sits in each place of a loop body.
 UNBOUND_LEFT = ["u + R", "u[R]"]
 RAISING_RIGHT = ["ys[5]", "(5 - {1, 2})", "[1][5]", "{ys}", "[ys[5]]"]
 KERNEL_PLACES = [
@@ -558,8 +559,8 @@ CONTROL_FLOW += COLD_SHAPES
 # Loops whose kernels keep variables apart from the environment: one list
 # under two names, a variable first defined in the body (in straight-line
 # code and inside an if), a variable read before it is assigned in the same
-# iteration while unbound at entry, and closure calls (min, abs, a negation)
-# that read variables the body writes.
+# iteration while unbound at entry, and min, abs and a negation of variables
+# that the body writes.
 KERNEL_LOCALS = [
     "fn f(xs) { append(xs, 0) ys = xs for k in range(0, 4) { append(xs, k) ys[0] = k append(ys, xs[1]) } "
     "return [xs, ys] }",
@@ -582,6 +583,14 @@ KERNEL_LOCALS = [
     "fn f(xs) { for k in range(0, 4) { append(xs, k) m = min(xs) n = max(m, k) } return [xs, m, n] }",
 ]
 CONTROL_FLOW += [(src, [[5, 6]]) for src in KERNEL_LOCALS]
+
+# A left operand that decides an and or an or, whose right operand raises if
+# it is read: an index out of range, a zero divisor, an unbound variable.
+# Each in each place of a loop body and in a statement outside any loop.
+SHORT_CIRCUIT = ["false and ys[9]", "true or 1 // 0", "p or u", "not p and u"]
+CONTROL_FLOW += [("fn f(ys, p) { n = 0 %s return n }" % place.replace("E", "(%s)" % e), [[1], True])
+                 for place in KERNEL_PLACES for e in SHORT_CIRCUIT]
+CONTROL_FLOW += [("fn f(ys, p) { b = %s return b }" % e, [[1], True]) for e in SHORT_CIRCUIT]
 
 
 @pytest.mark.parametrize("src,inputs", CONTROL_FLOW)
@@ -711,7 +720,7 @@ KERNEL_PROGRAMS = [
     (LATE.format("append(xs, y)"), E_UNDEF),
     (LATE.format("append(zs, 1)"), E_UNDEF),
     (LATE.format("x = min(a, y)"), E_UNDEF),
-    (LATE.format("x = (((a + y) + 1) + 1) + 1"), E_UNDEF),  # below the inlined depth
+    (LATE.format("x = (((a + y) + 1) + 1) + 1"), E_UNDEF),  # four nodes deep
     # other errors raised inside a promoted iteration
     (LATE.format("if a { x = 1 }"), E_TYPE),
     (LATE.format("if i - 18 { x = 1 }"), E_TYPE),  # 1, not true
@@ -849,6 +858,85 @@ def test_short_loops_never_look_up_a_kernel(tiers):
         for mode in MODES:
             assert execute(fold, [list(range(1, n + 1)), 2], mode=mode).return_value == math.factorial(n) * 2 + 2
     assert lookups == []
+
+
+# A loop body that nests every kind of expression four or more deep: and, or,
+# not, a negation, abs, min of a list, max of two arguments, list and set
+# literals.
+EVERY_KIND = ("fn f(a) { t = a for i in range(0, 40) { t = t + i "
+              "b = not (abs(min([t, -t, max(t, i)])) > 0 and ({t, i} != {i} or false)) } return [t, b] }")
+
+
+def test_kernel_lowers_every_expression_kind_and_builds_no_closure(monkeypatch):
+    generated, kernel = tracer._Compiler.generated, tracer._Compiler.kernel
+    looking, made, found = [], [], []
+
+    def spy_generated(run, shape, operands, loc):
+        if looking:
+            made.append(shape)
+        return generated(run, shape, operands, loc)
+
+    def spy_kernel(run, loop):
+        looking.append(loop)
+        try:
+            found.append(kernel(run, loop))
+        finally:
+            looking.pop()
+        return found[-1]
+
+    monkeypatch.setattr(tracer._Compiler, "generated", spy_generated)
+    monkeypatch.setattr(tracer._Compiler, "kernel", spy_kernel)
+    program = parse_program(EVERY_KIND)
+    for value in (3, -2, True):
+        assert_matches_at(program, [value], [1, 2, 40, 81, 100])
+    assert found and all(found) and made == []
+
+
+def nested_ifs(depth):
+    return "if a { " * depth + "t = t + 1" + " }" * depth
+
+
+# Loop bodies nested past Python's limit of 100 indentation levels in a
+# kernel; each loop runs 40 times.
+NESTED = {"if94": nested_ifs(94), "if100": nested_ifs(100),
+          "and100": "t = t + 1 b = " + "(a and " * 100 + "a" + ")" * 100}
+NESTED_LOOPS = {"for": "for i in range(0, 40) { %s }", "while": "i = 0 while i < 40 { i = i + 1 %s }"}
+
+
+@pytest.mark.parametrize("hot", [0, 1, tracer.HOT])
+@pytest.mark.parametrize("body", NESTED)
+@pytest.mark.parametrize("loop", NESTED_LOOPS)
+def test_loop_whose_kernel_python_cannot_compile_runs_on_closures(monkeypatch, hot, body, loop):
+    monkeypatch.setattr(tracer, "HOT", hot)
+    program = parse_program("fn f(a) { t = 0 %s return t }" % (NESTED_LOOPS[loop] % NESTED[body]))
+    rec = execute(program, [True])
+    assert rec.return_value == 40
+    steps = rec.steps_used
+    assert_matches_at(program, [True], [1, 2, 99, 1000, steps - 1, steps, steps + 1])
+    assert_matches_at(program, [False], [1, 2, 99])
+
+
+def test_kernel_python_cannot_compile_is_remembered(monkeypatch):
+    compiled = []
+    compile_kernel = tracer._kernel
+    monkeypatch.setattr(tracer, "_kernel", lambda key: compiled.append(key) or compile_kernel(key))
+    tracer._KERNELS.clear()
+    program = parse_program("fn f(a) { t = 0 %s return t }" % (NESTED_LOOPS["for"] % NESTED["if100"]))
+    for _ in range(4):
+        assert execute(program, [True]).return_value == 40
+    assert len(compiled) == 2  # the memo keeps the failure from the key's second lookup
+
+
+@pytest.mark.parametrize("hot", [0, tracer.HOT])
+@pytest.mark.parametrize("literal", ["[%s]", "{%s}", "max(%s)"])
+def test_literal_of_a_thousand_items_runs_in_both_tiers(monkeypatch, hot, literal):
+    """On closures each item past the first is a closure of its own, which
+    the literal runs in turn; a loop too deep for a kernel to render runs
+    on closures."""
+    monkeypatch.setattr(tracer, "HOT", hot)
+    many = literal % ", ".join("a + %d" % k for k in range(1200))
+    program = parse_program("fn f(a) { u = %s t = 0 for i in range(0, 40) { t = %s } return [u, t] }" % (many, many))
+    assert_matches_at(program, [1], [1, 2, 3, 42, 43, 44])
 
 
 # two loops that differ only in their variable names, and one that reads
