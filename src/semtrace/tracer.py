@@ -9,9 +9,10 @@ the program into closures for each call and runs hot loops in kernels kept
 per loop shape and variable pattern (:class:`_Compiler`): a ``for`` over
 more than ``HOT`` values from its head, a ``while`` loop after ``HOT``
 iterations.  A kernel keeps the loop's variables in Python locals.  One
-renderer generates both from the same fragments, one for each kind of
-statement and expression: a kernel lowers its loop whole, and a closure is
-a node lowered one node deep, by a maker compiled once per shape.
+lowering and one renderer generate both tiers from the same fragments, one
+for each kind of statement and expression: a kernel lowers its loop whole,
+whatever its body holds, and a closure is a node lowered one node deep, by
+a maker compiled once per shape.
 """
 
 from __future__ import annotations
@@ -104,10 +105,6 @@ class _Continue(Exception):
 
 class _Return(Exception):
     pass  # args[0] is the returned value
-
-
-class _Cold(Exception):
-    pass  # a loop body a kernel cannot run
 
 
 def _check_int(v: int, loc) -> int:
@@ -244,7 +241,8 @@ else:
 _EMPTY = "r{n} = []"
 _FIRST = "r{n} = [{0}]"
 _NEXT = "r{n} = {0}\nr{n}.append({1})"
-_LINK = "r{n} = it\nr{n}.append({0})"
+_IT = "r{n} = it"  # the list, or a loop's iterator, that a closure or kernel is given
+_LINK = _IT + "\nr{n}.append({0})"
 _LINKS = _FIRST + "\nfor link{n} in {1}:\n    link{n}(r{n})"
 _SET_OF = """\
 r{n} = {0}
@@ -289,7 +287,7 @@ def _indent(text):
 # The statements: fragments that take their own ``loc``, whose ``{i}`` alone
 # on a line is a statement list.  Each inlines its step check, its event and
 # the conversion of an unbound variable's error (``_UNBOUND``) at its
-# ``loc``; a loop runs over the iterator ``it`` and ends on a ``_Break``.
+# ``loc``, and lowers alike in both tiers.
 _STEP = "if steps >= budget:\n    raise _Budget()\nsteps += 1\n"
 _UNBOUND = (KeyError, NameError)  # what reading an unbound variable raises: env, or a kernel's local
 _EVENT = "if trajectory is not None:\n    trajectory.append(StepEvent(steps, {loc}, %s))\n"
@@ -311,15 +309,19 @@ elif r{n} is False:
     {2}
 else:
     raise MimRuntimeError(E_TYPE, "if condition must be a boolean", {loc})"""
-_BODY = "try:\n    {%d}\nexcept _Continue:\n    pass\nexcept _Break:\n    return\n"  # a loop body
-# a while returns True when ``it`` runs out before the loop ends
-_WHILE = "for _ in it:\n" + _indent(_HEAD + """if r{n} is not True:
+_BODY = "try:\n    {%d}\nexcept _Continue:\n    pass\nexcept _Break:\n    break\n"  # a _Break leaves its loop only
+# A loop runs over the ``it`` it is given (_IT) or, nested in a kernel, its
+# own: a for's _RANGE, a while's endless _FOREVER.  A while returns True when
+# its iterator runs out first: the cold tier's HOT iterations are done.
+_WHILE = "for _ in {2}:\n" + _indent(_HEAD + """if r{n} is not True:
     if r{n} is False:
-        return
+        break
     raise MimRuntimeError(E_TYPE, "while condition must be a boolean", {loc})
-""" + _BODY % 1) + "return True"
-_FOR = "for i in it:\n" + _indent(_STEP + "{var} = i\n" + _EVENT % "var{n}, i" + _BODY % 0)
-_JUMP = _HEAD + "raise signal{n}(r{n})"  # a _Return, _Break or _Continue, or an error
+""" + _BODY % 1) + "else:\n    return True"
+_FOR = "for i{n} in {1}:\n" + _indent(_STEP + "{var} = i{n}\n" + _EVENT % "var{n}, i{n}" + _BODY % 0)
+_FOREVER = "r{n} = itertools.repeat(None)"
+# a _Return, _Break or _Continue; execute reports either of the last two leaving the program as an error at {loc}
+_JUMP = _HEAD + "raise signal{n}(r{n}, {loc})"
 # A statement list of the cold tier: the closures in the list {0}, which {1}
 # compiles them into on its first run; they keep the step count in ``run.steps``.
 _CALL = """run.steps = steps
@@ -333,6 +335,8 @@ _NAMES = {_BINOP: "op fast divides", _LOGIC: "op decides", _UNARY: "negate", _BU
           _WRITE: "target indexed", _SET: "loc target", _SET_LIST: "loc target", _IF: "loc", _WHILE: "loc",
           _FOR: "loc var", _JUMP: "loc signal"}
 _VARIABLES = ("target", "var")  # the names that hold a variable's name
+_SIGNALS = {Return: _Return, Break: _Break, Continue: _Continue}
+_LOOPS = frozenset((While, For))
 _KERNEL = """def kernel(run, names, %s, it):
     env, owned, trajectory, budget, steps = run.env, run.owned, run.trajectory, run.budget, run.steps
 %s    try:
@@ -354,10 +358,11 @@ _POSITIONS = Memo(KERNEL_CAPACITY)  # the positions of a loop shape's variable o
 
 
 def _render(shape, loc, pad, pattern=None, held=()):
-    """The names of the operands of ``shape`` (in :meth:`_Compiler.lower`'s
-    order), the lines at indentation ``pad`` that leave its value in ``r0``,
-    and the positions of its variable operands, those that name a variable;
-    ``loc`` names the location of errors outside a statement.
+    """The names of the operands of ``shape`` (in the order that
+    :class:`_Compiler` lowers them), the lines at indentation ``pad`` that
+    leave its value in ``r0``, and the positions of its variable operands,
+    those that name a variable; ``loc`` names the location of errors outside
+    a statement.
 
     Without a ``pattern`` each variable is read and stored as a subscript of
     ``env``, as the cold tier does.  A kernel's ``pattern`` is the local
@@ -430,7 +435,8 @@ def _kernel(key):
     first-seen order) and whether each local's variable was bound at entry,
     as ``kernel(run, names, *operands, it)``: ``names`` are the locals'
     variables and ``it`` is the iterator the loop runs over.  ``None`` when
-    Python cannot compile it: the loop then runs on closures."""
+    Python cannot compile it (100 indentation levels, 20 nested blocks, as
+    nine nested loops make): the loop then runs on closures."""
     shape, pattern, bound = key
     held = [k for k in range(len(bound)) if bound[k]]
     params, lines, _ = _render(shape, None, " " * 8, pattern, held)
@@ -438,7 +444,7 @@ def _kernel(key):
     stores = "\n".join("        env[names[%d]] = local%d" % (k, k) for k in held)
     try:
         exec(_KERNEL % (", ".join(params), loads, "\n".join(lines), stores), globals(), ns := {})
-    except SyntaxError:  # Python's limit of 100 indentation levels
+    except SyntaxError:  # Python's limits on nesting
         return None
     return ns["kernel"]
 
@@ -502,19 +508,21 @@ class _Compiler:
     holds an owned list, and full mode's event for a write keeps a shallow
     copy of the list.  Full mode differs from summary mode only in the events.
 
-    One renderer (:func:`_render`) generates both tiers from the fragments,
+    One lowering (:meth:`statement`, and :meth:`lower` for expressions) and
+    one renderer (:func:`_render`) generate both tiers from the fragments,
     one for each kind of node.  The cold tier is closures: each statement,
     and each expression below it that is not a variable or literal, is its
     fragment lowered one node deep, by a maker compiled once per shape
     (:func:`_maker`); a statement list that an ``if`` or a loop runs is one
     node of the shape (:meth:`nested`).  Besides its closure, a ``while``
     keeps only the hand-off to its kernel, and a ``for`` the choice of tier
-    after its head.  A ``for`` activation over more than :data:`HOT` values
-    runs whole in its loop's kernel (:meth:`kernel`), and a ``while``
-    activation that completes :data:`HOT` iterations runs the rest there, if
-    the body holds only definitions and ``if``s of them: one Python loop for
-    the loop's :meth:`shape`, lowered whole, on the run's own ``owned`` and
-    step count.  A kernel that Python cannot compile leaves its loop on
+    after its head (:meth:`loop`).  A ``for`` activation over more than
+    :data:`HOT` values runs whole in its loop's kernel (:meth:`kernel`), and
+    a ``while`` activation that completes :data:`HOT` iterations runs the
+    rest there: one Python loop for the loop lowered whole, whatever its
+    body holds (nested loops, ``break``, ``continue`` and ``return``
+    included), on the run's own ``owned`` and step count.  A kernel that
+    Python cannot compile, or a loop too deep to render, leaves its loop on
     closures.  Each variable the loop reads or writes is a Python local of
     the kernel, loaded from ``env`` on entry and written back on exit; a
     variable unbound at entry is written to ``env`` at each store too, so ``env``
@@ -536,8 +544,9 @@ class _Compiler:
         operands = []
         return self.generated(self.lower(e, loc, operands, stores, 1), operands, loc)
 
-    def generated(self, shape, operands, loc):
-        """The cold-tier closure of ``shape`` over ``operands``."""
+    def generated(self, shape, operands, loc=None):
+        """The cold-tier closure of ``shape`` over ``operands``; ``loc`` locates
+        the errors of an expression's."""
         return (_MAKERS.get(shape) or _MAKERS.setdefault(shape, _maker(shape)))(self, *operands, loc)
 
     def lower(self, e, loc, operands, stores=False, depth=math.inf):
@@ -602,97 +611,96 @@ class _Compiler:
             shape = _NEXT, shape, self.lower(item, loc, operands, stores, depth)
         return shape
 
-    def definition(self, s, operands, depth=math.inf):
-        """The shape of an assignment, ``append`` or indexed write, its operand
-        nodes lowered ``depth`` deep; its operands go to ``operands``, with a
-        write's names and the list it writes to."""
-        loc, value, target = s.loc, s.value, s.target
-        if type(s) is Assign:
-            operands += (loc, target)
-            return _SET, self.lower(value, loc, operands, True, depth)
-        indexed = type(s) is IndexAssign
-        operands += (loc, target, target, indexed, target)
-        return _SET_LIST, (_WRITE, Var, self.lower(s.index if indexed else _ONE, loc, operands, False, depth),
-                           self.lower(value, loc, operands, True, depth))
+    def statement(self, s, operands, depth, it=(_IT,)):
+        """The shape of the statement ``s``; its operands go to ``operands``.
+        At ``depth`` 1, the cold tier's, its expressions are lowered one node
+        deep and each statement list it runs is a node (:meth:`nested`); in a
+        kernel ``depth`` is infinite and ``s`` is lowered whole.  A loop runs
+        over the iterator ``it`` it is given, or with ``it`` None, nested in
+        a kernel, over its own."""
+        t, loc = type(s), s.loc
+        if t is Assign:
+            operands += (loc, s.target)
+            return _SET, self.lower(s.value, loc, operands, True, depth)
+        if t is For:
+            operands += (loc, s.var)
+            it = it or self.head(s, operands, depth)
+            return _FOR, self.nested(s.body, operands, depth), it
+        if t is While:
+            operands.append(loc)
+            cond = self.lower(s.cond, loc, operands, False, depth)
+            return _WHILE, cond, self.nested(s.body, operands, depth), it or (_FOREVER,)
+        if t is If:
+            operands.append(loc)
+            cond = self.lower(s.cond, loc, operands, False, depth)
+            return _IF, cond, self.nested(s.then_body, operands, depth), self.nested(s.else_body, operands, depth)
+        if t is Append or t is IndexAssign:
+            target, indexed = s.target, t is IndexAssign
+            operands += (loc, target, target, indexed, target)
+            return _SET_LIST, (_WRITE, Var, self.lower(s.index if indexed else _ONE, loc, operands, False, depth),
+                               self.lower(s.value, loc, operands, True, depth))
+        operands += (loc, _SIGNALS[t])
+        return _JUMP, self.lower(s.value if t is Return else _NULL, loc, operands, True, depth)
 
-    def shape(self, body, operands):
-        """The shape of a loop body in a kernel, lowered whole: its syntax
-        without names, literal values, operators and locations, which go to
-        ``operands``.  Raises ``_Cold`` on a statement other than a definition
-        or an ``if``."""
-        shapes = []
+    def head(self, loop, operands, depth):
+        """The shape of a ``for`` loop's range, its bounds lowered ``depth`` deep."""
+        loc = loop.loc
+        start = self.lower(loop.start, loc, operands, False, depth)
+        stop = self.lower(loop.stop, loc, operands, False, depth)
+        return _RANGE, start, stop, self.lower(loop.step or _ONE, loc, operands, False, depth)
+
+    def nested(self, body, operands, depth):
+        """The shape of a statement list that an ``if`` or a loop runs: in a
+        kernel, its statements lowered whole; on the cold tier none if it is
+        empty, else a ``_CALL`` of the list its closures are compiled into
+        (:meth:`block`) the first time it runs."""
+        if depth == 1:
+            if not body:
+                return ()
+            closures = []
+            operands += (closures, lambda: closures.extend(self.block(body)) or closures)
+            return ((_CALL, Literal, None),)
+        shapes = []  # not a comprehension, which would make cells of its names on each call
         for s in body:
-            t = type(s)
-            if t is If:
-                operands.append(s.loc)
-                shapes.append((_IF, self.lower(s.cond, s.loc, operands), self.shape(s.then_body, operands),
-                               self.shape(s.else_body, operands)))
-            elif t is Assign or t is Append or t is IndexAssign:
-                shapes.append(self.definition(s, operands))
-            else:
-                raise _Cold()
+            shapes.append(self.statement(s, operands, depth, None))
         return tuple(shapes)
 
     def kernel(self, loop):
         """A callable that runs the rest of a ``loop`` activation from its
         head, given a ``for`` loop's iterator or a ``while`` loop's endless
-        one; false if the loop has none: its body holds another statement, or
-        Python cannot compile its kernel."""
-        operands = [loop.loc]
+        one; false if Python cannot compile its kernel or its shape is too
+        deep to render."""
+        operands = []
         try:
-            if type(loop) is While:
-                shape = _WHILE, self.lower(loop.cond, loop.loc, operands), self.shape(loop.body, operands)
-            else:
-                operands.append(loop.var)
-                shape = _FOR, self.shape(loop.body, operands)
+            shape = self.statement(loop, operands, math.inf)
             variables = tuple(map(operands.__getitem__, _POSITIONS.get(shape, lambda: _render(shape, None, "")[2])))
             names = tuple(dict.fromkeys(variables))
             key = shape, tuple(map(names.index, variables)), tuple(map(self.env.__contains__, names))
             kernel = _KERNELS.get(key, lambda: _kernel(key))
-        except (_Cold, RecursionError):  # or a shape too deep to render: a literal of 1,000 items
+        except RecursionError:  # a literal of 1,000 items
             return False
         return kernel and partial(kernel, self, names, *operands)
 
-    def block(self, body, in_loop: bool):
-        return [self._STMTS[type(s)](self, s, in_loop) for s in body]
+    def block(self, body):
+        """The closures of a statement list, each its :meth:`statement`
+        lowered one node deep; a loop's runs on its choice of tier (:meth:`loop`)."""
+        return [self.loop(s) if type(s) in _LOOPS
+                else self.generated(self.statement(s, operands := [], 1), operands) for s in body]
 
-    # --- statements ---
+    def loop(self, s):
+        """A loop's closure.  A ``while`` hands the rest of an activation to
+        its kernel after :data:`HOT` iterations; after its head, a ``for`` over
+        more than ``HOT`` values runs whole in its kernel, any other on closures."""
+        run, operands = self, []
+        if type(s) is While:
+            loop = self.generated(self.statement(s, operands, 1), operands)
 
-    def _define(self, s, in_loop):
-        operands = []
-        return self.generated(self.definition(s, operands, 1), operands, s.loc)
+            def while_():
+                if loop(range(HOT)):  # the closures' HOT iterations, then the rest
+                    (run.kernel(s) or loop)(itertools.repeat(None))
 
-    def nested(self, body, in_loop, operands):
-        """The shape of a statement list that an ``if`` or a loop runs: none if
-        it is empty, else a ``_CALL`` of the list its closures are compiled
-        into (:meth:`block`) the first time it runs."""
-        if not body:
-            return ()
-        closures = []
-        operands += (closures, lambda: closures.extend(self.block(body, in_loop)) or closures)
-        return ((_CALL, Literal, None),)
-
-    def _if(self, s, in_loop):
-        loc, operands = s.loc, [s.loc]
-        cond = self.lower(s.cond, loc, operands, False, 1)
-        shape = _IF, cond, self.nested(s.then_body, in_loop, operands), self.nested(s.else_body, in_loop, operands)
-        return self.generated(shape, operands, loc)
-
-    def _while(self, s, in_loop):
-        run, loc, operands = self, s.loc, [s.loc]
-        cond = self.lower(s.cond, loc, operands, False, 1)
-        loop = self.generated((_WHILE, cond, self.nested(s.body, True, operands)), operands, loc)
-
-        def while_():
-            if loop(range(HOT)):  # the closures' HOT iterations, then the rest
-                (run.kernel(s) or loop)(itertools.repeat(None))
-
-        return while_
-
-    def _for(self, s, in_loop):
-        run, loc, operands = self, s.loc, []
-        bounds = [self.lower(x, loc, operands, False, 0) for x in (s.start, s.stop, s.step or _ONE)]
-        head, loop = self.generated((_RANGE, *bounds), operands, loc), None
+            return while_
+        head, loop = self.generated(self.head(s, operands, 0), operands, s.loc), None
 
         def for_():
             nonlocal loop
@@ -700,25 +708,10 @@ class _Compiler:
             if it.__length_hint__() > HOT and (kernel := run.kernel(s)):
                 return kernel(it)
             if loop is None:  # built by the first activation that runs on closures
-                operands = [loc, s.var]
-                loop = run.generated((_FOR, run.nested(s.body, True, operands)), operands, loc)
+                loop = run.generated(run.statement(s, operands := [], 1), operands)
             loop(it)
 
         return for_
-
-    def _jump(self, s, in_loop):
-        """``return``, ``break``, ``continue``: a step, then the jump; outside a loop the last two are errors."""
-        loc, t = s.loc, type(s)
-        if t is Return or in_loop:
-            signal = _Return if t is Return else _Break if t is Break else _Continue
-        else:
-            signal = lambda _: MimRuntimeError(E_TYPE, "%s outside a loop" % t.__name__.lower(), loc)
-        operands = [loc, signal]
-        return self.generated((_JUMP, self.lower(s.value if t is Return else _NULL, loc, operands, True, 1)),
-                              operands, loc)
-
-    _STMTS = {Assign: _define, Append: _define, IndexAssign: _define, If: _if, While: _while,
-              For: _for, Return: _jump, Break: _jump, Continue: _jump}
 
 
 def execute(
@@ -754,10 +747,12 @@ def execute(
     return_value: Optional[Value] = None  # falling off the end: implicit `return null`
     error_kind = error_loc = None
     try:
-        for stmt in run.block(p.body, False):
+        for stmt in run.block(p.body):
             stmt()
     except _Return as r:
         return_value = r.args[0]
+    except (_Break, _Continue) as jump:  # outside a loop
+        status, error_kind, error_loc = STATUS_ERROR, E_TYPE, jump.args[1]
     except _Budget:
         status = STATUS_BUDGET
     except MimRuntimeError as err:

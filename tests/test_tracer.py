@@ -584,6 +584,30 @@ KERNEL_LOCALS = [
 ]
 CONTROL_FLOW += [(src, [[5, 6]]) for src in KERNEL_LOCALS]
 
+# Jumps in a kernel: a 40-value for or a 40-iteration while around an inner
+# loop that breaks or continues, a return from an inner loop after writing a
+# variable bound at entry (t) and one first defined in the body (u), an outer
+# break after an inner loop, and loops three deep.
+KERNEL_JUMPS = [
+    "fn f(xs) { t = 0 for i in range(0, 40) { for j in range(0, 5) { if j > i % 4 { break } t = t + j } } return t }",
+    "fn f(xs) { t = 0 i = 0 while i < 40 { i = i + 1 j = 0 while j < 5 { j = j + 1 if j == i % 5 { continue } "
+    "t = t + j } } return t }",
+    "fn f(xs) { t = 0 for i in range(0, 40) { j = 0 while true { j = j + 1 if j > 2 { break } } if i % 3 == 0 { continue } "
+    "t = t + i } return [t, j] }",
+    "fn f(xs) { t = 0 for i in range(0, 40) { u = i * 2 for j in range(0, 3) { t = t + j if t > 50 { return [t, u, j] } } } "
+    "return t }",
+    "fn f(xs) { t = 0 i = 0 while i < 40 { i = i + 1 u = [i] k = 0 while k < 3 { k = k + 1 append(xs, k) t = t + k "
+    "if i == 30 { return [t, u, xs] } } } return t }",
+    "fn f(xs) { t = 0 for i in range(0, 40) { for j in range(0, 3) { t = t + j } if t > 40 { break } } return [t, i] }",
+    "fn f(xs) { t = 0 i = 0 while i < 40 { i = i + 1 for j in range(0, i) { t = t + 1 } if t > 100 { break } } "
+    "return [t, i] }",
+    "fn f(xs) { t = 0 for i in range(0, 40) { j = 0 while j < 3 { j = j + 1 for k in range(0, j) { if k == 1 { continue } "
+    "if t > 200 { break } t = t + k + 1 } } } return [t, i, j] }",
+    "fn f(xs) { t = 0 i = 0 while i < 40 { i = i + 1 for j in range(0, 2) { for k in range(0, 2) { t = t + i * j + k "
+    "if t > 1000 { return [t, i, j, k] } } } } return t }",
+]
+CONTROL_FLOW += [(src, [[5, 6]]) for src in KERNEL_JUMPS]
+
 # A left operand that decides an and or an or, whose right operand raises if
 # it is read: an index out of range, a zero divisor, an unbound variable.
 # Each in each place of a loop body and in a statement outside any loop.
@@ -836,16 +860,28 @@ def test_long_for_loop_failing_in_its_first_iteration_fails_in_its_kernel(tiers,
 
 @pytest.mark.parametrize(
     "body",
-    ["if i == 19 { break } t = t + xs[i % 2]", "for j in range(0, 2) { t = t + xs[j] * a }"],
-    ids=["break", "nested-loop"],
+    ["if i == 19 { break } t = t + xs[i % 2]", "for j in range(0, 2) { t = t + xs[j] * a }",
+     "if i % 3 == 0 { continue } t = t + xs[i % 2]", "if i == 19 { return [t, i] } t = t + xs[i % 2]",
+     "j = 0 while j < 2 { t = t + xs[j] * a j = j + 1 }"],
+    ids=["break", "nested-for", "continue", "return", "nested-while"],
 )
-def test_long_for_loop_whose_body_cannot_lower_stays_on_closures(tiers, body):
+def test_long_for_loop_starts_in_its_kernel_whatever_its_body(tiers, body):
+    """Every statement lowers into a kernel: a loop whose body jumps or holds
+    a loop of its own runs whole there, and no statement list of its body is
+    compiled to closures."""
     lookups, blocks = tiers
     program = parse_program(LONG_FOR.format(tracer.HOT + 4, body))
     assert_matches_tree_walker(program, [[4, 5], 3])
     loop = the_loop(program)
-    assert lookups and all(found_loop is loop and not found for found_loop, _, found in lookups)
-    assert compiled(blocks, loop.body)
+    assert lookups and all(found_loop is loop and found and at == 1 for found_loop, at, found in lookups)
+    assert blocks and all(b is program.body for b in blocks)
+
+
+def test_every_loop_of_a_campaign_finds_its_kernel(monkeypatch, tiers):
+    monkeypatch.setattr(tracer, "HOT", 0)
+    lookups, _ = tiers
+    assert differential_campaign(200, seed=7).ok
+    assert lookups and all(found for _, _, found in lookups)
 
 
 def test_short_loops_never_look_up_a_kernel(tiers):
@@ -860,18 +896,22 @@ def test_short_loops_never_look_up_a_kernel(tiers):
     assert lookups == []
 
 
-# A loop body that nests every kind of expression four or more deep: and, or,
+# A loop body that nests every kind of expression four or more deep (and, or,
 # not, a negation, abs, min of a list, max of two arguments, list and set
-# literals.
+# literals) and every kind of statement: a nested for and while, break,
+# continue and return.
 EVERY_KIND = ("fn f(a) { t = a for i in range(0, 40) { t = t + i "
-              "b = not (abs(min([t, -t, max(t, i)])) > 0 and ({t, i} != {i} or false)) } return [t, b] }")
+              "b = not (abs(min([t, -t, max(t, i)])) > 0 and ({t, i} != {i} or false)) "
+              "for j in range(0, 3) { if j == i % 3 { continue } t = t - j } "
+              "k = 0 while true { k = k + 1 if k > 2 { break } } "
+              "if t > 300 { return [t, b, k] } } return [t, b] }")
 
 
 def test_kernel_lowers_every_expression_kind_and_builds_no_closure(monkeypatch):
     generated, kernel = tracer._Compiler.generated, tracer._Compiler.kernel
     looking, made, found = [], [], []
 
-    def spy_generated(run, shape, operands, loc):
+    def spy_generated(run, shape, operands, loc=None):
         if looking:
             made.append(shape)
         return generated(run, shape, operands, loc)
@@ -888,7 +928,8 @@ def test_kernel_lowers_every_expression_kind_and_builds_no_closure(monkeypatch):
     monkeypatch.setattr(tracer._Compiler, "kernel", spy_kernel)
     program = parse_program(EVERY_KIND)
     for value in (3, -2, True):
-        assert_matches_at(program, [value], [1, 2, 40, 81, 100])
+        assert_matches_at(program, [value], [1, 2, 40, 81, 100, 1000])
+    assert execute(program, [3]).return_value[0] > 300
     assert found and all(found) and made == []
 
 
@@ -896,10 +937,16 @@ def nested_ifs(depth):
     return "if a { " * depth + "t = t + 1" + " }" * depth
 
 
-# Loop bodies nested past Python's limit of 100 indentation levels in a
-# kernel; each loop runs 40 times.
+def nested_fors(depth):
+    return "for k in range(0, 1) { " * depth + "t = t + 1" + " }" * depth
+
+
+# Loop bodies nested past what Python compiles in a kernel: 100 indentation
+# levels, or 20 statically nested blocks (a loop nested in a kernel is two:
+# its for and its body's try); each loop runs 40 times.
 NESTED = {"if94": nested_ifs(94), "if100": nested_ifs(100),
-          "and100": "t = t + 1 b = " + "(a and " * 100 + "a" + ")" * 100}
+          "and100": "t = t + 1 b = " + "(a and " * 100 + "a" + ")" * 100,
+          "for8": nested_fors(8), "for9": nested_fors(9)}
 NESTED_LOOPS = {"for": "for i in range(0, 40) { %s }", "while": "i = 0 while i < 40 { i = i + 1 %s }"}
 
 
