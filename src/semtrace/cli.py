@@ -11,7 +11,11 @@ above 0).  Every input is loaded inside
 canonical payload of each subcommand.  ``eval`` and ``probe`` also exit 1
 when an ``--out`` directory (or ``eval``'s ``transcripts`` in it) cannot be
 made, with ``cannot write <path>: <reason>``, before any item is scored or
-any sweep runs, so no output is written.
+any sweep runs, so no output is written.  ``trace`` and ``reward`` exit 1
+with ``cannot encode result: JSON value is nested too deeply``, and print
+nothing on stdout, when a value of their result is nested too deeply to
+encode as JSON (a list of a list of ... 1,500 levels deep, as a loop can
+build).
 """
 
 from __future__ import annotations
@@ -67,8 +71,9 @@ class _Failed(Exception):
 
 @contextmanager
 def _reading(what: str, path=None):
-    """Reports a failure to load an input: an ``OSError`` as ``cannot read
-    <file>: <reason>``, a ``ValueError`` as ``<what>: <message>``."""
+    """Reports a failure to load an input (or to encode a result): an
+    ``OSError`` as ``cannot read <file>: <reason>``, a ``ValueError`` as
+    ``<what>: <message>``."""
     try:
         yield
     except OSError as exc:
@@ -108,7 +113,9 @@ def cmd_trace(args) -> int:
     if rec.status == STATUS_BUDGET:
         raise _Failed("budget of %d steps exceeded" % args.budget, EXIT_BUDGET)
     assert rec.status == STATUS_RETURNED
-    print(TraceItem.traced(args.program, program, inputs, rec, source).answer_line())
+    with _reading("cannot encode result"):
+        line = TraceItem.traced(args.program, program, inputs, rec, source).answer_line()
+    print(line)
     return EXIT_OK
 
 
@@ -120,10 +127,11 @@ def cmd_reward(args) -> int:
         if not tests:
             raise ValueError("%s has no test cases" % args.tests)
     report = gen_reward(program, tests, budget=args.budget)
-    per_test = [
-        {"status": t.status, "matched": t.matched, "actual": encode_json_value(t.actual)}
-        for t in report.per_test
-    ]
+    with _reading("cannot encode result"):
+        per_test = [
+            {"status": t.status, "matched": t.matched, "actual": encode_json_value(t.actual)}
+            for t in report.per_test
+        ]
     print(
         json.dumps(
             {

@@ -8,8 +8,9 @@ and ``parse_unary`` reads both ``unary`` and ``postfix``.  Every input either
 yields exactly one AST or one :class:`ParseError`; nothing panics.
 
 Programs repeat their lines, so two bounded memos (each a
-:class:`semtrace.values.Memo` of ``LINE_MEMO_CAPACITY`` lines, kept from a
-key's second lookup on) spare ``parse_program`` most of its work:
+:class:`semtrace.values.Memo` of ``LINE_MEMO_CAPACITY`` lines, which keeps
+every line while it has room and, once full, the lines looked up most)
+spare ``parse_program`` most of its work:
 
 - No token spans a line break, so ``tokenize`` scans each line on its own
   and keeps the line's finished tokens by line number and line text.  The
@@ -93,7 +94,8 @@ _TOKEN_RE = re.compile(r"""
 """ % re.escape("".join(_UNESCAPE)), re.VERBOSE)
 # lines kept by each memo; the largest benchmark workload (perfbench's
 # tools) looks up 2,246 distinct (line number, line text) keys and 1,639
-# statement keys, each more than once
+# statement keys, each more than once, so each memo keeps all of them from
+# their first lookup
 LINE_MEMO_CAPACITY = 4096
 _LINES = Memo(LINE_MEMO_CAPACITY)  # (line number, line text) -> its tokens
 # (line number, line text, kind and text of the next token) -> the statement

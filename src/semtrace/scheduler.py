@@ -421,11 +421,12 @@ def run_training(
     stream of a per-sample draw, and each mini-batch's surrogate is one call
     per policy.  Each distinct (problem, action sequence), one that fails to
     decode included, is decoded and scored, together with building its
-    alignment prompt when it fails, at most twice while it stays in a bounded
-    memo (``values.Memo``); the prompt reuses the executions of the reward
-    report.  An alignment sample is scored without decoding it, from its
-    prompt's table of correct candidates: per variable, which pool entries
-    equal the truth, built when the prompt is first sampled.  The memos and
+    alignment prompt when it fails, once while it stays in a bounded memo
+    (``values.Memo``, which keeps every rollout while it has room); the
+    prompt reuses the executions of the reward report.  An alignment sample
+    is scored without decoding it, from its prompt's table of correct
+    candidates: per variable, which pool entries equal the truth, built when
+    the prompt is first sampled.  The memos and
     the table are pure functions of their keys and are not checkpoint state,
     so a resumed run starts with them empty and still matches an
     uninterrupted one exactly.  Resuming

@@ -348,10 +348,9 @@ _STORED = "stored"  # the shape of a variable an assignment stores: its ownershi
 
 HOT = 16  # a for over more values starts in its kernel; a while moves there after this many iterations
 # Kernels by loop shape and variable pattern.  Far above the 7 keys that a
-# train-loops run keeps (train-repeat and tools reach none), so that a
-# dataset of many templates keeps its kernels; a cycle of more keys than
-# this recompiles on every lookup (values.Memo admits a key on its second
-# lookup).
+# train-loops run compiles, once each (train-repeat and tools reach none),
+# so that a dataset of many templates keeps its kernels; past this many
+# keys, values.Memo keeps the table full of those looked up most.
 KERNEL_CAPACITY = 128
 _KERNELS = Memo(KERNEL_CAPACITY)
 _POSITIONS = Memo(KERNEL_CAPACITY)  # the positions of a loop shape's variable operands (_render)
@@ -530,7 +529,8 @@ class _Compiler:
     shape and variable pattern (which variable operands name the same
     variable, and which of those were bound at entry), so loops that differ
     only in their names share one, in one ``values.Memo`` of
-    :data:`KERNEL_CAPACITY` keys.
+    :data:`KERNEL_CAPACITY` keys, so each is compiled once while the table
+    has room.
     """
 
     __slots__ = ("env", "owned", "trajectory", "budget", "steps")

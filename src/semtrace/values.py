@@ -17,7 +17,9 @@ record's id is checked by :func:`record_id`, a stored integer by
 :func:`stored_int`.  Binary files (policy checkpoints, probe features) are
 read whole by one :class:`BinaryFile`, which checks each field's length
 against the bytes left before it is read.  :class:`Memo` is the one bounded
-memo of a pure function (decoded rollouts, scored rollouts, scanned lines).
+memo of a pure function (scored rollouts, scanned lines, parsed statements,
+loop kernels): it keeps every value while it has room and, once full, keeps
+a new key only in place of a less looked-up one.
 """
 
 from __future__ import annotations
@@ -26,6 +28,7 @@ import json
 import math
 import re
 import struct
+from collections import OrderedDict
 from pathlib import Path
 from typing import Callable, Optional, Union
 
@@ -42,7 +45,14 @@ _INT_ONLY = frozenset((int,))  # element types of a flat int list (bool excluded
 _U32 = struct.Struct("<I")  # the length field of binary files
 
 MEMO_CAPACITY = 1024
-_ABSENT = object()
+_TOO_DEEP = "JSON value is nested too deeply"
+# Memo's admission rule, for a memo of capacity c: its window holds the
+# c // _WINDOW keys (at least one) last kept on a miss, the counts of at most
+# _COUNTED * c keys not kept are held by hash, and every count halves once
+# per _PERIOD * c lookups
+_WINDOW = 16
+_COUNTED = 2
+_PERIOD = 10
 
 
 def is_number(v) -> bool:
@@ -134,7 +144,8 @@ def values_equal(a: Value, b: Value) -> bool:
 
 
 def encode_json_value(v: Value):
-    """MiniImp value -> JSON value (sets become ascending lists)."""
+    """MiniImp value -> JSON value (sets become ascending lists); a
+    ``ValueError`` for a value nested too deeply to encode."""
     if isinstance(v, float):
         if math.isinf(v):
             return INF_SENTINEL if v > 0 else NEG_INF_SENTINEL
@@ -143,13 +154,16 @@ def encode_json_value(v: Value):
         return "_" + v if _SENTINEL_FORM(v) else v
     if v is None or isinstance(v, (bool, int)):
         return v
-    if isinstance(v, list):
-        if set(map(type, v)) <= _INT_ONLY:
-            return v[:]
-        return [encode_json_value(x) for x in v]
     if isinstance(v, MimSet):
-        return [encode_json_value(x) for x in v.members]
-    raise ValueError("not an encodable value: %r" % (v,))
+        v = v.members
+    elif not isinstance(v, list):
+        raise ValueError("not an encodable value: %r" % (v,))
+    elif set(map(type, v)) <= _INT_ONLY:
+        return v[:]
+    try:
+        return [encode_json_value(x) for x in v]
+    except RecursionError:
+        raise ValueError(_TOO_DEEP) from None
 
 
 _CANONICAL = json.JSONEncoder(ensure_ascii=False, allow_nan=False)
@@ -172,7 +186,6 @@ def _no_constant(name: str):
 
 
 _JSON_DECODER = json.JSONDecoder(parse_float=_finite_float, parse_constant=_no_constant)
-_TOO_DEEP = "JSON value is nested too deeply"
 
 
 def load_json(text: str):
@@ -303,38 +316,72 @@ def length_prefixed(raw: bytes) -> bytes:
 
 
 class Memo:
-    """Bounded LRU memo of a pure function that keeps a value only on the
-    second lookup of its key.  The first lookup records just the key's hash,
-    like the doorkeeper of TinyLFU (Einziger et al., ACM ToS 2017), so a key
-    seen once costs no value memory.  Values and hashes are each bounded by
-    ``capacity``, least recently used first out.  A ``compute`` that raises
-    stores nothing."""
+    """Bounded memo of a pure function, least recently used value out, with
+    the admission rule of W-TinyLFU (Einziger, Friedman and Manes, "TinyLFU:
+    A Highly Efficient Cache Admission Policy", ACM ToS 2017).
+
+    Every miss keeps its value in the window, the ``capacity`` // 16 keys
+    (at least one) last kept on a miss, so a key looked up several times in
+    a row is computed once.  A key pushed out of the window stays while the
+    memo holds at most ``capacity`` values.  In a full memo it stays only if
+    it has been looked up more than once more often than the least recent
+    value outside the window, which goes instead; so a working set larger
+    than the memo keeps a full memo of its most looked-up keys rather than
+    cycling through it.  Lookup counts live in the kept entries, and by hash
+    for at most 2 x ``capacity`` keys not kept; they halve once per
+    10 x ``capacity`` lookups (applied at the next miss, the only place
+    they are compared), so a working set that moves is kept again.  A
+    ``compute`` that raises stores nothing."""
 
     def __init__(self, capacity: int = MEMO_CAPACITY):
         self.capacity = capacity
-        self._values: dict = {}  # key -> value; dicts keep insertion order
-        self._seen: dict = {}  # hash of a key looked up once -> None
+        # kept key -> [value, lookup count], least recent first: a plain dict,
+        # whose pop and reinsert on a hit cost less than OrderedDict.move_to_end
+        self._values: dict = {}
+        self._window = OrderedDict()  # the keys last kept on a miss, oldest first -> None
+        self._counts = OrderedDict()  # hash of a key not kept -> its lookup count, oldest first
+        self._lookups = 0  # since the counts last halved
 
     def __len__(self) -> int:
         return len(self._values)
 
     def clear(self) -> None:
         self._values.clear()
-        self._seen.clear()
+        self._window.clear()
+        self._counts.clear()
+        self._lookups = 0
 
     def get(self, key, compute):
         """The value for ``key``, calling ``compute()`` unless it is kept."""
-        value = self._values.pop(key, _ABSENT)
-        if value is _ABSENT:
+        self._lookups += 1
+        entry = self._values.pop(key, None)
+        if entry is None:
             value = compute()
-            seen = hash(key)
-            if self._seen.pop(seen, _ABSENT) is _ABSENT:
-                self._put(self._seen, seen, None)
-                return value
-        self._put(self._values, key, value)
-        return value
+            self._keep(key, value)
+            return value
+        self._values[key] = entry
+        entry[1] += 1
+        return entry[0]
 
-    def _put(self, table: dict, key, value) -> None:
-        table[key] = value
-        if len(table) > self.capacity:
-            del table[next(iter(table))]
+    def _keep(self, key, value) -> None:
+        """Keep ``value`` as the window's newest; then, if the window is
+        over its size and the memo over ``capacity``, drop the window's
+        oldest key or the least recent value outside the window, whichever
+        has fewer lookups (the window's oldest on a tie or a lead of one)."""
+        values, window, counts, capacity = self._values, self._window, self._counts, self.capacity
+        halvings = self._lookups // (_PERIOD * capacity)
+        if halvings:
+            self._lookups -= halvings * _PERIOD * capacity
+            for entry in values.values():
+                entry[1] >>= halvings
+            self._counts = counts = OrderedDict((h, n >> halvings) for h, n in counts.items() if n >> halvings)
+        values[key] = [value, counts.pop(hash(key), 0) + 1]
+        window[key] = None
+        if len(window) > max(1, capacity // _WINDOW):
+            candidate = window.popitem(last=False)[0]
+            if len(values) > capacity:
+                victim = next((k for k in values if k not in window and k is not candidate), None)
+                loser = victim if victim is not None and values[candidate][1] > values[victim][1] + 1 else candidate
+                counts[hash(loser)] = values.pop(loser)[1]
+                if len(counts) > _COUNTED * capacity:
+                    counts.popitem(last=False)

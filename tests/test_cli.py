@@ -613,6 +613,26 @@ def test_deeply_nested_json_input_is_a_one_line_error(tmp_path, capsys, command,
     assert not (tmp_path / "evalout").exists() and not (tmp_path / "run").exists()
 
 
+# a loop that nests a list one level deeper per iteration
+NESTING_SRC = "fn f(n) {\n    y = []\n    for i in range(0, n) {\n        y = [y]\n    }\n    return %s\n}\n"
+
+
+def nesting_argv(tmp_path, command, depth):
+    """``command``'s arguments for a result that holds a list ``depth`` levels deep."""
+    if command == "trace":
+        return ["trace", write(tmp_path, "deep.mim", NESTING_SRC % "1"), "[%d]" % depth]
+    tests = write(tmp_path, "tests.jsonl", '{"input": [%d], "expected": 1}\n' % depth)
+    return ["reward", write(tmp_path, "deep.mim", NESTING_SRC % "y"), tests]
+
+
+@pytest.mark.parametrize("command", ["trace", "reward"])
+def test_result_nested_too_deeply_to_encode_is_a_one_line_error(tmp_path, capsys, command):
+    assert cli.main(nesting_argv(tmp_path, command, 1500)) == 1
+    assert_one_line_error(capsys, "cannot encode result: JSON value is nested too deeply\n")
+    assert cli.main(nesting_argv(tmp_path, command, 300)) == 0
+    assert capsys.readouterr().out.count("[") > 300
+
+
 @pytest.mark.parametrize("command", ["trace", "reward"])
 def test_program_that_is_not_utf8_is_a_parse_error(tmp_path, capsys, command):
     prog = tmp_path / "bad.mim"

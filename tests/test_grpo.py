@@ -128,38 +128,111 @@ def test_template_policy_decodes_to_program():
     assert program == parse_program("fn f(a, b) { t = a + b return t }")
 
 
-def test_memo_admits_on_second_lookup_and_evicts_least_recent():
+def counted_lookup(memo, key, computed):
+    """``memo``'s value for ``key``, appending ``key`` to ``computed`` on a miss."""
+    return memo.get(key, lambda: computed.append(key) or key.upper())
+
+
+def test_memo_keeps_every_value_while_it_has_room_then_admits_by_lookup_count():
     computed = []
-
-    def lookup(memo, key):
-        return memo.get(key, lambda: computed.append(key) or key.upper())
-
-    memo = Memo(capacity=3)
-    assert lookup(memo, "a") == "A"
-    assert len(memo) == 0  # the first lookup keeps no value
-    assert lookup(memo, "a") == "A"
-    assert lookup(memo, "a") == "A"
-    assert computed == ["a", "a"]
-    for key in ("b", "b", "c", "c"):
-        lookup(memo, key)
-    assert len(memo) == 3
-    lookup(memo, "a")  # a hit makes "a" the most recent value
-    lookup(memo, "d")
-    lookup(memo, "d")  # admits "d" and evicts "b", the least recent value
-    assert len(memo) == 3
+    memo = Memo(capacity=3)  # a window of one key, the last kept on a miss
+    for key in "aaabc":
+        assert counted_lookup(memo, key, computed) == key.upper()
+    assert computed == list("abc") and len(memo) == 3  # every miss is kept while there is room
+    counted_lookup(memo, "d", computed)
+    # "c", pushed out of the window, was looked up no more often than "b",
+    # the least recent value outside it, so "c" goes
+    assert sorted(memo._values) == list("abd")
+    for key in "adddd":
+        counted_lookup(memo, key, computed)
+    counted_lookup(memo, "e", computed)
+    # "d", looked up four times, leads "b" by more than one lookup, so "b" goes
+    assert sorted(memo._values) == list("ade") and len(memo) == 3
     del computed[:]
-    for key in ("a", "c", "d", "b"):
-        lookup(memo, key)
-    assert computed == ["b"]
+    for key in "adecb":
+        counted_lookup(memo, key, computed)
+    assert computed == ["c", "b"]
 
 
-def test_memo_forgets_keys_seen_once_beyond_its_capacity():
-    memo = Memo(capacity=2)
+def test_memo_keeps_its_values_against_keys_seen_once():
     computed = []
-    for key in ("x", "y", "z", "x", "x"):  # "y" and "z" push out the record of "x"
-        memo.get(key, lambda: computed.append(key))
-    assert computed == ["x", "y", "z", "x", "x"]
-    assert len(memo) == 1
+    memo = Memo(capacity=16)
+    kept = ["k%d" % k for k in range(15)]
+    for key in kept * 2 + ["w"]:
+        counted_lookup(memo, key, computed)
+    for k in range(100):
+        counted_lookup(memo, "once%d" % k, computed)
+    del computed[:]
+    for key in kept:
+        counted_lookup(memo, key, computed)
+    assert computed == [] and len(memo) == 16
+
+
+def test_memo_computes_a_key_looked_up_in_a_row_once_even_when_full():
+    for capacity in (16, 64):
+        computed = []
+        memo = Memo(capacity)
+        for _ in range(3):
+            for k in range(capacity):
+                counted_lookup(memo, "k%d" % k, computed)
+        for key in ("new", "newer"):
+            del computed[:]
+            for _ in range(5):
+                assert counted_lookup(memo, key, computed) == key.upper()
+            assert computed == [key]
+        assert len(memo) == capacity
+
+
+@pytest.mark.parametrize("capacity", [16, 64])
+def test_memo_keeps_half_of_a_cycle_of_up_to_twice_its_capacity(capacity):
+    """No cliff: keys looked up in a cycle longer than the memo leave it
+    full of kept keys, each round from the third on hitting at least half of
+    its capacity.  30 rounds of more than ``capacity`` lookups see the counts
+    halve at least twice (once per 10 x ``capacity`` lookups)."""
+    for n in range(capacity + 1, 2 * capacity + 1):
+        memo = Memo(capacity)
+        keys = ["k%d" % k for k in range(n)]
+        for round_no in range(30):
+            computed = []
+            for key in keys:
+                counted_lookup(memo, key, computed)
+            if round_no >= 2:
+                assert n - len(computed) >= capacity // 2, (n, round_no)
+        assert len(memo) == capacity
+
+
+@pytest.mark.parametrize("capacity", [16, 64])
+@pytest.mark.parametrize("warm_rounds", [1, 12, 14, 40])
+@pytest.mark.parametrize("size", [1, 2])
+def test_memo_keeps_a_working_set_that_moves_within_twenty_times_its_capacity(capacity, warm_rounds, size):
+    """After ``warm_rounds`` cycles of one set of keys, a cycle of a new set
+    of ``size`` x ``capacity`` keys fills every slot outside the window
+    (``capacity`` // 16 keys) within 20 x ``capacity`` lookups."""
+    memo = Memo(capacity)
+    for _ in range(warm_rounds):
+        for k in range(capacity):
+            counted_lookup(memo, "old%d" % k, [])
+    new = ["new%d" % k for k in range(size * capacity)]
+    lookups = 0
+    while True:
+        computed = []
+        for key in new:
+            counted_lookup(memo, key, computed)
+        lookups += len(new)
+        if len(new) - len(computed) >= capacity - capacity // 16:
+            break
+        assert lookups < 20 * capacity
+    assert not any(key.startswith("old") for key in memo._values)
+
+
+def test_memo_state_stays_bounded_under_keys_seen_once():
+    """100 x ``capacity`` one-time keys: at most ``capacity`` values and the
+    lookup counts of at most 2 x ``capacity`` keys not kept."""
+    memo = Memo(capacity=16)
+    for k in range(100 * 16):
+        memo.get(k, lambda: None)
+        assert len(memo) <= 16 and len(memo._counts) <= 2 * 16 and len(memo._window) == 1
+    assert len(memo) == 16
 
 
 def test_memo_stores_nothing_when_compute_raises():

@@ -22,7 +22,7 @@ from semtrace.harness import (
 from semtrace.lang import parse_program
 from semtrace.rewards import TestCase, gen_reward
 from semtrace.scheduler import FailureBuffer, build_alignment_prompt
-from semtrace.values import MimSet, decode_json_value, encode_json_value, load_json
+from semtrace.values import MimSet, canonical_serialize, decode_json_value, encode_json_value, load_json
 
 
 def test_defaults_are_valid():
@@ -92,6 +92,15 @@ def test_json_value_round_trip():
     encoded = encode_json_value(ints)
     assert encoded == ints and encoded is not ints
     assert [type(x) for x in encode_json_value([1, True, 2])] == [int, bool, int]
+
+
+def test_encoding_a_value_nested_too_deeply_is_a_value_error():
+    deep = [1]
+    for _ in range(5000):
+        deep = [deep, MimSet([2])]
+    for encode in (encode_json_value, canonical_serialize):
+        with pytest.raises(ValueError, match="nested too deeply"):
+            encode(deep)
 
 
 def test_decode_rejects_values_outside_the_domain():

@@ -141,21 +141,37 @@ def cold_memo():
     parser._STMTS.clear()
 
 
+def kept_keys():
+    return set(parser._LINES._values) | set(parser._STMTS._values)
+
+
+FILLERS = ["fn fill() {\n%s\n}\n" % "\n".join("    x%d = %d" % (k, chunk) for k in range(LINE_MEMO_CAPACITY // 4))
+           for chunk in range(5)]
+
+
 def fill_both_memos():
     """Evict every kept line and statement: parse programs of
-    ``LINE_MEMO_CAPACITY`` // 4 one-line statements, each twice so that it
-    is kept, until more lines than the capacity have passed."""
-    for chunk in range(5):
-        filler = "fn f() {\n%s\n}\n" % "\n".join("    x%d = %d" % (k, chunk) for k in range(LINE_MEMO_CAPACITY // 4))
-        parse_program(filler)
-        parse_program(filler)
+    ``LINE_MEMO_CAPACITY`` // 4 new one-line statements, each 16 times in a
+    row so that their lines are looked up more often than the kept ones,
+    until none of the keys kept before is left.  A full memo gives up a key
+    only to one looked up more often, so the lines that many inputs share
+    (looked up a few hundred times) go only once their counts have halved
+    a few times, after about 200 parses."""
+    earlier = kept_keys()
+    for _ in range(4):
+        for filler in FILLERS:
+            for _ in range(16):
+                parse_program(filler)
+        if not earlier & kept_keys():
+            break
+    assert not earlier & kept_keys()
     assert len(parser._LINES) == len(parser._STMTS) == LINE_MEMO_CAPACITY
 
 
 def test_tokens_match_the_whole_source_scan_cold_and_warm(cold_memo):
     expected = [outcome(whole_source_tokenize, s) for s in INPUTS]
-    # a line is kept from its second scan on, so the third pass reads only
-    # kept lines
+    # the memo has room for every line, so a line is kept from its first
+    # scan on and the later passes read only kept lines
     for _ in range(3):
         assert [outcome(tokenize, s) for s in INPUTS] == expected
 
@@ -250,8 +266,9 @@ def test_the_line_joins_parse_and_fail_as_written():
 def test_programs_match_the_memo_free_parse_cold_warm_and_evicted(cold_memo):
     expected = [parse_outcome(memo_free_parse, s) for s in PROGRAMS]
     parser._LINES.clear()
-    # a statement is kept from its second parse on, so the third pass reads
-    # every statement that can be kept from the memo
+    # the memo has room for every statement, so one is kept from its first
+    # parse on and the later passes read every statement that can be kept
+    # from the memo
     for _ in range(3):
         assert [parse_outcome(parse_program, s) for s in PROGRAMS] == expected
     assert len(parser._STMTS) > 0

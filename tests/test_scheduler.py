@@ -473,6 +473,38 @@ def test_each_distinct_rollout_is_decoded_and_scored_at_most_twice(tmp_path, mon
     assert max(scores.values()) <= 2
 
 
+def test_desk_run_decodes_and_scores_each_distinct_rollout_once(tmp_path, monkeypatch):
+    """The scoring memo holds every distinct rollout of a desk run, so each
+    is decoded and scored exactly once."""
+    from collections import Counter
+
+    import semtrace.grpo
+    import semtrace.scheduler
+
+    decodes, scores, rollouts = Counter(), Counter(), set()
+    instantiate, score = semtrace.grpo.instantiate_template, semtrace.scheduler.gen_reward
+    harvest = semtrace.scheduler.harvest_failures
+
+    def counted_instantiate(template, choices):
+        decodes[(template, tuple(choices))] += 1
+        return instantiate(template, choices)
+
+    def counted_score(program, tests, budget):
+        scores[(program, id(tests))] += 1
+        return score(program, tests, budget=budget)
+
+    def recorded_harvest(group, *args):
+        rollouts.update((group.prompt_id, tuple(s.actions)) for s in group.samples)
+        return harvest(group, *args)
+
+    monkeypatch.setattr(semtrace.grpo, "instantiate_template", counted_instantiate)
+    monkeypatch.setattr(semtrace.scheduler, "gen_reward", counted_score)
+    monkeypatch.setattr(semtrace.scheduler, "harvest_failures", recorded_harvest)
+    run_training(desk_config(), desk_problems(), tmp_path / "run")
+    assert set(decodes.values()) == set(scores.values()) == {1}
+    assert sum(decodes.values()) == len(rollouts)
+
+
 def chain_problem():
     """A problem whose hole choices each parse but whose joint choice
     ("<", "<") does not: ``a < b < c`` chains two comparisons."""
@@ -543,9 +575,9 @@ def test_template_policy_decodes_only_on_a_scoring_miss(tmp_path, monkeypatch):
     monkeypatch.setattr(TemplatePolicy, "decode", counted_decode)
     samples = run_chain(tmp_path, monkeypatch)
     assert len(samples) == 64
-    # four distinct rollouts, each a miss on its first two lookups
-    assert decodes == {key: 2 for key in {(pid, actions) for pid, actions, _, _ in samples}}
-    assert sum(decodes.values()) == 8
+    # four distinct rollouts, each a miss on its first lookup only
+    assert decodes == {key: 1 for key in {(pid, actions) for pid, actions, _, _ in samples}}
+    assert sum(decodes.values()) == 4
 
 
 def test_each_failing_rollout_builds_its_prompt_at_most_twice(tmp_path, monkeypatch):

@@ -971,7 +971,7 @@ def test_kernel_python_cannot_compile_is_remembered(monkeypatch):
     program = parse_program("fn f(a) { t = 0 %s return t }" % (NESTED_LOOPS["for"] % NESTED["if100"]))
     for _ in range(4):
         assert execute(program, [True]).return_value == 40
-    assert len(compiled) == 2  # the memo keeps the failure from the key's second lookup
+    assert len(compiled) == 1  # the memo keeps the failure from the key's first lookup
 
 
 @pytest.mark.parametrize("hot", [0, tracer.HOT])
@@ -1022,22 +1022,35 @@ def shape_program(k, bits):
 def test_kernel_table_holds_at_most_its_capacity(monkeypatch):
     """Long runs hold bounded state: more loop shapes than the table holds
     never grow it past its capacity, which is far above the ~10 shapes of
-    the template workloads, and an evicted shape compiles again."""
+    the template workloads; each shape compiles once, and a shape evicted by
+    one looked up more often compiles again."""
     monkeypatch.setattr(tracer, "HOT", 1)
     compiled = []
     compile_kernel = tracer._kernel
     monkeypatch.setattr(tracer, "_kernel", lambda shape: compiled.append(shape) or compile_kernel(shape))
     table, count = tracer._KERNELS, tracer.KERNEL_CAPACITY + 8
     table.clear()
-    programs = [shape_program(k, count.bit_length()) for k in range(count)]
+    bits = count.bit_length()
+    programs = [shape_program(k, bits) for k in range(count)]
     for program in programs:
-        for _ in range(2):  # the table keeps a kernel from its second lookup
-            assert execute(program, []).return_value == 2 * count.bit_length()
+        for _ in range(2):  # one lookup of the loop's kernel each
+            assert execute(program, []).return_value == 2 * bits
             assert len(table) <= tracer.KERNEL_CAPACITY
-    assert len(table) == tracer.KERNEL_CAPACITY and len(set(compiled)) == count
+    assert len(table) == tracer.KERNEL_CAPACITY and len(compiled) == len(set(compiled)) == count
+    # a new shape looked up four times, then pushed out of the table's
+    # window (the KERNEL_CAPACITY // 16 shapes last compiled) by as many new
+    # shapes, displaces programs[0]'s, the least recent and looked up twice
+    for _ in range(4):
+        execute(shape_program(count, bits), [])
+    for k in range(tracer.KERNEL_CAPACITY // 16):
+        execute(shape_program(count + 1 + k, bits), [])
+    assert len(table) == tracer.KERNEL_CAPACITY
     before = len(compiled)
     assert_matches_tree_walker(programs[0], [])  # evicted, so compiled again
-    assert len(compiled) > before
+    assert len(compiled) == before + 1
+    before = len(compiled)
+    assert_matches_tree_walker(programs[1], [])  # still kept
+    assert len(compiled) == before
 
 
 def test_running_cold_shapes_again_compiles_no_new_maker(monkeypatch):
