@@ -101,6 +101,10 @@ _LINES = Memo(LINE_MEMO_CAPACITY)  # (line number, line text) -> its tokens
 # (line number, line text, kind and text of the next token) -> the statement
 # that covers exactly the line
 _STMTS = Memo(LINE_MEMO_CAPACITY)
+# the grammar's bounds on nesting, which keep every tool within Python's limits
+MAX_BLOCKS = 6  # if, else, while and for bodies around a statement
+MAX_NESTING = 16  # levels within one expression
+MAX_EXPR_TOKENS = 256  # tokens of one expression that a statement holds
 
 
 class ParseError(ValueError):
@@ -206,6 +210,7 @@ class _Parser:
         self.tokens = tokens
         self.pos = 0
         self.lines = lines
+        self.blocks, self.depth = -1, 0  # blocks around a statement but the function body; levels open
         if lines is not None:
             # the line of each token but eof, for bisecting out a line's tokens
             self.token_lines = list(map(itemgetter(2), tokens[:-1]))
@@ -225,6 +230,15 @@ class _Parser:
     def at(self, kind: str, text: str) -> bool:
         tok = self.tokens[self.pos]
         return tok[1] == text and tok[0] == kind
+
+    def nested(self, tok: Token, parse: Callable[..., T], *args) -> T:
+        """``parse(*args)`` one level of nesting deeper, the level that ``tok`` opens."""
+        self.depth += 1
+        if self.depth > MAX_NESTING:
+            raise ParseError("expression nested more than %d levels deep" % MAX_NESTING, tok[2], tok[3])
+        result = parse(*args)
+        self.depth -= 1
+        return result
 
     def comma_list(self, item: Callable[[], T], close: str) -> List[T]:
         """``[ item { "," item } ] close``: parameters, call arguments and
@@ -257,11 +271,15 @@ class _Parser:
         return Program(name=name, params=tuple(params), body=body)
 
     def parse_block(self) -> Tuple[nodes.Stmt, ...]:
-        self.expect("punct", "{")
+        _, _, line, col = self.expect("punct", "{")
+        self.blocks += 1
+        if self.blocks > MAX_BLOCKS:
+            raise ParseError("block nested more than %d blocks deep" % MAX_BLOCKS, line, col)
         stmts: List[nodes.Stmt] = []
         while not self.at("punct", "}"):
             stmts.append(self.memoized_stmt())
         self.pos += 1
+        self.blocks -= 1
         return tuple(stmts)
 
     # --- statements ---
@@ -298,19 +316,19 @@ class _Parser:
         if kind == "ident":
             if self.at("punct", "="):
                 self.pos += 1
-                return Assign(text, self.parse_expr(), loc=loc)
+                return Assign(text, self.expression(), loc=loc)
             if self.at("punct", "["):
                 self.pos += 1
-                index = self.parse_expr()
+                index = self.expression()
                 self.expect("punct", "]")
                 self.expect("punct", "=")
-                return IndexAssign(text, index, self.parse_expr(), loc=loc)
+                return IndexAssign(text, index, self.expression(), loc=loc)
             raise self.error(("=", "["))
         if kind == "kw":
             if text == "return":
-                return Return(self.parse_expr(), loc=loc)
+                return Return(self.expression(), loc=loc)
             if text == "if":
-                cond = self.parse_expr()
+                cond = self.expression()
                 then_body = self.parse_block()
                 else_body: Tuple[nodes.Stmt, ...] = ()
                 if self.at("kw", "else"):
@@ -318,19 +336,19 @@ class _Parser:
                     else_body = self.parse_block()
                 return If(cond, then_body, else_body, loc=loc)
             if text == "while":
-                return While(self.parse_expr(), self.parse_block(), loc=loc)
+                return While(self.expression(), self.parse_block(), loc=loc)
             if text == "for":
                 var = self.expect("ident")[1]
                 self.expect("kw", "in")
                 self.expect("kw", "range")
                 self.expect("punct", "(")
-                start = self.parse_expr()
+                start = self.expression()
                 self.expect("punct", ",")
-                stop = self.parse_expr()
+                stop = self.expression()
                 step = None
                 if self.at("punct", ","):
                     self.pos += 1
-                    step = self.parse_expr()
+                    step = self.expression()
                 self.expect("punct", ")")
                 return For(var, start, stop, step, self.parse_block(), loc=loc)
             if text == "break":
@@ -341,12 +359,21 @@ class _Parser:
                 self.expect("punct", "(")
                 target = self.expect("ident")[1]
                 self.expect("punct", ",")
-                value = self.parse_expr()
+                value = self.expression()
                 self.expect("punct", ")")
                 return Append(target, value, loc=loc)
         raise self.error(("statement",), tok)
 
     # --- expressions (precedence climbing) ---
+
+    def expression(self) -> nodes.Expr:
+        """An expression that a statement holds, of at most ``MAX_EXPR_TOKENS`` tokens."""
+        start = self.pos
+        expr = self.parse_expr()
+        if self.pos - start > MAX_EXPR_TOKENS:
+            _, _, line, col = self.tokens[start + MAX_EXPR_TOKENS]
+            raise ParseError("expression longer than %d tokens" % MAX_EXPR_TOKENS, line, col)
+        return expr
 
     def parse_expr(self, min_prec: int = 1) -> nodes.Expr:
         """An expression whose binary operators have at least ``min_prec``;
@@ -355,7 +382,7 @@ class _Parser:
         tok = tokens[self.pos]
         if tok[1] == "not" and tok[0] == "kw" and min_prec <= NOT_PREC:
             self.pos += 1
-            left = UnaryOp("not", self.parse_expr(NOT_PREC))
+            left = UnaryOp("not", self.nested(tok, self.parse_expr, NOT_PREC))
         else:
             left = self.parse_unary()
         while True:
@@ -383,18 +410,16 @@ class _Parser:
             # INT_MAX + 1 is read only as the direct, unindexed operand of
             # unary minus, so that INT_MIN can be written; an INT token is
             # always followed by another token, at least eof
-            tok = tokens[self.pos]
-            if tok[0] == "int" and int(tok[1]) == INT_MAX + 1:
-                after = tokens[self.pos + 1]
-                if not (after[1] == "[" and after[0] == "punct"):
-                    self.pos += 1
-                    return UnaryOp("-", Literal(INT_MAX + 1))
-            return UnaryOp("-", self.parse_unary())
+            operand = tokens[self.pos]
+            if operand[0] == "int" and int(operand[1]) == INT_MAX + 1 and tokens[self.pos + 1][:2] != ("punct", "["):
+                self.pos += 1
+                return UnaryOp("-", self.nested(tok, Literal, INT_MAX + 1))
+            return UnaryOp("-", self.nested(tok, self.parse_unary))
         expr = self.parse_primary()
         tok = tokens[self.pos]
         while tok[1] == "[" and tok[0] == "punct":
             self.pos += 1
-            index = self.parse_expr()
+            index = self.nested(tok, self.parse_expr)
             self.expect("punct", "]")
             expr = Index(expr, index)
             tok = tokens[self.pos]
@@ -418,21 +443,21 @@ class _Parser:
             return Literal(value)
         if kind == "punct":
             if text == "(":
-                expr = self.parse_expr()
+                expr = self.nested(tok, self.parse_expr)
                 self.expect("punct", ")")
                 return expr
             if text == "[":
-                return ListLit(tuple(self.comma_list(self.parse_expr, "]")))
+                return ListLit(tuple(self.nested(tok, self.comma_list, self.parse_expr, "]")))
             if text == "{":
                 if self.at("punct", "}"):  # a set literal is never empty
                     raise self.error(("expression",))
-                return SetLit(tuple(self.comma_list(self.parse_expr, "}")))
+                return SetLit(tuple(self.nested(tok, self.comma_list, self.parse_expr, "}")))
         elif kind == "kw":
             if text in LITERALS:
                 return Literal(LITERALS[text])
             if text in nodes.BUILTINS:
                 self.expect("punct", "(")
-                return Call(text, tuple(self.comma_list(self.parse_expr, ")")))
+                return Call(text, tuple(self.nested(tok, self.comma_list, self.parse_expr, ")")))
         elif kind == "float":
             return Literal(float(text))
         elif kind == "string":

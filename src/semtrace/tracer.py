@@ -236,8 +236,9 @@ else:
 # are a fresh list, built left to right: empty, of the first item, or the
 # list so far {0} and the next item {1}.  Each head takes such a list.  On
 # closures a list of more items is its first item's, then one _LINK closure
-# per item past the first, run in turn on the list ``it``: however long a
-# literal is, its calls do not nest.
+# per item past the first, run in turn on the list ``it``.  A shape that
+# carried the arity would have 3**k leaf patterns for k items (a variable, a
+# literal or a closure call each), and _MAKERS is never evicted.
 _EMPTY = "r{n} = []"
 _FIRST = "r{n} = [{0}]"
 _NEXT = "r{n} = {0}\nr{n}.append({1})"
@@ -433,18 +434,13 @@ def _kernel(key):
     shape, the local of each variable operand (its name's number in
     first-seen order) and whether each local's variable was bound at entry,
     as ``kernel(run, names, *operands, it)``: ``names`` are the locals'
-    variables and ``it`` is the iterator the loop runs over.  ``None`` when
-    Python cannot compile it (100 indentation levels, 20 nested blocks, as
-    nine nested loops make): the loop then runs on closures."""
+    variables and ``it`` is the iterator the loop runs over."""
     shape, pattern, bound = key
     held = [k for k in range(len(bound)) if bound[k]]
     params, lines, _ = _render(shape, None, " " * 8, pattern, held)
     loads = "".join("    local%d = env[names[%d]]\n" % (k, k) for k in held)
     stores = "\n".join("        env[names[%d]] = local%d" % (k, k) for k in held)
-    try:
-        exec(_KERNEL % (", ".join(params), loads, "\n".join(lines), stores), globals(), ns := {})
-    except SyntaxError:  # Python's limits on nesting
-        return None
+    exec(_KERNEL % (", ".join(params), loads, "\n".join(lines), stores), globals(), ns := {})
     return ns["kernel"]
 
 
@@ -520,12 +516,11 @@ class _Compiler:
     a ``while`` activation that completes :data:`HOT` iterations runs the
     rest there: one Python loop for the loop lowered whole, whatever its
     body holds (nested loops, ``break``, ``continue`` and ``return``
-    included), on the run's own ``owned`` and step count.  A kernel that
-    Python cannot compile, or a loop too deep to render, leaves its loop on
-    closures.  Each variable the loop reads or writes is a Python local of
-    the kernel, loaded from ``env`` on entry and written back on exit; a
-    variable unbound at entry is written to ``env`` at each store too, so ``env``
-    keeps the cold tier's order of first definitions.  Kernels are kept per
+    included), on the run's own ``owned`` and step count.  Each variable
+    the loop reads or writes is a Python local of the kernel, loaded from
+    ``env`` on entry and written back on exit; a variable unbound at entry
+    is written to ``env`` at each store too, so ``env`` keeps the cold
+    tier's order of first definitions.  Kernels are kept per
     shape and variable pattern (which variable operands name the same
     variable, and which of those were bound at entry), so loops that differ
     only in their names share one, in one ``values.Memo`` of
@@ -666,20 +661,14 @@ class _Compiler:
         return tuple(shapes)
 
     def kernel(self, loop):
-        """A callable that runs the rest of a ``loop`` activation from its
-        head, given a ``for`` loop's iterator or a ``while`` loop's endless
-        one; false if Python cannot compile its kernel or its shape is too
-        deep to render."""
+        """A callable that runs the rest of a ``loop`` activation from its head,
+        given a ``for`` loop's iterator or a ``while`` loop's endless one."""
         operands = []
-        try:
-            shape = self.statement(loop, operands, math.inf)
-            variables = tuple(map(operands.__getitem__, _POSITIONS.get(shape, lambda: _render(shape, None, "")[2])))
-            names = tuple(dict.fromkeys(variables))
-            key = shape, tuple(map(names.index, variables)), tuple(map(self.env.__contains__, names))
-            kernel = _KERNELS.get(key, lambda: _kernel(key))
-        except RecursionError:  # a literal of 1,000 items
-            return False
-        return kernel and partial(kernel, self, names, *operands)
+        shape = self.statement(loop, operands, math.inf)
+        variables = tuple(map(operands.__getitem__, _POSITIONS.get(shape, lambda: _render(shape, None, "")[2])))
+        names = tuple(dict.fromkeys(variables))
+        key = shape, tuple(map(names.index, variables)), tuple(map(self.env.__contains__, names))
+        return partial(_KERNELS.get(key, lambda: _kernel(key)), self, names, *operands)
 
     def block(self, body):
         """The closures of a statement list, each its :meth:`statement`
@@ -697,7 +686,7 @@ class _Compiler:
 
             def while_():
                 if loop(range(HOT)):  # the closures' HOT iterations, then the rest
-                    (run.kernel(s) or loop)(itertools.repeat(None))
+                    run.kernel(s)(itertools.repeat(None))
 
             return while_
         head, loop = self.generated(self.head(s, operands, 0), operands, s.loc), None
@@ -705,8 +694,8 @@ class _Compiler:
         def for_():
             nonlocal loop
             it = head()
-            if it.__length_hint__() > HOT and (kernel := run.kernel(s)):
-                return kernel(it)
+            if it.__length_hint__() > HOT:
+                return run.kernel(s)(it)
             if loop is None:  # built by the first activation that runs on closures
                 loop = run.generated(run.statement(s, operands := [], 1), operands)
             loop(it)
@@ -730,7 +719,8 @@ def execute(
     read it.  Each call compiles the program anew, reading variable and literal
     operands in place (:class:`_Compiler`), and drops the compiled form on return;
     a long ``for`` loop, or a ``while`` loop that proves hot, runs in a kernel
-    kept per loop shape, with the same record.
+    kept per loop shape, with the same record.  ``p`` keeps the nesting bounds
+    of docs/grammar.md, as every parsed or fuzzed program does.
     """
     if mode not in ("summary", "full"):
         raise ValueError("mode must be 'summary' or 'full'")
@@ -813,8 +803,8 @@ _REF_CAP = 2_000_000
 
 def reference_evaluate(p: Program, inputs: Sequence[Value]):
     """Deliberately separate recursive evaluator used only to cross-check
-    :func:`execute`.  Returns ``(return_value, final_vars)`` and raises
-    :class:`MimRuntimeError` with the same error taxonomy."""
+    :func:`execute`, with its precondition on ``p``.  Returns ``(return_value,
+    final_vars)`` and raises :class:`MimRuntimeError` with the same error taxonomy."""
     if len(inputs) != len(p.params):
         raise ValueError("arity mismatch")
     env: Dict[str, Value] = dict(zip(p.params, inputs))

@@ -613,6 +613,42 @@ def test_deeply_nested_json_input_is_a_one_line_error(tmp_path, capsys, command,
     assert not (tmp_path / "evalout").exists() and not (tmp_path / "run").exists()
 
 
+# a statement past each bound on nesting of docs/grammar.md: 300 nested
+# parenthesized ands, 500 operands, 7 nested ifs and 1,200 items
+PAST_BOUNDS = {
+    "and300": "b = %sa%s" % ("(a and " * 300, ")" * 300),
+    "sum500": "b = a" + " + a" * 499,
+    "if7": "if a { " * 7 + "b = a" + " }" * 7,
+    "literal1200": "b = [%s]" % ", ".join(["a"] * 1200),
+}
+
+
+@pytest.mark.parametrize("program", PAST_BOUNDS)
+@pytest.mark.parametrize("command", ["trace", "reward", "eval", "train"])
+def test_program_past_a_bound_on_nesting_is_a_one_line_error(tmp_path, capsys, command, program):
+    template = "fn f(a, b) {\n    t = a __HOLE_1__ b\n    %s\n    return t\n}\n" % PAST_BOUNDS[program]
+    source = template.replace("__HOLE_1__", "+")
+    prog = write(tmp_path, "deep.mim", source)
+    if command == "trace":
+        argv, prefix = ["trace", prog, "[true, 1]"], "parse error: "
+    elif command == "reward":
+        argv, prefix = ["reward", prog, write(tmp_path, "tests.jsonl", '{"input": [true, 1], "expected": 1}\n')], \
+            "parse error: "
+    elif command == "eval":
+        items = write(tmp_path, "items.jsonl", json.dumps({"id": "a", "source": source, "input": [True, 1]}) + "\n")
+        argv, prefix = ["eval", items, "--out", str(tmp_path / "evalout")], "bad eval items: "
+    else:
+        config, dataset = write_train_inputs(tmp_path)
+        record = {"id": "p", "template": {"source": template, "holes": [["+"]]},
+                  "tests": [{"input": [True, 1], "expected": 1}]}
+        dataset.write_text(json.dumps(record) + "\n")
+        argv, prefix = ["train", str(config), "--run-dir", str(tmp_path / "run"), "--dataset", str(dataset)], \
+            "dataset error: "
+    assert cli.main(argv) == 1
+    assert "at line 3, col " in assert_one_line_error(capsys, prefix)
+    assert not (tmp_path / "evalout").exists() and not (tmp_path / "run").exists()
+
+
 # a loop that nests a list one level deeper per iteration
 NESTING_SRC = "fn f(n) {\n    y = []\n    for i in range(0, n) {\n        y = [y]\n    }\n    return %s\n}\n"
 

@@ -1,5 +1,6 @@
 """Parser, formatter, variable listing, and hole templates."""
 
+import functools
 import itertools
 
 import numpy as np
@@ -357,3 +358,107 @@ def test_every_template_instantiation_parses_as_without_the_statement_memo():
             source = source.replace("__HOLE_%d__" % k, vocab[k - 1][c])
         sources[source] = choices
     assert_parses_as_without_memos(list(sources), lambda s: instantiate_template(LOOPS_TEMPLATE, sources[s]))
+
+
+# --- the bounds on nesting ---
+
+
+PROGRAM = "fn f(a, xs) {\n    y = 1\n    %s\n    return y\n}\n"
+# each nesting construct around an expression (%s), and the offset of the
+# token that opens its level
+NESTERS = {"paren": ("(%s)", 0), "index": ("xs[%s]", 2), "call": ("abs(%s)", 0), "list": ("[%s]", 0),
+           "set": ("{%s}", 0), "minus": ("- %s", 0), "not": ("not %s", 0)}
+# each statement position of an expression
+POSITIONS = ["x = %s", "xs[%s] = 1", "xs[0] = %s", "append(xs, %s)", "return %s", "if %s { x = 1 }",
+             "while %s { x = 1 }", "for i in range(%s, 2) { x = 1 }", "for i in range(0, %s) { x = 1 }",
+             "for i in range(0, 2, %s) { x = 1 }"]
+# the head of each block kind, a line of its own, whose first { opens the block
+BLOCKS = {"if": "if a {\n", "else": "if a { y = 2 } else {\n", "while": "while a {\n",
+          "for": "for i in range(0, 1) {\n"}
+
+
+def position(source, index):
+    """The (line, col) of ``source[index]``."""
+    return source.count("\n", 0, index) + 1, index - source.rfind("\n", 0, index)
+
+
+def assert_bound(at, past, index, bound):
+    """``at`` parses and round-trips, and ``past`` raises a ParseError that
+    names ``bound`` at ``past[index]``: cold, with both memos warm from
+    ``at`` and from itself, and without the statement memo."""
+    lang_parser._LINES.clear()
+    lang_parser._STMTS.clear()
+    outcomes = [parse_outcome(parse_program, past)]
+    for _ in range(2):
+        program = parse_program(at)
+        assert parse_program(format_program(program)) == program
+    outcomes += [parse_outcome(parse_program, past), parse_outcome(memo_free_parse, past)]
+    message, line, col = outcomes[0]
+    assert outcomes == [outcomes[0]] * 3
+    assert (line, col) == position(past, index) and str(bound) in message
+
+
+@pytest.mark.parametrize("nester", NESTERS)
+def test_an_expression_nests_at_most_the_bound(nester):
+    wrap, offset = NESTERS[nester]
+    bound = lang_parser.MAX_NESTING
+
+    def nested(depth):
+        return PROGRAM % ("x = " + functools.reduce(lambda inner, _: wrap % inner, range(depth), "a"))
+
+    past = nested(bound + 1)
+    assert_bound(nested(bound), past, PROGRAM.index("%s") + 4 + bound * wrap.index("%s") + offset, bound)
+
+
+def test_the_minus_of_the_least_int_is_a_level():
+    bound, least = lang_parser.MAX_NESTING, "-9223372036854775808"
+    past = PROGRAM % ("x = " + "- " * bound + least)
+    assert_bound(PROGRAM % ("x = " + "- " * (bound - 1) + least), past, PROGRAM.index("%s") + 4 + 2 * bound, bound)
+
+
+@pytest.mark.parametrize("statement", POSITIONS)
+def test_an_expression_spans_at_most_the_bound_in_tokens(statement):
+    bound = lang_parser.MAX_EXPR_TOKENS
+    at = "-a" + " + a" * ((bound - 2) // 2)  # 256 tokens
+    past = "a" + " + a" * (bound // 2)  # 257: the last is the 257th
+    source = PROGRAM % (statement % past)
+    assert_bound(PROGRAM % (statement % at), source, PROGRAM.index("%s") + statement.index("%s") + len(past) - 1, bound)
+
+
+@pytest.mark.parametrize("kind", BLOCKS)
+def test_a_statement_sits_in_at_most_the_bound_in_blocks(kind):
+    bound, head = lang_parser.MAX_BLOCKS, BLOCKS[kind]
+
+    def nested(depth):
+        return PROGRAM % (head * depth + "x = 1" + " }" * depth)
+
+    assert_bound(nested(bound), nested(bound + 1), PROGRAM.index("%s") + bound * len(head) + head.index("{"), bound)
+
+
+def nth(text, piece, n):
+    """The index of the ``n``th ``piece`` in ``text``."""
+    index = -1
+    for _ in range(n):
+        index = text.index(piece, index + 1)
+    return index
+
+
+# statements far past the bounds, each with the index of the token that
+# passes one: deep enough for Python's recursion limit, or past its limits
+# on indentation (100 levels) and nested blocks (20) in a loop's kernel
+OLD_DEEP = {
+    "and300": ("b = %sa%s" % ("(a and " * 300, ")" * 300), lambda s: nth(s, "(", 17)),
+    "and100": ("b = %sa%s" % ("(a and " * 100, ")" * 100), lambda s: nth(s, "(", 17)),
+    "sum500": ("b = a" + " + a" * 499, lambda s: nth(s, "a", 129)),
+    "if100": ("if a { " * 100 + "b = 1" + " }" * 100, lambda s: nth(s, "{", 7)),
+    "for9": ("for k in range(0, 1) { " * 9 + "b = 1" + " }" * 9, lambda s: nth(s, "{", 7)),
+    "literal1200": ("b = [%s]" % ", ".join(["a"] * 1200), lambda s: nth(s, ",", 128)),
+}
+
+
+@pytest.mark.parametrize("case", OLD_DEEP)
+def test_programs_past_the_bounds_are_parse_errors(case):
+    statement, where = OLD_DEEP[case]
+    with pytest.raises(ParseError) as info:
+        parse_program(PROGRAM % statement)
+    assert (info.value.line, info.value.col) == position(PROGRAM % statement, PROGRAM.index("%s") + where(statement))

@@ -35,8 +35,22 @@ def miniimp_like(draw):
     return "".join(piece + sep for piece, sep in pieces)
 
 
+# an opener and its closer, a prefix operator, or a link of an operator or
+# item chain: long runs of one pass the grammar's bounds on nesting
+RUNS = [("(", ")"), ("[", "]"), ("{", "}"), ("xs[", "]"), ("abs(", ")"), ("-", ""), ("not ", ""),
+        ("if a { ", " }"), ("a + ", ""), ("a and ", ""), ("a, ", "")]
+
+
+@st.composite
+def long_runs(draw):
+    opener, closer = draw(st.sampled_from(RUNS))
+    depth = draw(st.integers(0, 3000))
+    run = opener * depth + draw(st.sampled_from(["a", "x = a"])) + closer * draw(st.integers(0, depth))
+    return draw(st.sampled_from(["fn f(a, xs) { x = %s return x }", "fn f(a, xs) { %s }", "%s"])) % run
+
+
 @FAST
-@given(st.one_of(st.text(), miniimp_like()))
+@given(st.one_of(st.text(), miniimp_like(), long_runs()))
 def test_parse_program_returns_a_program_or_raises_parse_error(source):
     try:
         result = parse_program(source)

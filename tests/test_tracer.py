@@ -933,57 +933,50 @@ def test_kernel_lowers_every_expression_kind_and_builds_no_closure(monkeypatch):
     assert found and all(found) and made == []
 
 
-def nested_ifs(depth):
-    return "if a { " * depth + "t = t + 1" + " }" * depth
+def logic(depth):
+    """``p or p and (…)`` with ``depth`` levels of parentheses: four levels of
+    indentation each in a kernel, the most any expression nests there."""
+    return "p or p and (" * depth + "p" + ")" * depth
 
 
-def nested_fors(depth):
-    return "for k in range(0, 1) { " * depth + "t = t + 1" + " }" * depth
-
-
-# Loop bodies nested past what Python compiles in a kernel: 100 indentation
-# levels, or 20 statically nested blocks (a loop nested in a kernel is two:
-# its for and its body's try); each loop runs 40 times.
-NESTED = {"if94": nested_ifs(94), "if100": nested_ifs(100),
-          "and100": "t = t + 1 b = " + "(a and " * 100 + "a" + ")" * 100,
-          "for8": nested_fors(8), "for9": nested_fors(9)}
-NESTED_LOOPS = {"for": "for i in range(0, 40) { %s }", "while": "i = 0 while i < 40 { i = i + 1 %s }"}
+# Statements at the grammar's bounds: an expression 16 levels deep, one of
+# 256 tokens (a 127-operand chain behind a negation) and a literal of 127
+# items, the most that 256 tokens hold.
+AT_BOUND = ("b = %s t = -t%s - c xs = [%s]"
+            % (logic(16), " + r" * 126, ", ".join(["t", "r", "q", "c", "1", "b", "s"][k % 7] for k in range(127))))
+# Six nested loops, the most blocks a statement sits in, and an if beside the
+# sixth.  The sixth ends in the statement that Python's compiler finds
+# deepest, an indexed write whose index is ``logic(16)``: on 3.11 its kernel
+# compiles up to ``logic(20)`` before passing Python's 100 indentation levels,
+# and eight nested loops compile where nine pass its 20 nested blocks.  The
+# sixth loop runs m times; the write fails on its boolean index.  The
+# statements also run on closures, alone and in a short loop.
+DEEPEST = ("fn f(p, n, m) {{ t = 0 c = 1 r = 1 q = 2 s = 0 b = false xs = [0] {0} for s in range(0, 3) {{ {0} }} "
+           "for i in range(0, 17) {{ j = 0 while j < n {{ j = j + 1 for k in range(0, n) {{ "
+           "l = 0 while l < n {{ l = l + 1 for q in range(0, n) {{ if q == 0 {{ {0} }} else {{ c = c + 1 }} "
+           "for r in range(0, m) {{ {0} xs[{1}] = t }} }} }} }} }} }} return [t, b, xs, c] }}").format(AT_BOUND, logic(16))
 
 
 @pytest.mark.parametrize("hot", [0, 1, tracer.HOT])
-@pytest.mark.parametrize("body", NESTED)
-@pytest.mark.parametrize("loop", NESTED_LOOPS)
-def test_loop_whose_kernel_python_cannot_compile_runs_on_closures(monkeypatch, hot, body, loop):
+def test_program_at_the_grammars_bounds_runs_each_hot_loop_in_its_kernel(monkeypatch, hot):
+    """Every kernel compiles, at every HOT, so each loop runs in one tier;
+    both tiers match the tree walker and the big-step evaluator."""
     monkeypatch.setattr(tracer, "HOT", hot)
-    program = parse_program("fn f(a) { t = 0 %s return t }" % (NESTED_LOOPS[loop] % NESTED[body]))
-    rec = execute(program, [True])
-    assert rec.return_value == 40
-    steps = rec.steps_used
-    assert_matches_at(program, [True], [1, 2, 99, 1000, steps - 1, steps, steps + 1])
-    assert_matches_at(program, [False], [1, 2, 99])
-
-
-def test_kernel_python_cannot_compile_is_remembered(monkeypatch):
     compiled = []
     compile_kernel = tracer._kernel
-    monkeypatch.setattr(tracer, "_kernel", lambda key: compiled.append(key) or compile_kernel(key))
+    monkeypatch.setattr(tracer, "_kernel", lambda key: compiled.append(compile_kernel(key)) or compiled[-1])
     tracer._KERNELS.clear()
-    program = parse_program("fn f(a) { t = 0 %s return t }" % (NESTED_LOOPS["for"] % NESTED["if100"]))
-    for _ in range(4):
-        assert execute(program, [True]).return_value == 40
-    assert len(compiled) == 1  # the memo keeps the failure from the key's first lookup
-
-
-@pytest.mark.parametrize("hot", [0, tracer.HOT])
-@pytest.mark.parametrize("literal", ["[%s]", "{%s}", "max(%s)"])
-def test_literal_of_a_thousand_items_runs_in_both_tiers(monkeypatch, hot, literal):
-    """On closures each item past the first is a closure of its own, which
-    the literal runs in turn; a loop too deep for a kernel to render runs
-    on closures."""
-    monkeypatch.setattr(tracer, "HOT", hot)
-    many = literal % ", ".join("a + %d" % k for k in range(1200))
-    program = parse_program("fn f(a) { u = %s t = 0 for i in range(0, 40) { t = %s } return [u, t] }" % (many, many))
-    assert_matches_at(program, [1], [1, 2, 3, 42, 43, 44])
+    program = parse_program(DEEPEST)
+    for inputs, status in (([True, 2, 0], STATUS_RETURNED), ([False, 2, 1], STATUS_ERROR)):
+        rec = execute(program, inputs)
+        assert rec.status == status
+        assert_matches_at(program, inputs, [1, 2, 40, 500, rec.steps_used - 1, rec.steps_used, rec.steps_used + 1])
+        if status == STATUS_RETURNED:
+            assert reference_evaluate(program, inputs) == (rec.return_value, rec.final_vars)
+        else:
+            with pytest.raises(MimRuntimeError):
+                reference_evaluate(program, inputs)
+    assert compiled and all(callable(kernel) for kernel in compiled)
 
 
 # two loops that differ only in their variable names, and one that reads
