@@ -402,6 +402,23 @@ def _last_checkpoint(run_dir: Path) -> Tuple[Optional[Path], int]:
     return best, best_step
 
 
+def _check_resumed_config(config: RunConfig, path: Path) -> None:
+    """A ``ValueError`` naming the first field other than ``max_steps`` in
+    which ``config`` differs from the run's ``config.json`` at ``path``, so
+    that one config reproduces every step of a resumed run.  A run directory
+    without the file resumes under ``config``."""
+    if not path.is_file():
+        return
+    saved = load_json(path.read_text("utf-8"))
+    if not isinstance(saved, dict):
+        raise ValueError("%s must hold a JSON object" % path)
+    wanted = config.to_dict()
+    for name in dict.fromkeys([*wanted, *saved]):
+        if name != "max_steps" and saved.get(name) != wanted.get(name):
+            raise ValueError("cannot resume under another config: %s is %s in %s, %s now (only max_steps may change)"
+                             % (name, json.dumps(saved.get(name)), path, json.dumps(wanted.get(name))))
+
+
 def run_training(
     config: RunConfig,
     problems: Sequence[ProblemRecord],
@@ -430,7 +447,9 @@ def run_training(
     the table are pure functions of their keys and are not checkpoint state,
     so a resumed run starts with them empty and still matches an
     uninterrupted one exactly.  Resuming
-    needs the run's ``metrics.jsonl`` with a complete line for every step done.
+    needs the run's ``metrics.jsonl`` with a complete line for every step done
+    and, when the run directory holds a ``config.json``, the config that it
+    records; only ``max_steps`` may differ.
     """
     run_dir = Path(run_dir)
     run_dir.mkdir(parents=True, exist_ok=True)
@@ -439,6 +458,7 @@ def run_training(
         trainer = Trainer(config, problems)
         kept = 0  # bytes of metrics.jsonl the run keeps: one line per step done
         if resume:
+            _check_resumed_config(config, run_dir / "config.json")
             ckpt, ckpt_step = _last_checkpoint(run_dir)
             if ckpt is None:
                 raise RuntimeError("no checkpoint to resume from in %s" % run_dir)

@@ -12,7 +12,8 @@ iterations.  A kernel keeps the loop's variables in Python locals.  One
 lowering and one renderer generate both tiers from the same fragments, one
 for each kind of statement and expression: a kernel lowers its loop whole,
 whatever its body holds, and a closure is a node lowered one node deep, by
-a maker compiled once per shape.
+a maker compiled once per shape.  A loop's closure hands a hot activation
+to its kernel from a fragment too.
 """
 
 from __future__ import annotations
@@ -242,7 +243,7 @@ else:
 _EMPTY = "r{n} = []"
 _FIRST = "r{n} = [{0}]"
 _NEXT = "r{n} = {0}\nr{n}.append({1})"
-_IT = "r{n} = it"  # the list, or a loop's iterator, that a closure or kernel is given
+_IT = "r{n} = it"  # the list that a closure is given, or the iterator of a kernel's loop
 _LINK = _IT + "\nr{n}.append({0})"
 _LINKS = _FIRST + "\nfor link{n} in {1}:\n    link{n}(r{n})"
 _SET_OF = """\
@@ -311,33 +312,36 @@ elif r{n} is False:
 else:
     raise MimRuntimeError(E_TYPE, "if condition must be a boolean", {loc})"""
 _BODY = "try:\n    {%d}\nexcept _Continue:\n    pass\nexcept _Break:\n    break\n"  # a _Break leaves its loop only
-# A loop runs over the ``it`` it is given (_IT) or, nested in a kernel, its
-# own: a for's _RANGE, a while's endless _FOREVER.  A while returns True when
-# its iterator runs out first: the cold tier's HOT iterations are done.
+# A loop runs over the ``it`` its kernel is given (_IT); nested in a kernel,
+# over its own: a for's _RANGE, a while's endless _FOREVER.  On the cold tier
+# a while runs at most HOT iterations (_UNTIL_HOT), and the statement list
+# {3} that runs when they are all done hands the rest to its kernel
+# (_WHILE_REST); a for's _COLD_RANGE runs a range of more than HOT values
+# whole in its kernel, which leaves the closures none.
 _WHILE = "for _ in {2}:\n" + _indent(_HEAD + """if r{n} is not True:
     if r{n} is False:
         break
     raise MimRuntimeError(E_TYPE, "while condition must be a boolean", {loc})
-""" + _BODY % 1) + "else:\n    return True"
+""" + _BODY % 1) + "else:\n    {3}"
 _FOR = "for i{n} in {1}:\n" + _indent(_STEP + "{var} = i{n}\n" + _EVENT % "var{n}, i{n}" + _BODY % 0)
 _FOREVER = "r{n} = itertools.repeat(None)"
+_UNTIL_HOT = "r{n} = range(HOT)"
 # a _Return, _Break or _Continue; execute reports either of the last two leaving the program as an error at {loc}
 _JUMP = _HEAD + "raise signal{n}(r{n}, {loc})"
-# A statement list of the cold tier: the closures in the list {0}, which {1}
-# compiles them into on its first run; they keep the step count in ``run.steps``.
-_CALL = """run.steps = steps
-try:
-    for r{n} in {0} or {1}:
-        r{n}()
-finally:
-    steps = run.steps"""
+# A call that keeps the step count in ``run.steps``: a statement list of the
+# cold tier, the closures in the list {0}, which {1} compiles them into on its
+# first run, or the hand-off of a loop's activation to its kernel over an iterator.
+_SYNC = "run.steps = steps\ntry:\n%sfinally:\n    steps = run.steps"
+_CALL = _SYNC % "    for r{n} in {0} or {1}:\n        r{n}()\n"
+_HANDOFF = _SYNC % "    run.kernel(loop{n})(%s)\n"
+_WHILE_REST = _HANDOFF % "itertools.repeat(None)"
+_COLD_RANGE = _RANGE + "\nif r{n}.__length_hint__() > HOT:\n" + _indent(_HANDOFF % "r{n}") + "\n    r{n} = ()"
 # the names a fragment takes besides its operands, each suffixed like its locals
 _NAMES = {_BINOP: "op fast divides", _LOGIC: "op decides", _UNARY: "negate", _BUILTIN: "func",
           _WRITE: "target indexed", _SET: "loc target", _SET_LIST: "loc target", _IF: "loc", _WHILE: "loc",
-          _FOR: "loc var", _JUMP: "loc signal"}
+          _FOR: "loc var", _JUMP: "loc signal", _WHILE_REST: "loop", _COLD_RANGE: "loop"}
 _VARIABLES = ("target", "var")  # the names that hold a variable's name
 _SIGNALS = {Return: _Return, Break: _Break, Continue: _Continue}
-_LOOPS = frozenset((While, For))
 _KERNEL = """def kernel(run, names, %s, it):
     env, owned, trajectory, budget, steps = run.env, run.owned, run.trajectory, run.budget, run.steps
 %s    try:
@@ -457,8 +461,8 @@ def _maker(shape):
     """Compile the closure maker of a statement or expression of ``shape``,
     ``make(run, *operands, loc)``: an expression's closure returns the
     fragment's value; a statement's keeps the step count in ``steps``, as a
-    kernel does, and a loop's runs over its argument ``it``.  The maker
-    binds only the state of the run that its closure reads."""
+    kernel does.  The maker binds only the state of the run that its closure
+    reads."""
     params, lines, _ = _render(shape, "loc", "")
     body = "\n".join(lines) + "\n"
     body = _STEPS % _indent(body) if _NAMES.get(shape[0], "").startswith("loc") else body + "return r0"
@@ -470,12 +474,13 @@ def _maker(shape):
 
 
 # Closure makers by shape, never evicted: the cold tier lowers one node deep,
-# so there are at most 2,365 shapes, each a statement over a variable, a
+# so there are at most 2,390 shapes, each a statement over a variable, a
 # literal or one node of leaves (a variable, a literal or a closure call), or
 # such a node alone: 44 assignments, 1,936 indexed writes and appends, 48
-# nodes, 176 ifs (44 conditions, each block empty or not), 88 whiles, 2 fors,
-# 27 for heads and 44 jumps.  A 10-step train-loops run makes 15, the tools
-# eval items 72, and a 2,000-program fuzz campaign 73.
+# nodes, 176 ifs (44 conditions, each block empty or not), 88 whiles, 54
+# fors (a range of three leaves, the body empty or not) and 44 jumps.  A
+# 10-step train-loops run makes 15, the tools eval items 71, and a
+# 2,000-program fuzz campaign 72.
 _MAKERS: Dict[tuple, object] = {}
 
 
@@ -509,12 +514,12 @@ class _Compiler:
     and each expression below it that is not a variable or literal, is its
     fragment lowered one node deep, by a maker compiled once per shape
     (:func:`_maker`); a statement list that an ``if`` or a loop runs is one
-    node of the shape (:meth:`nested`).  Besides its closure, a ``while``
-    keeps only the hand-off to its kernel, and a ``for`` the choice of tier
-    after its head (:meth:`loop`).  A ``for`` activation over more than
-    :data:`HOT` values runs whole in its loop's kernel (:meth:`kernel`), and
-    a ``while`` activation that completes :data:`HOT` iterations runs the
-    rest there: one Python loop for the loop lowered whole, whatever its
+    node of the shape (:meth:`nested`), and so is a loop's hand-off to its
+    kernel, so each statement of a block is one closure (:meth:`block`).  A
+    ``for`` activation over more than :data:`HOT` values runs whole in its
+    loop's kernel (:meth:`kernel`), from after its range, and a ``while``
+    activation that completes :data:`HOT` iterations runs the rest there:
+    one Python loop for the loop lowered whole, whatever its
     body holds (nested loops, ``break``, ``continue`` and ``return``
     included), on the run's own ``owned`` and step count.  Each variable
     the loop reads or writes is a Python local of the kernel, loaded from
@@ -532,12 +537,6 @@ class _Compiler:
 
     def __init__(self, env: Dict[str, Value], budget: int, trajectory: Optional[List[StepEvent]]):
         self.env, self.owned, self.trajectory, self.budget, self.steps = env, {}, trajectory, budget, 0
-
-    def expr(self, e, loc, stores=False):
-        """``e``, a node other than a variable or literal, as a closure;
-        ``stores`` when its value may be kept elsewhere."""
-        operands = []
-        return self.generated(self.lower(e, loc, operands, stores, 1), operands, loc)
 
     def generated(self, shape, operands, loc=None):
         """The cold-tier closure of ``shape`` over ``operands``; ``loc`` locates
@@ -559,8 +558,9 @@ class _Compiler:
             if type(v) is float or type(v) is int and INT_MIN <= -v <= INT_MAX:
                 operands.append(-v)
                 return Literal
-        if not depth:
-            operands.append(self.expr(e, loc, stores))
+        if not depth:  # a closure of its own, lowered one node deep
+            made = []
+            operands.append(self.generated(self.lower(e, loc, made, stores, 1), made, loc))
             return None
         depth -= 1
         if t is BinOp:
@@ -606,25 +606,35 @@ class _Compiler:
             shape = _NEXT, shape, self.lower(item, loc, operands, stores, depth)
         return shape
 
-    def statement(self, s, operands, depth, it=(_IT,)):
+    def statement(self, s, operands, depth, it=None):
         """The shape of the statement ``s``; its operands go to ``operands``.
         At ``depth`` 1, the cold tier's, its expressions are lowered one node
-        deep and each statement list it runs is a node (:meth:`nested`); in a
-        kernel ``depth`` is infinite and ``s`` is lowered whole.  A loop runs
-        over the iterator ``it`` it is given, or with ``it`` None, nested in
-        a kernel, over its own."""
+        deep (a ``for``'s range is that node), each statement list it runs is
+        a node (:meth:`nested`), and a loop hands a hot activation to its
+        kernel (:meth:`kernel`).  In a kernel ``depth`` is infinite and ``s``
+        is lowered whole; a loop runs over the iterator ``it`` it is given,
+        or with ``it`` None, nested, over its own."""
         t, loc = type(s), s.loc
         if t is Assign:
             operands += (loc, s.target)
             return _SET, self.lower(s.value, loc, operands, True, depth)
         if t is For:
             operands += (loc, s.var)
-            it = it or self.head(s, operands, depth)
+            if it is None:  # its own range, whose bounds are one node below it
+                if depth == 1:
+                    operands.append(s)
+                it = (_COLD_RANGE if depth == 1 else _RANGE, self.lower(s.start, loc, operands, False, depth - 1),
+                      self.lower(s.stop, loc, operands, False, depth - 1),
+                      self.lower(s.step or _ONE, loc, operands, False, depth - 1))
             return _FOR, self.nested(s.body, operands, depth), it
         if t is While:
             operands.append(loc)
             cond = self.lower(s.cond, loc, operands, False, depth)
-            return _WHILE, cond, self.nested(s.body, operands, depth), it or (_FOREVER,)
+            body = self.nested(s.body, operands, depth)
+            if depth > 1:
+                return _WHILE, cond, body, it or (_FOREVER,), ()
+            operands.append(s)
+            return _WHILE, cond, body, (_UNTIL_HOT,), ((_WHILE_REST,),)
         if t is If:
             operands.append(loc)
             cond = self.lower(s.cond, loc, operands, False, depth)
@@ -636,13 +646,6 @@ class _Compiler:
                                self.lower(s.value, loc, operands, True, depth))
         operands += (loc, _SIGNALS[t])
         return _JUMP, self.lower(s.value if t is Return else _NULL, loc, operands, True, depth)
-
-    def head(self, loop, operands, depth):
-        """The shape of a ``for`` loop's range, its bounds lowered ``depth`` deep."""
-        loc = loop.loc
-        start = self.lower(loop.start, loc, operands, False, depth)
-        stop = self.lower(loop.stop, loc, operands, False, depth)
-        return _RANGE, start, stop, self.lower(loop.step or _ONE, loc, operands, False, depth)
 
     def nested(self, body, operands, depth):
         """The shape of a statement list that an ``if`` or a loop runs: in a
@@ -657,14 +660,14 @@ class _Compiler:
             return ((_CALL, Literal, None),)
         shapes = []  # not a comprehension, which would make cells of its names on each call
         for s in body:
-            shapes.append(self.statement(s, operands, depth, None))
+            shapes.append(self.statement(s, operands, depth))
         return tuple(shapes)
 
     def kernel(self, loop):
         """A callable that runs the rest of a ``loop`` activation from its head,
         given a ``for`` loop's iterator or a ``while`` loop's endless one."""
         operands = []
-        shape = self.statement(loop, operands, math.inf)
+        shape = self.statement(loop, operands, math.inf, (_IT,))
         variables = tuple(map(operands.__getitem__, _POSITIONS.get(shape, lambda: _render(shape, None, "")[2])))
         names = tuple(dict.fromkeys(variables))
         key = shape, tuple(map(names.index, variables)), tuple(map(self.env.__contains__, names))
@@ -672,35 +675,8 @@ class _Compiler:
 
     def block(self, body):
         """The closures of a statement list, each its :meth:`statement`
-        lowered one node deep; a loop's runs on its choice of tier (:meth:`loop`)."""
-        return [self.loop(s) if type(s) in _LOOPS
-                else self.generated(self.statement(s, operands := [], 1), operands) for s in body]
-
-    def loop(self, s):
-        """A loop's closure.  A ``while`` hands the rest of an activation to
-        its kernel after :data:`HOT` iterations; after its head, a ``for`` over
-        more than ``HOT`` values runs whole in its kernel, any other on closures."""
-        run, operands = self, []
-        if type(s) is While:
-            loop = self.generated(self.statement(s, operands, 1), operands)
-
-            def while_():
-                if loop(range(HOT)):  # the closures' HOT iterations, then the rest
-                    run.kernel(s)(itertools.repeat(None))
-
-            return while_
-        head, loop = self.generated(self.head(s, operands, 0), operands, s.loc), None
-
-        def for_():
-            nonlocal loop
-            it = head()
-            if it.__length_hint__() > HOT:
-                return run.kernel(s)(it)
-            if loop is None:  # built by the first activation that runs on closures
-                loop = run.generated(run.statement(s, operands := [], 1), operands)
-            loop(it)
-
-        return for_
+        lowered one node deep."""
+        return [self.generated(self.statement(s, ops := [], 1), ops) for s in body]
 
 
 def execute(

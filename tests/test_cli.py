@@ -425,6 +425,47 @@ def test_train_run_errors_exit_one(tmp_path, capsys):
     assert err.startswith("run error: ") and "metrics.jsonl is missing" in err and err.count("\n") == 1
 
 
+def tree_bytes(root):
+    """Every file under ``root``, by relative path, with its bytes."""
+    return {str(path.relative_to(root)): path.read_bytes() for path in sorted(root.rglob("*")) if path.is_file()}
+
+
+@pytest.mark.parametrize(
+    "field,value,env",
+    [("seed", 5, None), ("seed", 1, "5"), ("group_size", 3, None), ("step_budget", 500, None)],
+    ids=["seed", "seed-from-env", "group_size", "step_budget"],
+)
+def test_train_resume_under_another_config_exits_one_and_writes_nothing(tmp_path, capsys, monkeypatch,
+                                                                        field, value, env):
+    """A run resumed under another config would mix two configs' steps in
+    one metrics.jsonl; it is refused before anything is written."""
+    config, dataset = write_train_inputs(tmp_path)
+    run_dir = tmp_path / "run"
+    argv = ["train", str(config), "--run-dir", str(run_dir), "--dataset", str(dataset)]
+    assert cli.main(argv) == 0
+    shutil.rmtree(run_dir / "checkpoints" / "step_6")  # so that a resume would run steps 4-6
+    before = tree_bytes(run_dir)
+    config.write_text(json.dumps(dict(json.loads(config.read_text()), **{field: value})))
+    if env is not None:
+        monkeypatch.setenv("SEMTRACE_SEED", env)
+    capsys.readouterr()
+    assert cli.main(argv + ["--resume"]) == 1
+    err = assert_one_line_error(capsys, "run error: cannot resume under another config: ")
+    assert err.startswith("run error: cannot resume under another config: %s is " % field)
+    assert tree_bytes(run_dir) == before
+
+
+def test_train_resume_with_more_steps_matches_an_uninterrupted_run(tmp_path, capsys):
+    config, dataset = write_train_inputs(tmp_path)
+    argv = ["train", str(config), "--dataset", str(dataset), "--run-dir"]
+    assert cli.main(argv + [str(tmp_path / "run")]) == 0
+    config.write_text(json.dumps(dict(json.loads(config.read_text()), max_steps=9)))
+    assert cli.main(argv + [str(tmp_path / "run"), "--resume"]) == 0
+    assert cli.main(argv + [str(tmp_path / "full")]) == 0
+    resumed = (tmp_path / "run" / "metrics.jsonl").read_bytes()
+    assert resumed.count(b"\n") == 9 and resumed == (tmp_path / "full" / "metrics.jsonl").read_bytes()
+
+
 ONE_HOLE_SRC = "fn f(a, b) {\n    t = a __HOLE_1__ b\n    return t\n}\n"
 
 

@@ -792,6 +792,64 @@ def test_budgets_around_promotion_match_tree_walker(monkeypatch):
     assert {type(loop).__name__ for loop in promoted} == {"While", "For"}
 
 
+def test_a_cold_block_generates_one_closure_per_statement(monkeypatch):
+    """Each statement of a block on closures, a loop included, is one
+    generated closure: a loop's choice of tier and its hand-off to its kernel
+    are fragments of it, whether the loop runs on closures or not."""
+    made, blocks = [], []
+    generated, block = tracer._Compiler.generated, tracer._Compiler.block
+    monkeypatch.setattr(tracer._Compiler, "generated",
+                        lambda run, shape, operands, loc=None: made.append(shape) or generated(run, shape, operands, loc))
+    monkeypatch.setattr(tracer._Compiler, "block", lambda run, body: blocks.append(body) or block(run, body))
+    program = parse_program("fn f(n) { t = 0 for i in range(0, n) { t = t + i } k = 0 while k < n { k = k + 1 } "
+                            "if t > k { t = k } return t }")
+    for n, t in ((3, 3), (tracer.HOT + 4, tracer.HOT + 4)):
+        del made[:], blocks[:]
+        assert execute(program, [n]).return_value == t
+        assert len(made) == sum(map(len, blocks))
+        assert all(tracer._NAMES.get(shape[0], "").startswith("loc") for shape in made)  # statements only
+
+
+# Hot loops inside blocks that run on closures at the default HOT: each
+# outer loop or if stays cold, and the loop inside it hands each activation
+# to its kernel.  In the kernel the run returns, fails or runs out of budget.
+HOT_IN_COLD = [
+    # a long for inside a short while and inside an if
+    ("fn f(xs, n) { t = 0 j = 0 while j < 2 { for i in range(0, n) { t = t + xs[i % 3] } j = j + 1 } return t }",
+     (STATUS_RETURNED, None)),
+    ("fn f(xs, n) { t = 0 if n > 0 { for i in range(0, n) { t = t + i } } else { t = 1 } return t }",
+     (STATUS_RETURNED, None)),
+    # a while past HOT iterations inside a short for
+    ("fn f(xs, n) { t = 0 for j in range(0, 2) { k = 0 while k < n { k = k + 1 t = t + k * j } } return t }",
+     (STATUS_RETURNED, None)),
+    # a return from each kernel
+    ("fn f(xs, n) { j = 0 while j < 2 { for i in range(0, n) { if i == n - 2 { return [j, i] } } j = j + 1 } "
+     "return 0 }", (STATUS_RETURNED, None)),
+    ("fn f(xs, n) { for j in range(0, 2) { k = 0 while k < n { k = k + 1 if k == n - 1 { return [j, k] } } } "
+     "return 0 }", (STATUS_RETURNED, None)),
+    # a runtime error in each kernel
+    ("fn f(xs, n) { t = 0 if n > 0 { for i in range(0, n) { t = t + xs[i] } } return t }", (STATUS_ERROR, E_INDEX)),
+    ("fn f(xs, n) { t = 0 for j in range(0, 2) { k = 0 while k < n { k = k + 1 if k == n - 1 { t = xs[k] } } } "
+     "return t }", (STATUS_ERROR, E_INDEX)),
+    # the budget runs out in an endless while's kernel
+    ("fn f(xs, n) { for j in range(0, 2) { k = 0 while true { k = k + 1 } } return 0 }", (STATUS_BUDGET, None)),
+]
+
+
+@pytest.mark.parametrize("src,outcome", HOT_IN_COLD)
+def test_hot_loop_inside_a_cold_block_hands_its_activation_to_its_kernel(tiers, src, outcome):
+    lookups, _ = tiers
+    program, inputs = parse_program(src), [[1, 2, 3], tracer.HOT + 4]
+    rec = execute(program, inputs)
+    assert (rec.status, rec.error_kind) == outcome
+    if rec.status == STATUS_BUDGET:
+        assert_matches_at(program, inputs, [1, 2, tracer.HOT, 2 * tracer.HOT + 4, 2 * tracer.HOT + 5, 200, 1000])
+    else:
+        assert_matches_tree_walker(program, inputs)
+    # only the inner loop reaches a kernel, always from within a cold block
+    assert lookups and all(found and not any(loop is s for s in program.body) for loop, _, found in lookups)
+
+
 # --- a for loop over more than HOT values starts in its kernel ---
 
 
