@@ -8,6 +8,7 @@ killed run never leaves a torn file.
 from __future__ import annotations
 
 import fcntl
+import hashlib
 import math
 import os
 from dataclasses import asdict, dataclass
@@ -18,7 +19,7 @@ from typing import List, Optional
 from .lang import HoleTemplate, instantiate_template
 from .rewards import TestCase
 from .tracer import DEFAULT_BUDGET
-from .values import decode_inputs, decode_json_value, load_json, read_jsonl, record_id
+from .values import canonical_serialize, decode_inputs, decode_json_value, load_json, read_jsonl, record_id
 
 SEED_ENV_VAR = "SEMTRACE_SEED"
 
@@ -159,6 +160,14 @@ def load_problems(path) -> List[ProblemRecord]:
     if not problems:
         raise ConfigError("problems file %s is empty" % path)
     return problems
+
+
+def problems_digest(problems) -> str:
+    """The SHA-256 of every field of ``problems`` that :func:`load_problems`
+    reads, in file order."""
+    fields = [[p.problem_id, p.template.template_source, list(map(list, p.template.hole_vocab)),
+               [[list(t.input), t.expected] for t in p.tests]] for p in problems]
+    return hashlib.sha256(canonical_serialize(fields).encode("utf-8")).hexdigest()
 
 
 # --- atomic persistence ---

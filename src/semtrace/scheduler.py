@@ -33,7 +33,7 @@ from .grpo import (
     sample_groups,
     train_step,
 )
-from .harness import ProblemRecord, RunConfig, RunLock, atomic_write_text
+from .harness import ProblemRecord, RunConfig, RunLock, atomic_write_text, problems_digest
 from .lang import Program, format_program
 from .optim import Adam
 from .rewards import GenRewardReport, gen_reward
@@ -427,8 +427,9 @@ def run_training(
 ) -> Path:
     """Drive the full loop; returns the run directory.
 
-    The run directory receives ``config.json``, ``metrics.jsonl`` (one record
-    per step, appended and flushed as the step ends), periodic
+    The run directory receives ``config.json``, ``problems.sha256`` (the
+    dataset's :func:`~semtrace.harness.problems_digest`), ``metrics.jsonl``
+    (one record per step, appended and flushed as the step ends), periodic
     ``checkpoints/step_<n>/``, and ``buffer.jsonl``, written once when the
     run ends.  A checkpoint directory is built as ``step_<n>.tmp/`` and
     renamed into place once complete, so resume finds only whole ones.
@@ -449,7 +450,8 @@ def run_training(
     uninterrupted one exactly.  Resuming
     needs the run's ``metrics.jsonl`` with a complete line for every step done
     and, when the run directory holds a ``config.json``, the config that it
-    records; only ``max_steps`` may differ.
+    records, only ``max_steps`` excepted; when it holds a ``problems.sha256``,
+    the dataset that it records.
     """
     run_dir = Path(run_dir)
     run_dir.mkdir(parents=True, exist_ok=True)
@@ -457,8 +459,11 @@ def run_training(
     with RunLock(run_dir):
         trainer = Trainer(config, problems)
         kept = 0  # bytes of metrics.jsonl the run keeps: one line per step done
+        digest, digest_path = problems_digest(problems) + "\n", run_dir / "problems.sha256"
         if resume:
             _check_resumed_config(config, run_dir / "config.json")
+            if digest_path.is_file() and digest_path.read_text("utf-8") != digest:
+                raise ValueError("cannot resume with another dataset: its digest is not the one in %s" % digest_path)
             ckpt, ckpt_step = _last_checkpoint(run_dir)
             if ckpt is None:
                 raise RuntimeError("no checkpoint to resume from in %s" % run_dir)
@@ -477,6 +482,7 @@ def run_training(
                                    % (ckpt, metrics_path, len(done), trainer.step))
             kept = sum(map(len, done))
         atomic_write_text(run_dir / "config.json", json.dumps(config.to_dict(), indent=2) + "\n")
+        atomic_write_text(digest_path, digest)
         with open(metrics_path, "ab") as metrics:
             metrics.truncate(kept)
             while trainer.step < config.max_steps:

@@ -9,11 +9,11 @@ the program into closures for each call and runs hot loops in kernels kept
 per loop shape and variable pattern (:class:`_Compiler`): a ``for`` over
 more than ``HOT`` values from its head, a ``while`` loop after ``HOT``
 iterations.  A kernel keeps the loop's variables in Python locals.  One
-lowering and one renderer generate both tiers from the same fragments, one
-for each kind of statement and expression: a kernel lowers its loop whole,
-whatever its body holds, and a closure is a node lowered one node deep, by
-a maker compiled once per shape.  A loop's closure hands a hot activation
-to its kernel from a fragment too.
+lowering, one renderer and one template generate both tiers from the same
+fragments, one for each kind of statement and expression: every generated
+function makes a closure, of a node lowered one node deep, or of a hot loop
+lowered whole, whatever its body holds, as its kernel.  A loop's closure
+hands a hot activation to its kernel from a fragment too.
 """
 
 from __future__ import annotations
@@ -23,7 +23,6 @@ import math
 import operator
 import re
 from dataclasses import dataclass, field
-from functools import partial
 from typing import Dict, List, NamedTuple, Optional, Sequence
 
 from .lang import (
@@ -175,10 +174,8 @@ def _index(base, idx, loc) -> Value:
 
 
 def _call(func, args, loc) -> Value:
-    if func == "len":
-        if len(args) != 1 or not isinstance(args[0], (list, MimSet, str)):
-            raise MimRuntimeError(E_TYPE, "len needs one list, set, or string", loc)
-        return len(args[0])
+    if func == "len":  # a len of one list, set or string is _LEN's
+        raise MimRuntimeError(E_TYPE, "len needs one list, set, or string", loc)
     if func == "abs":
         if len(args) != 1 or not is_number(args[0]):
             raise MimRuntimeError(E_TYPE, "abs needs one number", loc)
@@ -234,8 +231,8 @@ elif negate{n} or type(r{n}) is not bool:
 else:
     r{n} = not r{n}"""
 # A list literal's items, a set literal's members and a builtin's arguments
-# are a fresh list, built left to right: empty, of the first item, or the
-# list so far {0} and the next item {1}.  Each head takes such a list.  On
+# are a fresh list, built left to right inline in its head's shape: empty,
+# of the first item, or the list so far {0} and the next item {1}.  On
 # closures a list of more items is its first item's, then one _LINK closure
 # per item past the first, run in turn on the list ``it``.  A shape that
 # carried the arity would have 3**k leaf patterns for k items (a variable, a
@@ -342,13 +339,6 @@ _NAMES = {_BINOP: "op fast divides", _LOGIC: "op decides", _UNARY: "negate", _BU
           _FOR: "loc var", _JUMP: "loc signal", _WHILE_REST: "loop", _COLD_RANGE: "loop"}
 _VARIABLES = ("target", "var")  # the names that hold a variable's name
 _SIGNALS = {Return: _Return, Break: _Break, Continue: _Continue}
-_KERNEL = """def kernel(run, names, %s, it):
-    env, owned, trajectory, budget, steps = run.env, run.owned, run.trajectory, run.budget, run.steps
-%s    try:
-%s
-    finally:
-        run.steps = steps
-%s"""
 _STORED = "stored"  # the shape of a variable an assignment stores: its ownership ends
 
 HOT = 16  # a for over more values starts in its kernel; a while moves there after this many iterations
@@ -361,12 +351,11 @@ _KERNELS = Memo(KERNEL_CAPACITY)
 _POSITIONS = Memo(KERNEL_CAPACITY)  # the positions of a loop shape's variable operands (_render)
 
 
-def _render(shape, loc, pad, pattern=None, held=()):
+def _render(shape, pattern=None, held=()):
     """The names of the operands of ``shape`` (in the order that
-    :class:`_Compiler` lowers them), the lines at indentation ``pad`` that
-    leave its value in ``r0``, and the positions of its variable operands,
-    those that name a variable; ``loc`` names the location of errors outside
-    a statement.
+    :class:`_Compiler` lowers them), the lines that leave its value in
+    ``r0``, and the positions of its variable operands, those that name a
+    variable; an error outside a statement carries the maker's ``loc``.
 
     Without a ``pattern`` each variable is read and stored as a subscript of
     ``env``, as the cold tier does.  A kernel's ``pattern`` is the local
@@ -429,58 +418,55 @@ def _render(shape, loc, pad, pattern=None, held=()):
             lines.append(pad + line.format(*map(reads.get, range(len(kids))), n=n, loc=loc, **stores))
         return "r%d" % n
 
-    emit(shape, loc, pad)
+    emit(shape, "loc", "")
     return params, lines, tuple(variables)
 
 
-def _kernel(key):
-    """Compile the kernel of ``key`` (:meth:`_Compiler.kernel`), a loop's
-    shape, the local of each variable operand (its name's number in
-    first-seen order) and whether each local's variable was bound at entry,
-    as ``kernel(run, names, *operands, it)``: ``names`` are the locals'
-    variables and ``it`` is the iterator the loop runs over."""
-    shape, pattern, bound = key
-    held = [k for k in range(len(bound)) if bound[k]]
-    params, lines, _ = _render(shape, None, " " * 8, pattern, held)
-    loads = "".join("    local%d = env[names[%d]]\n" % (k, k) for k in held)
-    stores = "\n".join("        env[names[%d]] = local%d" % (k, k) for k in held)
-    exec(_KERNEL % (", ".join(params), loads, "\n".join(lines), stores), globals(), ns := {})
-    return ns["kernel"]
-
-
-_MAKER = """def make(run, %s, loc):
+_MAKER = """def make(run, %sloc):
 %s    def closure(it=None):
 %s
     return closure
 """
-_STEPS = "steps = run.steps\ntry:\n%sfinally:\n    run.steps = steps"
+# a statement's step count, and a kernel's locals held apart from env: loaded, then written back
+_STEPS = "steps = run.steps\n%stry:\n%sfinally:\n    run.steps = steps\n%s"
 _RUN = ("env", "owned", "trajectory", "budget")  # the run's state a closure may read
 
 
-def _maker(shape):
+def _maker(shape, pattern=None, bound=()):
     """Compile the closure maker of a statement or expression of ``shape``,
     ``make(run, *operands, loc)``: an expression's closure returns the
-    fragment's value; a statement's keeps the step count in ``steps``, as a
-    kernel does.  The maker binds only the state of the run that its closure
-    reads."""
-    params, lines, _ = _render(shape, "loc", "")
+    fragment's value; a statement's keeps the step count in ``steps``.  A
+    kernel's (:meth:`_Compiler.kernel`) also takes a loop's variable
+    ``pattern`` (:func:`_render`) and which of its locals were ``bound`` at
+    entry, loaded from ``env`` by their ``names`` and written back on exit:
+    ``make(run, names, *operands, loc)``, whose closure is given the
+    iterator ``it`` of the loop.  The maker binds only the state of the run
+    that its closure reads."""
+    held = [k for k in range(len(bound)) if bound[k]]
+    params, lines, _ = _render(shape, pattern, held)
     body = "\n".join(lines) + "\n"
-    body = _STEPS % _indent(body) if _NAMES.get(shape[0], "").startswith("loc") else body + "return r0"
+    if _NAMES.get(shape[0], "").startswith("loc"):
+        body = _STEPS % ("".join("local%d = env[names[%d]]\n" % (k, k) for k in held), _indent(body),
+                         "".join("    env[names[%d]] = local%d\n" % (k, k) for k in held))
+    else:
+        body += "return r0"
     words = set(re.findall(r"\w+", body))
     state = [name for name in _RUN if name in words]
     bind = "    %s = %s\n" % (", ".join(state), ", ".join("run." + name for name in state)) if state else ""
-    exec(_MAKER % (", ".join(params), bind, _indent(_indent(body))), globals(), ns := {})
+    params[:0] = ["names"] * (pattern is not None)
+    exec(_MAKER % ("".join(p + ", " for p in params), bind, _indent(_indent(body))), globals(), ns := {})
     return ns["make"]
 
 
 # Closure makers by shape, never evicted: the cold tier lowers one node deep,
-# so there are at most 2,390 shapes, each a statement over a variable, a
+# so there are at most 3,576 shapes, each a statement over a variable, a
 # literal or one node of leaves (a variable, a literal or a closure call), or
-# such a node alone: 44 assignments, 1,936 indexed writes and appends, 48
-# nodes, 176 ifs (44 conditions, each block empty or not), 88 whiles, 54
-# fors (a range of three leaves, the body empty or not) and 44 jumps.  A
-# 10-step train-loops run makes 15, the tools eval items 71, and a
-# 2,000-program fuzz campaign 72.
+# such a node alone, a set's or builtin's items included: 55 assignments,
+# 3,025 indexed writes and appends, 57 nodes (53 heads, 4 _LINKs), 220 ifs (55
+# conditions, each block empty or not), 110 whiles, 54 fors (a range of
+# three leaves, the body empty or not) and 55 jumps.  A 10-step train-loops
+# run makes 15, the tools eval items 71, and a 2,000-program fuzz campaign
+# 72.
 _MAKERS: Dict[tuple, object] = {}
 
 
@@ -508,27 +494,29 @@ class _Compiler:
     holds an owned list, and full mode's event for a write keeps a shallow
     copy of the list.  Full mode differs from summary mode only in the events.
 
-    One lowering (:meth:`statement`, and :meth:`lower` for expressions) and
-    one renderer (:func:`_render`) generate both tiers from the fragments,
-    one for each kind of node.  The cold tier is closures: each statement,
-    and each expression below it that is not a variable or literal, is its
-    fragment lowered one node deep, by a maker compiled once per shape
-    (:func:`_maker`); a statement list that an ``if`` or a loop runs is one
-    node of the shape (:meth:`nested`), and so is a loop's hand-off to its
-    kernel, so each statement of a block is one closure (:meth:`block`).  A
-    ``for`` activation over more than :data:`HOT` values runs whole in its
-    loop's kernel (:meth:`kernel`), from after its range, and a ``while``
-    activation that completes :data:`HOT` iterations runs the rest there:
-    one Python loop for the loop lowered whole, whatever its
-    body holds (nested loops, ``break``, ``continue`` and ``return``
-    included), on the run's own ``owned`` and step count.  Each variable
-    the loop reads or writes is a Python local of the kernel, loaded from
-    ``env`` on entry and written back on exit; a variable unbound at entry
-    is written to ``env`` at each store too, so ``env`` keeps the cold
-    tier's order of first definitions.  Kernels are kept per
-    shape and variable pattern (which variable operands name the same
-    variable, and which of those were bound at entry), so loops that differ
-    only in their names share one, in one ``values.Memo`` of
+    One lowering (:meth:`statement`, and :meth:`lower` for expressions),
+    one renderer (:func:`_render`) and one template (:func:`_maker`)
+    generate both tiers from the fragments, one for each kind of node.  The
+    cold tier is closures: each statement, and each expression below it that
+    is not a variable or literal, is its fragment lowered one node deep, by
+    a maker compiled once per shape, with a list literal's items, a set's
+    members and a builtin's arguments inline in it; a statement list that an
+    ``if`` or a loop runs is one node of the shape (:meth:`nested`), and so
+    is a loop's hand-off to its kernel, so each statement of a block is one
+    closure (:meth:`block`).  A ``for`` activation over more than
+    :data:`HOT` values runs whole in its loop's kernel (:meth:`kernel`),
+    from after its range, and a ``while`` activation that completes
+    :data:`HOT` iterations runs the rest there.  A kernel is one more
+    maker's closure, of the loop lowered whole into one Python loop,
+    whatever its body holds (nested loops, ``break``, ``continue`` and
+    ``return`` included), on the run's own ``owned`` and step count.  Each
+    variable the loop reads or writes is a Python local of the kernel,
+    loaded from ``env`` on entry and written back on exit; a variable
+    unbound at entry is written to ``env`` at each store too, so ``env``
+    keeps the cold tier's order of first definitions.  Kernel makers are
+    kept per shape and variable pattern (which variable operands name the
+    same variable, and which of those were bound at entry), so loops that
+    differ only in their names share one, in one ``values.Memo`` of
     :data:`KERNEL_CAPACITY` keys, so each is compiled once while the table
     has room.
     """
@@ -581,11 +569,7 @@ class _Compiler:
         if t is Call:
             operands.append(e.func)
         head, items = (_SET_OF, e.items) if t is SetLit else (_BUILTIN, e.args)
-        if depth:
-            return head, self.items(items, loc, operands, False, depth - 1)
-        made = []  # the cold tier's items are a closure of their own
-        operands.append(self.generated(self.items(items, loc, made, False, 0), made, loc))
-        return head, None
+        return head, self.items(items, loc, operands, False, depth)
 
     def items(self, items, loc, operands, stores, depth):
         """The shape of a fresh list of ``items``, built left to right, each
@@ -664,14 +648,15 @@ class _Compiler:
         return tuple(shapes)
 
     def kernel(self, loop):
-        """A callable that runs the rest of a ``loop`` activation from its head,
-        given a ``for`` loop's iterator or a ``while`` loop's endless one."""
+        """The closure that runs the rest of a ``loop`` activation from its
+        head, given a ``for`` loop's iterator or a ``while`` loop's endless
+        one, from the maker of the loop's key (:func:`_maker`)."""
         operands = []
         shape = self.statement(loop, operands, math.inf, (_IT,))
-        variables = tuple(map(operands.__getitem__, _POSITIONS.get(shape, lambda: _render(shape, None, "")[2])))
+        variables = tuple(map(operands.__getitem__, _POSITIONS.get(shape, lambda: _render(shape)[2])))
         names = tuple(dict.fromkeys(variables))
         key = shape, tuple(map(names.index, variables)), tuple(map(self.env.__contains__, names))
-        return partial(_KERNELS.get(key, lambda: _kernel(key)), self, names, *operands)
+        return _KERNELS.get(key, lambda: _maker(*key))(self, names, *operands, None)
 
     def block(self, body):
         """The closures of a statement list, each its :meth:`statement`

@@ -104,9 +104,6 @@ class MimSet:
     def __iter__(self):
         return iter(self.members)
 
-    def __contains__(self, v):
-        return any(values_equal(v, m) for m in self.members)
-
     def __eq__(self, other):
         return isinstance(other, MimSet) and values_equal(self, other)
 

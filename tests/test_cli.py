@@ -34,6 +34,22 @@ def test_trace_ok(tmp_path, capsys):
     assert out == '{ "final_output": 7, "variables": { "a": 7, "b": 7 } }'
 
 
+# an empty list below a statement's top node: on closures, an expression
+# closure with no operands
+EMPTY_LIST_SRC = "fn f(xs) {\n    if xs == [] {\n        return 0\n    }\n    return len(xs)\n}\n"
+
+
+def test_trace_and_reward_of_an_empty_list_operand(tmp_path, capsys):
+    prog = write(tmp_path, "empty.mim", EMPTY_LIST_SRC)
+    assert cli.main(["trace", prog, "[[1, 2]]"]) == 0
+    assert capsys.readouterr().out.strip() == '{ "final_output": 2, "variables": { "xs": [1, 2] } }'
+    tests = write(tmp_path, "tests.jsonl", "".join(json.dumps({"input": [xs], "expected": len(xs)}) + "\n"
+                                                   for xs in ([1, 2], [])))
+    assert cli.main(["reward", prog, tests]) == 0
+    payload = json.loads(capsys.readouterr().out)
+    assert payload["reward"] == 1 and [t["matched"] for t in payload["per_test"]] == [True, True]
+
+
 def test_trace_parse_error(tmp_path, capsys):
     prog = write(tmp_path, "bad.mim", "fn f( {")
     assert cli.main(["trace", prog, "[]"]) == 1
@@ -225,6 +241,23 @@ def test_eval_predictor_command_keeps_its_quoted_argument(tmp_path, capsys):
     assert cli.main(["eval", items, "--out", str(tmp_path / "unclosed"), "--predictor", unclosed]) == 1
     assert_one_line_error(capsys, "bad predictor: No closing quotation")
     assert not (tmp_path / "unclosed").exists()
+
+
+def test_eval_predictor_that_fails_scores_every_item_wrong(tmp_path, capsys, monkeypatch):
+    items = write(tmp_path, "items.jsonl", "".join(
+        json.dumps({"id": k, "source": IDENTITY_SRC, "input": [3]}) + "\n" for k in ("a", "b")))
+    timeouts = []
+    run = cli.subprocess.run
+    monkeypatch.setattr(cli.subprocess, "run", lambda *args, **kw: timeouts.append(kw["timeout"]) or run(*args, **kw))
+    code = "import sys; sys.stderr.write('no model'); sys.exit(3)"
+    predictor = "%s -c %s" % (shlex.quote(sys.executable), shlex.quote(code))
+    out = tmp_path / "evalout"
+    assert cli.main(["eval", items, "--out", str(out), "--predictor", predictor, "--timeout", "2.5"]) == 0
+    assert capsys.readouterr().out == "Exact@1 = 0.0000 over 2 items\n"
+    assert timeouts == [2.5, 2.5]
+    report = json.loads((out / "report.json").read_text())
+    assert [(r["id"], r["exact"], r["output_correct"], r["error"]) for r in report["items"]] == [
+        (k, False, False, "predictor failed: predictor exited with 3: no model") for k in ("a", "b")]
 
 
 @pytest.mark.parametrize("predictor", ["", "   "])
@@ -453,6 +486,40 @@ def test_train_resume_under_another_config_exits_one_and_writes_nothing(tmp_path
     err = assert_one_line_error(capsys, "run error: cannot resume under another config: ")
     assert err.startswith("run error: cannot resume under another config: %s is " % field)
     assert tree_bytes(run_dir) == before
+
+
+@pytest.mark.parametrize("edit", ["expected", "order"])
+def test_train_resume_with_another_dataset_exits_one_and_writes_nothing(tmp_path, capsys, edit):
+    """A run resumed with another dataset would mix two datasets' steps in
+    one metrics.jsonl; it is refused before anything is written."""
+    config, dataset = write_train_inputs(tmp_path)
+    run_dir = tmp_path / "run"
+    argv = ["train", str(config), "--run-dir", str(run_dir), "--dataset", str(dataset)]
+    assert cli.main(argv) == 0
+    shutil.rmtree(run_dir / "checkpoints" / "step_6")  # so that a resume would run steps 4-6
+    before = tree_bytes(run_dir)
+    records = [json.loads(line) for line in dataset.read_text().splitlines()]
+    if edit == "expected":
+        records[1]["tests"][0]["expected"] += 1
+    else:
+        records.reverse()
+    dataset.write_text("".join(json.dumps(r) + "\n" for r in records))
+    capsys.readouterr()
+    assert cli.main(argv + ["--resume"]) == 1
+    err = assert_one_line_error(capsys, "run error: cannot resume with another dataset: ")
+    assert str(run_dir / "problems.sha256") in err
+    assert tree_bytes(run_dir) == before
+
+
+def test_train_on_a_template_comparing_with_an_empty_list_completes(tmp_path, capsys):
+    config, _ = write_train_inputs(tmp_path)
+    source = EMPTY_LIST_SRC.replace("==", "__HOLE_1__")
+    tests = [{"input": [xs], "expected": len(xs)} for xs in ([1, 2], [], [3])]
+    dataset = write(tmp_path, "empty.jsonl", json.dumps(
+        {"id": "empty", "template": {"source": source, "holes": [["==", "!="]]}, "tests": tests}) + "\n")
+    run_dir = tmp_path / "run"
+    assert cli.main(["train", str(config), "--run-dir", str(run_dir), "--dataset", dataset]) == 0
+    assert (run_dir / "metrics.jsonl").read_text().count("\n") == 6
 
 
 def test_train_resume_with_more_steps_matches_an_uninterrupted_run(tmp_path, capsys):

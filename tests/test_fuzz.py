@@ -1,14 +1,18 @@
-"""The fuzzer's draw source against numpy's own draws, and the fuzzer's
-programs pinned by hash."""
+"""The fuzzer's draw source against numpy's own draws, the fuzzer's
+programs pinned by hash, and the differential campaign's reports."""
 
+import dataclasses
 import hashlib
 import random
 
 import numpy as np
 import pytest
 
+from semtrace import fuzz, tracer
 from semtrace.fuzz import ProgramFuzzer, _Draws
 from semtrace.lang import format_program
+from semtrace.tracer import (E_INDEX, E_TYPE, STATUS_BUDGET, STATUS_ERROR, STATUS_RETURNED, MimRuntimeError,
+                             ReferenceTimeout, StepEvent)
 
 
 def spans(plan):
@@ -95,3 +99,73 @@ def programs_digest(seed, n=300, caller_draws=False):
 ])
 def test_fuzzed_programs_are_numpys(seed, caller_draws, want):
     assert programs_digest(seed, caller_draws=caller_draws) == want
+
+
+# --- the campaign reports each kind of disagreement ---
+
+
+def _raise(kind):
+    """A reference evaluator that raises the error ``kind``, or with none times out."""
+
+    def reference(program, inputs):
+        raise MimRuntimeError(kind, "perturbed") if kind else ReferenceTimeout()
+
+    return reference
+
+
+def _first_returning_program():
+    """A seed whose campaign's first program returns with a variable bound,
+    and that variable."""
+    for seed in range(100):
+        fuzzer = ProgramFuzzer(np.random.default_rng(seed))
+        program = fuzzer.program()
+        rec = tracer.execute(program, fuzzer.inputs_for(program))
+        if rec.status == STATUS_RETURNED and rec.final_vars:
+            return seed, next(iter(rec.final_vars))
+    raise AssertionError("no returning program")
+
+
+SEED, FIRST = _first_returning_program()
+
+
+def _edit_reference(edit):
+    """The reference evaluator with ``edit`` applied to its return value and final variables."""
+    return lambda program, inputs: edit(*tracer.reference_evaluate(program, inputs))
+
+
+def _edit_record(**changes):
+    """``execute`` with fields of its record replaced, each by a value or a function of the record."""
+
+    def execute(*args, **kwargs):
+        rec = tracer.execute(*args, **kwargs)
+        return dataclasses.replace(rec, **{k: v(rec) if callable(v) else v for k, v in changes.items()})
+
+    return execute
+
+
+PERTURBATIONS = {
+    "reference-raises": ({}, _raise(E_TYPE), "reference raised type_mismatch, step run returned"),
+    "error-kind": ({"status": STATUS_ERROR, "error_kind": E_INDEX}, _raise(E_TYPE),
+                   "error kind index_out_of_range vs type_mismatch"),
+    "reference-times-out": ({}, _raise(None), "reference timed out, step run returned"),
+    "reference-returns": ({"status": STATUS_BUDGET}, None, "reference returned, step run budget_exceeded"),
+    "return-value": ({}, _edit_reference(lambda ret, finals: ("other", finals)), "return value differs"),
+    "variable-set": ({}, _edit_reference(lambda ret, finals: (ret, dict(finals, extra=1))),
+                     "final variable sets differ"),
+    "variable": ({}, _edit_reference(lambda ret, finals: (ret, dict(finals, **{FIRST: "other"}))),
+                 "variable %r differs" % FIRST),
+    "trajectory": ({"trajectory": lambda rec: rec.trajectory + [StepEvent(0, None, "extra", 1)]}, None,
+                   "trajectory scan disagrees with final map"),
+}
+
+
+@pytest.mark.parametrize("case", PERTURBATIONS)
+def test_campaign_reports_each_disagreement(monkeypatch, case):
+    """One field of the step run or of the reference, perturbed, is the one
+    mismatch of a one-program campaign."""
+    changes, reference, message = PERTURBATIONS[case]
+    monkeypatch.setattr(fuzz, "execute", _edit_record(**changes))
+    if reference is not None:
+        monkeypatch.setattr(fuzz, "reference_evaluate", reference)
+    result = fuzz.differential_campaign(1, seed=SEED)
+    assert result.mismatches == ["program 0: " + message]

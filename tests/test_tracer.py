@@ -10,7 +10,7 @@ import pytest
 
 from semtrace import tracer
 from semtrace.fuzz import ProgramFuzzer, differential_campaign
-from semtrace.lang import parse_program
+from semtrace.lang import format_program, parse_program
 from semtrace.tracer import (
     E_DIV_ZERO,
     E_INDEX,
@@ -30,6 +30,7 @@ from semtrace.tracer import (
     trajectory_final_values,
 )
 from semtrace.values import MimSet, canonical_serialize, values_equal
+from grammar_programs import grammar_programs
 from tree_walker import tree_walk_execute
 
 MODES = ("summary", "full")
@@ -616,6 +617,14 @@ CONTROL_FLOW += [("fn f(ys, p) { n = 0 %s return n }" % place.replace("E", "(%s)
                  for place in KERNEL_PLACES for e in SHORT_CIRCUIT]
 CONTROL_FLOW += [("fn f(ys, p) { b = %s return b }" % e, [[1], True]) for e in SHORT_CIRCUIT]
 
+# An empty list and a builtin called with no arguments, alone and below each
+# cold-tier statement's top node, where on closures each is a closure of no
+# operands, and inline in a set or builtin call of their own.
+NO_OPERANDS = ["xs == []", "[[]]", "[1, []]", "len([])", "a + []", "[][[]]", "{[]}",
+               "min()", "max()", "abs()", "len()"]
+CONTROL_FLOW += [("fn f(a, b, p, q, xs) { %s }" % stmt.format(e), COLD_INPUTS[0])
+                 for stmt in COLD_STATEMENTS for e in NO_OPERANDS]
+
 
 @pytest.mark.parametrize("src,inputs", CONTROL_FLOW)
 def test_compiled_interpreter_matches_tree_walker_on_control_flow_and_values(src, inputs):
@@ -1015,14 +1024,27 @@ DEEPEST = ("fn f(p, n, m) {{ t = 0 c = 1 r = 1 q = 2 s = 0 b = false xs = [0] {0
            "for r in range(0, m) {{ {0} xs[{1}] = t }} }} }} }} }} }} return [t, b, xs, c] }}").format(AT_BOUND, logic(16))
 
 
+def spy_kernels(monkeypatch, seen):
+    """Calls ``seen(key, maker)`` for each kernel that ``_maker`` compiles,
+    keyed by its loop's shape, variable pattern and bound-at-entry flags."""
+    maker = tracer._maker
+
+    def spy(shape, *pattern):
+        made = maker(shape, *pattern)
+        if pattern:
+            seen((shape, *pattern), made)
+        return made
+
+    monkeypatch.setattr(tracer, "_maker", spy)
+
+
 @pytest.mark.parametrize("hot", [0, 1, tracer.HOT])
 def test_program_at_the_grammars_bounds_runs_each_hot_loop_in_its_kernel(monkeypatch, hot):
     """Every kernel compiles, at every HOT, so each loop runs in one tier;
     both tiers match the tree walker and the big-step evaluator."""
     monkeypatch.setattr(tracer, "HOT", hot)
     compiled = []
-    compile_kernel = tracer._kernel
-    monkeypatch.setattr(tracer, "_kernel", lambda key: compiled.append(compile_kernel(key)) or compiled[-1])
+    spy_kernels(monkeypatch, lambda key, kernel: compiled.append(kernel))
     tracer._KERNELS.clear()
     program = parse_program(DEEPEST)
     for inputs, status in (([True, 2, 0], STATUS_RETURNED), ([False, 2, 1], STATUS_ERROR)):
@@ -1052,8 +1074,7 @@ def test_kernel_key_is_the_loop_shape_and_its_variable_pattern(monkeypatch, orde
     in any order each program matches the tree walker."""
     monkeypatch.setattr(tracer, "HOT", 0)
     compiled = []
-    compile_kernel = tracer._kernel
-    monkeypatch.setattr(tracer, "_kernel", lambda key: compiled.append(key) or compile_kernel(key))
+    spy_kernels(monkeypatch, lambda key, kernel: compiled.append(key))
     tracer._KERNELS.clear()
     patterns = set()
     for k in order:
@@ -1077,8 +1098,7 @@ def test_kernel_table_holds_at_most_its_capacity(monkeypatch):
     one looked up more often compiles again."""
     monkeypatch.setattr(tracer, "HOT", 1)
     compiled = []
-    compile_kernel = tracer._kernel
-    monkeypatch.setattr(tracer, "_kernel", lambda shape: compiled.append(shape) or compile_kernel(shape))
+    spy_kernels(monkeypatch, lambda key, kernel: compiled.append(key))
     table, count = tracer._KERNELS, tracer.KERNEL_CAPACITY + 8
     table.clear()
     bits = count.bit_length()
@@ -1116,3 +1136,31 @@ def test_running_cold_shapes_again_compiles_no_new_maker(monkeypatch):
         for mode in MODES:
             execute(program, inputs, mode=mode)
     assert made == []
+
+
+# --- grammar-level programs against both oracles ---
+
+
+GRAMMAR_SEED, GRAMMAR_COUNT = 38, 1000
+
+
+@pytest.mark.parametrize("hot", [tracer.HOT, 0])
+def test_grammar_level_programs_match_tree_walker_and_reference(monkeypatch, hot):
+    """Random programs over every form of the grammar match the tree walker
+    field for field, in both modes, on closures and (``HOT`` 0) with every
+    loop in its kernel; a run that ends before its budget of at most 40
+    steps matches the big-step evaluator too."""
+    monkeypatch.setattr(tracer, "HOT", hot)
+    for program, inputs, budget in grammar_programs(GRAMMAR_COUNT, GRAMMAR_SEED):
+        for mode in MODES:
+            got = execute(program, inputs, budget=budget, mode=mode)
+            want = tree_walk_execute(program, inputs, budget=budget, mode=mode)
+            assert record_fields(got) == record_fields(want), (format_program(program), inputs, budget, mode)
+        if got.status == STATUS_RETURNED:
+            ret, finals = reference_evaluate(program, inputs)
+            assert exact(ret) == exact(got.return_value)
+            assert {k: exact(v) for k, v in finals.items()} == {k: exact(v) for k, v in got.final_vars.items()}
+        elif got.status == STATUS_ERROR:
+            with pytest.raises(MimRuntimeError) as exc:
+                reference_evaluate(program, inputs)
+            assert exc.value.kind == got.error_kind, format_program(program)
