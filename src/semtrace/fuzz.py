@@ -8,17 +8,15 @@ arithmetic can overflow.
 The randomness is the caller's ``np.random.Generator``, which must run on
 ``PCG64`` (``default_rng``'s).  The fuzzer reads its raw 64-bit words in
 blocks and turns them into exactly the draws that numpy 2.4.6's
-``Generator.integers`` and ``Generator.random`` would give (:class:`_Draws`),
-and gives the generator back in the state those draws would have left it in.
-So a seed gives the same programs and inputs as drawing through numpy, and a
-caller that draws from the same generator between programs sees numpy's
-stream too.
+``Generator.integers`` and ``Generator.random`` would give (:class:`_Draws`).
+So a seed gives the same programs and inputs as drawing through numpy.  The
+fuzzer owns the generator from then on: a caller that draws between programs
+draws from ``fuzzer.draws``, which continues numpy's stream.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from functools import wraps
 from typing import List, Tuple
 
 import numpy as np
@@ -98,39 +96,25 @@ class _Draws:
     its low half first and keeps its high half for the next 32-bit draw in
     ``uinteger`` (numpy's buffer, with its flag ``has_uint32``).
     :meth:`random` is ``Generator.random``: ``(word >> 11) * 2**-53``.
+    The buffer is read from the generator's state once, on construction, and
+    words are never given back: the generator runs up to a block ahead of the
+    draws, so further draws in its stream come from here, not from it."""
 
-    Draws happen between :meth:`open`, which reads the generator's state,
-    and :meth:`close`, which leaves the generator in the state numpy's own
-    draws would have left: the state read, advanced by the words used, with
-    the buffer as the draws left it."""
-
-    __slots__ = ("bitgen", "start", "words", "read", "has_uint32", "uinteger")
+    __slots__ = ("bitgen", "words", "has_uint32", "uinteger")
 
     def __init__(self, rng: np.random.Generator):
         bitgen = rng.bit_generator
         if type(bitgen) is not np.random.PCG64:
             raise TypeError("the fuzzer draws from a PCG64 generator, not %s" % type(bitgen).__name__)
         self.bitgen = bitgen
-
-    def open(self):
-        self.start = state = self.bitgen.state
+        state = bitgen.state
         self.has_uint32, self.uinteger = state["has_uint32"], state["uinteger"]
-        self.words, self.read = [], 0  # the words read and not used, last first
-
-    def close(self):
-        bitgen = self.bitgen
-        bitgen.state = self.start
-        bitgen.advance(self.read - len(self.words))  # and zeroes the buffer
-        if self.has_uint32 or self.uinteger:
-            state = bitgen.state
-            state["has_uint32"], state["uinteger"] = self.has_uint32, self.uinteger
-            bitgen.state = state
+        self.words = []  # the words read and not used, last first
 
     def word(self) -> int:
         words = self.words
         if not words:
             words += self.bitgen.random_raw(_BLOCK)[::-1].tolist()
-            self.read += _BLOCK
         return words.pop()
 
     def integers(self, low: int, high=None) -> int:
@@ -157,21 +141,6 @@ class _Draws:
     def random(self) -> float:
         """A float in ``[0, 1)``."""
         return (self.word() >> 11) * 2.0 ** -53
-
-
-def _synced(method):
-    """``method`` of a :class:`ProgramFuzzer`, drawing between its draw
-    source's ``open`` and ``close``."""
-
-    @wraps(method)
-    def synced(self, *args):
-        self.draws.open()
-        try:
-            return method(self, *args)
-        finally:
-            self.draws.close()
-
-    return synced
 
 
 class ProgramFuzzer:
@@ -325,7 +294,6 @@ class ProgramFuzzer:
         del scope.list_vars[saved[2]:]
         return tuple(out)
 
-    @_synced
     def program(self) -> Program:
         r = self.draws
         n_params = r.integers(1, 4)
@@ -344,7 +312,6 @@ class ProgramFuzzer:
         body.append(Return(ret))
         return Program(name="fuzzed", params=params, body=tuple(body))
 
-    @_synced
     def inputs_for(self, p: Program) -> List[int]:
         return [self.draws.integers(-20, 21) for _ in p.params]
 

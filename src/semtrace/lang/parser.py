@@ -38,7 +38,7 @@ from bisect import bisect_left
 from operator import itemgetter
 from typing import Callable, List, Optional, Tuple, TypeVar
 
-from ..values import INT_MAX, Memo
+from ..values import INT_MAX, LONE_SURROGATE, Memo
 from . import nodes
 from .nodes import (
     Append,
@@ -135,6 +135,9 @@ class Token(tuple):
 def _scan(source: str, start: int, stop: int, line: int) -> Tuple[Token, ...]:
     """The tokens of line ``line``, which is ``source[start:stop]`` without
     its line break."""
+    bad = LONE_SURROGATE(source, start, stop)
+    if bad:  # in a string or a comment too: no UTF-8 output can hold it
+        raise ParseError("lone surrogate %r is not a character" % bad[0], line, bad.start() - start + 1)
     tokens: List[Token] = []
     append, new = tokens.append, tuple.__new__
     for m in _TOKEN_RE.finditer(source, start, stop):

@@ -4,6 +4,8 @@ JSON codec.
 A MiniImp value is one of: int (signed 64-bit), float (may be +-inf, never
 NaN), bool, str, None, list of values, or :class:`MimSet`.  Python's bool is
 deliberately treated as a category of its own: ``true`` is not the number 1.
+A str is of characters, and a lone surrogate (a code point in U+D800-U+DFFF,
+:data:`LONE_SURROGATE`) is not one: no UTF-8 text can hold it.
 
 In JSON a set appears as its ascending member list and the infinities as the
 sentinel strings ``"__INF__"`` / ``"__-INF__"``; a string of sentinel form (a
@@ -40,6 +42,8 @@ Value = Union[int, float, bool, str, None, list, "MimSet"]
 INF_SENTINEL = "__INF__"
 NEG_INF_SENTINEL = "__-INF__"
 _SENTINEL_FORM = re.compile(r"_*__-?INF__").fullmatch  # a sentinel behind zero or more extra "_"
+# a code point in U+D800-U+DFFF: half of a UTF-16 pair, which no UTF-8 text holds
+LONE_SURROGATE = re.compile("[\ud800-\udfff]").search
 
 _INT_ONLY = frozenset((int,))  # element types of a flat int list (bool excluded)
 _U32 = struct.Struct("<I")  # the length field of binary files
@@ -215,10 +219,14 @@ def decode_json_value(raw) -> Value:
     dropping the ``_`` a string of sentinel form gained.
 
     Raises ``ValueError`` for anything outside the value domain (objects,
-    integers beyond int64, NaN), for a float infinity, which JSON spells
-    only as a sentinel, and for lists nested too deeply to decode.
+    integers beyond int64, NaN, a string holding a lone surrogate), for a
+    float infinity, which JSON spells only as a sentinel, and for lists
+    nested too deeply to decode.
     """
     if isinstance(raw, str):
+        bad = LONE_SURROGATE(raw)
+        if bad:
+            raise ValueError("lone surrogate %r is not a character" % bad[0])
         if raw == INF_SENTINEL:
             return math.inf
         if raw == NEG_INF_SENTINEL:
@@ -260,7 +268,7 @@ def record_id(raw, seen: set, what: str) -> str:
     """``raw`` as the id of a record in a file: a non-empty string that
     encodes as UTF-8 (holds no lone surrogate) and is not in ``seen``, which
     it joins."""
-    if not isinstance(raw, str) or not raw or any("\ud800" <= c <= "\udfff" for c in raw):
+    if not isinstance(raw, str) or not raw or LONE_SURROGATE(raw):
         raise ValueError("%s id must be a non-empty UTF-8 string, got %r" % (what, raw))
     if raw in seen:
         raise ValueError("duplicate %s id %r" % (what, raw))

@@ -8,7 +8,7 @@ import sys
 
 import pytest
 
-from semtrace import cli
+from semtrace import cli, fuzz
 from semtrace.grpo import CategoricalSequencePolicy
 from semtrace.harness import RunLock
 from semtrace.probe import synthetic_linear_samples, write_feature_file
@@ -76,6 +76,12 @@ def test_trace_bad_input_json(tmp_path, capsys):
         captured = capsys.readouterr()
         assert "bad input" in captured.err
         assert captured.out == ""
+
+
+def test_trace_with_the_wrong_number_of_inputs_exits_two(tmp_path, capsys):
+    prog = write(tmp_path, "id.mim", IDENTITY_SRC)
+    assert cli.main(["trace", prog, "[1, 2]"]) == 2
+    assert_one_line_error(capsys, "execution rejected: arity mismatch: ")
 
 
 def assert_cannot_read(capsys, path):
@@ -338,6 +344,16 @@ def test_fuzz_subcommand(capsys):
     assert "40 programs" in capsys.readouterr().out
 
 
+def test_fuzz_prints_each_mismatch_and_exits_two(capsys, monkeypatch):
+    monkeypatch.setattr(fuzz, "reference_evaluate", lambda program, inputs: ("other", {}))
+    assert cli.main(["fuzz", "-n", "3", "--seed", "2"]) == 2
+    captured = capsys.readouterr()
+    mismatches = captured.err.splitlines()
+    assert captured.out == "3 programs, 3 returned, %d mismatches\n" % len(mismatches)
+    assert mismatches and all(line.startswith("program ") for line in mismatches)
+    assert {line.split(":")[0] for line in mismatches} == {"program 0", "program 1", "program 2"}
+
+
 def write_train_inputs(tmp_path):
     """A three-problem dataset and a six-step config; returns their paths."""
     dataset = tmp_path / "problems.jsonl"
@@ -422,6 +438,26 @@ def test_train_config_error_exits_one(tmp_path, capsys):
         assert cli.main(["train", str(config), "--run-dir", str(tmp_path / "r")]) == 1
         err = capsys.readouterr().err
         assert err.startswith("config error: ") and named in err
+
+
+@pytest.mark.parametrize("missing,named", [("--run-dir", "no run directory (pass --run-dir)"),
+                                           ("--dataset", "no dataset (pass --dataset)")])
+def test_train_without_a_run_dir_or_dataset_exits_one(tmp_path, capsys, missing, named):
+    config, dataset = write_train_inputs(tmp_path)
+    options = {"--run-dir": str(tmp_path / "run"), "--dataset": str(dataset)}
+    del options[missing]
+    assert cli.main(["train", str(config), *[word for item in options.items() for word in item]]) == 1
+    assert_one_line_error(capsys, named + "\n")
+    assert not (tmp_path / "run").exists()
+
+
+def test_run_config_that_is_not_an_object_is_a_run_error(tmp_path, capsys):
+    argv, _ = finished_run(tmp_path)
+    saved = tmp_path / "run" / "config.json"
+    saved.write_text("[1]\n")
+    capsys.readouterr()
+    assert cli.main(argv) == 1
+    assert_one_line_error(capsys, "run error: %s must hold a JSON object\n" % saved)
 
 
 def test_train_run_errors_exit_one(tmp_path, capsys):
@@ -870,13 +906,17 @@ def test_output_path_that_is_a_file_is_reported_before_anything_is_written(tmp_p
 @pytest.mark.parametrize(
     "key,value,named",
     [("truth", [1], "truth must be a JSON object"),
-     ("id", [1], "alignment prompt id must be a non-empty UTF-8 string")],
-    ids=["list-truth", "list-id"],
+     ("id", [1], "alignment prompt id must be a non-empty UTF-8 string"),
+     ("truth", lambda truth: dict(truth, **{next(iter(truth)): "edited"}), "stale ground truth for ")],
+    ids=["list-truth", "list-id", "stale-truth"],
 )
 def test_buffer_record_of_the_wrong_shape_is_a_run_error(tmp_path, capsys, key, value, named):
+    """A field replaced by ``value``, or edited by it if it is a function."""
     argv, buffer = _checkpoint_buffer_case(tmp_path)
     lines = buffer.read_text().splitlines(keepends=True)
-    buffer.write_text(json.dumps(dict(json.loads(lines[0]), **{key: value})) + "\n" + "".join(lines[1:]))
+    record = json.loads(lines[0])
+    record[key] = value(record[key]) if callable(value) else value
+    buffer.write_text(json.dumps(record) + "\n" + "".join(lines[1:]))
     capsys.readouterr()
     assert cli.main(argv) == 1
     assert_one_line_error(capsys, "run error: %s line 1: %s" % (buffer, named))
@@ -1072,3 +1112,52 @@ def test_checkpoint_adam_moments_that_are_not_finite_are_a_run_error(tmp_path, c
     assert cli.main(argv) == 1
     assert_one_line_error(capsys, "run error: %s: NaN is not a JSON number" % state_path)
     assert (tmp_path / "run" / "metrics.jsonl").read_bytes() == metrics
+
+
+# --- a lone surrogate (U+D800-U+DFFF) is not a character ---
+
+
+def lone_surrogate_argv(tmp_path, case):
+    """``case``'s arguments, with a lone surrogate in an input, an expected
+    value, a string literal or a comment, and the error's prefix."""
+    prog = write(tmp_path, "id.mim", IDENTITY_SRC)
+    if case == "trace":
+        return ["trace", prog, '["a\\ud800"]'], "bad input: "
+    if case == "reward":
+        tests = write(tmp_path, "tests.jsonl", json.dumps({"input": [1], "expected": "\udfff"}) + "\n")
+        return ["reward", prog, tests], "bad tests file: "
+    if case.startswith("eval"):
+        record = {"id": "a", "source": IDENTITY_SRC, "input": ["\ud800"]}
+        if case == "eval-source":
+            record = {"id": "a", "source": IDENTITY_SRC.replace("b = a", 'b = "a\ud800"'), "input": [1]}
+        items = write(tmp_path, "items.jsonl", json.dumps(record) + "\n")
+        return ["eval", items, "--out", str(tmp_path / "evalout")], "bad eval items: "
+    config, dataset = write_train_inputs(tmp_path)
+    records = [json.loads(line) for line in dataset.read_text().splitlines()]
+    if case == "train-input":
+        records[1]["tests"][0]["input"][0] = "\ud800"
+    else:
+        records[1]["template"]["source"] = records[1]["template"]["source"].replace("b\n", "b  # \ud800\n", 1)
+    dataset.write_text("".join(json.dumps(r) + "\n" for r in records))
+    return ["train", str(config), "--run-dir", str(tmp_path / "run"), "--dataset", str(dataset)], "dataset error: "
+
+
+@pytest.mark.parametrize("case", ["trace", "reward", "eval-input", "eval-source", "train-input", "train-source"])
+def test_lone_surrogate_is_a_one_line_error(tmp_path, capsys, case):
+    """No UTF-8 output can hold a lone surrogate, so it is refused where it
+    is read, before anything is run or written."""
+    argv, prefix = lone_surrogate_argv(tmp_path, case)
+    assert cli.main(argv) == 1
+    err = assert_one_line_error(capsys, prefix)
+    assert "lone surrogate '\\ud" in err and "is not a character" in err
+    if case.endswith("source"):
+        assert "at line 2, col " in err
+    assert not (tmp_path / "evalout").exists() and not (tmp_path / "run").exists()
+
+
+def test_surrogate_pair_is_one_character(tmp_path, capsys):
+    prog = tmp_path / "pair.mim"
+    prog.write_bytes(IDENTITY_SRC.replace("b = a", 'b = a + "\U0001F600"').encode("utf-8"))
+    assert cli.main(["trace", str(prog), '["\\ud83d\\ude00"]']) == 0
+    assert capsys.readouterr().out == '{ "final_output": "\U0001F600\U0001F600", "variables": { "a": "\U0001F600", ' \
+                                      '"b": "\U0001F600\U0001F600" } }\n'

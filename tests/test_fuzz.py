@@ -24,18 +24,21 @@ def spans(plan):
                           2**31 + plan.randrange(2**31)))
 
 
+@pytest.mark.parametrize("buffered", [False, True], ids=["fresh", "buffered"])
 @pytest.mark.parametrize("seed", [0, 1, 2024])
-def test_draws_match_numpy_draw_by_draw(seed):
+def test_draws_match_numpy_draw_by_draw(seed, buffered):
     """Random sequences of ``integers`` (with and without ``low``) and
-    ``random`` between syncs, with the caller drawing from the generator
-    between them: every value, and the generator's state after each sync,
-    are numpy's."""
+    ``random``, from a fresh generator or from one that holds numpy's
+    buffered half when the draw source takes it over: every value is
+    numpy's."""
     plan = random.Random(seed)
     ours, theirs = np.random.default_rng(seed), np.random.default_rng(seed)
+    if buffered:
+        assert ours.integers(7) == theirs.integers(7)
+        assert ours.bit_generator.state["has_uint32"] == 1
     draws = _Draws(ours)
     span = spans(plan)
-    for sync in range(300):
-        draws.open()
+    for run in range(300):
         for _ in range(plan.choice((0, 1, 2, plan.randrange(200)))):
             if plan.random() < 0.25:
                 value, want = draws.random(), theirs.random()
@@ -48,22 +51,15 @@ def test_draws_match_numpy_draw_by_draw(seed):
                 n = next(span)
                 low = plan.randrange(-2**33, 2**33)
                 value, want = draws.integers(low, low + n), theirs.integers(low, low + n)
-            assert value == want, sync
-        draws.close()
-        assert ours.bit_generator.state == theirs.bit_generator.state, sync
-        if plan.random() < 0.3:  # the caller draws too, maybe taking a buffered half
-            n = plan.choice((7, 2**40))
-            assert ours.integers(n) == theirs.integers(n)
+            assert value == want, run
 
 
 def test_integers_draw_from_one_to_two_to_the_32_values():
     draws = _Draws(np.random.default_rng(1))
-    draws.open()
     assert draws.integers(5, 6) == 5 and draws.words == []  # one value draws nothing
     for low, high in ((0, 0), (3, 2), (0, 2**32 + 1)):
         with pytest.raises(ValueError):
             draws.integers(low, high)
-    draws.close()
 
 
 @pytest.mark.parametrize("bit_generator", [np.random.MT19937, np.random.Philox, np.random.SFC64])
@@ -74,19 +70,18 @@ def test_fuzzer_needs_a_pcg64_generator(bit_generator):
 
 def programs_digest(seed, n=300, caller_draws=False):
     """SHA-256 of ``n`` fuzzed programs, formatted, and their inputs; with
-    ``caller_draws``, of draws the caller makes from the same generator
-    between the fuzzer's calls too."""
-    rng = np.random.default_rng(seed)
-    fuzzer = ProgramFuzzer(rng)
+    ``caller_draws``, of draws the caller makes from the fuzzer's draw
+    source between the fuzzer's calls too."""
+    fuzzer = ProgramFuzzer(np.random.default_rng(seed))
     digest = hashlib.sha256()
     for _ in range(n):
         program = fuzzer.program()
         digest.update(format_program(program).encode())
         if caller_draws:
-            digest.update(repr(int(rng.integers(3))).encode())
+            digest.update(repr(int(fuzzer.draws.integers(3))).encode())
         digest.update(repr(fuzzer.inputs_for(program)).encode())
         if caller_draws:
-            digest.update(repr(float(rng.random())).encode())
+            digest.update(repr(float(fuzzer.draws.random())).encode())
     return digest.hexdigest()
 
 

@@ -123,6 +123,11 @@ def test_decode_rejects_values_outside_the_domain():
     for text, constant in (("NaN", "NaN"), ("[1, Infinity]", "Infinity"), ('{"a": -Infinity}', "-Infinity")):
         with pytest.raises(ValueError, match="^%s is not a JSON number$" % constant):
             load_json(text)
+    # a lone surrogate is not a character; a pair decodes to one
+    for text in ('"\\ud800"', '["a\\udfff"]', '[1, ["\\udc00b"]]', '"\\ude00\\ud83d"'):
+        with pytest.raises(ValueError, match="^lone surrogate '.ud[89a-f][0-9a-f]{2}' is not a character$"):
+            decode_json_value(load_json(text))
+    assert decode_json_value(load_json('["\\ud83d\\ude00"]')) == ["\U0001F600"]
 
 
 def test_load_problems(tmp_path):
@@ -159,6 +164,13 @@ def test_load_problems_reports_line_number(tmp_path):
         with pytest.raises(ConfigError) as exc:
             load_problems(path)
         assert "line 1" in str(exc.value)
+
+
+def test_load_problems_rejects_an_empty_file(tmp_path):
+    path = tmp_path / "problems.jsonl"
+    path.write_text("\n")
+    with pytest.raises(ConfigError, match="is empty$"):
+        load_problems(path)
 
 
 def test_load_problems_rejects_empty_tests(tmp_path):

@@ -42,12 +42,23 @@ _WHOLE_SOURCE_RE = re.compile(r"""
     | (?P<end>      \Z )
     )
 """ % re.escape("".join(_UNESCAPE)), re.VERBOSE)
+_LONE_SURROGATE = re.compile("[\ud800-\udfff]")
+
+
+def check_line(source, line_start, line):
+    """A line that holds a lone surrogate fails at the first one, before any
+    of its tokens."""
+    end = source.find("\n", line_start)
+    bad = _LONE_SURROGATE.search(source, line_start, len(source) if end < 0 else end)
+    if bad:
+        raise ParseError("lone surrogate %r is not a character" % bad[0], line, bad.start() - line_start + 1)
 
 
 def whole_source_tokenize(source):
     """The scanner before the line memo: one regex pass over the source."""
     tokens = []
     line, line_start = 1, 0
+    check_line(source, line_start, line)
     for m in _WHOLE_SOURCE_RE.finditer(source):
         kind = m.lastgroup
         if kind in ("ident", "punct", "int", "float", "hole"):
@@ -58,6 +69,7 @@ def whole_source_tokenize(source):
         elif kind == "newline":
             line += 1
             line_start = m.end()
+            check_line(source, line_start, line)
         elif kind == "string":
             col = m.start(kind) - line_start + 1
             if m.group("close") is None:
@@ -117,6 +129,11 @@ EDGES = [
     '"\\q"',
     "x = 1\n$\n",
     "٣\n",
+    's = "a\ud800"\n',  # a lone surrogate in a string,
+    "x = 1\n# \udfff\n",  # in a comment,
+    '$ "\udc00"',  # and on a line that fails earlier
+    "x = \ud800 + \U0001F600\n",
+    's = "\U0001F600"',  # a pair is one character
 ]
 
 ATOMS = ["\n", "\r", "\t", " ", '"', "\\", "#", ".", "e", "E", "__HOLE_3__", "_"]
@@ -186,7 +203,7 @@ def test_tokens_match_after_the_memo_has_evicted(cold_memo):
 
 
 SCAN_ERRORS = ("unexpected character", "unterminated string literal", "unterminated string escape",
-               "unknown string escape")
+               "unknown string escape", "lone surrogate")
 
 
 def test_the_inputs_reach_every_token_kind_and_scan_error():

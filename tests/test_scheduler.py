@@ -63,6 +63,17 @@ def test_input_selection_prefers_first_failing_terminating():
     assert prompt.input == [5]
 
 
+def test_input_selection_falls_back_to_the_first_terminating_test():
+    # test 0 fails with a runtime error and test 1 passes, so no test both
+    # terminates and fails
+    p = parse_program("fn f(a) { x = 10 // a return x }")
+    tests = [TestCase([0], 0), TestCase([5], 2)]
+    report = gen_reward(p, tests)
+    assert report.first_failing_terminating is None
+    prompt = build_alignment_prompt(p, tests, report)
+    assert prompt.input == [5] and prompt.truth == {"a": 5, "x": 2}
+
+
 def test_prompt_from_a_report_executes_nothing(monkeypatch):
     import semtrace.evalsuite
 

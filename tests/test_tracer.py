@@ -31,7 +31,7 @@ from semtrace.tracer import (
 )
 from semtrace.values import MimSet, canonical_serialize, values_equal
 from grammar_programs import grammar_programs
-from tree_walker import tree_walk_execute
+from tree_walker import tree_walk_execute, tree_walk_records
 
 MODES = ("summary", "full")
 
@@ -282,7 +282,15 @@ def exact(v):
     return (type(v).__name__, repr(v))
 
 
-def record_fields(rec):
+def event_fields(e):
+    return (e.step_index, e.loc, e.defined_variable, exact(e.value_written))
+
+
+def record_fields(rec, events=None):
+    """The record's fields, with exact values.  ``events``, when given, keeps
+    each event's fields by the event's id, for records that share events."""
+    convert = event_fields if events is None else (
+        lambda e: events.get(id(e)) or events.setdefault(id(e), event_fields(e)))
     return (
         rec.status,
         exact(rec.return_value),
@@ -290,8 +298,7 @@ def record_fields(rec):
         rec.steps_used,
         rec.error_kind,
         rec.error_loc,
-        None if rec.trajectory is None
-        else [(e.step_index, e.loc, e.defined_variable, exact(e.value_written)) for e in rec.trajectory],
+        None if rec.trajectory is None else [convert(e) for e in rec.trajectory],
     )
 
 
@@ -304,20 +311,19 @@ def assert_matches_tree_walker(program, inputs):
 
 def assert_matches_at(program, inputs, budgets):
     snapshot = exact(inputs)
-    for budget in budgets:
-        for mode in MODES:
-            got = execute(program, inputs, budget=budget, mode=mode)
-            want = tree_walk_execute(program, inputs, budget=budget, mode=mode)
-            assert record_fields(got) == record_fields(want), (budget, mode)
+    walked = {}  # every budget's trajectory is a prefix of the one walk's events: convert each once
+    for budget, mode, want in tree_walk_records(program, inputs, budgets):
+        got = execute(program, inputs, budget=budget, mode=mode)
+        assert record_fields(got) == record_fields(want, walked), (budget, mode)
     assert exact(inputs) == snapshot
 
 
-def wrong_type(value, rng):
-    """A value of another type than ``value``, to drive programs into their
-    runtime-error paths."""
+def wrong_type(value, draws):
+    """A value of another type than ``value``, picked with ``draws``, to
+    drive programs into their runtime-error paths."""
     options = [0, -3, 2.5, -0.0, float("inf"), True, "ab", None, [], [1, [2]], MimSet([1, 2])]
     options = [o for o in options if type(o) is not type(value)]
-    return copy.deepcopy(options[int(rng.integers(len(options)))])
+    return copy.deepcopy(options[draws.integers(len(options))])
 
 
 def test_compiled_interpreter_matches_tree_walker_on_fuzzed_programs():
@@ -326,15 +332,14 @@ def test_compiled_interpreter_matches_tree_walker_on_fuzzed_programs():
 
 def check_fuzzed_programs():
     """30 fuzzed programs on their inputs, then on a wrong-typed input."""
-    rng = np.random.default_rng(2024)
-    fuzzer = ProgramFuzzer(rng)
+    fuzzer = ProgramFuzzer(np.random.default_rng(2024))
     for _ in range(30):
         program = fuzzer.program()
         inputs = fuzzer.inputs_for(program)
         assert_matches_tree_walker(program, inputs)
         if inputs:
-            k = int(rng.integers(len(inputs)))
-            inputs[k] = wrong_type(inputs[k], rng)
+            k = fuzzer.draws.integers(len(inputs))
+            inputs[k] = wrong_type(inputs[k], fuzzer.draws)
             assert_matches_tree_walker(program, inputs)
 
 
@@ -629,6 +634,24 @@ CONTROL_FLOW += [("fn f(a, b, p, q, xs) { %s }" % stmt.format(e), COLD_INPUTS[0]
 @pytest.mark.parametrize("src,inputs", CONTROL_FLOW)
 def test_compiled_interpreter_matches_tree_walker_on_control_flow_and_values(src, inputs):
     assert_matches_tree_walker(parse_program(src), inputs)
+
+
+def test_records_from_one_walk_are_those_of_separate_walks():
+    """What ``assert_matches_at`` compares ``execute`` with, the tree
+    walker's records at many budgets from one walk, is a separate walk's
+    record at each budget and in each mode: on loops that jump, on runtime
+    errors, and on a loop that never ends."""
+    cases = []
+    sample = [(src, [[5, 6]]) for src in KERNEL_JUMPS] + [(src, inputs) for src, inputs, _ in ERROR_PROGRAMS[::4]]
+    for src, inputs in sample:
+        program = parse_program(src)
+        steps = tree_walk_execute(program, inputs).steps_used
+        cases.append((program, inputs, [1, 2, steps // 3, steps // 2, steps - 1, steps, steps + 1]))
+    cases.append((parse_program(NON_ADVANCING), [[1, 2, 3]], [*range(1, 61), 2000]))
+    for program, inputs, budgets in cases:
+        for budget, mode, record in tree_walk_records(program, inputs, sorted({b for b in budgets if b >= 1})):
+            want = tree_walk_execute(program, inputs, budget=budget, mode=mode)
+            assert record_fields(record) == record_fields(want), (format_program(program), budget, mode)
 
 
 # --- copy-on-write lists keep value semantics ---

@@ -2,13 +2,15 @@
 replaced: the reference its compiled closures are checked against.
 
 It dispatches on node type at every visit and copies a list on every write,
-exactly as the interpreter did before it was compiled.
+exactly as the interpreter did before it was compiled.  :func:`tree_walk_records`
+gives its records at many budgets from one walk.
 """
 
 from __future__ import annotations
 
+import dataclasses
 import math
-from typing import Dict, List, Optional, Sequence
+from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Tuple
 
 from semtrace.lang import (
     Append,
@@ -47,6 +49,7 @@ from semtrace.tracer import (
     ExecutionRecord,
     MimRuntimeError,
     StepEvent,
+    trajectory_final_values,
 )
 from semtrace.values import INT_MAX, INT_MIN, MimSet, Value, is_number, values_equal
 
@@ -391,3 +394,27 @@ def tree_walk_execute(
         error_loc=error_loc,
         trajectory=interp.trajectory,
     )
+
+
+def tree_walk_records(
+    p: Program, inputs: Sequence[Value], budgets: Iterable[int]
+) -> Iterator[Tuple[int, str, ExecutionRecord]]:
+    """``(budget, mode, tree_walk_execute(p, inputs, budget, mode))`` for
+    each budget and both modes, from one full-mode walk at the largest
+    budget.  The budget is checked only as a statement starts its step, so a
+    run cut at a budget ``b`` below the walk's ``steps_used`` has done the
+    walk's first ``b`` steps and no more: it ran out of budget, with those
+    steps' events, and its variables are the parameters as those events
+    updated them.  At a budget of the walk's ``steps_used`` or more, the run
+    is the walk.  Summary mode drops only the trajectory."""
+    budgets = list(budgets)
+    walk = tree_walk_execute(p, inputs, budget=max(budgets), mode="full")
+    for budget in budgets:
+        if budget < walk.steps_used:
+            events = walk.trajectory[:budget]
+            full = ExecutionRecord(STATUS_BUDGET, None, {}, budget, trajectory=events)
+            full.final_vars = trajectory_final_values(full, dict(zip(p.params, inputs)))
+        else:
+            full = walk
+        yield budget, "summary", dataclasses.replace(full, trajectory=None)
+        yield budget, "full", full
