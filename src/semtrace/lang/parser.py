@@ -7,7 +7,7 @@ rule, except that the levels from ``or-expr`` down to ``term`` are the table
 and ``parse_unary`` reads both ``unary`` and ``postfix``.  Every input either
 yields exactly one AST or one :class:`ParseError`; nothing panics.
 
-Programs repeat their lines, so two bounded memos (each a
+Programs repeat their lines, so three bounded memos (each a
 :class:`semtrace.values.Memo` of ``LINE_MEMO_CAPACITY`` lines, which keeps
 every line while it has room and, once full, the lines looked up most)
 spare ``parse_program`` most of its work:
@@ -24,11 +24,19 @@ spare ``parse_program`` most of its work:
   ``[`` and comparison-chain checks and the ``INT_MAX + 1`` peek each look
   at most one token past the last one they take.  Its ``loc`` follows from
   the line number and text, and expressions carry none, so a kept statement
-  is the one a fresh parse would build.  The memo is turned on by the source
-  lines that ``parse_program`` hands the parser; a ``_Parser`` built from
-  tokens alone parses without it.
+  is the one a fresh parse would build.
+- An ``if``, ``while`` or ``for`` header whose keyword begins a line (the
+  condition after ``if`` or ``while``, the head after ``for``) is kept by
+  line number and line text, and only when it stops at the line's last
+  token, which ``parse_block`` then takes as its ``{``.  By the same count
+  of look-ahead such a header has read no token past its ``{``, so a kept
+  header is the one a fresh parse would build; the ``{`` and the bound on
+  nested blocks are checked outside the memo, by ``parse_block``.
 
-A line whose scan raises and a statement whose parse raises are never kept.
+The statement and header memos are turned on by the source lines that
+``parse_program`` hands the parser; a ``_Parser`` built from tokens alone
+parses without them.  A line whose scan raises and a statement or header
+whose parse raises are never kept.
 """
 
 from __future__ import annotations
@@ -93,14 +101,16 @@ _TOKEN_RE = re.compile(r"""
     )
 """ % re.escape("".join(_UNESCAPE)), re.VERBOSE)
 # lines kept by each memo; the largest benchmark workload (perfbench's
-# tools) looks up 2,246 distinct (line number, line text) keys and 1,639
-# statement keys, each more than once, so each memo keeps all of them from
-# their first lookup
+# tools) looks up 2,246 distinct (line number, line text) keys, 1,639
+# statement keys and 440 header keys, each more than once, so each memo
+# keeps all of them from their first lookup
 LINE_MEMO_CAPACITY = 4096
 _LINES = Memo(LINE_MEMO_CAPACITY)  # (line number, line text) -> its tokens
 # (line number, line text, kind and text of the next token) -> the statement
 # that covers exactly the line
 _STMTS = Memo(LINE_MEMO_CAPACITY)
+# (line number, line text) -> the header, up to its ``{``, that begins the line
+_HEADERS = Memo(LINE_MEMO_CAPACITY)
 # the grammar's bounds on nesting, which keep every tool within Python's limits
 MAX_BLOCKS = 6  # if, else, while and for bodies around a statement
 MAX_NESTING = 16  # levels within one expression
@@ -199,17 +209,17 @@ T = TypeVar("T")
 
 
 class _NotOneLine(Exception):
-    """Carries a statement that does not cover exactly its line out of the
-    statement memo, which keeps nothing when its compute raises."""
+    """Carries a statement or header that does not stop where its memo needs
+    it to out of the memo, which keeps nothing when its compute raises."""
 
-    def __init__(self, stmt: nodes.Stmt):
+    def __init__(self, value):
         super().__init__()
-        self.stmt = stmt
+        self.value = value
 
 
 class _Parser:
     def __init__(self, tokens: List[Token], lines: Optional[List[str]] = None):
-        """``lines``, the source's lines, turn the statement memo on."""
+        """``lines``, the source's lines, turn the statement and header memos on."""
         self.tokens = tokens
         self.pos = 0
         self.lines = lines
@@ -287,29 +297,49 @@ class _Parser:
 
     # --- statements ---
 
+    def line_end(self, start: int) -> int:
+        """The position of the first token past the line of token ``start``,
+        or -1 when the memos are off or the token does not begin its line."""
+        line = self.tokens[start][2]
+        if self.lines is None or (start and self.token_lines[start - 1] == line):
+            return -1
+        return bisect_left(self.token_lines, line + 1, start)
+
+    def kept(self, memo: Memo, key: tuple, stop: int, parse: Callable[[], T]) -> T:
+        """``parse()``, kept in ``memo`` under ``key`` when it stops at token ``stop``."""
+
+        def parse_to_stop() -> T:
+            value = parse()
+            if self.pos != stop:
+                raise _NotOneLine(value)
+            return value
+
+        try:
+            value = memo.get(key, parse_to_stop)
+        except _NotOneLine as e:
+            return e.value
+        self.pos = stop
+        return value
+
     def memoized_stmt(self) -> nodes.Stmt:
         """``parse_stmt``, through the statement memo when it is on and the
         statement begins a line and is not an ``if``, ``while`` or ``for``."""
-        pos, lines = self.pos, self.lines
-        tok = self.tokens[pos]
-        line = tok[2]
-        if lines is None or tok[1] in ("if", "while", "for") or (pos and self.token_lines[pos - 1] == line):
+        _, text, line, _ = self.tokens[self.pos]
+        if text in ("if", "while", "for") or (end := self.line_end(self.pos)) < 0:
             return self.parse_stmt()
-        end = bisect_left(self.token_lines, line + 1, pos)
         after = self.tokens[end]
+        return self.kept(_STMTS, (line, self.lines[line - 1], after[0], after[1]), end, self.parse_stmt)
 
-        def parse_line() -> nodes.Stmt:
-            stmt = self.parse_stmt()
-            if self.pos != end:
-                raise _NotOneLine(stmt)
-            return stmt
-
-        try:
-            stmt = _STMTS.get((line, lines[line - 1], after[0], after[1]), parse_line)
-        except _NotOneLine as e:
-            return e.stmt
-        self.pos = end
-        return stmt
+    def header(self, parse: Callable[[], T]) -> T:
+        """``parse()``, the rest of an ``if``, ``while`` or ``for`` header up
+        to its ``{``, through the header memo when it is on and the header's
+        keyword, the last token taken, begins a line."""
+        start = self.pos - 1
+        end = self.line_end(start)
+        if end < 0:
+            return parse()
+        line = self.tokens[start][2]
+        return self.kept(_HEADERS, (line, self.lines[line - 1]), end - 1, parse)
 
     def parse_stmt(self) -> nodes.Stmt:
         tok = self.tokens[self.pos]
@@ -331,7 +361,7 @@ class _Parser:
             if text == "return":
                 return Return(self.expression(), loc=loc)
             if text == "if":
-                cond = self.expression()
+                cond = self.header(self.expression)
                 then_body = self.parse_block()
                 else_body: Tuple[nodes.Stmt, ...] = ()
                 if self.at("kw", "else"):
@@ -339,21 +369,9 @@ class _Parser:
                     else_body = self.parse_block()
                 return If(cond, then_body, else_body, loc=loc)
             if text == "while":
-                return While(self.expression(), self.parse_block(), loc=loc)
+                return While(self.header(self.expression), self.parse_block(), loc=loc)
             if text == "for":
-                var = self.expect("ident")[1]
-                self.expect("kw", "in")
-                self.expect("kw", "range")
-                self.expect("punct", "(")
-                start = self.expression()
-                self.expect("punct", ",")
-                stop = self.expression()
-                step = None
-                if self.at("punct", ","):
-                    self.pos += 1
-                    step = self.expression()
-                self.expect("punct", ")")
-                return For(var, start, stop, step, self.parse_block(), loc=loc)
+                return For(*self.header(self.for_head), self.parse_block(), loc=loc)
             if text == "break":
                 return Break(loc=loc)
             if text == "continue":
@@ -366,6 +384,22 @@ class _Parser:
                 self.expect("punct", ")")
                 return Append(target, value, loc=loc)
         raise self.error(("statement",), tok)
+
+    def for_head(self) -> Tuple[str, nodes.Expr, nodes.Expr, Optional[nodes.Expr]]:
+        """A ``for`` loop's variable, start, stop and step, after its ``for``."""
+        var = self.expect("ident")[1]
+        self.expect("kw", "in")
+        self.expect("kw", "range")
+        self.expect("punct", "(")
+        start = self.expression()
+        self.expect("punct", ",")
+        stop = self.expression()
+        step = None
+        if self.at("punct", ","):
+            self.pos += 1
+            step = self.expression()
+        self.expect("punct", ")")
+        return var, start, stop, step
 
     # --- expressions (precedence climbing) ---
 

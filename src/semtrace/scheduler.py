@@ -233,12 +233,14 @@ class Trainer:
         prompt = build_alignment_prompt(program, tests, report, self.step) if report.reward == 0 else None
         return report, prompt
 
-    def _rollout(self, problem_id: str, actions: Tuple[int, ...]) -> tuple:
-        """(program, reward, alignment prompt) of a code rollout; ``(None, 0.0, None)`` if it does not decode."""
-        program = self.code_policy.artifact(problem_id, actions)
+    def _rollout(self, key: Tuple[str, Tuple[int, ...]], decoded: dict) -> tuple:
+        """(program, reward, alignment prompt) of the code rollout ``key``, a
+        (problem id, actions) pair; ``(None, 0.0, None)`` if it does not
+        decode.  The program comes out of ``decoded`` when it holds the key."""
+        program = decoded.pop(key) if key in decoded else self.code_policy.artifact(*key)
         if program is None:
             return None, 0.0, None
-        report, prompt = self._score(program, self.problems[problem_id].tests)
+        report, prompt = self._score(program, self.problems[key[0]].tests)
         return program, float(report.reward), prompt
 
     def run_step(self) -> dict:
@@ -256,11 +258,17 @@ class Trainer:
         # are listed at a time.  Nothing between the draws uses the generator.
         code_groups = sample_groups(self.code_policy, batch.code_prompts, KIND_CODEGEN, self.config.group_size,
                                     self.rng)
-        for group in code_groups:
+        keys = [[(group.prompt_id, tuple(sample.actions)) for sample in group.samples] for group in code_groups]
+        # each distinct rollout that the scoring memo does not keep is decoded
+        # before any is scored, so that parsing and execution do not take
+        # turns; its first scoring miss takes the program out of the table,
+        # and a key evicted since the pass is decoded where it is scored
+        decoded = {key: self.code_policy.artifact(*key)
+                   for key in dict.fromkeys(itertools.chain.from_iterable(keys)) if key not in self._scored}
+        for group, group_keys in zip(code_groups, keys):
             prompts: List[Optional[AlignmentPrompt]] = [None] * len(group.samples)
-            for i, sample in enumerate(group.samples):
-                key = (group.prompt_id, tuple(sample.actions))
-                sample.artifact, sample.reward, prompts[i] = self._scored.get(key, partial(self._rollout, *key))
+            for i, (sample, key) in enumerate(zip(group.samples, group_keys)):
+                sample.artifact, sample.reward, prompts[i] = self._scored.get(key, partial(self._rollout, key, decoded))
             group.fill_advantages()
             harvest_failures(group, self.buffer, prompts, self.step)
 
@@ -441,7 +449,11 @@ def run_training(
     decode included, is decoded and scored, together with building its
     alignment prompt when it fails, once while it stays in a bounded memo
     (``values.Memo``, which keeps every rollout while it has room); the
-    prompt reuses the executions of the reward report.  An alignment sample
+    prompt reuses the executions of the reward report.  A step decodes the
+    rollouts that the memo does not keep in one pass before it scores any,
+    so that its parses run back to back; the pass only tests membership, so
+    the memo and the decode and score counts are those of decoding each
+    rollout where it is scored.  An alignment sample
     is scored without decoding it, from its prompt's table of correct
     candidates: per variable, which pool entries equal the truth, built when
     the prompt is first sampled.  The memos and

@@ -350,6 +350,10 @@ class Memo:
     def __len__(self) -> int:
         return len(self._values)
 
+    def __contains__(self, key) -> bool:
+        """Whether ``key`` is kept; no lookup is counted and nothing moves."""
+        return key in self._values
+
     def clear(self) -> None:
         self._values.clear()
         self._window.clear()

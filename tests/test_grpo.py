@@ -235,6 +235,22 @@ def test_memo_state_stays_bounded_under_keys_seen_once():
     assert len(memo) == 16
 
 
+def test_memo_membership_counts_no_lookup_and_moves_no_key():
+    """``key in memo`` says whether ``key`` is kept and changes nothing: a
+    memo also asked about every key before each lookup keeps the same keys
+    in the same order, with the same counts, and evicts the same keys as one
+    that is only looked up."""
+    plain, asked = Memo(capacity=3), Memo(capacity=3)
+    for key in "aaabcdaddddeadecbfgfgab":
+        assert [k in asked for k in "abcdefg"] == [k in asked._values for k in "abcdefg"]
+        computed = [[], []]
+        counted_lookup(plain, key, computed[0])
+        counted_lookup(asked, key, computed[1])
+        assert computed[0] == computed[1]
+        assert list(asked._values.items()) == list(plain._values.items())
+        assert (asked._window, asked._counts, asked._lookups) == (plain._window, plain._counts, plain._lookups)
+
+
 def test_memo_stores_nothing_when_compute_raises():
     memo = Memo(capacity=2)
 

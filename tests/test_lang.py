@@ -30,7 +30,7 @@ from semtrace.lang import (
 )
 from semtrace.lang import parser as lang_parser
 from semtrace.lang.parser import _Parser
-from test_scanner import memo_free_parse, parse_outcome
+from test_scanner import clear_memos, memo_free_parse, parse_outcome
 
 
 def parse_expression(source):
@@ -290,7 +290,7 @@ def test_walk_is_preorder_in_source_order():
         children(3)
 
 
-# --- the statement memo ---
+# --- the statement and header memos ---
 
 
 FIRST_WORD = {"Assign": "target", "IndexAssign": "target", "Append": "append", "Break": "break",
@@ -299,15 +299,14 @@ FIRST_WORD = {"Assign": "target", "IndexAssign": "target", "Append": "append", "
 
 def assert_parses_as_without_memos(sources, parse=parse_program):
     """Cold, then three warm passes: ``parse`` gives every program and error
-    that the parser without the statement memo gives for the source, and
-    every statement's ``loc`` points at its own first token."""
-    lang_parser._LINES.clear()
-    lang_parser._STMTS.clear()
+    that the parser without the statement and header memos gives for the
+    source, and every statement's ``loc`` points at its own first token."""
+    clear_memos()
     expected = [parse_outcome(memo_free_parse, s) for s in sources]
     lang_parser._LINES.clear()
     for _ in range(3):
         assert [parse_outcome(parse, s) for s in sources] == expected
-    assert len(lang_parser._STMTS) > 0
+    assert len(lang_parser._STMTS) > 0 and len(lang_parser._HEADERS) > 0
     for source in sources:
         lines = source.split("\n")
         for node in walk(parse(source)):
@@ -384,10 +383,9 @@ def position(source, index):
 
 def assert_bound(at, past, index, bound):
     """``at`` parses and round-trips, and ``past`` raises a ParseError that
-    names ``bound`` at ``past[index]``: cold, with both memos warm from
-    ``at`` and from itself, and without the statement memo."""
-    lang_parser._LINES.clear()
-    lang_parser._STMTS.clear()
+    names ``bound`` at ``past[index]``: cold, with the memos warm from
+    ``at`` and from itself, and without the statement and header memos."""
+    clear_memos()
     outcomes = [parse_outcome(parse_program, past)]
     for _ in range(2):
         program = parse_program(at)

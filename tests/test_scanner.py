@@ -1,12 +1,14 @@
-"""The two memos under ``parse_program``.  ``tokenize`` scans each line on
+"""The three memos under ``parse_program``.  ``tokenize`` scans each line on
 its own and keeps its tokens by line number and text, and the tokens,
 positions and errors stay those of one scan over the whole source;
 ``whole_source_tokenize`` below is that scan, kept as the reference.  The
 parser keeps a statement that covers exactly its line by line number, line
-text and the token after the line, and every program and error stays that of
-``_Parser(tokenize(source))``, which parses without the statement memo.
-Standard library, pytest and semtrace.lang only, so this file also runs
-without numpy and without conftest.py."""
+text and the token after the line, and an ``if``, ``while`` or ``for``
+header that begins its line and stops at the line's last token, its ``{``,
+by line number and line text.  Every program and error stays that of
+``_Parser(tokenize(source))``, which parses without the statement and
+header memos.  Standard library, pytest and semtrace.lang only, so this
+file also runs without numpy and without conftest.py."""
 
 import random
 import re
@@ -18,6 +20,9 @@ from semtrace.lang.parser import (
     ESCAPES,
     KEYWORDS,
     LINE_MEMO_CAPACITY,
+    MAX_BLOCKS,
+    MAX_EXPR_TOKENS,
+    MAX_NESTING,
     ParseError,
     Token,
     _Parser,
@@ -149,40 +154,45 @@ def random_sources(n, seed):
 INPUTS = FIXTURES + CRLF + EDGES + random_sources(1500, seed=3)
 
 
+MEMOS = {"lines": parser._LINES, "statements": parser._STMTS, "headers": parser._HEADERS}
+
+
+def clear_memos():
+    for memo in MEMOS.values():
+        memo.clear()
+
+
 @pytest.fixture
 def cold_memo():
-    parser._LINES.clear()
-    parser._STMTS.clear()
+    clear_memos()
     yield
-    parser._LINES.clear()
-    parser._STMTS.clear()
+    clear_memos()
 
 
 def kept_keys():
-    return set(parser._LINES._values) | set(parser._STMTS._values)
+    return {(name, key) for name, memo in MEMOS.items() for key in memo._values}
 
 
-FILLERS = ["fn fill() {\n%s\n}\n" % "\n".join("    x%d = %d" % (k, chunk) for k in range(LINE_MEMO_CAPACITY // 4))
-           for chunk in range(5)]
-
-
-def fill_both_memos():
-    """Evict every kept line and statement: parse programs of
-    ``LINE_MEMO_CAPACITY`` // 4 new one-line statements, each 16 times in a
-    row so that their lines are looked up more often than the kept ones,
-    until none of the keys kept before is left.  A full memo gives up a key
-    only to one looked up more often, so the lines that many inputs share
-    (looked up a few hundred times) go only once their counts have halved
-    a few times, after about 200 parses."""
+def fill_the_memos():
+    """Evict every kept line, statement and header: look up new keys in
+    each memo, as parsing five programs of ``LINE_MEMO_CAPACITY`` // 4 new
+    lines 16 times each in a row would, so that they are looked up more
+    often than the kept ones, until none of the keys kept before is left.
+    A full memo gives up a key only to one looked up more often, so the
+    lines that many inputs share (looked up a few hundred times) go only
+    once their counts have halved a few times.  The new keys are no
+    source's, so a parse after the fill misses on every line."""
     earlier = kept_keys()
     for _ in range(4):
-        for filler in FILLERS:
+        for chunk in range(5):
             for _ in range(16):
-                parse_program(filler)
+                for k in range(LINE_MEMO_CAPACITY // 4):
+                    for memo in MEMOS.values():
+                        memo.get(("filler", chunk, k), lambda: None)
         if not earlier & kept_keys():
             break
     assert not earlier & kept_keys()
-    assert len(parser._LINES) == len(parser._STMTS) == LINE_MEMO_CAPACITY
+    assert [len(memo) for memo in MEMOS.values()] == [LINE_MEMO_CAPACITY] * 3
 
 
 def test_tokens_match_the_whole_source_scan_cold_and_warm(cold_memo):
@@ -198,7 +208,7 @@ def test_tokens_match_after_the_memo_has_evicted(cold_memo):
     for s in INPUTS:
         outcome(tokenize, s)
         outcome(tokenize, s)
-    fill_both_memos()
+    fill_the_memos()
     assert [outcome(tokenize, s) for s in INPUTS] == expected
 
 
@@ -254,7 +264,36 @@ LINE_JOINS = [
     "fn f(a) {\n    return a",
     "fn f(a) {\n    x = a\n",
 ]
-PROGRAMS = INPUTS + FIXTURES * 3 + LINE_JOINS
+NESTED = "(" * MAX_NESTING + "a" + ")" * MAX_NESTING  # at the bound, and one level past it in parentheses
+LONG = "-a" + " + a" * ((MAX_EXPR_TOKENS - 2) // 2)  # MAX_EXPR_TOKENS tokens, and one more with "- "
+# Headers that begin their line and whose ``{`` ends it, so they are kept:
+# ``if``, ``while`` and ``for`` with and without a step, the same header text
+# at two line numbers, headers at the expression bounds, and headers kept
+# although the block their ``{`` opens is one too deep.
+KEPT_HEADERS = [
+    body("if a < b {", "    return a", "}", "return b"),
+    body("x = 0", "if a < b {", "    return a", "}", "return b"),
+    body("while a < b {", "    a = a + 1", "}", "return a"),
+    body("for i in range(0, b) {", "    a = a + i", "}", "return a"),
+    body("for i in range(a, b, 2) {", "    d = d + i", "}", "return d"),
+    body("if %s {" % NESTED, "    return a", "}", "return b"),
+    body("while %s {" % LONG, "    a = a + 1", "}", "return a"),
+    body(*["    " * k + "if a {" for k in range(MAX_BLOCKS)], "    " * MAX_BLOCKS + "x = 1", *["}"] * MAX_BLOCKS),
+    body(*["    " * k + "if a {" for k in range(MAX_BLOCKS + 1)], "x = 1", *["}"] * (MAX_BLOCKS + 1)),
+]
+# Headers that are not kept: one whose block shares its line, one that runs
+# onto the next line, and four that raise.
+LEFT_HEADERS = [
+    body("if a { x = 1 }", "return x"),
+    body("if a == {", "1} {", "    return a", "}", "return b"),
+]
+RAISING_HEADERS = [
+    body("while a < b < d {", "}", "return a"),
+    body("for i in range(0, b,) {", "}", "return a"),
+    body("if (%s) {" % NESTED, "    return a", "}", "return b"),
+    body("while - %s {" % LONG, "    a = a + 1", "}", "return a"),
+]
+PROGRAMS = INPUTS + FIXTURES * 3 + LINE_JOINS + KEPT_HEADERS + LEFT_HEADERS + RAISING_HEADERS
 
 
 def parse_outcome(parse, source):
@@ -288,8 +327,8 @@ def test_programs_match_the_memo_free_parse_cold_warm_and_evicted(cold_memo):
     # from the memo
     for _ in range(3):
         assert [parse_outcome(parse_program, s) for s in PROGRAMS] == expected
-    assert len(parser._STMTS) > 0
-    fill_both_memos()
+    assert len(parser._STMTS) > 0 and len(parser._HEADERS) > 0
+    fill_the_memos()
     assert [parse_outcome(parse_program, s) for s in PROGRAMS] == expected
 
 
@@ -305,6 +344,27 @@ def test_a_statement_that_raises_or_leaves_its_line_is_not_kept(cold_memo):
         parse_program(body("x = 1 y = 2", "return x"))
     # only the two ``return x`` lines, at lines 3 and 4, cover their lines
     assert sorted(key[:2] for key in parser._STMTS._values) == [(3, "    return x"), (4, "    return x")]
+
+
+def test_a_header_that_raises_or_leaves_its_line_is_not_kept(cold_memo):
+    errors = [parse_outcome(memo_free_parse, s) for s in RAISING_HEADERS]
+    assert [error[0].split()[:2] for error in errors] == [
+        ["comparisons", "cannot"], ["unexpected", "')'"], ["expression", "nested"], ["expression", "longer"]]
+    for _ in range(3):
+        assert [parse_outcome(parse_program, s) for s in RAISING_HEADERS] == errors
+        for source in LEFT_HEADERS:
+            parse_program(source)
+    assert len(parser._HEADERS) == 0
+
+
+def test_headers_that_end_their_line_are_kept_by_line_number_and_text(cold_memo):
+    for source in KEPT_HEADERS:
+        parse_outcome(parse_program, source)
+    # every line after the first that ends in ``{`` is a header, and it is kept
+    ends = {(n, line) for source in KEPT_HEADERS for n, line in enumerate(source.split("\n"), 1) if line.endswith("{")}
+    assert set(parser._HEADERS._values) == {(n, line) for n, line in ends if n > 1}
+    assert {text.split()[0] for _, text in parser._HEADERS._values} == {"if", "while", "for"}
+    assert {(2, "    if a < b {"), (3, "    if a < b {")} <= set(parser._HEADERS._values)
 
 
 @pytest.mark.parametrize("source", [None, b"fn f() { return 1 }", 3])

@@ -591,6 +591,37 @@ def test_template_policy_decodes_only_on_a_scoring_miss(tmp_path, monkeypatch):
     assert sum(decodes.values()) == 4
 
 
+def test_a_step_decodes_its_new_rollouts_before_it_scores_any(tmp_path, monkeypatch):
+    """Each step decodes the rollouts that the scoring memo does not keep in
+    one pass, before its first ``gen_reward``: in the log of a desk run, one
+    ``|`` per step, ``d`` per decode and ``s`` per score, no ``d`` follows an
+    ``s`` within a step."""
+    import semtrace.scheduler
+
+    log = []
+    decode, score, run_step = TemplatePolicy.decode, semtrace.scheduler.gen_reward, Trainer.run_step
+
+    def logged_decode(self, prompt_id, actions):
+        log.append("d")
+        return decode(self, prompt_id, actions)
+
+    def logged_score(program, tests, budget):
+        log.append("s")
+        return score(program, tests, budget=budget)
+
+    def logged_step(self):
+        log.append("|")
+        return run_step(self)
+
+    monkeypatch.setattr(TemplatePolicy, "decode", logged_decode)
+    monkeypatch.setattr(semtrace.scheduler, "gen_reward", logged_score)
+    monkeypatch.setattr(Trainer, "run_step", logged_step)
+    run_training(desk_config(), desk_problems(), tmp_path / "run")
+    steps = "".join(log).split("|")[1:]
+    assert len(steps) == desk_config().max_steps and "d" in steps[0] and "s" in steps[0]
+    assert [step for step in steps if "sd" in step] == []
+
+
 def test_each_failing_rollout_builds_its_prompt_at_most_twice(tmp_path, monkeypatch):
     from collections import Counter
 

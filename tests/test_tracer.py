@@ -4,13 +4,14 @@ independent big-step evaluator."""
 
 import copy
 import math
+from operator import itemgetter
 
 import numpy as np
 import pytest
 
 from semtrace import tracer
 from semtrace.fuzz import ProgramFuzzer, differential_campaign
-from semtrace.lang import format_program, parse_program
+from semtrace.lang import Loc, format_program, parse_program
 from semtrace.tracer import (
     E_DIV_ZERO,
     E_INDEX,
@@ -24,6 +25,7 @@ from semtrace.tracer import (
     STATUS_ERROR,
     STATUS_RETURNED,
     MimRuntimeError,
+    StepEvent,
     execute,
     final_values,
     reference_evaluate,
@@ -282,15 +284,21 @@ def exact(v):
     return (type(v).__name__, repr(v))
 
 
-def event_fields(e):
-    return (e.step_index, e.loc, e.defined_variable, exact(e.value_written))
+_HEAD, _WRITTEN = itemgetter(0, 1, 2), itemgetter(3)
 
 
-def record_fields(rec, events=None):
-    """The record's fields, with exact values.  ``events``, when given, keeps
-    each event's fields by the event's id, for records that share events."""
-    convert = event_fields if events is None else (
-        lambda e: events.get(id(e)) or events.setdefault(id(e), event_fields(e)))
+def exact_events(events):
+    """``events`` in a form whose ``==`` is the type-exact equality of
+    ``exact``: the step, loc and variable of each event, then each value
+    written as its ``repr``.  A value's ``repr`` tells 2 from 2.0, True from
+    1, a list from a set (``MimSet([...])``) and 0.0 from -0.0, writes every
+    NaN as ``nan``, and quotes a string, so two values have the same ``repr``
+    exactly when they have the same ``exact`` form."""
+    return None if events is None else (list(map(_HEAD, events)), list(map(repr, map(_WRITTEN, events))))
+
+
+def record_fields(rec):
+    """The record's fields, with exact values."""
     return (
         rec.status,
         exact(rec.return_value),
@@ -298,7 +306,7 @@ def record_fields(rec, events=None):
         rec.steps_used,
         rec.error_kind,
         rec.error_loc,
-        None if rec.trajectory is None else [convert(e) for e in rec.trajectory],
+        exact_events(rec.trajectory),
     )
 
 
@@ -311,11 +319,28 @@ def assert_matches_tree_walker(program, inputs):
 
 def assert_matches_at(program, inputs, budgets):
     snapshot = exact(inputs)
-    walked = {}  # every budget's trajectory is a prefix of the one walk's events: convert each once
     for budget, mode, want in tree_walk_records(program, inputs, budgets):
         got = execute(program, inputs, budget=budget, mode=mode)
-        assert record_fields(got) == record_fields(want, walked), (budget, mode)
+        assert record_fields(got) == record_fields(want), (budget, mode)
     assert exact(inputs) == snapshot
+
+
+def test_exact_events_are_as_strict_as_exact():
+    """Values written that ``==`` calls equal but whose types or signs
+    differ give events that differ, and a NaN equals a NaN, as in ``exact``."""
+    nan = float("inf") - float("inf")
+
+    def written(value):
+        return exact_events([StepEvent(1, Loc(1, 5), "x", value)])
+
+    differ = [(2, 2.0), (True, 1), (False, 0), ([1], MimSet([1])), (0.0, -0.0), ([2], [2.0]), ([[0.0]], [[-0.0]]),
+              (MimSet([2]), MimSet([2.0])), ("1", 1), (None, "None")]
+    for a, b in differ:
+        assert exact(a) != exact(b) and written(a) != written(b), (a, b)
+    for a, b in [(nan, float("nan")), ([nan], [-nan]), (MimSet([1, "a"]), MimSet(["a", 1]))]:
+        assert exact(a) == exact(b) and written(a) == written(b), (a, b)
+    other_loc, other_step = StepEvent(1, Loc(1, 6), "x", 1), StepEvent(2, Loc(1, 5), "x", 1)
+    assert written(1) != exact_events([other_loc]) and written(1) != exact_events([other_step])
 
 
 def wrong_type(value, draws):
