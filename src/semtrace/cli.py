@@ -15,7 +15,7 @@ any sweep runs, so no output is written.  ``trace`` and ``reward`` exit 1
 with ``cannot encode result: JSON value is nested too deeply``, and print
 nothing on stdout, when a value of their result is nested too deeply to
 encode as JSON (a list of a list of ... 1,500 levels deep, as a loop can
-build).
+build).  A closed stdout (``| head``) exits 1 with nothing on stderr.
 """
 
 from __future__ import annotations
@@ -23,6 +23,7 @@ from __future__ import annotations
 import argparse
 import json
 import math
+import os
 import shlex
 import subprocess
 import sys
@@ -306,10 +307,16 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        return args.func(args)
+        code = args.func(args)
+        sys.stdout.flush()  # so that a closed pipe raises here
+        return code
     except _Failed as exc:
         print(exc, file=sys.stderr)
         return exc.code
+    except BrokenPipeError:
+        # exit 1 as Python does on EPIPE; the flush at exit then goes to devnull
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 1
 
 
 if __name__ == "__main__":

@@ -8,16 +8,20 @@ reference is the uniform policy, which is every policy's initial state and
 the reference the trainer uses.  Gradients are analytic (softmax Jacobian)
 and cross-checked against finite differences in the test suite.
 
-Sampling (``CategoricalSequencePolicy.sample_many``, ``sample_groups``) and
-the surrogate (``surrogates``) each work on all groups of one call, stacked
-by shape, with the bits of a per-sample loop; ``sample_rollouts`` and
-``surrogate_and_grad`` are their one-group forms; whoever reads a sample's
-artifact decodes it (``CategoricalSequencePolicy.artifact``).
+A step is columnar: ``sample_groups`` draws all groups of one call at once
+(``CategoricalSequencePolicy.sample_many``), and each :class:`RolloutGroup`
+keeps its samples as arrays from the draw to the update.  ``step_advantages``
+normalizes a step's reward matrix at once and ``surrogates`` stacks groups by
+shape, with the bits of a per-sample loop on every Python (sums run left to
+right).  ``sample_rollouts`` and ``surrogate_and_grad`` are the one-group
+forms, ``RolloutGroup.samples`` serves callers that read one sample at a
+time, and whoever reads a sample's artifact decodes it.
 ``optimizer="adam"`` updates through each policy's :class:`semtrace.optim.Adam`.
 """
 
 from __future__ import annotations
 
+import itertools
 import struct
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence
@@ -37,22 +41,32 @@ STD_FLOOR = 1e-6  # advantage denominator floor
 P_SUM_TOL = float(np.sqrt(np.finfo(float).eps))  # Generator.choice's bound on |sum(p) - 1|
 
 
-def group_advantages(rewards: Sequence[float]) -> List[float]:
-    """Group-normalized advantages: (R_i - mean) / max(population std, floor).
+def left_sums(rows: np.ndarray) -> np.ndarray:
+    """Each row's sum along the last axis, added left to right from 0.0: the
+    bits of ``total = 0.0; for x in row: total += x``, which Python's ``sum``
+    of floats also gives before 3.12 (from 3.12 on it compensates)."""
+    return np.add.accumulate(rows, axis=-1)[..., -1] + 0.0  # + 0.0: a sum from 0.0 is never -0.0
 
-    Degenerate groups (all rewards equal) yield exactly zero advantages.
-    """
-    n = len(rewards)
+
+def step_advantages(rewards: np.ndarray) -> np.ndarray:
+    """Group-normalized advantages of each row of a ``(groups, G)`` reward
+    matrix: (R_i - mean) / max(population std, floor), summing left to
+    right.  A row of equal rewards yields exactly zero advantages."""
+    rewards = np.asarray(rewards, dtype=float)
+    n = rewards.shape[-1]
     if n < 2:
         raise ValueError("a group needs at least 2 rewards")
-    rs = [float(r) for r in rewards]
-    mean = sum(rs) / n
-    centered = [r - mean for r in rs]
-    if all(c == 0.0 for c in centered):
-        return [0.0] * n
-    std = (sum(c * c for c in centered) / n) ** 0.5
-    denom = max(std, STD_FLOOR)
-    return [c / denom for c in centered]
+    centered = rewards - (left_sums(rewards) / n)[:, None]
+    # Python's ** 0.5 is C's pow, which need not round as np.sqrt does
+    std = np.array([v ** 0.5 for v in (left_sums(centered * centered) / n).tolist()])
+    advantages = centered / np.maximum(std, STD_FLOOR)[:, None]
+    advantages[(rewards == rewards[:, :1]).all(axis=1)] = 0.0
+    return advantages
+
+
+def group_advantages(rewards: Sequence[float]) -> List[float]:
+    """``step_advantages`` of one group."""
+    return step_advantages([rewards])[0].tolist()
 
 
 def log_softmax(logits: np.ndarray) -> np.ndarray:
@@ -62,25 +76,45 @@ def log_softmax(logits: np.ndarray) -> np.ndarray:
     return shifted - np.log(np.sum(np.exp(shifted), axis=-1, keepdims=True))
 
 
-@dataclass
 class RolloutSample:
-    actions: List[int]
-    logp_old: List[float]
-    # set by whoever decodes: Program, SemPrediction, or None on decode
-    # failure; training leaves alignment samples undecoded
-    artifact: object = None
-    reward: float = 0.0
+    """Sample ``i`` of ``group``; its fields read and write the group's arrays."""
+
+    def __init__(self, group: "RolloutGroup", i: int):
+        self.group, self.i = group, i
+
+    actions = property(lambda self: self.group.actions[self.i].tolist())
+    logp_old = property(lambda self: self.group.logp_old[self.i].tolist(),
+                        lambda self, value: self.group.logp_old.__setitem__(self.i, value))
+    reward = property(lambda self: float(self.group.rewards[self.i]),
+                      lambda self, value: self.group.rewards.__setitem__(self.i, value))
+    artifact = property(lambda self: self.group.artifacts[self.i],
+                        lambda self, value: self.group.artifacts.__setitem__(self.i, value))
 
 
 @dataclass
 class RolloutGroup:
+    """One prompt's G samples: ``(G, n_steps)`` actions and old log-probabilities,
+    and per sample a reward (0.0 until scored), an advantage and an artifact
+    (Program, SemPrediction, or None on decode failure), where decoded."""
+
     prompt_id: str
     kind: str  # KIND_CODEGEN | KIND_ALIGNMENT
-    samples: List[RolloutSample]
-    advantages: Optional[List[float]] = None
+    actions: np.ndarray
+    logp_old: np.ndarray
+    rewards: Optional[np.ndarray] = None
+    advantages: Optional[np.ndarray] = None
+    artifacts: Optional[list] = None
+
+    def __post_init__(self):
+        self.rewards = np.zeros(len(self.actions)) if self.rewards is None else self.rewards
+        self.artifacts = [None] * len(self.actions) if self.artifacts is None else self.artifacts
+
+    @property
+    def samples(self) -> List[RolloutSample]:
+        return [RolloutSample(self, i) for i in range(len(self.actions))]
 
     def fill_advantages(self) -> None:
-        self.advantages = group_advantages([s.reward for s in self.samples])
+        [self.advantages] = step_advantages([self.rewards])
 
 
 class CategoricalSequencePolicy:
@@ -144,10 +178,8 @@ class CategoricalSequencePolicy:
             drawn = np.count_nonzero(cdf[row][:, None, :] <= u[draws][:, :, None], axis=-1)
             actions[draws] = drawn
             logps[draws] = lp[row[:, None], drawn]
-        return [
-            (actions[o:o + group_size * n].reshape(group_size, n), logps[o:o + group_size * n].reshape(group_size, n))
-            for o, n in spans
-        ]
+        return [(actions[o:o + group_size * n].reshape(group_size, n), logps[o:o + group_size * n].reshape(group_size, n))
+                for o, n in spans]
 
     def snapshot(self) -> "CategoricalSequencePolicy":
         """Frozen copy usable as the old or reference policy."""
@@ -211,9 +243,7 @@ class TemplatePolicy(CategoricalSequencePolicy):
     def register_template(self, prompt_id: str, template: HoleTemplate) -> None:
         self.templates[prompt_id] = template
         if prompt_id not in self.params:
-            self.params[prompt_id] = [
-                np.zeros(len(vocab), dtype=float) for vocab in template.hole_vocab
-            ]
+            self.params[prompt_id] = [np.zeros(len(vocab), dtype=float) for vocab in template.hole_vocab]
 
     def decode(self, prompt_id: str, actions: Sequence[int]) -> Program:
         return instantiate_template(self.templates[prompt_id], list(actions))
@@ -271,33 +301,19 @@ def candidate_value_pool(program: Program, input_values: Sequence[Value], truth:
     return [pool[key] for key in sorted(pool)]
 
 
-def sample_groups(
-    policy: CategoricalSequencePolicy,
-    prompt_ids: Sequence[str],
-    kind: str,
-    group_size: int,
-    rng: np.random.Generator,
-) -> List[RolloutGroup]:
+def sample_groups(policy: CategoricalSequencePolicy, prompt_ids: Sequence[str], kind: str, group_size: int,
+                  rng: np.random.Generator) -> List[RolloutGroup]:
     """Draw one group of G independent samples per prompt, in one call, with
     frozen old log-probabilities; the caller fills in artifacts and rewards."""
-    return [
-        RolloutGroup(prompt_id=pid, kind=kind,
-                     samples=[RolloutSample(actions=a, logp_old=lp) for a, lp in zip(actions.tolist(), logps.tolist())])
-        for pid, (actions, logps) in zip(prompt_ids, policy.sample_many(prompt_ids, group_size, rng))
-    ]
+    return [RolloutGroup(pid, kind, actions, logps)
+            for pid, (actions, logps) in zip(prompt_ids, policy.sample_many(prompt_ids, group_size, rng))]
 
 
-def sample_rollouts(
-    policy: CategoricalSequencePolicy,
-    prompt_id: str,
-    kind: str,
-    group_size: int,
-    rng: np.random.Generator,
-) -> RolloutGroup:
+def sample_rollouts(policy: CategoricalSequencePolicy, prompt_id: str, kind: str, group_size: int,
+                    rng: np.random.Generator) -> RolloutGroup:
     """``sample_groups`` for one prompt, its samples decoded by ``policy.artifact``."""
     [group] = sample_groups(policy, [prompt_id], kind, group_size, rng)
-    for sample in group.samples:
-        sample.artifact = policy.artifact(prompt_id, sample.actions)
+    group.artifacts = [policy.artifact(prompt_id, actions) for actions in group.actions.tolist()]
     return group
 
 
@@ -308,24 +324,16 @@ class SurrogateMetrics:
     clip_fraction: float
 
 
-def surrogate_and_grad(
-    policy: CategoricalSequencePolicy,
-    group: RolloutGroup,
-    ref_policy: Optional[CategoricalSequencePolicy],
-    cfg: GrpoConfig,
-):
+def surrogate_and_grad(policy: CategoricalSequencePolicy, group: RolloutGroup,
+                       ref_policy: Optional[CategoricalSequencePolicy], cfg: GrpoConfig):
     """``surrogates`` for one group; ``grads`` maps its prompt id to the
     per-step logit gradients."""
     [(objective, grads, metrics)] = surrogates(policy, [group], ref_policy, cfg)
     return objective, {group.prompt_id: grads}, metrics
 
 
-def surrogates(
-    policy: CategoricalSequencePolicy,
-    groups: Sequence[RolloutGroup],
-    ref_policy: Optional[CategoricalSequencePolicy],
-    cfg: GrpoConfig,
-) -> List[tuple]:
+def surrogates(policy: CategoricalSequencePolicy, groups: Sequence[RolloutGroup],
+               ref_policy: Optional[CategoricalSequencePolicy], cfg: GrpoConfig) -> List[tuple]:
     """Clipped surrogate objective and its analytic gradient for each group.
 
     Returns one ``(objective, grads, metrics)`` per group, ``grads`` being
@@ -339,33 +347,31 @@ def surrogates(
         if group.advantages is None:
             raise ValueError("advantages must be populated before the surrogate")
         step_logits = policy.step_logits(group.prompt_id)
-        if not group.samples or not step_logits:
-            raise ValueError("prompt %r: a group needs samples and steps" % group.prompt_id)
-        if any(len(s.actions) != len(step_logits) for s in group.samples):
-            raise ValueError("sample/actions mismatch for prompt %r" % group.prompt_id)
-        shapes.setdefault((len(group.samples), tuple(map(len, step_logits))), []).append(i)
+        G, n_steps = group.actions.shape
+        if not G or not step_logits or n_steps != len(step_logits):
+            raise ValueError("prompt %r: a group needs samples and steps, one action per step" % group.prompt_id)
+        shapes.setdefault((G, tuple(map(len, step_logits))), []).append(i)
     results: List[tuple] = [None] * len(groups)
     for (G, sizes), members in shapes.items():
         batch = [groups[i] for i in members]
         K, n_steps = len(batch), len(sizes)
         prompt_rows: Dict[str, int] = {}  # each prompt's logits are stacked once
         prow = np.array([prompt_rows.setdefault(g.prompt_id, len(prompt_rows)) for g in batch])
-        pids = list(prompt_rows)
-        actions = np.array([[s.actions for s in g.samples] for g in batch], dtype=np.intp)
-        logp_old = np.array([[s.logp_old for s in g.samples] for g in batch], dtype=float).reshape(K, G, n_steps)
-        adv = np.array([g.advantages for g in batch], dtype=float).reshape(K, G, 1)
+        actions = np.array([g.actions for g in batch], dtype=np.intp)
+        logp_old = np.array([g.logp_old for g in batch], dtype=float)
+        adv = np.array([g.advantages for g in batch], dtype=float)[:, :, None]
 
         ps, kl_grads = [], []
-        kl_total = np.zeros(len(pids))
+        kl_total = np.zeros(len(prompt_rows))
         lp_taken = np.empty((K, G, n_steps))
         for t, vocab in enumerate(sizes):
-            lp = log_softmax(np.array([policy.params[pid][t] for pid in pids]))
+            lp = log_softmax(np.array([policy.params[pid][t] for pid in prompt_rows]))
             p = np.exp(lp)
             if ref_policy is None:
                 lq = log_softmax(np.zeros(vocab))
             else:
                 lq = log_softmax(np.array([ref_policy.params[pid][t] if pid in ref_policy.params else np.zeros(vocab)
-                                           for pid in pids]))
+                                           for pid in prompt_rows]))
             kl_t = np.sum(p * (lp - lq), axis=-1)
             kl_total += kl_t
             # d/dlogits of KL(p||q) = p * ((log p - log q) - KL)
@@ -379,7 +385,9 @@ def surrogates(
         unclipped = ratio * adv
         clipped = np.minimum(np.maximum(ratio, 1.0 - cfg.clip_eps), 1.0 + cfg.clip_eps) * adv
         kept = unclipped <= clipped
-        terms = (weight * np.where(kept, unclipped, clipped)).reshape(K, -1).tolist()
+        # each group's terms summed sample-major, one rounding per term
+        kl = kl_total[prow]
+        objectives = left_sums((weight * np.where(kept, unclipped, clipped)).reshape(K, -1)) - cfg.kl_beta * kl
         # d(ratio)/d(logits) = ratio * (onehot - p), zero for unkept samples
         coeff = np.where(kept, weight * adv * ratio, 0.0)
         grads = []
@@ -396,16 +404,9 @@ def surrogates(
             g -= kl_grads[t][prow]
             grads.append(g)
 
-        kls = kl_total.tolist()
-        unkept = (cells - np.count_nonzero(kept.reshape(K, -1), axis=1)).tolist()
-        for k, i in enumerate(members):
-            objective = 0.0
-            for term in terms[k]:
-                objective += term  # sample-major, one rounding per term
-            kl = kls[prow[k]]
-            objective -= cfg.kl_beta * kl
-            metrics = SurrogateMetrics(objective=objective, kl=kl, clip_fraction=unkept[k] / cells)
-            results[i] = (objective, [g[k] for g in grads], metrics)
+        clip_fractions = (cells - np.count_nonzero(kept.reshape(K, -1), axis=1)) / cells
+        for k, metrics in enumerate(map(SurrogateMetrics, objectives.tolist(), kl.tolist(), clip_fractions.tolist())):
+            results[members[k]] = (metrics.objective, [g[k] for g in grads], metrics)
     return results
 
 
@@ -419,13 +420,9 @@ def _apply_update(policy: CategoricalSequencePolicy, grads: Dict[str, List[np.nd
     policy.adam.ascend(policy.params, grads, cfg.learning_rate)
 
 
-def train_step(
-    policy: CategoricalSequencePolicy,
-    groups: Sequence[RolloutGroup],
-    ref_policy: Optional[CategoricalSequencePolicy],
-    cfg: GrpoConfig,
-    group_count: Optional[int] = None,
-) -> SurrogateMetrics:
+def train_step(policy: CategoricalSequencePolicy, groups: Sequence[RolloutGroup],
+               ref_policy: Optional[CategoricalSequencePolicy], cfg: GrpoConfig,
+               group_count: Optional[int] = None) -> SurrogateMetrics:
     """One optimizer update on the surrogate averaged over ``groups``.
 
     ``group_count`` lets a caller average over a larger universe of groups
@@ -435,27 +432,28 @@ def train_step(
     if not groups:
         raise ValueError("at least one rollout group is required")
     n = group_count if group_count is not None else len(groups)
-    steps: Dict[str, List[slice]] = {}  # prompt id -> where each step's gradient sits in the flat totals
+    bounds: Dict[str, List[int]] = {}  # prompt id -> where its steps' gradients start and end in the flat totals
     size = 0
-    vecs, bins = [], []
-    objective = 0.0
-    kl = 0.0
-    clip_fraction = 0.0
+    vecs, starts, lengths = [], [], []
+    objective = kl = clip_fraction = 0.0
     for group, (obj, grads, metrics) in zip(groups, surrogates(policy, groups, ref_policy, cfg)):
         objective += obj / n
         kl += metrics.kl / n
         clip_fraction += metrics.clip_fraction / len(groups)
-        where = steps.get(group.prompt_id)
+        where = bounds.get(group.prompt_id)
         if where is None:
-            where = steps[group.prompt_id] = []
-            for g in grads:
-                where.append(slice(size, size + len(g)))
-                size += len(g)
+            where = bounds[group.prompt_id] = list(itertools.accumulate(map(len, grads), initial=size))
+            size = where[-1]
         vecs.extend(grads)
-        bins.append(np.arange(where[0].start, where[-1].stop))
+        starts.append(where[0])
+        lengths.append(where[-1] - where[0])
+    # each group's gradients, laid end to end, go to its prompt's bins;
     # bincount adds each weight into its bin in index order, from 0.0, so a
     # prompt's totals are ((0.0 + g1 / n) + g2 / n) + ... in group order:
     # the bits, signed zeros included, of one `total += g / n` per group
-    flat = np.bincount(np.concatenate(bins), weights=np.concatenate(vecs) / n)
-    _apply_update(policy, {pid: [flat[s] for s in where] for pid, where in steps.items()}, cfg)
+    flat = np.concatenate(vecs) / n
+    lengths = np.array(lengths)
+    bins = np.arange(len(flat)) + np.repeat(np.array(starts) - (np.cumsum(lengths) - lengths), lengths)
+    totals = np.bincount(bins, weights=flat)
+    _apply_update(policy, {pid: [totals[a:b] for a, b in zip(where, where[1:])] for pid, where in bounds.items()}, cfg)
     return SurrogateMetrics(objective=objective, kl=kl, clip_fraction=clip_fraction)

@@ -30,7 +30,9 @@ from .grpo import (
     TemplatePolicy,
     ValuePredictorPolicy,
     candidate_value_pool,
+    left_sums,
     sample_groups,
+    step_advantages,
     train_step,
 )
 from .harness import ProblemRecord, RunConfig, RunLock, atomic_write_text, problems_digest
@@ -124,10 +126,9 @@ def harvest_failures(
     """
     if group.kind != KIND_CODEGEN:
         raise ValueError("only code-generation groups are harvested")
-    added = 0
-    ineligible = 0
-    for sample, prompt in zip(group.samples, prompts, strict=True):
-        if float(sample.reward) != 0.0:
+    added = ineligible = 0
+    for reward, prompt in zip(group.rewards.tolist(), prompts, strict=True):
+        if reward != 0.0:
             continue
         if prompt is None:
             ineligible += 1
@@ -219,10 +220,10 @@ class Trainer:
         # templates, tests and budget are fixed per trainer, so each is a pure
         # function of the key (a prompt's origin_step is its build step)
         self._scored = Memo()
-        # alignment prompt id -> one row per variable, whose byte i is 1 if
-        # pool entry i equals the variable's truth; filled when the prompt is
+        # alignment prompt id -> a (variables, pool) uint8 table, 1 where the
+        # pool entry equals the variable's truth; filled when the prompt is
         # registered and a pure function of it, so not checkpoint state
-        self._correct: Dict[str, List[bytes]] = {}
+        self._correct: Dict[str, np.ndarray] = {}
         self._align_path: Optional[Path] = None  # where load_checkpoint read align logits
 
     # --- one training step ---
@@ -258,7 +259,7 @@ class Trainer:
         # are listed at a time.  Nothing between the draws uses the generator.
         code_groups = sample_groups(self.code_policy, batch.code_prompts, KIND_CODEGEN, self.config.group_size,
                                     self.rng)
-        keys = [[(group.prompt_id, tuple(sample.actions)) for sample in group.samples] for group in code_groups]
+        keys = [[(group.prompt_id, tuple(actions)) for actions in group.actions.tolist()] for group in code_groups]
         # each distinct rollout that the scoring memo does not keep is decoded
         # before any is scored, so that parsing and execution do not take
         # turns; its first scoring miss takes the program out of the table,
@@ -266,10 +267,8 @@ class Trainer:
         decoded = {key: self.code_policy.artifact(*key)
                    for key in dict.fromkeys(itertools.chain.from_iterable(keys)) if key not in self._scored}
         for group, group_keys in zip(code_groups, keys):
-            prompts: List[Optional[AlignmentPrompt]] = [None] * len(group.samples)
-            for i, (sample, key) in enumerate(zip(group.samples, group_keys)):
-                sample.artifact, sample.reward, prompts[i] = self._scored.get(key, partial(self._rollout, key, decoded))
-            group.fill_advantages()
+            scored = [self._scored.get(key, partial(self._rollout, key, decoded)) for key in group_keys]
+            group.artifacts, group.rewards[:], prompts = map(list, zip(*scored))
             harvest_failures(group, self.buffer, prompts, self.step)
 
         for prompt in batch.align_prompts:
@@ -282,43 +281,38 @@ class Trainer:
                     self.align_policy.register_prompt(prompt.item_id, prompt.variables, pool)
                 except ValueError as exc:
                     raise ValueError("%s: %s" % (self._align_path, exc)) from exc
-                self._correct[prompt.item_id] = [bytes(values_equal(c, prompt.truth[v]) for c in pool)
-                                                 for v in prompt.variables]
+                self._correct[prompt.item_id] = np.array([[values_equal(c, prompt.truth[v]) for c in pool]
+                                                          for v in prompt.variables], dtype=np.uint8)
         align_groups = sample_groups(self.align_policy, [p.item_id for p in batch.align_prompts], KIND_ALIGNMENT,
                                      self.config.group_size, self.rng)
-        for prompt, group in zip(batch.align_prompts, align_groups):
-            # sem_reward of the decoded sample: the share of variables whose
-            # chosen pool entry is correct; the samples stay undecoded
-            rows = self._correct[prompt.item_id]
-            for sample in group.samples:
-                sample.reward = sum(map(bytes.__getitem__, rows, sample.actions)) / len(rows)
-            group.fill_advantages()
+        for group in align_groups:
+            # sem_reward of the decoded sample, gathered from the prompt's
+            # table: the share of variables whose chosen pool entry is correct
+            table = self._correct[group.prompt_id]
+            group.rewards = table[np.arange(len(table)), group.actions].sum(axis=1) / len(table)
+        # the step's advantages and mean rewards come from one reward matrix
+        groups = code_groups + align_groups
+        rewards = np.array([group.rewards for group in groups])
+        for group, advantages in zip(groups, step_advantages(rewards)):
+            group.advantages = advantages
+        mean_r_gen, mean_r_sem = (float(left_sums(r.ravel()) / r.size) if r.size else None
+                                  for r in (rewards[:len(code_groups)], rewards[len(code_groups):]))
 
-        n_total = len(code_groups) + len(align_groups)
-        objective = 0.0
-        kl = 0.0
-        clip_fraction = 0.0
+        n_total = len(groups)
+        objective = kl = clip_fraction = 0.0
         # mini-batches share the same frozen old log-probabilities (one inner
         # epoch); the KL reference is the initial uniform policy (ref None)
         mini = self.config.mini_batch
-        all_groups = [(g, self.code_policy) for g in code_groups] + [
-            (g, self.align_policy) for g in align_groups
-        ]
-        for start in range(0, len(all_groups), mini):
-            chunk = all_groups[start : start + mini]
-            for policy in (self.code_policy, self.align_policy):
-                groups = [g for g, pol in chunk if pol is policy]
-                if not groups:
+        for start in range(0, n_total, mini):
+            chunk = groups[start : start + mini]
+            for policy, kind in ((self.code_policy, KIND_CODEGEN), (self.align_policy, KIND_ALIGNMENT)):
+                part = [g for g in chunk if g.kind == kind]
+                if not part:
                     continue
-                m = train_step(policy, groups, None, self.config, group_count=n_total)
+                m = train_step(policy, part, None, self.config, group_count=n_total)
                 objective += m.objective
                 kl += m.kl
-                clip_fraction += m.clip_fraction * len(groups) / n_total
-
-        gen_rewards = [s.reward for g in code_groups for s in g.samples]
-        sem_rewards = [s.reward for g in align_groups for s in g.samples]
-        mean_r_gen = sum(gen_rewards) / len(gen_rewards) if gen_rewards else None
-        mean_r_sem = sum(sem_rewards) / len(sem_rewards) if sem_rewards else None
+                clip_fraction += m.clip_fraction * len(part) / n_total
 
         record = {
             "step": self.step,
@@ -443,27 +437,27 @@ def run_training(
     renamed into place once complete, so resume finds only whole ones.
     Reruns with identical (seed, config, dataset) are bitwise identical.
 
-    Each step's groups are drawn in one call per policy, with the random
-    stream of a per-sample draw, and each mini-batch's surrogate is one call
-    per policy.  Each distinct (problem, action sequence), one that fails to
-    decode included, is decoded and scored, together with building its
-    alignment prompt when it fails, once while it stays in a bounded memo
-    (``values.Memo``, which keeps every rollout while it has room); the
-    prompt reuses the executions of the reward report.  A step decodes the
-    rollouts that the memo does not keep in one pass before it scores any,
-    so that its parses run back to back; the pass only tests membership, so
-    the memo and the decode and score counts are those of decoding each
-    rollout where it is scored.  An alignment sample
-    is scored without decoding it, from its prompt's table of correct
+    Each step's groups are drawn in one call per policy, with the random stream
+    of a per-sample draw, and stay arrays up to the update: the advantages and
+    mean rewards come from one reward matrix, summed left to right, and each
+    mini-batch's surrogate is one call per policy.  Each distinct (problem,
+    action sequence), one that fails to decode included, is decoded and scored,
+    together with building its alignment prompt when it fails, once while it
+    stays in a bounded memo (``values.Memo``, which keeps every rollout while
+    it has room); the prompt reuses the executions of the reward report.  A
+    step decodes the rollouts that the memo does not keep in one pass before it
+    scores any, so that its parses run back to back; the pass only tests
+    membership, so the memo and the decode and score counts are those of
+    decoding each rollout where it is scored.  An alignment sample is scored
+    without decoding it, by a gather from its prompt's table of correct
     candidates: per variable, which pool entries equal the truth, built when
-    the prompt is first sampled.  The memos and
-    the table are pure functions of their keys and are not checkpoint state,
-    so a resumed run starts with them empty and still matches an
-    uninterrupted one exactly.  Resuming
-    needs the run's ``metrics.jsonl`` with a complete line for every step done
-    and, when the run directory holds a ``config.json``, the config that it
-    records, only ``max_steps`` excepted; when it holds a ``problems.sha256``,
-    the dataset that it records.
+    the prompt is first sampled.  The memos and the table are pure functions of
+    their keys and are not checkpoint state, so a resumed run starts with them
+    empty and still matches an uninterrupted one exactly.  Resuming needs the
+    run's ``metrics.jsonl`` with a complete line for every step done and, when
+    the run directory holds a ``config.json``, the config that it records, only
+    ``max_steps`` excepted; when it holds a ``problems.sha256``, the dataset
+    that it records.
     """
     run_dir = Path(run_dir)
     run_dir.mkdir(parents=True, exist_ok=True)

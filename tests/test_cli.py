@@ -2,9 +2,12 @@
 
 import json
 import math
+import os
 import shlex
 import shutil
+import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
@@ -37,6 +40,22 @@ def test_trace_ok(tmp_path, capsys):
 # an empty list below a statement's top node: on closures, an expression
 # closure with no operands
 EMPTY_LIST_SRC = "fn f(xs) {\n    if xs == [] {\n        return 0\n    }\n    return len(xs)\n}\n"
+
+
+# returns "ab" doubled 17 times: 262,144 characters, printed twice, which
+# is more than a pipe holds
+GROW_SRC = "fn f(s) {\n    i = 0\n    while i < 17 {\n        s = s + s\n        i = i + 1\n    }\n    return s\n}\n"
+
+
+def test_trace_into_a_pipe_closed_early_exits_one_without_a_traceback(tmp_path):
+    prog = write(tmp_path, "grow.mim", GROW_SRC)
+    env = dict(os.environ, PYTHONPATH=str(Path(cli.__file__).resolve().parents[1]))
+    with subprocess.Popen([sys.executable, "-m", "semtrace.cli", "trace", prog, '["ab"]'], env=env,
+                          stdout=subprocess.PIPE, stderr=subprocess.PIPE) as proc:
+        assert proc.stdout.read(24) == b'{ "final_output": "ababa'
+        proc.stdout.close()  # as `| head -c 24` does
+        assert proc.stderr.read() == b""
+        assert proc.wait(timeout=60) == 1
 
 
 def test_trace_and_reward_of_an_empty_list_operand(tmp_path, capsys):

@@ -14,7 +14,6 @@ from semtrace.grpo import (
     CategoricalSequencePolicy,
     GrpoConfig,
     RolloutGroup,
-    RolloutSample,
     TemplatePolicy,
     ValuePredictorPolicy,
     candidate_value_pool,
@@ -79,6 +78,70 @@ def test_group_advantages_normalization_identity(rng):
 def test_group_advantages_requires_two():
     with pytest.raises(ValueError):
         group_advantages([1.0])
+
+
+def left_to_right_advantages(rewards):
+    """The one-group rule in Python floats, every sum a loop from 0.0."""
+    n = len(rewards)
+    if all(r == rewards[0] for r in rewards):
+        return [0.0] * n
+    total = 0.0
+    for r in rewards:
+        total += r
+    centered = [r - total / n for r in rewards]
+    squares = 0.0
+    for c in centered:
+        squares += c * c
+    denom = max((squares / n) ** 0.5, grpo.STD_FLOOR)
+    return [c / denom for c in centered]
+
+
+def bits(values):
+    return np.array(values, dtype=float).tobytes()
+
+
+def test_group_advantages_sum_left_to_right_on_every_python():
+    # adding left to right gives 1.5999999999999999 here; a compensated sum,
+    # as Python's sum is from 3.12 on, gives 1.6 and other advantages
+    rewards = [0.1] * 9 + [0.7]
+    total = 0.0
+    for r in rewards:
+        total += r
+    assert (total, math.fsum(rewards)) == (1.5999999999999999, 1.6)
+    got = group_advantages(rewards)
+    assert bits(got) == bits(left_to_right_advantages(rewards))
+    centered = [r - math.fsum(rewards) / 10 for r in rewards]
+    assert got != [c / (math.fsum(c * c for c in centered) / 10) ** 0.5 for c in centered]
+
+
+def test_group_advantages_are_zero_when_rewards_are_equal_and_their_mean_rounds():
+    # ten 0.1s add up to 0.9999999999999999, so the centered values are not 0
+    assert group_advantages([0.1] * 10) == [0.0] * 10
+    assert bits(group_advantages([-0.0, 0.0, -0.0])) == bits([0.0] * 3)
+
+
+def test_step_advantages_are_the_one_group_rule_on_each_row_bit_for_bit():
+    rng = np.random.default_rng(41)
+    seen = {"equal": 0, "floor": 0, "spread": 0}
+    for G in range(2, 17):
+        for _ in range(4):
+            rows = np.array([
+                rng.integers(0, 4, size=G) / 3,  # shares of variables right, as alignment rewards are
+                rng.integers(0, 2, size=G).astype(float),
+                rng.normal(size=G),
+                np.full(G, rng.choice([0.1, 0.3, 1 / 3])),  # equal rewards whose mean rounds
+                0.5 + rng.normal(size=G) * 1e-8,  # a spread below STD_FLOOR
+                rng.choice([0.0, -0.0], size=G),  # signed zeros
+                rng.choice([0.0, -0.0, 1e-300, -1e-7], size=G),
+            ])
+            got = grpo.step_advantages(rows)
+            assert got.shape == rows.shape
+            for row, advantages in zip(rows.tolist(), got):
+                want = left_to_right_advantages(row)
+                assert bits(advantages) == bits(want) == bits(group_advantages(row))
+                std = np.std(row)
+                seen["equal" if len(set(row)) == 1 else "floor" if std < grpo.STD_FLOOR else "spread"] += 1
+    assert min(seen.values()) > 50, seen
 
 
 def test_kl_identical_is_zero(rng):
@@ -521,9 +584,10 @@ def test_surrogate_rejects_a_group_without_samples_or_steps():
     pol.params["p"] = [np.zeros(3)]
     cfg = GrpoConfig()
     with pytest.raises(ValueError, match="needs samples and steps"):
-        surrogate_and_grad(pol, RolloutGroup("p", KIND_CODEGEN, [], advantages=[]), None, cfg)
+        surrogate_and_grad(pol, RolloutGroup("p", KIND_CODEGEN, np.zeros((0, 1), np.intp), np.zeros((0, 1)),
+                                             advantages=[]), None, cfg)
     pol.params["q"] = []
-    group = RolloutGroup("q", KIND_CODEGEN, [RolloutSample([], []), RolloutSample([], [])], advantages=[1.0, -1.0])
+    group = RolloutGroup("q", KIND_CODEGEN, np.zeros((2, 0), np.intp), np.zeros((2, 0)), advantages=[1.0, -1.0])
     with pytest.raises(ValueError, match="needs samples and steps"):
         surrogate_and_grad(pol, group, None, cfg)
 
@@ -609,7 +673,7 @@ def test_train_step_sums_each_prompts_gradients_as_one_add_per_group_would(monke
     grads = [[rng.choice(vals, size) for size in prompts[pid]] for pid in order]
     for i in (1, 5):  # both of b's groups
         grads[i][0][0] = -0.0
-    groups = [RolloutGroup(prompt_id=pid, kind=KIND_CODEGEN, samples=[]) for pid in order]
+    groups = [RolloutGroup(pid, KIND_CODEGEN, np.zeros((0, 0), np.intp), np.zeros((0, 0))) for pid in order]
     metrics = SurrogateMetrics(objective=0.0, kl=0.0, clip_fraction=0.0)
     monkeypatch.setattr(grpo, "surrogates", lambda policy, gs, ref, cfg: [(0.0, g, metrics) for g in grads])
     applied = []

@@ -13,7 +13,6 @@ from semtrace.grpo import (
     KIND_CODEGEN,
     CategoricalSequencePolicy,
     RolloutGroup,
-    RolloutSample,
     SurrogateMetrics,
     TemplatePolicy,
 )
@@ -116,16 +115,17 @@ def test_buffer_dedup_and_fifo_eviction(rng):
 
 def make_codegen_group(programs, tests, budget=100_000, origin_step=1):
     """A scored group of ``programs`` and the prompts scoring builds for it:
-    one per failed sample, None for the others, as ``Trainer`` builds them."""
-    group = RolloutGroup(prompt_id="p", kind=KIND_CODEGEN, samples=[])
+    one per failed sample, None for the others, as ``Trainer`` builds them.
+    A None program is a sample that did not decode."""
+    group = RolloutGroup("p", KIND_CODEGEN, np.arange(len(programs))[:, None], np.zeros((len(programs), 1)))
     prompts = []
-    for i, src in enumerate(programs):
-        prog = parse_program(src)
-        report = gen_reward(prog, tests, budget=budget)
-        prompts.append(build_alignment_prompt(prog, tests, report, origin_step) if report.reward == 0 else None)
-        group.samples.append(
-            RolloutSample(actions=[i], logp_old=[0.0], artifact=prog, reward=float(report.reward))
-        )
+    for sample, src in zip(group.samples, programs):
+        prompts.append(None)
+        if src is not None:
+            sample.artifact = prog = parse_program(src)
+            report = gen_reward(prog, tests, budget=budget)
+            prompts[-1] = build_alignment_prompt(prog, tests, report, origin_step) if report.reward == 0 else None
+            sample.reward = float(report.reward)
     return group, prompts
 
 
@@ -137,9 +137,7 @@ def test_harvest_mixed_group():
         + ["fn f(a) { r = a return r }"] * 3
     )
     tests = [TestCase([5], 5)]
-    group, prompts = make_codegen_group(programs, tests)
-    group.samples.append(RolloutSample(actions=[8], logp_old=[0.0], artifact=None, reward=0.0))
-    prompts.append(None)
+    group, prompts = make_codegen_group(programs + [None], tests)
     buf = FailureBuffer(capacity=64)
     added, ineligible = harvest_failures(group, buf, prompts, origin_step=1)
     assert added == 3
