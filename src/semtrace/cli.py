@@ -208,12 +208,12 @@ def cmd_eval(args) -> int:
 
 def cmd_probe(args) -> int:
     with _reading("feature error", args.features):
-        samples = probe_mod.load_feature_dir(args.features)
-    layers = sorted({layer for s in samples for layer in s.features})
+        data = probe_mod.load_feature_dir(args.features)
+    layers = sorted(data.features)
     with _reading("error"):
         rng = np.random.default_rng(seed_override(args.seed))
     out = _output_dir(args.out)
-    results = probe_mod.probe_sweep(samples, layers, rng=rng)
+    results = probe_mod.probe_sweep(data, layers, rng=rng)
     probe_mod.write_sweep_csv(results, out / "probe_mse.csv")
     for layer in layers:
         print(

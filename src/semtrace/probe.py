@@ -4,6 +4,10 @@ Targets are min-max normalized to [-1, 1] per problem using training-split
 statistics only; each layer gets an independent zero-initialized linear
 regressor trained with full-batch Adam on MSE, for the fixed budget that
 ``SIGNAL_GAIN`` is calibrated to (``EPOCHS`` at ``LEARNING_RATE``).
+
+Samples are held by column in a :class:`FeatureSet`, one ``(records, dim)``
+float64 matrix per layer: :func:`read_feature_file` returns ``(layer,
+FeatureSet)``, a file's records in order, and the sweep selects rows by index.
 """
 
 from __future__ import annotations
@@ -11,9 +15,10 @@ from __future__ import annotations
 import csv
 import io
 import struct
-from dataclasses import dataclass
+from collections.abc import Sequence
+from dataclasses import dataclass, replace
 from pathlib import Path
-from typing import Dict, List, Sequence, Tuple
+from typing import Dict, List, Tuple
 
 import numpy as np
 
@@ -35,6 +40,53 @@ class ProbeSample:
     variable: str
     target: float
     features: Dict[int, np.ndarray]  # layer index -> vector
+
+
+@dataclass(eq=False)
+class FeatureSet(Sequence):
+    """Probe samples by column: per sample its problem id, variable name and
+    target, and per layer one C-contiguous ``(records, dim)`` float64 matrix
+    whose row i is sample i's vector.  A read-only sequence of
+    :class:`ProbeSample`, each built on demand over row views; a slice is a
+    FeatureSet.  Membership, ``index`` and ``count`` compare samples, whose
+    vectors are arrays, so they are not supported."""
+
+    problem_ids: List[str]
+    variables: List[str]
+    targets: np.ndarray  # float64, one per sample
+    features: Dict[int, np.ndarray]  # layer index -> matrix
+
+    @classmethod
+    def of(cls, samples: Sequence[ProbeSample]) -> "FeatureSet":
+        """``samples`` itself if it is a FeatureSet, else its samples stacked
+        once into a matrix for every layer of the first sample, whichever
+        layers the caller reads."""
+        if isinstance(samples, cls):
+            return samples
+        samples = list(samples)
+        matrices = {}
+        for layer in samples[0].features if samples else ():
+            matrices[layer] = np.stack([s.features[layer] for s in samples]).astype(np.float64)
+            if matrices[layer].ndim != 2:
+                raise ValueError("features must be vectors")
+        targets = np.array([s.target for s in samples], dtype=np.float64)
+        return cls([s.problem_id for s in samples], [s.variable for s in samples], targets, matrices)
+
+    def take(self, rows: np.ndarray) -> "FeatureSet":
+        """The samples at ``rows``, an index array, in its order."""
+        picked = rows.tolist()
+        return FeatureSet([self.problem_ids[i] for i in picked], [self.variables[i] for i in picked],
+                          self.targets[rows], {layer: m[rows] for layer, m in self.features.items()})
+
+    def __len__(self) -> int:
+        return len(self.problem_ids)
+
+    def __getitem__(self, i):
+        if isinstance(i, slice):
+            return self.take(np.arange(len(self))[i])
+        i = range(len(self))[i]  # a negative index counts from the end; out of range is an IndexError
+        return ProbeSample(self.problem_ids[i], self.variables[i], float(self.targets[i]),
+                           {layer: m[i] for layer, m in self.features.items()})
 
 
 @dataclass
@@ -60,54 +112,52 @@ class LinearProbe:
 
 def split_dataset(
     samples: Sequence[ProbeSample], ratio: float, rng: np.random.Generator
-) -> Tuple[List[ProbeSample], List[ProbeSample]]:
-    """Stratified train/test split per problem id; singleton problems go
-    entirely to train."""
-    if not samples:
+) -> Tuple[FeatureSet, FeatureSet]:
+    """Stratified train/test split per problem id, problems in id order and
+    each problem's rows in the order of one permutation draw; singleton
+    problems go entirely to train."""
+    data = FeatureSet.of(samples)
+    if not len(data):
         raise ValueError("dataset is empty")
     if not 0.0 < ratio < 1.0:
         raise ValueError("ratio must be in (0, 1)")
-    by_problem: Dict[str, List[ProbeSample]] = {}
-    for s in samples:
-        by_problem.setdefault(s.problem_id, []).append(s)
-    train: List[ProbeSample] = []
-    test: List[ProbeSample] = []
+    by_problem: Dict[str, List[int]] = {}
+    for row, pid in enumerate(data.problem_ids):
+        by_problem.setdefault(pid, []).append(row)
+    train, test = [], []
     for pid in sorted(by_problem):
-        group = list(by_problem[pid])
-        idx = rng.permutation(len(group))
+        group = np.array(by_problem[pid], dtype=np.intp)[rng.permutation(len(by_problem[pid]))]
         n_train = max(1, int(ratio * len(group)))
-        for rank, i in enumerate(idx):
-            (train if rank < n_train else test).append(group[int(i)])
-    return train, test
+        train.append(group[:n_train])
+        test.append(group[n_train:])
+    return data.take(np.concatenate(train)), data.take(np.concatenate(test))
 
 
 def normalize_targets(
     train: Sequence[ProbeSample], test: Sequence[ProbeSample]
-) -> Tuple[List[ProbeSample], List[ProbeSample], NormalizationParams]:
+) -> Tuple[FeatureSet, FeatureSet, NormalizationParams]:
     """Min-max scale targets to [-1, 1] per problem, statistics from the
-    training split only; test values outside the range are not clamped."""
-    per_problem: Dict[str, Tuple[float, float]] = {}
-    for s in train:
-        lo, hi = per_problem.get(s.problem_id, (s.target, s.target))
-        per_problem[s.problem_id] = (min(lo, s.target), max(hi, s.target))
-    params = NormalizationParams(per_problem=per_problem)
+    training split only, as :meth:`NormalizationParams.scale` does; test
+    values outside the range are not clamped, and test rows of a problem
+    absent from the training split are dropped."""
+    train, test = FeatureSet.of(train), FeatureSet.of(test)
+    index: Dict[str, int] = {}  # problem id -> its place in lo and hi, in order of first training row
+    codes = np.array([index.setdefault(pid, len(index)) for pid in train.problem_ids], dtype=np.intp)
+    lo, hi = np.full(len(index), np.inf), np.full(len(index), -np.inf)
+    np.minimum.at(lo, codes, train.targets)
+    np.maximum.at(hi, codes, train.targets)
 
-    def rescale(samples):
-        out = []
-        for s in samples:
-            if s.problem_id not in per_problem:
-                continue  # problem absent from the training split
-            out.append(
-                ProbeSample(
-                    problem_id=s.problem_id,
-                    variable=s.variable,
-                    target=params.scale(s.problem_id, s.target),
-                    features=s.features,
-                )
-            )
-        return out
+    def rescale(data: FeatureSet, code: np.ndarray) -> FeatureSet:
+        low, high = lo[code], hi[code]
+        flat = high == low
+        y = 2.0 * (data.targets - low) / np.where(flat, 1.0, high - low) - 1.0
+        y[flat] = 0.0
+        return replace(data, targets=y)
 
-    return rescale(train), rescale(test), params
+    test_codes = np.array([index.get(pid, -1) for pid in test.problem_ids], dtype=np.intp)
+    kept = np.flatnonzero(test_codes >= 0)
+    params = NormalizationParams(per_problem=dict(zip(index, zip(lo.tolist(), hi.tolist()))))
+    return rescale(train, codes), rescale(test.take(kept), test_codes[kept]), params
 
 
 def train_probe(
@@ -117,12 +167,10 @@ def train_probe(
     lr: float = LEARNING_RATE,
 ) -> LinearProbe:
     """Full-batch Adam on MSE, one update per epoch, zero initialization."""
-    if not train:
+    train = FeatureSet.of(train)
+    if not len(train):
         raise ValueError("no training samples")
-    X = np.stack([s.features[layer] for s in train]).astype(float)
-    y = np.array([s.target for s in train], dtype=float)
-    if X.ndim != 2:
-        raise ValueError("features must be vectors")
+    X, y = train.features[layer], train.targets
     n, d = X.shape
     params = {"probe": [np.zeros(d), np.zeros(1)]}  # weights, bias
     w, b = params["probe"]
@@ -135,11 +183,10 @@ def train_probe(
 
 
 def mse(probe: LinearProbe, samples: Sequence[ProbeSample]) -> float:
-    if not samples:
+    data = FeatureSet.of(samples)
+    if not len(data):
         raise ValueError("no samples to score")
-    X = np.stack([s.features[probe.layer] for s in samples]).astype(float)
-    y = np.array([s.target for s in samples], dtype=float)
-    return float(np.mean((probe.predict(X) - y) ** 2))
+    return float(np.mean((probe.predict(data.features[probe.layer]) - data.targets) ** 2))
 
 
 def probe_sweep(
@@ -226,49 +273,63 @@ def write_feature_file(path, layer: int, records: Sequence[Tuple[str, str, float
             fh.write(row.tobytes())
 
 
-def read_feature_file(path) -> Tuple[int, List[Tuple[str, str, float, np.ndarray]]]:
-    """``(layer, records)``, the records' vectors the rows of one array; a ``ValueError``
-    naming the file if it is malformed or holds a non-finite target or feature value."""
+def read_feature_file(path) -> Tuple[int, FeatureSet]:
+    """``(layer, samples)``, the samples a :class:`FeatureSet` of the file's
+    records in order; a ``ValueError`` naming the file if it is malformed or
+    holds a non-finite target or feature value."""
     f = BinaryFile(path, FEATURE_MAGIC, "feature-file")
     layer, count, dim = _HEADER.unpack(f.take(16))
     width = 8 * dim
     text, take = f.text, f.take
+    problem_ids, variables, values = [], [], []  # values: each record's target bytes, then its feature bytes
     # a record takes at least 16 bytes, so a count beyond the file's records
     # ends in a truncation error
-    records = [(text(), text(), take(8), take(width)) for _ in range(count)]  # id, variable, target, features
-    targets = np.frombuffer(b"".join([r[2] for r in records]), dtype="<f8")
-    features = np.frombuffer(b"".join([r[3] for r in records]), dtype="<f8").astype(float).reshape(count, dim)
-    if not (np.isfinite(targets).all() and np.isfinite(features).all()):
+    for _ in range(count):
+        problem_ids.append(text())
+        variables.append(text())
+        values.append(take(8))
+        values.append(take(width))
+    block = np.frombuffer(b"".join(values), dtype="<f8").reshape(len(problem_ids), dim + 1)
+    if not np.isfinite(block).all():
         raise ValueError("%s holds a non-finite target or feature value" % path)
-    return layer, [(pid, var, target, row) for (pid, var, _, _), target, row in zip(records, targets.tolist(), features)]
+    features = np.ascontiguousarray(block[:, 1:], dtype=np.float64)
+    return layer, FeatureSet(problem_ids, variables, block[:, 0].astype(np.float64), {layer: features})
 
 
-def load_feature_dir(feature_dir) -> List[ProbeSample]:
-    """Assemble probe samples from a directory of per-layer feature files;
-    every (problem, variable, target) key must appear once in every layer."""
+def load_feature_dir(feature_dir) -> FeatureSet:
+    """Assemble probe samples from a directory of per-layer feature files, in
+    the order of the lowest layer's file; every (problem, variable, target)
+    key must appear once in every layer, and a layer must hold a record."""
     feature_dir = Path(feature_dir)
     files = sorted(feature_dir.glob("*.bin"))
     if not files:
         raise ValueError("no feature files (*.bin) in %s" % feature_dir)
     per_layer = {}
     for path in files:
-        layer, records = read_feature_file(path)
+        layer, table = read_feature_file(path)
         if layer in per_layer:
             raise ValueError("duplicate feature file for layer %d" % layer)
-        per_layer[layer] = path, records
+        per_layer[layer] = path, table
     layers = sorted(per_layer)
-    keys = [(pid, var, target) for pid, var, target, _ in per_layer[layers[0]][1]]
-    samples = {key: ProbeSample(*key, features={}) for key in keys}
+    path, first = per_layer[layers[0]]
+    if not len(first):
+        raise ValueError("%s holds no records" % path)
+    keys = list(zip(first.problem_ids, first.variables, first.targets.tolist()))
+    index = {key: row for row, key in enumerate(keys)}  # a repeated key fails below, in the lowest layer
+    features = {}
     for layer in layers:
-        path, records = per_layer[layer]
-        if len(records) != len(keys):
-            raise ValueError("layer %d has %d records, expected %d" % (layer, len(records), len(keys)))
-        for pid, var, target, features in records:
-            key = (pid, var, target)
-            sample = samples.get(key)
-            if sample is None:
+        path, table = per_layer[layer]
+        if len(table) != len(keys):
+            raise ValueError("layer %d has %d records, expected %d" % (layer, len(table), len(keys)))
+        rows, filled = [], bytearray(len(keys))  # each record's row in the lowest layer; the rows taken
+        for key in zip(table.problem_ids, table.variables, table.targets.tolist()):
+            row = index.get(key)
+            if row is None:
                 raise ValueError("layer %d record %r not present in all layers" % (layer, key))
-            if layer in sample.features:
+            if filled[row]:
                 raise ValueError("%s repeats the record %r" % (path, key))
-            sample.features[layer] = features
-    return [samples[k] for k in keys]
+            filled[row] = 1
+            rows.append(row)
+        features[layer] = np.empty_like(table.features[layer])
+        features[layer][rows] = table.features[layer]
+    return replace(first, features=features)

@@ -14,7 +14,7 @@ import pytest
 from semtrace import cli, fuzz
 from semtrace.grpo import CategoricalSequencePolicy
 from semtrace.harness import RunLock
-from semtrace.probe import synthetic_linear_samples, write_feature_file
+from semtrace.probe import FEATURE_MAGIC, synthetic_linear_samples, write_feature_file
 
 import numpy as np
 
@@ -332,6 +332,19 @@ def test_probe_truncated_feature_file_exits_one(tmp_path, capsys):
     path.write_bytes(path.read_bytes()[:12])  # cut inside the header
     assert cli.main(["probe", str(feat_dir), "--out", str(tmp_path / "out")]) == 1
     assert "feature error:" in capsys.readouterr().err
+
+
+def test_probe_feature_file_of_no_records_exits_one_and_writes_nothing(tmp_path, capsys):
+    # a whole file whose header counts 0 records: no split can be drawn from it
+    feat_dir = tmp_path / "features"
+    feat_dir.mkdir()
+    path = feat_dir / "layer0.bin"
+    path.write_bytes(FEATURE_MAGIC + (0).to_bytes(4, "little") + (0).to_bytes(8, "little") + (3).to_bytes(4, "little"))
+    assert len(path.read_bytes()) == 24
+    out = tmp_path / "out"
+    assert cli.main(["probe", str(feat_dir), "--out", str(out)]) == 1
+    assert assert_one_line_error(capsys, "feature error: ") == "feature error: %s holds no records\n" % path
+    assert not out.exists()
 
 
 def test_probe_feature_entry_that_is_a_directory_exits_one(tmp_path, capsys):
