@@ -8,19 +8,20 @@ reference is the uniform policy, which is every policy's initial state and
 the reference the trainer uses.  Gradients are analytic (softmax Jacobian)
 and cross-checked against finite differences in the test suite.
 
-A step is columnar: ``sample_groups`` draws all groups of one call at once
-(``CategoricalSequencePolicy.sample_many``), and each :class:`RolloutGroup`
-keeps its samples as arrays from the draw to the update.  ``step_advantages``
-normalizes a step's reward matrix at once and ``surrogates`` stacks groups by
-shape, with the bits of a per-sample loop on every Python (sums run left to
-right).  ``sample_rollouts`` and ``surrogate_and_grad`` are the one-group
-forms, ``RolloutGroup.samples`` serves callers that read one sample at a
-time, and whoever reads a sample's artifact decodes it.
-``optimizer="adam"`` updates through each policy's :class:`semtrace.optim.Adam`.
+A step is columnar: each :class:`RolloutGroup` keeps its samples as arrays
+from the draw to the update.  ``sample_groups`` and ``surrogates`` each take
+all groups of a call at once, normalizing each distinct (prompt, step) once
+in one stack per vocabulary size (``vocab_stacks``); ``step_advantages``
+normalizes a step's reward matrix.  Results keep the bits of a per-sample
+loop on every Python: sums run left to right, and a sum padded to a longer
+group's length is padded only at its end.  ``sample_rollouts`` and
+``surrogate_and_grad`` are the one-group forms, and whoever reads a sample's
+artifact decodes it.  ``optimizer="adam"`` updates through ``optim.Adam``.
 """
 
 from __future__ import annotations
 
+import collections
 import itertools
 import struct
 from dataclasses import dataclass
@@ -71,9 +72,37 @@ def group_advantages(rewards: Sequence[float]) -> List[float]:
 
 def log_softmax(logits: np.ndarray) -> np.ndarray:
     """Log-probabilities along the last axis, so each row of a stack of
-    logit vectors gets the bits it gets alone."""
-    shifted = logits - np.max(logits, axis=-1, keepdims=True)
-    return shifted - np.log(np.sum(np.exp(shifted), axis=-1, keepdims=True))
+    logit vectors gets the bits it gets alone.  np.max and np.sum would run
+    the same reductions, at a higher cost per call on small rows."""
+    shifted = logits - np.maximum.reduce(logits, axis=-1, keepdims=True)
+    return shifted - np.log(np.add.reduce(np.exp(shifted), axis=-1, keepdims=True))
+
+
+def vocab_stacks(policy: "CategoricalSequencePolicy", prompt_ids: Sequence[str], group_sizes: Sequence[int]):
+    """The layout of one call over the listed prompts, prompt ``i`` taking
+    ``group_sizes[i]`` samples: a cell is one (prompt, sample, step), in listing
+    order and each prompt's as its ``(G, n_steps)`` arrays ravel.  Returns
+    ``((first_cells, n_steps), stacks, uses)``: ``stacks[V]`` holds the distinct
+    (prompt id, step) keys of vocabulary size V, in order of first listing, and
+    their log-probabilities and probabilities; ``uses[G, V]`` holds, per listed
+    step of that shape, its stack row, its G cells and its listing index."""
+    stacks, uses, spans = collections.defaultdict(dict), collections.defaultdict(list), []
+    cell = step = 0
+    for pid, G in zip(prompt_ids, group_sizes):
+        step_logits = policy.step_logits(pid)
+        n_steps = len(step_logits)
+        spans.append((cell, n_steps))
+        for t, logits in enumerate(step_logits):
+            rows = stacks[len(logits)]  # (prompt id, step) -> its row
+            uses[G, len(logits)].append((rows.setdefault((pid, t), len(rows)), cell + t, n_steps, step + t))
+        cell, step = cell + G * n_steps, step + n_steps
+    for (G, vocab), use in uses.items():
+        rows, first, stride, steps = np.fromiter(itertools.chain(*use), np.intp, 4 * len(use)).reshape(-1, 4).T
+        uses[G, vocab] = rows, first[:, None] + stride[:, None] * np.arange(G), steps
+    for vocab, rows in stacks.items():
+        lp = log_softmax(np.concatenate([policy.params[pid][t] for pid, t in rows]).reshape(-1, vocab))
+        stacks[vocab] = list(rows), lp, np.exp(lp)
+    return np.array(spans, dtype=np.intp).reshape(-1, 2).T, stacks, uses
 
 
 class RolloutSample:
@@ -130,56 +159,26 @@ class CategoricalSequencePolicy:
         return self.params[prompt_id]
 
     def sample_many(self, prompt_ids: Sequence[str], group_size: int, rng: np.random.Generator):
-        """Draw ``group_size`` action sequences for each prompt in turn;
-        returns one ``(actions, logps)`` pair of ``(group_size, n_steps)``
-        arrays per prompt.  Equal, draws included, to one ``rng.choice(len(p),
-        p=p)`` per prompt, sample and step, which maps one ``random()`` double
-        u to ``searchsorted(cumsum(p) / cumsum(p)[-1], u, side="right")``, the
-        count of cdf entries <= u; ``choice``'s checks on p are kept.  Each
-        distinct (prompt, step) is normalized once, stacked with the others of
-        its vocabulary size."""
-        prompts = [(pid, self.step_logits(pid)) for pid in prompt_ids]
-        u = rng.random(group_size * sum(len(step_logits) for _, step_logits in prompts))
-        # per vocabulary size: the distinct (prompt, step) rows in draw order,
-        # and for each prompt's step its row and the index of its first draw
-        # (the others follow every n_steps)
-        buckets: Dict[int, tuple] = {}
-        spans = []
-        offset = 0
-        for pid, step_logits in prompts:
-            n_steps = len(step_logits)
-            spans.append((offset, n_steps))
-            for t, logits in enumerate(step_logits):
-                rows, stack, picks = buckets.setdefault(len(logits), ({}, [], []))
-                if (pid, t) not in rows:
-                    rows[pid, t] = len(stack)
-                    stack.append(logits)
-                picks.append((rows[pid, t], offset + t, n_steps))
-            offset += group_size * n_steps
-        stacked = []
-        bad = set()
-        for rows, stack, picks in buckets.values():
-            lp = log_softmax(np.array(stack))
-            p = np.exp(lp)
-            valid = np.all(p >= 0, axis=-1) & (np.abs(p.sum(axis=-1) - 1.0) <= P_SUM_TOL)  # NaN fails both
-            bad.update(key for key, ok in zip(rows, valid.tolist()) if not ok)
-            stacked.append((picks, lp, p))
+        """Draw ``group_size`` action sequences for each prompt in turn; returns
+        one ``(actions, logps)`` pair of ``(group_size, n_steps)`` arrays per
+        prompt.  Equal, draws included, to one ``rng.choice(len(p), p=p)`` per
+        prompt, sample and step: a ``random()`` double u picks the count of entries
+        <= u of ``cumsum(p) / cumsum(p)[-1]``; ``choice``'s checks on p are kept."""
+        (first, n_steps), stacks, uses = vocab_stacks(self, prompt_ids, [group_size] * len(prompt_ids))
+        u = rng.random(group_size * int(n_steps.sum()))
+        bad = {key for keys, _, p in stacks.values() for key, ok in zip(keys, (  # NaN fails both checks
+               np.all(p >= 0, axis=-1) & (np.abs(p.sum(axis=-1) - 1.0) <= P_SUM_TOL)).tolist()) if not ok}
         if bad:  # name the first in draw order
-            pid, t = next((pid, t) for pid, step_logits in prompts for t in range(len(step_logits)) if (pid, t) in bad)
+            pid, t = next((pid, t) for pid in prompt_ids for t in range(len(self.params[pid])) if (pid, t) in bad)
             raise ValueError("step %d of prompt %r has no valid distribution" % (t, pid))
-        actions = np.empty(u.shape, dtype=np.intp)
-        logps = np.empty(u.shape)
-        samples = np.arange(group_size)
-        for picks, lp, p in stacked:
-            cdf = np.cumsum(p, axis=-1)
-            cdf = cdf / cdf[:, -1:]
-            row, first, stride = np.array(picks, dtype=np.intp).T
-            draws = first[:, None] + stride[:, None] * samples
-            drawn = np.count_nonzero(cdf[row][:, None, :] <= u[draws][:, :, None], axis=-1)
-            actions[draws] = drawn
-            logps[draws] = lp[row[:, None], drawn]
+        actions, logps = np.empty(u.shape, dtype=np.intp), np.empty(u.shape)
+        for (_, vocab), (rows, cells, _) in uses.items():
+            _, lp, p = stacks[vocab]
+            cdf = p[rows].cumsum(axis=-1)
+            drawn = ((cdf / cdf[:, -1:])[:, None, :] <= u[cells][:, :, None]).sum(axis=-1)
+            actions[cells], logps[cells] = drawn, lp[rows[:, None], drawn]
         return [(actions[o:o + group_size * n].reshape(group_size, n), logps[o:o + group_size * n].reshape(group_size, n))
-                for o, n in spans]
+                for o, n in zip(first.tolist(), n_steps.tolist())]
 
     def snapshot(self) -> "CategoricalSequencePolicy":
         """Frozen copy usable as the old or reference policy."""
@@ -334,80 +333,80 @@ def surrogate_and_grad(policy: CategoricalSequencePolicy, group: RolloutGroup,
 
 def surrogates(policy: CategoricalSequencePolicy, groups: Sequence[RolloutGroup],
                ref_policy: Optional[CategoricalSequencePolicy], cfg: GrpoConfig) -> List[tuple]:
-    """Clipped surrogate objective and its analytic gradient for each group.
+    """Clipped surrogate objective and its analytic gradient for each group:
+    one ``(objective, grads, metrics)`` per group, ``grads`` its prompt's
+    per-step logit gradients (ascent direction), zero where the clipped branch
+    of ``min`` is active.  Each has the bits of a one-sample loop: the log-softmax
+    runs per vocabulary size (``vocab_stacks``), the KL terms and gradient rows
+    per (G, V), all on unpadded rows, the per-cell terms once per call, and a
+    group's sums left to right, padded with +0.0 at the end (which moves no bit)."""
+    for group in groups:
+        pid, shape, advantages = group.prompt_id, group.actions.shape, group.advantages
+        if len(shape) != 2 or 0 in shape or shape[1] != len(policy.step_logits(pid)):
+            raise ValueError("prompt %r: a group needs samples and steps, one action per step" % pid)
+        if advantages is None or group.logp_old.shape != shape or len(advantages) != shape[0]:
+            raise ValueError("prompt %r: actions of shape %s need logp_old of that shape and advantages of shape %s, "
+                             "not %s and %s" % (pid, shape, shape[:1], group.logp_old.shape, np.shape(advantages)))
+    if not groups:
+        return []
+    samples = [len(g.actions) for g in groups]
+    (starts, n), stacks, uses = vocab_stacks(policy, [g.prompt_id for g in groups], samples)
+    actions = np.concatenate([g.actions.ravel() for g in groups])
+    vocab, at = np.empty((2, len(actions)), np.intp)  # per cell: its step's size and row's offset in the stacks
+    offsets = dict(zip(stacks, itertools.accumulate((lp.size for _, lp, _ in stacks.values()), initial=0)))
+    for (_, size), (rows, where, _) in uses.items():
+        vocab[where], at[where] = size, (offsets[size] + rows * size)[:, None]
+    bad = ((actions < 0) | (actions >= vocab)).nonzero()[0]
+    if bad.size:
+        k = starts.searchsorted(bad[0], side="right") - 1
+        raise ValueError("prompt %r: step %d has action %d, outside its vocabulary of %d"
+                         % (groups[k].prompt_id, (bad[0] - starts[k]) % n[k], actions[bad[0]], vocab[bad[0]]))
 
-    Returns one ``(objective, grads, metrics)`` per group, ``grads`` being
-    its prompt's per-step logit gradients (ascent direction).  Where the
-    clipped branch of ``min`` is active its gradient is zero.  Groups of
-    one sample count and per-step vocabulary sizes are computed together;
-    each result has the bits of a one-sample-at-a-time loop.
-    """
-    shapes: Dict[tuple, List[int]] = {}
-    for i, group in enumerate(groups):
-        if group.advantages is None:
-            raise ValueError("advantages must be populated before the surrogate")
-        step_logits = policy.step_logits(group.prompt_id)
-        G, n_steps = group.actions.shape
-        if not G or not step_logits or n_steps != len(step_logits):
-            raise ValueError("prompt %r: a group needs samples and steps, one action per step" % group.prompt_id)
-        shapes.setdefault((G, tuple(map(len, step_logits))), []).append(i)
-    results: List[tuple] = [None] * len(groups)
-    for (G, sizes), members in shapes.items():
-        batch = [groups[i] for i in members]
-        K, n_steps = len(batch), len(sizes)
-        prompt_rows: Dict[str, int] = {}  # each prompt's logits are stacked once
-        prow = np.array([prompt_rows.setdefault(g.prompt_id, len(prompt_rows)) for g in batch])
-        actions = np.array([g.actions for g in batch], dtype=np.intp)
-        logp_old = np.array([g.logp_old for g in batch], dtype=float)
-        adv = np.array([g.advantages for g in batch], dtype=float)[:, :, None]
+    # per cell, in the call's order
+    lp_taken = np.concatenate([lp.ravel() for _, lp, _ in stacks.values()])[at + actions]
+    ratio = np.exp(lp_taken - np.concatenate([g.logp_old.ravel() for g in groups]))
+    adv = np.concatenate([g.advantages for g in groups], axis=None, dtype=float).repeat(n.repeat(samples))
+    cells = np.array(samples) * n
+    weight = (1.0 / cells).repeat(cells)
+    unclipped = ratio * adv
+    clipped = np.minimum(np.maximum(ratio, 1.0 - cfg.clip_eps), 1.0 + cfg.clip_eps) * adv
+    kept = unclipped <= clipped
+    # d(ratio)/d(logits) = ratio * (onehot - p), zero for unkept samples
+    coeff = np.where(kept, weight * adv * ratio, 0.0)
 
-        ps, kl_grads = [], []
-        kl_total = np.zeros(len(prompt_rows))
-        lp_taken = np.empty((K, G, n_steps))
-        for t, vocab in enumerate(sizes):
-            lp = log_softmax(np.array([policy.params[pid][t] for pid in prompt_rows]))
-            p = np.exp(lp)
-            if ref_policy is None:
-                lq = log_softmax(np.zeros(vocab))
-            else:
-                lq = log_softmax(np.array([ref_policy.params[pid][t] if pid in ref_policy.params else np.zeros(vocab)
-                                           for pid in prompt_rows]))
-            kl_t = np.sum(p * (lp - lq), axis=-1)
-            kl_total += kl_t
-            # d/dlogits of KL(p||q) = p * ((log p - log q) - KL)
-            kl_grads.append(cfg.kl_beta * p * ((lp - lq) - kl_t[:, None]))
-            lp_taken[:, :, t] = lp[prow[:, None], actions[:, :, t]]
-            ps.append(p[prow])
-
-        ratio = np.exp(lp_taken - logp_old)
-        cells = G * n_steps
-        weight = 1.0 / cells
-        unclipped = ratio * adv
-        clipped = np.minimum(np.maximum(ratio, 1.0 - cfg.clip_eps), 1.0 + cfg.clip_eps) * adv
-        kept = unclipped <= clipped
-        # each group's terms summed sample-major, one rounding per term
-        kl = kl_total[prow]
-        objectives = left_sums((weight * np.where(kept, unclipped, clipped)).reshape(K, -1)) - cfg.kl_beta * kl
-        # d(ratio)/d(logits) = ratio * (onehot - p), zero for unkept samples
-        coeff = np.where(kept, weight * adv * ratio, 0.0)
-        grads = []
-        group_ix = np.arange(K)[:, None]
-        for t in range(n_steps):
-            # each sample's update in sample order: -c*p, then +c at the
-            # action; add.accumulate sums rows sequentially, np.sum would
-            # not, and an unkept sample's -0.0 and +0.0 rows change no bit
-            c = coeff[:, :, t]
-            rows = np.zeros((K, 2 * G + 1, sizes[t]))
-            rows[:, 1::2] = -c[:, :, None] * ps[t][:, None, :]
-            rows[:, 2::2][group_ix, np.arange(G), actions[:, :, t]] = c
-            g = np.add.accumulate(rows, axis=1)[:, -1]
-            g -= kl_grads[t][prow]
-            grads.append(g)
-
-        clip_fractions = (cells - np.count_nonzero(kept.reshape(K, -1), axis=1)) / cells
-        for k, metrics in enumerate(map(SurrogateMetrics, objectives.tolist(), kl.tolist(), clip_fractions.tolist())):
-            results[members[k]] = (metrics.objective, [g[k] for g in grads], metrics)
-    return results
+    kl_steps, grads = np.empty(int(n.sum())), [None] * int(n.sum())  # per listed step
+    for (G, size), (rows, where, steps) in uses.items():
+        keys, lp, p = stacks[size]
+        lp, p = lp[rows], p[rows]
+        lq = log_softmax(np.zeros(size) if ref_policy is None else np.array(
+            [ref_policy.params[pid][t] if pid in ref_policy.params else np.zeros(size)  # a prompt it lacks: uniform
+             for pid, t in map(keys.__getitem__, rows.tolist())]))
+        gap = lp - lq
+        kl = kl_steps[steps] = np.sum(p * gap, axis=-1)
+        # the steps' rows end to end; per sample, in sample order, -c*p and then
+        # +c at its action, added one after another (np.sum would not keep the
+        # order); an unkept sample's -0.0 and +0.0 change no bit
+        c, width = coeff[where.T], len(rows) * size
+        updates = np.zeros((G, 2, width))
+        updates[:, 0] = c.repeat(size, axis=1) * -p.ravel()
+        updates[np.arange(G)[:, None], 1, np.arange(0, width, size) + actions[where.T]] = c
+        total = np.zeros(width)
+        for update in updates.reshape(2 * G, width):
+            total += update
+        # d/dlogits of KL(p||q) = p * ((log p - log q) - KL)
+        for step, g in zip(steps.tolist(), total.reshape(-1, size) - cfg.kl_beta * p * (gap - kl[:, None])):
+            grads[step] = g
+    # each group's terms and its steps' KL, summed left to right
+    terms = np.zeros((len(groups), cells.max()))
+    terms[np.arange(terms.shape[1]) < cells[:, None]] = weight * np.where(kept, unclipped, clipped)
+    kl_rows = np.zeros((len(groups), n.max()))
+    kl_rows[np.arange(kl_rows.shape[1]) < n[:, None]] = kl_steps
+    kl = left_sums(kl_rows)
+    objectives = left_sums(terms) - cfg.kl_beta * kl
+    clip_fractions = np.add.reduceat(~kept, starts, dtype=np.intp) / cells
+    return [(metrics.objective, grads[a:a + b], metrics) for a, b, metrics in
+            zip((n.cumsum() - n).tolist(), n.tolist(),
+                map(SurrogateMetrics, objectives.tolist(), kl.tolist(), clip_fractions.tolist()))]
 
 
 def _apply_update(policy: CategoricalSequencePolicy, grads: Dict[str, List[np.ndarray]], cfg: GrpoConfig) -> None:

@@ -440,7 +440,8 @@ def run_training(
     Each step's groups are drawn in one call per policy, with the random stream
     of a per-sample draw, and stay arrays up to the update: the advantages and
     mean rewards come from one reward matrix, summed left to right, and each
-    mini-batch's surrogate is one call per policy.  Each distinct (problem,
+    mini-batch's surrogate is one call per policy, which stacks rows per
+    vocabulary size and pads sums only at their end.  Each distinct (problem,
     action sequence), one that fails to decode included, is decoded and scored,
     together with building its alignment prompt when it fails, once while it
     stays in a bounded memo (``values.Memo``, which keeps every rollout while

@@ -466,6 +466,72 @@ def test_one_surrogate_call_over_mixed_groups_matches_the_scalar_loop_per_group(
     assert min(seen.values()) > 10, seen
 
 
+def test_groups_of_every_length_and_size_in_one_call_keep_the_scalar_loops_bits():
+    # one call pads each group's cells and steps to the longest; the pads
+    # must change no bit, signed zeros included: a group whose advantages
+    # are all -0.0 has an objective of +0.0 only if its sum starts from 0.0,
+    # which the longest group (("long", 8), unpadded) checks
+    rng = np.random.default_rng(43)
+    pol = TuplePolicy()
+    pol.params = {"one": [rng.normal(size=3)], "mixed": [rng.normal(size=v) for v in (3, 9, 1, 9)],
+                  "long": [rng.normal(size=8) for _ in range(5)], "gone": [rng.normal(size=9), rng.normal(size=3)]}
+    ref = pol.snapshot()
+    del ref.params["gone"]  # scored against the uniform policy
+    plan = [("mixed", 8, "filled"), ("one", 1, "filled"), ("long", 2, "filled"), ("gone", 8, "0.0"),
+            ("mixed", 2, "-0.0"), ("long", 8, "-0.0"), ("one", 8, "0.0"), ("gone", 1, "filled"), ("mixed", 1, "0.0")]
+    groups = []
+    for pid, group_size, advantages in plan:
+        group = sample_rollouts(pol, pid, KIND_CODEGEN, group_size, rng)
+        group.advantages = (rng.normal(size=group_size) if advantages == "filled"
+                            else np.full(group_size, float(advantages)))
+        groups.append(group)
+    for vecs in pol.params.values():
+        for vec in vecs:
+            vec += rng.normal(size=len(vec)) * 0.5  # move off-policy so both branches run
+    seen = set()
+    for kl_beta in (0.0, 1e-2):
+        cfg = GrpoConfig(clip_eps=0.2, kl_beta=kl_beta)
+        for reference in (None, ref):
+            results = surrogates(pol, groups, reference, cfg)
+            for group, (obj, grads, metrics) in zip(groups, results):
+                ref_obj, ref_grads, kl, clip_fraction = scalar_surrogate(pol, group, reference, cfg)
+                got = np.array([obj, metrics.objective, metrics.kl, metrics.clip_fraction])
+                assert got.tobytes() == np.array([ref_obj, ref_obj, kl, clip_fraction]).tobytes()
+                assert [g.tobytes() for g in grads] == [g.tobytes() for g in ref_grads]
+                seen.add(0.0 < clip_fraction < 1.0)
+                if kl_beta == 0.0 and not group.advantages.any():
+                    assert obj == 0.0 and not math.copysign(1.0, obj) < 0  # +0.0
+    assert seen == {True, False}
+
+
+@pytest.mark.parametrize("action", [-1, 3])
+def test_surrogate_refuses_an_action_outside_its_steps_vocabulary(action):
+    pol = TuplePolicy()
+    pol.params = {"a": [np.zeros(5)], "p": [np.zeros(4), np.zeros(3)]}
+    ok = RolloutGroup("a", KIND_CODEGEN, np.array([[4], [0]]), np.full((2, 1), -1.0), advantages=[1.0, -1.0])
+    bad = RolloutGroup("p", KIND_CODEGEN, np.array([[3, 2], [0, action]]), np.full((2, 2), -1.0), advantages=[1, -1])
+    with pytest.raises(ValueError, match="prompt 'p': step 1 has action %d, outside its vocabulary of 3" % action):
+        surrogates(pol, [ok, bad], None, GrpoConfig())
+
+
+def test_surrogate_refuses_old_log_probabilities_not_shaped_as_the_actions():
+    pol = TuplePolicy()
+    pol.params["p"] = [np.zeros(3), np.zeros(3)]
+    group = RolloutGroup("p", KIND_CODEGEN, np.zeros((2, 2), np.intp), np.zeros((2, 1)), advantages=[1.0, -1.0])
+    want = r"prompt 'p': actions of shape \(2, 2\) need logp_old of that shape .*, not \(2, 1\) and \(2,\)"
+    with pytest.raises(ValueError, match=want):
+        surrogate_and_grad(pol, group, None, GrpoConfig())
+
+
+def test_surrogate_refuses_a_group_without_one_advantage_per_sample():
+    pol = TuplePolicy()
+    pol.params["p"] = [np.zeros(3)]
+    group = RolloutGroup("p", KIND_CODEGEN, np.zeros((2, 1), np.intp), np.zeros((2, 1)), advantages=[1.0])
+    want = r"prompt 'p': actions of shape \(2, 1\) .* advantages of shape \(2,\), not \(2, 1\) and \(1,\)"
+    with pytest.raises(ValueError, match=want):
+        surrogate_and_grad(pol, group, None, GrpoConfig())
+
+
 @pytest.mark.parametrize("bad", [math.nan, math.inf])
 def test_non_finite_logit_raises(bad):
     pol = CategoricalSequencePolicy()

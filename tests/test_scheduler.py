@@ -7,7 +7,7 @@ import json
 import numpy as np
 import pytest
 
-from semtrace import grpo
+from semtrace import grpo, scheduler
 from semtrace.grpo import (
     KIND_ALIGNMENT,
     KIND_CODEGEN,
@@ -15,6 +15,7 @@ from semtrace.grpo import (
     RolloutGroup,
     SurrogateMetrics,
     TemplatePolicy,
+    log_softmax,
 )
 from semtrace.harness import ProblemRecord, RunConfig
 from semtrace.lang import HoleTemplate, format_program, instantiate_template, parse_program
@@ -947,6 +948,35 @@ def recorded_cpu_and_numpy() -> bool:
 def test_fixed_seed_run_reproduces_pinned_bytes(tmp_path):
     outputs = fixed_seed_outputs(tmp_path / "run")
     assert {name: hashlib.sha256(data).hexdigest() for name, data in outputs.items()} == PINNED_SHA256
+
+
+def test_a_steps_surrogates_normalize_once_per_group_and_vocabulary_size(monkeypatch):
+    # one mini-batch per step, so each policy's groups of a step are one call
+    calls = []
+
+    def train_step(policy, groups, *args, **kwargs):
+        calls.append((policy.snapshot(), groups))
+        return grpo.train_step(policy, groups, *args, **kwargs)
+
+    monkeypatch.setattr(scheduler, "train_step", train_step)
+    trainer = Trainer(desk_config(mini_batch=10), desk_problems())
+    while not any(g.kind == KIND_ALIGNMENT for _, groups in calls for g in groups):
+        trainer.run_step()
+    assert [{g.kind for g in groups} for _, groups in calls[-2:]] == [{KIND_CODEGEN}, {KIND_ALIGNMENT}]
+    normalized = []
+    monkeypatch.setattr(grpo, "log_softmax", lambda logits: normalized.append(logits) or log_softmax(logits))
+    for policy, groups in calls[-2:]:  # the step's code call and its alignment call
+        shapes = {(len(g.actions), len(vec)) for g in groups for vec in policy.params[g.prompt_id]}
+        per_shape_and_step = {(len(g.actions), tuple(map(len, policy.params[g.prompt_id])), t)
+                              for g in groups for t in range(g.actions.shape[1])}
+        normalized.clear()
+        grpo.surrogates(policy, groups, None, trainer.config)
+        stacks = [lp for lp in normalized if lp.ndim == 2]
+        uniform = [len(lp) for lp in normalized if lp.ndim == 1 and not lp.any()]
+        assert len(stacks) + len(uniform) == len(normalized)
+        assert len(stacks) == len(shapes)
+        assert sorted(uniform) == sorted({size for _, size in shapes})
+    assert len(per_shape_and_step) > len(shapes)  # in the alignment call, once per (shape, step) is more
 
 
 def test_scoring_a_program_whose_first_test_is_a_wrong_answer_runs_one_execution(monkeypatch):
