@@ -9,6 +9,12 @@ Nodes are immutable: setting or deleting an attribute raises
 ``AttributeError``.  Structural equality ignores source locations, so a
 program and its formatted-then-reparsed twin compare equal.  Nodes pickle,
 copy and deepcopy by rebuilding through their constructor, ``loc`` kept.
+
+A statement's private slots, outside its fields, hold what
+:mod:`semtrace.tracer` compiles from it for as long as it lives: ``_code``,
+and a loop's ``_kernel`` and weak reference.  ``==``, ``hash``, ``repr``,
+pickling and copying read the fields only, and the constructor sets the
+slots to None, so a new, unpickled or copied node starts with none kept.
 """
 
 from __future__ import annotations
@@ -53,22 +59,26 @@ class _Node:
         return type(self), tuple(getattr(self, f) for f in self._fields)
 
 
-def _declare(name: str, row: str, loc: bool = False, ast: bool = True) -> type:
+def _declare(name: str, row: str, loc: bool = False, ast: bool = True, private: tuple = ()) -> type:
     """The class of one row: ``row`` lists the fields, each as ``field`` or
     ``field:kind`` (see ``_CHILD_CODE``); ``loc`` adds a trailing ``loc=None``
-    that ``==`` and ``hash`` ignore; ``ast`` gives it children."""
+    that ``==`` and ``hash`` ignore; ``ast`` gives it children; ``private``
+    names its private slots."""
     specs = [f.partition(":")[::2] for f in row.split()]
     compared = [f for f, _ in specs]
     fields = compared + ["loc"] * loc
-    cls = type(name, (_Node,), {"__slots__": tuple(fields), "__module__": __name__, "_fields": tuple(fields)})
+    cls = type(name, (_Node,), {"__slots__": tuple(fields) + private, "__module__": __name__,
+                                "_fields": tuple(fields)})
+    cleared = [f for f in private if f != "__weakref__"]
     code = _METHODS.format(
         params=", ".join(compared + ["loc=None"] * loc),
-        sets="; ".join("_set_%s(self, %s)" % (f, f) for f in fields) or "pass",
+        sets="; ".join(["_set_%s(self, %s)" % (f, f) for f in fields] + ["_set_%s(self, None)" % f for f in cleared])
+        or "pass",
         key="".join("self.%s, " % f for f in compared),
         other_key="".join("other.%s, " % f for f in compared),
         kids="".join(_CHILD_CODE[kind].format(f) for f, kind in specs if kind),
     )
-    namespace = {"_set_%s" % f: getattr(cls, f).__set__ for f in fields}
+    namespace = {"_set_%s" % f: getattr(cls, f).__set__ for f in fields + cleared}
     exec(code, namespace)
     for method in ("__init__", "__eq__", "__hash__") + ("_children",) * ast:
         setattr(cls, method, namespace[method])
@@ -92,17 +102,19 @@ Expr = Union[Literal, Var, BinOp, UnaryOp, Index, Call, ListLit, SetLit]
 
 BUILTINS = ("len", "abs", "min", "max")
 
-# --- statements ---
+# --- statements, with their private slots ---
 
-Assign = _declare("Assign", "target value:node", loc=True)
-IndexAssign = _declare("IndexAssign", "target index:node value:node", loc=True)
-Append = _declare("Append", "target value:node", loc=True)
-If = _declare("If", "cond:node then_body:nodes else_body:nodes", loc=True)
-While = _declare("While", "cond:node body:nodes", loc=True)
-For = _declare("For", "var start:node stop:node step:node? body:nodes", loc=True)
-Break = _declare("Break", "", loc=True)
-Continue = _declare("Continue", "", loc=True)
-Return = _declare("Return", "value:node", loc=True)
+_STMT = {"loc": True, "private": ("_code",)}
+_LOOP = {"loc": True, "private": ("_code", "_kernel", "__weakref__")}
+Assign = _declare("Assign", "target value:node", **_STMT)
+IndexAssign = _declare("IndexAssign", "target index:node value:node", **_STMT)
+Append = _declare("Append", "target value:node", **_STMT)
+If = _declare("If", "cond:node then_body:nodes else_body:nodes", **_STMT)
+While = _declare("While", "cond:node body:nodes", **_LOOP)
+For = _declare("For", "var start:node stop:node step:node? body:nodes", **_LOOP)
+Break = _declare("Break", "", **_STMT)
+Continue = _declare("Continue", "", **_STMT)
+Return = _declare("Return", "value:node", **_STMT)
 
 Stmt = Union[Assign, IndexAssign, Append, If, While, For, Break, Continue, Return]
 

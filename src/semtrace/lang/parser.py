@@ -7,10 +7,11 @@ rule, except that the levels from ``or-expr`` down to ``term`` are the table
 and ``parse_unary`` reads both ``unary`` and ``postfix``.  Every input either
 yields exactly one AST or one :class:`ParseError`; nothing panics.
 
-Programs repeat their lines, so three bounded memos (each a
-:class:`semtrace.values.Memo` of ``LINE_MEMO_CAPACITY`` lines, which keeps
-every line while it has room and, once full, the lines looked up most)
-spare ``parse_program`` most of its work:
+Programs repeat their lines, so four bounded memos (each a
+:class:`semtrace.values.Memo` of ``LINE_MEMO_CAPACITY`` keys, which keeps
+every key while it has room and, once full, the keys looked up most)
+spare ``parse_program`` most of its work, and make a statement that recurs
+across parses one node, which keeps its compiled code (:mod:`semtrace.tracer`):
 
 - No token spans a line break, so ``tokenize`` scans each line on its own
   and keeps the line's finished tokens by line number and line text.  The
@@ -32,11 +33,17 @@ spare ``parse_program`` most of its work:
   of look-ahead such a header has read no token past its ``{``, so a kept
   header is the one a fresh parse would build; the ``{`` and the bound on
   nested blocks are checked outside the memo, by ``parse_block``.
+- An ``if``, ``while`` or ``for`` whose header is kept is kept too, once
+  it has parsed, by its kind, ``loc``, a ``for``'s variable and the
+  identities of its parts, each block's apart.  The kept node holds those
+  parts, so no identity in its key is reused while it is kept: a compound
+  whose parts are each one node is one node, at every depth, and every
+  error, the nesting bound's included, is a fresh parse's.
 
-The statement and header memos are turned on by the source lines that
-``parse_program`` hands the parser; a ``_Parser`` built from tokens alone
-parses without them.  A line whose scan raises and a statement or header
-whose parse raises are never kept.
+The statement, header and compound memos are turned on by the source lines
+that ``parse_program`` hands the parser; a ``_Parser`` built from tokens
+alone parses without them.  A line whose scan raises and a statement or
+header whose parse raises are never kept.
 """
 
 from __future__ import annotations
@@ -100,10 +107,11 @@ _TOKEN_RE = re.compile(r"""
     | (?P<end>      \Z )
     )
 """ % re.escape("".join(_UNESCAPE)), re.VERBOSE)
-# lines kept by each memo; the largest benchmark workload (perfbench's
+# keys kept by each memo; the largest benchmark workload (perfbench's
 # tools) looks up 2,246 distinct (line number, line text) keys, 1,639
 # statement keys and 440 header keys, each more than once, so each memo
-# keeps all of them from their first lookup
+# keeps all of them from their first lookup; a 10-step train-loops run keeps
+# 825 compound statements
 LINE_MEMO_CAPACITY = 4096
 _LINES = Memo(LINE_MEMO_CAPACITY)  # (line number, line text) -> its tokens
 # (line number, line text, kind and text of the next token) -> the statement
@@ -111,6 +119,9 @@ _LINES = Memo(LINE_MEMO_CAPACITY)  # (line number, line text) -> its tokens
 _STMTS = Memo(LINE_MEMO_CAPACITY)
 # (line number, line text) -> the header, up to its ``{``, that begins the line
 _HEADERS = Memo(LINE_MEMO_CAPACITY)
+# (kind, loc, a for's variable, identities of the parts) -> the if, while or
+# for statement; each kept one holds its subtree and compiled code alive
+_COMPOUNDS = Memo(LINE_MEMO_CAPACITY)
 # the grammar's bounds on nesting, which keep every tool within Python's limits
 MAX_BLOCKS = 6  # if, else, while and for bodies around a statement
 MAX_NESTING = 16  # levels within one expression
@@ -330,16 +341,25 @@ class _Parser:
         after = self.tokens[end]
         return self.kept(_STMTS, (line, self.lines[line - 1], after[0], after[1]), end, self.parse_stmt)
 
-    def header(self, parse: Callable[[], T]) -> T:
+    def header(self, parse: Callable[[], T]) -> Tuple[T, bool]:
         """``parse()``, the rest of an ``if``, ``while`` or ``for`` header up
         to its ``{``, through the header memo when it is on and the header's
-        keyword, the last token taken, begins a line."""
+        keyword, the last token taken, begins a line; and whether it is kept."""
         start = self.pos - 1
         end = self.line_end(start)
         if end < 0:
-            return parse()
+            return parse(), False
         line = self.tokens[start][2]
-        return self.kept(_HEADERS, (line, self.lines[line - 1]), end - 1, parse)
+        return self.kept(_HEADERS, (line, self.lines[line - 1]), end - 1, parse), self.pos == end - 1
+
+    @staticmethod
+    def compound(key, cls: type, *fields, loc: Loc):
+        """``cls(*fields, loc=loc)``, an ``if``, ``while`` or ``for``; through
+        the compound memo under ``key`` unless ``key`` is False, as it is when
+        the statement's header is not kept."""
+        if key is False:
+            return cls(*fields, loc=loc)
+        return _COMPOUNDS.get(key, lambda: cls(*fields, loc=loc))
 
     def parse_stmt(self) -> nodes.Stmt:
         tok = self.tokens[self.pos]
@@ -361,17 +381,24 @@ class _Parser:
             if text == "return":
                 return Return(self.expression(), loc=loc)
             if text == "if":
-                cond = self.header(self.expression)
+                cond, kept = self.header(self.expression)
                 then_body = self.parse_block()
                 else_body: Tuple[nodes.Stmt, ...] = ()
                 if self.at("kw", "else"):
                     self.pos += 1
                     else_body = self.parse_block()
-                return If(cond, then_body, else_body, loc=loc)
+                key = kept and (If, line, col, id(cond), tuple(map(id, then_body)), tuple(map(id, else_body)))
+                return self.compound(key, If, cond, then_body, else_body, loc=loc)
             if text == "while":
-                return While(self.header(self.expression), self.parse_block(), loc=loc)
+                cond, kept = self.header(self.expression)
+                body = self.parse_block()
+                return self.compound(kept and (While, line, col, id(cond), tuple(map(id, body))), While, cond, body,
+                                     loc=loc)
             if text == "for":
-                return For(*self.header(self.for_head), self.parse_block(), loc=loc)
+                (var, start, stop, step), kept = self.header(self.for_head)
+                body = self.parse_block()
+                key = kept and (For, line, col, var, id(start), id(stop), id(step), tuple(map(id, body)))
+                return self.compound(key, For, var, start, stop, step, body, loc=loc)
             if text == "break":
                 return Break(loc=loc)
             if text == "continue":

@@ -4,10 +4,11 @@ Each executed statement is one step: assignments, appends, indexed writes,
 ``break``/``continue``/``return``, each ``if`` condition check, each ``while``
 condition check, and each ``for`` loop-variable binding.  Evaluating an
 expression is not a step.  Runtime errors are recorded in the returned
-:class:`ExecutionRecord`, never raised past :func:`execute`, which compiles
-the program into closures for each call and runs hot loops in kernels kept
-per loop shape and variable pattern (:class:`_Compiler`): a ``for`` over
-more than ``HOT`` values from its head, a ``while`` loop after ``HOT``
+:class:`ExecutionRecord`, never raised past :func:`execute`, which runs
+each statement on a closure compiled the first time its node runs and kept
+on the node for every later run, and runs hot loops in kernels kept per
+loop shape and variable pattern (:class:`_Compiler`): a ``for`` over more
+than ``HOT`` values from its head, a ``while`` loop after ``HOT``
 iterations.  A kernel keeps the loop's variables in Python locals.  One
 lowering, one renderer and one template generate both tiers from the same
 fragments, one for each kind of statement and expression: every generated
@@ -22,6 +23,7 @@ import itertools
 import math
 import operator
 import re
+import weakref
 from dataclasses import dataclass, field
 from typing import Dict, List, NamedTuple, Optional, Sequence
 
@@ -242,7 +244,7 @@ _FIRST = "r{n} = [{0}]"
 _NEXT = "r{n} = {0}\nr{n}.append({1})"
 _IT = "r{n} = it"  # the list that a closure is given, or the iterator of a kernel's loop
 _LINK = _IT + "\nr{n}.append({0})"
-_LINKS = _FIRST + "\nfor link{n} in {1}:\n    link{n}(r{n})"
+_LINKS = _FIRST + "\nfor link{n} in {1}:\n    link{n}(run, r{n})"
 _SET_OF = """\
 r{n} = {0}
 try:
@@ -326,11 +328,13 @@ _UNTIL_HOT = "r{n} = range(HOT)"
 # a _Return, _Break or _Continue; execute reports either of the last two leaving the program as an error at {loc}
 _JUMP = _HEAD + "raise signal{n}(r{n}, {loc})"
 # A call that keeps the step count in ``run.steps``: a statement list of the
-# cold tier, the closures in the list {0}, which {1} compiles them into on its
-# first run, or the hand-off of a loop's activation to its kernel over an iterator.
+# cold tier, the closures in the list {0}, compiled into it from the
+# statements {1} on its first run, or the hand-off of a loop's activation to
+# its kernel over an iterator; ``loop{n}`` refers to the loop's node weakly,
+# so that the closure that the node keeps does not keep the node.
 _SYNC = "run.steps = steps\ntry:\n%sfinally:\n    steps = run.steps"
-_CALL = _SYNC % "    for r{n} in {0} or {1}:\n        r{n}()\n"
-_HANDOFF = _SYNC % "    run.kernel(loop{n})(%s)\n"
+_CALL = _SYNC % "    for r{n} in {0} or {0}.extend(run.block({1})) or {0}:\n        r{n}(run)\n"
+_HANDOFF = _SYNC % "    run.kernel(loop{n}())(run, %s)\n"
 _WHILE_REST = _HANDOFF % "itertools.repeat(None)"
 _COLD_RANGE = _RANGE + "\nif r{n}.__length_hint__() > HOT:\n" + _indent(_HANDOFF % "r{n}") + "\n    r{n} = ()"
 # the names a fragment takes besides its operands, each suffixed like its locals
@@ -348,7 +352,9 @@ HOT = 16  # a for over more values starts in its kernel; a while moves there aft
 # keys, values.Memo keeps the table full of those looked up most.
 KERNEL_CAPACITY = 128
 _KERNELS = Memo(KERNEL_CAPACITY)
-_POSITIONS = Memo(KERNEL_CAPACITY)  # the positions of a loop shape's variable operands (_render)
+# a loop shape -> the shape, kept by every loop node of that shape, and the
+# positions of its variable operands (_render)
+_POSITIONS = Memo(KERNEL_CAPACITY)
 
 
 def _render(shape, pattern=None, held=()):
@@ -389,7 +395,7 @@ def _render(shape, pattern=None, held=()):
             if key is Literal:
                 return x
             if key is None:
-                return x + "()"
+                return x + "(run)"
             if key is _STORED:
                 lines.append("%sowned.pop(%s, None)" % (pad, x))
             return variable(x)[0]
@@ -422,8 +428,8 @@ def _render(shape, pattern=None, held=()):
     return params, lines, tuple(variables)
 
 
-_MAKER = """def make(run, %sloc):
-%s    def closure(it=None):
+_MAKER = """def make(%sloc):
+    def closure(run, it=None%s):
 %s
     return closure
 """
@@ -434,14 +440,15 @@ _RUN = ("env", "owned", "trajectory", "budget")  # the run's state a closure may
 
 def _maker(shape, pattern=None, bound=()):
     """Compile the closure maker of a statement or expression of ``shape``,
-    ``make(run, *operands, loc)``: an expression's closure returns the
-    fragment's value; a statement's keeps the step count in ``steps``.  A
-    kernel's (:meth:`_Compiler.kernel`) also takes a loop's variable
-    ``pattern`` (:func:`_render`) and which of its locals were ``bound`` at
-    entry, loaded from ``env`` by their ``names`` and written back on exit:
-    ``make(run, names, *operands, loc)``, whose closure is given the
-    iterator ``it`` of the loop.  The maker binds only the state of the run
-    that its closure reads."""
+    ``make(*operands, loc)``, whose ``closure(run, it=None)`` reads the state
+    of the ``run`` it is given, only what it uses, on each call: an
+    expression's closure returns the fragment's value; a statement's keeps
+    the step count in ``steps``.  A kernel's (:meth:`_Compiler.kernel`) also
+    takes a loop's variable ``pattern`` (:func:`_render`) and which of its
+    locals were ``bound`` at entry, loaded from ``env`` by their ``names``
+    and written back on exit: ``make(names, *operands, loc)``, whose closure
+    is given the iterator ``it`` of the loop.  The closure holds the operands
+    it reads as its defaults, one tuple rather than a cell for each."""
     held = [k for k in range(len(bound)) if bound[k]]
     params, lines, _ = _render(shape, pattern, held)
     body = "\n".join(lines) + "\n"
@@ -451,10 +458,10 @@ def _maker(shape, pattern=None, bound=()):
     else:
         body += "return r0"
     words = set(re.findall(r"\w+", body))
-    state = [name for name in _RUN if name in words]
-    bind = "    %s = %s\n" % (", ".join(state), ", ".join("run." + name for name in state)) if state else ""
+    body = "".join("%s = run.%s\n" % (name, name) for name in _RUN if name in words) + body
     params[:0] = ["names"] * (pattern is not None)
-    exec(_MAKER % ("".join(p + ", " for p in params), bind, _indent(_indent(body))), globals(), ns := {})
+    kept = "".join(", %s=%s" % (p, p) for p in params + ["loc"] if p in words)
+    exec(_MAKER % ("".join(p + ", " for p in params), kept, _indent(_indent(body))), globals(), ns := {})
     return ns["make"]
 
 
@@ -470,6 +477,9 @@ def _maker(shape, pattern=None, bound=()):
 _MAKERS: Dict[tuple, object] = {}
 
 
+_keep = object.__setattr__  # keeps compiled code in a node's private slot, past its raising __setattr__
+
+
 def _undefined(err, loc) -> MimRuntimeError:
     """``E_UNDEF`` for ``err``, raised by reading an unbound variable (``_UNBOUND``)."""
     return MimRuntimeError(E_UNDEF, "undefined variable %r" % err.args[0] if type(err) is KeyError
@@ -477,13 +487,17 @@ def _undefined(err, loc) -> MimRuntimeError:
 
 
 class _Compiler:
-    """Turns one run's program into closures over that run's state.
+    """The state of one run, and the compiler of the code that a statement's
+    node keeps for every run: each closure and kernel takes the run as its
+    argument and reads the run's state from it on each call.
 
     Node types and operators are dispatched here, once per node; each error
     carries the ``loc`` of its enclosing statement, fixed when the statement
-    is compiled.  Nested blocks are compiled the first time they run, to a
-    list of statement closures that ``if``, the loops and :func:`execute`
-    run inline.  A variable or literal operand is read in place (:meth:`lower`);
+    is compiled.  A statement is compiled the first time its node runs, and
+    its node keeps the closure (``_code``); nested blocks are compiled the
+    first time they run, to a list of statement closures that ``if``, the
+    loops and :func:`execute` run inline, which the closure of the statement
+    around them keeps.  A variable or literal operand is read in place (:meth:`lower`);
     an unbound variable raises ``KeyError`` (in a kernel, ``NameError``),
     which the statement that read it turns into ``E_UNDEF``.
 
@@ -513,12 +527,13 @@ class _Compiler:
     variable the loop reads or writes is a Python local of the kernel,
     loaded from ``env`` on entry and written back on exit; a variable
     unbound at entry is written to ``env`` at each store too, so ``env``
-    keeps the cold tier's order of first definitions.  Kernel makers are
-    kept per shape and variable pattern (which variable operands name the
-    same variable, and which of those were bound at entry), so loops that
-    differ only in their names share one, in one ``values.Memo`` of
-    :data:`KERNEL_CAPACITY` keys, so each is compiled once while the table
-    has room.
+    keeps the cold tier's order of first definitions.  A loop is lowered
+    whole once, and its node keeps the lowering (``_kernel``).  Kernel
+    makers are kept per shape and variable pattern (which variable operands
+    name the same variable, and which of those were bound at entry), so
+    loops that differ only in their names share one, in one ``values.Memo``
+    of :data:`KERNEL_CAPACITY` keys, so each is compiled once while the
+    table has room; each activation makes its kernel's closure from it.
     """
 
     __slots__ = ("env", "owned", "trajectory", "budget", "steps")
@@ -529,7 +544,7 @@ class _Compiler:
     def generated(self, shape, operands, loc=None):
         """The cold-tier closure of ``shape`` over ``operands``; ``loc`` locates
         the errors of an expression's."""
-        return (_MAKERS.get(shape) or _MAKERS.setdefault(shape, _maker(shape)))(self, *operands, loc)
+        return (_MAKERS.get(shape) or _MAKERS.setdefault(shape, _maker(shape)))(*operands, loc)
 
     def lower(self, e, loc, operands, stores=False, depth=math.inf):
         """``e``'s shape; its operands go to ``operands``.  A variable or
@@ -606,7 +621,7 @@ class _Compiler:
             operands += (loc, s.var)
             if it is None:  # its own range, whose bounds are one node below it
                 if depth == 1:
-                    operands.append(s)
+                    operands.append(weakref.ref(s))
                 it = (_COLD_RANGE if depth == 1 else _RANGE, self.lower(s.start, loc, operands, False, depth - 1),
                       self.lower(s.stop, loc, operands, False, depth - 1),
                       self.lower(s.step or _ONE, loc, operands, False, depth - 1))
@@ -617,7 +632,7 @@ class _Compiler:
             body = self.nested(s.body, operands, depth)
             if depth > 1:
                 return _WHILE, cond, body, it or (_FOREVER,), ()
-            operands.append(s)
+            operands.append(weakref.ref(s))
             return _WHILE, cond, body, (_UNTIL_HOT,), ((_WHILE_REST,),)
         if t is If:
             operands.append(loc)
@@ -639,9 +654,8 @@ class _Compiler:
         if depth == 1:
             if not body:
                 return ()
-            closures = []
-            operands += (closures, lambda: closures.extend(self.block(body)) or closures)
-            return ((_CALL, Literal, None),)
+            operands += ([], body)
+            return ((_CALL, Literal, Literal),)
         shapes = []  # not a comprehension, which would make cells of its names on each call
         for s in body:
             shapes.append(self.statement(s, operands, depth))
@@ -650,18 +664,31 @@ class _Compiler:
     def kernel(self, loop):
         """The closure that runs the rest of a ``loop`` activation from its
         head, given a ``for`` loop's iterator or a ``while`` loop's endless
-        one, from the maker of the loop's key (:func:`_maker`)."""
-        operands = []
-        shape = self.statement(loop, operands, math.inf, (_IT,))
-        variables = tuple(map(operands.__getitem__, _POSITIONS.get(shape, lambda: _render(shape)[2])))
-        names = tuple(dict.fromkeys(variables))
-        key = shape, tuple(map(names.index, variables)), tuple(map(self.env.__contains__, names))
-        return _KERNELS.get(key, lambda: _maker(*key))(self, names, *operands, None)
+        one, from the maker of the loop's key (:func:`_maker`); the loop's
+        node keeps its lowering (``_kernel``) from its first activation here."""
+        lowered = loop._kernel
+        if lowered is None:
+            operands = []
+            shape = self.statement(loop, operands, math.inf, (_IT,))
+            shape, positions = _POSITIONS.get(shape, lambda: (shape, _render(shape)[2]))
+            variables = tuple(map(operands.__getitem__, positions))
+            names = tuple(dict.fromkeys(variables))
+            lowered = shape, tuple(map(names.index, variables)), names, tuple(operands)
+            _keep(loop, "_kernel", lowered)
+        shape, pattern, names, operands = lowered
+        key = shape, pattern, tuple(map(self.env.__contains__, names))
+        return _KERNELS.get(key, lambda: _maker(*key))(names, *operands, None)
 
     def block(self, body):
         """The closures of a statement list, each its :meth:`statement`
-        lowered one node deep."""
-        return [self.generated(self.statement(s, ops := [], 1), ops) for s in body]
+        lowered one node deep the first time its node is seen, and kept on
+        the node (``_code``)."""
+        return [s._code or self.compiled(s) for s in body]
+
+    def compiled(self, s):
+        """The closure of the statement ``s``, which its node keeps from now on."""
+        _keep(s, "_code", closure := self.generated(self.statement(s, ops := [], 1), ops))
+        return closure
 
 
 def execute(
@@ -677,8 +704,10 @@ def execute(
     Arity mismatches and invalid budgets are rejected up front with
     ``ValueError``; everything that happens *during* execution lands in the
     record's status, an unbound variable as ``E_UNDEF`` at the statement that
-    read it.  Each call compiles the program anew, reading variable and literal
-    operands in place (:class:`_Compiler`), and drops the compiled form on return;
+    read it.  A statement is compiled the first time its node runs, reading
+    variable and literal operands in place (:class:`_Compiler`), and its node
+    keeps the code for every later call, which the parser's sharing of a
+    statement that recurs across parses extends to a program parsed again;
     a long ``for`` loop, or a ``while`` loop that proves hot, runs in a kernel
     kept per loop shape, with the same record.  ``p`` keeps the nesting bounds
     of docs/grammar.md, as every parsed or fuzzed program does.
@@ -699,7 +728,7 @@ def execute(
     error_kind = error_loc = None
     try:
         for stmt in run.block(p.body):
-            stmt()
+            stmt(run)
     except _Return as r:
         return_value = r.args[0]
     except (_Break, _Continue) as jump:  # outside a loop

@@ -1,7 +1,9 @@
 """Parser, formatter, variable listing, and hole templates."""
 
+import copy
 import functools
 import itertools
+import pickle
 
 import numpy as np
 import pytest
@@ -12,6 +14,7 @@ from semtrace.lang import (
     BinOp,
     For,
     HoleTemplate,
+    If,
     Index,
     Literal,
     ParseError,
@@ -20,6 +23,7 @@ from semtrace.lang import (
     TemplateError,
     UnaryOp,
     Var,
+    While,
     children,
     format_program,
     instantiate_template,
@@ -460,3 +464,104 @@ def test_programs_past_the_bounds_are_parse_errors(case):
     with pytest.raises(ParseError) as info:
         parse_program(PROGRAM % statement)
     assert (info.value.line, info.value.col) == position(PROGRAM % statement, PROGRAM.index("%s") + where(statement))
+
+
+# --- one node per compound statement ---
+
+
+COMPOUND_KINDS = (If, While, For)
+
+
+def statements(program):
+    return [node for node in walk(program) if hasattr(node, "loc")]
+
+
+# every compound kind, nested three deep, an else block included
+NESTED = format_program(parse_program(
+    "fn f(xs, n) { t = 0 for i in range(0, n) { if xs[i] > t { t = xs[i] while t > 9 { t = t - 9 } } "
+    "else { for j in range(0, 2, 1) { t = t + j } } } return t }"))
+
+
+def test_the_same_text_parses_to_the_same_compound_nodes_at_every_depth():
+    first, again = parse_program(NESTED), parse_program(NESTED)
+    assert first is not again and repr(first) == repr(again) == parse_outcome(memo_free_parse, NESTED)
+    pairs = list(zip(statements(first), statements(again)))
+    assert sorted(type(a).__name__ for a, _ in pairs if type(a) in COMPOUND_KINDS) == ["For", "For", "If", "While"]
+    assert all(a is b for a, b in pairs)
+
+
+def lines(*rows):
+    return "fn f(a, n) {\n%s\n    return a\n}\n" % "\n".join(rows)
+
+
+WHILE_ROWS = ("        while a {", "            a = false", "        }")
+# an if whose two loops, each one node, sit in its then and else blocks, and
+# the same loops at the same lines, both in its then block
+SPLIT = lines("    if a {", *WHILE_ROWS, "    } else {", *WHILE_ROWS, "    }")
+JOINED = lines("    if a {", *WHILE_ROWS, "", *WHILE_ROWS, "    }")
+# an if that differs from SPLIT's only in one statement of its second loop
+OTHER_STATEMENT = "a = true".join(SPLIT.rsplit("a = false", 1))
+# SPLIT's if one line lower
+MOVED = SPLIT.replace("{\n    if", "{\n\n    if")
+FOR_ROWS = ("    for i in range(0, n) {", "        a = false", "    }")
+FOR_VARIABLE = (lines(*FOR_ROWS), lines(FOR_ROWS[0].replace("for i", "for k"), *FOR_ROWS[1:]))
+
+
+@pytest.mark.parametrize("order", ["forward", "backward"])
+def test_a_compound_that_differs_in_one_part_is_a_node_of_its_own(order):
+    """An if whose statements split otherwise between its blocks, or that
+    differs in one nested statement or in its own ``loc``, and a for over
+    another variable, are nodes of their own, cold and warm, whichever was
+    parsed first; the parts they share are one node."""
+    for pair in [(SPLIT, JOINED), (SPLIT, OTHER_STATEMENT), (SPLIT, MOVED), FOR_VARIABLE]:
+        clear_memos()
+        for _ in range(2):
+            parsed = {source: parse_program(source) for source in (pair if order == "forward" else pair[::-1])}
+            assert all(repr(parsed[source]) == parse_outcome(memo_free_parse, source) for source in pair)
+            assert parsed[pair[0]].body[0] is not parsed[pair[1]].body[0]
+    split, joined = parse_program(SPLIT).body[0], parse_program(JOINED).body[0]
+    assert (len(split.then_body), len(split.else_body), len(joined.then_body), len(joined.else_body)) == (1, 1, 2, 0)
+    assert split.then_body[0] is joined.then_body[0] and split.else_body[0] is joined.then_body[1]
+    moved = parse_program(MOVED).body[0]
+    assert moved == split and moved.loc.line == split.loc.line + 1
+    other = parse_program(OTHER_STATEMENT).body[0]
+    assert other != split and other.then_body[0] is split.then_body[0] and other.cond is split.cond
+
+
+# A compound kept at one depth, then met where it passes MAX_BLOCKS: its
+# lines, at the same line numbers, inside loops that the first line opens
+DEEP_HEAD = "fn f(a, n) {" + " while a {" * lang_parser.MAX_BLOCKS
+KEPT_AT_ONE_DEPTH = lines(*WHILE_ROWS)
+PAST_THE_BOUND = KEPT_AT_ONE_DEPTH.replace("fn f(a, n) {", DEEP_HEAD, 1).replace(
+    "return a\n}", "return a\n" + " }" * lang_parser.MAX_BLOCKS + "\n}")
+
+
+@pytest.mark.parametrize("order", ["forward", "backward"])
+def test_a_kept_compound_keeps_the_parse_errors_and_their_positions(order):
+    error = parse_outcome(memo_free_parse, PAST_THE_BOUND)
+    assert "block nested more than %d" % lang_parser.MAX_BLOCKS in error[0] and error[1:] == (2, 17)
+    clear_memos()
+    sources = [KEPT_AT_ONE_DEPTH, PAST_THE_BOUND][:: 1 if order == "forward" else -1]
+    for _ in range(3):
+        assert [parse_outcome(parse_program, s) for s in sources] == [parse_outcome(memo_free_parse, s)
+                                                                       for s in sources]
+    assert type(parse_program(KEPT_AT_ONE_DEPTH).body[0]) is While
+
+
+def test_shared_programs_compare_hash_print_pickle_and_copy_as_before():
+    first, again = parse_program(NESTED), parse_program(NESTED)
+    fresh = memo_free_parse(NESTED)
+    assert first == again == fresh and hash(first) == hash(again) == hash(fresh)
+    assert repr(first) == repr(fresh) and format_program(first) == NESTED
+    for twin in (pickle.loads(pickle.dumps(first)), copy.copy(first), copy.deepcopy(first)):
+        assert twin == fresh and hash(twin) == hash(fresh) and repr(twin) == repr(fresh)
+    deep = copy.deepcopy(first)
+    assert not any(a is b for a, b in zip(statements(deep), statements(first)))
+
+
+def test_the_compound_memo_holds_at_most_its_capacity():
+    capacity = lang_parser.LINE_MEMO_CAPACITY
+    for k in range(capacity + 64):
+        program = parse_program(lines("    if a {", "        a = %d" % k, "    }"))
+        assert type(program.body[0]) is If
+    assert len(lang_parser._COMPOUNDS) == capacity

@@ -4,6 +4,7 @@ so this file also runs without numpy and without conftest.py."""
 
 import copy
 import pickle
+import weakref
 
 import pytest
 
@@ -184,3 +185,42 @@ def test_children_in_source_order_for_every_type():
     for not_a_node in (3, "x", None, Loc(1, 2)):
         with pytest.raises(TypeError):
             children(not_a_node)
+
+
+# the private slots in which semtrace.tracer keeps a statement's compiled code
+PRIVATE = {cls: ("_code", "_kernel") if cls in (While, For) else ("_code",)
+           for cls in FIELDS if "loc" in FIELDS[cls] and cls is not Loc}
+
+
+@pytest.mark.parametrize("cls", list(PRIVATE), ids=lambda cls: cls.__name__)
+def test_private_slots_are_outside_the_fields(cls):
+    """A statement's private slots start None in a new node and in every
+    rebuilt one, and no field reader sees them: not ``_fields``, ``==``,
+    ``hash``, ``repr``, nor the pickle and copy payloads."""
+    node = one_of_each()[cls]
+    values = [getattr(node, name) for name in FIELDS[cls]]
+    fresh, kept = cls(*values), object()
+    assert all(getattr(fresh, name) is None for name in PRIVATE[cls])
+    before = (repr(node), hash(node), node.__reduce__(), pickle.dumps(node))
+    for name in PRIVATE[cls]:
+        assert name not in cls._fields
+        object.__setattr__(node, name, kept)
+        with pytest.raises(AttributeError):
+            setattr(node, name, None)
+    try:
+        assert (repr(node), hash(node), node.__reduce__(), pickle.dumps(node)) == before
+        assert node == fresh and hash(node) == hash(fresh)
+        for twin in (pickle.loads(pickle.dumps(node)), copy.copy(node), copy.deepcopy(node)):
+            assert twin is not node and repr(twin) == before[0]
+            assert all(getattr(twin, name) is None for name in PRIVATE[cls])
+    finally:
+        for name in PRIVATE[cls]:
+            object.__setattr__(node, name, None)
+
+
+def test_a_loop_is_weakly_referable():
+    node = one_of_each()
+    for cls in (While, For):
+        assert weakref.ref(node[cls])() is node[cls]
+    with pytest.raises(TypeError):
+        weakref.ref(node[Assign])

@@ -3,6 +3,7 @@ copy-on-write lists, and agreement with the tree-walking interpreter and the
 independent big-step evaluator."""
 
 import copy
+import itertools
 import math
 from operator import itemgetter
 
@@ -11,7 +12,7 @@ import pytest
 
 from semtrace import tracer
 from semtrace.fuzz import ProgramFuzzer, differential_campaign
-from semtrace.lang import Loc, format_program, parse_program
+from semtrace.lang import For, Loc, format_program, parse_program, walk
 from semtrace.tracer import (
     E_DIV_ZERO,
     E_INDEX,
@@ -852,19 +853,33 @@ def test_budgets_around_promotion_match_tree_walker(monkeypatch):
 def test_a_cold_block_generates_one_closure_per_statement(monkeypatch):
     """Each statement of a block on closures, a loop included, is one
     generated closure: a loop's choice of tier and its hand-off to its kernel
-    are fragments of it, whether the loop runs on closures or not."""
+    are fragments of it, whether the loop runs on closures or not.  The
+    statement's node keeps its closure, so a second execute of a program
+    parsed again from the same text, whose nodes the parser shares, in
+    either mode, generates none and compiles no statement list but the
+    program's body."""
     made, blocks = [], []
     generated, block = tracer._Compiler.generated, tracer._Compiler.block
     monkeypatch.setattr(tracer._Compiler, "generated",
                         lambda run, shape, operands, loc=None: made.append(shape) or generated(run, shape, operands, loc))
     monkeypatch.setattr(tracer._Compiler, "block", lambda run, body: blocks.append(body) or block(run, body))
-    program = parse_program("fn f(n) { t = 0 for i in range(0, n) { t = t + i } k = 0 while k < n { k = k + 1 } "
-                            "if t > k { t = k } return t }")
+    source = ("fn f(n) { t = 0 for i in range(0, n) { t = t + i } k = 0 while k < n { k = k + 1 } "
+              "if t > k { t = k } return t }")
     for n, t in ((3, 3), (tracer.HOT + 4, tracer.HOT + 4)):
+        program = parse_program(source)  # one line: nodes of its own, compiled by this execute
         del made[:], blocks[:]
         assert execute(program, [n]).return_value == t
         assert len(made) == sum(map(len, blocks))
         assert all(tracer._NAMES.get(shape[0], "").startswith("loc") for shape in made)  # statements only
+        text = format_program(program)  # each statement begins its line, so the parser shares it
+        first = parse_program(text)
+        assert execute(first, [n]).return_value == t
+        for mode in MODES:
+            del made[:], blocks[:]
+            again = parse_program(text)
+            assert again is not first and all(a is b for a, b in zip(again.body, first.body))
+            assert execute(again, [n], mode=mode).return_value == t
+            assert made == [] and blocks == [again.body]
 
 
 # Hot loops inside blocks that run on closures at the default HOT: each
@@ -1184,6 +1199,132 @@ def test_running_cold_shapes_again_compiles_no_new_maker(monkeypatch):
         for mode in MODES:
             execute(program, inputs, mode=mode)
     assert made == []
+
+
+# --- a statement compiles once: its node keeps its code ---
+
+
+def statements(program):
+    return [node for node in walk(program) if hasattr(node, "loc")]
+
+
+_TAGS = itertools.count()
+
+
+def shared_twins(program):
+    """Two parses of a text of ``program`` that no earlier parse has read: a
+    comment of its own ends each line.  Each statement begins its line, so
+    the parser shares each node of the first parse with the second; none
+    has compiled code yet."""
+    tag = next(_TAGS)
+    text = "\n".join(line and line + "  # %d" % tag for line in format_program(program).split("\n"))
+    first, again = parse_program(text), parse_program(text)
+    assert all(node._code is None for node in statements(first))
+    assert all(a is b for a, b in zip(statements(first), statements(again), strict=True))
+    return first, again
+
+
+def assert_warm_matches_tree_walker(program, inputs):
+    """As ``assert_matches_tree_walker``, at every budget up to 120 steps,
+    and at 1,000."""
+    steps = tree_walk_execute(program, inputs, budget=1000).steps_used
+    assert_matches_at(program, inputs, [*range(1, min(steps, 120) + 2), 1000])
+
+
+GRAMMAR_SAMPLE = grammar_programs(120, 44)
+# each program, an input, and another input
+WARM_CASES = {
+    "kernel": [(parse_program(src), [list(range(19)), 3], [list(range(40)), -2]) for src, _ in KERNEL_PROGRAMS],
+    "hot-in-cold": [(parse_program(src), [[1, 2, 3], tracer.HOT + 4], [[4, 5], 3]) for src, _ in HOT_IN_COLD],
+    "cold-shapes": [(parse_program(src), *COLD_INPUTS) for src in dict.fromkeys(src for src, _ in COLD_SHAPES)],
+    "grammar": [(program, inputs, GRAMMAR_SAMPLE[k - 1][1]) for k, (program, inputs, _) in enumerate(GRAMMAR_SAMPLE)],
+}
+
+
+@pytest.mark.parametrize("hot", [0, 1, tracer.HOT])
+@pytest.mark.parametrize("case", WARM_CASES)
+def test_a_warm_program_matches_tree_walker(monkeypatch, case, hot):
+    """Each program runs once cold, in summary mode at the default HOT; a
+    parse of the same text, whose nodes keep the code that run compiled,
+    then matches the tree walker field for field at ``hot``: in both modes,
+    on that input and another, at budgets that stop on closures, at a
+    loop's hand-off to its kernel and inside the kernel."""
+    default = tracer.HOT
+    for program, inputs, other in WARM_CASES[case]:
+        first, again = shared_twins(program)
+        got = execute(first, inputs, budget=1000)
+        assert record_fields(got) == record_fields(tree_walk_execute(first, inputs, budget=1000))
+        monkeypatch.setattr(tracer, "HOT", hot)
+        for values in (inputs, other):
+            assert_warm_matches_tree_walker(again, values)
+        monkeypatch.setattr(tracer, "HOT", default)
+
+
+# a run that writes through a list it owns, ys, after taking it from its
+# input: appends in a long for loop and in a while loop that hands off
+OWNED_WRITES = ("fn f(xs, n) { ys = xs append(ys, n) for i in range(0, n) { append(ys, i) ys[0] = i } "
+                "k = 0 while k < n { append(ys, k) k = k + 1 } zs = ys append(zs, 0) return [ys, zs] }")
+
+
+def test_a_shared_program_keeps_no_state_of_a_run():
+    """One shared program runs in full mode, then in summary mode and in full
+    mode again on the same input list: no trajectory, step count, owned list
+    or variable of a run reaches the next one or its record, and the input
+    list is never written."""
+    first, again = shared_twins(parse_program(OWNED_WRITES))
+    xs = [7, 8]
+    records = [execute(first, [xs, 20], mode="full")]
+    kept = [record_fields(records[0])]
+    for program, n, mode in ((again, 20, "summary"), (again, 3, "full"), (first, 20, "full")):
+        records.append(execute(program, [xs, n], mode=mode))
+        kept.append(record_fields(records[-1]))
+        assert record_fields(records[-1]) == record_fields(tree_walk_execute(program, [xs, n], mode=mode))
+    assert xs == [7, 8] and records[1].trajectory is None
+    assert [record_fields(rec) for rec in records] == kept
+    assert kept[3] == kept[0] and kept[2][3] < kept[0][3]
+
+
+def spy_compiling(monkeypatch):
+    """The nodes that ``_Compiler.statement`` and ``lower`` lower, with their
+    depth, and the shapes that ``_Compiler.generated`` builds closures of."""
+    lowered, built = [], []
+    statement, lower, generated = tracer._Compiler.statement, tracer._Compiler.lower, tracer._Compiler.generated
+
+    def spy_statement(run, s, operands, depth, it=None):
+        lowered.append((s, depth))
+        return statement(run, s, operands, depth, it)
+
+    def spy_lower(run, e, loc, operands, stores=False, depth=math.inf):
+        lowered.append((e, depth))
+        return lower(run, e, loc, operands, stores, depth)
+
+    monkeypatch.setattr(tracer._Compiler, "statement", spy_statement)
+    monkeypatch.setattr(tracer._Compiler, "lower", spy_lower)
+    monkeypatch.setattr(tracer._Compiler, "generated",
+                        lambda run, shape, operands, loc=None: built.append(shape) or generated(run, shape, operands, loc))
+    return lowered, built
+
+
+def test_a_seen_node_is_lowered_once_and_builds_its_closure_once(monkeypatch):
+    """A second execute of a parse of the same text, in either mode, lowers
+    no node and builds no closure; a loop that hands two activations to its
+    kernel is lowered whole once."""
+    lowered, built = spy_compiling(monkeypatch)
+    handed, kernel = [], tracer._Compiler.kernel
+    monkeypatch.setattr(tracer._Compiler, "kernel", lambda run, loop: handed.append(loop) or kernel(run, loop))
+    src, _ = HOT_IN_COLD[0]  # a long for inside a while of two iterations
+    first, again = shared_twins(parse_program(src))
+    inputs = [[1, 2, 3], tracer.HOT + 4]
+    assert execute(first, inputs).status == STATUS_RETURNED
+    loop = first.body[2].body[0]
+    assert type(loop) is For and handed == [loop, loop]
+    assert [depth for node, depth in lowered if node is loop] == [1, math.inf]
+    assert built
+    for mode in MODES:
+        del lowered[:], built[:], handed[:]
+        assert record_fields(execute(again, inputs, mode=mode)) == record_fields(
+            tree_walk_execute(again, inputs, mode=mode))
+        assert lowered == built == [] and handed == [loop, loop]
 
 
 # --- grammar-level programs against both oracles ---
